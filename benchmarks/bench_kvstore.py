@@ -8,18 +8,19 @@ cache like every figure sweep; results land in the ``serve`` section of
 diffs against the committed baseline (req/s floors, unscaled: simulated
 throughput is machine-independent).
 
-What the curves show -- and the shape assertions pin:
+What the curves show -- and the shape assertions pin -- is the paper's
+claim on the repo's own serving workload: one-sided beats two-sided.
 
 * uncontended, one-sided access wins the median: at 4 clients the RMA
-  get path (direct remote read under an idle stripe lock) undercuts the
-  comparator's request/reply round trip;
-* under Zipf-0.99 skew at 64 clients the *striped per-key lock*
-  saturates: the hottest owner's stripe serializes ~15% of all traffic,
-  throughput plateaus and the p99 explodes -- exactly the hotspot the
-  serving report's key-skew heatmap and lock-contention section are
-  built to diagnose.  The cheap-handler comparator keeps scaling here
-  because its 60 ns handler is far shorter than a lock critical
-  section; it models receiver *dispatch*, not receiver *interference*.
+  get path (one atomic read of the slot) undercuts the comparator's
+  request/reply round trip;
+* under Zipf-0.99 skew at 64 clients the lock-free store keeps scaling
+  with the comparator (both are bound by the offered schedule) and wins
+  the tail: a request to the hot owner costs one pass through its AMO
+  engine, while the comparator's requests queue behind the hot owner's
+  *CPU*, which is also busy being a client.  (The store's first version
+  took a striped MCS lock per request and saturated at 0.75 M req/s
+  with a 6.2 ms p99 here; see EXPERIMENTS.md.)
 """
 
 from repro.bench import BenchPoint, Series, format_series_table, run_points
@@ -28,8 +29,8 @@ from repro.bench.appbench import kv_serve_stats
 SERVE_PS = [4, 16, 64]
 VARIANTS = ("rma", "mpi1")
 TOTAL_REQUESTS = 6400
-RATE_HZ = 5e4   # per client; drives the RMA store into its hot-stripe
-                # saturation regime at p=64 (deterministically)
+RATE_HZ = 5e4   # per client; 3.2 M req/s offered at p=64, where a
+                # per-request lock saturates (deterministically)
 SEED = 1
 
 
@@ -75,13 +76,12 @@ def test_kv_serve(benchmark, record_series, record_serve):
     # Uncontended median: one-sided access beats the request/reply
     # round trip.
     assert stats["rma"][4]["p50_ns"] < stats["mpi1"][4]["p50_ns"]
-    # Both backends' aggregate throughput rises with client count ...
+    # Both backends keep scaling with the offered load, 16 -> 64 clients
+    # included: nothing on the RMA data plane serializes under skew.
     for variant in VARIANTS:
-        assert by_thr[variant].ys[-1] > by_thr[variant].ys[0]
-    # ... but the lock-striped store saturates under skew at p=64 (the
-    # hot stripe serializes) while the comparator keeps scaling.
-    assert by_thr["rma"].ys[-1] < 1.5 * by_thr["rma"].ys[-2]
-    assert by_thr["mpi1"].ys[-1] > 2 * by_thr["mpi1"].ys[-2]
-    # Saturation is visible where it should be: the RMA tail at p=64
-    # blows past its p=16 value by an order of magnitude.
-    assert stats["rma"][64]["p99_ns"] > 10 * stats["rma"][16]["p99_ns"]
+        assert by_thr[variant].ys[-1] > 2 * by_thr[variant].ys[-2]
+    # At 64 clients the one-sided store is at least as fast and has the
+    # shorter tail.
+    assert stats["rma"][64]["throughput_rps"] \
+        >= stats["mpi1"][64]["throughput_rps"]
+    assert stats["rma"][64]["p99_ns"] <= stats["mpi1"][64]["p99_ns"]

@@ -2,7 +2,7 @@
 """Open-loop KV serving demo (docs/SERVING.md).
 
 Serves a small seeded Zipfian workload against the RMA-backed KV store
-(repro.apps.kvstore over per-stripe MCS locks + AMO insertion), prints
+(repro.apps.kvstore: lock-free atomic-read gets and CAS writes), prints
 the deterministic tail-latency report, and cross-checks the final store
 contents against the schedule-replay model -- the "serving traffic"
 quickstart from the README.

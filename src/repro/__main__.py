@@ -240,7 +240,8 @@ def main(argv=None) -> int:
                     help="ranks per node (fault-free runs; --ft always "
                          "places one rank per node)")
     sv.add_argument("--stripes", type=int, default=8,
-                    help="MCS lock stripes per store rank")
+                    help="MCS lock stripes guarding inserts (the data "
+                         "plane takes no lock)")
     sv.add_argument("--variant", choices=("rma", "mpi1"), default="rma")
     sv.add_argument("--check", action="store_true",
                     help="also attach the memory-model checker (exit 1 "

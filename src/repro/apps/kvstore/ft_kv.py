@@ -9,14 +9,17 @@ and restructures the store V1-style:
 
 * **Direct-mapped values.**  Key ``k`` owns one 8-byte word on rank
   ``k % nranks`` at byte ``(k // nranks) * 8``; GET is a plain get, PUT
-  a logged put, UPDATE a hardware FADD (exactly-once under replay via
-  the injector's AMO dedup cache).
+  a hardware REPLACE and UPDATE a hardware FADD (both logged at the
+  target and exactly-once under replay via the injector's AMO dedup
+  cache; a plain put would be re-applied by a restarted rank and wipe
+  the deduplicated UPDATEs that followed it).
 
 * **Single-writer mutations.**  The schedule runs with
   ``ServeSpec.ft_mode`` so each key is mutated by exactly one client
   (:func:`repro.serve.zipf.mutator_of`); with per-rank program order
-  preserved (flush after every put), the final bytes are a pure function
-  of the seed -- bit-comparable between the crashed and fault-free runs.
+  preserved (every mutation is a blocking fetch), the final bytes are a
+  pure function of the seed -- bit-comparable between the crashed and
+  fault-free runs.
 
 * **Collective-free steady state** after window creation: checkpoints
   every ``FTConfig.interval`` requests, completion via a counter in
@@ -64,7 +67,8 @@ def ft_kv_serve(ctx, spec: ServeSpec):
     interval = ft.rt.cfg.interval if ft is not None else 0
     sched = client_schedule(spec, rank, nranks)
 
-    if ft is not None and ft.restarting:
+    restarting = ft is not None and ft.restarting
+    if restarting:
         st = ft.restored_state()
         win = ft.adopt(st["win_id"])
         start_i = st["next_i"]
@@ -75,7 +79,10 @@ def ft_kv_serve(ctx, spec: ServeSpec):
         start_i = 0
 
     yield from win.lock_all()
-    if start_i == 0:
+    # Not on a restart from the v0 checkpoint (next_i == 0 there too):
+    # the restored window already holds the preload plus every logged
+    # mutation since, which a second preload would wipe.
+    if not restarting:
         # Preload this rank's slots, then take the v0 checkpoint so the
         # local writes are inside the restart line.
         for key in range(rank, spec.nkeys, nranks):
@@ -101,10 +108,11 @@ def ft_kv_serve(ctx, spec: ServeSpec):
         if op == OP_GET:
             yield from win.get_blocking(owner, off, 8, np.int64)
         elif op == OP_PUT:
-            yield from win.put(np.array([value], np.int64), owner, off)
-            # Per-rank program order on the wire: the next operation to
-            # this key must not overtake the put.
-            yield from win.flush(owner)
+            # An atomic REPLACE, not a put: a restarted rank re-executes
+            # its interval, and a re-applied put would wipe an UPDATE of
+            # the same key that the dedup cache then (rightly) skips.
+            yield from win.fetch_and_op(np.int64(value), owner, off,
+                                        Op.REPLACE)
         else:
             yield from win.fetch_and_op(np.int64(value), owner, off,
                                         Op.SUM)

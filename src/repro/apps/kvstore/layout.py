@@ -20,6 +20,7 @@ hashtable geometry it extends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,12 @@ from repro.apps.hashtable.common import (
 )
 
 __all__ = ["KvLayout"]
+
+# A served keyspace is small and hot (every rank walks all of it to find
+# its partition, then Zipf traffic revisits the same keys), so the pure
+# placement hash is memoized; the fig7a hashtable places each key once
+# and keeps calling place_key directly.
+_place = lru_cache(maxsize=4096)(place_key)
 
 
 @dataclass(frozen=True)
@@ -79,12 +86,29 @@ class KvLayout:
     # -- placement / claiming -------------------------------------------
     def place(self, key: int, nranks: int) -> tuple[int, int]:
         """(owner rank, table slot) for a key."""
-        return place_key(key, nranks, self.table_slots)
+        return _place(key, nranks, self.table_slots)
 
     def claim_cell(self, counter: int) -> int:
         return claim_overflow_cell(counter, self.heap_cells)
 
-    # -- local reading (occupancy scans, verification) -------------------
+    # -- owner-side access through the local view (preload, scans) -------
+    def insert_local(self, volume: np.ndarray, slot: int, key: int,
+                     value: int) -> None:
+        """Install a key known to be absent straight into its owner's
+        int64 volume (preload: no remote traffic, so no atomics needed;
+        the caller orders it before remote accesses).  Builds exactly
+        the structure :meth:`KvStore.put` publishes remotely."""
+        if volume[self.slot_key(slot)] == 0:
+            volume[self.slot_value(slot)] = value
+            volume[self.slot_key(slot)] = key
+            return
+        cell = self.claim_cell(int(volume[0]))
+        volume[0] = cell
+        volume[self.heap_key(cell)] = key
+        volume[self.heap_value(cell)] = value
+        volume[self.heap_next(cell)] = volume[self.slot_head(slot)]
+        volume[self.slot_head(slot)] = cell
+
     def scan(self, volume: np.ndarray) -> dict[int, int]:
         """All (key, value) pairs stored in one rank's int64 volume."""
         out: dict[int, int] = {}

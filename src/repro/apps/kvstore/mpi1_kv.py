@@ -61,7 +61,7 @@ def mpi1_kv_program(ctx, spec: ServeSpec):
     rank, nranks = ctx.rank, ctx.nranks
     store: dict[int, int] = {}
     # Owner-side preload: the dict IS the partition, so each owner just
-    # installs its keys (the RMA variant pays puts for the same effect).
+    # installs its keys (as the RMA variant does through its local view).
     for key in range(spec.nkeys):
         if owner_of(key, nranks) == rank:
             store[key + 1] = initial_value(spec.seed, key)
@@ -87,6 +87,10 @@ def mpi1_kv_program(ctx, spec: ServeSpec):
         while ctx.now < t_arr:
             msg = ctx.mpi.improbe(channel="kv")
             if msg is None:
+                # A bounded sleep toward a scheduled arrival always
+                # terminates: tell the watchdog, or many idle pollers
+                # between sparse arrivals look like a livelock.
+                ctx.env.note_progress()
                 yield ctx.env.timeout(min(_IDLE_POLL_NS, t_arr - ctx.now))
             else:
                 payload = yield from ctx.mpi.mrecv(msg)

@@ -1,24 +1,39 @@
 """RMA-backed distributed key-value store (the ``repro.serve`` backend).
 
 Extends the paper's Section 4.1 hashtable from insert-only to a full
-get/put/update map.  Every data-plane operation runs inside a striped
-MCS critical section (stripe = slot mod ``n_stripes``); the paper's
-lock-free idioms survive inside it:
+get/put/update map, and keeps its defining property: the data plane is
+lock-free.  Every shared word is touched only by accumulate-family
+operations, which MPI-3 makes element-wise atomic and -- under the
+default ``same_op_no_op`` -- well-defined when concurrent as long as each
+word sees one operation besides ``NO_OP``:
 
-* slot claim:   ``CAS(0 -> key)`` on the slot's key word
-* cell claim:   ``FADD(+1)`` on the next-free heap counter (word 0)
-* chain link:   ``FADD(REPLACE)`` on the slot's head word
-* read-modify:  ``CAS(old -> new)`` on the value word (the CAS-update)
+=================  ==========================  =========================
+word               written by                  read by
+=================  ==========================  =========================
+next-free counter  ``FADD(+1)``                --
+slot / cell key    ``CAS(0 -> key)``, once     ``NO_OP`` (atomic read)
+value              ``CAS(old -> new)``         ``NO_OP``
+slot head          ``FADD(REPLACE)``           ``NO_OP``
+cell next          ``CAS(0 -> head)``, once    ``NO_OP``
+=================  ==========================  =========================
 
-The MCS lock is what makes the *mixed* accesses well-defined: plain gets
-of slot/chain words and the atomics above would otherwise be
-atomic-vs-nonatomic races under the MPI-3 separate memory model.  The
-lock's happens-before edge (checker hooks ``mcs_acquired`` /
-``mcs_released``) orders cross-rank critical sections; within a rank,
-each section ends with a ``flush`` so the next section's operations are
-consecutive (oseq-ordered), not concurrent.  The word-0 FADD crosses
-stripe boundaries but is only ever touched by same-op SUM atomics, which
-MPI permits unordered.
+* ``get`` is a chain walk of three-word atomic reads
+  (``get_accumulate(NO_OP)`` over ``(key, value, head|next)``).
+* ``put``/``update`` on an existing key locate it the same way, then run
+  a CAS loop on the value word; concurrent updates all land.
+* Only a *structure change* (a new key) takes the stripe's MCS lock
+  (stripe = slot mod ``n_stripes``), so two inserters cannot claim one
+  slot or fork one chain.  It publishes a fully written entry with a
+  single 8-byte atomic: the slot value before the key CAS, the cell
+  ``(key, value, next)`` before the head ``REPLACE``.  Entries are never
+  removed and a chain only grows at its head, so a reader racing an
+  insert sees the chain either without the new entry or with all of it.
+
+Every atomic here is a blocking fetch -- it has taken effect at the
+target when the call returns -- so program order is visibility order and
+the store needs no flush.  The race checker agrees without any
+relaxation (``tests/check/test_note_local.py`` holds the twins: atomic
+read + CAS is clean, a plain ``put`` on a value word is not).
 """
 
 from __future__ import annotations
@@ -35,6 +50,8 @@ from repro.rma.window import CTRL_WORDS_BASE
 __all__ = ["KvStore"]
 
 _MASK63 = (1 << 63) - 1
+# Origin buffer of the three-word atomic read (NO_OP ignores its contents).
+_THREE_WORDS = np.zeros(3, dtype=np.int64)
 
 
 class KvStore:
@@ -88,56 +105,92 @@ class KvStore:
         return self.locks[slot % self.n_stripes]
 
     def _read3(self, owner: int, word: int):
-        """Three consecutive words from ``owner``'s volume."""
-        got = yield from self.win.get_blocking(owner, word, 24, np.int64)
-        return int(got[0]), int(got[1]), int(got[2])
+        """Three consecutive words from ``owner``'s volume, read
+        atomically."""
+        got = yield from self.win.get_accumulate(_THREE_WORDS, owner, word,
+                                                 Op.NO_OP)
+        return got.tolist()
 
-    def _write_word(self, owner: int, word: int, value: int):
-        yield from self.win.put(np.array([value], dtype=np.int64),
-                                owner, word)
+    def _cas(self, owner: int, word: int, compare: int, swap: int):
+        old = yield from self.win.compare_and_swap(
+            np.int64(compare), np.int64(swap), owner, word)
+        return int(old)
 
     def _locate(self, owner: int, slot: int, key: int):
-        """Find ``key`` under the lock: (slot key word, chain hops,
-        value-word index or None, current value).  The caller must flush
-        before writing so these reads are oseq-ordered ahead of it."""
+        """Lock-free chain walk: (slot key word, slot head, chain hops,
+        value-word index or None, value read)."""
         lay = self.layout
         kw, val, head = yield from self._read3(owner, lay.slot_key(slot))
         if kw == key:
-            return kw, 0, lay.slot_value(slot), val
+            return kw, head, 0, lay.slot_value(slot), val
         hops = 0
         cell = head
         while cell != 0:
             hops += 1
             ck, cv, nxt = yield from self._read3(owner, lay.heap_key(cell))
             if ck == key:
-                return kw, hops, lay.heap_value(cell), cv
+                return kw, head, hops, lay.heap_value(cell), cv
             cell = nxt
-        return kw, hops, None, 0
+        return kw, head, hops, None, 0
+
+    def _write_fresh(self, owner: int, *writes):
+        """Write never-used (zero) words in order, each as a blocking
+        ``CAS(0 -> value)``: every word is in place before the next."""
+        for word, value in writes:
+            if (yield from self._cas(owner, word, 0, value)) != 0:
+                raise RuntimeError("kvstore: insert raced under the lock")
 
     def _insert_new(self, owner: int, slot: int, slot_key_word: int,
-                    key: int, value: int):
-        """Insert a key known (under the lock) to be absent.  Caller has
-        flushed its reads already."""
+                    head: int, key: int, value: int):
+        """Insert a key known (under the stripe lock) to be absent, given
+        the slot's key and head words as read under the lock.  The last
+        atomic of either path is the one that publishes the entry."""
         lay = self.layout
-        win = self.win
         if slot_key_word == 0:
-            old = yield from win.compare_and_swap(np.int64(0),
-                                                  np.int64(key), owner,
-                                                  lay.slot_key(slot))
-            if int(old) != 0:
-                raise RuntimeError("kvstore: slot claim raced under lock")
-            yield from self._write_word(owner, lay.slot_value(slot), value)
+            yield from self._write_fresh(owner,
+                                         (lay.slot_value(slot), value),
+                                         (lay.slot_key(slot), key))
             return "table"
-        cell0 = yield from win.fetch_and_op(np.int64(1), owner, 0, Op.SUM)
+        cell0 = yield from self.win.fetch_and_op(np.int64(1), owner, 0,
+                                                 Op.SUM)
         cell = lay.claim_cell(int(cell0))
-        yield from self._write_word(owner, lay.heap_key(cell), key)
-        yield from self._write_word(owner, lay.heap_value(cell), value)
-        old_head = yield from win.fetch_and_op(np.int64(cell), owner,
-                                               lay.slot_head(slot),
-                                               Op.REPLACE)
-        yield from self._write_word(owner, lay.heap_next(cell),
-                                    int(old_head))
+        yield from self._write_fresh(owner,
+                                     (lay.heap_key(cell), key),
+                                     (lay.heap_value(cell), value),
+                                     (lay.heap_next(cell), head))
+        old_head = yield from self.win.fetch_and_op(
+            np.int64(cell), owner, lay.slot_head(slot), Op.REPLACE)
+        if int(old_head) != head:
+            raise RuntimeError("kvstore: chain link raced under the lock")
         return "heap"
+
+    def _upsert(self, key: int, opname: str, new_of):
+        """Set ``key``'s value to ``new_of(current)`` (``current`` is None
+        for an absent key); returns (path, new value)."""
+        self._check_key(key)
+        owner, slot = self.layout.place(key, self.ctx.nranks)
+        kw, head, hops, loc, cur = yield from self._locate(owner, slot, key)
+        path = "update"
+        if loc is None:
+            lock = self._lock_for(slot)
+            yield from lock.acquire()
+            # Another rank may have inserted the key since the walk above.
+            kw, head, hops, loc, cur = yield from self._locate(owner, slot,
+                                                               key)
+            if loc is None:
+                new = new_of(None)
+                path = yield from self._insert_new(owner, slot, kw, head,
+                                                   key, new)
+            yield from lock.release()
+        if path == "update":
+            while True:
+                new = new_of(cur)
+                old = yield from self._cas(owner, loc, cur, new)
+                if old == cur:
+                    break
+                cur = old
+        self._note(opname, owner, hops)
+        return path, new
 
     def _note(self, opname: str, owner: int, hops: int) -> None:
         obs = self.ctx.obs
@@ -161,58 +214,23 @@ class KvStore:
         """Value stored under ``key``, or None."""
         self._check_key(key)
         owner, slot = self.layout.place(key, self.ctx.nranks)
-        lock = self._lock_for(slot)
-        yield from lock.acquire()
-        _kw, hops, loc, val = yield from self._locate(owner, slot, key)
-        # Completes the reads before release AND bumps oseq so this
-        # rank's next critical section is ordered after them.
-        yield from self.win.flush(owner)
-        yield from lock.release()
+        _kw, _head, hops, loc, val = yield from self._locate(owner, slot,
+                                                             key)
         self._note("get", owner, hops)
         return val if loc is not None else None
 
     def put(self, key: int, value: int):
         """Store ``value`` under ``key``; returns the path taken
         ('table' | 'heap' | 'update')."""
-        self._check_key(key)
         value &= _MASK63
-        owner, slot = self.layout.place(key, self.ctx.nranks)
-        lock = self._lock_for(slot)
-        yield from lock.acquire()
-        kw, hops, loc, _val = yield from self._locate(owner, slot, key)
-        yield from self.win.flush(owner)  # order reads before the writes
-        if loc is not None:
-            yield from self._write_word(owner, loc, value)
-            path = "update"
-        else:
-            path = yield from self._insert_new(owner, slot, kw, key, value)
-        yield from self.win.flush(owner)
-        yield from lock.release()
-        self._note("put", owner, hops)
+        path, _new = yield from self._upsert(key, "put", lambda cur: value)
         return path
 
     def update(self, key: int, delta: int):
         """Add ``delta`` to ``key``'s value (inserting ``delta`` if the
         key is absent) via CAS on the value word; returns the new value."""
-        self._check_key(key)
-        owner, slot = self.layout.place(key, self.ctx.nranks)
-        lock = self._lock_for(slot)
-        yield from lock.acquire()
-        kw, hops, loc, cur = yield from self._locate(owner, slot, key)
-        yield from self.win.flush(owner)
-        if loc is None:
-            new = delta & _MASK63
-            yield from self._insert_new(owner, slot, kw, key, new)
-        else:
-            new = (cur + delta) & _MASK63
-            old = yield from self.win.compare_and_swap(np.int64(cur),
-                                                       np.int64(new),
-                                                       owner, loc)
-            if int(old) != cur:
-                raise RuntimeError("kvstore: CAS-update raced under lock")
-        yield from self.win.flush(owner)
-        yield from lock.release()
-        self._note("update", owner, hops)
+        _path, new = yield from self._upsert(
+            key, "update", lambda cur: ((cur or 0) + delta) & _MASK63)
         return new
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ class Segment:
     """A contiguous byte range of one rank's memory."""
 
     __slots__ = ("rank", "seg_id", "vaddr", "buf", "alive", "label",
-                 "watch", "_mv")
+                 "watch", "_mv", "_w64")
 
     def __init__(self, rank: int, seg_id: int, vaddr: int, size: int,
                  label: str = "") -> None:
@@ -36,6 +36,7 @@ class Segment:
         # Cached flat byte view: the zero-copy read/write fast paths are
         # plain memoryview slice copies, no numpy dispatch per access.
         self._mv = memoryview(self.buf.data)
+        self._w64 = None   # whole-segment word view, built by words64()
         self.alive = True
         self.label = label
         # Optional access funnel installed by the memory-model checker
@@ -132,6 +133,22 @@ class Segment:
         n = avail if count is None else count
         self._check(offset, n * dt.itemsize)
         return self.buf[offset:offset + n * dt.itemsize].view(dt)
+
+    def words64(self, offset: int = 0) -> memoryview:
+        """The segment's 8-byte words from ``offset`` on, as a flat
+        unsigned view (zero-copy; indexing yields Python ints).
+
+        This is what the AMO engine operates on.  The whole-segment view
+        is built once and shared, so an atomic costs one index operation,
+        not a fresh numpy view per load and store."""
+        if offset == 0:
+            words = self._w64
+            if words is None:
+                words = self._w64 = self._mv[:self.size // 8 * 8].cast("Q")
+            return words
+        self._check(offset, 0)
+        nbytes = (self.size - offset) // 8 * 8
+        return self._mv[offset:offset + nbytes].cast("Q")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Segment rank={self.rank} id={self.seg_id} "

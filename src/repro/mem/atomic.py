@@ -24,7 +24,8 @@ import numpy as np
 from repro.errors import MemoryError_
 from repro.sim.kernel import Environment, Event, URGENT
 
-__all__ = ["AtomicArray", "SegmentCells", "MASK64"]
+__all__ = ["AtomicArray", "SegmentCells", "MASK64", "amo_result",
+           "prepare_stream"]
 
 MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -36,6 +37,52 @@ def _wrap(v: int) -> int:
 def _signed(v: int) -> int:
     v &= MASK64
     return v - (1 << 64) if v >= (1 << 63) else v
+
+
+def amo_result(old: int, op: str, operand: int) -> int:
+    """New cell value after the named AMO, wrapped to 64 bits.
+
+    Supported ops mirror the DMAPP AMO set: add, and, or, xor, replace,
+    min/max (signed, as MPI integer semantics require) and fetch (an
+    atomic read: the cell keeps its value).
+    """
+    v = int(operand)
+    if op == "add":
+        new = old + v
+    elif op == "and":
+        new = old & v
+    elif op == "or":
+        new = old | v
+    elif op == "xor":
+        new = old ^ v
+    elif op == "min":
+        new = old if _signed(old) <= _signed(v) else v
+    elif op == "max":
+        new = old if _signed(old) >= _signed(v) else v
+    elif op == "replace":
+        new = v
+    elif op == "fetch":
+        new = old
+    else:
+        raise MemoryError_(f"unknown AMO op {op!r}")
+    return new & MASK64
+
+
+def prepare_stream(cells, base_idx: int, op: str, operands):
+    """Issue-time half of an AMO stream over consecutive cells.
+
+    Returns ``(n, run)``: the element count, and the closure that applies
+    the stream at its effect instant and returns the old values.  A
+    ``fetch`` stream takes only its count from ``operands`` (MPI ignores
+    the origin buffer of a ``NO_OP``): no operand list is built and the
+    cells are read in one slice.
+    """
+    if op == "fetch":
+        n = int(np.size(operands))
+        return n, lambda: cells.load_block(base_idx, n)
+    ops = [int(v) for v in np.asarray(operands).ravel()]
+    return len(ops), lambda: [cells.apply(base_idx + i, op, v)
+                              for i, v in enumerate(ops)]
 
 
 class AtomicArray:
@@ -96,31 +143,11 @@ class AtomicArray:
         return old
 
     def apply(self, idx: int, op: str, operand: int) -> int:
-        """Apply a named AMO; returns the old value.
-
-        Supported ops mirror the DMAPP AMO set: add, and, or, xor, min,
-        max (min/max signed, as MPI integer semantics require).
-        """
+        """Apply a named AMO (see :func:`amo_result`); returns the old
+        value."""
         self._check(idx)
         old = self._cells[idx]
-        v = int(operand)
-        if op == "add":
-            new = old + v
-        elif op == "and":
-            new = old & v
-        elif op == "or":
-            new = old | v
-        elif op == "xor":
-            new = old ^ v
-        elif op == "min":
-            new = old if _signed(old) <= _signed(v) else v
-        elif op == "max":
-            new = old if _signed(old) >= _signed(v) else v
-        elif op == "replace":
-            new = v
-        else:
-            raise MemoryError_(f"unknown AMO op {op!r}")
-        self._cells[idx] = _wrap(new)
+        self._cells[idx] = amo_result(old, op, operand)
         self._notify(idx)
         return old
 
@@ -162,64 +189,56 @@ class SegmentCells:
     The NIC AMO engine operates on any 8-byte-aligned registered memory,
     not just dedicated control words; this adapter lets the DMAPP AMO calls
     target window *data* (accumulates, fetch-and-op, CAS on user buffers).
-    Cell index i is the i-th int64 word after ``base_offset``.  No watcher
-    support -- user data is polled by protocols, never watched.
+    Cell index i is the i-th 8-byte word after ``base_offset``; values are
+    unsigned, exactly like :class:`AtomicArray` cells.  No watcher support
+    -- user data is polled by protocols, never watched.
     """
 
-    __slots__ = ("seg", "base_offset", "signed")
+    __slots__ = ("seg", "_words")
 
-    def __init__(self, seg, base_offset: int = 0, signed: bool = True) -> None:
+    def __init__(self, seg, base_offset: int = 0) -> None:
         if base_offset % 8:
             raise MemoryError_(f"AMO base offset {base_offset} not 8-aligned")
         self.seg = seg
-        self.base_offset = base_offset
-        self.signed = signed
+        self._words = seg.words64(base_offset)
 
-    def _view(self) -> np.ndarray:
-        dt = np.int64 if self.signed else np.uint64
-        return self.seg.typed(dt, offset=self.base_offset)
+    def _live_words(self):
+        if not self.seg.alive:
+            raise MemoryError_(
+                f"AMO on freed segment {self.seg.label or self.seg.seg_id}")
+        return self._words
 
     def load(self, idx: int) -> int:
-        return int(self._view()[idx]) & MASK64
+        return self._live_words()[idx]
 
     def store(self, idx: int, value: int) -> None:
-        v = self._view()
-        v[idx] = np.int64(_signed(value)) if self.signed else np.uint64(_wrap(value))
+        self._live_words()[idx] = int(value) & MASK64
 
     def cas(self, idx: int, compare: int, swap: int) -> int:
-        old = self.load(idx)
-        if old == _wrap(int(compare)):
-            self.store(idx, swap)
+        words = self._live_words()
+        old = words[idx]
+        if old == int(compare) & MASK64:
+            words[idx] = int(swap) & MASK64
         return old
 
     def swap(self, idx: int, value: int) -> int:
-        old = self.load(idx)
-        self.store(idx, value)
-        return old
+        return self.apply(idx, "replace", value)
 
     def fadd(self, idx: int, delta: int) -> int:
-        old = self.load(idx)
-        self.store(idx, _wrap(old + int(delta)))
-        return old
+        return self.apply(idx, "add", delta)
 
     def apply(self, idx: int, op: str, operand: int) -> int:
-        old = self.load(idx)
-        v = int(operand)
-        if op == "add":
-            new = old + v
-        elif op == "and":
-            new = old & v
-        elif op == "or":
-            new = old | v
-        elif op == "xor":
-            new = old ^ v
-        elif op == "min":
-            new = old if _signed(old) <= _signed(v) else v
-        elif op == "max":
-            new = old if _signed(old) >= _signed(v) else v
-        elif op == "replace":
-            new = v
-        else:
-            raise MemoryError_(f"unknown AMO op {op!r}")
-        self.store(idx, _wrap(new))
+        words = self._live_words()
+        old = words[idx]
+        words[idx] = amo_result(old, op, operand)
         return old
+
+    def load_block(self, idx: int, n: int) -> list[int]:
+        """``n`` consecutive words in one slice read (the fetch-only
+        stream); slices clamp silently, so the range is checked here."""
+        words = self._live_words()
+        if idx < 0 or idx + n > len(words):
+            raise MemoryError_(
+                f"AMO block [{idx}, {idx + n}) outside the segment's "
+                f"{len(words)} words")
+        return words[idx:idx + n].tolist()

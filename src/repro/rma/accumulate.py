@@ -53,10 +53,13 @@ def apply_op(op: Op, old: np.ndarray, operand: np.ndarray) -> np.ndarray:
     raise RmaError(f"unsupported accumulate op {op}")
 
 
-def _hw_eligible(win, op: Op, arr: np.ndarray, toff: int) -> bool:
+_I64 = np.dtype(np.int64)
+
+
+def _hw_eligible(win, op: Op, dtype: np.dtype, toff: int) -> bool:
     if op not in HW_OPS:
         return False
-    if arr.dtype.kind not in "iu" or arr.dtype.itemsize != 8:
+    if dtype.kind not in "iu" or dtype.itemsize != 8:
         return False
     if toff % 8 != 0:
         return False
@@ -64,12 +67,12 @@ def _hw_eligible(win, op: Op, arr: np.ndarray, toff: int) -> bool:
                           WinFlavor.SHARED)
 
 
-def acc_path(win, op: Op, arr: np.ndarray, toff: int) -> str:
+def acc_path(win, op: Op, dtype: np.dtype, toff: int) -> str:
     """Which implementation an accumulate takes: ``"hw"`` (NIC AMO
     stream) or ``"sw"`` (locked fallback).  Diagnostic colour for the
     memory-model checker -- both paths are atomic with respect to each
     other, so the tag never affects race classification."""
-    return "hw" if _hw_eligible(win, op, arr, toff) else "sw"
+    return "hw" if _hw_eligible(win, op, dtype, toff) else "sw"
 
 
 def accumulate(win, data, target: int, target_disp: int, op: Op, *,
@@ -80,9 +83,9 @@ def accumulate(win, data, target: int, target_disp: int, op: Op, *,
     toff = win._byte_offset(target_disp)
     yield from ctx.instr(win.params.instr_accumulate)
 
-    if _hw_eligible(win, op, arr, toff):
+    if _hw_eligible(win, op, arr.dtype, toff):
         seg, base = win._target_segment(target, toff, arr.nbytes)
-        cells = SegmentCells(seg, 0, signed=arr.dtype.kind == "i")
+        cells = SegmentCells(seg)
         base_idx = (base + toff) // 8
         operands = arr.ravel().astype(np.int64, copy=False)
         hw = op.hw_name
@@ -190,47 +193,57 @@ def _acc_amo(win, target: int, op: str, operand: int, operand2: int = 0,
     return None
 
 
+def _word(value) -> tuple[int, np.dtype]:
+    """One 8-byte origin element as ``(operand, dtype)``.  The operand
+    only has to be right modulo 2**64 (the cells wrap), so the usual
+    ``np.int64`` spelling needs no array round trip."""
+    if type(value) is np.int64:
+        return int(value), _I64
+    arr = np.asarray(value).reshape(1)
+    return int(arr.astype(np.int64)[0]), arr.dtype
+
+
+def _old_as(old: int, dtype: np.dtype):
+    """The unsigned old cell value as a scalar of the origin's dtype."""
+    if dtype is _I64:
+        return np.int64(old - (1 << 64) if old >> 63 else old)
+    return np.uint64(old).view(dtype)
+
+
+def _scalar_amo(win, target: int, toff: int, op: str, a: int, b: int = 0):
+    """One blocking fetching AMO on the window word at byte ``toff``."""
+    ctx = win.ctx
+    seg, base = win._target_segment(target, toff, 8)
+    cells = SegmentCells(seg)
+    idx = (base + toff) // 8
+    if ctx.same_node(target):
+        return (yield from ctx.xpmem.amo(cells, idx, op, a, b))
+    logger = (ctx.ft.amo_logger(win, target, cells, idx)
+              if ctx.ft is not None else None)
+    return (yield from ctx.dmapp.amo_b(target, cells, idx, op, a, b,
+                                       on_applied=logger))
+
+
 def fetch_and_op(win, value, target: int, target_disp: int, op: Op):
     """Single 8-byte element fetch-and-op (fine-grained completion)."""
-    ctx = win.ctx
-    arr = np.asarray(value).reshape(1)
+    operand, dtype = _word(value)
     toff = win._byte_offset(target_disp)
-    yield from ctx.instr(win.params.instr_accumulate)
-    if _hw_eligible(win, op, arr, toff):
-        seg, base = win._target_segment(target, toff, 8)
-        cells = SegmentCells(seg, 0, signed=arr.dtype.kind == "i")
-        idx = (base + toff) // 8
-        operand = int(arr.astype(np.int64)[0])
-        if ctx.same_node(target):
-            old = yield from ctx.xpmem.amo(cells, idx, op.hw_name, operand)
-        else:
-            logger = (ctx.ft.amo_logger(win, target, cells, idx)
-                      if ctx.ft is not None else None)
-            old = yield from ctx.dmapp.amo_b(target, cells, idx, op.hw_name,
-                                             operand, on_applied=logger)
-        return np.uint64(old).view(np.dtype(arr.dtype))
+    yield from win.ctx.instr(win.params.instr_accumulate)
+    if _hw_eligible(win, op, dtype, toff):
+        old = yield from _scalar_amo(win, target, toff, op.hw_name, operand)
+        return _old_as(old, dtype)
+    arr = np.asarray(value).reshape(1)
     old = yield from _locked_fallback(win, arr, target, toff, op)
     return old[0]
 
 
 def compare_and_swap(win, compare, swap, target: int, target_disp: int):
     """8-byte CAS; always on the AMO engine (P_CAS = 2.4 us)."""
-    ctx = win.ctx
     toff = win._byte_offset(target_disp)
     if toff % 8:
         raise RmaError("CAS target must be 8-byte aligned")
-    yield from ctx.instr(win.params.instr_accumulate)
-    comp_arr = np.asarray(compare).reshape(1)
-    seg, base = win._target_segment(target, toff, 8)
-    cells = SegmentCells(seg, 0, signed=comp_arr.dtype.kind == "i")
-    idx = (base + toff) // 8
-    c = int(comp_arr.astype(np.int64)[0])
-    s = int(np.asarray(swap).reshape(1).astype(np.int64)[0])
-    if ctx.same_node(target):
-        old = yield from ctx.xpmem.amo(cells, idx, "cas", c, s)
-    else:
-        logger = (ctx.ft.amo_logger(win, target, cells, idx)
-                  if ctx.ft is not None else None)
-        old = yield from ctx.dmapp.amo_b(target, cells, idx, "cas", c, s,
-                                         on_applied=logger)
-    return np.uint64(old).view(comp_arr.dtype)
+    yield from win.ctx.instr(win.params.instr_accumulate)
+    c, dtype = _word(compare)
+    s, _ = _word(swap)
+    old = yield from _scalar_amo(win, target, toff, "cas", c, s)
+    return _old_as(old, dtype)

@@ -19,7 +19,9 @@ class Op(enum.Enum):
 
     ``hw_name`` is the DMAPP AMO the NIC can run for 8-byte integers; ops
     without one always take the software fallback path (paper Section 2.4,
-    measured as P_acc,min in Figure 6a).
+    measured as P_acc,min in Figure 6a).  ``NO_OP`` -- MPI-3's atomic
+    read -- runs as a fetch-only stream: the AMO engine returns the cells
+    and applies nothing.
     """
 
     SUM = "sum"
@@ -46,6 +48,7 @@ _HW_MAP = {
     Op.BOR: "or",
     Op.BXOR: "xor",
     Op.REPLACE: "replace",
+    Op.NO_OP: "fetch",
 }
 
 HW_OPS = frozenset(_HW_MAP)

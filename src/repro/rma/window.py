@@ -304,24 +304,31 @@ class Window:
         self._check_alive()
         self._require_access(target)
         self.op_counts["accumulate"] += 1
-        self._note_atomic("acc", target, target_disp, op, np.asarray(data))
+        self._note_atomic("acc", target, target_disp, op, data)
         return (yield from acc_mod.accumulate(self, data, target,
                                               target_disp, op,
                                               element_bytes=element_bytes,
                                               fetch=False))
 
+    # A completed *fetching* atomic below is forward progress for the
+    # watchdog: the caller holds the old value and can act on it, so a
+    # lock-free program built from these calls alone is not a livelock.
+    # The lock protocols' own AMOs (locks.py, mcs.py, the accumulate
+    # fallback lock) go straight to the transport and stay unmarked -- a
+    # spinning lock() issues AMOs forever.
     def get_accumulate(self, data, target: int, target_disp: int = 0,
                        op: Op = Op.SUM, *, element_bytes: int | None = None):
-        """Returns the previous target contents (same shape as data)."""
+        """Returns the previous target contents (same shape as data);
+        with ``Op.NO_OP`` this is MPI-3's atomic read."""
         self._check_alive()
         self._require_access(target)
         self.op_counts["get_accumulate"] += 1
-        self._note_atomic("get_acc", target, target_disp, op,
-                          np.asarray(data))
-        return (yield from acc_mod.accumulate(self, data, target,
-                                              target_disp, op,
-                                              element_bytes=element_bytes,
-                                              fetch=True))
+        self._note_atomic("get_acc", target, target_disp, op, data)
+        old = yield from acc_mod.accumulate(self, data, target, target_disp,
+                                            op, element_bytes=element_bytes,
+                                            fetch=True)
+        self.ctx.env.note_progress()
+        return old
 
     def fetch_and_op(self, value, target: int, target_disp: int = 0,
                      op: Op = Op.SUM):
@@ -329,10 +336,11 @@ class Window:
         self._check_alive()
         self._require_access(target)
         self.op_counts["fetch_and_op"] += 1
-        self._note_atomic("fao", target, target_disp, op,
-                          np.asarray(value).reshape(1))
-        return (yield from acc_mod.fetch_and_op(self, value, target,
-                                                target_disp, op))
+        self._note_atomic("fao", target, target_disp, op, value)
+        old = yield from acc_mod.fetch_and_op(self, value, target,
+                                              target_disp, op)
+        self.ctx.env.note_progress()
+        return old
 
     def compare_and_swap(self, compare, swap, target: int,
                          target_disp: int = 0):
@@ -345,18 +353,21 @@ class Window:
             toff = self._byte_offset(target_disp)
             ck.note_op(self, "cas", target, [(toff, toff + 8)], op="cas",
                        path="hw")
-        return (yield from acc_mod.compare_and_swap(self, compare, swap,
-                                                    target, target_disp))
+        old = yield from acc_mod.compare_and_swap(self, compare, swap,
+                                                  target, target_disp)
+        self.ctx.env.note_progress()
+        return old
 
     def _note_atomic(self, kind: str, target: int, target_disp: int,
-                     op: Op, arr: np.ndarray) -> None:
+                     op: Op, data) -> None:
         """Shadow-record one accumulate-family call (checker attached)."""
         ck = self.ctx.checker
         if ck is not None:
+            arr = np.asarray(data)
             toff = self._byte_offset(target_disp)
             ck.note_op(self, kind, target, [(toff, toff + arr.nbytes)],
                        op=op.name.lower(),
-                       path=acc_mod.acc_path(self, op, arr, toff))
+                       path=acc_mod.acc_path(self, op, arr.dtype, toff))
 
     # ------------------------------------------------------------------
     # synchronization -- thin wrappers over the protocol modules

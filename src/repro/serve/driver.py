@@ -1,6 +1,6 @@
 """Open-loop serving drivers: one client co-located with each store rank.
 
-Each rank preloads its share of the keyspace, then replays its seeded
+Each owner installs its partition of the keyspace, then replays its seeded
 schedule (:func:`repro.serve.zipf.client_schedule`) open-loop: request
 ``i`` is *scheduled* at phase-relative time ``t_i``; if the client is
 still busy when ``t_i`` passes, the request queues and its measured
@@ -51,9 +51,15 @@ def kv_serve_program(ctx, spec: ServeSpec, n_stripes: int = 8):
     layout = KvLayout.default(max(1, spec.nkeys // ctx.nranks + 1))
     store = KvStore(ctx, layout, n_stripes=n_stripes)
     yield from store.setup()
-    for key in range(ctx.rank, spec.nkeys, ctx.nranks):
-        yield from store.put(key + 1, initial_value(spec.seed, key))
-    yield from store.win.flush_all()
+    # Owner-side preload through the local view, as the MPI-1 comparator
+    # installs its dict; the barrier orders it before any remote access.
+    store.win.note_local("store", layout.nbytes)
+    volume = store.win.local_view(np.int64)
+    for key in range(spec.nkeys):
+        owner, slot = layout.place(key + 1, ctx.nranks)
+        if owner == ctx.rank:
+            layout.insert_local(volume, slot, key + 1,
+                                initial_value(spec.seed, key))
     yield from ctx.coll.barrier()
 
     sched = client_schedule(spec, ctx.rank, ctx.nranks)

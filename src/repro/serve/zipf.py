@@ -35,8 +35,12 @@ class ServeSpec:
     0.99 is heavily skewed).  ``rate_hz`` is the per-client open-loop
     arrival rate; arrivals are Poisson, so requests queue behind slow
     ones instead of the client slowing down -- latency includes that
-    queueing, which is what makes the tail honest.  ``total_requests``
-    is split across clients (earlier clients get the remainder).
+    queueing, which is what makes the tail honest.  A client's ``n``
+    arrivals fill the fixed window ``n / rate_hz`` (a Poisson process
+    given its count), so the offered load -- and with it the makespan of
+    a store that keeps up -- is the spec's, not the seed's.
+    ``total_requests`` is split across clients (earlier clients get the
+    remainder).
 
     ``ft_mode`` remaps every mutation to a key owned by the issuing
     client (:func:`mutator_of`), making the final store state a pure
@@ -113,7 +117,13 @@ def client_schedule(spec: ServeSpec, client: int,
     ops = stream(spec.seed, f"serve-op-{client}")
     vals = stream(spec.seed, f"serve-val-{client}")
 
-    gaps = arr.exponential(1e9 / spec.rate_hz, size=n)
+    # n + 1 exponential gaps scaled to span the window, the last one
+    # dropped: the n arrivals are uniform order statistics on the window,
+    # the exact law of a Poisson process given that it had n arrivals.
+    # Free-running gaps sum to window +- 10 % at n = 100, and the slowest
+    # of 64 clients then sets a makespan that moves 5 % from seed to seed.
+    gaps = arr.exponential(size=n + 1)
+    gaps = gaps[:n] * (n * 1e9 / spec.rate_hz / gaps.sum())
     out[:, 0] = np.cumsum(np.maximum(1, np.rint(gaps).astype(np.int64)))
 
     cdf = zipf_cdf(spec.nkeys, spec.theta)

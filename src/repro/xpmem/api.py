@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import RegistrationError
 from repro.machine.params import XpmemParams
 from repro.mem.address_space import Segment
-from repro.mem.atomic import AtomicArray
+from repro.mem.atomic import AtomicArray, prepare_stream
 
 __all__ = ["XpmemSegment", "XpmemEndpoint"]
 
@@ -117,15 +117,16 @@ class XpmemEndpoint:
 
     def amo_stream(self, cells: AtomicArray, base_idx: int, op: str,
                    operands, fetch: bool = False):
-        """Element-wise CPU atomics over consecutive cells."""
-        ops = [int(v) for v in np.asarray(operands).ravel()]
+        """Element-wise CPU atomics over consecutive cells (``op='fetch'``
+        reads them atomically and modifies nothing)."""
+        n, run = prepare_stream(cells, base_idx, op, operands)
         cost = int(round(self.params.amo_latency +
-                         self.params.copy_per_byte * 8 * len(ops)))
+                         self.params.copy_per_byte * 8 * n))
         yield self.env.timeout(cost)
-        old = [cells.apply(base_idx + i, op, v) for i, v in enumerate(ops)]
+        old = run()
         if self.counters is not None:
             self.counters.count_issue(self.rank, f"cpu-amo-stream:{op}",
-                                      8 * len(ops))
+                                      8 * n)
         return np.array(old, dtype=np.uint64) if fetch else None
 
     def mfence(self):

@@ -173,3 +173,93 @@ def test_cross_rank_puts_and_gets():
         assert got == expect
         merged.update(part)
     assert merged == expect
+
+
+# ----------------------------------------------------------------------
+# lock-free data plane under contention
+# ----------------------------------------------------------------------
+def _keys_owned_by(owner, nranks, count, table_slots=1):
+    from repro.apps.hashtable.common import place_key
+
+    keys, k = [], 1
+    while len(keys) < count:
+        if place_key(k, nranks, table_slots)[0] == owner:
+            keys.append(k)
+        k += 1
+    return keys
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_hot_key_stress_never_exposes_a_half_written_entry(seed):
+    """Four ranks hammer two hot keys (one with CAS-updates, one with
+    overwrites, both with gets) while two others grow the *same* chain
+    with inserts.  Chains grow at the head and the hot keys sit at the
+    tail, so every hot access walks through the freshly linked cells: a
+    cell published before its ``next`` would show up as a miss.  One
+    inserter also claims the empty table slots of ranks 1-3 while a
+    seventh rank polls them back to back (a key published before its
+    value would show up as a zero), then walks the chain back to back.  Schedules are perturbed per seed,
+    which also runs the atomic reads over the resilient transport."""
+    from repro.check.runner import run_checked
+
+    nranks, rounds, inserts = 7, 6, 8
+    lay = KvLayout(table_slots=1, heap_cells=64)
+    first, hot_upd, hot_put, *fresh = _keys_owned_by(
+        0, nranks, 3 + 2 * inserts)
+    late = [_keys_owned_by(owner, nranks, 1)[0] for owner in (1, 2, 3)]
+    init = 1000
+    put_values = {(r, i): 10_000 + 100 * r + i
+                  for r in range(nranks) for i in range(rounds)}
+
+    def program(ctx):
+        store = KvStore(ctx, lay, n_stripes=2)
+        yield from store.setup()
+        if ctx.rank == 0:
+            for key in (first, hot_upd, hot_put):   # hot keys: chain tail
+                yield from store.put(key, init)
+        yield from ctx.coll.barrier()
+        seen, mine = [], 0
+        if ctx.rank < 4:
+            for i in range(rounds):
+                seen.append((yield from store.get(hot_upd)))
+                delta = ctx.rank * rounds + i + 1
+                mine += delta
+                yield from store.update(hot_upd, delta)
+                yield from store.put(hot_put, put_values[ctx.rank, i])
+                seen.append((yield from store.get(hot_put)))
+        elif ctx.rank == 6:
+            for key in late:
+                for _ in range(2000):       # bounded: a lost key fails
+                    got = yield from store.get(key)
+                    if got is not None:
+                        break
+                seen.append(got)
+            for _ in range(40):             # then walks the growing chain
+                seen.append((yield from store.get(hot_upd)))
+        else:
+            if ctx.rank == 4:
+                for key in late:            # while rank 6 polls for them
+                    yield from store.put(key, init)
+            for key in fresh[ctx.rank - 4::2]:
+                yield from store.put(key, key)
+                seen.append((yield from store.get(key)))   # own insert
+                seen.append((yield from store.get(hot_upd)))
+        yield from store.win.flush_all()
+        yield from ctx.coll.barrier()
+        part = store.scan_local()
+        yield from store.close()
+        return seen, mine, part
+
+    res, ck = run_checked(program, nranks, seed=seed, jitter=True)
+    assert ck.clean, [v.describe() for v in ck.violations]
+    total = 0
+    for seen, mine, _part in res.returns:
+        assert None not in seen and 0 not in seen
+        total += mine
+    final = res.returns[0][2]
+    assert final[hot_upd] == init + total          # no update was lost
+    assert final[hot_put] in put_values.values()
+    assert {k: final[k] for k in fresh} == {k: k for k in fresh}
+    assert len(final) == 3 + len(fresh)            # no duplicate entries
+    for owner, key in zip((1, 2, 3), late):
+        assert res.returns[owner][2] == {key: init}

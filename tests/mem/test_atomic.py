@@ -145,7 +145,7 @@ def test_segment_cells_match_atomic_array(ops):
     arr = AtomicArray(env, 1)
     sp = AddressSpace(0)
     seg = sp.alloc(8)
-    sc = SegmentCells(seg, 0, signed=True)
+    sc = SegmentCells(seg, 0)
     for op, operand in ops:
         a_old = arr.apply(0, op, operand)
         s_old = sc.apply(0, op, operand)

@@ -221,3 +221,53 @@ def test_min_fallback_beats_sum_stream_at_large_counts():
     res = run_spmd(program, 2, machine=INTER)
     out = res.returns[0]
     assert out["min"] < out["sum"]
+
+
+@pytest.mark.parametrize("cfg", [INTER, INTRA], ids=["inter", "intra"])
+def test_no_op_is_an_atomic_read_on_the_hw_path(cfg):
+    """MPI_NO_OP through get_accumulate / fetch_and_op: the fetch-only
+    AMO stream.  It returns the target's contents, modifies nothing,
+    ignores the origin buffer, and costs what a fetching SUM of the same
+    length costs (P_acc) -- not the 7.3 us locked fallback."""
+    from repro.rma.accumulate import acc_path
+
+    init = [7, -3, 1 << 40, 11]
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64, disp_unit=8)
+        win.local_view(np.int64)[:4] = init
+        yield from ctx.coll.barrier()
+        yield from win.lock_all()
+        out = None
+        if ctx.rank == 0:
+            junk = np.array([99, 98, 97], np.int64)
+            t0 = ctx.now
+            got = yield from win.get_accumulate(junk, 1, 1, Op.NO_OP)
+            t_read = ctx.now - t0
+            t0 = ctx.now
+            yield from win.get_accumulate(np.zeros(3, np.int64), 1, 1,
+                                          Op.SUM)
+            t_sum = ctx.now - t0
+            t0 = ctx.now
+            one = yield from win.fetch_and_op(np.int64(5), 1, 0, Op.NO_OP)
+            t_fao = ctx.now - t0
+            t0 = ctx.now
+            yield from win.fetch_and_op(np.int64(0), 1, 0, Op.SUM)
+            t_fadd = ctx.now - t0
+            out = (got.tolist(), got.dtype, int(one), t_read, t_sum,
+                   t_fao, t_fadd,
+                   acc_path(win, Op.NO_OP, np.dtype(np.int64), 8))
+        yield from win.flush_all()
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        return out, win.local_view(np.int64)[:4].tolist()
+
+    res = run_spmd(program, 2, machine=cfg)
+    got, dtype, one, t_read, t_sum, t_fao, t_fadd, path = res.returns[0][0]
+    assert got == init[1:4] and dtype == np.int64
+    assert one == init[0]
+    assert res.returns[1][1] == init             # nothing was modified
+    assert path == "hw"
+    assert t_read == t_sum and t_fao == t_fadd   # same cost as the RMW
+    if cfg is INTER:
+        assert 2000 <= t_read <= 3200, t_read    # P_acc base, not 7.3 us

@@ -48,7 +48,9 @@ def test_report_sections(rma_result):
     # per-rank hotspot counters cover every remote-op target
     hot = rep["hotspots"]
     assert sum(hot["owner_requests"].values()) > 0
-    assert hot["mcs_acquires"] > 0
+    # every key is preloaded, so no request changes the structure: the
+    # data plane is lock-free and the stripe locks are never taken
+    assert hot["mcs_acquires"] == 0
     text = render_report(rep)
     assert "p99" in text and "hotspots" in text
 
@@ -66,9 +68,10 @@ def test_pow2_histogram_brackets_exact_p99(rma_result):
 
 
 def test_checker_clean():
-    """The CAS-update/MCS serving path carries enough happens-before
-    (lock hb edges + flush ordering + note_local annotation) for a
-    clean bill from the race checker."""
+    """The lock-free serving path touches shared words with
+    accumulate-family operations only (atomic reads + CAS), and the
+    owner-side preload/scan are annotated and barrier-ordered: a clean
+    bill from the race checker, no lock edges needed."""
     res = run_kv_serve(NRANKS, SPEC, check=True)
     assert res.check.clean, \
         [v.describe() for v in res.check.violations]
@@ -100,6 +103,23 @@ def test_mpi1_comparator_matches_replay_model():
     assert rep["ops"]["get"] \
         == int(sum(np.count_nonzero(r[0][:, 2] == OP_GET)
                    for r in res.returns))
+
+
+def test_mpi1_comparator_survives_sparse_arrivals():
+    """At 5 kHz per client the ranks spend almost all their time
+    idle-polling toward the next scheduled arrival, thousands of events
+    with no message matched.  The pacing sleep is bounded, so it counts
+    as progress: the watchdog must not call this a livelock (it did)."""
+    from repro.apps.kvstore.mpi1_kv import mpi1_kv_program
+
+    spec = ServeSpec(nkeys=64, total_requests=200, rate_hz=5_000.0, seed=7)
+    res = run_spmd(mpi1_kv_program, 8, spec,
+                   machine=MachineConfig(ranks_per_node=8),
+                   sim=SimConfig(seed=spec.seed))
+    keys, determined = expected_contents(spec, 8)
+    final = merged_contents(res)
+    assert set(final) == keys
+    assert all(final[k] == v for k, v in determined.items())
 
 
 def test_exact_percentiles_nearest_rank():

@@ -25,6 +25,21 @@ def test_crash_through_recovers_exact_state(outcome):
     assert outcome.crash_time_ns > 0
 
 
+@pytest.mark.parametrize("seed,frac", [
+    # the crashed rank re-executes a PUT and then an UPDATE of one key:
+    # a re-applied plain put wiped the (deduplicated) UPDATE
+    (3, 0.5),
+    # crash before the first interval checkpoint commits: the restart
+    # from v0 re-ran the preload over the restored + replayed window
+    (4, 0.2), (5, 0.2), (6, 0.2),
+])
+def test_recovered_state_matches_at_awkward_crash_points(seed, frac):
+    spec = ServeSpec(nkeys=64, total_requests=400, seed=seed, ft_mode=True)
+    out = run_kv_crash_to_completion(NRANKS, spec, crash_rank=1,
+                                     crash_frac=frac, interval=16)
+    assert out.match
+
+
 def test_availability_gap_reported(outcome):
     """The gap is the served-traffic outage: crash instant to the end
     of the restore span, strictly positive and small relative to the

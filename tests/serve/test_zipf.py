@@ -40,6 +40,25 @@ def test_schedule_deterministic_property(seed, client, theta):
     assert np.all((a[:, 3] >= 1) & (a[:, 3] < 1 << 40))
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_arrivals_fill_the_fixed_window(seed):
+    """A client's n arrivals land inside n / rate_hz whatever the seed (a
+    Poisson process given its count), so a store that keeps up finishes
+    when the spec says, not when the slowest client's draw does; the gaps
+    still look exponential (coefficient of variation ~ 1)."""
+    spec = ServeSpec(nkeys=64, total_requests=800, rate_hz=50_000.0,
+                     seed=seed)
+    window = 200 * 1e9 / spec.rate_hz
+    last = []
+    for client in range(4):
+        t = client_schedule(spec, client, 4)[:, 0]
+        assert t[-1] <= window + len(t)         # + the 1 ns rounding floor
+        gaps = np.diff(t, prepend=0)
+        assert 0.8 < gaps.std() / gaps.mean() < 1.2
+        last.append(t[-1])
+    assert max(last) > 0.97 * window
+
+
 def test_clients_draw_distinct_streams():
     a = client_schedule(SPEC, 0, 4)
     b = client_schedule(SPEC, 1, 4)

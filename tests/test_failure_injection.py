@@ -90,6 +90,41 @@ def test_lock_livelock_hits_backstop():
     assert "win.lock" in exc.value.sites["rank1"]
 
 
+@pytest.mark.parametrize("poll_op", ["NO_OP", "SUM"])
+def test_atomics_only_polling_is_not_a_livelock(poll_op):
+    """A lock-free program may consist of nothing but fetching atomics:
+    here rank 1 polls a flag with atomic reads (or fetch-and-add 0) for
+    thousands of events while rank 0 computes, then publishes it with a
+    CAS.  Each completed
+    Window-level fetching atomic hands its caller a value to act on, so
+    it counts as progress -- unlike the lock protocol's internal AMOs in
+    the test above, which spin without telling anyone."""
+    from repro.rma.enums import Op
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64, disp_unit=8)
+        yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        polls = 0
+        if ctx.rank == 0:
+            yield from ctx.compute(4_000_000)
+            yield from win.compare_and_swap(np.int64(0), np.int64(1), 0, 0)
+        else:
+            while True:
+                got = yield from win.fetch_and_op(np.int64(0), 0, 0,
+                                                  Op[poll_op])
+                polls += 1
+                if got == 1:
+                    break
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        return polls
+
+    res = run_spmd(program, 2, machine=INTER)
+    # far more events than the 3 x 800 the watchdog tolerates unmarked
+    assert res.returns[1] > 1000 and res.events_processed > 4_000
+
+
 def test_watchdog_can_be_disabled():
     """watchdog_interval=0 restores the old backstop-only behaviour."""
     def program(ctx):

@@ -331,3 +331,33 @@ def test_amo_replays_are_deduplicated():
     assert clean.returns[0] == 2 * adds_per_rank
     assert faulty.returns[0] == 2 * adds_per_rank
     assert faulty.stats["retransmits"] > 0
+
+
+def test_atomic_reads_survive_packet_loss():
+    """The fetch-only AMO stream (MPI_NO_OP) on the hardened transport:
+    under heavy loss every atomic read still returns the word a
+    fetch-and-add left there, and the reads themselves change nothing."""
+    faults = FaultConfig(plan=FaultPlan(drop_prob=0.25))
+    rounds = 12
+
+    def program(ctx):
+        from repro.rma.enums import Op
+
+        win = yield from ctx.rma.win_allocate(16, disp_unit=8)
+        yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        seen = []
+        if ctx.rank == 1:
+            for i in range(rounds):
+                yield from win.fetch_and_op(np.int64(1), 0, 0, Op.SUM)
+                got = yield from win.get_accumulate(np.zeros(2, np.int64),
+                                                    0, 0, Op.NO_OP)
+                seen.append(got.tolist())
+        yield from win.flush_all()
+        yield from ctx.coll.barrier()
+        yield from win.unlock_all()
+        return seen
+
+    faulty = run_spmd(program, 2, machine=INTER, faults=faults)
+    assert faulty.returns[1] == [[i + 1, 0] for i in range(rounds)]
+    assert faulty.stats["retransmits"] > 0
