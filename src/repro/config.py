@@ -27,18 +27,11 @@ class MachineConfig:
         enough for the requested number of nodes.
     cpu_ghz:
         Core clock used to convert instruction counts to nanoseconds.
-    batch_delivery:
-        Deliver same-edge packets completing at the same simulated tick
-        through one shared kernel event (a carrier carrying the packet
-        vector) instead of one event per packet.  Per-packet delivery
-        times are identical either way; ``False`` restores the pre-gen2
-        one-event-per-packet schedule exactly.
     """
 
     ranks_per_node: int = 32
     torus_shape: tuple[int, int, int] | None = None
     cpu_ghz: float = 2.3
-    batch_delivery: bool = True
 
     def nodes_for(self, nranks: int) -> int:
         """Number of nodes needed to host ``nranks`` processes."""
@@ -85,10 +78,6 @@ class SimConfig:
         the watchdog raises :class:`~repro.errors.LivelockError` -- far
         earlier than the ``max_events`` backstop, and with diagnostics
         naming the stuck ranks.
-    scheduler:
-        ``"gen2"`` (default) runs the front-slot calendar-queue fast loop;
-        ``"legacy"`` forces the pure binary-heap step-per-event loop kept
-        as the A/B oracle.  Both produce bit-identical schedules.
     """
 
     seed: int = 0xF0_3131  # "fo" MPI-3.1 :-)
@@ -96,7 +85,6 @@ class SimConfig:
     trace: bool = False
     watchdog_interval: int = 800
     watchdog_stalls: int = 3
-    scheduler: str = "gen2"
 
 
 @dataclass(frozen=True)

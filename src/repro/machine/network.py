@@ -50,16 +50,6 @@ class Nic:
         self.amo_engine = BusyChannel(env)
         self.fifo_ends: deque[int] = deque()
 
-    @property
-    def injection(self) -> BusyChannel:
-        """Bulk injection path (kept for introspection/back-compat)."""
-        return self.bte
-
-    @property
-    def ejection(self) -> BusyChannel:
-        """Bulk ejection path (kept for introspection/back-compat)."""
-        return self.eject_bte
-
 
 class Network:
     """Packet transport between NICs on the torus."""
@@ -72,7 +62,6 @@ class Network:
         params: GeminiParams | None = None,
         counters: OpCounters | None = None,
         injector=None,
-        batch_delivery: bool = True,
     ) -> None:
         if torus.nnodes < rank_map.nnodes:
             raise ValueError(
@@ -97,13 +86,6 @@ class Network:
         self._wire: dict[tuple[int, int], float] = {}
         self._o_eject_int = int(round(self.params.o_eject))
         self._has_noise = self.params.noise_ns > 0
-        # Batched same-edge delivery: packets completing on the same
-        # (src, dst) edge at the same simulated tick share one kernel
-        # event (the "carrier") whose callback fires the per-packet
-        # delivery events in issue order.  Per-packet delivery *times*
-        # are computed before batching and are identical either way.
-        self.batch_delivery = batch_delivery
-        self._batches: dict[tuple[int, int, int], list[Event]] = {}
 
     def nic(self, node: int) -> Nic:
         nic = self._nics.get(node)
@@ -137,48 +119,6 @@ class Network:
         self._noise_state = x & 0xFFFFFFFFFFFFFFFF
         frac = ((x * 0x2545F4914F6CDD1D) & 0xFFFFFFFFFFFFFFFF) / 2.0**64
         return frac * self.params.noise_ns
-
-    # -- delivery scheduling ----------------------------------------------
-    def _deliver_at(self, src_node: int, dst_node: int, deliver_time: int,
-                    ev: Event) -> None:
-        """Arrange for ``ev`` to fire at the delivery tick.
-
-        Unbatched: one kernel event per packet (``ev.succeed``), the
-        pre-gen2 behaviour.  Batched: packets on the same (src, dst) edge
-        completing at the same tick append to a shared vector; a single
-        carrier event fires them in issue order at that tick.  The batch
-        is popped from the table *before* the per-packet events run, so a
-        resumed process that immediately issues new same-edge traffic for
-        the same tick starts a fresh batch rather than appending to one
-        already being drained.
-        """
-        env = self.env
-        if not self.batch_delivery:
-            ev.succeed(deliver_time, delay=max(0, deliver_time - env.now))
-            return
-        now = env.now
-        tick = deliver_time if deliver_time > now else now
-        ev.resolve(deliver_time)
-        key = (src_node, dst_node, tick)
-        batch = self._batches.get(key)
-        if batch is not None:
-            batch.append(ev)
-            return
-        batch = [ev]
-        self._batches[key] = batch
-        carrier = env.event(name="link-batch")
-        batches = self._batches
-
-        def _deliver(_carrier: Event, _key=key, _batch=batch) -> None:
-            del batches[_key]
-            for pev in _batch:
-                cbs = pev.callbacks
-                pev.callbacks = None
-                for cb in cbs:
-                    cb(pev)
-
-        carrier.callbacks.append(_deliver)
-        carrier.succeed(None, delay=tick - now)
 
     # -- packet transport --------------------------------------------------
     def packet(
@@ -274,7 +214,7 @@ class Network:
             def _fire(event: Event, _cb=on_deliver) -> None:
                 _cb(env.now)
             ev.callbacks.append(_fire)
-        self._deliver_at(src_node, dst_node, deliver_time, ev)
+        ev.succeed(deliver_time, delay=max(0, deliver_time - env.now))
         self.counters.count_service(dst_node)
         if self.obs is not None:
             self.obs.on_packet(src_node, dst_node, nbytes, deliver_time,
@@ -355,11 +295,8 @@ class Network:
                     def _fire(event: Event, _cb=on_deliver) -> None:
                         _cb(env.now)
                     ev.callbacks.append(_fire)
-                # Faults were already applied per-packet above (fate draw,
-                # stall windows, checksum discard); a surviving packet
-                # batches like any other.  Lost packets never reach here
-                # and stay unbatched.
-                self._deliver_at(src_node, dst_node, deliver_time, ev)
+                ev.succeed(deliver_time,
+                           delay=max(0, deliver_time - env.now))
                 if self.obs is not None:
                     self.obs.on_packet(src_node, dst_node, nbytes,
                                        deliver_time, is_amo)

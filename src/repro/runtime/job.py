@@ -139,7 +139,7 @@ def run_on_world(world: World, program: Callable, *args, **kwargs) -> RunResult:
         world.env.process(_crash_reaper(world, procs), name="crash-reaper")
     if world.notifier is not None:
         world.notifier.start()
-    world.env.run(fast=(world.sim.scheduler != "legacy"))
+    world.env.run()
 
     returns = []
     for rank, p in enumerate(procs):

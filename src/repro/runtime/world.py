@@ -169,8 +169,7 @@ class World:
         self.counters = OpCounters()
         self.network = Network(self.env, self.torus, self.rank_map,
                                self.gemini, self.counters,
-                               injector=self.injector,
-                               batch_delivery=self.machine.batch_delivery)
+                               injector=self.injector)
         self.network.obs = self.obs
         self.spaces = RankTable(nranks, AddressSpace)
         self.reg_tables = RankTable(nranks, RegistrationTable)

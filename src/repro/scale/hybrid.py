@@ -157,7 +157,7 @@ def run_hybrid(workload: str | WorkloadSpec, nranks: int, *,
     for ctx in contexts:
         env.process(protocols.sampled_program(spec, ctx),
                     name=f"scale-rank{ctx.rank}")
-    env.run(fast=(sim.scheduler != "legacy"))
+    env.run()
 
     # Tier parity: the DES must land exactly where the model says.
     expected_t = protocols.model_time_ns(spec, nranks)

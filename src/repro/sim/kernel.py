@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel (generation 2).
+"""Discrete-event simulation kernel.
 
 Design notes
 ------------
@@ -17,8 +17,8 @@ Design notes
   waiting configurations (Section 2.5 of the paper); this check is how the
   test suite asserts that the protocols never create them.
 
-Generation-2 scheduler
-----------------------
+Front-slot scheduler
+--------------------
 The pending-event store is a **front-slot calendar queue**: a one-entry
 "near bucket" (``Environment._front``) holding the strict minimum entry,
 backed by the binary heap for everything else.  The invariant is that the
@@ -30,31 +30,31 @@ and falls back to ``heappop``.  Event-driven protocol patterns schedule
 the immediate successor of the event being processed most of the time, so
 the front slot absorbs 60-100% of pushes on the benchmark workloads and
 turns an O(log n) heap round-trip into two compares and a store.  Ordering
-is untouched: pops still deliver entries in exactly ``(time, priority,
-seq)`` order, the same total order the pure heap produces, so schedules
-are bit-identical with the cache on or off.
+is untouched: pops deliver entries in exactly ``(time, priority, seq)``
+order, the total order a plain heap produces.
 
-``run(fast=False)`` is the **legacy heap scheduler**, kept as the A/B
-oracle: on entry it drains the front slot into the heap and parks the
-sentinel ``_HEAP_MODE`` in ``_front`` (the sentinel compares below every
-real entry, so the push-side fast paths fall through to a plain
-``heappush`` without a mode flag).  The legacy loop is one ``step()`` per
-event with the original ``Process._resume`` path -- both schedulers
-allocate sequence numbers identically and pop the same total order, so
-**event order, simulated times and all counters are bit-identical**
-between the two; the test suite asserts this across every demo workload,
-checked/observed runs and faulty runs.
+The two loops
+-------------
+``run()`` with no tracer installed and no ``until`` takes the **fast
+loop**: it hoists per-event attribute lookups into locals, merges the
+``max_events`` and watchdog comparisons into a single trip compare,
+disables the cyclic GC for the duration of the loop (re-enabled in a
+``finally``), and inlines ``Process._resume`` for the ubiquitous
+single-waiter case.
 
-Fast-path invariants
---------------------
-The hot loop (``run(fast=True)``, no tracer) hoists per-event attribute
-lookups into locals, merges the ``max_events`` and watchdog comparisons
-into a single trip compare, disables the cyclic GC for the duration of the
-loop (re-enabled in a ``finally``), and inlines ``Process._resume`` for
-the ubiquitous single-waiter case.
+A tracer (``env.tracer``) or an ``until`` argument takes the **step
+loop**: one ``step()`` per event through ``Process._resume``, with the
+tracer hook, the stop checks and the watchdog in between.  Nothing selects
+it by name; it is also the reference the fast loop is tested against
+(tests put a ``Tracer`` on the reference side).  Both loops pop the same
+store and allocate sequence numbers identically, so **event order,
+simulated times and all counters are bit-identical** between them.
 
-Two free lists recycle hot-path objects; both only swap object identity,
-never sequence numbers or values, so they cannot perturb ordering:
+Freelists
+---------
+Two free lists, fed only by the fast loop, recycle hot-path objects; both
+only swap object identity, never sequence numbers or values, so they
+cannot perturb ordering:
 
 * ``Timeout`` objects whose only callback was a process resumption (the
   ``yield env.timeout(d)`` pattern) are returned to the pool after firing
@@ -99,11 +99,6 @@ NORMAL = 1
 LOW = 2
 
 _PENDING = object()
-# Sentinel stored in Environment._front while the legacy heap scheduler is
-# driving the run: it compares below every real entry, so the push fast paths
-# in succeed()/timeout()/schedule() fall through to a plain heappush without
-# needing a mode flag of their own.
-_HEAP_MODE = (-1, -1, -1, None)
 _EV_NEW = None  # set after Event is defined
 _TO_NEW = None  # set after Timeout is defined
 
@@ -167,21 +162,6 @@ class Event:
             env._front = entry
         else:
             heappush(env._queue, entry)
-        return self
-
-    def resolve(self, value: Any = None) -> "Event":
-        """Mark this event triggered *without* scheduling it.
-
-        Used by holders that deliver the callbacks themselves from inside
-        another event's dispatch (batched link delivery): the value becomes
-        readable immediately, and the holder later runs the callbacks
-        in-line at the delivery tick.  Never use this on an event a process
-        is already yielding on unless you will deliver it yourself.
-        """
-        if self._value is not _PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = True
-        self._value = value
         return self
 
     def fail(self, exception: BaseException, delay: int = 0) -> "Event":
@@ -262,7 +242,6 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        env._active = self
         send = self._send
         throw = self._throw
         event: Event = trigger
@@ -273,14 +252,12 @@ class Process(Event):
                 else:
                     out = throw(event._value)
             except StopIteration as stop:
-                env._active = None
                 env._nprocesses -= 1
                 env._live.discard(self)
                 env.note_progress()
                 self.succeed(stop.value, priority=URGENT)
                 return
             except BaseException as exc:
-                env._active = None
                 env._nprocesses -= 1
                 env._live.discard(self)
                 if env.strict:
@@ -293,14 +270,12 @@ class Process(Event):
             try:
                 cbs = out.callbacks
             except AttributeError:
-                env._active = None
                 self._gen.throw(SimulationError(
                     f"process {self.name!r} yielded non-event {out!r}"))
                 return  # pragma: no cover
             if cbs is not None:
                 cbs.append(self)
                 self._target = out
-                env._active = None
                 return
             event = out
 
@@ -388,8 +363,8 @@ class AnyOf(ConditionEvent):
 
 
 class Environment:
-    __slots__ = ("_now", "_queue", "_front", "_seq", "_nprocesses", "_active",
-                 "_live", "max_events", "strict", "events_processed", "tracer",
+    __slots__ = ("_now", "_queue", "_front", "_seq", "_nprocesses", "_live",
+                 "max_events", "strict", "events_processed", "tracer",
                  "_timeout_pool", "_event_pool", "progress_marks", "watchdog_interval",
                  "watchdog_stalls", "_wd_next", "_wd_marks", "_wd_stale",
                  "api_sites", "__dict__")
@@ -401,7 +376,6 @@ class Environment:
         self._front: tuple[int, int, int, Event] | None = None
         self._seq = 0
         self._nprocesses = 0
-        self._active: Process | None = None
         self._live: set[Process] = set()
         self.max_events = max_events
         self.strict = strict
@@ -529,7 +503,7 @@ class Environment:
 
     def step(self) -> None:
         entry = self._front
-        if entry is not None and entry is not _HEAP_MODE:
+        if entry is not None:
             self._front = None
         else:
             entry = heappop(self._queue)
@@ -544,38 +518,28 @@ class Environment:
         for cb in callbacks:
             cb(event)
 
-    def run(self, until: Event | int | None = None, *, fast: bool = True) -> Any:
+    def run(self, until: Event | int | None = None) -> Any:
+        """Process events until the store drains, or until ``until`` (an
+        event: returns its value once processed; an int: a stop time).
+
+        With no ``until`` and no tracer installed this is the fast loop;
+        otherwise one ``step()`` per event (see the module docstring).
+        """
+        if until is None and self.tracer is None:
+            return self._run_fast()
         stop_event: Event | None = None
         stop_time: int | None = None
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
             stop_time = int(until)
-
-        if fast:
-            if self._front is _HEAP_MODE:
-                self._front = None
-            if self.tracer is None:
-                return self._run_fast(stop_event, stop_time)
-            return self._run_step(stop_event, stop_time)
-        front = self._front
-        if front is not _HEAP_MODE:
-            if front is not None:
-                heappush(self._queue, front)
-            self._front = _HEAP_MODE
-        return self._run_step(stop_event, stop_time)
-
-    def _run_step(self, stop_event: Event | None, stop_time: int | None) -> Any:
-        nofront = _HEAP_MODE
-        while self._queue or (self._front is not None
-                              and self._front is not nofront):
+        queue = self._queue
+        while queue or self._front is not None:
             if stop_event is not None and stop_event.processed:
                 return stop_event.value if stop_event._ok else None
             if stop_time is not None:
                 front = self._front
-                if front is nofront:
-                    front = None
-                nxt = front[0] if front is not None else self._queue[0][0]
+                nxt = front[0] if front is not None else queue[0][0]
                 if nxt > stop_time:
                     self._now = stop_time
                     return None
@@ -588,19 +552,7 @@ class Environment:
                 self._watchdog_check()
         return self._drained(stop_event)
 
-    def _run_fast(self, stop_event: Event | None, stop_time: int | None) -> Any:
-        gc_was = _gc_isenabled()
-        if gc_was:
-            _gc_disable()
-        try:
-            if stop_event is None and stop_time is None:
-                return self._run_fast_nostop()
-            return self._run_fast_stop(stop_event, stop_time)
-        finally:
-            if gc_was:
-                _gc_enable()
-
-    def _run_fast_nostop(self) -> Any:
+    def _run_fast(self) -> Any:
         queue = self._queue
         pop = heappop
         nevents = self.events_processed
@@ -614,6 +566,9 @@ class Environment:
         timeout_cls = Timeout
         event_cls = Event
         process_cls = Process
+        gc_was = _gc_isenabled()
+        if gc_was:
+            _gc_disable()
         try:
             while True:
                 entry = self._front
@@ -697,109 +652,9 @@ class Environment:
                         cb(event)
         finally:
             self.events_processed = nevents
+            if gc_was:
+                _gc_enable()
         return self._drained(None)
-
-    def _run_fast_stop(self, stop_event: Event | None, stop_time: int | None) -> Any:
-        queue = self._queue
-        pop = heappop
-        nevents = self.events_processed
-        max_events = self.max_events
-        wd_interval = self.watchdog_interval
-        wd_next = self._wd_next if wd_interval else 0
-        tpool = self._timeout_pool
-        epool = self._event_pool
-        timeout_cls = Timeout
-        event_cls = Event
-        process_cls = Process
-        check_stop = stop_event is not None
-        check_time = stop_time is not None
-        try:
-            while queue or self._front is not None:
-                if check_stop and stop_event.callbacks is None:
-                    return stop_event._value if stop_event._ok else None
-                if check_time:
-                    front = self._front
-                    nxt = front[0] if front is not None else queue[0][0]
-                    if nxt > stop_time:
-                        self._now = stop_time
-                        return None
-                if nevents >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} "
-                        f"(simulated t={self._now}ns) -- runaway protocol?")
-                entry = self._front
-                if entry is not None:
-                    self._front = None
-                else:
-                    entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                cbs = event.callbacks
-                event.callbacks = None
-                nevents += 1
-                if len(cbs) == 1 and (proc := cbs[0]).__class__ is process_cls:
-                    # Inlined Process._resume for the single-waiter case.
-                    target = proc._target
-                    if target is not event and target is not None \
-                            and target.callbacks is not None:
-                        try:
-                            target.callbacks.remove(proc)
-                        except ValueError:
-                            pass
-                    ecls = event.__class__
-                    if ecls is timeout_cls:
-                        cbs.clear()
-                        event.callbacks = cbs
-                        tpool.append(event)
-                    elif ecls is event_cls and not event.name:
-                        cbs.clear()
-                        event.callbacks = cbs
-                        epool.append(event)
-                    send = proc._send
-                    ev2 = event
-                    while True:
-                        try:
-                            if ev2._ok:
-                                out = send(ev2._value)
-                            else:
-                                out = proc._throw(ev2._value)
-                        except StopIteration as stop:
-                            self._nprocesses -= 1
-                            self._live.discard(proc)
-                            self.progress_marks += 1
-                            proc.succeed(stop.value, priority=URGENT)
-                            break
-                        except BaseException as exc:
-                            self._nprocesses -= 1
-                            self._live.discard(proc)
-                            if self.strict:
-                                proc._ok = False
-                                proc._value = exc
-                                self.schedule(proc, delay=0, priority=URGENT)
-                                raise
-                            proc.fail(exc)
-                            break
-                        try:
-                            ocbs = out.callbacks
-                        except AttributeError:
-                            proc._gen.throw(SimulationError(
-                                f"process {proc.name!r} yielded non-event {out!r}"))
-                            break
-                        if ocbs is not None:
-                            ocbs.append(proc)
-                            proc._target = out
-                            break
-                        ev2 = out
-                else:
-                    for cb in cbs:
-                        cb(event)
-                if wd_interval and nevents >= wd_next:
-                    self.events_processed = nevents
-                    self._watchdog_check()
-                    wd_next = self._wd_next
-        finally:
-            self.events_processed = nevents
-        return self._drained(stop_event)
 
     def _drained(self, stop_event: Event | None) -> Any:
         if stop_event is not None:

@@ -14,6 +14,7 @@ from repro.obs import capture, chrome_trace_json, render_report, run_workload
 from repro.obs.chrome import PID_NICS, PID_RANKS
 from repro.obs.workloads import wl_putget
 from repro.runtime.job import run_spmd
+from tests.sim.test_kernel_gen2 import GOLDEN
 
 
 def test_chrome_trace_byte_identical_across_runs():
@@ -89,15 +90,9 @@ def test_check_disabled_schedule_bit_identical():
 
 def test_checker_off_golden_schedules():
     """Checker-disabled runs are bit-identical to pre-checker schedules:
-    the golden numbers below were captured at seed 11 before the check
-    subsystem existed."""
-    golden = {
-        "putget": (11835, 502),
-        "locks": (22876, 566),
-        "fence": (33492, 490),
-        "pscw": (16611, 302),
-    }
-    for name, (t_ns, events) in golden.items():
+    the golden numbers (one table, tests/sim/test_kernel_gen2.py) were
+    captured at seed 11 before the check subsystem existed."""
+    for name, (t_ns, events) in GOLDEN.items():
         res, _ = run_workload(name, nranks=4, seed=11, ranks_per_node=4)
         assert (res.sim_time_ns, res.events_processed) == (t_ns, events), \
             f"{name}: schedule drifted from pre-checker golden trace"

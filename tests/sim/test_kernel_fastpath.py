@@ -1,18 +1,19 @@
-"""The inlined fast run loop vs the legacy step loop.
+"""The inlined fast run loop vs the step loop.
 
-``Environment.run(fast=True)`` (the default) must process the exact same
-event schedule as the reference ``step()`` loop -- same event count, same
-final clock, same process return values -- while recycling ``yield
-env.timeout(d)`` objects and skipping tracer/watchdog branches.  These
-tests pin the bit-identity contract and the recycling/detach invariants
-DESIGN.md documents.
+``Environment.run()`` with no tracer and no ``until`` takes the fast loop;
+a tracer or an ``until`` takes the reference ``step()`` loop.  Both must
+process the exact same event schedule -- same event count, same final
+clock, same process return values -- while only the fast loop recycles
+``yield env.timeout(d)`` objects.  These tests pin the bit-identity
+contract and the recycling/detach invariants DESIGN.md documents; the
+reference side selects the step loop by installing a ``Tracer``.
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import URGENT, Environment, Timeout
-from repro.sim.trace import Tracer
+from tests.conftest import make_env
 
 
 def _mixed_workload(env, log):
@@ -44,23 +45,19 @@ def _mixed_workload(env, log):
     env.process(firer(ev), name="firer")
 
 
-def _run(fast):
-    env = Environment()
+def _run(step_loop):
+    env = make_env(step_loop)
     log = []
     _mixed_workload(env, log)
-    env.run(fast=fast)
+    env.run()
     return log, env.now, env.events_processed
 
 
-def test_fast_matches_legacy_bit_identical():
-    fast_log, fast_now, fast_events = _run(fast=True)
-    legacy_log, legacy_now, legacy_events = _run(fast=False)
-    assert fast_log == legacy_log
-    assert fast_now == legacy_now
-    assert fast_events == legacy_events
+def test_fast_matches_step_loop_bit_identical():
+    assert _run(step_loop=False) == _run(step_loop=True)
 
 
-def test_fast_matches_legacy_with_failures():
+def test_fast_matches_step_loop_with_failures():
     def build(env, log):
         def bad():
             yield env.timeout(5)
@@ -74,11 +71,11 @@ def test_fast_matches_legacy_with_failures():
                 env.process(good(), name="good")]
 
     outcomes = []
-    for fast in (True, False):
-        env = Environment(strict=False)
+    for step_loop in (False, True):
+        env = make_env(step_loop, strict=False)
         log = []
         procs = build(env, log)
-        env.run(fast=fast)
+        env.run()
         outcomes.append((log, env.now, env.events_processed,
                          [(p.ok, type(p.value).__name__) for p in procs]))
     assert outcomes[0] == outcomes[1]
@@ -93,7 +90,7 @@ def test_timeouts_recycled_on_fast_path():
             yield env.timeout(1)
 
     env.process(spin(), name="spin")
-    env.run(fast=True)
+    env.run()
     # The yield-timeout pattern must feed the freelist ...
     assert env._timeout_pool
     recycled = env._timeout_pool[-1]
@@ -107,18 +104,6 @@ def test_timeouts_recycled_on_fast_path():
     assert t.triggered and t._ok
 
 
-def test_legacy_path_never_recycles():
-    env = Environment()
-
-    def spin():
-        for _ in range(10):
-            yield env.timeout(1)
-
-    env.process(spin(), name="spin")
-    env.run(fast=False)
-    assert env._timeout_pool == []
-
-
 def test_shared_timeout_not_recycled():
     """A timeout with more than the single process callback (here: also
     feeding an AllOf) must never enter the freelist."""
@@ -129,20 +114,21 @@ def test_shared_timeout_not_recycled():
         yield env.all_of([t, env.timeout(20)])
 
     env.process(waiter(), name="w")
-    env.run(fast=True)
+    env.run()
     assert env._timeout_pool == []
 
 
-def test_tracer_disables_fast_path():
-    env = Environment()
-    env.tracer = Tracer()
+def test_step_loop_never_recycles():
+    """A tracer puts ``run()`` on the step loop, which records every
+    event and feeds no freelist."""
+    env = make_env(step_loop=True)
 
     def spin():
         for _ in range(5):
             yield env.timeout(2)
 
     env.process(spin(), name="spin")
-    env.run(fast=True)         # must silently take the step loop
+    env.run()
     assert len(env.tracer.records) == env.events_processed
     assert env._timeout_pool == []
 
@@ -180,22 +166,26 @@ def test_max_events_backstop_on_fast_path():
 
     env.process(forever(), name="loop")
     with pytest.raises(SimulationError, match="max_events"):
-        env.run(fast=True)
+        env.run()
     assert env.events_processed >= 500
 
 
-def test_run_until_time_fast_matches_legacy():
-    results = []
-    for fast in (True, False):
-        env = Environment()
-        log = []
+def test_run_until_takes_the_step_loop():
+    """``until`` stops on the step loop: the clock lands on the stop time,
+    only events due by then ran, and nothing was recycled."""
+    env = Environment()
+    log = []
+    timeouts = []
 
-        def spin():
-            while True:
-                yield env.timeout(9)
-                log.append(env.now)
+    def spin():
+        while True:
+            timeouts.append(env.timeout(9))
+            yield timeouts[-1]
+            log.append(env.now)
 
-        env.process(spin(), name="spin")
-        env.run(until=100, fast=fast)
-        results.append((log, env.now, env.events_processed))
-    assert results[0] == results[1]
+    env.process(spin(), name="spin")
+    env.run(until=100)
+    assert log == list(range(9, 100, 9))
+    assert env.now == 100
+    assert env.events_processed == 1 + len(log)   # init + one per timeout
+    assert len(set(map(id, timeouts))) == len(timeouts)

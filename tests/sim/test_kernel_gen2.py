@@ -1,39 +1,39 @@
-"""Kernel generation 2: golden bit-identity, batched delivery, tie-breaks.
+"""Kernel golden schedules and same-tick tie-breaks.
 
-Three contracts from DESIGN.md's "Kernel generation 2" section:
+Two contracts from DESIGN.md section 8:
 
-* the front-slot scheduler (``run(fast=True)``, the default) and the
-  pure-heap legacy oracle (``SimConfig(scheduler="legacy")``) process
-  the exact same ``(when, priority, seq)`` schedule -- asserted end to
-  end over every demo workload and over a faulty (drop/corrupt/delay)
-  run, and pinned against the pre-gen-2 golden schedules;
-* batched same-edge delivery never changes per-packet delivery *times*
-  or their order -- it only merges same-tick kernel events into one
-  carrier (so batched runs process strictly fewer events when batches
-  form);
+* the simulator's schedule is pinned, not A/B'd: the four demo workloads,
+  a faulty (drop/corrupt/delay) run, a fail-stop crash run and a small
+  hashtable run reproduce committed ``(sim_time_ns, events_processed,
+  returns)`` tuples.  The pins were captured while the pure-heap
+  scheduler and batched link delivery still existed and were identical
+  under every scheduler/batching combination (the hashtable point is the
+  one where batches formed, so it pins times, returns and table contents
+  but not the event count);
 * same-tick events drain in ``(priority, seq)`` FIFO order across the
   front-slot/heap boundary, including urgent events scheduled while the
-  tick is already draining.
+  tick is already draining -- on the fast loop and on the step loop.
 """
+
+import zlib
 
 import pytest
 
+from repro.apps.hashtable import HashTableLayout, rma_insert_program
 from repro.config import (
     FaultConfig,
     FaultPlan,
     MachineConfig,
+    NodeCrash,
     SimConfig,
 )
-from repro.machine.network import Network
-from repro.machine.params import GeminiParams
-from repro.machine.topology import RankMap, Torus3D
 from repro.obs.workloads import WORKLOADS
 from repro.runtime.job import run_spmd
-from repro.sim.kernel import NORMAL, URGENT, Environment
+from repro.sim.kernel import NORMAL, URGENT
+from tests.conftest import make_env
 
 #: Pre-gen-2 golden schedules at seed 11, 4 ranks on one node (captured
-#: before the calendar scheduler / batched delivery existed; the same
-#: numbers are pinned by tests/obs/test_obs_integration.py).
+#: before the front-slot scheduler existed; tests/obs imports this table).
 GOLDEN = {
     "putget": (11835, 502),
     "locks": (22876, 566),
@@ -41,58 +41,77 @@ GOLDEN = {
     "pscw": (16611, 302),
 }
 
+#: Per-rank return values of the same four runs.
+GOLDEN_RETURNS = {
+    "putget": [0, 1, 2, 3],
+    "locks": [9, 23, 19, 22],
+    "fence": [33432, 33492, 33432, 33432],
+    "pscw": [16551, 16611, 16551, 16551],
+}
 
-def _run(name, *, scheduler="gen2", batch=True, faults=None, seed=11,
-         rpn=4):
+#: putget, seed 13, one rank per node, drop 0.2 / corrupt 0.05 / delay
+#: 0.1 x 5 us: (sim_time_ns, events_processed, returns, retransmits).
+GOLDEN_FAULTY = (821343, 711, [0, 1, 2, 3], 70)
+
+#: Three fence epochs across a fail-stop crash of node 3 at 20 us, seed
+#: 13: (sim_time_ns, events_processed, return types, retransmits).
+GOLDEN_CRASH = (26200, 299,
+                ["EpochError", "EpochError", "EpochError",
+                 "NodeCrashedError"], 0)
+
+#: foMPI hashtable, 32 ranks x 32 inserts, 16 ranks per node, seed 1 --
+#: a point where 1213 packets once shared 1210 delivery carriers:
+#: (sim_time_ns, per-rank elapsed ns, crc32 of the final table volumes).
+GOLDEN_HASHTABLE = (
+    121584,
+    [96830, 96682, 96830, 95654, 95890, 95982, 96010, 95373,
+     96638, 96370, 96578, 95654, 95950, 95982, 96070, 95446,
+     96638, 96338, 96458, 95470, 95590, 95890, 95950, 95458,
+     96670, 96370, 96850, 95650, 96370, 96010, 96490, 95998],
+    2360581955,
+)
+
+
+def _run(name, *, trace=False, faults=None, seed=11, rpn=4):
     return run_spmd(
         WORKLOADS[name], 4,
-        machine=MachineConfig(ranks_per_node=rpn, batch_delivery=batch),
-        sim=SimConfig(seed=seed, scheduler=scheduler),
+        machine=MachineConfig(ranks_per_node=rpn),
+        sim=SimConfig(seed=seed, trace=trace),
         faults=faults or FaultConfig())
 
 
-def _sig(res):
-    return (res.sim_time_ns, res.events_processed, res.returns)
-
-
 # ---------------------------------------------------------------------------
-# wheel-vs-heap bit identity
+# golden schedules
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_gen2_matches_legacy_schedule(name):
-    assert _sig(_run(name)) == _sig(_run(name, scheduler="legacy")), \
-        f"{name}: gen2 fast loop diverged from the pure-heap oracle"
+def test_golden_tables_cover_every_demo_workload():
+    assert sorted(GOLDEN) == sorted(GOLDEN_RETURNS) == sorted(WORKLOADS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_legacy_and_unbatched_reproduce_golden_pins(name):
-    """Every scheduler/batching combination reproduces the pre-gen-2
-    golden schedule -- the refactor changed zero delivery times."""
-    t_ns, events = GOLDEN[name]
-    for scheduler in ("gen2", "legacy"):
-        for batch in (True, False):
-            res = _run(name, scheduler=scheduler, batch=batch)
-            assert (res.sim_time_ns, res.events_processed) == (t_ns, events), \
-                f"{name}: scheduler={scheduler} batch={batch} drifted " \
-                f"from golden ({res.sim_time_ns}, {res.events_processed})"
+def test_demo_workloads_reproduce_golden_pins(name):
+    res = _run(name)
+    assert (res.sim_time_ns, res.events_processed) == GOLDEN[name], \
+        f"{name}: schedule drifted from the pre-gen-2 golden"
+    assert res.returns == GOLDEN_RETURNS[name]
 
 
-def test_gen2_matches_legacy_faulty_run():
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_step_loop_reproduces_golden_pins(name):
+    """``SimConfig(trace=True)`` installs a tracer, which runs the whole
+    stack on the step loop: same schedule as the fast loop."""
+    res = _run(name, trace=True)
+    assert (res.sim_time_ns, res.events_processed) == GOLDEN[name]
+    assert res.returns == GOLDEN_RETURNS[name]
+
+
+def test_faulty_run_reproduces_golden_pin():
     """Drops, corruption and latency spikes exercise the retransmit and
-    stall paths; the schedule must still be scheduler-independent."""
+    stall paths."""
     plan = FaultPlan(drop_prob=0.2, corrupt_prob=0.05,
                      delay_prob=0.1, delay_ns=5_000)
-    kw = dict(faults=FaultConfig(plan=plan), seed=13, rpn=1)
-    fast = _run("putget", **kw)
-    legacy = _run("putget", scheduler="legacy", **kw)
-    assert _sig(fast) == _sig(legacy)
-    assert fast.stats["retransmits"] > 0  # the faults actually fired
-
-
-def test_faulty_run_batched_equals_unbatched():
-    plan = FaultPlan(drop_prob=0.2, delay_prob=0.1, delay_ns=5_000)
-    kw = dict(faults=FaultConfig(plan=plan), seed=13, rpn=1)
-    assert _sig(_run("putget", **kw)) == _sig(_run("putget", batch=False, **kw))
+    res = _run("putget", faults=FaultConfig(plan=plan), seed=13, rpn=1)
+    assert (res.sim_time_ns, res.events_processed, res.returns,
+            res.stats["retransmits"]) == GOLDEN_FAULTY
 
 
 def _crash_prog(ctx):
@@ -104,97 +123,46 @@ def _crash_prog(ctx):
     return "ok"
 
 
-def test_crash_run_gen2_matches_legacy():
-    """A fail-stop node crash mid-run (interrupts, quarantine errors,
-    reaper process) must also be scheduler- and batching-independent."""
-    from repro.config import NodeCrash
-
+def test_crash_run_reproduces_golden_pin():
+    """A fail-stop node crash mid-run: interrupts, quarantine errors and
+    the reaper process."""
     plan = FaultPlan(crashes=(NodeCrash(node=3, time_ns=20_000),))
-
-    def go(scheduler="gen2", batch=True):
-        return run_spmd(
-            _crash_prog, 4,
-            machine=MachineConfig(ranks_per_node=1, batch_delivery=batch),
-            sim=SimConfig(seed=13, scheduler=scheduler),
-            faults=FaultConfig(plan=plan))
-
-    fast = go()
-    sig = (fast.sim_time_ns, fast.events_processed,
-           [type(r).__name__ for r in fast.returns])
-    for other in (go(scheduler="legacy"), go(batch=False)):
-        assert sig == (other.sim_time_ns, other.events_processed,
-                       [type(r).__name__ for r in other.returns])
-    assert any(isinstance(r, BaseException) for r in fast.returns)
+    res = run_spmd(
+        _crash_prog, 4,
+        machine=MachineConfig(ranks_per_node=1),
+        sim=SimConfig(seed=13),
+        faults=FaultConfig(plan=plan))
+    assert (res.sim_time_ns, res.events_processed,
+            [type(r).__name__ for r in res.returns],
+            res.stats["retransmits"]) == GOLDEN_CRASH
 
 
-# ---------------------------------------------------------------------------
-# batched delivery property: identical per-packet times, fewer events
-# ---------------------------------------------------------------------------
-def _burst_net(batch):
-    """A network whose ejection is free: every same-edge packet issued at
-    the same instant lands on the same tick, forcing multi-packet
-    batches (the demo workloads serialize on ejection service and never
-    collide; zeroing the service params is how batches form at all)."""
-    env = Environment()
-    params = GeminiParams(o_eject=0.0, nic_packet_gap=0.0,
-                          amo_gap=0.0, amo_service=0.0)
-    torus = Torus3D((4, 1, 1))
-    rm = RankMap(nranks=4, ranks_per_node=1)
-    net = Network(env, torus, rm, params, batch_delivery=batch)
-    return env, net
-
-
-def _burst(batch, npkts=16, two_edges=False):
-    env, net = _burst_net(batch)
-    deliveries = []
-    times = []
-    for i in range(npkts):
-        # Injection is not charged, so all same-edge packets issued at
-        # t=0 share one delivery tick (one multi-packet batch per edge).
-        src = 2 if two_edges and i % 2 else 0
-        t, _ev = net.packet(src, 1, 8, charge_injection=False,
-                            on_deliver=lambda now, i=i, s=src:
-                            deliveries.append((now, s, i)))
-        times.append(t)
-    env.run()
-    return times, deliveries, env.events_processed
-
-
-def test_batched_delivery_bit_identical_per_edge():
-    """One edge, one tick: the full (time, src, index) delivery sequence
-    is identical batched vs unbatched, and 16 per-packet kernel events
-    collapse into 1 carrier."""
-    t_on, d_on, ev_on = _burst(True)
-    t_off, d_off, ev_off = _burst(False)
-    assert t_on == t_off          # computed delivery times
-    assert d_on == d_off          # observed delivery sequence
-    assert ev_off - ev_on == 16 - 1
-
-
-def test_batched_delivery_times_invariant_across_edges():
-    """Two edges landing on the same tick: per-packet delivery TIMES are
-    identical and each edge's packets fire in issue order; only the
-    cross-edge interleaving within the tick may differ (each carrier
-    fires its whole batch -- documented in DESIGN.md)."""
-    t_on, d_on, ev_on = _burst(True, two_edges=True)
-    t_off, d_off, ev_off = _burst(False, two_edges=True)
-    assert t_on == t_off
-    assert sorted(d_on) == sorted(d_off)  # same (time, src, idx) multiset
-    assert ev_off - ev_on == 16 - 2       # one carrier per (edge, tick)
-    same_edge = {}
-    for now, src, i in d_on:
-        same_edge.setdefault(src, []).append(i)
-    for ids in same_edge.values():
-        assert ids == sorted(ids), "batch fired out of issue order"
+def test_hashtable_delivery_order_reproduces_golden_pin():
+    """Same-tick deliveries on one edge decide who wins a slot CAS, so
+    the table contents and per-rank times pin delivery *order*, which
+    equal totals alone would not."""
+    nranks, inserts = 32, 32
+    layout = HashTableLayout.default(inserts)
+    box = {}
+    res = run_spmd(
+        rma_insert_program, nranks, layout, inserts, box,
+        machine=MachineConfig(ranks_per_node=16), sim=SimConfig(seed=1))
+    crc = zlib.crc32(b"".join(box["volumes"][r].tobytes()
+                              for r in range(nranks)))
+    assert (res.sim_time_ns, res.returns, crc) == GOLDEN_HASHTABLE
 
 
 # ---------------------------------------------------------------------------
 # tie-break audit: same-tick (priority, seq) FIFO across the front slot
 # ---------------------------------------------------------------------------
-def _same_tick_run(fast):
+BOTH_LOOPS = pytest.mark.parametrize(
+    "step_loop", [False, True], ids=["fast-loop", "step-loop"])
+
+
+def _same_tick_run(step_loop):
     """Many events on one tick, mixed priorities, scheduled in an order
     that forces front-slot evictions (later-but-smaller entries)."""
-    env = Environment()
+    env = make_env(step_loop)
     order = []
 
     def note(tag):
@@ -213,23 +181,23 @@ def _same_tick_run(fast):
     late = env.event(name="late")
     late.callbacks.append(note(("late", 0)))
     late.succeed(delay=20)
-    env.run(fast=fast)
+    env.run()
     return order
 
 
-def test_same_tick_priority_seq_fifo():
-    expected = [(10, ("u", 0)), (10, ("u", 1)),
-                (10, ("n", 0)), (10, ("n", 1)), (10, ("n", 2)),
-                (20, ("late", 0))]
-    assert _same_tick_run(fast=True) == expected
-    assert _same_tick_run(fast=False) == expected
+@BOTH_LOOPS
+def test_same_tick_priority_seq_fifo(step_loop):
+    assert _same_tick_run(step_loop) == [
+        (10, ("u", 0)), (10, ("u", 1)),
+        (10, ("n", 0)), (10, ("n", 1)), (10, ("n", 2)),
+        (20, ("late", 0))]
 
 
-def _urgent_mid_drain_run(fast):
+def _urgent_mid_drain_run(step_loop):
     """An URGENT event scheduled *while its tick is draining* must fire
     before the remaining NORMAL events of that tick (priority beats seq)
     -- this crosses the front-slot/heap boundary mid-drain."""
-    env = Environment()
+    env = make_env(step_loop)
     order = []
 
     def fire_urgent(_ev):
@@ -245,20 +213,17 @@ def _urgent_mid_drain_run(fast):
         ev = env.event(name=f"n{i}")
         ev.callbacks.append(lambda _e, i=i: order.append(f"n{i}"))
         ev.succeed(delay=5, priority=NORMAL)
-    env.run(fast=fast)
+    env.run()
     return order
 
 
-def test_urgent_scheduled_mid_drain_orders_by_priority_then_seq():
-    expected = ["n0", "u", "n1", "n2"]
-    assert _urgent_mid_drain_run(fast=True) == expected
-    assert _urgent_mid_drain_run(fast=False) == expected
+@BOTH_LOOPS
+def test_urgent_scheduled_mid_drain_orders_by_priority_then_seq(step_loop):
+    assert _urgent_mid_drain_run(step_loop) == ["n0", "u", "n1", "n2"]
 
 
-def test_same_tick_fifo_across_rollover():
-    """FIFO within a priority class survives a front-slot eviction by an
-    earlier-tick entry: seq order is global, not per-container."""
-    env = Environment()
+def _rollover_run(step_loop):
+    env = make_env(step_loop)
     order = []
     # Tick 10 normals (land in heap/front), then a tick-5 urgent that
     # evicts the front slot, then more tick-10 normals.
@@ -273,20 +238,12 @@ def test_same_tick_fifo_across_rollover():
         ev = env.event(name=f"b{i}")
         ev.callbacks.append(lambda _e, i=i: order.append(f"b{i}"))
         ev.succeed(delay=10)
-    env.run(fast=True)
-    assert order == ["early", "a0", "a1", "b0", "b1"]
-    env2 = Environment()
-    order2 = []
-    for i in range(2):
-        ev = env2.event(name=f"a{i}")
-        ev.callbacks.append(lambda _e, i=i: order2.append(f"a{i}"))
-        ev.succeed(delay=10)
-    early = env2.event(name="early")
-    early.callbacks.append(lambda _e: order2.append("early"))
-    early.succeed(delay=5)
-    for i in range(2):
-        ev = env2.event(name=f"b{i}")
-        ev.callbacks.append(lambda _e, i=i: order2.append(f"b{i}"))
-        ev.succeed(delay=10)
-    env2.run(fast=False)
-    assert order2 == order
+    env.run()
+    return order
+
+
+@BOTH_LOOPS
+def test_same_tick_fifo_across_rollover(step_loop):
+    """FIFO within a priority class survives a front-slot eviction by an
+    earlier-tick entry: seq order is global, not per-container."""
+    assert _rollover_run(step_loop) == ["early", "a0", "a1", "b0", "b1"]
