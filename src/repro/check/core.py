@@ -457,7 +457,7 @@ class RaceChecker:
         """Segment watch callback (see :class:`repro.mem.address_space.
         Segment`)."""
         loc = self._local
-        if loc is None or not self.config.track_local:
+        if loc is None:
             return
         win, rank, base = loc
         from repro.check import epochs
@@ -487,8 +487,6 @@ class RaceChecker:
         if kind not in ("load", "store"):
             raise ValueError(f"note_local kind must be 'load' or 'store', "
                              f"not {kind!r}")
-        if not self.config.track_local:
-            return
         from repro.check import epochs
 
         self.accesses_seen += 1

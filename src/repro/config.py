@@ -155,15 +155,10 @@ class ObsConfig:
     max_spans:
         Span-log truncation limit; appends past it are counted in
         ``spans.dropped`` instead of stored.
-    nic_marks:
-        Record an instant mark on the destination NIC's track for every
-        delivered packet (one track per NIC in the Chrome export).
-        Metrics (bytes per link) are collected regardless.
     """
 
     enabled: bool = False
     max_spans: int = 500_000
-    nic_marks: bool = True
 
     def __post_init__(self) -> None:
         if self.max_spans < 0:
@@ -190,15 +185,10 @@ class CheckConfig:
         Cap on live shadow access records.  Past it, recording stops and
         the run is flagged ``truncated`` instead of growing without
         bound; full barriers prune records that can no longer race.
-    track_local:
-        Record target-side local loads/stores issued through
-        ``Window.local_load`` / ``Window.local_store`` (the separate
-        memory model's local/remote conflict class).
     """
 
     enabled: bool = False
     max_records: int = 200_000
-    track_local: bool = True
 
     def __post_init__(self) -> None:
         if self.max_records < 0:

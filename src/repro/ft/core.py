@@ -111,7 +111,7 @@ class _Checkpoint:
     rank: int
     windows: dict = field(default_factory=dict)  # win_id -> _WinSnap
     app: dict = field(default_factory=dict)
-    op_seq: int | None = None
+    op_seq: int = 0
     coll_tag: int = 0
     nbx_tag: int = 0
     coll_seq: int = 0
@@ -279,7 +279,7 @@ class FTRuntime:
         version = self.versions.get(rank, -1) + 1
         rec = _Checkpoint(version=version, rank=rank)
         rec.app = dict(state)
-        rec.op_seq = getattr(ctx.dmapp, "_op_seq", None)
+        rec.op_seq = ctx.dmapp._op_seq
         if ctx._coll is not None:
             rec.coll_tag = ctx.coll._tag
             rec.nbx_tag = ctx.coll._nbx_tag
@@ -534,10 +534,9 @@ class FTRuntime:
                 if snap is not None and snap.lock_snap.get("lock_all_held"):
                     ctx.ft._restored_lock_all.add(win_id)
         ctx.rma._next_win = max_win + 1
-        if rec.op_seq is not None and hasattr(ctx.dmapp, "_op_seq"):
-            # Restored origin sequence numbers make re-executed atomics
-            # hit the injector's replay dedup: exactly-once effects.
-            ctx.dmapp._op_seq = rec.op_seq
+        # Restored origin sequence numbers make re-executed atomics hit
+        # the injector's replay dedup: exactly-once effects.
+        ctx.dmapp._op_seq = rec.op_seq
         if rec.coll_tag or rec.nbx_tag:
             ctx.coll._tag = rec.coll_tag
             ctx.coll._nbx_tag = rec.nbx_tag

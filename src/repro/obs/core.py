@@ -76,7 +76,7 @@ class Instrumentation:
 
     def on_retransmit(self, rank: int, kind: str, target: int, ts_ns: int,
                       attempt: int, wait_ns: int) -> None:
-        """One transport retransmission (hardened DMAPP endpoint)."""
+        """One transport retransmission (DMAPP endpoint, faulty fabric)."""
         self.rank_instant(rank, f"retransmit.{kind}", ts_ns, cat="fault",
                           args={"target": target, "attempt": attempt})
         self.metrics.count("retransmits", rank)

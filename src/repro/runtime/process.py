@@ -18,7 +18,7 @@ can hide.
 
 from __future__ import annotations
 
-from repro.dmapp.api import DmappEndpoint, ResilientDmappEndpoint
+from repro.dmapp.api import DmappEndpoint
 from repro.mpi1.pt2pt import Mpi1Endpoint
 from repro.xpmem.api import XpmemEndpoint
 
@@ -41,15 +41,10 @@ class RankContext:
         self.obs = world.obs
         # Memory-model checker (same None-when-disabled contract).
         self.checker = world.checker
-        if world.injector is not None:
-            # Faulty fabric: the hardened transport (deadlines, seeded
-            # backoff, idempotent retransmit, AMO replay dedup).
-            self.dmapp = ResilientDmappEndpoint(
-                world.env, rank, world.network, world.rank_map,
-                world.reg_tables, world.injector, world.faults)
-        else:
-            self.dmapp = DmappEndpoint(world.env, rank, world.network,
-                                       world.rank_map, world.reg_tables)
+        # One endpoint for both fabrics: it retransmits (deadlines, seeded
+        # backoff, AMO replay dedup) iff the network carries an injector.
+        self.dmapp = DmappEndpoint(world.env, rank, world.network,
+                                   world.rank_map, world.reg_tables)
         self.dmapp.obs = world.obs
         self.xpmem = XpmemEndpoint(world.env, rank, world.rank_map,
                                    world.xpmem, world.counters)

@@ -123,7 +123,7 @@ class World:
 
             self.obs = Instrumentation(nranks,
                                        max_spans=self.obs_config.max_spans,
-                                       nic_marks=self.obs_config.nic_marks)
+                                       nic_marks=True)
         else:
             from repro.obs.core import active_capture
 
@@ -133,7 +133,7 @@ class World:
 
                 self.obs = Instrumentation(
                     nranks, max_spans=self.obs_config.max_spans,
-                    nic_marks=self.obs_config.nic_marks)
+                    nic_marks=True)
                 sink.append(self.obs)
         # Memory-model checker: same contract as obs -- constructed when
         # the config enables it or a repro.check capture block is live;

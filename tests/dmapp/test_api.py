@@ -1,14 +1,28 @@
-"""DMAPP endpoint semantics: completion ordering, handles, gsync."""
+"""DMAPP endpoint semantics: completion ordering, handles, gsync.
+
+The transport tests run on both fabrics: no injector (the inline single
+transmission) and an injector with an empty plan (the retransmit loop,
+which then never retransmits).
+"""
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.config import MachineConfig
+from repro.config import FaultConfig, FaultPlan, MachineConfig
 from repro.dmapp.amo import AMO_OPS, amo_supported
+from repro.dmapp.api import DmappEndpoint
 from repro.errors import SimulationError
 
 INTER = MachineConfig(ranks_per_node=1)
+
+
+@pytest.fixture(params=[None, FaultConfig(plan=FaultPlan())],
+                ids=["clean-fabric", "empty-fault-plan"])
+def faults(request):
+    return request.param
 
 
 def _with_window(body):
@@ -33,7 +47,16 @@ def test_amo_supported_predicate():
     assert "min" not in AMO_OPS
 
 
-def test_put_data_captured_at_issue():
+def test_layer_boundaries_are_generator_functions():
+    """perfbench's span wrappers patch these names on the class and
+    refuse anything that is not a generator function."""
+    for name in ("put_nbi", "get_nbi", "amo_nbi", "amo_custom_nbi",
+                 "amo_stream_nbi", "wait", "wait_local", "gsync"):
+        assert inspect.isgeneratorfunction(
+            inspect.getattr_static(DmappEndpoint, name)), name
+
+
+def test_put_data_captured_at_issue(faults):
     def body(ctx, seg, descs):
         if ctx.rank == 0:
             buf = np.full(8, 1, np.uint8)
@@ -43,11 +66,11 @@ def test_put_data_captured_at_issue():
         yield from ctx.coll.barrier()
         return seg.read(0, 8).tolist()
 
-    res = run_spmd(_with_window(body), 2, machine=INTER)
+    res = run_spmd(_with_window(body), 2, machine=INTER, faults=faults)
     assert res.returns[1] == [1] * 8
 
 
-def test_gsync_guarantees_visibility():
+def test_gsync_guarantees_visibility(faults):
     def body(ctx, seg, descs):
         if ctx.rank == 0:
             yield from ctx.dmapp.put_nbi(descs[1], 0, np.full(8, 9, np.uint8))
@@ -58,11 +81,11 @@ def test_gsync_guarantees_visibility():
         yield from ctx.compute(1)
         return None
 
-    res = run_spmd(_with_window(body), 2, machine=INTER)
+    res = run_spmd(_with_window(body), 2, machine=INTER, faults=faults)
     assert res.returns[0] == [9] * 8
 
 
-def test_put_not_visible_before_delivery():
+def test_put_not_visible_before_delivery(faults):
     def body(ctx, seg, descs):
         if ctx.rank == 0:
             yield from ctx.dmapp.put_nbi(descs[1], 0, np.full(8, 5, np.uint8))
@@ -76,11 +99,11 @@ def test_put_not_visible_before_delivery():
         yield from ctx.compute(1)
         return None
 
-    res = run_spmd(_with_window(body), 2, machine=INTER)
+    res = run_spmd(_with_window(body), 2, machine=INTER, faults=faults)
     assert res.returns[0] == (0, 5)
 
 
-def test_explicit_handle_wait():
+def test_explicit_handle_wait(faults):
     def body(ctx, seg, descs):
         if ctx.rank == 0:
             h = yield from ctx.dmapp.put_nb(descs[1], 4, np.full(4, 3, np.uint8))
@@ -91,11 +114,11 @@ def test_explicit_handle_wait():
         yield from ctx.coll.barrier()
         return seg.read(4, 4).tolist()
 
-    res = run_spmd(_with_window(body), 2, machine=INTER)
+    res = run_spmd(_with_window(body), 2, machine=INTER, faults=faults)
     assert res.returns[1] == [3] * 4
 
 
-def test_get_out_buffer_size_checked():
+def test_get_out_buffer_size_checked(faults):
     def body(ctx, seg, descs):
         if ctx.rank == 0:
             out = np.zeros(4, np.uint8)
@@ -104,10 +127,10 @@ def test_get_out_buffer_size_checked():
         yield from ctx.compute(1)
         return None
 
-    run_spmd(_with_window(body), 2, machine=INTER)
+    run_spmd(_with_window(body), 2, machine=INTER, faults=faults)
 
 
-def test_large_put_chunked():
+def test_large_put_chunked(faults):
     from repro.machine.params import GeminiParams
 
     n = 3 * (1 << 20) + 5  # > 3 chunks at max_chunk = 1 MiB
@@ -124,16 +147,17 @@ def test_large_put_chunked():
         yield from ctx.coll.barrier()
         return int(seg.typed(np.uint8).sum()) if ctx.rank == 1 else None
 
-    res = run_spmd(program, 2, machine=INTER)
+    res = run_spmd(program, 2, machine=INTER, faults=faults)
     expected = int(((np.arange(n) % 251).astype(np.uint64)).sum())
     assert res.returns[1] == expected
 
 
-def test_amo_stream_empty_rejected():
+def test_amo_stream_empty_rejected(faults):
     from repro.mem.atomic import AtomicArray
     from repro.runtime.job import Job, run_on_world
 
-    job = Job(nranks=2, machine=INTER)
+    job = Job(nranks=2, machine=INTER,
+              faults=faults or FaultConfig())
     world = job.build_world()
     cells = AtomicArray(world.env, 4)
 
@@ -146,7 +170,7 @@ def test_amo_stream_empty_rejected():
     run_on_world(world, program)
 
 
-def test_ops_issued_counter():
+def test_ops_issued_counter(faults):
     def body(ctx, seg, descs):
         if ctx.rank == 0:
             for _ in range(3):
@@ -157,11 +181,11 @@ def test_ops_issued_counter():
         yield from ctx.compute(1)
         return None
 
-    res = run_spmd(_with_window(body), 2, machine=INTER)
+    res = run_spmd(_with_window(body), 2, machine=INTER, faults=faults)
     assert res.returns[0] == 3
 
 
-def test_completion_horizon_monotone():
+def test_completion_horizon_monotone(faults):
     def body(ctx, seg, descs):
         if ctx.rank == 0:
             h1 = yield from ctx.dmapp.put_nbi(descs[1], 0,
@@ -175,4 +199,4 @@ def test_completion_horizon_monotone():
         yield from ctx.compute(1)
         return None
 
-    run_spmd(_with_window(body), 2, machine=INTER)
+    run_spmd(_with_window(body), 2, machine=INTER, faults=faults)

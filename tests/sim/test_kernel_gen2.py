@@ -3,9 +3,10 @@
 Two contracts from DESIGN.md section 8:
 
 * the simulator's schedule is pinned, not A/B'd: the four demo workloads,
-  a faulty (drop/corrupt/delay) run, a fail-stop crash run and a small
-  hashtable run reproduce committed ``(sim_time_ns, events_processed,
-  returns)`` tuples.  The pins were captured while the pure-heap
+  a faulty (drop/corrupt/delay) run, the same plan plus a NIC stall over
+  every transport op kind, a fail-stop crash run and a small hashtable
+  run reproduce committed ``(sim_time_ns, events_processed, returns)``
+  tuples.  All but the stalled pins were captured while the pure-heap
   scheduler and batched link delivery still existed and were identical
   under every scheduler/batching combination (the hashtable point is the
   one where batches formed, so it pins times, returns and table contents
@@ -17,6 +18,7 @@ Two contracts from DESIGN.md section 8:
 
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.apps.hashtable import HashTableLayout, rma_insert_program
@@ -24,10 +26,12 @@ from repro.config import (
     FaultConfig,
     FaultPlan,
     MachineConfig,
+    NicStall,
     NodeCrash,
     SimConfig,
 )
 from repro.obs.workloads import WORKLOADS
+from repro.rma.enums import Op
 from repro.runtime.job import run_spmd
 from repro.sim.kernel import NORMAL, URGENT
 from tests.conftest import make_env
@@ -53,6 +57,20 @@ GOLDEN_RETURNS = {
 #: 0.1 x 5 us: (sim_time_ns, events_processed, returns, retransmits).
 GOLDEN_FAULTY = (821343, 711, [0, 1, 2, 3], 70)
 
+#: The demo workloads under GOLDEN_FAULTY's plan plus a 60 us NIC stall on
+#: node 1 (seed 13, one rank per node), and an accumulate / atomic-read
+#: ring that takes the AMO-stream path and its replay dedup: (sim_time_ns,
+#: events_processed, retransmits).  Captured while the hardened transport
+#: was still a second endpoint class; they pin the retransmit schedule of
+#: every op kind (put, get, AMO, chained AMO, AMO stream).
+GOLDEN_FAULTY_STALL = {
+    "putget": (1008000, 714, 71),
+    "locks": (3527404, 1142, 171),
+    "fence": (732291, 531, 34),
+    "pscw": (729787, 390, 35),
+    "acc_ring": (514586, 341, 24),
+}
+
 #: Three fence epochs across a fail-stop crash of node 3 at 20 us, seed
 #: 13: (sim_time_ns, events_processed, return types, retransmits).
 GOLDEN_CRASH = (26200, 299,
@@ -72,9 +90,27 @@ GOLDEN_HASHTABLE = (
 )
 
 
+def _acc_ring(ctx):
+    """accumulate + atomic read of four uint64 on the right neighbour."""
+    win = yield from ctx.rma.win_allocate(32, disp_unit=8)
+    yield from win.lock_all()
+    yield from ctx.coll.barrier()
+    right = (ctx.rank + 1) % ctx.nranks
+    vals = np.arange(1, 5, dtype=np.uint64) * (ctx.rank + 1)
+    yield from win.accumulate(vals, right, 0, Op.SUM)
+    yield from win.flush(right)
+    yield from ctx.coll.barrier()
+    old = yield from win.get_accumulate(np.zeros(4, np.uint64), right, 0,
+                                        Op.NO_OP)
+    yield from win.flush(right)
+    yield from win.unlock_all()
+    yield from ctx.coll.barrier()
+    return [int(v) for v in old]
+
+
 def _run(name, *, trace=False, faults=None, seed=11, rpn=4):
     return run_spmd(
-        WORKLOADS[name], 4,
+        _acc_ring if name == "acc_ring" else WORKLOADS[name], 4,
         machine=MachineConfig(ranks_per_node=rpn),
         sim=SimConfig(seed=seed, trace=trace),
         faults=faults or FaultConfig())
@@ -112,6 +148,22 @@ def test_faulty_run_reproduces_golden_pin():
     res = _run("putget", faults=FaultConfig(plan=plan), seed=13, rpn=1)
     assert (res.sim_time_ns, res.events_processed, res.returns,
             res.stats["retransmits"]) == GOLDEN_FAULTY
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FAULTY_STALL))
+def test_faulty_stalled_runs_reproduce_golden_pins(name):
+    """Every op kind's retransmit loop, with a NIC stall moving the
+    schedule; the ring's sums also prove no replayed stream re-applied."""
+    plan = FaultPlan(drop_prob=0.2, corrupt_prob=0.05,
+                     delay_prob=0.1, delay_ns=5_000,
+                     stalls=(NicStall(node=1, start_ns=100_000,
+                                      duration_ns=60_000),))
+    res = _run(name, faults=FaultConfig(plan=plan), seed=13, rpn=1)
+    assert (res.sim_time_ns, res.events_processed,
+            res.stats["retransmits"]) == GOLDEN_FAULTY_STALL[name]
+    if name == "acc_ring":
+        assert res.returns == [[k * (r + 1) for k in range(1, 5)]
+                               for r in range(4)]
 
 
 def _crash_prog(ctx):

@@ -160,6 +160,50 @@ def test_inactive_fault_config_is_bit_identical(workload):
     assert "retransmits" not in off.stats
 
 
+def _op_mix_program(ctx):
+    """Every DMAPP op kind once: a put that splits into three chunks, a
+    64-element AMO stream, single AMOs (FADD, CAS) and a get."""
+    from repro.rma.enums import Op
+
+    win = yield from ctx.rma.win_allocate(70_000, disp_unit=1)
+    yield from win.lock_all()
+    yield from ctx.coll.barrier()
+    right = (ctx.rank + 1) % ctx.nranks
+    yield from win.put(np.full(70_000, ctx.rank + 1, np.uint8), right, 0)
+    yield from win.flush(right)
+    yield from ctx.coll.barrier()
+    yield from win.accumulate(np.arange(64, dtype=np.uint64), right, 1024,
+                              Op.SUM)
+    old = yield from win.fetch_and_op(np.int64(5), right, 0, Op.SUM)
+    swapped = yield from win.compare_and_swap(np.int64(0), np.int64(9),
+                                              right, 8)
+    yield from win.flush(right)
+    got = np.zeros(2048, np.uint8)
+    yield from win.get(got, right, 0)
+    yield from win.flush(right)
+    yield from ctx.coll.barrier()
+    yield from win.unlock_all()
+    return int(old), int(swapped), int(got.view(np.uint64).sum())
+
+
+def test_empty_plan_is_bit_identical_to_no_plan():
+    """An installed injector that never loses anything: every hardened
+    branch of the transport must reduce to the fast path's schedule."""
+    from repro.machine.params import GeminiParams
+    from repro.obs.workloads import WORKLOADS as DEMOS
+
+    empty = FaultConfig(plan=FaultPlan())
+    runs = [(DEMOS[name], 8, MachineConfig(ranks_per_node=rpn), None)
+            for name in sorted(DEMOS) for rpn in (1, 4)]
+    runs.append((_op_mix_program, 4, INTER, GeminiParams(max_chunk=32_768)))
+    for program, nranks, machine, gemini in runs:
+        base = run_spmd(program, nranks, machine=machine, gemini=gemini)
+        hard = run_spmd(program, nranks, machine=machine, gemini=gemini,
+                        faults=empty)
+        assert _fingerprint(base) == _fingerprint(hard), program.__name__
+        assert hard.stats["retransmits"] == 0
+
+
 # ---------------------------------------------------------------------------
 # recovery: same data as the fault-free run
 # ---------------------------------------------------------------------------
@@ -286,6 +330,47 @@ def test_node_crash_quarantines_and_fails_fast():
     assert res.returns[0] == "survivor"
     assert isinstance(res.returns[1], NodeCrashedError)
     assert res.stats["faults"]["crashed_nodes"] == [1]
+
+
+@pytest.mark.parametrize("op", ["put_nbi", "amo_nbi", "get_nbi",
+                                "amo_stream_nbi"])
+def test_op_in_flight_at_crash_fails_fast(op):
+    """An op issued 300 ns before its target fail-stops: the first
+    transmission is lost with the node, the retransmit finds the target
+    dead and raises NodeCrashedError -- the retry budget is not burnt."""
+    from repro.mem.atomic import AtomicArray
+
+    crash_ns = 200_000
+    faults = FaultConfig(plan=FaultPlan(
+        crashes=(NodeCrash(node=1, time_ns=crash_ns),)))
+
+    def program(ctx):
+        seg = ctx.space.alloc(64)
+        desc = ctx.reg.register(seg)
+        descs = yield from ctx.coll.allgather(desc)
+        yield from ctx.coll.barrier()
+        if ctx.rank == 0:
+            cells = AtomicArray(ctx.env, 4)
+            issue = {
+                "put_nbi": lambda: ctx.dmapp.put_nbi(
+                    descs[1], 0, np.ones(8, np.uint8)),
+                "amo_nbi": lambda: ctx.dmapp.amo_nbi(1, cells, 0, "add", 1),
+                "get_nbi": lambda: ctx.dmapp.get_nbi(descs[1], 0, 8),
+                "amo_stream_nbi": lambda: ctx.dmapp.amo_stream_nbi(
+                    1, cells, 0, "add", [1, 2]),
+            }[op]
+            yield from ctx.compute(crash_ns - 300 - ctx.now)
+            with pytest.raises(NodeCrashedError) as exc:
+                yield from issue()
+            assert exc.value.node == 1
+            return "survivor"
+        yield from ctx.compute(10_000_000)  # killed mid-sleep
+        return "unreachable"
+
+    res = run_spmd(program, 2, machine=INTER, faults=faults)
+    assert res.returns[0] == "survivor"
+    assert res.stats["retransmits"] <= 1
+    assert res.stats["faults"]["deadline_failures"] == 0
 
 
 # ---------------------------------------------------------------------------
