@@ -46,6 +46,8 @@ def _as_payload(data) -> memoryview:
     and land at the target through :meth:`Segment.write`'s slice-copy fast
     path.
     """
+    if type(data) is np.ndarray:       # what Window.put hands over
+        return memoryview(data.tobytes())
     if type(data) is bytes:
         return memoryview(data)
     if isinstance(data, (bytearray, memoryview)):
@@ -53,7 +55,7 @@ def _as_payload(data) -> memoryview:
     return memoryview(np.asarray(data).tobytes())
 
 
-@dataclass
+@dataclass(slots=True)
 class DmappHandle:
     """Explicit-nonblocking operation handle."""
 
@@ -131,11 +133,12 @@ class DmappEndpoint:
     # helpers
     # ------------------------------------------------------------------
     def _track(self, handle: DmappHandle, target: int, nbytes: int) -> None:
-        self._horizon = max(self._horizon, handle.remote_complete)
+        if handle.remote_complete > self._horizon:
+            self._horizon = handle.remote_complete
         self._issued += 1
         # Data movement is forward progress for the watchdog; AMOs are
         # deliberately NOT marks (a spinning lock issues AMOs forever).
-        if handle.kind in ("put", "get"):
+        if handle.kind == "put" or handle.kind == "get":
             self.env.note_progress()
         # env.now has not advanced since issue (every op body computes its
         # times eagerly and only yields after _track), so now == t0.
@@ -325,7 +328,7 @@ class DmappEndpoint:
         chan.busy_until = max(int(round(head)), chan.busy_until) + busy
         chan.total_busy += busy
         net.counters.count_service(tnode)
-        return chan.busy_until + int(round(p.amo_service))
+        return chan.busy_until + net.amo_service_int
 
     # ------------------------------------------------------------------
     # put
@@ -341,6 +344,7 @@ class DmappEndpoint:
         payload = _as_payload(data)
         net = self.network
         node = self.node
+        env = self.env
         total = payload.nbytes
         chunk = net.params.max_chunk
         while True:
@@ -350,11 +354,13 @@ class DmappEndpoint:
                 tnode = self.rank_map.node_of(desc.rank)
                 wire_back = net.wire(tnode, node)
                 pos = 0
-                complete = cpu_free = self.env.now
+                complete = drained = cpu_free = env.now
                 while True:
-                    n = min(chunk, total - pos) if total else 0
-                    size = max(1, n)
-                    piece = payload[pos:pos + n]
+                    n = total - pos
+                    if n > chunk:
+                        n = chunk
+                    size = n or 1
+                    piece = payload if n == total else payload[pos:pos + n]
                     off = offset + pos
 
                     def _write(_t, seg=seg, off=off, piece=piece):
@@ -376,27 +382,31 @@ class DmappEndpoint:
                     # The CPU blocks for the descriptor write, or -- when
                     # the injection FIFO is full -- until an older
                     # descriptor drained.
+                    cpu_free = env.now + net.o_inject_int
                     admit = net.injection_admit(node, inj_end, size)
-                    cpu_free = max(
-                        self.env.now + int(round(net.params.o_inject)), admit)
+                    if admit > cpu_free:
+                        cpu_free = admit
                     net.counters.count_issue(self.rank, "put", n)
-                    # Chunks can complete out of order (a small tail chunk
+                    # Chunks can finish out of order (a small tail chunk
                     # takes the FMA path while bulk chunks drain on the
-                    # BTE): remote completion is the MAX, not the last one.
-                    complete = max(complete, done)
+                    # BTE): both completions are the MAX, not the last one.
+                    if inj_end > drained:
+                        drained = inj_end
+                    if done > complete:
+                        complete = done
                     pos += n
                     if pos >= total:
                         break
                 break
             except NodeCrashedError as exc:
                 yield from self._await_restore(desc.rank, exc)
-        handle = DmappHandle("put", inj_end, int(round(complete)))
+        handle = DmappHandle("put", drained, int(round(complete)))
         self._track(handle, desc.rank, total)
         # The CPU is blocked only until the NIC accepted the descriptor
         # (o_inject); the DMA drain itself overlaps with computation.
-        wait = cpu_free - self.env.now
+        wait = cpu_free - env.now
         if wait > 0:
-            yield self.env.timeout(wait)
+            yield env.timeout(wait)
         return handle
 
     def put_nb(self, desc: MemDescriptor, offset: int, data):
@@ -456,9 +466,9 @@ class DmappEndpoint:
         self._at(data_arrival, "get-data", _read_at_target)
         net.counters.count_issue(self.rank, "get", nbytes)
         self._track(handle, desc.rank, nbytes)
-        admit = net.injection_admit(node, inj_end, _HEADER_BYTES)
-        cpu_free = max(self.env.now + int(round(net.params.o_inject)), admit)
-        wait = cpu_free - self.env.now
+        wait = max(net.o_inject_int,
+                   net.injection_admit(node, inj_end, _HEADER_BYTES)
+                   - self.env.now)
         if wait > 0:
             yield self.env.timeout(wait)
         return handle
@@ -522,9 +532,9 @@ class DmappEndpoint:
         handle.remote_complete = complete
         net.counters.count_issue(self.rank, f"amo:{op}", 8)
         self._track(handle, target_rank, 8)
-        admit = net.injection_admit(node, inj_end, _AMO_BYTES)
-        cpu_free = max(self.env.now + int(round(net.params.o_inject)), admit)
-        wait = cpu_free - self.env.now
+        wait = max(net.o_inject_int,
+                   net.injection_admit(node, inj_end, _AMO_BYTES)
+                   - self.env.now)
         if wait > 0:
             yield self.env.timeout(wait)
         return handle
@@ -573,9 +583,9 @@ class DmappEndpoint:
         handle.remote_complete = complete
         net.counters.count_issue(self.rank, "amo:custom", 8)
         self._track(handle, target_rank, 8)
-        admit = net.injection_admit(node, inj_end, _AMO_BYTES)
-        cpu_free = max(self.env.now + int(round(net.params.o_inject)), admit)
-        wait = cpu_free - self.env.now
+        wait = max(net.o_inject_int,
+                   net.injection_admit(node, inj_end, _AMO_BYTES)
+                   - self.env.now)
         if wait > 0:
             yield self.env.timeout(wait)
         return handle
@@ -640,9 +650,9 @@ class DmappEndpoint:
         handle.remote_complete = complete
         net.counters.count_issue(self.rank, f"amo-stream:{op}", nbytes)
         self._track(handle, target_rank, nbytes)
-        admit = net.injection_admit(node, inj_end, nbytes)
-        cpu_free = max(self.env.now + int(round(net.params.o_inject)), admit)
-        wait = cpu_free - self.env.now
+        wait = max(net.o_inject_int,
+                   net.injection_admit(node, inj_end, nbytes)
+                   - self.env.now)
         if wait > 0:
             yield self.env.timeout(wait)
         return handle

@@ -84,7 +84,11 @@ class Network:
         # (src, dst) -> wire_base + per_hop * hops: pure in torus + params,
         # cached off the per-packet path.
         self._wire: dict[tuple[int, int], float] = {}
+        # Constant parameters in whole ns, rounded once, not per packet.
         self._o_eject_int = int(round(self.params.o_eject))
+        self._amo_gap_int = int(round(self.params.amo_gap))
+        self.amo_service_int = int(round(self.params.amo_service))
+        self.o_inject_int = int(round(self.params.o_inject))
         self._has_noise = self.params.noise_ns > 0
 
     def nic(self, node: int) -> Nic:
@@ -131,7 +135,7 @@ class Network:
         charge_injection: bool = True,
         is_amo: bool = False,
         gap_per_byte: float | None = None,
-        on_deliver: Callable[[int], None] | None = None,
+        on_deliver: Callable[[Event], None] | None = None,
         fate=None,
         reliable: bool = False,
     ) -> tuple[int, Event]:
@@ -148,10 +152,12 @@ class Network:
         ``charge_injection=False`` skips injection entirely (NIC-generated
         responses such as get replies and acks).
 
-        ``on_deliver(time)`` runs at delivery time *before* any process
+        ``on_deliver(event)`` is the delivery event's first callback: it
+        runs at delivery time (``event.value``) *before* any process
         waiting on the returned event resumes -- remote memory writes and
         AMO side effects use it so memory is updated atomically at the
-        delivery instant.
+        delivery instant.  Every producer ignores the argument (``_t``,
+        ``_event``), so it is the event itself, not a wrapper's time.
 
         With a fault injector installed, each transmission can be dropped,
         corrupted (checksum fails at the target NIC, packet discarded),
@@ -191,7 +197,7 @@ class Network:
             nic = self._nics[dst_node] = Nic(env, dst_node)
         if is_amo:
             chan = nic.amo_engine
-            svc_int = int(round(p.amo_gap))
+            svc_int = self._amo_gap_int
         elif nbytes <= p.fma_threshold:
             # Small packets interleave at flit granularity; they serialize
             # only on per-packet processing, never behind bulk transfers.
@@ -202,18 +208,20 @@ class Network:
             svc_int = int(round(max(p.o_eject, nbytes * gap)))
         # Service cannot begin before the head arrives nor finish before
         # the tail does; contention queues behind earlier packets.
-        start = max(int(round(head_arrival)), chan.busy_until)
-        chan.busy_until = max(start + svc_int, int(round(tail_arrival)))
+        start = int(round(head_arrival))
+        if chan.busy_until > start:
+            start = chan.busy_until
+        deliver_time = int(round(tail_arrival))
+        if start + svc_int > deliver_time:
+            deliver_time = start + svc_int
+        chan.busy_until = deliver_time
         chan.total_busy += svc_int
-        deliver_time = chan.busy_until
         if is_amo:
-            deliver_time += int(round(p.amo_service))
+            deliver_time += self.amo_service_int
 
         ev = env.event(name="packet-deliver")
         if on_deliver is not None:
-            def _fire(event: Event, _cb=on_deliver) -> None:
-                _cb(env.now)
-            ev.callbacks.append(_fire)
+            ev.callbacks.append(on_deliver)
         ev.succeed(deliver_time, delay=max(0, deliver_time - env.now))
         self.counters.count_service(dst_node)
         if self.obs is not None:
@@ -269,20 +277,19 @@ class Network:
                                    inj.stall_release(dst_node, int(head_arrival)))
                 if is_amo:
                     chan = self.nic(dst_node).amo_engine
-                    svc = p.amo_gap
+                    svc = self._amo_gap_int
                 elif nbytes <= p.fma_threshold:
                     chan = self.nic(dst_node).eject_fma
-                    svc = p.o_eject
+                    svc = self._o_eject_int
                 else:
                     chan = self.nic(dst_node).eject_bte
-                    svc = max(p.o_eject, nbytes * gap)
+                    svc = int(round(max(p.o_eject, nbytes * gap)))
                 start = max(int(round(head_arrival)), chan.busy_until)
-                chan.busy_until = max(start + int(round(svc)),
-                                      int(round(tail_arrival)))
-                chan.total_busy += int(round(svc))
+                chan.busy_until = max(start + svc, int(round(tail_arrival)))
+                chan.total_busy += svc
                 deliver_time = chan.busy_until
                 if is_amo:
-                    deliver_time += int(round(p.amo_service))
+                    deliver_time += self.amo_service_int
                 self.counters.count_service(dst_node)
                 # Corrupted payloads fail the checksum and are discarded
                 # here; packets to a node dead by arrival are lost too.
@@ -292,9 +299,7 @@ class Network:
             if delivered:
                 ev = env.event(name="packet-deliver")
                 if on_deliver is not None:
-                    def _fire(event: Event, _cb=on_deliver) -> None:
-                        _cb(env.now)
-                    ev.callbacks.append(_fire)
+                    ev.callbacks.append(on_deliver)
                 ev.succeed(deliver_time,
                            delay=max(0, deliver_time - env.now))
                 if self.obs is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MemoryError_
+from repro.mem.atomic import SegmentCells
 
 __all__ = ["Segment", "AddressSpace"]
 
@@ -22,8 +23,8 @@ MMAP_REGION_HI = 0x7000_0000_0000
 class Segment:
     """A contiguous byte range of one rank's memory."""
 
-    __slots__ = ("rank", "seg_id", "vaddr", "buf", "alive", "label",
-                 "watch", "_mv", "_w64")
+    __slots__ = ("rank", "seg_id", "vaddr", "size", "buf", "alive", "label",
+                 "watch", "_mv", "_w64", "_cells")
 
     def __init__(self, rank: int, seg_id: int, vaddr: int, size: int,
                  label: str = "") -> None:
@@ -32,21 +33,19 @@ class Segment:
         self.rank = rank
         self.seg_id = seg_id
         self.vaddr = vaddr
+        self.size = size   # fixed for life: buf is never reallocated
         self.buf = np.zeros(size, dtype=np.uint8)
         # Cached flat byte view: the zero-copy read/write fast paths are
         # plain memoryview slice copies, no numpy dispatch per access.
         self._mv = memoryview(self.buf.data)
         self._w64 = None   # whole-segment word view, built by words64()
+        self._cells = None  # its AMO adapter, built by cells64()
         self.alive = True
         self.label = label
         # Optional access funnel installed by the memory-model checker
         # (repro.check): called as watch(kind, offset, nbytes) on every
         # read()/write().  None in normal runs -- one branch of overhead.
         self.watch = None
-
-    @property
-    def size(self) -> int:
-        return self.buf.size
 
     def _check(self, offset: int, nbytes: int) -> None:
         if not self.alive:
@@ -149,6 +148,14 @@ class Segment:
         self._check(offset, 0)
         nbytes = (self.size - offset) // 8 * 8
         return self._mv[offset:offset + nbytes].cast("Q")
+
+    def cells64(self) -> SegmentCells:
+        """The AMO adapter over :meth:`words64`, built once and shared
+        like the view under it (it holds no state of its own)."""
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = SegmentCells(self)
+        return cells
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Segment rank={self.rank} id={self.seg_id} "

@@ -156,7 +156,7 @@ class Mpi1Endpoint:
                 f"refused (node quarantined)")
 
     def _ship(self, dest: int, nbytes: int, deliver_cb) -> tuple[int, int]:
-        """Move ``nbytes`` to rank ``dest``; run ``deliver_cb`` on arrival.
+        """Move ``nbytes`` to rank ``dest``; run ``deliver_cb(event)`` on arrival.
 
         Returns ``(local_complete, cpu_free)``: when the buffer is
         reusable and until when the sending CPU is busy (descriptor work
@@ -172,8 +172,8 @@ class Mpi1Endpoint:
                              + nbytes * self.xpmem.copy_per_byte))
             arrival = env.now + copy + int(round(self.xpmem.latency))
             ev = env.event(name="intra-msg")
-            ev.callbacks.append(lambda _e: deliver_cb(env.now))
-            ev.succeed(delay=arrival - env.now)
+            ev.callbacks.append(deliver_cb)
+            ev.succeed(arrival, delay=arrival - env.now)
             self.network.counters.count_issue(self.rank, "mpi1-intra", nbytes)
             cpu_free = env.now + copy + int(round(p.o_issue))
             return cpu_free, cpu_free

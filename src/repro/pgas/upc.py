@@ -56,8 +56,8 @@ class UpcSharedArray:
 
     def cells(self, rank: int) -> SegmentCells:
         """Atomic int64 view of a peer's affinity block (for aadd/cas)."""
-        seg = self.ctx.world.reg_tables[rank].resolve(self.descs[rank])
-        return SegmentCells(seg, 0)
+        return self.ctx.world.reg_tables[rank].resolve(
+            self.descs[rank]).cells64()
 
 
 class UpcContext:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import RmaError
-from repro.mem.atomic import SegmentCells
 from repro.rma import window as win_mod
 from repro.rma.enums import HW_OPS, Op, WinFlavor
 
@@ -80,12 +79,13 @@ def accumulate(win, data, target: int, target_disp: int, op: Op, *,
     """MPI_Accumulate / MPI_Get_accumulate."""
     ctx = win.ctx
     arr = np.asarray(data)
-    toff = win._byte_offset(target_disp)
-    yield from ctx.instr(win.params.instr_accumulate)
+    toff = target_disp * win.disp_unit
+    if win._acc_ns is not None:
+        yield ctx.env.timeout(win._acc_ns)
 
     if _hw_eligible(win, op, arr.dtype, toff):
         seg, base = win._target_segment(target, toff, arr.nbytes)
-        cells = SegmentCells(seg)
+        cells = seg.cells64()
         base_idx = (base + toff) // 8
         operands = arr.ravel().astype(np.int64, copy=False)
         hw = op.hw_name
@@ -140,9 +140,8 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
         cur = yield from ctx.xpmem.load(win_mod._SegToken(seg), base + toff,
                                         nbytes)
     else:
-        desc = yield from _data_desc(win, target, toff, nbytes)
-        cur = yield from ctx.dmapp.get_b(desc, _desc_off(win, desc, toff),
-                                         nbytes)
+        desc, off = yield from _data_desc(win, target, toff, nbytes)
+        cur = yield from ctx.dmapp.get_b(desc, off, nbytes)
     old_vals = cur.view(arr.dtype).reshape(-1).copy()
     new_vals = apply_op(op, old_vals, arr.ravel())
     # Local reduction cost.
@@ -153,9 +152,8 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
         yield from ctx.xpmem.store(win_mod._SegToken(seg), base + toff,
                                    new_vals.view(np.uint8))
     else:
-        desc = yield from _data_desc(win, target, toff, nbytes)
-        yield from ctx.dmapp.put_nbi(desc, _desc_off(win, desc, toff),
-                                     new_vals.view(np.uint8))
+        desc, off = yield from _data_desc(win, target, toff, nbytes)
+        yield from ctx.dmapp.put_nbi(desc, off, new_vals.view(np.uint8))
         yield from ctx.dmapp.gsync()
     # Release (fire-and-forget).
     yield from _acc_amo(win, target, "replace", 0, blocking=False)
@@ -163,18 +161,12 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
 
 
 def _data_desc(win, target: int, toff: int, nbytes: int):
-    """Descriptor for the fallback's raw data access."""
+    """(descriptor, offset in its segment) for the fallback's raw data
+    access."""
     if win.flavor is WinFlavor.DYNAMIC:
-        return (yield from win.dyn.resolve(win, target, toff, nbytes))
+        desc = yield from win.dyn.resolve(win, target, toff, nbytes)
+        return desc, toff - desc.vaddr
     return win._target_desc(target, toff, nbytes)
-
-
-def _desc_off(win, desc, toff: int) -> int:
-    if win.flavor is WinFlavor.DYNAMIC:
-        return toff - desc.vaddr
-    if win.flavor is WinFlavor.ALLOCATE:
-        return (win.base_vaddr - desc.vaddr) + toff
-    return toff
 
 
 def _acc_amo(win, target: int, op: str, operand: int, operand2: int = 0,
@@ -214,21 +206,23 @@ def _scalar_amo(win, target: int, toff: int, op: str, a: int, b: int = 0):
     """One blocking fetching AMO on the window word at byte ``toff``."""
     ctx = win.ctx
     seg, base = win._target_segment(target, toff, 8)
-    cells = SegmentCells(seg)
+    cells = seg.cells64()
     idx = (base + toff) // 8
     if ctx.same_node(target):
         return (yield from ctx.xpmem.amo(cells, idx, op, a, b))
     logger = (ctx.ft.amo_logger(win, target, cells, idx)
               if ctx.ft is not None else None)
-    return (yield from ctx.dmapp.amo_b(target, cells, idx, op, a, b,
-                                       on_applied=logger))
+    handle = yield from ctx.dmapp.amo_nbi(target, cells, idx, op, a, b,
+                                          fetch=True, on_applied=logger)
+    return (yield from ctx.dmapp.wait(handle))
 
 
 def fetch_and_op(win, value, target: int, target_disp: int, op: Op):
     """Single 8-byte element fetch-and-op (fine-grained completion)."""
     operand, dtype = _word(value)
-    toff = win._byte_offset(target_disp)
-    yield from win.ctx.instr(win.params.instr_accumulate)
+    toff = target_disp * win.disp_unit
+    if win._acc_ns is not None:
+        yield win.ctx.env.timeout(win._acc_ns)
     if _hw_eligible(win, op, dtype, toff):
         old = yield from _scalar_amo(win, target, toff, op.hw_name, operand)
         return _old_as(old, dtype)
@@ -239,10 +233,11 @@ def fetch_and_op(win, value, target: int, target_disp: int, op: Op):
 
 def compare_and_swap(win, compare, swap, target: int, target_disp: int):
     """8-byte CAS; always on the AMO engine (P_CAS = 2.4 us)."""
-    toff = win._byte_offset(target_disp)
+    toff = target_disp * win.disp_unit
     if toff % 8:
         raise RmaError("CAS target must be 8-byte aligned")
-    yield from win.ctx.instr(win.params.instr_accumulate)
+    if win._acc_ns is not None:
+        yield win.ctx.env.timeout(win._acc_ns)
     c, dtype = _word(compare)
     s, _ = _word(swap)
     old = yield from _scalar_amo(win, target, toff, "cas", c, s)

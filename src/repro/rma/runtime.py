@@ -76,8 +76,12 @@ class RmaContext:
         yield from self.ctx.coll.barrier()
         win.ctrl_refs = bb[key]
         if win.seg is not None:
+            # token.node first (attach() takes this node's tokens only):
+            # the compare spares p placement queries per rank.
+            node = self.ctx.node
             for r, token in bb.get(xkey, {}).items():
-                if r != self.ctx.rank and self.ctx.same_node(r):
+                if (token.node == node and r != self.ctx.rank
+                        and self.ctx.same_node(r)):
                     win.xtokens[r] = self.ctx.xpmem.attach(token)
 
     # ------------------------------------------------------------------

@@ -84,6 +84,14 @@ class Window:
         self.params = params or FompiParams()
         self.nranks = ctx.nranks
         self.rank = ctx.rank
+        # What ctx.instr()/ctx.compute() would charge the communication
+        # calls, made once: whole ns, or None where they schedule nothing.
+        p = self.params
+        self._put_ns = ctx.instr_ns(p.instr_put)
+        self._get_ns = ctx.instr_ns(p.instr_get)
+        self._acc_ns = ctx.instr_ns(p.instr_accumulate)
+        self._flush_ns = ctx.instr_ns(p.instr_flush)
+        self._mfence_ns = int(round(p.mfence_ns)) if p.mfence_ns > 0 else None
 
         # Remote-addressing state (filled by the creation protocols):
         self.base_vaddr: int | None = None            # ALLOCATE: O(1)
@@ -121,43 +129,35 @@ class Window:
 
     def _target_segment(self, target: int, toff: int, nbytes: int):
         """Resolve (segment, base) for a target byte range (static flavors)."""
-        world = self.ctx.world
-        if self.flavor is WinFlavor.ALLOCATE:
-            return world.reg_tables[target].resolve_va(
-                self.base_vaddr + toff, max(1, nbytes)), 0
-        if self.flavor is WinFlavor.CREATE:
-            desc = self.descs[target]
-            return world.reg_tables[target].resolve(desc), 0
-        if self.flavor is WinFlavor.SHARED:
+        flavor = self.flavor
+        if flavor is WinFlavor.ALLOCATE:
+            return self.ctx.world.reg_tables[target].lookup_va(
+                self.base_vaddr + toff, nbytes or 1)[0], 0
+        if flavor is WinFlavor.CREATE:
+            return self.ctx.world.reg_tables[target].resolve(
+                self.descs[target]), 0
+        if flavor is WinFlavor.SHARED:
             return self.shared_segment, self.shared_offsets[target]
-        raise WindowError(f"direct addressing unsupported for {self.flavor}")
+        raise WindowError(f"direct addressing unsupported for {flavor}")
 
     def _target_desc(self, target: int, toff: int, nbytes: int):
-        """Descriptor for the DMAPP path (static flavors)."""
-        world = self.ctx.world
+        """(descriptor, offset of ``toff`` in its segment) for the DMAPP
+        path (static flavors)."""
         if self.flavor is WinFlavor.ALLOCATE:
-            return world.reg_tables[target].descriptor_for_va(
-                self.base_vaddr + toff, max(1, nbytes))
+            desc = self.ctx.world.reg_tables[target].lookup_va(
+                self.base_vaddr + toff, nbytes or 1)[1]
+            return desc, self.base_vaddr - desc.vaddr + toff
         if self.flavor is WinFlavor.CREATE:
-            return self.descs[target]
+            return self.descs[target], toff
         raise WindowError(f"DMAPP addressing unsupported for {self.flavor}")
 
-    def _use_xpmem(self, target: int) -> bool:
+    def _xpmem_target(self, target: int):
+        """(token, base) when ``target``'s memory is directly mapped on
+        this node, else ``None`` (the DMAPP path)."""
         if self.flavor is WinFlavor.SHARED:
-            return True
-        if self.flavor is WinFlavor.DYNAMIC:
-            return False
-        return target in self.xtokens
-
-    def _byte_offset(self, target_disp: int) -> int:
-        return target_disp * self.disp_unit
-
-    # ------------------------------------------------------------------
-    # epoch checking (MPI semantics) -- rules live in repro.check.epochs,
-    # shared between this always-on guard and the full checker.
-    # ------------------------------------------------------------------
-    def _require_access(self, target: int) -> None:
-        epoch_rules.require_access(self, target)
+            return _SegToken(self.shared_segment), self.shared_offsets[target]
+        token = self.xtokens.get(target)
+        return None if token is None else (token, 0)
 
     # ------------------------------------------------------------------
     # communication: put / get
@@ -169,59 +169,45 @@ class Window:
         """MPI_Put.  ``data`` is the origin buffer (any numpy array); the
         target displacement is in units of the window's ``disp_unit``."""
         self._check_alive()
-        self._require_access(target)
+        epoch_rules.require_access(self, target)
         self.op_counts["put"] += 1
-        yield from self.ctx.instr(self.params.instr_put)
+        ctx = self.ctx
+        if self._put_ns is not None:
+            yield ctx.env.timeout(self._put_ns)
         raw = np.ascontiguousarray(np.asarray(data)).view(np.uint8).ravel()
-        toff = self._byte_offset(target_disp)
-        pieces = self._pieces(raw.size, origin_datatype, target_datatype,
-                              count)
-        ck = self.ctx.checker
+        toff = target_disp * self.disp_unit
+        pieces = self._pieces(raw, origin_datatype, target_datatype, count)
+        ck = ctx.checker
         if ck is not None:
             ck.note_op(self, "put", target,
                        [(toff + t, toff + t + n) for _o, t, n in pieces])
-        handles = yield from self._transfer_out(raw, target, toff, pieces)
+        handles = []
+        if self.flavor is WinFlavor.DYNAMIC:
+            for piece, t_off, n in pieces:
+                desc = yield from self.dyn.resolve(self, target, toff + t_off, n)
+                h = yield from ctx.dmapp.put_nbi(
+                    desc, toff + t_off - desc.vaddr, piece)
+                handles.append(h)
+            return handles
+        mapped = self._xpmem_target(target)
+        if mapped is not None:
+            token, base = mapped
+            for piece, t_off, _n in pieces:
+                yield from ctx.xpmem.store(token, base + toff + t_off, piece)
+            return handles
+        logger = (ctx.ft.put_logger(self, target)
+                  if ctx.ft is not None else None)
+        for piece, t_off, n in pieces:
+            desc, off = self._target_desc(target, toff + t_off, n)
+            h = yield from ctx.dmapp.put_nbi(desc, off, piece,
+                                             on_applied=logger)
+            handles.append(h)
         return handles
 
     def rput(self, data, target: int, target_disp: int = 0, **kw):
         """Request-based put: completion via the returned request."""
         handles = yield from self.put(data, target, target_disp, **kw)
         return RmaRequest(self, handles)
-
-    def _transfer_out(self, raw, target, toff, pieces):
-        ctx = self.ctx
-        handles = []
-        if self.flavor is WinFlavor.DYNAMIC:
-            for o_off, t_off, n in pieces:
-                desc = yield from self.dyn.resolve(self, target, toff + t_off, n)
-                h = yield from ctx.dmapp.put_nbi(
-                    desc, toff + t_off - desc.vaddr, raw[o_off:o_off + n])
-                handles.append(h)
-        elif self._use_xpmem(target):
-            seg, base = (self._target_segment(target, toff, raw.size)
-                         if self.flavor is WinFlavor.SHARED
-                         else (None, 0))
-            for o_off, t_off, n in pieces:
-                if self.flavor is WinFlavor.SHARED:
-                    yield from ctx.xpmem.store(
-                        _SegToken(seg), base + toff + t_off,
-                        raw[o_off:o_off + n])
-                else:
-                    yield from ctx.xpmem.store(
-                        self.xtokens[target], toff + t_off,
-                        raw[o_off:o_off + n])
-        else:
-            logger = (ctx.ft.put_logger(self, target)
-                      if ctx.ft is not None else None)
-            for o_off, t_off, n in pieces:
-                desc = self._target_desc(target, toff + t_off, n)
-                base = ((self.base_vaddr - desc.vaddr)
-                        if self.flavor is WinFlavor.ALLOCATE else 0)
-                h = yield from ctx.dmapp.put_nbi(
-                    desc, base + toff + t_off, raw[o_off:o_off + n],
-                    on_applied=logger)
-                handles.append(h)
-        return handles
 
     def get(self, out, target: int, target_disp: int = 0, *,
             origin_datatype: Datatype | None = None,
@@ -230,44 +216,37 @@ class Window:
         """MPI_Get into the ``out`` buffer (filled at flush/completion for
         the DMAPP path, immediately for XPMEM)."""
         self._check_alive()
-        self._require_access(target)
+        epoch_rules.require_access(self, target)
         self.op_counts["get"] += 1
-        yield from self.ctx.instr(self.params.instr_get)
-        out_raw = out.view(np.uint8).reshape(-1)
-        toff = self._byte_offset(target_disp)
-        pieces = self._pieces(out_raw.size, origin_datatype, target_datatype,
-                              count)
-        ck = self.ctx.checker
+        ctx = self.ctx
+        if self._get_ns is not None:
+            yield ctx.env.timeout(self._get_ns)
+        toff = target_disp * self.disp_unit
+        pieces = self._pieces(out.view(np.uint8).reshape(-1),
+                              origin_datatype, target_datatype, count)
+        ck = ctx.checker
         if ck is not None:
             ck.note_op(self, "get", target,
                        [(toff + t, toff + t + n) for _o, t, n in pieces])
-        ctx = self.ctx
         handles = []
         if self.flavor is WinFlavor.DYNAMIC:
-            for o_off, t_off, n in pieces:
+            for piece, t_off, n in pieces:
                 desc = yield from self.dyn.resolve(self, target, toff + t_off, n)
                 h = yield from ctx.dmapp.get_nbi(
-                    desc, toff + t_off - desc.vaddr, n,
-                    out=out_raw[o_off:o_off + n])
+                    desc, toff + t_off - desc.vaddr, n, out=piece)
                 handles.append(h)
-        elif self._use_xpmem(target):
-            for o_off, t_off, n in pieces:
-                if self.flavor is WinFlavor.SHARED:
-                    seg, base = self._target_segment(target, toff, n)
-                    got = yield from ctx.xpmem.load(
-                        _SegToken(seg), base + toff + t_off, n)
-                else:
-                    got = yield from ctx.xpmem.load(
-                        self.xtokens[target], toff + t_off, n)
-                out_raw[o_off:o_off + n] = got
-        else:
-            for o_off, t_off, n in pieces:
-                desc = self._target_desc(target, toff + t_off, n)
-                base = ((self.base_vaddr - desc.vaddr)
-                        if self.flavor is WinFlavor.ALLOCATE else 0)
-                h = yield from ctx.dmapp.get_nbi(
-                    desc, base + toff + t_off, n, out=out_raw[o_off:o_off + n])
-                handles.append(h)
+            return handles
+        mapped = self._xpmem_target(target)
+        if mapped is not None:
+            token, base = mapped
+            for piece, t_off, n in pieces:
+                piece[:] = yield from ctx.xpmem.load(
+                    token, base + toff + t_off, n)
+            return handles
+        for piece, t_off, n in pieces:
+            desc, off = self._target_desc(target, toff + t_off, n)
+            h = yield from ctx.dmapp.get_nbi(desc, off, n, out=piece)
+            handles.append(h)
         return handles
 
     def rget(self, out, target: int, target_disp: int = 0, **kw):
@@ -283,18 +262,22 @@ class Window:
             yield from self.ctx.dmapp.wait(h)
         return out.view(dtype)
 
-    def _pieces(self, total_bytes: int, origin_dt, target_dt, count):
-        """Aligned (origin_off, target_off, nbytes) pieces -- the
-        minimal-contiguous-block decomposition of Section 2.4."""
+    def _pieces(self, raw: np.ndarray, origin_dt, target_dt, count):
+        """(origin bytes, target_off, nbytes) per block of the
+        minimal-contiguous-block decomposition of Section 2.4.  The origin
+        bytes are views of ``raw``; an undivided transfer is ``raw``
+        itself, not a slice of it."""
+        total_bytes = raw.size
         n = count if count is not None else 1
         if origin_dt is None and target_dt is None:
-            return [(0, 0, total_bytes)]
+            return [(raw, 0, total_bytes)]
         odt = origin_dt or BYTE
         tdt = target_dt or BYTE
         ocount = n if origin_dt is not None else total_bytes
         payload = odt.size * ocount
         tcount = (payload // tdt.size) if tdt.size else 0
-        return list(zip_blocks(odt.blocks(ocount), tdt.blocks(tcount)))
+        return [(raw[o:o + nb], t, nb) for o, t, nb in
+                zip_blocks(odt.blocks(ocount), tdt.blocks(tcount))]
 
     # ------------------------------------------------------------------
     # communication: atomics (delegated to the accumulate module)
@@ -302,9 +285,10 @@ class Window:
     def accumulate(self, data, target: int, target_disp: int = 0,
                    op: Op = Op.SUM, *, element_bytes: int | None = None):
         self._check_alive()
-        self._require_access(target)
+        epoch_rules.require_access(self, target)
         self.op_counts["accumulate"] += 1
-        self._note_atomic("acc", target, target_disp, op, data)
+        if self.ctx.checker is not None:
+            self._note_atomic("acc", target, target_disp, op, data)
         return (yield from acc_mod.accumulate(self, data, target,
                                               target_disp, op,
                                               element_bytes=element_bytes,
@@ -321,9 +305,10 @@ class Window:
         """Returns the previous target contents (same shape as data);
         with ``Op.NO_OP`` this is MPI-3's atomic read."""
         self._check_alive()
-        self._require_access(target)
+        epoch_rules.require_access(self, target)
         self.op_counts["get_accumulate"] += 1
-        self._note_atomic("get_acc", target, target_disp, op, data)
+        if self.ctx.checker is not None:
+            self._note_atomic("get_acc", target, target_disp, op, data)
         old = yield from acc_mod.accumulate(self, data, target, target_disp,
                                             op, element_bytes=element_bytes,
                                             fetch=True)
@@ -334,9 +319,10 @@ class Window:
                      op: Op = Op.SUM):
         """Single-element fetching atomic (fine-grained completion)."""
         self._check_alive()
-        self._require_access(target)
+        epoch_rules.require_access(self, target)
         self.op_counts["fetch_and_op"] += 1
-        self._note_atomic("fao", target, target_disp, op, value)
+        if self.ctx.checker is not None:
+            self._note_atomic("fao", target, target_disp, op, value)
         old = yield from acc_mod.fetch_and_op(self, value, target,
                                               target_disp, op)
         self.ctx.env.note_progress()
@@ -346,11 +332,11 @@ class Window:
                          target_disp: int = 0):
         """8-byte CAS; returns the old value."""
         self._check_alive()
-        self._require_access(target)
+        epoch_rules.require_access(self, target)
         self.op_counts["compare_and_swap"] += 1
         ck = self.ctx.checker
         if ck is not None:
-            toff = self._byte_offset(target_disp)
+            toff = target_disp * self.disp_unit
             ck.note_op(self, "cas", target, [(toff, toff + 8)], op="cas",
                        path="hw")
         old = yield from acc_mod.compare_and_swap(self, compare, swap,
@@ -361,13 +347,12 @@ class Window:
     def _note_atomic(self, kind: str, target: int, target_disp: int,
                      op: Op, data) -> None:
         """Shadow-record one accumulate-family call (checker attached)."""
-        ck = self.ctx.checker
-        if ck is not None:
-            arr = np.asarray(data)
-            toff = self._byte_offset(target_disp)
-            ck.note_op(self, kind, target, [(toff, toff + arr.nbytes)],
-                       op=op.name.lower(),
-                       path=acc_mod.acc_path(self, op, arr.dtype, toff))
+        arr = np.asarray(data)
+        toff = target_disp * self.disp_unit
+        self.ctx.checker.note_op(
+            self, kind, target, [(toff, toff + arr.nbytes)],
+            op=op.name.lower(),
+            path=acc_mod.acc_path(self, op, arr.dtype, toff))
 
     # ------------------------------------------------------------------
     # synchronization -- thin wrappers over the protocol modules
@@ -419,22 +404,24 @@ class Window:
         self._check_alive()
         epoch_rules.require_flush(self)
         self.op_counts["flush"] += 1
-        self.ctx.note_api(f"win.flush(target={target})")
-        t0 = self.ctx.now
-        yield from self.ctx.instr(self.params.instr_flush)
-        yield from self.ctx.compute(self.params.mfence_ns)
-        yield from self.ctx.dmapp.gsync()
-        obs = self.ctx.obs
+        ctx = self.ctx
+        env = ctx.env
+        ctx.note_api("win.flush(target=%s)", target)
+        t0 = env.now
+        if self._flush_ns is not None:
+            yield env.timeout(self._flush_ns)
+        if self._mfence_ns is not None:
+            yield env.timeout(self._mfence_ns)
+        yield from ctx.dmapp.gsync()
+        obs = ctx.obs
         if obs is not None:
-            obs.rank_span(self.ctx.rank, "flush", t0, self.ctx.now,
-                          cat="rma")
-            obs.metrics.count("rma.flush", self.ctx.rank)
-            obs.metrics.observe("flush_ns", self.ctx.rank,
-                                self.ctx.now - t0)
-        ck = self.ctx.checker
+            obs.rank_span(ctx.rank, "flush", t0, env.now, cat="rma")
+            obs.metrics.count("rma.flush", ctx.rank)
+            obs.metrics.observe("flush_ns", ctx.rank, env.now - t0)
+        ck = ctx.checker
         if ck is not None:
             ck.on_flush(self)
-        self.ctx.env.note_progress()
+        env.note_progress()
 
     def flush_all(self):
         yield from self.flush(None)
@@ -443,7 +430,8 @@ class Window:
         """Local completion only: origin buffers reusable."""
         self._check_alive()
         self.op_counts["flush"] += 1
-        yield from self.ctx.instr(self.params.instr_flush)
+        if self._flush_ns is not None:
+            yield self.ctx.env.timeout(self._flush_ns)
 
     def flush_local_all(self):
         yield from self.flush_local(None)

@@ -69,6 +69,7 @@ class RankContext:
         self._rma = None
         self._upc = None
         self._caf = None
+        self._site_key = f"rank{rank}"
 
     # -- lazy heavy layers -------------------------------------------------
     @property
@@ -104,10 +105,11 @@ class RankContext:
         return self._caf
 
     # -- diagnostics -----------------------------------------------------
-    def note_api(self, site: str) -> None:
+    def note_api(self, site: str, *args) -> None:
         """Record this rank's last API call site for deadlock/livelock
-        diagnostics (a dict write; never perturbs simulation state)."""
-        self.env.api_sites[f"rank{self.rank}"] = site
+        diagnostics (a dict write; never perturbs simulation state);
+        ``site % args`` is formatted only if a report is printed."""
+        self.env.api_sites[self._site_key] = (site, *args) if args else site
 
     # -- time -----------------------------------------------------------
     @property
@@ -120,9 +122,18 @@ class RankContext:
         if ns > 0:
             yield self.env.timeout(int(round(ns)))
 
+    def instr_ns(self, count: float) -> int | None:
+        """What :meth:`instr` charges for ``count`` instructions: whole ns,
+        or ``None`` for no event at all (tested on the float, as
+        :meth:`compute` does: a cost that rounds to 0 ns is an event)."""
+        ns = self.world.machine.instructions_to_ns(count)
+        return int(round(ns)) if ns > 0 else None
+
     def instr(self, count: float):
         """Charge ``count`` CPU instructions at the machine clock."""
-        yield from self.compute(self.world.machine.instructions_to_ns(count))
+        ns = self.instr_ns(count)
+        if ns is not None:
+            yield self.env.timeout(ns)
 
     # -- topology helpers -------------------------------------------------
     def same_node(self, other_rank: int) -> bool:

@@ -17,7 +17,7 @@ from repro.sim.trace import OpCounters, Tracer
 __all__ = ["RankTable", "World"]
 
 
-class RankTable:
+class RankTable(dict):
     """Lazily materialized ``rank -> per-rank object`` table.
 
     ``World`` used to build every rank's :class:`AddressSpace` and
@@ -28,19 +28,19 @@ class RankTable:
     (``table[rank]``, ``rank in table``, iteration, ``len``) but only
     constructs an entry on first use, so a world's footprint scales
     with the ranks that actually touch memory, not with ``nranks``.
+    It *is* the dict of the materialized entries, so ``table[rank]``
+    (twice per put) is a plain dict lookup after the first use.
     """
 
     def __init__(self, nranks: int, factory) -> None:
+        super().__init__()
         self.nranks = nranks
         self._factory = factory
-        self._entries: dict = {}
 
-    def __getitem__(self, rank: int):
-        entry = self._entries.get(rank)
-        if entry is None:
-            if not 0 <= rank < self.nranks:
-                raise KeyError(rank)
-            entry = self._entries[rank] = self._factory(rank)
+    def __missing__(self, rank: int):
+        if not 0 <= rank < self.nranks:
+            raise KeyError(rank)
+        entry = self[rank] = self._factory(rank)
         return entry
 
     def __contains__(self, rank: int) -> bool:
@@ -64,7 +64,7 @@ class RankTable:
     @property
     def materialized(self) -> int:
         """Entries actually constructed (asserted by the laziness tests)."""
-        return len(self._entries)
+        return dict.__len__(self)
 
 
 class World:

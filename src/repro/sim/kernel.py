@@ -149,7 +149,7 @@ class Event:
         env = self.env
         seq = env._seq + 1
         env._seq = seq
-        entry = (env._now + delay, priority, seq, self)
+        entry = (env.now + delay, priority, seq, self)
         front = env._front
         if front is None:
             q = env._queue
@@ -363,7 +363,7 @@ class AnyOf(ConditionEvent):
 
 
 class Environment:
-    __slots__ = ("_now", "_queue", "_front", "_seq", "_nprocesses", "_live",
+    __slots__ = ("now", "_queue", "_front", "_seq", "_nprocesses", "_live",
                  "max_events", "strict", "events_processed", "tracer",
                  "_timeout_pool", "_event_pool", "progress_marks", "watchdog_interval",
                  "watchdog_stalls", "_wd_next", "_wd_marks", "_wd_stale",
@@ -371,7 +371,9 @@ class Environment:
 
     def __init__(self, max_events: int = 200_000_000, strict: bool = True,
                  watchdog_interval: int = 0, watchdog_stalls: int = 3) -> None:
-        self._now = 0
+        #: Current simulated time (ns): a plain slot, read several times
+        #: per operation by every layer, written by the run loops only.
+        self.now = 0
         self._queue: list[tuple[int, int, int, Event]] = []
         self._front: tuple[int, int, int, Event] | None = None
         self._seq = 0
@@ -389,7 +391,7 @@ class Environment:
         self._wd_next = self.watchdog_interval or 0
         self._wd_marks = 0
         self._wd_stale = 0
-        self.api_sites: dict[str, str] = {}
+        self.api_sites: dict[str, str | tuple] = {}
 
     def note_progress(self) -> None:
         self.progress_marks += 1
@@ -400,15 +402,13 @@ class Environment:
         for proc in sorted(self._live, key=lambda p: p.name):
             names.append(proc.name)
             site = self.api_sites.get(proc.name)
+            if site.__class__ is tuple:   # (format, *args), unformatted
+                site = site[0] % site[1:]
             if site is None and proc._target is not None and proc._target.name:
                 site = f"waiting on {proc._target.name}"
             if site is not None:
                 sites[proc.name] = site
         return tuple(names), sites
-
-    @property
-    def now(self) -> int:
-        return self._now
 
     def event(self, name: str = "") -> Event:
         pool = self._event_pool
@@ -445,7 +445,7 @@ class Environment:
             ev.name = ""
         seq = self._seq + 1
         self._seq = seq
-        entry = (self._now + delay, priority, seq, ev)
+        entry = (self.now + delay, priority, seq, ev)
         front = self._front
         if front is None:
             q = self._queue
@@ -476,7 +476,7 @@ class Environment:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq + 1
         self._seq = seq
-        entry = (self._now + delay, priority, seq, event)
+        entry = (self.now + delay, priority, seq, event)
         front = self._front
         if front is None:
             q = self._queue
@@ -508,13 +508,13 @@ class Environment:
         else:
             entry = heappop(self._queue)
         when, _prio, _seq, event = entry
-        if when < self._now:  # pragma: no cover - defensive
+        if when < self.now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
-        self._now = when
+        self.now = when
         callbacks, event.callbacks = event.callbacks, None
         self.events_processed += 1
         if self.tracer is not None:
-            self.tracer.record(self._now, event)
+            self.tracer.record(self.now, event)
         for cb in callbacks:
             cb(event)
 
@@ -541,12 +541,12 @@ class Environment:
                 front = self._front
                 nxt = front[0] if front is not None else queue[0][0]
                 if nxt > stop_time:
-                    self._now = stop_time
+                    self.now = stop_time
                     return None
             if self.events_processed >= self.max_events:
                 raise SimulationError(
                     f"exceeded max_events={self.max_events} "
-                    f"(simulated t={self._now}ns) -- runaway protocol?")
+                    f"(simulated t={self.now}ns) -- runaway protocol?")
             self.step()
             if self.watchdog_interval and self.events_processed >= self._wd_next:
                 self._watchdog_check()
@@ -583,13 +583,13 @@ class Environment:
                         self._repush(entry)
                         raise SimulationError(
                             f"exceeded max_events={max_events} "
-                            f"(simulated t={self._now}ns) -- runaway protocol?")
+                            f"(simulated t={self.now}ns) -- runaway protocol?")
                     self.events_processed = nevents
                     self._watchdog_check()
                     trip = self._wd_next
                     if trip > max_events:
                         trip = max_events
-                self._now = entry[0]
+                self.now = entry[0]
                 event = entry[3]
                 cbs = event.callbacks
                 event.callbacks = None
@@ -661,10 +661,10 @@ class Environment:
             if stop_event.processed:
                 return stop_event.value if stop_event._ok else None
             names, sites = self.blocked_diagnostics()
-            raise DeadlockError(self._nprocesses, self._now, names, sites)
+            raise DeadlockError(self._nprocesses, self.now, names, sites)
         if self._nprocesses > 0:
             names, sites = self.blocked_diagnostics()
-            raise DeadlockError(self._nprocesses, self._now, names, sites)
+            raise DeadlockError(self._nprocesses, self.now, names, sites)
         return None
 
     def _watchdog_check(self) -> None:
@@ -678,7 +678,7 @@ class Environment:
         if self._wd_stale >= self.watchdog_stalls:
             names, sites = self.blocked_diagnostics()
             raise LivelockError(
-                self._now, self.events_processed,
+                self.now, self.events_processed,
                 self._wd_stale * self.watchdog_interval, names, sites)
 
 _EV_NEW = Event.__new__

@@ -78,11 +78,12 @@ class BusyChannel:
         """Reserve ``duration``; service can't start before ``earliest``
         (used for NIC work scheduled at a known future time, e.g. get
         responses leaving the target)."""
-        floor = self.env.now if earliest is None else int(earliest)
-        start = max(floor, self.busy_until)
-        end = start + int(duration)
-        self.busy_until = end
-        self.total_busy += int(duration)
+        start = self.env.now if earliest is None else int(earliest)
+        if self.busy_until > start:
+            start = self.busy_until
+        duration = int(duration)
+        self.busy_until = end = start + duration
+        self.total_busy += duration
         return start, end
 
     def utilization(self) -> float:

@@ -41,6 +41,7 @@ class XpmemEndpoint:
         self.rank_map = rank_map
         self.node = rank_map.node_of(rank)
         self.params = params or XpmemParams()
+        self._amo_latency_int = int(round(self.params.amo_latency))
         self.counters = counters
         # Memory-model checker (attached by the runtime; None when off).
         self.checker = None
@@ -98,7 +99,7 @@ class XpmemEndpoint:
     def amo(self, cells: AtomicArray, idx: int, op: str, operand: int,
             operand2: int = 0):
         """lock-prefixed CPU atomic on (possibly remote-on-node) cells."""
-        yield self.env.timeout(int(round(self.params.amo_latency)))
+        yield self.env.timeout(self._amo_latency_int)
         if self.counters is not None:
             self.counters.count_issue(self.rank, f"cpu-amo:{op}", 8)
         if op == "cas":
@@ -110,7 +111,7 @@ class XpmemEndpoint:
         NIC-side ``amo_custom_nbi``, the closure runs atomically at its
         effect time, so bookkeeping chained into ``mutate`` (the recovery
         ledger) can never observe a half-applied op."""
-        yield self.env.timeout(int(round(self.params.amo_latency)))
+        yield self.env.timeout(self._amo_latency_int)
         if self.counters is not None:
             self.counters.count_issue(self.rank, "cpu-amo:custom", 8)
         return mutate()

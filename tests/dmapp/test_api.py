@@ -56,6 +56,59 @@ def test_layer_boundaries_are_generator_functions():
             inspect.getattr_static(DmappEndpoint, name)), name
 
 
+def test_layer_boundaries_are_called_once_per_op():
+    """perfbench patches the boundaries on the *class*, after the world is
+    built: an op must reach each of them through the class, exactly once
+    -- no bound method cached at construction, no inlined ``gsync``."""
+    from repro.machine.network import Network
+    from repro.rma.window import Window
+    from repro.runtime.job import Job, run_on_world
+
+    names = ((Window, "put"), (Window, "flush"), (Window, "compare_and_swap"),
+             (DmappEndpoint, "put_nbi"), (DmappEndpoint, "gsync"),
+             (DmappEndpoint, "amo_nbi"), (Network, "packet"))
+    calls = dict.fromkeys(names, 0)
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64, disp_unit=8)
+        yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        if ctx.rank == 0:
+            for key in calls:       # count the measured phase only
+                calls[key] = 0
+            for i in range(8):
+                yield from win.put(np.full(1, i, np.int64), 1, 0)
+                yield from win.flush(1)
+            for i in range(8):
+                yield from win.compare_and_swap(np.int64(i), np.int64(i + 1),
+                                                1, 1)
+            counted = dict(calls)
+        else:
+            # Idle through it, so every packet counted is rank 0's.
+            yield from ctx.compute(1_000_000)
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        return counted if ctx.rank == 0 else None
+
+    def counting(key, orig):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    world = Job(nranks=2, machine=INTER).build_world()
+    originals = [(owner, attr, inspect.getattr_static(owner, attr))
+                 for owner, attr in names]
+    try:
+        for owner, attr, orig in originals:
+            setattr(owner, attr, counting((owner, attr), orig))
+        counted = run_on_world(world, program).returns[0]
+    finally:
+        for owner, attr, orig in originals:
+            setattr(owner, attr, orig)
+    assert counted == {key: 16 if key[1] == "packet" else 8 for key in names}
+
+
 def test_put_data_captured_at_issue(faults):
     def body(ctx, seg, descs):
         if ctx.rank == 0:
@@ -140,16 +193,23 @@ def test_large_put_chunked(faults):
         desc = ctx.reg.register(seg)
         descs = yield from ctx.coll.allgather(desc, nbytes=32)
         yield from ctx.coll.barrier()
+        drain = None
         if ctx.rank == 0:
             data = (np.arange(n) % 251).astype(np.uint8)
-            yield from ctx.dmapp.put_nbi(descs[1], 0, data)
+            issued = ctx.now
+            h = yield from ctx.dmapp.put_nbi(descs[1], 0, data)
+            drain = h.local_complete - issued
+            assert h.local_complete <= h.remote_complete
             yield from ctx.dmapp.gsync()
         yield from ctx.coll.barrier()
-        return int(seg.typed(np.uint8).sum()) if ctx.rank == 1 else None
+        return int(seg.typed(np.uint8).sum()) if ctx.rank == 1 else drain
 
     res = run_spmd(program, 2, machine=INTER, faults=faults)
     expected = int(((np.arange(n) % 251).astype(np.uint64)).sum())
     assert res.returns[1] == expected
+    # The origin buffer is reusable once *every* chunk has drained: the
+    # 5-byte tail leaves on the FMA path long before the bulk chunks.
+    assert res.returns[0] >= 3 * int((1 << 20) * GeminiParams().gap_per_byte)
 
 
 def test_amo_stream_empty_rejected(faults):

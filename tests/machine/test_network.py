@@ -2,17 +2,20 @@
 
 import pytest
 
+from repro.config import FaultConfig, FaultPlan
+from repro.faults import FaultInjector
 from repro.machine.network import Network
 from repro.machine.params import GeminiParams
 from repro.machine.topology import RankMap, Torus3D
 from repro.sim.kernel import Environment
 
 
-def _net(nnodes=4, params=None):
+def _net(nnodes=4, params=None, injector=None):
     env = Environment()
     torus = Torus3D((nnodes, 1, 1))
     rm = RankMap(nranks=nnodes, ranks_per_node=1)
-    return env, Network(env, torus, rm, params or GeminiParams())
+    return env, Network(env, torus, rm, params or GeminiParams(),
+                        injector=injector)
 
 
 def test_packet_delivery_time_uncontended():
@@ -38,11 +41,18 @@ def test_packet_bandwidth_paid_once():
 
 
 def test_on_deliver_runs_at_delivery_time():
-    env, net = _net()
-    seen = {}
-    t, ev = net.packet(0, 2, 64, on_deliver=lambda now: seen.setdefault("t", now))
-    env.run()
-    assert seen["t"] == t
+    """``on_deliver`` is the delivery event's own callback: it gets the
+    event, whose value is the delivery time, at that time -- on the clean
+    fabric and on the faulty twin (an injector that loses nothing)."""
+    config = FaultConfig(plan=FaultPlan())
+    for injector in (None, FaultInjector(config.plan, config, seed=1)):
+        env, net = _net(injector=injector)
+        seen = []
+        t, ev = net.packet(0, 2, 64,
+                           on_deliver=lambda event: seen.append(
+                               (event, event.value, env.now)))
+        env.run()
+        assert seen == [(ev, t, t)]
 
 
 def test_ejection_contention_serializes():

@@ -58,11 +58,32 @@ def test_resolve_va():
     sp, rt = _setup()
     seg = sp.alloc(256)
     rt.register(seg)
-    assert rt.resolve_va(seg.vaddr + 10, 8) is seg
     with pytest.raises(RegistrationError):
-        rt.resolve_va(seg.vaddr + 250, 8)  # overruns
+        rt.resolve_va(seg.vaddr + 250, 8)  # overruns (nothing remembered)
+    assert rt.resolve_va(seg.vaddr + 10, 8) is seg
+    # The table now remembers ``seg``: a range straddling either end of
+    # the remembered segment is still a miss.
+    assert rt._hit[0] is seg
+    assert rt.resolve_va(seg.vaddr + 248, 8) is seg
+    with pytest.raises(RegistrationError):
+        rt.resolve_va(seg.vaddr + 250, 8)
+    with pytest.raises(RegistrationError):
+        rt.resolve_va(seg.vaddr - 1, 2)
     with pytest.raises(RegistrationError):
         rt.resolve_va(0x1234, 1)
+
+
+def test_resolve_va_alternating_segments():
+    """One remembered entry, two segments in turn: each lookup answers
+    for the range asked, whichever segment the last one hit."""
+    sp, rt = _setup()
+    a, b = sp.alloc(64), sp.alloc(64)
+    da, db = rt.register(a), rt.register(b)
+    for _ in range(2):
+        assert rt.lookup_va(a.vaddr + 8, 8) == (a, da)
+        assert rt.lookup_va(b.vaddr + 8, 8) == (b, db)
+        assert rt.resolve_va(a.vaddr) is a
+        assert rt.descriptor_for_va(b.vaddr, 64) == db
 
 
 def test_descriptor_for_va():
@@ -70,6 +91,37 @@ def test_descriptor_for_va():
     seg = sp.alloc(64)
     desc = rt.register(seg)
     assert rt.descriptor_for_va(seg.vaddr, 8) == desc
+
+
+def test_va_hit_dropped_by_register_and_deregister():
+    sp, rt = _setup()
+    seg = sp.alloc(64)
+    desc = rt.register(seg)
+    assert rt.descriptor_for_va(seg.vaddr) == desc and rt._hit is not None
+    fresh = rt.register(seg)            # same range, new generation
+    assert rt._hit is None
+    assert rt.descriptor_for_va(seg.vaddr) == fresh != desc
+    rt.deregister(fresh)
+    assert rt._hit is None
+    with pytest.raises(RegistrationError):
+        rt.resolve_va(seg.vaddr)
+
+
+def test_va_resolves_to_the_segment_reallocated_at_the_same_address():
+    sp, rt = _setup()
+    old = sp.alloc(64)
+    vaddr = old.vaddr
+    old_desc = rt.register(old)
+    assert rt.resolve_va(vaddr, 8) is old
+    rt.deregister(old_desc)
+    sp.free(old)
+    new = sp.alloc_at(vaddr, 64)
+    assert new is not None and new is not old
+    new_desc = rt.register(new)
+    assert rt.lookup_va(vaddr, 8) == (new, new_desc)
+    assert new_desc.generation > old_desc.generation
+    with pytest.raises(RegistrationError):
+        rt.resolve(old_desc)
 
 
 def test_registered_count():

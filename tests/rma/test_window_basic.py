@@ -57,6 +57,41 @@ def test_create_put_get(cfg):
         assert local == [(i + src * 10) % 256 for i in range(32)]
 
 
+def test_alternating_windows_on_one_target():
+    """Two allocated windows on the same target, written in turn: the
+    target table's one remembered registration must never answer for the
+    other window (put, atomics and get each translate on their own)."""
+    def program(ctx):
+        wins = []
+        for _ in range(2):
+            wins.append((yield from ctx.rma.win_allocate(64, disp_unit=8)))
+        for win in wins:
+            yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        got = None
+        if ctx.rank == 0:
+            for i in range(4):
+                for w, win in enumerate(wins):
+                    yield from win.put(np.full(1, 10 * w + i, np.int64), 1, i)
+                    yield from win.fetch_and_op(np.int64(w + 1), 1, 4)
+            got = []
+            for win in wins:
+                yield from win.flush(1)
+                out = np.zeros(5, np.int64)
+                yield from win.get(out, 1, 0)
+                yield from win.flush(1)
+                got.append(out.tolist())
+        for win in wins:
+            yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        return got, [w.local_view(np.int64)[:5].tolist() for w in wins]
+
+    res = run_spmd(program, 2, machine=INTER)
+    expected = [[0, 1, 2, 3, 4], [10, 11, 12, 13, 8]]
+    assert res.returns[0][0] == expected      # read back through get
+    assert res.returns[1][1] == expected      # what landed at the target
+
+
 def test_allocate_is_symmetric():
     def program(ctx):
         win = yield from ctx.rma.win_allocate(1024)

@@ -4,13 +4,14 @@ Two contracts from DESIGN.md section 8:
 
 * the simulator's schedule is pinned, not A/B'd: the four demo workloads,
   a faulty (drop/corrupt/delay) run, the same plan plus a NIC stall over
-  every transport op kind, a fail-stop crash run and a small hashtable
-  run reproduce committed ``(sim_time_ns, events_processed, returns)``
-  tuples.  All but the stalled pins were captured while the pure-heap
-  scheduler and batched link delivery still existed and were identical
-  under every scheduler/batching combination (the hashtable point is the
-  one where batches formed, so it pins times, returns and table contents
-  but not the event count);
+  every transport op kind, a fail-stop crash run, a small hashtable run
+  and every data call on every window flavour reproduce committed
+  ``(sim_time_ns, events_processed, returns)`` tuples.  All but the
+  stalled and the flavour pins were captured while the pure-heap scheduler
+  and batched link delivery still existed and were identical under every
+  scheduler/batching combination (the hashtable point is the one where
+  batches formed, so it pins times, returns and table contents but not
+  the event count);
 * same-tick events drain in ``(priority, seq)`` FIFO order across the
   front-slot/heap boundary, including urgent events scheduled while the
   tick is already draining -- on the fast loop and on the step loop.
@@ -90,6 +91,25 @@ GOLDEN_HASHTABLE = (
 )
 
 
+#: ``_flavour_mix`` at seed 11, 4 ranks, by ranks per node: (sim_time_ns,
+#: events_processed, per-rank crc32 per flavour).  2 per node runs
+#: ALLOCATE / CREATE / DYNAMIC against one intra-node and one inter-node
+#: target; 4 per node adds SHARED, all intra-node.  Captured before the
+#: issue path cached any translation state.
+GOLDEN_FLAVOURS = {
+    2: (117080, 1432,
+        [[3688205378, 3688205378, 3401925421],
+         [583395615, 583395615, 4274577793],
+         [1072745482, 1072745482, 2393668365],
+         [2504857677, 2504857677, 3647109043]]),
+    4: (91792, 1630,
+        [[3688205378, 3688205378, 3401925421, 3688205378],
+         [583395615, 583395615, 4274577793, 583395615],
+         [1072745482, 1072745482, 2393668365, 1072745482],
+         [2504857677, 2504857677, 3647109043, 2504857677]]),
+}
+
+
 def _acc_ring(ctx):
     """accumulate + atomic read of four uint64 on the right neighbour."""
     win = yield from ctx.rma.win_allocate(32, disp_unit=8)
@@ -108,9 +128,65 @@ def _acc_ring(ctx):
     return [int(v) for v in old]
 
 
+def _flavour_mix(ctx):
+    """put / 4-element accumulate / fetch-and-op / CAS + flush, then get +
+    flush, on every window flavour the placement supports, against the
+    node-mate ``rank ^ 1`` and against ``rank + 2`` (another node at two
+    ranks per node): the flavour dispatch, the xpmem/dmapp split and the
+    remote-address translation of each.  Every origin owns a 64-byte
+    stripe of each target; returns one crc32 per flavour over the old
+    values and the bytes read back."""
+    r, p = ctx.rank, ctx.nranks
+    one_node = len({ctx.node_of(q) for q in range(p)}) == 1
+    out = []
+    for flavour in ("allocate", "create", "dynamic", "shared"):
+        bases = [0] * p
+        if flavour == "allocate":
+            win = yield from ctx.rma.win_allocate(64 * p)
+        elif flavour == "create":
+            win = yield from ctx.rma.win_create(ctx.space.alloc(64 * p))
+        elif flavour == "dynamic":
+            win = yield from ctx.rma.win_create_dynamic()
+            seg = ctx.space.alloc(64 * p)
+            yield from win.attach(seg)
+            bases = yield from ctx.coll.allgather(seg.vaddr)
+        elif one_node:
+            win = yield from ctx.rma.win_allocate_shared(64 * p)
+        else:
+            continue
+        yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        seen = []
+        for t in (r ^ 1, (r + 2) % p):
+            at = bases[t] + 64 * r
+            yield from win.put(np.arange(16, dtype=np.uint8) + 16 * r + t,
+                               t, at)
+            yield from win.accumulate(
+                np.arange(1, 5, dtype=np.uint64) * (r + 1), t, at + 16,
+                Op.SUM)
+            seen.append((yield from win.fetch_and_op(
+                np.int64(r + 7), t, at + 56, Op.SUM)))
+            if flavour != "dynamic":    # CAS needs direct addressing
+                for _ in range(2):      # 0 -> r + 1 wins, then loses
+                    seen.append((yield from win.compare_and_swap(
+                        np.int64(0), np.int64(r + 1), t, at + 48)))
+            yield from win.flush(t)
+            got = np.zeros(64, np.uint8)
+            yield from win.get(got, t, at)
+            yield from win.flush(t)
+            seen.extend(got.tolist())
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        out.append(zlib.crc32(repr([int(v) for v in seen]).encode()))
+    return out
+
+
+_LOCAL = {"acc_ring": _acc_ring, "flavour_mix": _flavour_mix}
+
+
 def _run(name, *, trace=False, faults=None, seed=11, rpn=4):
     return run_spmd(
-        _acc_ring if name == "acc_ring" else WORKLOADS[name], 4,
+        _LOCAL.get(name) or WORKLOADS[name], 4,
         machine=MachineConfig(ranks_per_node=rpn),
         sim=SimConfig(seed=seed, trace=trace),
         faults=faults or FaultConfig())
@@ -164,6 +240,16 @@ def test_faulty_stalled_runs_reproduce_golden_pins(name):
     if name == "acc_ring":
         assert res.returns == [[k * (r + 1) for k in range(1, 5)]
                                for r in range(4)]
+
+
+@pytest.mark.parametrize("rpn", sorted(GOLDEN_FLAVOURS))
+def test_window_flavours_reproduce_golden_pins(rpn):
+    """Every data call on every flavour, intra- and inter-node: where the
+    flavour dispatch and address translation can go wrong unnoticed by
+    the ``win_allocate``-only pins above."""
+    res = _run("flavour_mix", rpn=rpn)
+    assert (res.sim_time_ns, res.events_processed,
+            res.returns) == GOLDEN_FLAVOURS[rpn]
 
 
 def _crash_prog(ctx):
