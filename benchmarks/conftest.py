@@ -1,9 +1,10 @@
 """Benchmark-suite configuration.
 
-Each ``test_fig*`` target regenerates one figure/table of the paper: it
-runs the simulated experiment, prints the series as a fixed-width table
-(run with ``-s`` to see it), stores it in pytest-benchmark ``extra_info``,
-and wraps the whole driver in ``benchmark`` so the usual
+Each target regenerates one figure/table of the paper (Figures 4-8 are
+``bench_figures.py::test_figure[<id>]``): it runs the simulated
+experiment, prints the series as a fixed-width table (run with ``-s`` to
+see it), stores it in pytest-benchmark ``extra_info``, and wraps the
+whole driver in ``benchmark`` so the usual
 ``pytest benchmarks/ --benchmark-only`` flow reports wall-clock cost of
 regenerating each figure.
 

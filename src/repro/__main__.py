@@ -3,8 +3,9 @@
 Commands
 --------
 ``demo``            run the quickstart program and print the results
-``figure <id>``     regenerate one figure series (4a 4b 4c 5a 5b 5c 6a 6b
-                    6c 7a 7b 7c 8) and print it as a table + ASCII chart
+``figure <id>``     run one figure (4a 4b 4c 5a 5b 5c 6a 6b 6c 7a 7b 7c 8),
+                    print a table + ASCII chart: its first points, or
+                    with ``--full`` ``benchmarks/results/fig<id>.txt``
 ``models``          print the paper's performance-model catalog
 ``calibrate``       fit the simulated put/get/atomics series against the
                     paper's measured functions and report errors
@@ -44,115 +45,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.bench import Series, format_series_table
+from repro.bench import format_series_table
 from repro.bench.report import ascii_chart
-
-
-def _figure(fig: str, fast: bool) -> tuple[str, list]:
-    from repro.bench import microbench as mb
-    from repro.bench import syncbench as sb
-    from repro.bench.appbench import dsde_time_us, hashtable_rate, milc_time_s
-
-    sizes = [8, 512, 8192, 65536] if fast else [8, 64, 512, 4096, 32768,
-                                                262144]
-    ps = [2, 8, 32] if fast else [2, 8, 32, 128]
-
-    if fig in ("4a", "4b"):
-        fn = mb.put_latency if fig == "4a" else mb.get_latency
-        series = []
-        for t in mb.LATENCY_TRANSPORTS:
-            s = Series(label=t)
-            for size in sizes:
-                s.add(size, fn(t, size) / 1e3)
-            series.append(s)
-        return (f"Figure {fig}: inter-node latency [us]", series)
-    if fig == "4c":
-        series = []
-        for t in mb.LATENCY_TRANSPORTS:
-            s = Series(label=t)
-            for size in sizes:
-                s.add(size, mb.put_latency(t, size, intra=True) / 1e3)
-            series.append(s)
-        return ("Figure 4c: intra-node put latency [us]", series)
-    if fig == "5a":
-        series = []
-        for t in ("fompi", "upc", "cray22"):
-            s = Series(label=t)
-            for size in sizes:
-                s.add(size, 100 * mb.overlap_fraction(t, size))
-            series.append(s)
-        return ("Figure 5a: overlap [%]", series)
-    if fig in ("5b", "5c"):
-        intra = fig == "5c"
-        series = []
-        for t in mb.LATENCY_TRANSPORTS:
-            s = Series(label=t)
-            for size in sizes:
-                s.add(size, mb.message_rate(t, size, intra=intra,
-                                            nmsgs=200) / 1e6)
-            series.append(s)
-        return (f"Figure {fig}: message rate [M/s]", series)
-    if fig == "6a":
-        series = []
-        for kind in ("fompi_sum", "fompi_min"):
-            s = Series(label=kind)
-            for n in (1, 64, 4096):
-                s.add(n, mb.atomic_latency(kind, n, reps=2) / 1e3)
-            series.append(s)
-        return ("Figure 6a: atomics [us]", series)
-    if fig == "6b":
-        series = []
-        for t in ("fompi", "upc", "caf", "cray22"):
-            s = Series(label=t)
-            for p in ps:
-                s.add(p, sb.global_sync_latency(t, p) / 1e3)
-            series.append(s)
-        return ("Figure 6b: global sync [us]", series)
-    if fig == "6c":
-        series = []
-        for t in ("fompi", "cray22"):
-            s = Series(label=t)
-            for p in [4, 16, 64]:
-                s.add(p, sb.pscw_ring_latency(t, p) / 1e3)
-            series.append(s)
-        return ("Figure 6c: PSCW ring [us]", series)
-    if fig == "7a":
-        series = []
-        for t in ("fompi", "upc", "mpi1"):
-            s = Series(label=t)
-            for p in [2, 8, 32] + ([] if fast else [128]):
-                s.add(p, hashtable_rate(t, p, 32) / 1e6)
-            series.append(s)
-        return ("Figure 7a: hashtable [M inserts/s]", series)
-    if fig == "7b":
-        series = []
-        for proto in ("alltoall", "reduce_scatter", "nbx", "rma"):
-            s = Series(label=proto)
-            for p in [4, 16] + ([] if fast else [64]):
-                s.add(p, dsde_time_us(proto, p, 6))
-            series.append(s)
-        return ("Figure 7b: DSDE [us]", series)
-    if fig == "7c":
-        from repro.apps.fft import FftSpec
-        from repro.bench.appbench import fft_gflops
-
-        spec = FftSpec(nx=32, ny=32, nz=32, flop_rate=2.5e10)
-        series = []
-        for v, label in (("mpi1", "mpi1"), ("rma_overlap", "fompi")):
-            s = Series(label=label)
-            for p in (8, 32):
-                s.add(p, fft_gflops(v, p, spec, ranks_per_node=2))
-            series.append(s)
-        return ("Figure 7c: FFT [GFlop/s]", series)
-    if fig == "8":
-        series = []
-        for v, label in (("mpi1", "mpi1"), ("rma", "fompi"), ("upc", "upc")):
-            s = Series(label=label)
-            for p in (8, 32):
-                s.add(p, milc_time_s(v, p) * 1e3)
-            series.append(s)
-        return ("Figure 8: MILC [ms]", series)
-    raise SystemExit(f"unknown figure {fig!r}")
 
 
 def main(argv=None) -> int:
@@ -162,7 +56,7 @@ def main(argv=None) -> int:
     f = sub.add_parser("figure")
     f.add_argument("id")
     f.add_argument("--full", action="store_true",
-                   help="larger sweeps (slower)")
+                   help="the whole sweep, not its first points (slower)")
     f.add_argument("--hybrid", action="store_true",
                    help="extend the figure to paper scale with the "
                         "hybrid engine (figures 7a and 8)")
@@ -326,24 +220,30 @@ def main(argv=None) -> int:
             print()
             print(ascii_chart(title, series))
             return 0
-        title, series = _figure(args.id, fast=not args.full)
-        print(format_series_table(title, "x", series))
+        from repro.bench.figures import FIGURES, figure_series
+
+        fig = FIGURES.get(args.id)
+        if fig is None:
+            raise SystemExit(f"unknown figure {args.id!r} "
+                             f"(have {' '.join(FIGURES)})")
+        series = figure_series(args.id, full=args.full)
+        print(format_series_table(fig.title, fig.x_label, series))
         print()
-        print(ascii_chart(title, series))
+        print(ascii_chart(fig.title, series))
         if args.trace:
             from repro.bench.harness import slowest_point, trace_point
 
             worst = slowest_point(series)
+            # Serial and uncached: a pool worker's or a cached point's
+            # simulation would not be captured.
             path = trace_point(
-                lambda: _figure(args.id, fast=not args.full),
+                lambda: figure_series(args.id, full=args.full, workers=1,
+                                      cache=False),
                 args.trace, label=f"figure {args.id}")
-            if path is None:
-                print("no simulation captured (all points cached?)")
-            else:
-                if worst is not None:
-                    print(f"slowest point: {worst[0]} at x={worst[1]} "
-                          f"(y={worst[2]:.3g})")
-                print(f"wrote {path} (load it in https://ui.perfetto.dev)")
+            if worst is not None:
+                print(f"slowest point: {worst[0]} at x={worst[1]} "
+                      f"(y={worst[2]:.3g})")
+            print(f"wrote {path} (load it in https://ui.perfetto.dev)")
     elif args.cmd == "models":
         from repro.models.params_fompi import PAPER_MODELS
 
@@ -515,22 +415,13 @@ def _serve_cmd(args) -> int:
             failures.append(
                 f"availability gap {out.availability_gap_ns / 1e3:.2f} us "
                 f"exceeds the {args.slo_gap_us:.2f} us SLO")
-    elif args.variant == "mpi1":
-        from repro.apps.kvstore.mpi1_kv import mpi1_kv_program
-        from repro.config import MachineConfig, ObsConfig
-        from repro.runtime.job import run_spmd
-
-        res = run_spmd(mpi1_kv_program, nranks, spec,
-                       machine=MachineConfig(ranks_per_node=args.rpn),
-                       sim=SimConfig(seed=spec.seed),
-                       obs=ObsConfig(enabled=True))
-        report = build_report(res, spec, nranks, variant="mpi1")
     else:
         from repro.serve.driver import run_kv_serve
 
-        res = run_kv_serve(nranks, spec, n_stripes=args.stripes,
-                           ranks_per_node=args.rpn, check=args.check)
-        report = build_report(res, spec, nranks, variant="rma")
+        res = run_kv_serve(nranks, spec, variant=args.variant,
+                           n_stripes=args.stripes, ranks_per_node=args.rpn,
+                           check=args.check)
+        report = build_report(res, spec, nranks, variant=args.variant)
         if args.check:
             from repro.check.report import render_check_report
 

@@ -77,7 +77,7 @@ def kv_serve_stats(variant: str, p: int, total_requests: int = 4000, *,
     Returns a plain dict (picklable, cacheable by the bench run cache):
     ``{"throughput_rps", "p50_ns", "p99_ns", "p99_9_ns", "sim_time_ns"}``.
     """
-    from repro.config import ObsConfig, SimConfig
+    from repro.config import SimConfig
     from repro.serve.driver import run_kv_serve
     from repro.serve.slo import build_report
     from repro.serve.zipf import ServeSpec
@@ -85,17 +85,8 @@ def kv_serve_stats(variant: str, p: int, total_requests: int = 4000, *,
     spec = ServeSpec(nkeys=nkeys, theta=theta, total_requests=total_requests,
                      rate_hz=rate_hz,
                      seed=SimConfig.seed if seed is None else seed)
-    if variant == "rma":
-        res = run_kv_serve(p, spec, ranks_per_node=ranks_per_node)
-    elif variant == "mpi1":
-        from repro.apps.kvstore.mpi1_kv import mpi1_kv_program
-
-        res = run_spmd(mpi1_kv_program, p, spec,
-                       machine=_machine(ranks_per_node),
-                       sim=SimConfig(seed=spec.seed),
-                       obs=ObsConfig(enabled=True))
-    else:
-        raise ValueError(f"unknown kv serve variant {variant!r}")
+    res = run_kv_serve(p, spec, variant=variant,
+                       ranks_per_node=ranks_per_node)
     report = build_report(res, spec, p, variant=variant)
     lat = report["latency_ns"]
     return {"throughput_rps": report["throughput_rps"],

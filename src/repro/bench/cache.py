@@ -5,19 +5,19 @@ most of them are unchanged between invocations.  This module caches point
 results on disk, keyed by a digest of everything that determines the
 result:
 
-* the package version (``repro.__version__``) -- bumping it invalidates
-  every entry, the coarse "timing model changed" hammer,
+* the source of the whole ``repro`` package (:func:`package_digest`:
+  every ``*.py`` under it, path and bytes), so a change anywhere below a
+  driver -- a timing parameter, a protocol, the kernel -- misses,
 * the fully qualified name **and source hash** of the driver / SPMD
-  program, so editing the driver itself always misses,
+  program, which covers drivers defined outside the package
+  (``benchmarks/``, tests),
 * the full argument/config snapshot (dataclass configs are canonicalized
   field by field, numpy arrays by digest), which covers machine/sim/
   transport parameters and the master seed.
 
-The key deliberately does **not** chase transitive dependencies (a change
-inside, say, the DMAPP timing model without a version bump keeps old
-entries warm); ``--no-cache`` on the benchmark suite, the
-``REPRO_BENCH_CACHE=0`` environment switch, or a version bump are the
-invalidation tools, exactly as documented in DESIGN.md.
+Nothing has to be remembered to invalidate an entry: the key is worked
+out from the code that would produce the value.  ``--no-cache`` on the
+benchmark suite and ``REPRO_BENCH_CACHE=0`` bypass the cache altogether.
 
 Entries are pickled under ``benchmarks/results/cache/<digest>.pkl``
 (override the root with ``REPRO_CACHE_DIR``).  Unreadable or corrupt
@@ -27,6 +27,7 @@ entries count as misses and are overwritten.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -35,10 +36,8 @@ import pickle
 from pathlib import Path
 from typing import Any, Callable
 
-from repro._version import __version__
-
 __all__ = ["RunCache", "cache_enabled", "default_cache_dir",
-           "fingerprint", "cached_run_spmd"]
+           "fingerprint", "source_digest", "package_digest"]
 
 _MISS = object()
 
@@ -55,6 +54,22 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.cwd() / "benchmarks" / "results" / "cache"
+
+
+def source_digest(root: Path) -> str:
+    """Digest of every ``*.py`` under ``root``: relative path + bytes."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+@functools.cache
+def package_digest() -> str:
+    """:func:`source_digest` of the ``repro`` package in use (read once
+    per process: ~120 files, a few ms)."""
+    return source_digest(Path(__file__).resolve().parents[1])
 
 
 def fingerprint(fn: Callable) -> dict:
@@ -104,9 +119,9 @@ class RunCache:
     # -- keys ----------------------------------------------------------
     def key_for(self, fn: Callable, args: tuple = (),
                 kwargs: dict | None = None) -> str:
-        """Digest of (package version, driver identity, full arguments)."""
+        """Digest of (package source, driver identity, full arguments)."""
         blob = json.dumps({
-            "version": __version__,
+            "source": package_digest(),
             "driver": fingerprint(fn),
             "args": _canon(list(args)),
             "kwargs": _canon(kwargs or {}),
@@ -121,14 +136,11 @@ class RunCache:
         """Cached value for ``key`` or ``RunCache.MISS``."""
         try:
             with open(self._path(key), "rb") as fh:
-                payload = pickle.load(fh)
-            if payload.get("version") != __version__:
-                self.misses += 1
-                return _MISS
+                value = pickle.load(fh)
             self.hits += 1
-            return payload["value"]
-        except (OSError, pickle.PickleError, EOFError, KeyError,
-                AttributeError, ImportError):
+            return value
+        except (OSError, pickle.PickleError, EOFError, AttributeError,
+                ImportError):
             self.misses += 1
             return _MISS
 
@@ -137,30 +149,10 @@ class RunCache:
             self.root.mkdir(parents=True, exist_ok=True)
             tmp = self._path(key).with_suffix(".tmp")
             with open(tmp, "wb") as fh:
-                pickle.dump({"version": __version__, "value": value}, fh)
+                pickle.dump(value, fh)
             os.replace(tmp, self._path(key))
         except (OSError, pickle.PickleError):
             pass  # caching is best-effort; never fail the benchmark
-
-    def prune_stale(self) -> int:
-        """Delete entries written by other package versions; returns count."""
-        removed = 0
-        if not self.root.is_dir():
-            return 0
-        for path in self.root.glob("*.pkl"):
-            try:
-                with open(path, "rb") as fh:
-                    payload = pickle.load(fh)
-                stale = payload.get("version") != __version__
-            except Exception:
-                stale = True
-            if stale:
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
 
     def clear(self) -> None:
         if self.root.is_dir():
@@ -182,25 +174,3 @@ class RunCache:
 
 
 RunCache.MISS = _MISS
-
-
-def cached_run_spmd(program: Callable, nranks: int, *args,
-                    cache: RunCache | None = None, **kwargs):
-    """:func:`repro.runtime.job.run_spmd` with content-addressed caching.
-
-    The key covers the package version, the SPMD program's qualified name
-    and source, ``nranks``, and every config/argument (including the
-    master seed inside ``SimConfig``).  Returns the cached
-    :class:`~repro.config.RunResult` on a hit.
-    """
-    from repro.runtime.job import run_spmd
-
-    if cache is None:
-        cache = RunCache()
-    key = cache.key_for(program, (nranks,) + tuple(args), kwargs)
-    hit = cache.get(key)
-    if hit is not _MISS:
-        return hit
-    result = run_spmd(program, nranks, *args, **kwargs)
-    cache.put(key, result)
-    return result

@@ -1,8 +1,8 @@
 """Plain-text reporting extras: ASCII log-log charts for figure series.
 
 The paper's figures are log-log latency/rate plots; these helpers render a
-recognizable terminal approximation so `python -m repro figures` gives a
-visual sanity check without any plotting dependency.
+recognizable terminal approximation so `python -m repro figure <id>` gives
+a visual sanity check without any plotting dependency.
 """
 
 from __future__ import annotations

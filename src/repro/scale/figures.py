@@ -1,7 +1,7 @@
 """Paper-scale extensions of Figure 7a and Figure 8 via the hybrid mode.
 
-The full-fidelity sweeps (``benchmarks/bench_fig7_apps.py``,
-``bench_fig8_milc.py``) stop where per-rank DES execution stops being
+The full-fidelity sweeps (``FIGURES["7a"]`` and ``["8"]`` in
+``repro.bench.figures``) stop where per-rank DES execution stops being
 CI-viable (p = 512 / 128).  The paper's headline curves run to 512Ki
 processes; this module extends both figures there (and to 1Mi) using
 the hybrid engine:
@@ -36,9 +36,9 @@ __all__ = ["FIG7A_ANCHOR_P", "FIG7A_ANCHORS", "FIG8_ANCHOR_P",
            "fig7a_hybrid_series", "fig8_hybrid_series"]
 
 # Committed full-fidelity values at the largest overlap sizes
-# (benchmarks/results/fig7a.json / fig8.json); the hybrid curves are
-# pinned to these, so any drift in the full pipeline shows up as a
-# continuity break in the extended figures.
+# (benchmarks/results/fig7a.json / fig8.json: test_figure_anchors.py);
+# the hybrid curves are pinned to these, so any drift in the full
+# pipeline shows up as a continuity break in the extended figures.
 FIG7A_ANCHOR_P = 512
 FIG7A_ANCHORS = {"fompi": 80.932, "upc": 66.981, "mpi1": 17.373}
 FIG7A_MPI1_PREV = (128, 20.421)   # second anchor fixes mpi1's decline

@@ -17,7 +17,7 @@ from typing import Any
 
 from repro.config import MachineConfig, ScaleConfig, SimConfig
 from repro.runtime.job import run_spmd
-from repro.scale.hybrid import HybridResult, run_hybrid
+from repro.scale.hybrid import run_hybrid
 from repro.scale.units import format_ranks
 from repro.scale.workloads import WORKLOADS, full_program
 
@@ -90,26 +90,4 @@ def parity_table(rank_counts: list[int], *, ranks_per_node: int = 1,
         "rank_counts": rank_counts,
         "workloads": names,
         "cases": cases,
-    }
-
-
-def hybrid_only_row(workload: str, nranks: int, *,
-                    ranks_per_node: int = 1,
-                    scale: ScaleConfig | None = None,
-                    sim: SimConfig | None = None) -> dict[str, Any]:
-    """A beyond-overlap row (no full-fidelity reference, bounds only)."""
-    res: HybridResult = run_hybrid(workload, nranks,
-                                   ranks_per_node=ranks_per_node,
-                                   scale=scale, sim=sim)
-    return {
-        "workload": workload,
-        "nranks": nranks,
-        "ranks": format_ranks(nranks),
-        "ranks_per_node": ranks_per_node,
-        "sampled": len(res.sample),
-        "messages": res.stats["messages"],
-        "by_kind": res.stats["by_kind"],
-        "bounds": res.bounds,
-        "hybrid_sim_time_ns": res.sim_time_ns,
-        "soa_nbytes": res.soa_nbytes,
     }

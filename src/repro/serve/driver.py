@@ -90,13 +90,24 @@ def kv_serve_program(ctx, spec: ServeSpec, n_stripes: int = 8):
     return lat, contents
 
 
-def run_kv_serve(nranks: int, spec: ServeSpec, *, n_stripes: int = 8,
-                 ranks_per_node: int = 8, check: bool = False):
-    """One-shot RMA serving run with observability (and optionally the
-    race checker) attached."""
+def run_kv_serve(nranks: int, spec: ServeSpec, *, variant: str = "rma",
+                 n_stripes: int = 8, ranks_per_node: int = 8,
+                 check: bool = False):
+    """One-shot serving run against the RMA store (``variant="rma"``) or
+    the MPI-1 comparator (``"mpi1"``), with observability (and
+    optionally the race checker) attached."""
     from repro.runtime.job import run_spmd
 
-    return run_spmd(kv_serve_program, nranks, spec, n_stripes,
+    if variant == "rma":
+        program, args = kv_serve_program, (spec, n_stripes)
+    elif variant == "mpi1":
+        # not at module level: mpi1_kv imports this module
+        from repro.apps.kvstore.mpi1_kv import mpi1_kv_program
+
+        program, args = mpi1_kv_program, (spec,)
+    else:
+        raise ValueError(f"unknown kv serve variant {variant!r}")
+    return run_spmd(program, nranks, *args,
                     machine=MachineConfig(ranks_per_node=ranks_per_node),
                     sim=SimConfig(seed=spec.seed),
                     obs=ObsConfig(enabled=True),

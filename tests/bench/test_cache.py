@@ -1,13 +1,13 @@
-"""Content-addressed run cache: hits, keying, version invalidation."""
+"""Content-addressed run cache: hits, keying, source-edit invalidation."""
 
 import pytest
 
 import repro.bench.cache as cache_mod
 from repro.bench import microbench as mb
-from repro.bench.cache import RunCache, cache_enabled, cached_run_spmd
+from repro.bench.cache import RunCache, cache_enabled, source_digest
 from repro.bench.pool import BenchPoint, last_run_stats, run_points
 from repro.config import MachineConfig, SimConfig
-from repro.runtime.job import run_spmd
+from repro.machine.params import GeminiParams
 
 
 def test_cache_hit_returns_equal_value(tmp_path):
@@ -45,21 +45,48 @@ def test_key_covers_config_snapshot_and_seed(tmp_path):
     assert key(sim=SimConfig(seed=1)) != key(sim=SimConfig(seed=2))
 
 
-def test_version_bump_invalidates(tmp_path, monkeypatch):
-    cache = RunCache(tmp_path)
+def test_source_edit_invalidates(tmp_path, monkeypatch):
+    """Editing any module under the package root changes every key."""
+    pkg = tmp_path / "pkg"
+    (pkg / "machine").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "machine" / "params.py").write_text("WIRE_BASE = 310\n")
+    monkeypatch.setattr(cache_mod, "package_digest",
+                        lambda: source_digest(pkg))
+    cache = RunCache(tmp_path / "cache")
     key = cache.key_for(mb.put_latency, ("fompi", 8), {})
     cache.put(key, 123.0)
     assert cache.get(key) == 123.0
+    assert cache.key_for(mb.put_latency, ("fompi", 8), {}) == key
 
-    monkeypatch.setattr(cache_mod, "__version__", "999.0.0-bumped")
-    stale = RunCache(tmp_path)
-    # Old entry must read as a miss under the bumped version ...
-    assert stale.get(key) is RunCache.MISS
-    # ... and a sweep must transparently recompute and repopulate.
-    out = run_points([BenchPoint(mb.put_latency, ("fompi", 8))],
-                     workers=1, cache=stale)
-    assert out == [mb.put_latency("fompi", 8)]
-    assert stale.prune_stale() >= 1    # the pre-bump entry is pruned
+    (pkg / "machine" / "params.py").write_text("WIRE_BASE = 910\n")
+    edited = cache.key_for(mb.put_latency, ("fompi", 8), {})
+    assert edited != key
+    assert cache.get(edited) is RunCache.MISS
+    # a renamed module is an edit too, even with the same bytes
+    (pkg / "machine" / "params.py").rename(pkg / "machine" / "gemini.py")
+    assert cache.key_for(mb.put_latency, ("fompi", 8), {}) \
+        not in (key, edited)
+
+
+def test_change_below_the_driver_is_not_served_from_cache(tmp_path,
+                                                          monkeypatch):
+    """The failure the package digest fixes: a timing parameter changed
+    two layers below ``put_latency`` and the sweep kept printing the old
+    number (the key held only the driver's own source and a version
+    string nobody bumped)."""
+    cache = RunCache(tmp_path)
+    point = BenchPoint(mb.put_latency, ("fompi", 8), {"intra": False})
+    assert run_points([point], workers=1, cache=cache) == [1047.0]
+
+    # what editing wire_base 310 -> 910 in machine/params.py does: new
+    # behaviour, new digest
+    monkeypatch.setattr(
+        GeminiParams, "wire_latency",
+        lambda self, hops: 910.0 + self.wire_per_hop * hops)
+    monkeypatch.setattr(cache_mod, "package_digest", lambda: "edited")
+    assert run_points([point], workers=1, cache=cache) == [2247.0]
+    assert last_run_stats().cache_hits == 0
 
 
 def test_corrupt_entry_is_a_miss(tmp_path):
@@ -76,31 +103,6 @@ def test_cache_enabled_env(monkeypatch):
     for off in ("0", "off", "false", "no"):
         monkeypatch.setenv("REPRO_BENCH_CACHE", off)
         assert cache_enabled() is False
-
-
-def test_cached_run_spmd_roundtrip(tmp_path):
-    cache = RunCache(tmp_path)
-
-    res1 = cached_run_spmd(mb_program, 2, cache=cache,
-                           machine=MachineConfig(ranks_per_node=1))
-    assert cache.misses >= 1 and cache.hits == 0
-    res2 = cached_run_spmd(mb_program, 2, cache=cache,
-                           machine=MachineConfig(ranks_per_node=1))
-    assert cache.hits == 1
-    assert res2.returns == res1.returns
-    assert res2.sim_time_ns == res1.sim_time_ns
-    assert res2.events_processed == res1.events_processed
-    # and the cached result really equals a fresh serial run
-    fresh = run_spmd(mb_program, 2, machine=MachineConfig(ranks_per_node=1))
-    assert fresh.returns == res2.returns
-    assert fresh.sim_time_ns == res2.sim_time_ns
-
-
-def mb_program(ctx):
-    yield from ctx.coll.barrier()
-    yield from ctx.compute(1_000)
-    yield from ctx.coll.barrier()
-    return ctx.now
 
 
 def test_run_points_cache_false_never_touches_disk(tmp_path, monkeypatch):

@@ -39,11 +39,19 @@ def test_cli_figure_6c():
     out = _cli("figure", "6c")
     assert out.returncode == 0
     assert "legend:" in out.stdout
+    # Quick mode prints the first points of the committed sweep (column
+    # widths differ with the row count, the cells do not).
+    committed = (REPO / "benchmarks" / "results" / "fig6c.txt").read_text()
+    printed = [line.split() for line in out.stdout.splitlines()[:7]]
+    assert printed[0] == committed.splitlines()[0].split()
+    assert printed[4:] == [line.split()
+                           for line in committed.splitlines()[4:7]]
 
 
 def test_cli_unknown_figure():
     out = _cli("figure", "99")
     assert out.returncode != 0
+    assert "4a 4b 4c 5a 5b 5c 6a 6b 6c 7a 7b 7c 8" in out.stderr
 
 
 def test_cli_trace_writes_chrome_json(tmp_path):
