@@ -72,8 +72,8 @@ class Network:
         self.rank_map = rank_map
         self.params = params or GeminiParams()
         self.counters = counters or OpCounters()
-        # Optional repro.faults.FaultInjector; None keeps every hot path on
-        # the exact pre-fault code (zero cost, bit-identical runs).
+        # Optional repro.faults.FaultInjector; with None no fate is drawn
+        # and `packet` leaves its loop on the first pass.
         self.injector = injector
         # Optional repro.obs.core.Instrumentation (assigned by World);
         # same contract: None keeps the hot path untouched, and recording
@@ -98,9 +98,6 @@ class Network:
         return nic
 
     # -- latency helpers -------------------------------------------------
-    def hops(self, src_node: int, dst_node: int) -> int:
-        return self.torus.hops(src_node, dst_node)
-
     def wire(self, src_node: int, dst_node: int) -> float:
         """Distance-dependent one-way wire latency (memoized)."""
         key = (src_node, dst_node) if src_node < dst_node \
@@ -132,9 +129,7 @@ class Network:
         nbytes: int,
         *,
         inject_window: tuple[int, int] | None = None,
-        charge_injection: bool = True,
         is_amo: bool = False,
-        gap_per_byte: float | None = None,
         on_deliver: Callable[[Event], None] | None = None,
         fate=None,
         reliable: bool = False,
@@ -148,9 +143,7 @@ class Network:
         the ejection (or AMO-engine) channel.
 
         ``inject_window=(start, end)`` lets a caller that already reserved
-        the injection channel thread its occupancy through;
-        ``charge_injection=False`` skips injection entirely (NIC-generated
-        responses such as get replies and acks).
+        the injection channel thread its occupancy through.
 
         ``on_deliver(event)`` is the delivery event's first callback: it
         runs at delivery time (``event.value``) *before* any process
@@ -161,160 +154,92 @@ class Network:
 
         With a fault injector installed, each transmission can be dropped,
         corrupted (checksum fails at the target NIC, packet discarded),
-        delayed, or stalled -- a lost packet never runs ``on_deliver``.
-        ``fate`` lets a resilient transport that drew the fate itself (the
-        hardened DMAPP endpoint) thread it through; ``reliable=True``
-        instead enables link-level recovery *inside* this call: the source
-        NIC retransmits after a timeout, with capped seeded backoff, until
-        delivery succeeds or the retry budget is exhausted (the MPI-1
-        transport uses this).  Both are no-ops without an injector.
+        delayed, or stalled -- a lost packet never runs ``on_deliver`` and
+        returns a ``packet-lost`` event.  ``fate`` lets a transport that
+        drew the fate itself (the DMAPP retransmit loop) thread it through;
+        ``reliable=True`` instead enables link-level recovery *inside* this
+        call: the source NIC, not the issuing CPU, retransmits after a
+        timeout, with capped seeded backoff, until delivery succeeds or the
+        retry budget is exhausted (the MPI-1 transport uses this).  Without
+        an injector both are no-ops and the loop ends on its first pass.
         """
-        if self.injector is not None:
-            return self._packet_faulty(
-                src_node, dst_node, nbytes, inject_window, charge_injection,
-                is_amo, gap_per_byte, on_deliver, fate, reliable)
         p = self.params
-        gap = p.gap_per_byte if gap_per_byte is None else gap_per_byte
         env = self.env
-
-        if charge_injection:
+        inj = self.injector
+        attempt = 1
+        resend_floor: int | None = None
+        while True:
+            if inj is not None and fate is None:
+                fate = inj.packet_fate(src_node, dst_node)
             if inject_window is not None:
                 inject_start, inject_end = inject_window
             else:
                 inject_start, inject_end = self.occupy_injection(
-                    src_node, nbytes, gap)
+                    src_node, nbytes, earliest=resend_floor)
             wire = self.wire(src_node, dst_node) + p.nic_latency
-        else:
-            inject_start = inject_end = env.now
-            wire = self.wire(src_node, dst_node)
-        if self._has_noise:
-            wire += self._noise()
-        head_arrival = inject_start + wire
-        tail_arrival = inject_end + wire  # last byte on the floor
-
-        nic = self._nics.get(dst_node)
-        if nic is None:
-            nic = self._nics[dst_node] = Nic(env, dst_node)
-        if is_amo:
-            chan = nic.amo_engine
-            svc_int = self._amo_gap_int
-        elif nbytes <= p.fma_threshold:
-            # Small packets interleave at flit granularity; they serialize
-            # only on per-packet processing, never behind bulk transfers.
-            chan = nic.eject_fma
-            svc_int = self._o_eject_int
-        else:
-            chan = nic.eject_bte
-            svc_int = int(round(max(p.o_eject, nbytes * gap)))
-        # Service cannot begin before the head arrives nor finish before
-        # the tail does; contention queues behind earlier packets.
-        start = int(round(head_arrival))
-        if chan.busy_until > start:
-            start = chan.busy_until
-        deliver_time = int(round(tail_arrival))
-        if start + svc_int > deliver_time:
-            deliver_time = start + svc_int
-        chan.busy_until = deliver_time
-        chan.total_busy += svc_int
-        if is_amo:
-            deliver_time += self.amo_service_int
-
-        ev = env.event(name="packet-deliver")
-        if on_deliver is not None:
-            ev.callbacks.append(on_deliver)
-        ev.succeed(deliver_time, delay=max(0, deliver_time - env.now))
-        self.counters.count_service(dst_node)
-        if self.obs is not None:
-            self.obs.on_packet(src_node, dst_node, nbytes, deliver_time,
-                               is_amo)
-        return deliver_time, ev
-
-    def _packet_faulty(self, src_node, dst_node, nbytes, inject_window,
-                       charge_injection, is_amo, gap_per_byte, on_deliver,
-                       fate, reliable) -> tuple[int, Event]:
-        """Fault-aware twin of :meth:`packet` (see its docstring).
-
-        Kept separate so the fault-free hot path stays byte-for-byte the
-        pre-fault code.  Timing is computed per transmission attempt; all
-        retransmission work (timeout detection, backoff, re-injection) is
-        NIC-driven and never blocks the issuing CPU.
-        """
-        inj = self.injector
-        p = self.params
-        gap = p.gap_per_byte if gap_per_byte is None else gap_per_byte
-        env = self.env
-        attempt = 0
-        resend_floor: int | None = None
-        while True:
-            attempt += 1
-            this_fate = fate if (fate is not None and attempt == 1) \
-                else inj.packet_fate(src_node, dst_node)
-
-            if charge_injection:
-                if attempt == 1 and inject_window is not None:
-                    inject_start, inject_end = inject_window
-                else:
-                    inject_start, inject_end = self.occupy_injection(
-                        src_node, nbytes, gap, earliest=resend_floor)
-                pipeline = p.nic_latency
-            else:
-                floor = env.now if resend_floor is None else resend_floor
-                inject_start = inject_end = inj.stall_release(src_node, floor)
-                pipeline = 0.0
-
-            src_dead = inj.node_crashed(src_node, int(inject_start))
-            wire = (p.wire_latency(self.hops(src_node, dst_node)) + pipeline
-                    + self._noise() + this_fate.extra_delay_ns)
+            if self._has_noise:
+                wire += self._noise()
+            src_dead = False
+            if inj is not None:
+                wire += fate.extra_delay_ns
+                src_dead = inj.node_crashed(src_node, int(inject_start))
             head_arrival = inject_start + wire
-            tail_arrival = inject_end + wire
+            deliver_time = int(round(inject_end + wire))  # last byte lands
 
-            delivered = False
-            deliver_time = int(round(tail_arrival))
-            if not this_fate.drop and not src_dead:
-                # The packet reaches the destination NIC, which may be
-                # mid-stall: service waits for the stall window to end.
-                head_arrival = max(head_arrival,
-                                   inj.stall_release(dst_node, int(head_arrival)))
+            if inj is None or not (fate.drop or src_dead):
+                # The packet reaches the destination NIC.
+                if inj is not None:
+                    # Mid-stall, service waits for the stall window to end.
+                    release = inj.stall_release(dst_node, int(head_arrival))
+                    if release > head_arrival:
+                        head_arrival = release
+                nic = self._nics.get(dst_node)
+                if nic is None:
+                    nic = self._nics[dst_node] = Nic(env, dst_node)
                 if is_amo:
-                    chan = self.nic(dst_node).amo_engine
-                    svc = self._amo_gap_int
+                    chan = nic.amo_engine
+                    svc_int = self._amo_gap_int
                 elif nbytes <= p.fma_threshold:
-                    chan = self.nic(dst_node).eject_fma
-                    svc = self._o_eject_int
+                    # Small packets interleave at flit granularity; they
+                    # serialize only on per-packet processing, never
+                    # behind bulk transfers.
+                    chan = nic.eject_fma
+                    svc_int = self._o_eject_int
                 else:
-                    chan = self.nic(dst_node).eject_bte
-                    svc = int(round(max(p.o_eject, nbytes * gap)))
-                start = max(int(round(head_arrival)), chan.busy_until)
-                chan.busy_until = max(start + svc, int(round(tail_arrival)))
-                chan.total_busy += svc
-                deliver_time = chan.busy_until
+                    chan = nic.eject_bte
+                    svc_int = int(round(max(p.o_eject,
+                                            nbytes * p.gap_per_byte)))
+                # Service cannot begin before the head arrives nor finish
+                # before the tail does; it queues behind earlier packets.
+                start = int(round(head_arrival))
+                if chan.busy_until > start:
+                    start = chan.busy_until
+                if start + svc_int > deliver_time:
+                    deliver_time = start + svc_int
+                chan.busy_until = deliver_time
+                chan.total_busy += svc_int
                 if is_amo:
                     deliver_time += self.amo_service_int
                 self.counters.count_service(dst_node)
                 # Corrupted payloads fail the checksum and are discarded
                 # here; packets to a node dead by arrival are lost too.
-                delivered = (not this_fate.corrupt
-                             and not inj.node_crashed(dst_node, deliver_time))
+                if inj is None or not (fate.corrupt or inj.node_crashed(
+                        dst_node, deliver_time)):
+                    ev = env.event(name="packet-deliver")
+                    if on_deliver is not None:
+                        ev.callbacks.append(on_deliver)
+                    ev.succeed(deliver_time,
+                               delay=max(0, deliver_time - env.now))
+                    if self.obs is not None:
+                        self.obs.on_packet(src_node, dst_node, nbytes,
+                                           deliver_time, is_amo)
+                    return deliver_time, ev
 
-            if delivered:
-                ev = env.event(name="packet-deliver")
-                if on_deliver is not None:
-                    ev.callbacks.append(on_deliver)
-                ev.succeed(deliver_time,
-                           delay=max(0, deliver_time - env.now))
-                if self.obs is not None:
-                    self.obs.on_packet(src_node, dst_node, nbytes,
-                                       deliver_time, is_amo)
-                return deliver_time, ev
-
-            give_up = (not reliable
-                       or attempt > inj.config.max_retries
-                       or src_dead
-                       or inj.node_crashed(dst_node, deliver_time))
-            if give_up:
+            dst_dead = inj.node_crashed(dst_node, deliver_time)
+            if (not reliable or attempt > inj.config.max_retries
+                    or src_dead or dst_dead):
                 ev = env.event(name="packet-lost")
-                if (reliable and not src_dead
-                        and not inj.node_crashed(dst_node, deliver_time)):
+                if reliable and not src_dead and not dst_dead:
                     # A reliable link exhausted its retry budget with both
                     # endpoints alive: fail loudly at the instant the last
                     # ack window expires, instead of leaving the waiter to
@@ -323,13 +248,11 @@ class Network:
                     inj._trace("deadline",
                                f"{src_node}->{dst_node} after {attempt} tries")
 
-                    def _budget_exhausted(event: Event, _n=attempt) -> None:
-                        raise DeadlineError(
-                            "packet", dst_node, _n,
-                            inj.config.op_deadline_ns)
+                    def _budget_exhausted(_event: Event) -> None:
+                        raise DeadlineError("packet", dst_node, attempt,
+                                            inj.config.op_deadline_ns)
                     ev.callbacks.append(_budget_exhausted)
-                ev.succeed(deliver_time,
-                           delay=max(0, deliver_time - env.now))
+                ev.succeed(deliver_time, delay=max(0, deliver_time - env.now))
                 return deliver_time, ev
             # Link-level recovery: the source NIC detects the missing ack
             # after the op deadline and retransmits with seeded backoff.
@@ -344,9 +267,10 @@ class Network:
                                             attempt, int(round(backoff)))
             resend_floor = int(round(
                 inject_end + inj.config.op_deadline_ns + backoff))
+            attempt += 1
+            fate = inject_window = None
 
     def occupy_injection(self, src_node: int, nbytes: int,
-                         gap_per_byte: float | None = None,
                          earliest: int | None = None) -> tuple[int, int]:
         """Reserve the injection channel; returns (start, end) times.
 
@@ -361,16 +285,13 @@ class Network:
         injected NIC stall windows also push the start past their end.
         """
         p = self.params
-        gap = p.gap_per_byte if gap_per_byte is None else gap_per_byte
-        duration = max(p.nic_packet_gap, nbytes * gap)
+        duration = max(p.nic_packet_gap, nbytes * p.gap_per_byte)
         chan = (self.nic(src_node).fma if nbytes <= p.fma_threshold
                 else self.nic(src_node).bte)
-        if self.injector is not None or earliest is not None:
-            floor = self.env.now if earliest is None else int(earliest)
-            if self.injector is not None:
-                floor = self.injector.stall_release(src_node, floor)
-            return chan.occupy(int(round(duration)), earliest=floor)
-        return chan.occupy(int(round(duration)))
+        if self.injector is not None:
+            earliest = self.injector.stall_release(
+                src_node, self.env.now if earliest is None else int(earliest))
+        return chan.occupy(int(round(duration)), earliest=earliest)
 
     def injection_admit(self, src_node: int, inj_end: int,
                         nbytes: int = 1 << 30) -> int:

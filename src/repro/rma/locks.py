@@ -87,18 +87,29 @@ def _amo(win, target: int, idx: int, op: str, operand: int,
          operand2: int = 0, blocking: bool = True):
     """One AMO on ``target``'s control words, CPU or NIC path."""
     ctx = win.ctx
-    if ctx.lock_ledger is not None:
-        # Recovery on: route through the ledger-recording twin so dead
-        # origins' contributions can be rolled back.
-        return (yield from recovery.lock_amo(win, target, idx, op, operand,
-                                             operand2, blocking))
+    ledger = ctx.lock_ledger
+    record = None
+    if ledger is not None:
+        # Revocation on: charge this origin for what the AMO did to the
+        # word, at delivery -- a packet injected before its origin's crash
+        # still lands, and a deduplicated replay never calls back, so a
+        # contribution is neither lost nor counted twice.
+        def record(old):
+            if op == "add":
+                ledger.record(win.win_id, target, idx, ctx.rank, operand)
+            elif op == "cas" and old == operand:
+                ledger.record(win.win_id, target, idx, ctx.rank,
+                              operand2 - operand)
+
     cells = win.ctrl_refs[target]
     if ctx.same_node(target):
-        return (yield from ctx.xpmem.amo(cells, idx, op, operand, operand2))
+        return (yield from ctx.xpmem.amo(cells, idx, op, operand, operand2,
+                                         record))
     if blocking:
         return (yield from ctx.dmapp.amo_b(target, cells, idx, op,
-                                           operand, operand2))
-    yield from ctx.dmapp.amo_nbi(target, cells, idx, op, operand, operand2)
+                                           operand, operand2, record))
+    yield from ctx.dmapp.amo_nbi(target, cells, idx, op, operand, operand2,
+                                 on_applied=record)
     return None
 
 

@@ -18,11 +18,21 @@ myself as its ``next`` and spin locally until it hands off.  Release: if
 ``next`` is empty, try CAS tail (me -> 0); on failure wait for the
 successor to appear, then set its flag.  Every path issues a bounded
 number of remote AMOs.
+
+There is one wire protocol, on every fabric.  Each AMO carries an
+``on_applied`` delivery callback that notes where this rank now stands in
+the queue; only :mod:`repro.rma.recovery` reads those notes, to turn a
+dead rank's queue node into a token forwarder.  What a run with a failure
+notifier adds is confined to the ``ctx.notifier`` tests below: structured
+errors for a dead master, a direct store for a dead queue neighbour, and
+a spin that gives up when revocation is disabled.
 """
 
 from __future__ import annotations
 
-from repro.errors import LockError
+from repro.errors import LockError, NodeCrashedError, RankFailedError
+from repro.rma import recovery
+from repro.sim.kernel import AnyOf
 
 __all__ = ["McsLock", "IDX_TAIL", "IDX_NEXT", "IDX_FLAG"]
 
@@ -49,14 +59,15 @@ class McsLock:
                      if cell_base is None else cell_base)
         self.holding = False
         self.remote_ops = 0  # for the boundedness tests
-        # Recovery bookkeeping, written at AMO *delivery* time by the
-        # guarded paths so it reflects what actually took effect remotely,
-        # never this rank's possibly-stale view (repro.rma.recovery).
+        # Queue-membership notes, written at AMO *delivery* time by the
+        # ``on_applied`` callbacks so they reflect what actually took
+        # effect remotely, never this rank's possibly-stale view.
         self._queued = False      # swap delivered at the master
         self._pred = 0            # predecessor id (rank+1) the swap saw
         self._published = False   # next-pointer publication delivered
         self._token = False       # token held (acquired, or handed to us)
         self._handed = False      # hand-off to the successor delivered
+        self._turn = 0            # acquires begun; dates the hand-off note
         ctx = win.ctx
         if ctx.notifier is not None:
             ctx.world.blackboard.setdefault(
@@ -66,39 +77,60 @@ class McsLock:
         return self.win.ctrl_refs[rank]
 
     def _amo(self, target: int, idx: int, op: str, a: int, b: int = 0,
-             blocking: bool = True):
+             blocking: bool = True, on_applied=None):
         ctx = self.win.ctx
         self.remote_ops += 1
         cells = self._cells(target)
         if ctx.same_node(target):
-            return (yield from ctx.xpmem.amo(cells, self.base + idx, op, a, b))
+            return (yield from ctx.xpmem.amo(cells, self.base + idx, op, a, b,
+                                             on_applied))
         if blocking:
-            return (yield from ctx.dmapp.amo_b(target, cells,
-                                               self.base + idx, op, a, b))
-        yield from ctx.dmapp.amo_nbi(target, cells, self.base + idx, op, a, b)
+            return (yield from ctx.dmapp.amo_b(target, cells, self.base + idx,
+                                               op, a, b, on_applied))
+        yield from ctx.dmapp.amo_nbi(target, cells, self.base + idx, op, a, b,
+                                     on_applied=on_applied)
         return None
 
-    def _amo_custom(self, target: int, mutate):
-        """Blocking delivery-time mutate at ``target`` (recovery path)."""
+    def _set_peer_word(self, target: int, idx: int, value: int, on_applied):
+        """Non-blocking ``replace`` on a queue neighbour's word.  The link
+        must be written even when the neighbour is dead (or dies
+        mid-write) -- its zombie forwarder reads it to pass the token on
+        -- so then the store goes straight to the shared cells, which
+        outlive the simulated process."""
         ctx = self.win.ctx
-        self.remote_ops += 1
-        if ctx.same_node(target):
-            return (yield from ctx.xpmem.amo_custom(mutate))
-        handle = yield from ctx.dmapp.amo_custom_nbi(target, mutate)
-        return (yield from ctx.dmapp.wait(handle))
-
-    def _amo_custom_to_peer(self, target: int, mutate):
-        """Like :meth:`_amo_custom` but tolerant of a dead peer: the
-        mutation is applied directly to the shared cells (they outlive the
-        simulated process) so queue links stay consistent even when the
-        peer's NIC is quarantined."""
-        ctx = self.win.ctx
-        from repro.errors import NodeCrashedError
         try:
-            yield from self._amo_custom(target, mutate)
+            yield from self._amo(target, idx, "replace", value,
+                                 blocking=False, on_applied=on_applied)
         except NodeCrashedError:
+            if ctx.notifier is None:
+                raise
             yield from ctx.instr(self.win.params.instr_lock)
-            mutate()
+            on_applied(self._cells(target).apply(self.base + idx, "replace",
+                                                 value))
+
+    def _spin(self, idx: int, op: str, why: str):
+        """Wait on MY word ``idx`` -- zero remote traffic while waiting
+        (the MCS property)."""
+        ctx = self.win.ctx
+        my = self._cells(ctx.rank)
+        notifier = ctx.notifier
+        if notifier is None or ctx.lock_ledger is not None:
+            # With revocation on, a dead neighbour's zombie forwarder
+            # writes the word, so the plain spin terminates.
+            yield my.wait_until(self.base + idx, lambda v: v != 0)
+            return
+        # Revocation off: a dead neighbour never writes -- race the spin
+        # against the failure notification.
+        while my.load(self.base + idx) == 0:
+            known = notifier.known(ctx.rank)
+            if known:
+                ctx.world.injector.stats.acquisitions_failed += 1
+                self.holding = False
+                raise RankFailedError(
+                    known, op=op, detail=f"lock revocation disabled; {why}")
+            yield AnyOf(ctx.env, [
+                my.wait_until(self.base + idx, lambda v: v != 0),
+                notifier.failure_event(ctx.rank)])
 
     # ------------------------------------------------------------------
     def acquire(self):
@@ -108,10 +140,35 @@ class McsLock:
         win = self.win
         ctx = win.ctx
         t0 = ctx.now
-        if ctx.notifier is not None:
-            yield from self._acquire_guarded()
-        else:
-            yield from self._acquire_plain()
+        me = ctx.rank + 1
+        my = self._cells(ctx.rank)
+        my.store(self.base + IDX_NEXT, 0)
+        my.store(self.base + IDX_FLAG, 0)
+        self._queued = self._published = self._token = self._handed = False
+        self._pred = 0
+        self._turn += 1
+
+        def swapped(old):
+            self._queued = True
+            self._pred = int(old)
+            self._token = old == 0  # empty queue: token is ours on arrival
+
+        def published(_old):
+            self._published = True
+
+        try:
+            pred = yield from self._amo(win.master, IDX_TAIL, "replace", me,
+                                        on_applied=swapped)
+        except NodeCrashedError as exc:
+            recovery.fail_acquire(ctx, exc, "mcs acquire")
+        if pred != 0:
+            yield from self._set_peer_word(int(pred) - 1, IDX_NEXT, me,
+                                           published)
+            yield from self._spin(IDX_FLAG, "mcs acquire",
+                                  "predecessor may never hand off")
+            my.store(self.base + IDX_FLAG, 0)
+        self._token = True
+        self.holding = True
         obs = ctx.obs
         if obs is not None:
             # Lock-contention span: wait time is the whole enqueue-to-
@@ -127,23 +184,6 @@ class McsLock:
             # Happens-before: an exclusive MCS acquire is ordered after
             # every prior release of this lock instance.
             ck.mcs_acquired(ctx.rank, (win.win_id, self.base))
-
-    def _acquire_plain(self):
-        win = self.win
-        ctx = win.ctx
-        me = ctx.rank + 1
-        my = self._cells(ctx.rank)
-        my.store(self.base + IDX_NEXT, 0)
-        my.store(self.base + IDX_FLAG, 0)
-        pred = yield from self._amo(win.master, IDX_TAIL, "replace", me)
-        if pred != 0:
-            # Publish myself to the predecessor, then spin on MY flag --
-            # zero remote traffic while waiting (the MCS property).
-            yield from self._amo(int(pred) - 1, IDX_NEXT, "replace", me,
-                                 blocking=False)
-            yield my.wait_until(self.base + IDX_FLAG, lambda v: v != 0)
-            my.store(self.base + IDX_FLAG, 0)
-        self.holding = True
 
     def release(self):
         """Hand off to the successor (or clear the tail).
@@ -162,167 +202,46 @@ class McsLock:
         if ck is not None:
             ck.mcs_released(ctx.rank, (win.win_id, self.base))
         t0 = ctx.now
-        if ctx.notifier is not None:
-            yield from self._release_guarded()
-        else:
-            yield from self._release_plain()
+        me = ctx.rank + 1
+        my = self._cells(ctx.rank)
+        turn = self._turn
+
+        def retired(old):
+            if old == me:
+                self._queued = self._token = False
+
+        def handed(_old):
+            # The hand-off is not waited for: one still in flight when this
+            # rank enqueues again must not touch the new turn's notes.
+            if self._turn == turn:
+                self._handed = True
+                self._queued = self._token = False
+
+        if my.load(self.base + IDX_NEXT) == 0:
+            try:
+                old = yield from self._amo(win.master, IDX_TAIL, "cas", me, 0,
+                                           on_applied=retired)
+            except NodeCrashedError:
+                if ctx.notifier is None:
+                    raise
+                # The master died: the queue is gone with it.  Clear local
+                # state; no survivor can be waiting on this lock's words.
+                old = me
+                retired(old)
+            if old != me:
+                # A successor is in the middle of enqueueing: wait for its
+                # next-pointer publication.
+                yield from self._spin(IDX_NEXT, "mcs release",
+                                      "successor died mid-enqueue")
+        succ = int(my.load(self.base + IDX_NEXT))
+        if succ != 0:
+            yield from self._set_peer_word(succ - 1, IDX_FLAG, 1, handed)
+            # Cleared only *after* the hand-off is issued: if this rank
+            # dies before that, its zombie forwarder still needs the link.
+            my.store(self.base + IDX_NEXT, 0)
+        self.holding = False
         obs = ctx.obs
         if obs is not None:
             obs.rank_span(ctx.rank, "mcs.release", t0, ctx.now, cat="lock",
                           args={"win": win.win_id, "base": self.base})
             obs.metrics.count("mcs.releases", ctx.rank)
-
-    def _release_plain(self):
-        win = self.win
-        ctx = win.ctx
-        me = ctx.rank + 1
-        my = self._cells(ctx.rank)
-        if my.load(self.base + IDX_NEXT) == 0:
-            old = yield from self._amo(win.master, IDX_TAIL, "cas", me, 0)
-            if old == me:
-                self.holding = False
-                return
-            # A successor is in the middle of enqueueing: wait for its
-            # next-pointer publication (local spin).
-            yield my.wait_until(self.base + IDX_NEXT, lambda v: v != 0)
-        succ = int(my.load(self.base + IDX_NEXT)) - 1
-        my.store(self.base + IDX_NEXT, 0)
-        yield from self._amo(succ, IDX_FLAG, "replace", 1, blocking=False)
-        self.holding = False
-
-    # ------------------------------------------------------------------
-    # failure-aware paths (identical wire protocol; the queue membership
-    # flags are recorded atomically with each AMO's remote effect so the
-    # recovery service knows exactly where a dead rank stood)
-    # ------------------------------------------------------------------
-    def _acquire_guarded(self):
-        from repro.errors import NodeCrashedError
-        from repro.rma import recovery
-
-        win = self.win
-        ctx = win.ctx
-        me = ctx.rank + 1
-        my = self._cells(ctx.rank)
-        tail_cells = self._cells(win.master)
-        my.store(self.base + IDX_NEXT, 0)
-        my.store(self.base + IDX_FLAG, 0)
-        self._queued = False
-        self._pred = 0
-        self._published = False
-        self._token = False
-        self._handed = False
-
-        def swap_mutate():
-            old = tail_cells.apply(self.base + IDX_TAIL, "replace", me)
-            self._queued = True
-            self._pred = int(old)
-            if old == 0:
-                self._token = True  # empty queue: token is ours on arrival
-            return old
-
-        try:
-            pred = yield from self._amo_custom(win.master, swap_mutate)
-        except NodeCrashedError as exc:
-            recovery.fail_acquire(ctx, exc, "mcs acquire")
-        if pred != 0:
-            target = int(pred) - 1
-
-            def publish_mutate():
-                self._cells(target).apply(self.base + IDX_NEXT,
-                                          "replace", me)
-                self._published = True
-
-            # The predecessor may be dead (or die mid-publication); the
-            # queue link must be written regardless -- its zombie
-            # forwarder reads it to hand the token onward.
-            yield from self._amo_custom_to_peer(target, publish_mutate)
-            if ctx.lock_ledger is not None:
-                # Revocation on: a dead predecessor's token is forwarded
-                # by its zombie, so the plain local spin terminates.
-                yield my.wait_until(self.base + IDX_FLAG, lambda v: v != 0)
-            else:
-                # Revocation off: a dead predecessor never hands off --
-                # race the spin against the failure notification.
-                from repro.sim.kernel import AnyOf
-                notifier = ctx.notifier
-                while my.load(self.base + IDX_FLAG) == 0:
-                    known = notifier.known(ctx.rank)
-                    if known:
-                        ctx.world.injector.stats.acquisitions_failed += 1
-                        from repro.errors import RankFailedError
-                        raise RankFailedError(
-                            known, op="mcs acquire",
-                            detail="lock revocation disabled; predecessor "
-                                   "may never hand off")
-                    yield AnyOf(ctx.env, [
-                        my.wait_until(self.base + IDX_FLAG,
-                                      lambda v: v != 0),
-                        notifier.failure_event(ctx.rank)])
-            my.store(self.base + IDX_FLAG, 0)
-        self._token = True
-        self.holding = True
-
-    def _release_guarded(self):
-        from repro.errors import NodeCrashedError
-
-        win = self.win
-        ctx = win.ctx
-        me = ctx.rank + 1
-        my = self._cells(ctx.rank)
-        tail_cells = self._cells(win.master)
-        if my.load(self.base + IDX_NEXT) == 0:
-
-            def cas_mutate():
-                old = tail_cells.cas(self.base + IDX_TAIL, me, 0)
-                if old == me:
-                    self._queued = False
-                    self._token = False
-                return old
-
-            try:
-                old = yield from self._amo_custom(win.master, cas_mutate)
-            except NodeCrashedError:
-                # The master died: the queue is gone with it.  Clear local
-                # state; no survivor can be waiting on this lock's words.
-                self._queued = False
-                self._token = False
-                self.holding = False
-                return
-            if old == me:
-                self.holding = False
-                return
-            if ctx.lock_ledger is not None:
-                # A dead mid-enqueue successor's publication is finished
-                # by its zombie forwarder, so this spin terminates.
-                yield my.wait_until(self.base + IDX_NEXT, lambda v: v != 0)
-            else:
-                from repro.errors import RankFailedError
-                from repro.sim.kernel import AnyOf
-                notifier = ctx.notifier
-                while my.load(self.base + IDX_NEXT) == 0:
-                    known = notifier.known(ctx.rank)
-                    if known:
-                        ctx.world.injector.stats.acquisitions_failed += 1
-                        self.holding = False
-                        raise RankFailedError(
-                            known, op="mcs release",
-                            detail="lock revocation disabled; successor "
-                                   "died mid-enqueue")
-                    yield AnyOf(ctx.env, [
-                        my.wait_until(self.base + IDX_NEXT,
-                                      lambda v: v != 0),
-                        notifier.failure_event(ctx.rank)])
-        succ = int(my.load(self.base + IDX_NEXT)) - 1
-
-        def hand_mutate():
-            self._cells(succ).apply(self.base + IDX_FLAG, "replace", 1)
-            self._handed = True
-            self._queued = False
-            self._token = False
-
-        # NEXT is cleared only *after* the hand-off is issued: if this
-        # rank dies in between, its zombie forwarder still needs the
-        # successor link to finish the hand-off.
-        yield from self._amo_custom_to_peer(succ, hand_mutate)
-        my.store(self.base + IDX_NEXT, 0)
-        self.holding = False

@@ -11,15 +11,16 @@ Three cooperating mechanisms, all driven by the
 under the run seed:
 
 **Revocation ledger** (:class:`RevocationLedger`).  Every lock-word AMO an
-origin issues is routed through :func:`lock_amo`, which executes the
-mutation *and* its ledger record atomically at delivery time (a chained
-NIC mutate, same mechanism as the PSCW free-storage append).  Recording
-at delivery -- not at the origin -- matters: a packet injected before its
-origin's crash still delivers, so an origin that dies between remote
-effect and acknowledgment must still be charged for its contribution.
-On failure, the per-origin *net* contribution of each dead rank to each
-lock word is rolled back with one compensating atomic, which wakes any
-watchers of the word.
+origin issues (``locks._amo``) is the ordinary ``xpmem.amo`` /
+``dmapp.amo_b`` / ``amo_nbi`` call with the ledger record as its
+``on_applied`` delivery callback -- the same interposition the FT layer
+uses for its put/AMO log.  Recording at delivery -- not at the origin --
+matters: a packet injected before its origin's crash still delivers, so an
+origin that dies between remote effect and acknowledgment must still be
+charged for its contribution (and a deduplicated replay never calls back,
+so it is charged once).  On failure, the per-origin *net* contribution of
+each dead rank to each lock word is rolled back with one compensating
+atomic, which wakes any watchers of the word.
 
 **Zombie forwarders** for MCS queues.  Splicing a dead waiter out of an
 MCS queue in place is racy (the predecessor's hand-off may already be in
@@ -29,7 +30,10 @@ token *forwarder*: a recovery process waits until the token reaches the
 dead node -- by the predecessor's normal hand-off, or immediately when
 the dead rank held the lock -- then forwards it to the successor or
 retires it by CAS-ing the tail back to empty.  Token conservation holds
-by construction and adjacent dead ranks chain naturally.
+by construction and adjacent dead ranks chain naturally.  Where the dead
+rank stood is read from the notes ``McsLock``'s own AMOs leave at
+delivery (``on_applied`` again); the lock runs one protocol body on
+every fabric.
 
 **Epoch fault containment.**  Fence and collective window free run their
 barrier in a child process raced against the rank's failure-notification
@@ -55,7 +59,6 @@ from repro.sim.kernel import AnyOf
 
 __all__ = [
     "RevocationLedger",
-    "lock_amo",
     "install",
     "ranks_on_node",
     "fail_acquire",
@@ -69,7 +72,7 @@ __all__ = [
 class RevocationLedger:
     """Net lock-word contributions per ``(window, word, origin)``.
 
-    ``record`` is called from inside delivery-time mutate closures, so the
+    ``record`` is called from the lock AMOs' delivery callbacks, so the
     ledger always reflects exactly the mutations that took effect at the
     target -- never the origin's possibly-stale view.
     """
@@ -108,38 +111,6 @@ class RevocationLedger:
             if key[3] in failed:
                 out.append(key + (self._net.pop(key),))
         return out
-
-
-def lock_amo(win, target: int, idx: int, op: str, operand: int,
-             operand2: int = 0, blocking: bool = True):
-    """Ledger-aware twin of ``locks._amo``: the lock-word mutation and its
-    ledger record execute atomically at delivery time, so contributions
-    from origins that die mid-flight are never lost or double-counted."""
-    ctx = win.ctx
-    ledger = ctx.lock_ledger
-    cells = win.ctrl_refs[target]
-    origin = ctx.rank
-    win_id = win.win_id
-
-    def mutate():
-        if op == "cas":
-            old = cells.cas(idx, operand, operand2)
-            if old == operand:
-                ledger.record(win_id, target, idx, origin,
-                              operand2 - operand)
-        else:
-            old = cells.apply(idx, op, operand)
-            if op == "add":
-                ledger.record(win_id, target, idx, origin, operand)
-        return old
-
-    if ctx.same_node(target):
-        return (yield from ctx.xpmem.amo_custom(mutate))
-    if blocking:
-        handle = yield from ctx.dmapp.amo_custom_nbi(target, mutate)
-        return (yield from ctx.dmapp.wait(handle))
-    yield from ctx.dmapp.amo_custom_nbi(target, mutate)
-    return None
 
 
 # ----------------------------------------------------------------------

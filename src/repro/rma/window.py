@@ -108,11 +108,6 @@ class Window:
         self.lock_state = locks_mod.LockState()
         self.pscw_state = pscw_mod.PscwState()
         self.dyn = None                          # DynamicState for DYNAMIC
-
-        # Introspection for tests/benches:
-        self.op_counts = {"put": 0, "get": 0, "accumulate": 0,
-                          "get_accumulate": 0, "fetch_and_op": 0,
-                          "compare_and_swap": 0, "flush": 0}
         self.freed = False
 
     # ------------------------------------------------------------------
@@ -170,7 +165,6 @@ class Window:
         target displacement is in units of the window's ``disp_unit``."""
         self._check_alive()
         epoch_rules.require_access(self, target)
-        self.op_counts["put"] += 1
         ctx = self.ctx
         if self._put_ns is not None:
             yield ctx.env.timeout(self._put_ns)
@@ -217,7 +211,6 @@ class Window:
         the DMAPP path, immediately for XPMEM)."""
         self._check_alive()
         epoch_rules.require_access(self, target)
-        self.op_counts["get"] += 1
         ctx = self.ctx
         if self._get_ns is not None:
             yield ctx.env.timeout(self._get_ns)
@@ -286,7 +279,6 @@ class Window:
                    op: Op = Op.SUM, *, element_bytes: int | None = None):
         self._check_alive()
         epoch_rules.require_access(self, target)
-        self.op_counts["accumulate"] += 1
         if self.ctx.checker is not None:
             self._note_atomic("acc", target, target_disp, op, data)
         return (yield from acc_mod.accumulate(self, data, target,
@@ -306,7 +298,6 @@ class Window:
         with ``Op.NO_OP`` this is MPI-3's atomic read."""
         self._check_alive()
         epoch_rules.require_access(self, target)
-        self.op_counts["get_accumulate"] += 1
         if self.ctx.checker is not None:
             self._note_atomic("get_acc", target, target_disp, op, data)
         old = yield from acc_mod.accumulate(self, data, target, target_disp,
@@ -320,7 +311,6 @@ class Window:
         """Single-element fetching atomic (fine-grained completion)."""
         self._check_alive()
         epoch_rules.require_access(self, target)
-        self.op_counts["fetch_and_op"] += 1
         if self.ctx.checker is not None:
             self._note_atomic("fao", target, target_disp, op, value)
         old = yield from acc_mod.fetch_and_op(self, value, target,
@@ -333,7 +323,6 @@ class Window:
         """8-byte CAS; returns the old value."""
         self._check_alive()
         epoch_rules.require_access(self, target)
-        self.op_counts["compare_and_swap"] += 1
         ck = self.ctx.checker
         if ck is not None:
             toff = target_disp * self.disp_unit
@@ -403,7 +392,6 @@ class Window:
         """
         self._check_alive()
         epoch_rules.require_flush(self)
-        self.op_counts["flush"] += 1
         ctx = self.ctx
         env = ctx.env
         ctx.note_api("win.flush(target=%s)", target)
@@ -429,7 +417,6 @@ class Window:
     def flush_local(self, target: int | None = None):
         """Local completion only: origin buffers reusable."""
         self._check_alive()
-        self.op_counts["flush"] += 1
         if self._flush_ns is not None:
             yield self.ctx.env.timeout(self._flush_ns)
 

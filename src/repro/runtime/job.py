@@ -2,16 +2,13 @@
 
 Every :meth:`Job.run` builds a fresh :class:`~repro.runtime.world.World`,
 so runs are independent and deterministic -- which also makes benchmark
-points embarrassingly parallel.  :class:`RunSpec` packages one complete
-run (program + configs + arguments) as a picklable value so
-:mod:`repro.bench.pool` can ship it to worker processes, and
-:meth:`Job.snapshot` exposes the full config state for content-addressed
-cache keys (:mod:`repro.bench.cache`).
+points embarrassingly parallel: :mod:`repro.bench.pool` ships picklable
+``BenchPoint`` values (a driver function and its arguments) to worker
+processes, and :mod:`repro.bench.cache` keys on those arguments.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,7 +25,7 @@ from repro.mpi1.params import Mpi1Params
 from repro.runtime.process import RankContext
 from repro.runtime.world import World
 
-__all__ = ["Job", "RunSpec", "execute_spec", "run_spmd"]
+__all__ = ["Job", "run_spmd"]
 
 
 @dataclass
@@ -58,44 +55,6 @@ class Job:
         """Run ``program(ctx, *args, **kwargs)`` on every rank."""
         world = self.build_world()
         return run_on_world(world, program, *args, **kwargs)
-
-    def snapshot(self) -> dict:
-        """Canonical nested-dict view of every config knob (incl. the
-        master seed) -- the "full config snapshot" of a cache key."""
-        snap = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            snap[f.name] = (dataclasses.asdict(value)
-                            if dataclasses.is_dataclass(value)
-                            and not isinstance(value, type) else value)
-        return snap
-
-    def spec(self, program: Callable, *args, **kwargs) -> "RunSpec":
-        """Bind a program to this configuration as a picklable RunSpec."""
-        return RunSpec(program=program, job=self, args=tuple(args),
-                       kwargs=dict(kwargs))
-
-
-@dataclass
-class RunSpec:
-    """One complete SPMD run as a value: pickle it, ship it, run it.
-
-    ``program`` must be a module-level callable for the parallel path;
-    everything else (configs, arguments) is plain data.
-    """
-
-    program: Callable
-    job: Job
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-
-    def run(self) -> RunResult:
-        return self.job.run(self.program, *self.args, **self.kwargs)
-
-
-def execute_spec(spec: RunSpec) -> RunResult:
-    """Pool-worker entry point (module-level so it pickles)."""
-    return spec.run()
 
 
 def _crash_reaper(world, procs):

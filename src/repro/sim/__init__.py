@@ -15,7 +15,6 @@ from repro.sim.kernel import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Resource, Store
 from repro.sim.trace import Tracer
 
 __all__ = [
@@ -26,7 +25,5 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Interrupt",
-    "Resource",
-    "Store",
     "Tracer",
 ]

@@ -1,61 +1,15 @@
-"""Resources for the DES kernel: FIFO mutex-style resources and stores.
+"""Timed serialization for the DES kernel.
 
-The network layer models NIC serialization with :class:`Resource` and the
-MPI-1 baseline uses :class:`Store` for its software mailboxes.  Both follow
-strict FIFO service order, which keeps runs deterministic.
+The network layer models every NIC serialization point (injection,
+ejection, the AMO engine) with a :class:`BusyChannel`: a busy-until time,
+no queue and no events.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Generator
+from repro.sim.kernel import Environment
 
-from repro.errors import SimulationError
-from repro.sim.kernel import Environment, Event, URGENT
-
-__all__ = ["Resource", "Store", "BusyChannel"]
-
-
-class Resource:
-    """Counted resource with FIFO queueing.
-
-    Usage (inside a process)::
-
-        req = resource.request()
-        yield req
-        ...  # hold
-        resource.release()
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError("Resource capacity must be >= 1")
-        self.env = env
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: deque[Event] = deque()
-
-    def request(self) -> Event:
-        ev = self.env.event(name="resource-grant")
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed(priority=URGENT)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError("release() without matching request()")
-        if self._waiters:
-            ev = self._waiters.popleft()
-            ev.succeed(priority=URGENT)
-        else:
-            self.in_use -= 1
-
-    def held(self) -> Generator:
-        """Context-manager-style helper: ``yield from res.held()`` acquires."""
-        yield self.request()
+__all__ = ["BusyChannel"]
 
 
 class BusyChannel:
@@ -91,36 +45,3 @@ class BusyChannel:
         if self.env.now == 0:
             return 0.0
         return min(1.0, self.total_busy / self.env.now)
-
-
-class Store:
-    """Unbounded FIFO store of items with blocking ``get``.
-
-    ``put`` never blocks (the simulated buffers that need bounding enforce
-    it at the protocol layer, as the paper's bufferless protocols do).
-    """
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item, priority=URGENT)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = self.env.event(name="store-get")
-        if self._items:
-            ev.succeed(self._items.popleft(), priority=URGENT)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def peek_all(self) -> list:
-        return list(self._items)

@@ -97,20 +97,27 @@ class XpmemEndpoint:
 
     # -- CPU atomics -------------------------------------------------------
     def amo(self, cells: AtomicArray, idx: int, op: str, operand: int,
-            operand2: int = 0):
-        """lock-prefixed CPU atomic on (possibly remote-on-node) cells."""
+            operand2: int = 0, on_applied=None):
+        """lock-prefixed CPU atomic on (possibly remote-on-node) cells.
+        ``on_applied(old)`` runs with the effect, like ``dmapp.amo_nbi``'s."""
         yield self.env.timeout(self._amo_latency_int)
         if self.counters is not None:
             self.counters.count_issue(self.rank, f"cpu-amo:{op}", 8)
         if op == "cas":
-            return cells.cas(idx, operand, operand2)
-        return cells.apply(idx, op, operand)
+            old = cells.cas(idx, operand, operand2)
+        else:
+            old = cells.apply(idx, op, operand)
+        if on_applied is not None:
+            on_applied(old)
+        return old
 
     def amo_custom(self, mutate):
         """CPU atomic with a caller-supplied read-modify-write.  Like the
         NIC-side ``amo_custom_nbi``, the closure runs atomically at its
-        effect time, so bookkeeping chained into ``mutate`` (the recovery
-        ledger) can never observe a half-applied op."""
+        effect time, so bookkeeping chained into ``mutate`` can never
+        observe a half-applied op.  No caller in ``src/`` since the lock
+        ledger became an ``on_applied`` record; ``perfbench/layers.py``
+        binds the name."""
         yield self.env.timeout(self._amo_latency_int)
         if self.counters is not None:
             self.counters.count_issue(self.rank, "cpu-amo:custom", 8)

@@ -1,9 +1,11 @@
-"""Network engine: packet timing, channel separation, contention."""
+"""Network engine: packet timing, channel separation, contention, and
+what a fault injector adds to one transmission."""
 
 import pytest
 
-from repro.config import FaultConfig, FaultPlan
-from repro.faults import FaultInjector
+from repro.config import FaultConfig, FaultPlan, NicStall, NodeCrash
+from repro.errors import DeadlineError
+from repro.faults import FaultInjector, PacketFate
 from repro.machine.network import Network
 from repro.machine.params import GeminiParams
 from repro.machine.topology import RankMap, Torus3D
@@ -18,35 +20,46 @@ def _net(nnodes=4, params=None, injector=None):
                         injector=injector)
 
 
+def _injector(plan=None, **config):
+    config = FaultConfig(plan=plan or FaultPlan(), retry_jitter_ns=0,
+                         **config)
+    return FaultInjector(config.plan, config, seed=1)
+
+
+def _fabrics(**kw):
+    """``(env, net)`` on a clean fabric, then under an injector whose plan
+    loses nothing: the timing tests below hold on both, because `packet`
+    is one body that a clean fabric merely leaves earlier."""
+    yield _net(**kw)
+    yield _net(injector=_injector(), **kw)
+
+
 def test_packet_delivery_time_uncontended():
-    env, net = _net()
-    p = net.params
-    t, ev = net.packet(0, 1, 8)
-    expected = (max(p.nic_packet_gap, 8 * p.gap_per_byte)
-                + p.nic_latency + p.wire_latency(1))
-    assert abs(t - expected) <= max(p.o_eject, 2)+ p.o_eject
-    env.run(until=ev)
-    assert ev.triggered
+    for env, net in _fabrics():
+        p = net.params
+        t, ev = net.packet(0, 1, 8)
+        expected = (max(p.nic_packet_gap, 8 * p.gap_per_byte)
+                    + p.nic_latency + p.wire_latency(1))
+        assert abs(t - expected) <= max(p.o_eject, 2) + p.o_eject
+        env.run(until=ev)
+        assert ev.triggered
 
 
 def test_packet_bandwidth_paid_once():
     """Cut-through: a large packet's latency has ONE bandwidth term."""
-    env, net = _net()
-    p = net.params
-    n = 1 << 20
-    t, _ = net.packet(0, 1, n)
-    one_bw = n * p.gap_per_byte
-    assert t < one_bw * 1.2 + 2000
-    assert t > one_bw
+    for env, net in _fabrics():
+        p = net.params
+        n = 1 << 20
+        t, _ = net.packet(0, 1, n)
+        one_bw = n * p.gap_per_byte
+        assert t < one_bw * 1.2 + 2000
+        assert t > one_bw
 
 
 def test_on_deliver_runs_at_delivery_time():
     """``on_deliver`` is the delivery event's own callback: it gets the
-    event, whose value is the delivery time, at that time -- on the clean
-    fabric and on the faulty twin (an injector that loses nothing)."""
-    config = FaultConfig(plan=FaultPlan())
-    for injector in (None, FaultInjector(config.plan, config, seed=1)):
-        env, net = _net(injector=injector)
+    event, whose value is the delivery time, at that time."""
+    for env, net in _fabrics():
         seen = []
         t, ev = net.packet(0, 2, 64,
                            on_deliver=lambda event: seen.append(
@@ -57,36 +70,36 @@ def test_on_deliver_runs_at_delivery_time():
 
 def test_ejection_contention_serializes():
     """Two senders to one target: second delivery queues behind first."""
-    env, net = _net()
-    t1, _ = net.packet(1, 0, 4096)
-    t2, _ = net.packet(2, 0, 4096)
-    assert t2 > t1
-    assert t2 - t1 >= 4096 * net.params.gap_per_byte * 0.9
+    for env, net in _fabrics():
+        t1, _ = net.packet(1, 0, 4096)
+        t2, _ = net.packet(2, 0, 4096)
+        assert t2 > t1
+        assert t2 - t1 >= 4096 * net.params.gap_per_byte * 0.9
 
 
 def test_amo_engine_separate_from_ejection():
-    env, net = _net()
-    t_data, _ = net.packet(1, 0, 1 << 16)
-    t_amo, _ = net.packet(2, 0, 16, is_amo=True)
-    # the AMO is not delayed by the bulk packet's ejection occupancy
-    assert t_amo < t_data
+    for env, net in _fabrics():
+        t_data, _ = net.packet(1, 0, 1 << 16)
+        t_amo, _ = net.packet(2, 0, 16, is_amo=True)
+        # the AMO is not delayed by the bulk packet's ejection occupancy
+        assert t_amo < t_data
 
 
 def test_fma_bte_channel_split():
     """Small packets do not queue behind bulk ones at injection."""
-    env, net = _net()
-    for _ in range(4):
-        net.packet(0, 1, 512 * 1024)  # saturate BTE
-    t_small, _ = net.packet(0, 1, 16)  # FMA path
-    p = net.params
-    assert t_small < p.nic_latency + p.wire_latency(1) + 500
+    for env, net in _fabrics():
+        for _ in range(4):
+            net.packet(0, 1, 512 * 1024)  # saturate BTE
+        t_small, _ = net.packet(0, 1, 16)  # FMA path
+        p = net.params
+        assert t_small < p.nic_latency + p.wire_latency(1) + 500
 
 
 def test_bulk_queues_on_bte():
-    env, net = _net()
-    t1, _ = net.packet(0, 1, 512 * 1024)
-    t2, _ = net.packet(0, 1, 512 * 1024)
-    assert t2 >= t1 + 512 * 1024 * net.params.gap_per_byte * 0.9
+    for env, net in _fabrics():
+        t1, _ = net.packet(0, 1, 512 * 1024)
+        t2, _ = net.packet(0, 1, 512 * 1024)
+        assert t2 >= t1 + 512 * 1024 * net.params.gap_per_byte * 0.9
 
 
 def test_injection_admit_fifo():
@@ -108,9 +121,7 @@ def test_small_ops_never_fifo_blocked():
 
 
 def test_noise_deterministic():
-    p = GeminiParams().with_noise(200.0)
-    env1, net1 = _net(params=p)
-    env2, net2 = _net(params=p)
+    (_, net1), (_, net2) = _fabrics(params=GeminiParams().with_noise(200.0))
     t1 = [net1.packet(0, 1, 8)[0] for _ in range(20)]
     t2 = [net2.packet(0, 1, 8)[0] for _ in range(20)]
     assert t1 == t2
@@ -142,3 +153,70 @@ def test_nic_utilization_tracking():
     net.packet(0, 1, 1 << 16)
     assert net.nic(0).bte.total_busy > 0
     assert net.nic(1).eject_bte.total_busy > 0
+
+
+# ---------------------------------------------------------------------------
+# what the injector adds to a transmission
+# ---------------------------------------------------------------------------
+def _injection_ns(net, nbytes):
+    p = net.params
+    return int(round(max(p.nic_packet_gap, nbytes * p.gap_per_byte)))
+
+
+def test_dropped_reliable_packet_redelivers_after_deadline_and_backoff():
+    """Link-level recovery: the retransmission is injected no earlier than
+    the first attempt's ``inject_end + op_deadline_ns + backoff``, and from
+    there on it is an ordinary packet."""
+    inj = _injector()
+    env, net = _net(injector=inj)
+    seen = []
+    t, ev = net.packet(0, 1, 64, fate=PacketFate(drop=True), reliable=True,
+                       on_deliver=lambda event: seen.append(env.now))
+    floor = (_injection_ns(net, 64) + inj.config.op_deadline_ns
+             + inj.config.retry_backoff_base_ns)
+    _, ref = _net()
+    t_ref, _ = ref.packet(
+        0, 1, 64, inject_window=ref.occupy_injection(0, 64, earliest=floor))
+    assert (t, ev.name, inj.stats.retransmits) == (t_ref, "packet-deliver", 1)
+    env.run()
+    assert seen == [t]
+
+
+def test_destination_stall_delays_service_not_injection():
+    plan = FaultPlan(stalls=(NicStall(node=1, start_ns=0,
+                                      duration_ns=50_000),))
+    inj = _injector(plan)
+    env, net = _net(injector=inj)
+    t, ev = net.packet(0, 1, 64)
+    assert net.nic(0).fma.busy_until == _injection_ns(net, 64)
+    assert t == 50_000 + int(round(net.params.o_eject))
+    assert (ev.name, inj.stats.stall_waits) == ("packet-deliver", 1)
+
+
+@pytest.mark.parametrize("reliable", [False, True])
+def test_packet_to_node_dead_by_arrival_is_lost(reliable):
+    """Alive at injection, dead by arrival: no effect, no retransmission
+    (a reliable link gives up on a dead end without a DeadlineError)."""
+    inj = _injector(FaultPlan(crashes=(NodeCrash(node=1, time_ns=100),)))
+    env, net = _net(injector=inj)
+    seen = []
+    t, ev = net.packet(0, 1, 64, reliable=reliable, on_deliver=seen.append)
+    assert t > 100 and ev.name == "packet-lost"
+    env.run()
+    assert (env.now, seen, inj.stats.retransmits) == (t, [], 0)
+
+
+def test_retry_budget_exhaustion_raises_at_last_attempts_time():
+    inj = _injector(FaultPlan(drop_prob=1.0), max_retries=2)
+    env, net = _net(injector=inj)
+    t, ev = net.packet(0, 1, 64, reliable=True)
+    # Three injections, two ack deadlines, backoff 500 then 1000 ns.
+    last_end = (3 * _injection_ns(net, 64) + 2 * inj.config.op_deadline_ns
+                + 500 + 1000)
+    p = net.params
+    assert t == int(round(last_end + p.wire_latency(1) + p.nic_latency))
+    assert (ev.name, inj.stats.retransmits,
+            inj.stats.deadline_failures) == ("packet-lost", 2, 1)
+    with pytest.raises(DeadlineError) as exc:
+        env.run()
+    assert (env.now, exc.value.attempts) == (t, 3)

@@ -4,14 +4,14 @@ Two contracts from DESIGN.md section 8:
 
 * the simulator's schedule is pinned, not A/B'd: the four demo workloads,
   a faulty (drop/corrupt/delay) run, the same plan plus a NIC stall over
-  every transport op kind, a fail-stop crash run, a small hashtable run
-  and every data call on every window flavour reproduce committed
-  ``(sim_time_ns, events_processed, returns)`` tuples.  All but the
-  stalled and the flavour pins were captured while the pure-heap scheduler
-  and batched link delivery still existed and were identical under every
-  scheduler/batching combination (the hashtable point is the one where
-  batches formed, so it pins times, returns and table contents but not
-  the event count);
+  every transport op kind, a fail-stop crash run, a small hashtable run,
+  every data call on every window flavour and a contended MCS lock
+  reproduce committed ``(sim_time_ns, events_processed, returns)`` tuples.
+  All but the stalled, flavour and MCS pins were captured while the
+  pure-heap scheduler and batched link delivery still existed and were
+  identical under every scheduler/batching combination (the hashtable
+  point is the one where batches formed, so it pins times, returns and
+  table contents but not the event count);
 * same-tick events drain in ``(priority, seq)`` FIFO order across the
   front-slot/heap boundary, including urgent events scheduled while the
   tick is already draining -- on the fast loop and on the step loop.
@@ -33,6 +33,7 @@ from repro.config import (
 )
 from repro.obs.workloads import WORKLOADS
 from repro.rma.enums import Op
+from repro.rma.mcs import McsLock
 from repro.runtime.job import run_spmd
 from repro.sim.kernel import NORMAL, URGENT
 from tests.conftest import make_env
@@ -109,6 +110,26 @@ GOLDEN_FLAVOURS = {
          [2504857677, 2504857677, 3647109043, 2504857677]]),
 }
 
+#: ``_mcs_rounds`` (8 ranks x 4 acquire / 300 ns / release rounds on one
+#: MCS lock), default seed, by ranks per node: (sim_time_ns,
+#: events_processed, messages), per-rank acquire instants, per-rank
+#: ``remote_ops``.  Captured while McsLock still had a plain and a guarded
+#: body; 4 per node mixes CPU and NIC atomics on the same queue words.
+GOLDEN_MCS = {
+    1: ((81230, 756, 171),
+        [[10937, 11327, 11717, 12107], [26300, 41784, 57268, 72752],
+         [17452, 32936, 48420, 63904], [19648, 35132, 50616, 66100],
+         [13018, 30724, 46208, 61692], [21860, 37344, 52828, 68312],
+         [24072, 39556, 55040, 70524], [28512, 43996, 59480, 74964]],
+        [8, 12, 12, 12, 12, 12, 12, 12]),
+    4: ((40544, 704, 178),
+        [[9755, 11135, 18634, 25096], [10100, 11480, 18979, 25441],
+         [9065, 10445, 11825, 19324], [9410, 10790, 18289, 24751],
+         [15058, 21520, 27879, 31481], [16093, 22555, 28914, 34738],
+         [15403, 21865, 28224, 31826], [15748, 22210, 28569, 32171]],
+        [12, 13, 12, 12, 12, 13, 12, 13]),
+}
+
 
 def _acc_ring(ctx):
     """accumulate + atomic read of four uint64 on the right neighbour."""
@@ -181,6 +202,21 @@ def _flavour_mix(ctx):
     return out
 
 
+def _mcs_rounds(ctx):
+    """Every rank takes one MCS lock four times: tail swaps, next-pointer
+    publications, local spins, tail CASes and hand-offs all contend."""
+    win = yield from ctx.rma.win_allocate(64)
+    lock = McsLock(win)
+    acquired = []
+    for _ in range(4):
+        yield from lock.acquire()
+        acquired.append(ctx.now)
+        yield ctx.env.timeout(300)
+        yield from lock.release()
+    yield from ctx.coll.barrier()
+    return acquired, lock.remote_ops
+
+
 _LOCAL = {"acc_ring": _acc_ring, "flavour_mix": _flavour_mix}
 
 
@@ -250,6 +286,16 @@ def test_window_flavours_reproduce_golden_pins(rpn):
     res = _run("flavour_mix", rpn=rpn)
     assert (res.sim_time_ns, res.events_processed,
             res.returns) == GOLDEN_FLAVOURS[rpn]
+
+
+@pytest.mark.parametrize("rpn", sorted(GOLDEN_MCS))
+def test_mcs_rounds_reproduce_golden_pins(rpn):
+    """The clean-fabric MCS wire protocol: who queues behind whom, when
+    each hand-off lands and how many remote atomics each rank issued."""
+    res = run_spmd(_mcs_rounds, 8, machine=MachineConfig(ranks_per_node=rpn))
+    assert ((res.sim_time_ns, res.events_processed, res.stats["messages"]),
+            [r[0] for r in res.returns],
+            [r[1] for r in res.returns]) == GOLDEN_MCS[rpn]
 
 
 def _crash_prog(ctx):

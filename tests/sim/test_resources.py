@@ -1,55 +1,8 @@
-"""Resource, BusyChannel, Store."""
+"""BusyChannel."""
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.kernel import Environment
-from repro.sim.resources import BusyChannel, Resource, Store
-
-
-def test_resource_fifo_order(env):
-    res = Resource(env, capacity=1)
-    order = []
-
-    def user(i, hold):
-        req = res.request()
-        yield req
-        order.append(("acq", i, env.now))
-        yield env.timeout(hold)
-        res.release()
-
-    for i in range(3):
-        env.process(user(i, 10))
-    env.run()
-    assert order == [("acq", 0, 0), ("acq", 1, 10), ("acq", 2, 20)]
-
-
-def test_resource_capacity_two(env):
-    res = Resource(env, capacity=2)
-    acquired = []
-
-    def user(i):
-        yield res.request()
-        acquired.append((i, env.now))
-        yield env.timeout(5)
-        res.release()
-
-    for i in range(4):
-        env.process(user(i))
-    env.run()
-    times = [t for _i, t in acquired]
-    assert times == [0, 0, 5, 5]
-
-
-def test_resource_release_without_request(env):
-    res = Resource(env)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_bad_capacity(env):
-    with pytest.raises(SimulationError):
-        Resource(env, capacity=0)
+from repro.sim.resources import BusyChannel
 
 
 def test_busy_channel_serializes(env):
@@ -80,44 +33,3 @@ def test_busy_channel_utilization(env):
     env.process(prog())
     env.run()
     assert ch.utilization() == pytest.approx(0.5)
-
-
-def test_store_fifo(env):
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    got = []
-
-    def consumer():
-        got.append((yield store.get()))
-        got.append((yield store.get()))
-
-    env.process(consumer())
-    env.run()
-    assert got == ["a", "b"]
-    assert len(store) == 0
-
-
-def test_store_blocking_get(env):
-    store = Store(env)
-    got = {}
-
-    def consumer():
-        got["v"] = yield store.get()
-        got["t"] = env.now
-
-    def producer():
-        yield env.timeout(25)
-        store.put(99)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == {"v": 99, "t": 25}
-
-
-def test_store_peek(env):
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    assert store.peek_all() == [1, 2]

@@ -1,0 +1,30 @@
+"""The benchmark binds the program by name; hold those names in tier-1.
+
+``perfbench/layers.py`` wraps the generator methods listed in its
+``_BOUNDARIES`` table (looked up with ``inspect.getattr_static``) and
+counts ``Network.packet`` calls through a ``(src, dst, nbytes, **kw)``
+wrapper.  A rename, or a method that stops being a generator function,
+breaks ``perfbench/run.py --trace 1`` -- which only the pipeline runs, and
+which a non-benchmark PR may not edit to follow.
+"""
+
+import inspect
+
+import pytest
+
+from perfbench.layers import _BOUNDARIES, _resolve
+from repro.machine.network import Network
+
+
+@pytest.mark.parametrize("path,attr", [
+    (path, attr) for path, names, *_ in _BOUNDARIES for attr in names])
+def test_traced_boundary_is_a_generator_method(path, attr):
+    assert inspect.isgeneratorfunction(
+        inspect.getattr_static(_resolve(path), attr))
+
+
+def test_packet_takes_nodes_and_bytes_then_keywords():
+    params = list(inspect.signature(Network.packet).parameters.values())
+    assert [p.name for p in params[:4]] == [
+        "self", "src_node", "dst_node", "nbytes"]
+    assert all(p.kind is p.KEYWORD_ONLY for p in params[4:])

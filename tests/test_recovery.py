@@ -147,6 +147,40 @@ def test_revocation_disabled_fails_pending_acquire():
     assert res.stats["recovery"]["acquisitions_failed"] >= 1
 
 
+def _lock_mix_program(ctx):
+    win = yield from ctx.rma.win_allocate(256)
+    if ctx.rank == 3:
+        yield from win.lock(0, LockType.EXCLUSIVE)
+        yield ctx.env.timeout(10_000_000)  # crashes while holding
+    else:
+        yield ctx.env.timeout(10_000 + 2_000 * ctx.rank)
+        yield from win.lock(0, LockType.EXCLUSIVE if ctx.rank % 2
+                            else LockType.SHARED)
+        yield ctx.env.timeout(500)
+    yield from win.unlock(0)
+    return ("ok", ctx.rank)
+
+
+@pytest.mark.parametrize("rpn,pin", [
+    (1, (10_015_502, 436, 100, 2)),
+    (2, (10_014_108, 405, 101, 2)),
+])
+def test_lock_holder_crash_schedule_pinned(rpn, pin):
+    """Rank 3 dies holding rank 0's exclusive lock while shared and
+    exclusive waiters (CPU and NIC atomics at two ranks per node, where
+    rank 2 dies too, mid-spin) retry against it: every lock-word AMO is a
+    ledger record, so ``(sim_time_ns, events_processed, messages,
+    locks_revoked)`` pins that recording changes no schedule.  Captured
+    while the ledger reissued each AMO as a chained ``amo:custom``."""
+    res = run_spmd(_lock_mix_program, 6,
+                   machine=MachineConfig(ranks_per_node=rpn),
+                   faults=crash_plan((3 // rpn, 50_000)))
+    assert [r for r in range(6) if res.returns[r] == ("ok", r)] == \
+        [r for r in range(6) if r // rpn != 3 // rpn]
+    assert (res.sim_time_ns, res.events_processed, res.stats["messages"],
+            res.stats["recovery"]["locks_revoked"]) == pin
+
+
 # ---------------------------------------------------------------------------
 # MCS queue splicing (zombie forwarders)
 # ---------------------------------------------------------------------------
@@ -185,6 +219,12 @@ def _mcs_victim_program(ctx, victim):
     return ("ok", ctx.rank)
 
 
+#: End of each ``test_mcs_crash_roles`` run by victim, captured while
+#: McsLock had a separate guarded body (chained AMOs, blocking peer
+#: writes); the one-body lock keeps it, and the 28 messages.
+MCS_CRASH_SIM_TIME_NS = {0: 10_007_269, 1: 133_367, 2: 133_367, 3: 133_025}
+
+
 @pytest.mark.parametrize("victim,role", [
     (0, "holder"),
     (1, "head waiter"),
@@ -204,6 +244,8 @@ def test_mcs_crash_roles(victim, role):
         else:
             assert res.returns[r] == ("ok", r), f"{role}: rank {r} stuck"
     assert res.stats["recovery"]["queue_splices"] == 1
+    assert (res.sim_time_ns, res.stats["messages"]) == \
+        (MCS_CRASH_SIM_TIME_NS[victim], 28)
 
 
 def test_mcs_adjacent_dead_waiters_chain():
@@ -214,6 +256,61 @@ def test_mcs_adjacent_dead_waiters_chain():
     for r in (0, 1, 4):
         assert res.returns[r] == ("ok", r)
     assert res.stats["recovery"]["queue_splices"] == 2
+    assert (res.sim_time_ns, res.stats["messages"]) == (137_343, 40)
+
+
+def test_mcs_revocation_disabled_fails_the_spin():
+    """With revoke_locks=False no zombie forwards a dead holder's token:
+    the waiter's local spin is raced against the failure notification and
+    ends in a structured error, not a livelock."""
+    faults = FaultConfig(
+        plan=FaultPlan(crashes=(NodeCrash(node=1, time_ns=50_000),)),
+        recovery=RecoveryConfig(revoke_locks=False))
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64)
+        lock = McsLock(win)
+        if ctx.rank == 1:
+            yield from lock.acquire()
+            yield ctx.env.timeout(10_000_000)  # crashes while holding
+        else:
+            yield ctx.env.timeout(20_000)
+            with pytest.raises(RankFailedError) as exc:
+                yield from lock.acquire()
+            assert exc.value.failed_ranks == (1,)
+            return (lock.holding, lock._queued)
+
+    res = run_spmd(program, 2, machine=INTER, faults=faults)
+    assert res.returns[0] == (False, True)
+    rec = res.stats["recovery"]
+    assert (rec["acquisitions_failed"], rec["queue_splices"]) == (1, 0)
+
+
+def test_mcs_hand_off_in_flight_spares_next_turn_notes():
+    """The hand-off AMO is not waited for.  Rank 0 releases to rank 1 and
+    re-enqueues at once (its tail is node-local, so the swap lands before
+    the hand-off does): the late hand-off note must not mark rank 0's new
+    queue node as left, or a crash now would spawn no zombie for it."""
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64)
+        lock = McsLock(win)
+        if ctx.rank == 0:
+            yield from lock.acquire()
+            yield ctx.env.timeout(5_000)   # rank 1 queues up meanwhile
+            yield from lock.release()
+            yield from lock.acquire()
+            yield from lock.release()
+        elif ctx.rank == 1:
+            yield ctx.env.timeout(1_000)
+            yield from lock.acquire()      # resumes at hand-off delivery
+            peer = ctx.world.blackboard[("mcs", win.win_id, lock.base)][0]
+            notes = (peer._queued, peer._pred, peer._handed)
+            yield from lock.release()
+            return notes
+
+    res = run_spmd(program, 3, machine=INTER,
+                   faults=crash_plan((2, 5_000_000)))
+    assert res.returns[1] == (True, 2, False)
 
 
 # ---------------------------------------------------------------------------

@@ -85,14 +85,16 @@ def test_cpu_amo_on_shared_cells():
     job = Job(nranks=4, machine=INTRA)
     world = job.build_world()
     cells = AtomicArray(world.env, 2, name="shared")
+    applied = []    # on_applied: the old value, with each effect
 
     def program(ctx):
-        old = yield from ctx.xpmem.amo(cells, 0, "add", 1)
+        old = yield from ctx.xpmem.amo(cells, 0, "add", 1,
+                                       on_applied=applied.append)
         yield from ctx.coll.barrier()
         return int(old)
 
     res = run_on_world(world, program)
-    assert sorted(res.returns) == [0, 1, 2, 3]
+    assert sorted(res.returns) == applied == [0, 1, 2, 3]
     assert cells.load(0) == 4
 
 
