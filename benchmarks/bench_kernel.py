@@ -2,7 +2,7 @@
 
 Measures the raw event rate of :mod:`repro.sim.kernel`'s fast loop
 (front-slot scheduler, event recycling) on two synthetic workloads and on
-one full-stack run, asserts a generous absolute events/sec floor, then
+two full-stack runs, asserts a generous absolute events/sec floor, then
 writes the machine-readable perf report ``BENCH_simperf.json`` at the
 repository root (the per-figure wall-clock and cache sections are
 appended by ``conftest.py`` at session end, so this file is the report's
@@ -24,6 +24,12 @@ full stack
     4096 fompi put + flush between two nodes on a world built outside the
     timer: ~20 k events of the issue path (``Window`` -> ``dmapp`` ->
     ``machine``), not of world construction.
+mpi1 path
+    200 16-byte allreduces on 64 ranks at 32 per node, world built
+    outside the timer: ~0.46 M events of the two-sided message path
+    (``runtime.collectives`` -> ``mpi1.pt2pt`` -> XPMEM copy or
+    ``machine``) that carries every collective of every run and is the
+    comparator of every application figure.
 """
 
 import json
@@ -31,6 +37,7 @@ import pathlib
 import time
 
 from repro.bench import microbench as mb
+from repro.config import MachineConfig
 from repro.runtime.job import Job, run_on_world
 from repro.sim.kernel import URGENT, Environment
 
@@ -41,6 +48,8 @@ RING_NPROC = 64
 RING_STEPS = 4000          # ~= RING_NPROC * RING_STEPS * 2 events
 PUTGET_N = 30_000
 FULL_STACK_PUTS = 4096     # put + flush each: ~20 k events
+MPI1_RANKS = 64            # at 32 per node: 5 of 6 rounds stay on the node
+MPI1_ALLREDUCES = 200      # 6 rounds x 64 ranks each: ~0.46 M events
 # Best-of rounds: rates jitter a few percent in noisy containers.
 BEST_OF = 5
 
@@ -126,18 +135,26 @@ def _full_stack_program(ctx):
     return ctx.now
 
 
-def _full_stack_rate():
-    """Events/sec of a real fompi put ping (best of N), timed from the
-    first event: the world is built before the clock starts."""
+def _mpi1_path_program(ctx):
+    """The reduction cadence of the MILC solver, without the solver."""
+    total = 0.0
+    for _ in range(MPI1_ALLREDUCES):
+        total = yield from ctx.coll.allreduce(1.0, nbytes=16)
+    return total
+
+
+def _stack_rate(workload, program, nranks, machine):
+    """Events/sec of ``program`` on the whole stack (best of N), timed
+    from the first event: the world is built before the clock starts."""
     best = None
     for _ in range(BEST_OF):
-        world = Job(nranks=2, machine=mb.INTER_2).build_world()
+        world = Job(nranks=nranks, machine=machine).build_world()
         t0 = time.perf_counter()
-        res = run_on_world(world, _full_stack_program)
+        res = run_on_world(world, program)
         wall = time.perf_counter() - t0
         rate = res.events_processed / wall
         if best is None or rate > best["events_per_sec"]:
-            best = {"workload": "full_stack_putget",
+            best = {"workload": workload,
                     "events": res.events_processed,
                     "sim_time_ns": res.sim_time_ns,
                     "events_per_sec": round(rate, 1)}
@@ -158,21 +175,26 @@ def _merge_report(section, payload):
 
 
 def test_kernel_throughput(benchmark):
-    """Kernel event-rate floor on ring, put/get pattern and full stack."""
+    """Kernel event-rate floor on ring and put/get pattern; the RMA issue
+    path and the MPI-1 message path recorded for the perf gate."""
 
     def run():
         return [_bench_workload("ring", _build_ring),
                 _bench_workload("putget_pattern", _build_putget)]
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    full = _full_stack_rate()
-    payload = {"workloads": rows, "full_stack": full,
+    full = _stack_rate("full_stack_putget", _full_stack_program, 2,
+                       mb.INTER_2)
+    mpi1 = _stack_rate("mpi1_allreduce", _mpi1_path_program, MPI1_RANKS,
+                       MachineConfig(ranks_per_node=32))
+    payload = {"workloads": rows, "full_stack": full, "mpi1_path": mpi1,
                "floor_events_per_sec": EVENTS_PER_SEC_FLOOR}
     _merge_report("kernel", payload)
     print()
     for r in rows:
         print(f"{r['workload']:>16}: {r['fast_events_per_sec']:>11,.0f} ev/s")
-    print(f"{full['workload']:>16}: {full['events_per_sec']:>11,.0f} ev/s")
+    for r in (full, mpi1):
+        print(f"{r['workload']:>16}: {r['events_per_sec']:>11,.0f} ev/s")
     for r in rows:
         assert r["fast_events_per_sec"] > EVENTS_PER_SEC_FLOOR, r
     benchmark.extra_info["kernel"] = payload

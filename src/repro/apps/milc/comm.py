@@ -11,9 +11,16 @@ Window layout (bytes): [0..8) monotone notification counter, then eight
 packed send-buffer slots (one per direction).  The counter is never reset;
 after exchange round n every rank waits for ``n * incoming`` -- this
 avoids any reset race without extra synchronization.
+
+Nothing about a rank's halo changes between exchanges, so its geometry
+(per decomposed direction: neighbour rank, face size, send slot, the
+neighbour's opposite slot) is a plan made at construction; an exchange
+loops over the plan and computes no coordinates.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,33 +31,67 @@ __all__ = ["Mpi1Halo", "RmaHalo", "UpcHalo", "DIRECTIONS"]
 
 DIRECTIONS = [(dim, side) for dim in range(4) for side in (-1, +1)]
 _POLL_NS = 400
+#: Per-byte cost of packing a face into a send buffer.  MILC's MPI path
+#: serializes faces just like the UPC/RMA paths do (paper Section 4.4).
+_PACK_NS_PER_BYTE = 0.154
+#: The notification operand (read-only: every in-flight atomic add of
+#: every rank shares it).
+_ONE = np.array([1], np.int64)
+_ONE.flags.writeable = False
 
 
-def _slot_offsets(decomp: LatticeDecomp) -> tuple[dict, int]:
-    """Byte offsets of the 8 send slots (after the 64-byte header)."""
-    offs = {}
-    cur = 64
-    for dim, side in DIRECTIONS:
-        offs[(dim, side)] = cur
-        cur += decomp.face_bytes(dim)
-    return offs, cur
+class _Face(NamedTuple):
+    """One decomposed direction of one rank's halo."""
+
+    dim: int
+    side: int       # -1: low, +1: high
+    peer: int       # the neighbour rank on that side
+    nbytes: int     # packed face size
+    slot: int       # byte offset of my send slot for this face
+    theirs: int     # byte offset of the peer's opposite slot: what I fetch
 
 
 class _HaloBase:
+    """Geometry shared by the three engines, computed once per rank:
+    ``plan`` (a :class:`_Face` per decomposed direction), the dimensions
+    that wrap locally, the window size and the pack charge.  The slots
+    are the window layout above -- all eight, decomposed or not -- which
+    the message-passing engine ignores."""
+
     def __init__(self, ctx, decomp: LatticeDecomp) -> None:
         self.ctx = ctx
         self.decomp = decomp
-        self.rank = ctx.rank
-        self.remote_dirs = [(dim, side) for dim, side in DIRECTIONS
-                            if decomp.pgrid[dim] > 1]
         self.rounds = 0
+        offsets = {}
+        self.win_bytes = 64
+        for dim, side in DIRECTIONS:
+            offsets[dim, side] = self.win_bytes
+            self.win_bytes += decomp.face_bytes(dim)
+        self.plan = [
+            _Face(dim, side, decomp.neighbor(ctx.rank, dim, side),
+                  decomp.face_bytes(dim), offsets[dim, side],
+                  offsets[dim, -side])
+            for dim, side in DIRECTIONS if decomp.pgrid[dim] > 1]
+        self.wrap_dims = [dim for dim in range(4) if decomp.pgrid[dim] == 1]
+        self.pack_ns = sum(f.nbytes for f in self.plan) * _PACK_NS_PER_BYTE
 
     def _local_wrap(self, op, padded) -> None:
         """Periodic wraparound for undecomposed dimensions."""
-        for dim in range(4):
-            if self.decomp.pgrid[dim] == 1:
-                op.set_halo(padded, dim, +1, op.face(padded, dim, -1))
-                op.set_halo(padded, dim, -1, op.face(padded, dim, +1))
+        for dim in self.wrap_dims:
+            op.set_halo(padded, dim, +1, op.face(padded, dim, -1))
+            op.set_halo(padded, dim, -1, op.face(padded, dim, +1))
+
+    def _pack(self, op, padded, view) -> None:
+        """Copy every outgoing face into its send slot of ``view`` (this
+        rank's window bytes; local stores)."""
+        for f in self.plan:
+            view[f.slot:f.slot + f.nbytes] = op.face(
+                padded, f.dim, f.side).view(np.uint8).ravel()
+
+    def _install(self, op, padded, faces) -> None:
+        """Install the fetched faces (raw bytes, in plan order)."""
+        for f, raw in zip(self.plan, faces):
+            op.set_halo(padded, f.dim, f.side, raw.view(np.complex128))
 
 
 class Mpi1Halo(_HaloBase):
@@ -61,44 +102,32 @@ class Mpi1Halo(_HaloBase):
         yield  # pragma: no cover
 
     def exchange(self, op, padded):
-        ctx = self.ctx
+        mpi = self.ctx.mpi
         self._local_wrap(op, padded)
         self.rounds += 1
         tagbase = self.rounds * 16
-        recvs = {}
+        yield from self.ctx.compute(self.pack_ns)
+        # my (dim, side) halo comes from that neighbor's opposite face
+        recvs = [mpi.irecv(f.peer, tag=tagbase + f.dim * 2 + (f.side > 0),
+                           channel="milc")
+                 for f in self.plan]
         sends = []
-        # Pack cost: MILC's MPI path serializes faces into send buffers
-        # just like the UPC/RMA paths do (paper Section 4.4).
-        yield from ctx.compute(
-            sum(self.decomp.face_bytes(d) for d, _ in self.remote_dirs)
-            * 0.154)
-        for dim, side in self.remote_dirs:
-            peer = self.decomp.neighbor(self.rank, dim, side)
-            # my (dim, side) halo comes from that neighbor's opposite face
-            tag = tagbase + dim * 2 + (0 if side < 0 else 1)
-            recvs[(dim, side)] = ctx.mpi.irecv(peer, tag=tag, channel="milc")
-        for dim, side in self.remote_dirs:
-            peer = self.decomp.neighbor(self.rank, dim, side)
+        for f in self.plan:
             # the tag encodes the direction *at the receiver*: my low face
             # fills their high halo
-            tag = tagbase + dim * 2 + (0 if side > 0 else 1)
-            face = op.face(padded, dim, side)
-            r = yield from ctx.mpi.isend(peer, face, tag=tag, channel="milc")
-            sends.append(r)
-        for (dim, side), req in recvs.items():
-            data = yield from req.wait()
-            op.set_halo(padded, dim, side, data)
-        for r in sends:
-            yield from r.wait()
+            sends.append((yield from mpi.isend(
+                f.peer, op.face(padded, f.dim, f.side),
+                tag=tagbase + f.dim * 2 + (f.side < 0), channel="milc")))
+        for f, req in zip(self.plan, recvs):
+            op.set_halo(padded, f.dim, f.side, (yield from req.wait()))
+        for req in sends:
+            yield from req.wait()
 
 
 class RmaHalo(_HaloBase):
     """foMPI get-based exchange with atomic-add notification."""
 
-    def __init__(self, ctx, decomp: LatticeDecomp) -> None:
-        super().__init__(ctx, decomp)
-        self.offsets, self.win_bytes = _slot_offsets(decomp)
-        self.win = None
+    win = None
 
     def setup(self):
         self.win = yield from self.ctx.rma.win_allocate(self.win_bytes)
@@ -110,84 +139,58 @@ class RmaHalo(_HaloBase):
     def exchange(self, op, padded):
         ctx = self.ctx
         win = self.win
+        plan = self.plan
         self._local_wrap(op, padded)
         self.rounds += 1
         # 1. pack all faces into my window's send slots (local stores)
-        view = win.local_view(np.uint8)
-        for dim, side in self.remote_dirs:
-            face = op.face(padded, dim, side)
-            off = self.offsets[(dim, side)]
-            view[off:off + face.nbytes] = face.view(np.uint8).ravel()
-        yield from ctx.compute(
-            sum(self.decomp.face_bytes(d) for d, _ in self.remote_dirs)
-            * 0.154)  # pack memcpy
+        self._pack(op, padded, win.local_view(np.uint8))
+        yield from ctx.compute(self.pack_ns)
         yield from win.sync()
         # 2. notify every neighbor with a separate atomic add
-        for dim, side in self.remote_dirs:
-            peer = self.decomp.neighbor(self.rank, dim, side)
-            yield from win.accumulate(np.array([1], np.int64), peer, 0,
-                                      Op.SUM)
+        for f in plan:
+            yield from win.accumulate(_ONE, f.peer, 0, Op.SUM)
         # 3. wait until all neighbors of this round notified me
-        expected = self.rounds * len(self.remote_dirs)
+        expected = self.rounds * len(plan)
         flag = win.local_view(np.int64)
         while int(flag[0]) < expected:
             yield ctx.env.timeout(_POLL_NS)
         # 4. get each neighbor's opposite face, as late as possible
-        outs = {}
-        for dim, side in self.remote_dirs:
-            peer = self.decomp.neighbor(self.rank, dim, side)
-            nbytes = self.decomp.face_bytes(dim)
-            src_off = self.offsets[(dim, -side)]  # their opposite slot
-            out = np.empty(nbytes, dtype=np.uint8)
-            yield from win.get(out, peer, src_off)
-            outs[(dim, side)] = out
+        faces = []
+        for f in plan:
+            raw = np.empty(f.nbytes, dtype=np.uint8)
+            yield from win.get(raw, f.peer, f.theirs)
+            faces.append(raw)
         yield from win.flush_all()
-        for (dim, side), raw in outs.items():
-            op.set_halo(padded, dim, side, raw.view(np.complex128))
+        self._install(op, padded, faces)
 
 
 class UpcHalo(_HaloBase):
     """The original UPC scheme (aadd + upc_memget_nb + fence)."""
 
-    def __init__(self, ctx, decomp: LatticeDecomp) -> None:
-        super().__init__(ctx, decomp)
-        self.offsets, self.win_bytes = _slot_offsets(decomp)
-        self.arr = None
+    arr = None
 
     def setup(self):
         self.arr = yield from self.ctx.upc.all_alloc(self.win_bytes)
 
     def exchange(self, op, padded):
         ctx = self.ctx
+        upc = ctx.upc
         arr = self.arr
+        plan = self.plan
         self._local_wrap(op, padded)
         self.rounds += 1
-        view = arr.local_view(np.uint8)
-        for dim, side in self.remote_dirs:
-            face = op.face(padded, dim, side)
-            off = self.offsets[(dim, side)]
-            view[off:off + face.nbytes] = face.view(np.uint8).ravel()
-        yield from ctx.compute(
-            sum(self.decomp.face_bytes(d) for d, _ in self.remote_dirs)
-            * 0.154)
-        for dim, side in self.remote_dirs:
-            peer = self.decomp.neighbor(self.rank, dim, side)
-            yield from ctx.upc.aadd_nb(arr, peer, 0, 1)
-        expected = self.rounds * len(self.remote_dirs)
+        self._pack(op, padded, arr.local_view(np.uint8))
+        yield from ctx.compute(self.pack_ns)
+        for f in plan:
+            yield from upc.aadd_nb(arr, f.peer, 0, 1)
+        expected = self.rounds * len(plan)
         flag = arr.local_view(np.int64)
         while int(flag[0]) < expected:
             yield ctx.env.timeout(_POLL_NS)
-        outs = {}
-        handles = []
-        for dim, side in self.remote_dirs:
-            peer = self.decomp.neighbor(self.rank, dim, side)
-            nbytes = self.decomp.face_bytes(dim)
-            out = np.empty(nbytes, dtype=np.uint8)
-            h = yield from ctx.upc.memget_nb(arr, peer,
-                                             self.offsets[(dim, -side)],
-                                             nbytes, out)
-            handles.append(h)
-            outs[(dim, side)] = out
-        yield from ctx.upc.fence()
-        for (dim, side), raw in outs.items():
-            op.set_halo(padded, dim, side, raw.view(np.complex128))
+        faces = []
+        for f in plan:
+            raw = np.empty(f.nbytes, dtype=np.uint8)
+            yield from upc.memget_nb(arr, f.peer, f.theirs, f.nbytes, raw)
+            faces.append(raw)
+        yield from upc.fence()
+        self._install(op, padded, faces)

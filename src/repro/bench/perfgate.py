@@ -57,9 +57,12 @@ def _kernel_rates(report: dict) -> dict[str, float]:
         name, rate = w.get("workload"), w.get("fast_events_per_sec")
         if name is not None and rate is not None:
             rates[f"kernel.{name}"] = float(rate)
-    full = kernel.get("full_stack") or {}
-    if full.get("events_per_sec") is not None:
-        rates["kernel.full_stack"] = float(full["events_per_sec"])
+    # The two whole-stack paths: RMA issue (put + flush) and MPI-1 message
+    # (allreduce).
+    for path in ("full_stack", "mpi1_path"):
+        rate = (kernel.get(path) or {}).get("events_per_sec")
+        if rate is not None:
+            rates[f"kernel.{path}"] = float(rate)
     return rates
 
 

@@ -17,11 +17,21 @@ RDMA usually require different protocols"):
 
 Small-message *intra-node* transfers bypass the NIC and use the XPMEM cost
 model, matching the intra/inter knees in the application figures.
+
+Host cost per message (DESIGN.md section 8, "Issue path"): every CPU
+charge that depends on no message is a whole number of ns made once per
+endpoint; the call site left for deadlock reports is an unformatted
+``(format, *args)`` tuple; a message's arrival handler is the delivery
+event's own callback (``partial(peer._on_arrival, msg)``); and a blocking
+call does not enter ``Request.wait`` for a send that completed at issue.
+``isend``, ``send``, ``issend``, ``recv``, ``mrecv``, ``sendrecv`` and
+``Request.wait`` stay generator functions looked up on the class at every
+call: the benchmark's tracer patches them there.
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -58,24 +68,16 @@ def wire_size(payload: Any) -> int:
     return 64
 
 
-def _freeze(payload: Any) -> Any:
-    """Capture send buffers at issue time (MPI send-buffer semantics)."""
-    if isinstance(payload, np.ndarray):
-        return payload.copy()
-    return payload
-
-
 class Request:
     """Completion handle for isend/irecv."""
 
-    __slots__ = ("endpoint", "kind", "event", "_payload", "_recv_cost", "message")
+    __slots__ = ("endpoint", "event", "_payload", "_recv_cost", "message")
 
-    def __init__(self, endpoint: "Mpi1Endpoint", kind: str) -> None:
+    def __init__(self, endpoint: "Mpi1Endpoint", name: str) -> None:
         self.endpoint = endpoint
-        self.kind = kind
-        self.event = endpoint.env.event(name=f"req-{kind}")
+        self.event = endpoint.env.event(name)
         self._payload: Any = None
-        self._recv_cost = 0
+        self._recv_cost = 0     # set by the match; sends never carry one
         self.message: Message | None = None
 
     def test(self) -> bool:
@@ -86,7 +88,7 @@ class Request:
         """Block until complete; returns the payload for receives."""
         if not self.event.triggered:
             yield self.event
-        if self.kind == "recv" and self._recv_cost:
+        if self._recv_cost:
             cost, self._recv_cost = self._recv_cost, 0
             yield self.endpoint.env.timeout(cost)
         return self._payload
@@ -95,7 +97,6 @@ class Request:
 class Mpi1Endpoint:
     """One rank's two-sided messaging engine."""
 
-    _seq = itertools.count(1)
     # Rollback-recovery runtime (repro.ft), assigned by RankContext for
     # FT runs.  Two-sided traffic is NOT logged/replayed -- messages in a
     # dead rank's unexpected queue die with it -- so FT merely holds
@@ -127,21 +128,24 @@ class Mpi1Endpoint:
         self.network = network
         self.rank_map = rank_map
         self.node = rank_map.node_of(rank)
-        self.params = params or Mpi1Params()
+        self.params = p = params or Mpi1Params()
         self.xpmem = xpmem_params or XpmemParams()
         self.registry = registry if registry is not None else {}
         self.registry[rank] = self
         self.queue = MatchQueue()
+        self._site_key = f"rank{rank}"
+        # Per-message CPU charges that depend on no message: whole ns,
+        # made once (the per-size ones are rounded where they are used).
+        self._o_send = int(round(p.o_send))
+        self._o_issue = int(round(p.o_issue))
+        self._o_inject_issue = int(round(network.params.o_inject + p.o_issue))
+        self._o_recv_match = int(round(p.o_recv_match))
+        self._rndv_handshake = int(round(p.rndv_handshake))
+        self._xpmem_latency = int(round(self.xpmem.latency))
 
     # ------------------------------------------------------------------
     # transport helpers
     # ------------------------------------------------------------------
-    def _peer(self, rank: int) -> "Mpi1Endpoint":
-        try:
-            return self.registry[rank]
-        except KeyError:
-            raise Mpi1Error(f"no such rank {rank}") from None
-
     def _quarantine_check(self, peer_rank: int, op: str) -> None:
         """Fail fast on communication with a crashed node (graceful
         degradation: a structured error instead of a hang)."""
@@ -156,7 +160,8 @@ class Mpi1Endpoint:
                 f"refused (node quarantined)")
 
     def _ship(self, dest: int, nbytes: int, deliver_cb) -> tuple[int, int]:
-        """Move ``nbytes`` to rank ``dest``; run ``deliver_cb(event)`` on arrival.
+        """Move ``nbytes`` to rank ``dest``; ``deliver_cb(event)`` is the
+        delivery event's own callback and runs on arrival.
 
         Returns ``(local_complete, cpu_free)``: when the buffer is
         reusable and until when the sending CPU is busy (descriptor work
@@ -165,32 +170,30 @@ class Mpi1Endpoint:
         intra-node.
         """
         env = self.env
-        p = self.params
+        now = env.now
         dnode = self.rank_map.node_of(dest)
         if dnode == self.node:
             copy = int(round(self.xpmem.store_setup
                              + nbytes * self.xpmem.copy_per_byte))
-            arrival = env.now + copy + int(round(self.xpmem.latency))
-            ev = env.event(name="intra-msg")
+            ev = env.event("intra-msg")
             ev.callbacks.append(deliver_cb)
-            ev.succeed(arrival, delay=arrival - env.now)
+            delay = copy + self._xpmem_latency
+            ev.succeed(now + delay, delay=delay)
             self.network.counters.count_issue(self.rank, "mpi1-intra", nbytes)
-            cpu_free = env.now + copy + int(round(p.o_issue))
+            cpu_free = now + copy + self._o_issue
             return cpu_free, cpu_free
-        total = nbytes + p.header_bytes
+        total = nbytes + self.params.header_bytes
         net = self.network
-        inj_start, inj_end = net.occupy_injection(self.node, total)
+        window = net.occupy_injection(self.node, total)
         # reliable=True enables link-level recovery when a fault injector
         # is installed: the source NIC retransmits lost/corrupted packets
         # with seeded backoff until delivery (a no-op on clean fabrics).
-        net.packet(self.node, dnode, total,
-                   inject_window=(inj_start, inj_end),
+        net.packet(self.node, dnode, total, inject_window=window,
                    on_deliver=deliver_cb, reliable=True)
         net.counters.count_issue(self.rank, "mpi1-inter", nbytes)
+        inj_end = window[1]
         admit = net.injection_admit(self.node, inj_end, total)
-        cpu_free = max(env.now, admit) + int(round(
-            net.params.o_inject + p.o_issue))
-        return inj_end, cpu_free
+        return inj_end, (admit if admit > now else now) + self._o_inject_issue
 
     # ------------------------------------------------------------------
     # sends
@@ -200,57 +203,60 @@ class Mpi1Endpoint:
               sync: bool = False):
         """Nonblocking send; generator returning a :class:`Request`."""
         n = wire_size(payload) if nbytes is None else int(nbytes)
-        if self.ft is None:
-            self._quarantine_check(dest, "send")
-        else:
-            while True:
-                try:
-                    self._quarantine_check(dest, "send")
-                    break
-                except NodeCrashedError as exc:
-                    yield from self.ft.pause_for_restore(self.rank, dest, exc)
-        self.env.api_sites[f"rank{self.rank}"] = (
-            f"mpi.isend(dest={dest}, tag={tag}, {n}B)")
-        req = Request(self, "send")
-        yield self.env.timeout(int(round(self.params.o_send)))
-        data = _freeze(payload)
-        msg = Message(self.rank, channel, tag, data, n, "eager",
-                      seq=next(self._seq))
+        # A crashed peer fails the send at issue; an FT run instead holds
+        # it until the peer is restored, then checks again.
+        while self.network.injector is not None:
+            try:
+                self._quarantine_check(dest, "send")
+                break
+            except NodeCrashedError as exc:
+                if self.ft is None:
+                    raise
+                yield from self.ft.pause_for_restore(self.rank, dest, exc)
+        env = self.env
+        env.api_sites[self._site_key] = (
+            "mpi.isend(dest=%s, tag=%s, %sB)", dest, tag, n)
+        req = Request(self, "req-send")
+        yield env.timeout(self._o_send)
+        # Capture the send buffer at issue time (MPI send-buffer semantics).
+        data = payload.copy() if isinstance(payload, np.ndarray) else payload
+        msg = Message(self.rank, channel, tag, data, n, "eager")
         if self.checker is not None:
             msg.clock = self.checker.msg_send(self.rank)
-        peer = self._peer(dest)
+        try:
+            arrive = partial(self.registry[dest]._on_arrival, msg)
+        except KeyError:
+            raise Mpi1Error(f"no such rank {dest}") from None
 
-        if sync or n > self.params.eager_threshold:
+        eager_threshold = self.params.eager_threshold
+        if sync or n > eager_threshold:
             msg.kind = "rts"
-            msg.sender_state = {
-                "req": req, "sync_eager": sync and n <= self.params.eager_threshold,
+            msg.sender_state = st = {
+                "req": req, "sync_eager": sync and n <= eager_threshold,
                 "endpoint": self, "dest": dest,
             }
-            if msg.sender_state["sync_eager"]:
+            header = self.params.header_bytes
+            if st["sync_eager"]:
                 # payload rides with the RTS; sender completes on match-ack
-                _done, cpu_free = self._ship(
-                    dest, n + self.params.header_bytes,
-                    lambda _t, m=msg, p=peer: p._on_arrival(m))
+                _done, cpu_free = self._ship(dest, n + header, arrive)
             else:
-                msg.sender_state["data"] = data
+                st["data"] = data
                 msg.payload = None  # data moves only after CTS
-                _done, cpu_free = self._ship(
-                    dest, self.params.header_bytes,
-                    lambda _t, m=msg, p=peer: p._on_arrival(m))
+                _done, cpu_free = self._ship(dest, header, arrive)
         else:
-            local_done, cpu_free = self._ship(
-                dest, n, lambda _t, m=msg, p=peer: p._on_arrival(m))
-            req.event.succeed(delay=max(0, local_done - self.env.now))
-        wait = cpu_free - self.env.now
+            local_done, cpu_free = self._ship(dest, n, arrive)
+            req.event.succeed(delay=max(0, local_done - env.now))
+        wait = cpu_free - env.now
         if wait > 0:
-            yield self.env.timeout(wait)
+            yield env.timeout(wait)
         return req
 
     def send(self, dest: int, payload: Any, tag: int = 0,
              channel: str = "user", nbytes: int | None = None):
         """Blocking standard send."""
         req = yield from self.isend(dest, payload, tag, channel, nbytes)
-        yield from req.wait()
+        if not req.event.triggered:     # eager: complete at issue
+            yield from req.wait()
 
     def issend(self, dest: int, payload: Any, tag: int = 0,
                channel: str = "user", nbytes: int | None = None):
@@ -266,8 +272,8 @@ class Mpi1Endpoint:
               channel: str = "user") -> Request:
         """Nonblocking receive (plain function -- posting is instant; the
         matching cost is charged when the request completes)."""
-        req = Request(self, "recv")
-        posted = PostedRecv(src, channel, tag, event=req)
+        req = Request(self, "req-recv")
+        posted = PostedRecv(src, channel, tag, req)
         msg = self.queue.post(posted)
         if msg is not None:
             if msg.kind == "rts":
@@ -275,7 +281,6 @@ class Mpi1Endpoint:
                     self._ack_sync(msg)
                     self._complete_recv(req, msg)
                 else:
-                    posted.event = req
                     self._send_cts_for(msg, posted)
             else:
                 self._complete_recv(req, msg)
@@ -284,12 +289,13 @@ class Mpi1Endpoint:
     def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
              channel: str = "user"):
         """Blocking receive; returns the payload."""
-        self._quarantine_check(src, "recv")
-        self.env.api_sites[f"rank{self.rank}"] = (
-            f"mpi.recv(src={'ANY' if src == ANY_SOURCE else src}, "
-            f"tag={'ANY' if tag == ANY_TAG else tag})")
-        req = self.irecv(src, tag, channel)
-        return (yield from req.wait())
+        if self.network.injector is not None:
+            self._quarantine_check(src, "recv")
+        self.env.api_sites[self._site_key] = (
+            "mpi.recv(src=%s, tag=%s)",
+            "ANY" if src == ANY_SOURCE else src,
+            "ANY" if tag == ANY_TAG else tag)
+        return (yield from self.irecv(src, tag, channel).wait())
 
     def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
                channel: str = "user") -> Message | None:
@@ -312,7 +318,7 @@ class Mpi1Endpoint:
 
     def mrecv(self, msg: Message):
         """Receive a message previously extracted by improbe."""
-        req = Request(self, "recv")
+        req = Request(self, "req-recv")
         if msg.kind == "eager" or msg.payload is not None:
             self._complete_recv(req, msg)
         else:
@@ -322,82 +328,73 @@ class Mpi1Endpoint:
     # ------------------------------------------------------------------
     # engine internals (run from delivery callbacks)
     # ------------------------------------------------------------------
-    def _on_arrival(self, msg: Message) -> None:
+    def _on_arrival(self, msg: Message, _event) -> None:
+        """``partial(peer._on_arrival, msg)`` is the delivery callback of
+        the packet (or intra-node copy) that carries ``msg``."""
         # Every message arrival is forward progress (it happens once per
         # message -- unlike retry loops, it cannot recur in a livelock).
         self.env.note_progress()
         recv = self.queue.arrive(msg)
+        if recv is None:
+            return      # unexpected: handled when a matching recv is posted
         if msg.kind == "rts":
             if msg.sender_state.get("sync_eager"):
-                # ack the match back to the sender when matched
-                if recv is not None:
-                    self._ack_sync(msg)
-                    self._complete_recv(recv.event, msg)
-                # else: acked when a matching recv is posted (in post path)
-            elif recv is not None:
+                # ack the match back to the sender
+                self._ack_sync(msg)
+                self._complete_recv(recv.event, msg)
+            else:
                 self._send_cts_for(msg, recv)
         else:
-            if recv is not None:
-                self._complete_recv(recv.event, msg)
+            self._complete_recv(recv.event, msg)
 
     def _complete_recv(self, req: Request, msg: Message) -> None:
         # A successful match is forward progress for the livelock watchdog.
         self.env.note_progress()
         if self.checker is not None:
             self.checker.msg_recv(self.rank, msg.clock)
-        p = self.params
-        cost = p.o_recv_match
-        if msg.kind == "eager":
-            cost += msg.nbytes * p.eager_copy_per_byte
         req._payload = msg.payload
-        req._recv_cost = int(round(cost))
+        if msg.kind == "eager":
+            p = self.params
+            req._recv_cost = int(round(
+                p.o_recv_match + msg.nbytes * p.eager_copy_per_byte))
+        else:
+            req._recv_cost = self._o_recv_match
         req.message = msg
-        if msg.kind == "rts" and msg.sender_state.get("sync_eager"):
-            pass  # ack handled by caller
         if not req.event.triggered:
             req.event.succeed(msg)
 
     def _ack_sync(self, msg: Message) -> None:
-        st = msg.sender_state
-        sender: Mpi1Endpoint = st["endpoint"]
-        sreq: Request = st["req"]
+        sreq: Request = msg.sender_state["req"]
 
-        def _fire(_t):
+        def _acked(_event) -> None:
             if not sreq.event.triggered:
                 sreq.event.succeed()
 
-        self._ship(sender.rank, 0, lambda t: _fire(t))
+        self._ship(msg.src, 0, _acked)
 
     def _send_cts_for(self, msg: Message, recv: PostedRecv | None = None) -> None:
         """Receiver side of rendezvous: CTS back, then data comes over."""
         st = msg.sender_state
         sender: Mpi1Endpoint = st["endpoint"]
 
-        def _on_cts(_t) -> None:
-            data = st["data"]
+        def _on_data(_event) -> None:
+            msg.payload = st["data"]
+            sreq: Request = st["req"]
+            if not sreq.event.triggered:
+                sreq.event.succeed()
+            target_req = st.get("recv_req") or (recv.event if recv else None)
+            if target_req is not None:
+                self._complete_recv(target_req, msg)
 
-            def _on_data(_t2) -> None:
-                msg.payload = data
-                sreq: Request = st["req"]
-                if not sreq.event.triggered:
-                    sreq.event.succeed()
-                target_req = st.get("recv_req") or (recv.event if recv else None)
-                if target_req is not None:
-                    self._complete_recv(target_req, msg)
-
+        def _on_cts(_event) -> None:
             # The sender NIC moves the data without CPU involvement.
             sender._ship(self.rank, msg.nbytes, _on_data)
 
-        extra = int(round(self.params.rndv_handshake))
-
-        def _delayed_cts(_t) -> None:
-            _on_cts(_t)
-
         # CTS header: receiver -> sender, plus software handshake latency.
-        ev = self.env.event(name="cts-delay")
+        ev = self.env.event("cts-delay")
         ev.callbacks.append(lambda _e: self._ship(
-            sender.rank, self.params.header_bytes, _delayed_cts))
-        ev.succeed(delay=extra)
+            sender.rank, self.params.header_bytes, _on_cts))
+        ev.succeed(delay=self._rndv_handshake)
 
     # ------------------------------------------------------------------
     # convenience
@@ -406,7 +403,7 @@ class Mpi1Endpoint:
                  tag: int = 0, channel: str = "user",
                  nbytes: int | None = None):
         sreq = yield from self.isend(dest, payload, tag, channel, nbytes)
-        rreq = self.irecv(src, tag, channel)
-        got = yield from rreq.wait()
-        yield from sreq.wait()
+        got = yield from self.irecv(src, tag, channel).wait()
+        if not sreq.event.triggered:    # eager: complete at issue
+            yield from sreq.wait()
         return got

@@ -20,7 +20,6 @@ Each call draws a fresh tag from a per-rank counter; MPI's ordering rules
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable
 
 import numpy as np
@@ -34,37 +33,46 @@ def _ceil_log2(p: int) -> int:
     return max(1, (p - 1).bit_length()) if p > 1 else 0
 
 
-def _collective(fn):
-    """Fault-context wrapper: a :class:`FaultError` escaping a collective
-    (a crashed or unreachable peer hit mid-algorithm) is annotated with
-    the collective's name and participant set, so diagnostics name the
-    operation rather than just the underlying point-to-point send.
+class _Call:
+    """One collective call on one rank, as a ``with`` block around the
+    algorithm (so it adds no generator frame to every resume inside it).
 
-    Doubling as the observability hook: every collective call opens one
+    A :class:`FaultError` escaping the block (a crashed or unreachable
+    peer hit mid-algorithm) is annotated with the collective's name and
+    participant set, so diagnostics name the operation rather than just
+    the underlying point-to-point send.
+
+    Doubling as the observability hook: every call that returns opens one
     ``coll.<name>`` span on the calling rank's track (entry to return on
-    the simulated clock; recording only, nothing scheduled)."""
-    name = fn.__name__
+    the simulated clock; recording only, nothing scheduled), and as the
+    race checker's collective enter / exit."""
 
-    @functools.wraps(fn)
-    def wrapper(self, *args, **kwargs):
-        obs = self.ctx.obs
-        t0 = self.ctx.now if obs is not None else 0
-        ck = self.ctx.checker
-        seq = ck.coll_enter(self.ctx.rank) if ck is not None else 0
-        try:
-            result = yield from fn(self, *args, **kwargs)
-        except FaultError as exc:
-            exc.annotate_collective(name,
-                                    tuple(range(self.ctx.nranks)))
-            raise
+    __slots__ = ("ctx", "name", "t0", "seq")
+
+    def __init__(self, ctx, name: str) -> None:
+        self.ctx = ctx
+        self.name = name
+
+    def __enter__(self) -> None:
+        ctx = self.ctx
+        self.t0 = ctx.now if ctx.obs is not None else 0
+        ck = ctx.checker
+        self.seq = ck.coll_enter(ctx.rank) if ck is not None else 0
+
+    def __exit__(self, _etype, exc, _tb) -> None:
+        ctx = self.ctx
+        if exc is not None:
+            if isinstance(exc, FaultError):
+                exc.annotate_collective(self.name, tuple(range(ctx.nranks)))
+            return
+        obs = ctx.obs
         if obs is not None:
-            obs.rank_span(self.ctx.rank, f"coll.{name}", t0,
-                          self.ctx.now, cat="coll")
-            obs.metrics.count(f"coll.{name}", self.ctx.rank)
+            obs.rank_span(ctx.rank, f"coll.{self.name}", self.t0, ctx.now,
+                          cat="coll")
+            obs.metrics.count(f"coll.{self.name}", ctx.rank)
+        ck = ctx.checker
         if ck is not None:
-            ck.coll_exit(self.ctx.rank, seq)
-        return result
-    return wrapper
+            ck.coll_exit(ctx.rank, self.seq)
 
 
 class IBarrier:
@@ -130,19 +138,19 @@ class Collectives:
         return t
 
     # ------------------------------------------------------------------
-    @_collective
     def barrier(self):
         """Dissemination barrier: ceil(log2 p) rounds."""
         ctx = self.ctx
-        p, r = ctx.nranks, ctx.rank
-        tag = self._next_tag()
-        for step in range(_ceil_log2(p)):
-            dst = (r + (1 << step)) % p
-            src = (r - (1 << step)) % p
-            sreq = yield from ctx.mpi.isend(dst, None, tag=tag + step,
-                                            channel="coll", nbytes=0)
-            yield from ctx.mpi.recv(src, tag=tag + step, channel="coll")
-            yield from sreq.wait()
+        with _Call(ctx, "barrier"):
+            p, r = ctx.nranks, ctx.rank
+            tag = self._next_tag()
+            for step in range(_ceil_log2(p)):
+                dst = (r + (1 << step)) % p
+                src = (r - (1 << step)) % p
+                sreq = yield from ctx.mpi.isend(dst, None, tag=tag + step,
+                                                channel="coll", nbytes=0)
+                yield from ctx.mpi.recv(src, tag=tag + step, channel="coll")
+                yield from sreq.wait()
 
     def ibarrier(self) -> IBarrier:
         """Nonblocking barrier (the heart of the NBX DSDE protocol)."""
@@ -151,31 +159,31 @@ class Collectives:
         return IBarrier(self.ctx, tag)
 
     # ------------------------------------------------------------------
-    @_collective
     def bcast(self, value: Any, root: int = 0, nbytes: int | None = None):
         """Binomial-tree broadcast; returns the root's value on every rank."""
         ctx = self.ctx
-        p = ctx.nranks
-        tag = self._next_tag()
-        vr = (ctx.rank - root) % p  # virtual rank, root -> 0
-        mask = 1
-        while mask < p:
-            if vr & mask:
-                parent = (vr - mask + root) % p
-                value = yield from ctx.mpi.recv(parent, tag=tag, channel="coll")
-                break
-            mask <<= 1
-        mask >>= 1
-        while mask >= 1:
-            if vr + mask < p:
-                child = (vr + mask + root) % p
-                yield from ctx.mpi.send(child, value, tag=tag,
-                                        channel="coll", nbytes=nbytes)
+        with _Call(ctx, "bcast"):
+            p = ctx.nranks
+            tag = self._next_tag()
+            vr = (ctx.rank - root) % p  # virtual rank, root -> 0
+            mask = 1
+            while mask < p:
+                if vr & mask:
+                    parent = (vr - mask + root) % p
+                    value = yield from ctx.mpi.recv(parent, tag=tag,
+                                                    channel="coll")
+                    break
+                mask <<= 1
             mask >>= 1
-        return value
+            while mask >= 1:
+                if vr + mask < p:
+                    child = (vr + mask + root) % p
+                    yield from ctx.mpi.send(child, value, tag=tag,
+                                            channel="coll", nbytes=nbytes)
+                mask >>= 1
+            return value
 
     # ------------------------------------------------------------------
-    @_collective
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None,
                   nbytes: int | None = None):
         """Recursive-doubling allreduce.
@@ -184,93 +192,96 @@ class Collectives:
         sum for numpy arrays and ``+`` otherwise.
         """
         ctx = self.ctx
-        p, r = ctx.nranks, ctx.rank
-        if op is None:
-            op = _default_sum
-        tag = self._next_tag()
-        acc = value
+        with _Call(ctx, "allreduce"):
+            p, r = ctx.nranks, ctx.rank
+            if op is None:
+                op = _default_sum
+            tag = self._next_tag()
+            acc = value
 
-        # Fold non-power-of-two remainder into the low power-of-two block.
-        pof2 = 1 << (p.bit_length() - 1)
-        rem = p - pof2
-        if r < 2 * rem:
-            if r % 2 == 0:
-                yield from ctx.mpi.send(r + 1, acc, tag=tag, channel="coll",
-                                        nbytes=nbytes)
-                newrank = -1
+            # Fold non-power-of-two remainder into the low power-of-two block.
+            pof2 = 1 << (p.bit_length() - 1)
+            rem = p - pof2
+            if r < 2 * rem:
+                if r % 2 == 0:
+                    yield from ctx.mpi.send(r + 1, acc, tag=tag,
+                                            channel="coll", nbytes=nbytes)
+                    newrank = -1
+                else:
+                    other = yield from ctx.mpi.recv(r - 1, tag=tag,
+                                                    channel="coll")
+                    acc = op(acc, other)
+                    newrank = r // 2
             else:
-                other = yield from ctx.mpi.recv(r - 1, tag=tag, channel="coll")
-                acc = op(acc, other)
-                newrank = r // 2
-        else:
-            newrank = r - rem
+                newrank = r - rem
 
-        if newrank >= 0:
-            mask = 1
-            while mask < pof2:
-                partner_new = newrank ^ mask
-                partner = (partner_new * 2 + 1 if partner_new < rem
-                           else partner_new + rem)
-                got = yield from ctx.mpi.sendrecv(
-                    partner, acc, src=partner, tag=tag + 1 + mask.bit_length(),
-                    channel="coll", nbytes=nbytes)
-                acc = op(acc, got)
-                mask <<= 1
+            if newrank >= 0:
+                mask = 1
+                while mask < pof2:
+                    partner_new = newrank ^ mask
+                    partner = (partner_new * 2 + 1 if partner_new < rem
+                               else partner_new + rem)
+                    got = yield from ctx.mpi.sendrecv(
+                        partner, acc, src=partner,
+                        tag=tag + 1 + mask.bit_length(), channel="coll",
+                        nbytes=nbytes)
+                    acc = op(acc, got)
+                    mask <<= 1
 
-        # Push results back to the folded ranks.
-        if r < 2 * rem:
-            if r % 2 == 1:
-                yield from ctx.mpi.send(r - 1, acc, tag=tag + 40,
-                                        channel="coll", nbytes=nbytes)
-            else:
-                acc = yield from ctx.mpi.recv(r + 1, tag=tag + 40,
-                                              channel="coll")
-        return acc
+            # Push results back to the folded ranks.
+            if r < 2 * rem:
+                if r % 2 == 1:
+                    yield from ctx.mpi.send(r - 1, acc, tag=tag + 40,
+                                            channel="coll", nbytes=nbytes)
+                else:
+                    acc = yield from ctx.mpi.recv(r + 1, tag=tag + 40,
+                                                  channel="coll")
+            return acc
 
     # ------------------------------------------------------------------
-    @_collective
     def allgather(self, value: Any, nbytes: int | None = None):
         """Allgather; returns a list indexed by rank."""
         ctx = self.ctx
-        p, r = ctx.nranks, ctx.rank
-        tag = self._next_tag()
-        if p == 1:
-            return [value]
-        if p & (p - 1) == 0:
-            # Recursive doubling: blocks double each round.
-            blocks: dict[int, Any] = {r: value}
-            mask = 1
-            round_no = 0
-            while mask < p:
-                partner = r ^ mask
-                payload = dict(blocks)
-                got = yield from ctx.mpi.sendrecv(
-                    partner, payload, src=partner, tag=tag + round_no,
-                    channel="coll",
-                    nbytes=None if nbytes is None else nbytes * len(payload))
-                blocks.update(got)
-                mask <<= 1
-                round_no += 1
-            return [blocks[i] for i in range(p)]
-        # Ring algorithm for general p.
-        out: list[Any] = [None] * p
-        out[r] = value
-        left, right = (r - 1) % p, (r + 1) % p
-        cur = value
-        cur_idx = r
-        for step in range(p - 1):
-            sreq = yield from ctx.mpi.isend(right, (cur_idx, cur),
-                                            tag=tag + step, channel="coll",
-                                            nbytes=nbytes)
-            idx, got = yield from ctx.mpi.recv(left, tag=tag + step,
-                                               channel="coll")
-            yield from sreq.wait()
-            out[idx] = got
-            cur, cur_idx = got, idx
-        return out
+        with _Call(ctx, "allgather"):
+            p, r = ctx.nranks, ctx.rank
+            tag = self._next_tag()
+            if p == 1:
+                return [value]
+            if p & (p - 1) == 0:
+                # Recursive doubling: blocks double each round.
+                blocks: dict[int, Any] = {r: value}
+                mask = 1
+                round_no = 0
+                while mask < p:
+                    partner = r ^ mask
+                    payload = dict(blocks)
+                    got = yield from ctx.mpi.sendrecv(
+                        partner, payload, src=partner, tag=tag + round_no,
+                        channel="coll",
+                        nbytes=(None if nbytes is None
+                                else nbytes * len(payload)))
+                    blocks.update(got)
+                    mask <<= 1
+                    round_no += 1
+                return [blocks[i] for i in range(p)]
+            # Ring algorithm for general p.
+            out: list[Any] = [None] * p
+            out[r] = value
+            left, right = (r - 1) % p, (r + 1) % p
+            cur = value
+            cur_idx = r
+            for step in range(p - 1):
+                sreq = yield from ctx.mpi.isend(right, (cur_idx, cur),
+                                                tag=tag + step, channel="coll",
+                                                nbytes=nbytes)
+                idx, got = yield from ctx.mpi.recv(left, tag=tag + step,
+                                                   channel="coll")
+                yield from sreq.wait()
+                out[idx] = got
+                cur, cur_idx = got, idx
+            return out
 
     # ------------------------------------------------------------------
-    @_collective
     def reduce_scatter_block(self, vector, op: Callable | None = None):
         """Reduce a length-p vector across ranks; rank i gets element i.
 
@@ -278,65 +289,66 @@ class Collectives:
         compares), allreduce-then-slice otherwise.
         """
         ctx = self.ctx
-        p, r = ctx.nranks, ctx.rank
-        vec = np.asarray(vector)
-        if vec.shape[0] != p:
-            raise Mpi1Error(f"reduce_scatter needs a length-{p} vector")
-        if op is None:
-            op = np.add
-        if p == 1:
-            return vec[0]
-        tag = self._next_tag()
-        if p & (p - 1) == 0:
-            lo, hi = 0, p
-            acc = vec.copy()
-            mask = p >> 1
-            round_no = 0
-            while mask >= 1:
-                mid = lo + (hi - lo) // 2
-                partner = r ^ mask
-                if r < mid:
-                    send_part = acc[mid:hi]
-                    keep_lo, keep_hi = lo, mid
-                else:
-                    send_part = acc[lo:mid]
-                    keep_lo, keep_hi = mid, hi
-                got = yield from ctx.mpi.sendrecv(
-                    partner, send_part, src=partner, tag=tag + round_no,
-                    channel="coll")
-                acc[keep_lo:keep_hi] = op(acc[keep_lo:keep_hi], got)
-                lo, hi = keep_lo, keep_hi
-                mask >>= 1
-                round_no += 1
-            return acc[r]
-        total = yield from self.allreduce(vec, lambda a, b: op(a, b))
-        return total[r]
+        with _Call(ctx, "reduce_scatter_block"):
+            p, r = ctx.nranks, ctx.rank
+            vec = np.asarray(vector)
+            if vec.shape[0] != p:
+                raise Mpi1Error(f"reduce_scatter needs a length-{p} vector")
+            if op is None:
+                op = np.add
+            if p == 1:
+                return vec[0]
+            tag = self._next_tag()
+            if p & (p - 1) == 0:
+                lo, hi = 0, p
+                acc = vec.copy()
+                mask = p >> 1
+                round_no = 0
+                while mask >= 1:
+                    mid = lo + (hi - lo) // 2
+                    partner = r ^ mask
+                    if r < mid:
+                        send_part = acc[mid:hi]
+                        keep_lo, keep_hi = lo, mid
+                    else:
+                        send_part = acc[lo:mid]
+                        keep_lo, keep_hi = mid, hi
+                    got = yield from ctx.mpi.sendrecv(
+                        partner, send_part, src=partner, tag=tag + round_no,
+                        channel="coll")
+                    acc[keep_lo:keep_hi] = op(acc[keep_lo:keep_hi], got)
+                    lo, hi = keep_lo, keep_hi
+                    mask >>= 1
+                    round_no += 1
+                return acc[r]
+            total = yield from self.allreduce(vec, lambda a, b: op(a, b))
+            return total[r]
 
     # ------------------------------------------------------------------
-    @_collective
     def alltoall(self, per_dest: list, nbytes_each: int | None = None):
         """Personalized all-to-all (pairwise exchange); returns list by src."""
         ctx = self.ctx
-        p, r = ctx.nranks, ctx.rank
-        if len(per_dest) != p:
-            raise Mpi1Error(f"alltoall needs {p} outgoing items")
-        tag = self._next_tag(width=max(64, p + 1))
-        out: list[Any] = [None] * p
-        out[r] = per_dest[r]
-        for step in range(1, p):
-            if p & (p - 1) == 0:
-                partner = r ^ step
-                send_to = recv_from = partner
-            else:
-                send_to = (r + step) % p
-                recv_from = (r - step) % p
-            sreq = yield from ctx.mpi.isend(send_to, per_dest[send_to],
-                                            tag=tag + step, channel="coll",
-                                            nbytes=nbytes_each)
-            out[recv_from] = yield from ctx.mpi.recv(recv_from, tag=tag + step,
-                                                     channel="coll")
-            yield from sreq.wait()
-        return out
+        with _Call(ctx, "alltoall"):
+            p, r = ctx.nranks, ctx.rank
+            if len(per_dest) != p:
+                raise Mpi1Error(f"alltoall needs {p} outgoing items")
+            tag = self._next_tag(width=max(64, p + 1))
+            out: list[Any] = [None] * p
+            out[r] = per_dest[r]
+            for step in range(1, p):
+                if p & (p - 1) == 0:
+                    partner = r ^ step
+                    send_to = recv_from = partner
+                else:
+                    send_to = (r + step) % p
+                    recv_from = (r - step) % p
+                sreq = yield from ctx.mpi.isend(send_to, per_dest[send_to],
+                                                tag=tag + step, channel="coll",
+                                                nbytes=nbytes_each)
+                out[recv_from] = yield from ctx.mpi.recv(
+                    recv_from, tag=tag + step, channel="coll")
+                yield from sreq.wait()
+            return out
 
 
 def _default_sum(a: Any, b: Any) -> Any:

@@ -96,6 +96,64 @@ def test_operator_positive_definite():
         assert abs(quad.imag) < 1e-9 * quad.real
 
 
+def _reference_apply(decomp, rank, padded, mass=0.5, seed=7):
+    """The stencil as first written: eight einsum contractions on the
+    strided halo-shifted views, phases sliced out of the padded table on
+    every call.  ``StencilOperator.apply`` must reproduce it bit for bit
+    (the CG residual and checksum enter every simulated digest)."""
+    U = direction_matrices(seed)
+    phase = np.exp(1j * link_phases(decomp, rank))
+    v = padded
+    out = (8.0 + mass) * v[1:-1, 1:-1, 1:-1, 1:-1, :].copy()
+    for mu in range(4):
+        plus = [slice(1, -1)] * 4
+        minus = [slice(1, -1)] * 4
+        plus[mu] = slice(2, None)
+        minus[mu] = slice(0, -2)
+        ph_int = phase[mu][1:-1, 1:-1, 1:-1, 1:-1]
+        ph_m = phase[mu][tuple(minus)]
+        fwd = np.einsum("ij,...j->...i", U[mu],
+                        v[tuple(plus) + (slice(None),)])
+        bwd = np.einsum("ji,...j->...i", np.conj(U[mu]),
+                        v[tuple(minus) + (slice(None),)])
+        out -= ph_int[..., None] * fwd + np.conj(ph_m)[..., None] * bwd
+    return out
+
+
+def _random_padded(local, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(n + 2 for n in local) + (3,)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("local", [(4, 4, 4, 8), (2, 2, 2, 2), (2, 4, 2, 6)])
+@pytest.mark.parametrize("rank", [0, 11])
+def test_apply_matches_reference_bitwise(local, rank):
+    decomp = LatticeDecomp.weak(local, 16)
+    op = StencilOperator(decomp, rank, 0.5, 7)
+    v = _random_padded(local, rank)
+    before = v.copy()
+    first = op.apply(v)
+    assert np.array_equal(first, _reference_apply(decomp, rank, v))
+    assert np.array_equal(v, before), "apply modified its input"
+    second = op.apply(v)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+
+
+def test_apply_alternating_shapes_share_no_state():
+    """Scratch space is per shape: operators of different local shape
+    called in turn must not see each other's intermediates."""
+    shapes = [(4, 4, 4, 8), (2, 4, 2, 6), (2, 2, 2, 2)]
+    ops = [StencilOperator(LatticeDecomp.weak(l, 16), 3, 0.5, 7)
+           for l in shapes]
+    fields = [_random_padded(l, i) for i, l in enumerate(shapes)]
+    want = [_reference_apply(op.decomp, 3, v) for op, v in zip(ops, fields)]
+    for _ in range(2):
+        for op, v, ref in zip(ops, fields, want):
+            assert np.array_equal(op.apply(v), ref)
+
+
 # ---------------------------------------------------------------------------
 # distributed CG
 # ---------------------------------------------------------------------------

@@ -67,6 +67,28 @@ def test_missing_kernel_metric_fails():
     assert failures == ["kernel.ring: missing from current report"]
 
 
+def test_mpi1_path_gated_like_full_stack():
+    """The two-sided message path is held once a baseline records it; a
+    baseline that predates it asks nothing."""
+    base, cur = _report(), _report()
+    base["kernel"]["mpi1_path"] = {"events_per_sec": 300_000}
+    cur["kernel"]["mpi1_path"] = {"events_per_sec": 230_000}
+    failures, lines = compare_reports(base, cur)
+    assert failures == []
+    assert any(line.startswith("ok") and "kernel.mpi1_path" in line
+               for line in lines)
+    cur["kernel"]["mpi1_path"] = {"events_per_sec": 200_000}
+    failures, _ = compare_reports(base, cur)
+    assert failures == ["kernel.mpi1_path: 200,000 ev/s below floor 225,000 "
+                        "(>25% drop vs scaled baseline)"]
+    del cur["kernel"]["mpi1_path"]
+    failures, _ = compare_reports(base, cur)
+    assert failures == ["kernel.mpi1_path: missing from current report"]
+    failures, lines = compare_reports(_report(), base)
+    assert failures == []
+    assert not any("mpi1_path" in line for line in lines)
+
+
 def test_scale_section_gated_like_kernel_rates():
     base = _report(with_scale=True)
     failures, lines = compare_reports(base, _report(with_scale=True))

@@ -5,13 +5,14 @@ Two contracts from DESIGN.md section 8:
 * the simulator's schedule is pinned, not A/B'd: the four demo workloads,
   a faulty (drop/corrupt/delay) run, the same plan plus a NIC stall over
   every transport op kind, a fail-stop crash run, a small hashtable run,
-  every data call on every window flavour and a contended MCS lock
-  reproduce committed ``(sim_time_ns, events_processed, returns)`` tuples.
-  All but the stalled, flavour and MCS pins were captured while the
-  pure-heap scheduler and batched link delivery still existed and were
-  identical under every scheduler/batching combination (the hashtable
-  point is the one where batches formed, so it pins times, returns and
-  table contents but not the event count);
+  every data call on every window flavour, a contended MCS lock, every
+  MPI-1 protocol and collective and a short MILC solve on each halo
+  engine reproduce committed ``(sim_time_ns, events_processed, returns)``
+  tuples.  All but the stalled, flavour, MCS, MPI-1 and MILC pins were
+  captured while the pure-heap scheduler and batched link delivery still
+  existed and were identical under every scheduler/batching combination
+  (the hashtable point is the one where batches formed, so it pins
+  times, returns and table contents but not the event count);
 * same-tick events drain in ``(priority, seq)`` FIFO order across the
   front-slot/heap boundary, including urgent events scheduled while the
   tick is already draining -- on the fast loop and on the step loop.
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.apps.hashtable import HashTableLayout, rma_insert_program
+from repro.apps.milc import MilcSpec, milc_program
 from repro.config import (
     FaultConfig,
     FaultPlan,
@@ -31,6 +33,7 @@ from repro.config import (
     NodeCrash,
     SimConfig,
 )
+from repro.mpi1 import ANY_SOURCE
 from repro.obs.workloads import WORKLOADS
 from repro.rma.enums import Op
 from repro.rma.mcs import McsLock
@@ -131,6 +134,98 @@ GOLDEN_MCS = {
 }
 
 
+#: ``_mpi1_mix`` (every MPI-1 protocol and every collective once) at seed
+#: 11, by (ranks, ranks per node): (sim_time_ns, events_processed,
+#: messages), every rank's clock after each of the 13 steps, and per rank
+#: a crc32 of every value it received.  Captured before the message path
+#: was flattened (integer charges, lazy sites, slotted messages, inline
+#: matching); 3 and 4 per node mix XPMEM and NIC transfers.
+GOLDEN_MPI1 = {
+    (6, 1): ((61613, 1062, 185),
+             [[3664, 4882, 18169, 24295, 26193, 28401, 33089, 37985, 39825,
+               46803, 51827, 57821, 61517],
+              [3648, 4882, 18121, 24247, 26557, 27679, 32569, 37461, 40361,
+               46899, 51299, 57853, 61469],
+              [3664, 4882, 18169, 24295, 26793, 27915, 33185, 37889, 39989,
+               47011, 51731, 57837, 61517],
+              [3648, 4882, 18121, 24247, 27157, 28279, 32665, 37365, 40525,
+               47107, 51203, 57949, 61501],
+              [3664, 4882, 18169, 24295, 27393, 28515, 31981, 36873, 40525,
+               47219, 50711, 57837, 61613],
+              [3648, 4882, 18121, 24247, 27167, 28611, 32061, 36761, 41061,
+               46691, 50599, 57853, 61485]],
+             [3635601107, 1901328068, 2354620463, 938162013, 1698713467,
+              230757979]),
+    (6, 3): ((57725, 1062, 185),
+             [[3188, 4770, 17913, 23715, 24835, 27757, 31721, 36294, 37502,
+               44464, 48470, 54137, 57361],
+              [3456, 4251, 16589, 22391, 25501, 26296, 31237, 35806, 38002,
+               44200, 47978, 54137, 57629],
+              [3552, 4674, 17493, 23619, 25939, 27061, 31853, 36234, 38018,
+               43936, 48602, 54137, 57689],
+              [3188, 4770, 17913, 23715, 25713, 27157, 31333, 35710, 38554,
+               44032, 48074, 54041, 57325],
+              [3456, 4251, 16589, 22391, 26401, 27196, 30959, 35525, 38238,
+               43768, 47695, 54233, 57593],
+              [3552, 4674, 17493, 23619, 26539, 27661, 30693, 35070, 38738,
+               44368, 47434, 54173, 57725]],
+             [3635601107, 1901328068, 2354620463, 938162013, 1698713467,
+              230757979]),
+    (8, 1): ((59721, 1562, 271),
+             [[3680, 4898, 18233, 24359, 26209, 29033, 32887, 36365, 39555,
+               43581, 47339, 55945, 59721],
+              [3664, 4898, 18137, 24263, 26573, 27695, 32791, 36367, 40091,
+               43485, 47435, 56041, 59593],
+              [3680, 4898, 18185, 24311, 26809, 27931, 32791, 36367, 38467,
+               43677, 47243, 55929, 59625],
+              [3648, 4898, 18137, 24263, 27237, 28359, 32695, 36463, 39003,
+               43581, 47339, 55945, 59577],
+              [3680, 4898, 18233, 24359, 27409, 28531, 32791, 36367, 39019,
+               43677, 47243, 55929, 59625],
+              [3664, 4898, 18137, 24263, 27773, 28895, 32695, 36463, 39555,
+               43581, 47339, 55945, 59577],
+              [3680, 4898, 18185, 24311, 28009, 29131, 32695, 36463, 39003,
+               43773, 47147, 55913, 59609],
+              [3648, 4898, 18137, 24263, 27783, 29227, 32693, 36559, 39539,
+               43677, 47243, 55929, 59593]],
+             [886165717, 2575117702, 202127418, 3333043671, 753591334,
+              3871035551, 3080220648, 4285882372]),
+    (8, 4): ((54481, 1562, 271),
+             [[3284, 4674, 17817, 23619, 24739, 28261, 31161, 34271, 37007,
+               40315, 43408, 50965, 54309],
+              [3552, 4347, 16493, 22295, 24477, 25594, 31101, 34211, 37507,
+               40255, 43468, 51025, 54457],
+              [3344, 4407, 16166, 21968, 25705, 26500, 31041, 34151, 35935,
+               40375, 43348, 50893, 54237],
+              [3456, 4578, 17397, 23523, 26143, 27265, 31101, 34091, 36435,
+               40315, 43408, 50905, 54385],
+              [3284, 4674, 17817, 23619, 25917, 27361, 31077, 34175, 36471,
+               40411, 43312, 50989, 54333],
+              [3552, 4347, 16493, 22295, 24893, 26772, 31137, 34055, 36971,
+               40351, 43372, 51049, 54481],
+              [3344, 4407, 16166, 21968, 26905, 27700, 31197, 34115, 36471,
+               40531, 43252, 50929, 54213],
+              [3456, 4578, 17397, 23523, 27043, 28165, 31257, 34235, 36971,
+               40471, 43312, 50929, 54393]],
+             [886165717, 2575117702, 202127418, 3333043671, 753591334,
+              3871035551, 3080220648, 4285882372]),
+}
+
+#: ``milc_program``, 16 ranks at 8 per node, ``MilcSpec(maxiter=4,
+#: tol=0.0, seed=3)``, seed 11, by halo engine: (sim_time_ns,
+#: events_processed, messages) and the slowest rank's solve time.
+#: Captured before the stencil and the halo exchange were planned.  The
+#: solver's floats are held to 1e-12, not pinned: ``np.vdot`` goes
+#: through the host's BLAS.
+GOLDEN_MILC = {
+    "mpi1": ((385874, 7520, 1216), 381386),
+    "rma": ((365390, 8226, 1903), 344866),
+    "upc": ((357481, 7200, 1856), 344478),
+}
+GOLDEN_MILC_RESIDUAL = float.fromhex("0x1.df09d76f5e35dp-7")
+GOLDEN_MILC_CHECKSUM = 205.22676721831235 + 0.038531896054528336j
+
+
 def _acc_ring(ctx):
     """accumulate + atomic read of four uint64 on the right neighbour."""
     win = yield from ctx.rma.win_allocate(32, disp_unit=8)
@@ -217,6 +312,50 @@ def _mcs_rounds(ctx):
     return acquired, lock.remote_ops
 
 
+def _mpi1_mix(ctx):
+    """Every MPI-1 protocol and collective once: eager and rendezvous on
+    posted receives, an unexpected eager message taken by improbe / mrecv,
+    a synchronous send matched late by a wildcard receive, sendrecv, and
+    each collective (the non-power-of-two folds at 6 ranks, the
+    recursive-doubling / halving forms at 8).  Returns this rank's clock
+    after every step and a crc32 of everything it received."""
+    r, p = ctx.rank, ctx.nranks
+    mpi, coll = ctx.mpi, ctx.coll
+    right, left = (r + 1) % p, (r - 1) % p
+    times, seen = [], []
+
+    def step(value=None):
+        times.append(ctx.now)
+        seen.append(value)
+
+    yield from coll.barrier()
+    step()
+    for tag, payload in ((1, r), (2, np.full(8192, r, np.int64))):
+        rreq = mpi.irecv(left, tag=tag)
+        sreq = yield from mpi.isend(right, payload, tag=tag)
+        got = yield from rreq.wait()
+        yield from sreq.wait()
+        step(int(np.sum(got)))
+    yield from mpi.send(right, (r, "x"), tag=3, nbytes=24)
+    yield ctx.env.timeout(5_000)
+    step((yield from mpi.mrecv(mpi.improbe(tag=3))))
+    sreq = yield from mpi.issend(right, r, tag=4)
+    yield ctx.env.timeout(300 * (r + 1))
+    got = yield from mpi.recv(ANY_SOURCE, tag=4)
+    yield from sreq.wait()
+    step(got)
+    step((yield from mpi.sendrecv(right, r * 10, src=left, tag=5)))
+    step((yield from coll.allreduce(r + 1, nbytes=16)))
+    step((yield from coll.allreduce(np.arange(4) * r)).tolist())
+    step((yield from coll.bcast(("root", r), root=2)))
+    step((yield from coll.allgather(r * r)))
+    step(int((yield from coll.reduce_scatter_block(np.arange(p) + r))))
+    step((yield from coll.alltoall([r * p + d for d in range(p)])))
+    yield from coll.ibarrier().wait()
+    step()
+    return times, zlib.crc32(repr(seen).encode())
+
+
 _LOCAL = {"acc_ring": _acc_ring, "flavour_mix": _flavour_mix}
 
 
@@ -296,6 +435,36 @@ def test_mcs_rounds_reproduce_golden_pins(rpn):
     assert ((res.sim_time_ns, res.events_processed, res.stats["messages"]),
             [r[0] for r in res.returns],
             [r[1] for r in res.returns]) == GOLDEN_MCS[rpn]
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_MPI1))
+def test_mpi1_mix_reproduces_golden_pins(shape):
+    """The two-sided message path: eager, rendezvous and sync-eager
+    protocols, the match queues in both arrival orders, and every
+    collective built on them."""
+    nranks, rpn = shape
+    res = run_spmd(_mpi1_mix, nranks,
+                   machine=MachineConfig(ranks_per_node=rpn),
+                   sim=SimConfig(seed=11))
+    assert ((res.sim_time_ns, res.events_processed, res.stats["messages"]),
+            [r[0] for r in res.returns],
+            [r[1] for r in res.returns]) == GOLDEN_MPI1[shape]
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_MILC))
+def test_milc_reproduces_golden_pins(variant):
+    """Four CG iterations on each halo engine: the schedule is pinned, the
+    solver's numbers held to the last few bits."""
+    res = run_spmd(milc_program, 16, MilcSpec(maxiter=4, tol=0.0, seed=3),
+                   variant, machine=MachineConfig(ranks_per_node=8),
+                   sim=SimConfig(seed=11))
+    assert ((res.sim_time_ns, res.events_processed, res.stats["messages"]),
+            max(r[0] for r in res.returns)) == GOLDEN_MILC[variant]
+    assert {r[1] for r in res.returns} == {4}
+    assert res.returns[0][2] == pytest.approx(GOLDEN_MILC_RESIDUAL,
+                                              rel=1e-12)
+    assert res.returns[0][3] == pytest.approx(GOLDEN_MILC_CHECKSUM,
+                                              rel=1e-12)
 
 
 def _crash_prog(ctx):

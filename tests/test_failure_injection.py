@@ -51,6 +51,23 @@ def test_recv_without_send_deadlocks():
     assert exc.value.sites["rank0"] == "mpi.recv(src=1, tag=9)"
 
 
+def test_unmatched_issend_and_wildcard_recv_name_their_sites():
+    """A synchronous send nobody receives and a receive with both
+    wildcards: the report formats each rank's last MPI-1 call."""
+    def program(ctx):
+        if ctx.rank == 0:
+            req = yield from ctx.mpi.issend(1, 5, tag=7)
+            yield from req.wait()
+        elif ctx.rank == 2:
+            yield from ctx.mpi.recv()
+
+    with pytest.raises(DeadlockError) as exc:
+        run_spmd(program, 3, machine=INTER)
+    assert exc.value.blocked_ranks == ("rank0", "rank2")
+    assert exc.value.sites == {"rank0": "mpi.isend(dest=1, tag=7, 8B)",
+                               "rank2": "mpi.recv(src=ANY, tag=ANY)"}
+
+
 def test_mismatched_collective_deadlocks():
     """One rank skips a barrier: classic SPMD bug."""
     def program(ctx):
