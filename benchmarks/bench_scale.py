@@ -1,9 +1,10 @@
 """Hybrid scale-mode throughput: simulated ranks per wall-clock second.
 
 The paper's headline runs are at 512Ki processes; the hybrid engine must
-make that size (and 1Mi) routine in CI.  This benchmark runs the fence
-workload hybrid at 4Ki / 64Ki / 512Ki / 1Mi ranks, reports ranks-per-
-second and the effective sampling fraction into the ``scale`` section of
+make that size (and 1Mi) routine in CI.  This benchmark runs the
+``fence_ring`` workload hybrid at 4Ki / 64Ki / 512Ki / 1Mi ranks, reports
+ranks-per-second and the effective sampling fraction into the ``scale``
+section of
 ``BENCH_simperf.json`` (via the ``record_scale`` fixture), and asserts a
 generous absolute floor; the calibrated regression gate lives in
 ``perf_gate.py`` against ``baseline_simperf.json``.
@@ -14,7 +15,7 @@ import time
 from repro.scale import format_ranks, run_hybrid
 
 SCALE_PS = [4096, 65536, 524288, 1048576]
-WORKLOAD = "fence"
+WORKLOAD = "fence_ring"
 
 # Dev-container rates are hundreds of thousands of ranks/s; CI machines
 # vary wildly, so the in-test floor sits far below (the perf gate does

@@ -3,8 +3,9 @@
 
 Three acts:
 
-1. run the canonical fence workload *full-fidelity* -- every rank a real
-   DES process through the complete RMA stack (this part is what
+1. run the registry's ``fence_ring`` workload (``repro.workloads``)
+   *full-fidelity* -- every rank a real DES process through the complete
+   RMA stack (this part is what
    ``repro check`` instruments: the memory-model checker attaches to
    every simulated world the script builds);
 2. run the *same* workload on the hybrid engine and assert the per-kind
@@ -25,17 +26,18 @@ Run:  python examples/hybrid_scale_demo.py
 """
 
 from repro.scale import format_ranks, run_hybrid
-from repro.scale.parity import run_full
+from repro.workloads import run_workload
 
 OVERLAP_RANKS = 64
 PAPER_RANKS = 512 * 1024
 RANKS_PER_NODE = 32
-WORKLOAD = "fence"
+WORKLOAD = "fence_ring"
 
 
 def main():
     # Act 1: full fidelity (race-checked when run under `repro check`).
-    full = run_full(WORKLOAD, OVERLAP_RANKS, ranks_per_node=RANKS_PER_NODE)
+    full = run_workload(WORKLOAD, OVERLAP_RANKS,
+                        ranks_per_node=RANKS_PER_NODE)
     print(f"full fidelity  @ {format_ranks(OVERLAP_RANKS):>6}: "
           f"{full.stats['messages']:>12,} msgs, "
           f"{full.sim_time_ns / 1e3:.1f} us simulated")

@@ -9,16 +9,17 @@ Commands
 ``models``          print the paper's performance-model catalog
 ``calibrate``       fit the simulated put/get/atomics series against the
                     paper's measured functions and report errors
-``trace <wl>``      run a named workload (putget, locks, fence, pscw)
-                    under observability and write a Chrome trace-event
-                    JSON file (open in Perfetto / chrome://tracing)
-``report [wl]``     run a named workload and print the plain-text run
+``trace <wl>``      run a registry workload under observability and
+                    write a Chrome trace-event JSON file (open in
+                    Perfetto / chrome://tracing)
+``report [wl]``     run a registry workload and print the plain-text run
                     report (span aggregates, counters, histograms, links)
-``check <wl>``      run a named workload (or a ``.py`` example script)
+``check <wl>``      run a registry workload (or a ``.py`` example script)
                     under the memory-model checker and report every RMA
                     semantics violation; ``--perturb N`` sweeps N seeded
                     schedule perturbations to manifest latent races
-                    (exit code 1 when violations are found)
+                    (exit code 1 when violations are found or the
+                    record cap cut the check short)
 ``scale <action>``  hybrid million-rank scale mode: ``parity`` diffs
                     hybrid vs full-fidelity message counts exactly at
                     overlapping sizes (exit 1 on any mismatch),
@@ -39,6 +40,9 @@ Commands
                     compare final states bit-for-bit; ``ft soak`` sweeps
                     ``--runs`` seeded randomized crash schedules (exit
                     code 1 on any mismatch)
+
+Workload names are the keys of ``repro.workloads.WORKLOADS``; each
+verb's ``--help`` lists the ones it accepts.
 """
 
 from __future__ import annotations
@@ -47,6 +51,26 @@ import argparse
 
 from repro.bench import format_series_table
 from repro.bench.report import ascii_chart
+from repro.workloads import lookup, names, run_workload
+
+_NAMES = ", ".join(names())
+_SCALE_NAMES = ",".join(names(scale=True))
+
+
+def _require(name: str, *, scale: bool = False) -> None:
+    """A workload name the registry does not resolve is a one-line exit
+    listing the keys, as ``repro figure 99`` is -- not a traceback."""
+    try:
+        lookup(name, scale=scale)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _run(args, **kwargs):
+    """``run_workload`` on a verb's ``workload`` / ``--ranks`` / ``--seed``."""
+    _require(args.workload)
+    return run_workload(args.workload, nranks=args.ranks, seed=args.seed,
+                        **kwargs)
 
 
 def main(argv=None) -> int:
@@ -69,20 +93,20 @@ def main(argv=None) -> int:
     sub.add_parser("models")
     sub.add_parser("calibrate")
     t = sub.add_parser("trace")
-    t.add_argument("workload")
+    t.add_argument("workload", help=f"one of {_NAMES}")
     t.add_argument("--ranks", type=int, default=4)
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--out", default=None,
                    help="output path (default trace_<workload>.json)")
     r = sub.add_parser("report")
-    r.add_argument("workload", nargs="?", default="putget")
+    r.add_argument("workload", nargs="?", default="putget",
+                   help=f"one of {_NAMES} (default putget)")
     r.add_argument("--ranks", type=int, default=4)
     r.add_argument("--seed", type=int, default=None)
     c = sub.add_parser("check")
     c.add_argument("workload",
-                   help="named workload (racy_*/clean_*/putget/locks/"
-                        "fence/pscw) or path to a .py script to run "
-                        "under check_capture()")
+                   help=f"one of {_NAMES}, or path to a .py script to "
+                        "run under check_capture()")
     c.add_argument("--ranks", type=int, default=4)
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--rpn", type=int, default=1,
@@ -104,10 +128,10 @@ def main(argv=None) -> int:
     sc.add_argument("--rpn", type=int, default=32,
                     help="ranks per node (default 32, as in the paper)")
     sc.add_argument("--workloads", default=None,
-                    help="comma-separated subset of "
-                         "fence,pscw,lock,flush (default: all)")
-    sc.add_argument("--workload", default="fence",
-                    help="workload for 'run' (default fence)")
+                    help=f"comma-separated subset of {_SCALE_NAMES} "
+                         "(default: all)")
+    sc.add_argument("--workload", default="fence_ring",
+                    help="workload for 'run' (default fence_ring)")
     sc.add_argument("--budget-s", type=float, default=None,
                     help="hard wall-clock budget for 'smoke' (exit 1 if "
                          "exceeded)")
@@ -263,22 +287,20 @@ def main(argv=None) -> int:
                   f"err {100 * relative_error(a, base):.1f}% / "
                   f"{100 * relative_error(b, slope):.1f}%)")
     elif args.cmd == "trace":
-        from repro.obs import run_workload, write_chrome_trace
+        from repro.obs import write_chrome_trace
 
-        res, obs = run_workload(args.workload, nranks=args.ranks,
-                                seed=args.seed)
+        res = _run(args, obs=True)
         path = args.out or f"trace_{args.workload}.json"
-        write_chrome_trace(path, obs, label=args.workload)
+        write_chrome_trace(path, res.obs, label=args.workload)
         print(f"simulated {res.sim_time_ns / 1e3:.1f} us, "
-              f"{res.events_processed} events, {len(obs.spans)} spans")
+              f"{res.events_processed} events, {len(res.obs.spans)} spans")
         print(f"wrote {path} (load it in https://ui.perfetto.dev)")
     elif args.cmd == "report":
-        from repro.obs import render_report, run_workload
+        from repro.obs import render_report
 
-        res, obs = run_workload(args.workload, nranks=args.ranks,
-                                seed=args.seed)
+        res = _run(args, obs=True)
         print(render_report(
-            obs, title=f"{args.workload} ({args.ranks} ranks)",
+            res.obs, title=f"{args.workload} ({args.ranks} ranks)",
             sim_time_ns=res.sim_time_ns,
             events_processed=res.events_processed))
     elif args.cmd == "check":
@@ -298,16 +320,13 @@ def _scale_cmd(args) -> int:
     import json
     import time
 
-    from repro.scale import WORKLOADS, format_ranks, run_hybrid
+    from repro.scale import format_ranks, run_hybrid
     from repro.scale.parity import parity_table
     from repro.scale.units import parse_ranks, parse_ranks_list
 
-    workloads = (args.workloads.split(",") if args.workloads
-                 else sorted(WORKLOADS))
-    for w in workloads:
-        if w not in WORKLOADS:
-            raise SystemExit(f"unknown scale workload {w!r} "
-                             f"(have {sorted(WORKLOADS)})")
+    workloads = (args.workloads or _SCALE_NAMES).split(",")
+    for w in [*workloads, args.workload]:
+        _require(w, scale=True)
 
     if args.action == "parity":
         ranks = parse_ranks_list(args.ranks or "64,256,1Ki")
@@ -315,7 +334,7 @@ def _scale_cmd(args) -> int:
                              workloads=workloads)
         for case in table["cases"]:
             verdict = "exact" if case["exact"] else "MISMATCH"
-            print(f"{case['workload']:6s} p={case['ranks']:>6s} "
+            print(f"{case['workload']:10s} p={case['ranks']:>6s} "
                   f"rpn={args.rpn:<3d} msgs={case['messages']:>12,d} "
                   f"sampled={case['sampled']:<4d} {verdict}")
             if not case["exact"]:
@@ -347,7 +366,7 @@ def _scale_cmd(args) -> int:
                 "sim_time_ns": res.sim_time_ns,
                 "bounds": res.bounds,
             })
-            print(f"{w:6s} p={format_ranks(nranks):>6s} "
+            print(f"{w:10s} p={format_ranks(nranks):>6s} "
                   f"msgs={res.stats['messages']:>14,d} "
                   f"wall={wall:6.2f}s "
                   f"({nranks / wall:,.0f} ranks/s)")
@@ -423,13 +442,14 @@ def _serve_cmd(args) -> int:
                            check=args.check)
         report = build_report(res, spec, nranks, variant=args.variant)
         if args.check:
-            from repro.check.report import render_check_report
+            from repro.check.report import check_failed, render_check_report
 
             print(render_check_report(res.check,
                                       f"serve kvstore ({nranks} ranks)"))
             print()
-            if not res.check.clean:
-                failures.append("memory-model checker found violations")
+            if check_failed(res.check):
+                failures.append("memory-model checker found violations "
+                                "or hit its record cap")
 
     print(render_report(report))
     p99_us = report["latency_ns"]["p99"] / 1e3
@@ -501,8 +521,9 @@ def _ft_cmd(args) -> int:
 
 def _check_cmd(args) -> int:
     """``repro check``: named workload or example script, optional
-    perturbation sweep.  Exit code 1 iff any violation was found."""
-    from repro.check.report import render_check_report
+    perturbation sweep.  Exit code 1 iff any violation was found or a
+    run hit the record cap (:func:`~repro.check.report.check_failed`)."""
+    from repro.check.report import check_failed, render_check_report
 
     dirty = False
     if args.workload.endswith(".py"):
@@ -521,18 +542,14 @@ def _check_cmd(args) -> int:
             title = f"{args.workload} run {i}" if len(checkers) > 1 \
                 else args.workload
             print(render_check_report(ck, title))
-            dirty |= not ck.clean
+            dirty |= check_failed(ck)
         return 1 if dirty else 0
 
-    from repro.check.runner import check_workload
-
-    res, ck = check_workload(args.workload, nranks=args.ranks,
-                             seed=args.seed, ranks_per_node=args.rpn,
-                             jitter=args.jitter)
+    res = _run(args, ranks_per_node=args.rpn, check=True, jitter=args.jitter)
     print(render_check_report(
-        ck, f"{args.workload} ({args.ranks} ranks, "
-            f"{res.sim_time_ns / 1e3:.1f} us simulated)"))
-    dirty |= not ck.clean
+        res.check, f"{args.workload} ({args.ranks} ranks, "
+                   f"{res.sim_time_ns / 1e3:.1f} us simulated)"))
+    dirty |= check_failed(res.check)
     if args.perturb > 0:
         from repro.check.perturb import perturb_sweep
         from repro.check.report import render_perturb_report

@@ -4,7 +4,7 @@ The full chained store (:mod:`repro.apps.kvstore.rma_kv`) cannot run on
 log-protected windows -- its REPLACE-link path and CAS-update are fine
 (hardware AMOs), but the *software*-fallback risk and the MCS control
 words living outside the logged data volume make replay incomplete.  The
-FT serving mode therefore mirrors :func:`repro.ft.workloads.ft_hashtable`
+FT serving mode therefore mirrors :func:`repro.workloads.ft_hashtable`
 and restructures the store V1-style:
 
 * **Direct-mapped values.**  Key ``k`` owns one 8-byte word on rank

@@ -7,13 +7,14 @@ The subsystem has three layers:
 * :mod:`repro.check.vclock` / :mod:`repro.check.core` -- the vector-clock
   engine and shadow access store (attached per run via
   ``CheckConfig(enabled=True)`` or :func:`~repro.check.core.check_capture`);
-* :mod:`repro.check.runner` / :mod:`repro.check.perturb` -- workload
-  drivers and the seeded schedule-perturbation sweep behind
-  ``repro check <workload> [--perturb N]``.
+* :mod:`repro.check.runner` / :mod:`repro.check.perturb` -- the driver
+  for a user's own program and the seeded schedule-perturbation sweep
+  behind ``repro check <workload> [--perturb N]`` (the named demo
+  programs and their expected verdicts live in :mod:`repro.workloads`).
 
 This ``__init__`` stays import-light because ``rma/window.py`` imports
 ``repro.check.epochs`` on the hot path: the heavy modules (runner,
-workloads, perturbation -- which pull in the whole runtime) are loaded
+perturbation -- which pull in the whole runtime) are loaded
 lazily on attribute access.
 """
 
@@ -23,8 +24,7 @@ from typing import Any
 
 __all__ = ["RaceChecker", "Violation", "Access", "VectorClock",
            "check_capture", "active_check_capture", "run_checked",
-           "check_workload", "perturb_sweep", "render_check_report",
-           "CHECK_WORKLOADS", "RACY_EXPECT"]
+           "perturb_sweep", "render_check_report"]
 
 _LAZY = {
     "RaceChecker": ("repro.check.core", "RaceChecker"),
@@ -34,11 +34,8 @@ _LAZY = {
     "check_capture": ("repro.check.core", "check_capture"),
     "active_check_capture": ("repro.check.core", "active_check_capture"),
     "run_checked": ("repro.check.runner", "run_checked"),
-    "check_workload": ("repro.check.runner", "check_workload"),
     "perturb_sweep": ("repro.check.perturb", "perturb_sweep"),
     "render_check_report": ("repro.check.report", "render_check_report"),
-    "CHECK_WORKLOADS": ("repro.check.workloads", "CHECK_WORKLOADS"),
-    "RACY_EXPECT": ("repro.check.workloads", "RACY_EXPECT"),
 }
 
 

@@ -54,8 +54,8 @@ def perturb_sweep(name: str, iterations: int, *, nranks: int = 4,
                   base_seed: int | None = None,
                   ranks_per_node: int = 1) -> PerturbResult:
     """Rerun workload ``name`` under ``iterations`` perturbed schedules."""
-    from repro.check.runner import check_workload
     from repro.config import SimConfig
+    from repro.workloads import run_workload
 
     if iterations < 1:
         raise ValueError(f"iterations={iterations} must be positive")
@@ -64,9 +64,10 @@ def perturb_sweep(name: str, iterations: int, *, nranks: int = 4,
     out = PerturbResult(workload=name, nranks=nranks, iterations=iterations)
     for i in range(iterations):
         seed = derive_seed(base_seed, f"perturb-{i}")
-        _res, ck = check_workload(name, nranks, seed=seed,
-                                  ranks_per_node=ranks_per_node,
-                                  jitter=True)
+        ck = run_workload(name, nranks, seed=seed,
+                          ranks_per_node=ranks_per_node, check=True,
+                          jitter=True).check
+        assert isinstance(ck, RaceChecker)
         for v in ck.violations:
             v.seed = seed
         out.checkers.append(ck)

@@ -9,7 +9,16 @@ from repro.check.core import RaceChecker
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.perturb import PerturbResult
 
-__all__ = ["render_check_report", "render_perturb_report"]
+__all__ = ["check_failed", "render_check_report",
+           "render_perturb_report"]
+
+
+def check_failed(ck: RaceChecker) -> bool:
+    """What ``repro check`` and ``repro serve --check`` exit nonzero on:
+    a violation, or a run the record cap cut short -- past
+    ``CheckConfig.max_records`` nothing was checked, so zero findings
+    prove nothing."""
+    return bool(ck.violations) or ck.truncated
 
 
 def render_check_report(ck: RaceChecker, title: str = "") -> str:
@@ -27,7 +36,9 @@ def render_check_report(ck: RaceChecker, title: str = "") -> str:
     lines.append(f"live records     : {stats['live_records']} "
                  f"(pruned {stats['pruned_records']})")
     if ck.clean:
-        lines.append("violations       : 0  -- no races detected")
+        lines.append("violations       : 0  -- "
+                     + ("run incomplete, NOT verified clean"
+                        if ck.truncated else "no races detected"))
         return "\n".join(lines)
     lines.append(f"violations       : {stats['violations']} "
                  f"({stats['unique']} unique)")

@@ -1,4 +1,4 @@
-"""Drivers that run programs/workloads under the memory-model checker."""
+"""Driver that runs a user's program under the memory-model checker."""
 
 from __future__ import annotations
 
@@ -14,13 +14,15 @@ from repro.config import (
     SimConfig,
 )
 
-__all__ = ["run_checked", "check_workload", "JITTER_PROB", "JITTER_DELAY_NS"]
+__all__ = ["run_checked", "JITTER_PROB", "JITTER_DELAY_NS", "JITTER_FAULTS"]
 
 #: Schedule-perturbation knobs (the ``--perturb`` / ``--jitter`` modes):
 #: per-packet latency spikes reusing the repro.faults delay machinery.
 #: Deterministic per seed -- a finding's reproducer seed replays exactly.
 JITTER_PROB = 0.25
 JITTER_DELAY_NS = 5_000
+JITTER_FAULTS = FaultConfig(plan=FaultPlan(delay_prob=JITTER_PROB,
+                                           delay_ns=JITTER_DELAY_NS))
 
 
 def run_checked(program: Callable[..., Any], nranks: int = 4, *,
@@ -36,31 +38,9 @@ def run_checked(program: Callable[..., Any], nranks: int = 4, *,
     from repro.runtime.job import run_spmd
 
     sim = SimConfig() if seed is None else SimConfig(seed=seed)
-    faults = None
-    if jitter:
-        faults = FaultConfig(plan=FaultPlan(delay_prob=JITTER_PROB,
-                                            delay_ns=JITTER_DELAY_NS))
     res = run_spmd(program, nranks,
                    machine=MachineConfig(ranks_per_node=ranks_per_node),
-                   sim=sim, faults=faults,
+                   sim=sim, faults=JITTER_FAULTS if jitter else None,
                    check=CheckConfig(enabled=True), **kwargs)
     assert isinstance(res.check, RaceChecker)
     return res, res.check
-
-
-def check_workload(name: str, nranks: int = 4, *, seed: int | None = None,
-                   ranks_per_node: int = 1, jitter: bool = False,
-                   **kwargs: Any) -> tuple[RunResult, RaceChecker]:
-    """Run one named demo workload (see :data:`repro.check.workloads.
-    CHECK_WORKLOADS`) under the checker."""
-    from repro.check.workloads import CHECK_WORKLOADS
-
-    try:
-        program = CHECK_WORKLOADS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {name!r}; choose from "
-            f"{sorted(CHECK_WORKLOADS)}") from None
-    return run_checked(program, nranks, seed=seed,
-                       ranks_per_node=ranks_per_node, jitter=jitter,
-                       **kwargs)

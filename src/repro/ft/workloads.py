@@ -1,42 +1,17 @@
-"""Crash-to-completion workloads for the rollback-recovery layer.
+"""Crash-to-completion drivers for the rollback-recovery layer.
 
-:func:`ft_hashtable` is the canonical FT workload: the paper's
-distributed hashtable (Section 4.1) restructured so a mid-run node crash
-can be recovered *transparently* -- the job runs to completion and the
-final table is bit-identical to a fault-free run of the same seed.
-
-Two design rules make that possible (and testable):
-
-* **Collective-free steady state.**  A restored rank cannot rejoin
-  collectives its survivors already completed, so after window creation
-  the workload uses only RMA: CAS-claimed inserts inside one ``lock_all``
-  epoch, and a completion *counter in window memory* (each rank
-  fetch-and-adds rank 0's counter, then polls it) instead of a final
-  barrier.
-
-* **Timing-independent final state.**  Keys are constructed so that
-  insert ``i`` of rank ``r`` hashes to the globally unique slot
-  ``r*inserts + i`` (``key % nslots == slot``); no two ranks ever race
-  for a slot, so the final table bytes are a pure function of the seed --
-  the same whether a crash happened or not, and under both ``spare`` and
-  ``shrink`` recovery.  The CAS probe loop is still the paper's linear
-  probing; collisions just never occur by construction (``old == key``
-  re-claims are exactly the restored rank replaying its own inserts).
-
-Run helpers at the bottom (:func:`run_reference`,
-:func:`run_crash_to_completion`, :func:`soak`) pick crash times as a
-fraction of a fault-free reference run's length, so schedules stay
-seeded-deterministic end to end.  All FT runs place one rank per node
-(``MachineConfig(ranks_per_node=1)``): cross-rank intra-node traffic
-bypasses the NIC (XPMEM) and is invisible to the put-log, a documented
-V1 limitation (docs/FAULT_TOLERANCE.md).
+The program they drive is ``ft_hashtable`` in :mod:`repro.workloads`.
+:func:`run_reference`, :func:`run_crash_to_completion` and :func:`soak`
+pick crash times as a fraction of a fault-free reference run's length,
+so schedules stay seeded-deterministic end to end.  All FT runs place
+one rank per node (``MachineConfig(ranks_per_node=1)``): cross-rank
+intra-node traffic bypasses the NIC (XPMEM) and is invisible to the
+put-log, a documented V1 limitation (docs/FAULT_TOLERANCE.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.config import (
     FaultConfig,
@@ -48,11 +23,10 @@ from repro.config import (
     RunResult,
     SimConfig,
 )
-from repro.rma.enums import Op
 from repro.sim.random import derive_seed
+from repro.workloads import run_workload
 
 __all__ = [
-    "ft_hashtable",
     "ft_machine",
     "ft_faults",
     "run_reference",
@@ -62,91 +36,7 @@ __all__ = [
     "FTOutcome",
 ]
 
-_MASK63 = (1 << 63) - 1
-_SLOT = 16          # 8B key word + 8B value word
-_POLL_NS = 500      # completion-counter poll backoff
 
-
-def ft_hashtable(ctx, nslots: int, inserts: int):
-    """One rank of the crash-recoverable hashtable insert phase.
-
-    Layout: every rank's window holds ``nslots`` 16-byte slots plus one
-    8-byte completion counter (only rank 0's counter is used).  Global
-    slot ``s`` lives on rank ``s % nranks`` at byte offset ``s*16``.
-    Returns the rank's final slot region as ``bytes``.
-    """
-    rank, nranks = ctx.rank, ctx.nranks
-    if nslots < nranks * inserts:
-        raise ValueError(f"nslots={nslots} < nranks*inserts="
-                         f"{nranks * inserts}: slots must be collision-free")
-    ft = ctx.ft
-    interval = ft.rt.cfg.interval if ft is not None else 0
-
-    if ft is not None and ft.restarting:
-        st = ft.restored_state()
-        win = ft.adopt(st["win_id"])
-        start_i = st["next_i"]
-    else:
-        win = yield from ctx.rma.win_allocate(nslots * _SLOT + 8,
-                                              disp_unit=1)
-        if ft is not None:
-            ft.protect(win)
-        start_i = 0
-
-    # Passive-target epoch for the whole phase; a restored rank's
-    # lock_all re-enters its checkpointed epoch without re-acquiring.
-    yield from win.lock_all()
-    if ft is not None and start_i == 0:
-        # v0 checkpoint: taken inside the epoch so a crash at any later
-        # point has a consistent restart line.
-        yield from ft.checkpoint(win, {"win_id": win.win_id, "next_i": 0})
-
-    seed = ctx.world.sim.seed
-    for i in range(start_i, inserts):
-        s = rank * inserts + i
-        # key % nslots == s and key < 2**63 (signed-safe for the CAS),
-        # key != 0 (zero marks an empty slot).
-        m = derive_seed(seed, f"ftkey-{rank}-{i}") % ((1 << 40) - 1) + 1
-        key = m * nslots + s
-        value = derive_seed(seed, f"ftval-{rank}-{i}") & _MASK63
-        j = key % nslots
-        for _probe in range(nslots):
-            owner, off = j % nranks, j * _SLOT
-            old = yield from win.compare_and_swap(0, key, owner, off)
-            if old == 0 or old == key:
-                vbuf = np.frombuffer(int(value).to_bytes(8, "little"),
-                                     dtype=np.uint8)
-                yield from win.put(vbuf, owner, off + 8)
-                break
-            j = (j + 1) % nslots
-        else:
-            raise RuntimeError(f"rank {rank}: hashtable full")
-        if ft is not None and interval and (i + 1) % interval == 0:
-            # Coordinated line: local puts flushed first so the snapshot
-            # plus the remote put-log covers everything this rank issued.
-            yield from win.flush_all()
-            yield from ft.checkpoint(win, {"win_id": win.win_id,
-                                           "next_i": i + 1})
-
-    yield from win.flush_all()
-    # Collective-free completion: bump rank 0's counter, poll until all
-    # ranks arrived.  A restored rank's re-executed bump carries its
-    # pre-crash sequence number, so the injector's exactly-once cache
-    # suppresses double counting.
-    done_off = nslots * _SLOT
-    yield from win.fetch_and_op(1, 0, done_off, Op.SUM)
-    while True:
-        count = yield from win.fetch_and_op(0, 0, done_off, Op.SUM)
-        if count >= nranks:
-            break
-        yield from ctx.compute(_POLL_NS)
-    yield from win.unlock_all()
-    return win.seg.snapshot_bytes()[:nslots * _SLOT]
-
-
-# ----------------------------------------------------------------------
-# run helpers
-# ----------------------------------------------------------------------
 def ft_machine() -> MachineConfig:
     """One rank per node: every protected access crosses the NIC, so the
     put-log sees the full remote delta (V1 requirement)."""
@@ -171,21 +61,14 @@ def ft_faults(*, crashes=(), mode: str = "spare", interval: int = 2,
 def run_reference(nranks: int = 4, inserts: int = 4, *,
                   seed: int = SimConfig.seed, interval: int = 2,
                   mode: str = "spare", policy: str = "log",
-                  ft_on: bool = True, obs=None) -> RunResult:
+                  ft_on: bool = True) -> RunResult:
     """Fault-free run; with ``ft_on`` checkpoints are still taken (the
     overhead the FT benchmark measures), without it the run is the pure
     baseline."""
     faults = (ft_faults(mode=mode, interval=interval, policy=policy)
               if ft_on else None)
-    return run_spmd_ft(nranks, inserts, seed=seed, faults=faults, obs=obs)
-
-
-def run_spmd_ft(nranks: int, inserts: int, *, seed: int,
-                faults: FaultConfig | None, obs=None) -> RunResult:
-    from repro.runtime.job import run_spmd
-    return run_spmd(ft_hashtable, nranks, nranks * inserts, inserts,
-                    machine=ft_machine(), sim=SimConfig(seed=seed),
-                    faults=faults, obs=obs)
+    return run_workload("ft_hashtable", nranks, seed=seed, faults=faults,
+                        inserts=inserts)
 
 
 def table_bytes(result: RunResult) -> bytes:
@@ -237,7 +120,8 @@ def run_crash_to_completion(nranks: int = 4, inserts: int = 4, *,
     # One rank per node, so node id == rank id.
     faults = ft_faults(crashes=(NodeCrash(crash_rank, t),), mode=mode,
                        interval=interval, policy=policy, replicas=replicas)
-    res = run_spmd_ft(nranks, inserts, seed=seed, faults=faults)
+    res = run_workload("ft_hashtable", nranks, seed=seed, faults=faults,
+                       inserts=inserts)
     return FTOutcome(reference=ref, recovered=res, crash_rank=crash_rank,
                      crash_time_ns=t, mode=mode,
                      match=table_bytes(res) == table_bytes(ref))

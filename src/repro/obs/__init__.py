@@ -11,13 +11,10 @@ to uninstrumented code.
 Exports: Chrome trace-event JSON (:mod:`repro.obs.chrome`, loadable in
 Perfetto with one track per rank and per NIC) and plain-text run reports
 (:mod:`repro.obs.report`).  ``repro trace <workload>`` and ``repro
-report`` on the CLI drive the named demo workloads in
-:mod:`repro.obs.workloads`.
+report`` on the CLI drive the named workloads in :mod:`repro.workloads`.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.obs.chrome import (
     chrome_trace,
@@ -27,7 +24,6 @@ from repro.obs.chrome import (
 from repro.obs.core import Instrumentation, active_capture, capture
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.report import render_report, span_aggregates
-from repro.obs.workloads import WORKLOADS, run_workload
 
 __all__ = [
     "Instrumentation",
@@ -40,29 +36,4 @@ __all__ = [
     "write_chrome_trace",
     "render_report",
     "span_aggregates",
-    "WORKLOADS",
-    "run_workload",
-    "trace_spmd",
 ]
-
-
-def trace_spmd(program: Any, nranks: int, *, path: str | None = None,
-               label: str = "", **kwargs: Any) -> tuple[Any, str]:
-    """Run ``program`` under observability and export a Chrome trace.
-
-    Returns ``(RunResult, trace_json_string)``; when ``path`` is given
-    the trace is also written there.  Keyword arguments are forwarded to
-    :func:`repro.runtime.job.run_spmd`.
-    """
-    from repro.config import ObsConfig
-    from repro.runtime.job import run_spmd
-
-    kwargs.setdefault("obs", ObsConfig(enabled=True))
-    res = run_spmd(program, nranks, **kwargs)
-    if res.obs is None:  # pragma: no cover - defensive
-        raise RuntimeError("observability did not attach to the run")
-    text = chrome_trace_json(res.obs, label=label)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return res, text

@@ -19,18 +19,15 @@ asserted at every size up to 1Mi ranks.
 """
 
 from repro.scale.hybrid import HybridParityError, HybridResult, run_hybrid
-from repro.scale.parity import parity_case, parity_table, run_full
+from repro.scale.parity import parity_case, parity_table
 from repro.scale.units import format_ranks, parse_ranks
-from repro.scale.workloads import WORKLOADS
 
 __all__ = [
     "HybridParityError",
     "HybridResult",
-    "WORKLOADS",
     "format_ranks",
     "parity_case",
     "parity_table",
     "parse_ranks",
-    "run_full",
     "run_hybrid",
 ]

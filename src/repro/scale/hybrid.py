@@ -34,7 +34,6 @@ from repro.config import ObsConfig, ScaleConfig, SimConfig
 from repro.scale import protocols
 from repro.scale.protocols import SampledRank, WorkloadSpec
 from repro.scale.soa import AggregateSoA, ScaleCounters, ScaleTopology
-from repro.scale.workloads import WORKLOADS
 from repro.sim.kernel import Environment
 from repro.sim.random import stream
 
@@ -115,12 +114,20 @@ def run_hybrid(workload: str | WorkloadSpec, nranks: int, *,
                obs: ObsConfig | None = None) -> HybridResult:
     """Run one canonical workload in hybrid scale mode.
 
-    ``workload`` is a name from :data:`~repro.scale.workloads.WORKLOADS`
-    or an explicit :class:`WorkloadSpec`.  ``nranks`` may be any size
-    from 2 to millions; memory is O(p) machine words plus O(samples)
-    Python objects.
+    ``workload`` is the :data:`repro.workloads.WORKLOADS` key of an
+    entry with a hybrid twin, or an explicit :class:`WorkloadSpec`.
+    ``nranks`` may be any size from 2 to millions; memory is O(p)
+    machine words plus O(samples) Python objects.
     """
-    spec = WORKLOADS[workload] if isinstance(workload, str) else workload
+    if isinstance(workload, WorkloadSpec):
+        spec = workload
+    else:
+        # Resolved here, not at import: the registry imports this package.
+        from repro.workloads import lookup
+
+        twin = lookup(workload, scale=True).scale
+        assert twin is not None
+        spec = twin
     if nranks < 2:
         raise ValueError("hybrid ring workloads need at least 2 ranks")
     scale = scale or ScaleConfig(enabled=True)

@@ -15,23 +15,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.config import MachineConfig, ScaleConfig, SimConfig
-from repro.runtime.job import run_spmd
+from repro.config import ScaleConfig
 from repro.scale.hybrid import run_hybrid
 from repro.scale.units import format_ranks
-from repro.scale.workloads import WORKLOADS, full_program
 
-__all__ = ["run_full", "parity_case", "parity_table"]
-
-
-def run_full(workload: str, nranks: int, *, ranks_per_node: int = 1,
-             sim: SimConfig | None = None):
-    """Full-fidelity reference run of one canonical workload."""
-    spec = WORKLOADS[workload]
-    return run_spmd(full_program(workload), nranks,
-                    machine=MachineConfig(ranks_per_node=ranks_per_node),
-                    sim=sim or SimConfig(),
-                    epochs=spec.epochs, nbytes=spec.nbytes)
+__all__ = ["parity_case", "parity_table"]
 
 
 def _stats_diff(full: dict, hybrid: dict) -> dict[str, Any]:
@@ -45,13 +33,15 @@ def _stats_diff(full: dict, hybrid: dict) -> dict[str, Any]:
 
 
 def parity_case(workload: str, nranks: int, *, ranks_per_node: int = 1,
-                scale: ScaleConfig | None = None,
-                sim: SimConfig | None = None) -> dict[str, Any]:
-    """One parity cell: run both modes, diff the stats dicts exactly."""
-    full = run_full(workload, nranks, ranks_per_node=ranks_per_node,
-                    sim=sim)
+                scale: ScaleConfig | None = None) -> dict[str, Any]:
+    """One parity cell: run the registry entry ``workload`` in both
+    modes, diff the stats dicts exactly."""
+    # Imported here, not at module level: the registry imports this package.
+    from repro.workloads import run_workload
+
+    full = run_workload(workload, nranks, ranks_per_node=ranks_per_node)
     hybrid = run_hybrid(workload, nranks, ranks_per_node=ranks_per_node,
-                        scale=scale, sim=sim)
+                        scale=scale)
     diff = _stats_diff(full.stats, hybrid.stats)
     return {
         "workload": workload,
@@ -71,23 +61,24 @@ def parity_case(workload: str, nranks: int, *, ranks_per_node: int = 1,
 
 def parity_table(rank_counts: list[int], *, ranks_per_node: int = 1,
                  workloads: list[str] | None = None,
-                 scale: ScaleConfig | None = None,
-                 sim: SimConfig | None = None) -> dict[str, Any]:
-    """The full parity sweep: every workload at every size.
+                 scale: ScaleConfig | None = None) -> dict[str, Any]:
+    """The full parity sweep: every workload (default: every registry
+    entry with a hybrid twin) at every size.
 
     Returns a JSON-ready report with per-cell results and an overall
     ``ok`` verdict (every cell exact, every bound satisfied).
     """
-    names = workloads or sorted(WORKLOADS)
-    cases = [parity_case(w, p, ranks_per_node=ranks_per_node,
-                         scale=scale, sim=sim)
-             for w in names for p in rank_counts]
+    from repro.workloads import names
+
+    workloads = workloads or names(scale=True)
+    cases = [parity_case(w, p, ranks_per_node=ranks_per_node, scale=scale)
+             for w in workloads for p in rank_counts]
     ok = all(c["exact"] and c["bounds"]["max_remote_ops_ok"]
              for c in cases)
     return {
         "ok": ok,
         "ranks_per_node": ranks_per_node,
         "rank_counts": rank_counts,
-        "workloads": names,
+        "workloads": workloads,
         "cases": cases,
     }

@@ -3,8 +3,9 @@
 Each canonical workload (fence, pscw, lock, flush -- the paper's four
 synchronization substrates) exists in three forms that must agree:
 
-1. the **full-fidelity SPMD program** (:mod:`repro.scale.workloads`),
-   run on the real runtime via ``run_spmd`` at overlapping sizes;
+1. the **full-fidelity SPMD program** (the ``*_ring`` entries of
+   :mod:`repro.workloads`), run on the real runtime via ``run_spmd`` at
+   overlapping sizes;
 2. the **vectorized aggregate model** here, which replays the same
    protocol round by round over numpy vectors of all p ranks and feeds
    :class:`~repro.scale.soa.ScaleCounters` -- message counts are exact

@@ -6,26 +6,30 @@ deterministic per seed."""
 import numpy as np
 import pytest
 
-from repro.check.runner import check_workload, run_checked
-from repro.check.workloads import CHECK_WORKLOADS, RACY_EXPECT
+from repro.check.runner import run_checked
 from repro.rma.datatypes import BYTE, Vector
+from repro.workloads import WORKLOADS, run_workload
 
-CLEAN = [n for n in CHECK_WORKLOADS
-         if not n.startswith("racy_")] + ["racy_latent"]
+RACY = {n: wl.expect for n, wl in WORKLOADS.items() if wl.expect}
+CLEAN = [n for n in WORKLOADS if n not in RACY]
 
 
-@pytest.mark.parametrize("name", sorted(RACY_EXPECT))
+def _checked(name, seed=11):
+    return run_workload(name, nranks=4, seed=seed, check=True).check
+
+
+@pytest.mark.parametrize("name", sorted(RACY))
 def test_racy_demo_flagged_with_expected_kind(name):
-    _, ck = check_workload(name, nranks=4, seed=11)
+    ck = _checked(name)
     assert not ck.clean, f"{name}: checker missed the seeded race"
     kinds = {v.kind for v in ck.violations}
-    assert kinds == {RACY_EXPECT[name]}, \
-        f"{name}: got {kinds}, expected {{{RACY_EXPECT[name]!r}}}"
+    assert kinds == {RACY[name]}, \
+        f"{name}: got {kinds}, expected {{{RACY[name]!r}}}"
 
 
 @pytest.mark.parametrize("name", sorted(CLEAN))
 def test_clean_workload_has_zero_violations(name):
-    _, ck = check_workload(name, nranks=4, seed=11)
+    ck = _checked(name)
     assert ck.clean, \
         f"{name}: false positives: {[v.describe() for v in ck.violations]}"
     assert ck.accesses_seen > 0 or name in ("fence", "pscw", "locks",
@@ -35,7 +39,7 @@ def test_clean_workload_has_zero_violations(name):
 def test_put_put_pair_identifies_both_writers():
     """The report names the two conflicting accesses with rank, kind,
     epoch and timestamp -- the paper-mandated debugging payload."""
-    _, ck = check_workload("racy_put_put", nranks=4, seed=11)
+    ck = _checked("racy_put_put")
     for v in ck.violations:
         assert v.first.kind == "put" and v.second.kind == "put"
         assert v.first.rank != v.second.rank
@@ -48,21 +52,21 @@ def test_put_put_pair_identifies_both_writers():
 
 
 def test_acc_mix_pair_names_both_ops():
-    _, ck = check_workload("racy_acc_mix", nranks=4, seed=11)
+    ck = _checked("racy_acc_mix")
     for v in ck.violations:
         assert {v.first.op, v.second.op} == {"sum", "replace"}
         assert v.first.is_acc and v.second.is_acc
 
 
 def test_atomic_nonatomic_pair():
-    _, ck = check_workload("racy_atomic_nonatomic", nranks=4, seed=11)
+    ck = _checked("racy_atomic_nonatomic")
     for v in ck.violations:
         kinds = {v.first.kind, v.second.kind}
         assert "put" in kinds and (kinds & {"fao"})
 
 
 def test_local_remote_pair_attributes_target_side_access():
-    _, ck = check_workload("racy_local", nranks=4, seed=11)
+    ck = _checked("racy_local")
     assert any({v.first.kind, v.second.kind} == {"local_load", "put"}
                for v in ck.violations)
     for v in ck.violations:
@@ -74,29 +78,29 @@ def test_msg_sync_orders_mixed_two_sided_one_sided():
     """Satellite: MPI-1 send/recv match points feed the vector-clock
     engine, so a put ordered by a message edge is not a race -- and the
     control twin (message sent before the put) still is."""
-    _, ck = check_workload("clean_msg_sync", nranks=4, seed=11)
+    ck = _checked("clean_msg_sync")
     assert ck.clean, [v.describe() for v in ck.violations]
     assert ck.msg_edges >= 1
 
-    _, ck = check_workload("racy_msg_nosync", nranks=4, seed=11)
+    ck = _checked("racy_msg_nosync")
     assert {v.kind for v in ck.violations} == {"local-remote"}
 
 
 def test_same_origin_pair_shares_oseq():
     """The two unflushed puts carry the same operation-sequence number;
     the clean twin's flush separates them."""
-    _, ck = check_workload("racy_same_origin", nranks=4, seed=11)
+    ck = _checked("racy_same_origin")
     for v in ck.violations:
         assert v.first.rank == v.second.rank
         assert v.first.oseq == v.second.oseq
-    _, ck = check_workload("clean_same_origin", nranks=4, seed=11)
+    ck = _checked("clean_same_origin")
     assert ck.clean
 
 
 def test_strided_interleaved_disjoint_is_not_a_race():
     """Satellite: interleaving-but-non-overlapping vector datatypes from
     two origins never alias byte-wise -> zero violations."""
-    _, ck = check_workload("clean_strided", nranks=4, seed=11)
+    ck = _checked("clean_strided")
     assert ck.clean
     assert ck.accesses_seen > 0
 
@@ -139,8 +143,8 @@ def test_violations_deterministic_per_seed():
                  v.first.rank, v.second.rank, v.first.t_ns, v.second.t_ns)
                 for v in ck.violations]
 
-    _, a = check_workload("racy_put_put", nranks=4, seed=23)
-    _, b = check_workload("racy_put_put", nranks=4, seed=23)
+    a = _checked("racy_put_put", seed=23)
+    b = _checked("racy_put_put", seed=23)
     assert sig(a) == sig(b)
 
 
@@ -204,7 +208,7 @@ def test_record_cap_truncates_gracefully():
 
 
 def test_stats_snapshot_shape():
-    _, ck = check_workload("racy_put_put", nranks=4, seed=11)
+    ck = _checked("racy_put_put")
     s = ck.stats_snapshot()
     assert s["violations"] >= s["unique"] >= 1
     assert s["by_kind"] == {"put-put": s["violations"]}
@@ -212,11 +216,11 @@ def test_stats_snapshot_shape():
 
 
 def test_run_result_carries_check_stats():
-    res, ck = check_workload("clean_put_put", nranks=4, seed=11)
-    assert res.check is ck
+    res = run_workload("clean_put_put", nranks=4, seed=11, check=True)
+    assert res.check.clean
     assert res.stats["check"]["violations"] == 0
 
 
 def test_unknown_workload_lists_choices():
     with pytest.raises(ValueError, match="racy_put_put"):
-        check_workload("nope")
+        run_workload("nope")

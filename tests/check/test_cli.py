@@ -5,8 +5,10 @@ import numpy as np
 
 from repro.__main__ import main
 from repro.check.core import active_check_capture, check_capture
-from repro.config import SimConfig
+from repro.check.report import check_failed, render_check_report
+from repro.config import CheckConfig, MachineConfig, SimConfig
 from repro.runtime.job import run_spmd
+from repro.workloads import putget, run_workload
 
 
 def test_check_clean_workload_exits_zero(capsys):
@@ -20,6 +22,22 @@ def test_check_racy_workload_exits_one(capsys):
     out = capsys.readouterr().out
     assert "race[put-put]" in out
     assert "by rank" in out
+
+
+def test_truncated_run_is_not_a_clean_run():
+    """Past the record cap nothing is checked: zero findings then render
+    as incomplete and fail the command, they do not pass it."""
+    ck = run_spmd(putget, 4, machine=MachineConfig(ranks_per_node=1),
+                  sim=SimConfig(seed=11),
+                  check=CheckConfig(enabled=True, max_records=4)).check
+    assert ck.truncated and not ck.violations
+    assert ck.accesses_seen == 68
+    text = render_check_report(ck)
+    assert "incomplete" in text and "no races detected" not in text
+    assert check_failed(ck)      # what `repro check` / `serve --check` exit on
+    complete = run_workload("putget", seed=11, check=True).check
+    assert not complete.truncated and not check_failed(complete)
+    assert "no races detected" in render_check_report(complete)
 
 
 def test_check_perturb_sweep_reports_reproducers(capsys):

@@ -3,13 +3,13 @@ schedule, manifest under seeded jitter, and every finding carries a
 reproducer seed that replays it."""
 
 from repro.check.perturb import perturb_sweep, reproducer_command
-from repro.check.runner import check_workload
+from repro.workloads import run_workload
 
 ITERS = 4
 
 
 def test_latent_race_clean_on_default_schedule():
-    _, ck = check_workload("racy_latent", nranks=4, seed=11)
+    ck = run_workload("racy_latent", nranks=4, seed=11, check=True).check
     assert ck.clean
 
 
@@ -30,8 +30,8 @@ def test_findings_carry_replayable_seed():
     finding = sweep.findings[0]
     assert finding.seed is not None
     # Replaying the stamped seed with jitter reproduces the violation.
-    _, ck = check_workload("racy_latent", nranks=4, seed=finding.seed,
-                           jitter=True)
+    ck = run_workload("racy_latent", nranks=4, seed=finding.seed,
+                      check=True, jitter=True).check
     assert any(v.kind == finding.kind for v in ck.violations)
     cmd = reproducer_command("racy_latent", 4, finding.seed)
     assert cmd == f"repro check racy_latent --ranks 4 " \

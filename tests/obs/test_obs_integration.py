@@ -1,5 +1,7 @@
-"""End-to-end observability: golden determinism, zero perturbation,
-exporters, and the capture hook."""
+"""End-to-end observability: trace determinism, zero perturbation under
+faults, exporters, and the capture hook.  (Obs-on / checker-on versus
+plain, and the golden schedules under instruments, are swept over the
+whole registry in tests/test_workloads.py.)"""
 
 import json
 
@@ -10,24 +12,28 @@ from repro.config import (
     ObsConfig,
     SimConfig,
 )
-from repro.obs import capture, chrome_trace_json, render_report, run_workload
+from repro.obs import (
+    capture,
+    chrome_trace_json,
+    render_report,
+    write_chrome_trace,
+)
 from repro.obs.chrome import PID_NICS, PID_RANKS
-from repro.obs.workloads import wl_putget
 from repro.runtime.job import run_spmd
-from tests.sim.test_kernel_gen2 import GOLDEN
+from repro.workloads import putget, run_workload
 
 
 def test_chrome_trace_byte_identical_across_runs():
     """Same seed, same workload -> byte-identical Chrome trace JSON."""
-    _, obs1 = run_workload("putget", nranks=4, seed=11)
-    _, obs2 = run_workload("putget", nranks=4, seed=11)
+    obs1 = run_workload("putget", nranks=4, seed=11, obs=True).obs
+    obs2 = run_workload("putget", nranks=4, seed=11, obs=True).obs
     t1 = chrome_trace_json(obs1, label="putget")
     t2 = chrome_trace_json(obs2, label="putget")
     assert t1 == t2
 
 
 def test_chrome_trace_schema():
-    _, obs = run_workload("putget", nranks=4, seed=11)
+    obs = run_workload("putget", nranks=4, seed=11, obs=True).obs
     doc = json.loads(chrome_trace_json(obs, label="putget"))
     assert doc["displayTimeUnit"] == "ns"
     assert doc["otherData"]["label"] == "putget"
@@ -57,7 +63,7 @@ def test_workload_span_coverage():
         "pscw": {"pscw.post", "pscw.start", "pscw.complete", "pscw.wait"},
     }
     for name, wanted in expect.items():
-        _, obs = run_workload(name, nranks=4, seed=3)
+        obs = run_workload(name, nranks=4, seed=3, obs=True).obs
         names = {s.name for s in obs.spans.spans}
         assert wanted <= names, f"{name}: missing {wanted - names}"
 
@@ -65,8 +71,8 @@ def test_workload_span_coverage():
 def test_obs_disabled_schedule_bit_identical():
     """Enabling observability must not move a single event."""
     sim = SimConfig(seed=7)
-    off = run_spmd(wl_putget, 4, sim=sim)
-    on = run_spmd(wl_putget, 4, sim=sim, obs=ObsConfig(enabled=True))
+    off = run_spmd(putget, 4, sim=sim)
+    on = run_spmd(putget, 4, sim=sim, obs=ObsConfig(enabled=True))
     assert off.obs is None
     assert on.obs is not None and len(on.obs.spans) > 0
     assert off.sim_time_ns == on.sim_time_ns
@@ -79,23 +85,13 @@ def test_check_disabled_schedule_bit_identical():
     from repro.config import CheckConfig
 
     sim = SimConfig(seed=7)
-    off = run_spmd(wl_putget, 4, sim=sim)
-    on = run_spmd(wl_putget, 4, sim=sim, check=CheckConfig(enabled=True))
+    off = run_spmd(putget, 4, sim=sim)
+    on = run_spmd(putget, 4, sim=sim, check=CheckConfig(enabled=True))
     assert off.check is None
     assert on.check is not None and on.check.accesses_seen > 0
     assert off.sim_time_ns == on.sim_time_ns
     assert off.events_processed == on.events_processed
     assert off.returns == on.returns
-
-
-def test_checker_off_golden_schedules():
-    """Checker-disabled runs are bit-identical to pre-checker schedules:
-    the golden numbers (one table, tests/sim/test_kernel_gen2.py) were
-    captured at seed 11 before the check subsystem existed."""
-    for name, (t_ns, events) in GOLDEN.items():
-        res, _ = run_workload(name, nranks=4, seed=11, ranks_per_node=4)
-        assert (res.sim_time_ns, res.events_processed) == (t_ns, events), \
-            f"{name}: schedule drifted from pre-checker golden trace"
 
 
 def test_obs_faulty_schedule_bit_identical():
@@ -104,8 +100,8 @@ def test_obs_faulty_schedule_bit_identical():
     plan = FaultPlan(drop_prob=0.25)
     kw = dict(machine=MachineConfig(ranks_per_node=1),
               sim=SimConfig(seed=13), faults=FaultConfig(plan=plan))
-    off = run_spmd(wl_putget, 4, **kw)
-    on = run_spmd(wl_putget, 4, obs=ObsConfig(enabled=True), **kw)
+    off = run_spmd(putget, 4, **kw)
+    on = run_spmd(putget, 4, obs=ObsConfig(enabled=True), **kw)
     assert off.sim_time_ns == on.sim_time_ns
     assert off.events_processed == on.events_processed
     assert off.returns == on.returns
@@ -120,7 +116,7 @@ def test_obs_faulty_schedule_bit_identical():
 
 def test_capture_collects_instrumentation():
     with capture() as sink:
-        res = run_spmd(wl_putget, 4, sim=SimConfig(seed=5))
+        res = run_spmd(putget, 4, sim=SimConfig(seed=5))
     assert len(sink) == 1
     assert res.obs is sink[0]
     assert len(sink[0].spans) > 0
@@ -129,25 +125,24 @@ def test_capture_collects_instrumentation():
 def test_capture_nesting_keeps_outer_sink():
     with capture() as outer:
         with capture() as inner:
-            run_spmd(wl_putget, 4, sim=SimConfig(seed=5))
+            run_spmd(putget, 4, sim=SimConfig(seed=5))
         assert inner is outer
     assert len(outer) == 1
 
 
-def test_trace_spmd_writes_trace(tmp_path):
-    from repro.obs import trace_spmd
-
+def test_obs_run_writes_trace(tmp_path):
     path = tmp_path / "t.json"
-    res, text = trace_spmd(wl_putget, 4, path=str(path),
-                           label="unit", sim=SimConfig(seed=9))
-    assert res.obs is not None
-    assert path.read_text() == text
+    res = run_spmd(putget, 4, sim=SimConfig(seed=9),
+                   obs=ObsConfig(enabled=True))
+    write_chrome_trace(str(path), res.obs, label="unit")
+    text = path.read_text()
+    assert text == chrome_trace_json(res.obs, label="unit")
     assert json.loads(text)["otherData"]["label"] == "unit"
 
 
 def test_render_report_sections():
-    res, obs = run_workload("locks", nranks=4, seed=2)
-    text = render_report(obs, title="locks demo",
+    res = run_workload("locks", nranks=4, seed=2, obs=True)
+    text = render_report(res.obs, title="locks demo",
                          sim_time_ns=res.sim_time_ns,
                          events_processed=res.events_processed)
     assert "locks demo" in text

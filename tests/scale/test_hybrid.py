@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro.config import MachineConfig, ScaleConfig, SimConfig
-from repro.scale import WORKLOADS, run_hybrid
+from repro.scale import run_hybrid
 from repro.scale.hybrid import HybridParityError, sample_ranks
 from repro.scale.protocols import WorkloadSpec
 from repro.scale.soa import AggregateSoA, ScaleTopology
+from tests.scale import RING
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("workload", RING)
 def test_same_seed_bit_identical(workload):
     a = run_hybrid(workload, 8192, ranks_per_node=32)
     b = run_hybrid(workload, 8192, ranks_per_node=32)
@@ -30,8 +31,8 @@ def test_same_seed_bit_identical(workload):
 
 
 def test_different_seed_different_sample():
-    a = run_hybrid("fence", 8192, sim=SimConfig(seed=1))
-    b = run_hybrid("fence", 8192, sim=SimConfig(seed=2))
+    a = run_hybrid("fence_ring", 8192, sim=SimConfig(seed=1))
+    b = run_hybrid("fence_ring", 8192, sim=SimConfig(seed=2))
     assert a.sample != b.sample
     # ... but the counts are sample-independent by construction.
     assert a.stats == b.stats
@@ -41,10 +42,10 @@ def test_different_seed_different_sample():
 def test_sampling_fraction_sweep(fraction):
     # Stats must be identical across sampling fractions; only the
     # amount of DES-side validation changes.
-    ref = run_hybrid("lock", 4096, ranks_per_node=32)
+    ref = run_hybrid("lock_ring", 4096, ranks_per_node=32)
     cfg = ScaleConfig(enabled=True, sample_fraction=fraction,
                       sample_min=2, sample_max=4096)
-    res = run_hybrid("lock", 4096, ranks_per_node=32, scale=cfg)
+    res = run_hybrid("lock_ring", 4096, ranks_per_node=32, scale=cfg)
     assert res.stats == ref.stats
     assert res.sim_time_ns == ref.sim_time_ns
     expect = max(2, min(4096, round(4096 * fraction)))
@@ -63,7 +64,7 @@ def test_sample_always_contains_master():
 def test_million_rank_memory_bounded():
     # 1Mi ranks: aggregate state must be flat arrays (tens of MB), not
     # per-rank objects; sample stays clamped at sample_max.
-    res = run_hybrid("fence", 1 << 20, ranks_per_node=32)
+    res = run_hybrid("fence_ring", 1 << 20, ranks_per_node=32)
     assert res.nranks == 1 << 20
     assert len(res.sample) <= ScaleConfig().sample_max
     # 7 int64/int32 arrays over 1Mi ranks: well under 100 MB.
@@ -103,7 +104,7 @@ def test_tier_divergence_is_refused():
             original(self)
         protocols.SampledRank.put_right = doubled
         with pytest.raises(HybridParityError):
-            run_hybrid("fence", 256, ranks_per_node=32)
+            run_hybrid("fence_ring", 256, ranks_per_node=32)
     finally:
         protocols.SampledRank.put_right = original
 
@@ -120,10 +121,12 @@ def test_contention_refused_by_soa():
 
 
 def test_bad_workload_and_sizes():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="fence_ring"):
         run_hybrid("nope", 64)
+    with pytest.raises(ValueError, match="no hybrid twin"):
+        run_hybrid("fence", 64)
     with pytest.raises(ValueError):
-        run_hybrid("fence", 1)
+        run_hybrid("fence_ring", 1)
     with pytest.raises(ValueError):
         WorkloadSpec("fence", epochs=0)
     with pytest.raises(ValueError):

@@ -10,18 +10,17 @@ per-kind counts, per-rank maxima -- across workloads, rank counts
 import pytest
 
 from repro.scale.parity import parity_case, parity_table
+from tests.scale import RING
 
-WORKLOADS = ["fence", "pscw", "lock", "flush"]
 
-
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", RING)
 @pytest.mark.parametrize("nranks", [2, 3, 16, 63])
 def test_exact_parity_rpn1(workload, nranks):
     case = parity_case(workload, nranks, ranks_per_node=1)
     assert case["exact"], case["diff"]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", RING)
 @pytest.mark.parametrize("nranks", [16, 63, 96])
 def test_exact_parity_rpn32(workload, nranks):
     # 32 ranks/node: intra-node puts become XPMEM stores, PSCW posts
@@ -32,7 +31,7 @@ def test_exact_parity_rpn32(workload, nranks):
 
 def test_parity_table_verdict():
     table = parity_table([16, 32], ranks_per_node=32,
-                         workloads=["fence", "lock"])
+                         workloads=["fence_ring", "lock_ring"])
     assert table["ok"]
     assert len(table["cases"]) == 4
     for case in table["cases"]:
@@ -41,7 +40,7 @@ def test_parity_table_verdict():
 
 
 def test_olog_bounds_present():
-    case = parity_case("fence", 64, ranks_per_node=32)
+    case = parity_case("fence_ring", 64, ranks_per_node=32)
     bounds = case["bounds"]
     assert bounds["log2p"] == 6
     assert bounds["fence_rounds"] == 6

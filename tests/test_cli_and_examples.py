@@ -76,6 +76,30 @@ def test_cli_report():
 def test_cli_trace_unknown_workload():
     out = _cli("trace", "nosuch")
     assert out.returncode != 0
+    assert "putget locks fence pscw" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args, listed", [
+    (("check", "nope"), "putget locks fence pscw racy_put_put"),
+    (("report", "nope"), "putget locks fence pscw"),
+    (("scale", "run", "--workload", "nosuch"),
+     "(have fence_ring pscw_ring lock_ring flush_ring)"),
+    (("scale", "run", "--workload", "putget"),
+     "'putget' has no hybrid twin (scale workloads: fence_ring"),
+    (("scale", "parity", "--workloads", "fence_ring,nosuch"),
+     "'nosuch' (have fence_ring"),
+])
+def test_cli_unknown_workload_is_one_line(args, listed):
+    """In process: ``SystemExit(<str>)`` is what the subprocess above
+    turns into one stderr line and exit status 1."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert isinstance(exc.value.code, str)
+    assert listed in exc.value.code and "\n" not in exc.value.code
 
 
 @pytest.mark.parametrize("script", [

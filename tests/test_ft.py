@@ -10,18 +10,17 @@ recovery, for any crash rank, deterministically.
 import pytest
 
 from repro import run_spmd
-from repro.config import CheckConfig, FTConfig, NodeCrash, SimConfig
+from repro.config import FTConfig, NodeCrash, SimConfig
 from repro.errors import FaultError, FTError
 from repro.ft.workloads import (
     ft_faults,
-    ft_hashtable,
     ft_machine,
     run_crash_to_completion,
     run_reference,
-    run_spmd_ft,
     soak,
     table_bytes,
 )
+from repro.workloads import ft_hashtable, run_workload
 
 NRANKS, INSERTS = 4, 4
 
@@ -101,9 +100,7 @@ def test_crash_recovery_is_checker_clean():
     not fabricate RMA memory-model violations: the happens-before edges
     installed at restore keep the checker clean."""
     faults = ft_faults(crashes=(NodeCrash(2, 13_000),), mode="spare")
-    res = run_spmd(ft_hashtable, NRANKS, NRANKS * INSERTS, INSERTS,
-                   machine=ft_machine(), sim=SimConfig(seed=SimConfig.seed),
-                   faults=faults, check=CheckConfig(enabled=True))
+    res = run_workload("ft_hashtable", NRANKS, faults=faults, check=True)
     assert res.stats["ft"]["restores"] == 1
     assert res.check is not None and res.check.clean, \
         [v.describe() for v in res.check.violations]
