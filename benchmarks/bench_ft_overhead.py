@@ -20,7 +20,7 @@ the kernel and figure sections.
 import json
 import pathlib
 
-from repro.ft.workloads import run_crash_to_completion, run_reference, table_bytes
+from repro.ft.workloads import final_bytes, run_crash_to_completion, run_reference
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORT = REPO_ROOT / "BENCH_simperf.json"
@@ -28,6 +28,7 @@ REPORT = REPO_ROOT / "BENCH_simperf.json"
 #: Checkpoint intervals (inserts between coordination points); >=3 so the
 #: report shows the overhead curve, not a single point.
 INTERVALS = (1, 2, 4)
+WORKLOAD = "ft_hashtable"
 NRANKS = 4
 INSERTS = 8
 
@@ -44,18 +45,19 @@ def _merge_report(section, payload):
 
 
 def test_ft_overhead(benchmark):
-    baseline = run_reference(NRANKS, INSERTS, ft_on=False)
+    baseline = run_reference(WORKLOAD, NRANKS, inserts=INSERTS, ft_on=False)
     base_ns = baseline.sim_time_ns
 
     def sweep():
         rows = []
         for interval in INTERVALS:
-            ref = run_reference(NRANKS, INSERTS, interval=interval)
+            ref = run_reference(WORKLOAD, NRANKS, inserts=INSERTS,
+                                interval=interval)
             ft = ref.stats.get("ft", {})
-            out = run_crash_to_completion(NRANKS, INSERTS,
+            out = run_crash_to_completion(WORKLOAD, NRANKS, inserts=INSERTS,
                                           interval=interval)
             assert out.match, (interval, "recovered state diverged")
-            assert table_bytes(ref) == table_bytes(baseline), (
+            assert final_bytes(ref) == final_bytes(baseline), (
                 interval, "checkpointing perturbed the final state")
             rows.append({
                 "interval": interval,

@@ -42,8 +42,9 @@ def main_ft(args) -> int:
     from repro.ft.workloads import run_crash_to_completion
 
     out = run_crash_to_completion(
-        args.ranks, args.inserts, crash_rank=args.crash_rank,
-        crash_frac=args.crash_frac, mode=args.ft_mode)
+        "ft_hashtable", args.ranks, inserts=args.inserts,
+        crash_rank=args.crash_rank, crash_frac=args.crash_frac,
+        mode=args.ft_mode)
     row = out.stats_row()
     print(f"fault-free reference: {out.reference.sim_time_ns / 1e3:.1f} us")
     print(f"crashed rank {out.crash_rank} at {out.crash_time_ns} ns; "

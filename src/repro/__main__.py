@@ -38,8 +38,9 @@ Commands
                     (``hashtable``) fault-free, crash ``--crash-rank`` at
                     ``--crash-frac`` of the reference run, recover, and
                     compare final states bit-for-bit; ``ft soak`` sweeps
-                    ``--runs`` seeded randomized crash schedules (exit
-                    code 1 on any mismatch)
+                    ``--runs`` seeded randomized crash schedules over
+                    the crash-recoverable registry entries (exit code 1
+                    on any mismatch)
 
 Workload names are the keys of ``repro.workloads.WORKLOADS``; each
 verb's ``--help`` lists the ones it accepts.
@@ -180,10 +181,11 @@ def main(argv=None) -> int:
     ft = sub.add_parser("ft")
     ft.add_argument("workload", nargs="?", default="hashtable",
                     help="'hashtable' (single crash-to-completion "
-                         "experiment) or 'soak' (seeded randomized sweep)")
+                         "experiment) or 'soak' (seeded randomized sweep "
+                         "over ft_hashtable and ft_kvstore)")
     ft.add_argument("--ranks", type=int, default=4)
     ft.add_argument("--inserts", type=int, default=4,
-                    help="inserts per rank")
+                    help="inserts per rank (hashtable)")
     ft.add_argument("--seed", type=int, default=None)
     ft.add_argument("--crash-rank", type=int, default=1)
     ft.add_argument("--crash-frac", type=float, default=0.5,
@@ -192,7 +194,6 @@ def main(argv=None) -> int:
     ft.add_argument("--mode", choices=("spare", "shrink"), default="spare")
     ft.add_argument("--interval", type=int, default=2,
                     help="checkpoint every N inserts")
-    ft.add_argument("--policy", choices=("log", "ckpt_only"), default="log")
     ft.add_argument("--runs", type=int, default=5,
                     help="number of soak runs (soak workload only)")
     ft.add_argument("--stats-out", metavar="PATH", default=None,
@@ -419,20 +420,22 @@ def _serve_cmd(args) -> int:
     failures = []
 
     if args.ft:
-        from repro.apps.kvstore.ft_kv import run_kv_crash_to_completion
+        from repro.ft.workloads import run_crash_to_completion
+        from repro.serve.slo import ft_section
 
-        out = run_kv_crash_to_completion(
-            nranks, spec, crash_rank=args.crash,
-            crash_frac=args.crash_frac, interval=args.interval)
+        out = run_crash_to_completion(
+            "ft_kvstore", nranks, seed=seed, crash_rank=args.crash,
+            crash_frac=args.crash_frac, interval=args.interval, obs=True,
+            spec=spec, n_stripes=args.stripes)
         report = build_report(out.recovered, spec, nranks, variant="rma-ft")
-        report["ft"] = out.report_section()
+        report["ft"] = ft_section(out)
+        gap_ns = report["ft"]["availability_gap_ns"]
         if not out.match:
             failures.append("final store state MISMATCHES the "
                             "fault-free run")
-        if args.slo_gap_us is not None and \
-                out.availability_gap_ns > args.slo_gap_us * 1e3:
+        if args.slo_gap_us is not None and gap_ns > args.slo_gap_us * 1e3:
             failures.append(
-                f"availability gap {out.availability_gap_ns / 1e3:.2f} us "
+                f"availability gap {gap_ns / 1e3:.2f} us "
                 f"exceeds the {args.slo_gap_us:.2f} us SLO")
     else:
         from repro.serve.driver import run_kv_serve
@@ -475,10 +478,9 @@ def _ft_cmd(args) -> int:
 
     seed = SimConfig.seed if args.seed is None else args.seed
     if args.workload == "soak":
-        rows = soak(args.runs, nranks=args.ranks, inserts=args.inserts,
-                    base_seed=seed)
+        rows = soak(args.runs, nranks=args.ranks, base_seed=seed)
         for r in rows:
-            print(f"run {r['run']}: seed={r['seed']} "
+            print(f"run {r['run']}: seed={r['seed']} {r['workload']:12s} "
                   f"crash_rank={r['crash_rank']} mode={r['mode']:6s} "
                   f"t_crash={r['crash_time_ns']}ns "
                   f"restored={r['ranks_restored']} "
@@ -495,9 +497,9 @@ def _ft_cmd(args) -> int:
         raise SystemExit(f"unknown ft workload {args.workload!r} "
                          "(expected 'hashtable' or 'soak')")
     out = run_crash_to_completion(
-        args.ranks, args.inserts, seed=seed, crash_rank=args.crash_rank,
+        "ft_hashtable", args.ranks, seed=seed, crash_rank=args.crash_rank,
         crash_frac=args.crash_frac, mode=args.mode,
-        interval=args.interval, policy=args.policy)
+        interval=args.interval, inserts=args.inserts)
     row = out.stats_row()
     print(f"reference run: {out.reference.sim_time_ns / 1e3:.1f} us "
           f"fault-free")

@@ -78,7 +78,8 @@ class KvStore:
 
     # ------------------------------------------------------------------
     def setup(self):
-        """Allocate the store window and its stripe locks (collective)."""
+        """Allocate the store window, bind to it and open its
+        passive-target epoch (collective)."""
         ctx = self.ctx
         need = 3 * self.n_stripes
         if ctx.rma.params.user_ctrl_words < need:
@@ -88,12 +89,18 @@ class KvStore:
                                                  user_ctrl_words=need)
         win = yield from ctx.rma.win_allocate(self.layout.nbytes,
                                               disp_unit=8)
+        self.bind(win)
+        yield from win.lock_all()
+        return win
+
+    def bind(self, win) -> None:
+        """Serve from ``win``: the window :meth:`setup` just allocated,
+        or the one a restarted rank adopted from its checkpoint
+        (:func:`repro.ft.run_steps`), already inside its epoch."""
         base0 = CTRL_WORDS_BASE + win.params.pscw_ring_capacity
         self.locks = [McsLock(win, cell_base=base0 + 3 * s)
                       for s in range(self.n_stripes)]
-        yield from win.lock_all()
         self.win = win
-        return win
 
     def close(self):
         """End the passive-target epoch (collective free is the caller's

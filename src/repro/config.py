@@ -315,11 +315,6 @@ class RecoveryConfig:
         revoked so surviving waiters can proceed; when False, survivors
         only receive notifications (pending acquisitions still fail with
         a structured error instead of livelocking).
-    ack_policy:
-        ``"none"``: revocation starts right after the broadcast completes.
-        ``"collective"``: revocation additionally waits for an O(log p)
-        acknowledgment combine so every survivor is known to have been
-        notified first (safer ordering, slower recovery).
     """
 
     enabled: bool = True
@@ -327,17 +322,12 @@ class RecoveryConfig:
     notify_round_ns: int = 700
     revoke_ns: int = 900
     revoke_locks: bool = True
-    ack_policy: str = "none"
 
     def __post_init__(self) -> None:
         for name in ("detect_ns", "notify_round_ns", "revoke_ns"):
             v = getattr(self, name)
             if v < 0:
                 raise ValueError(f"RecoveryConfig.{name}={v} is negative")
-        if self.ack_policy not in ("none", "collective"):
-            raise ValueError(
-                f"RecoveryConfig.ack_policy={self.ack_policy!r} not in "
-                "('none', 'collective')")
 
 
 @dataclass(frozen=True)
@@ -365,13 +355,6 @@ class FTConfig:
     mode:
         ``"spare"`` prefers spare nodes, ``"shrink"`` always re-homes
         onto the checkpoint buddy's node (oversubscribing it).
-    policy:
-        ``"log"``: demand-driven origin-side logging of puts/atomics
-        targeting protected windows; a restored rank replays the delta
-        since its checkpoint.  ``"ckpt_only"``: no logging -- restore
-        rolls remote writes back to the last checkpoint (only sound for
-        phases that quiesce remote access around checkpoints; used by
-        the overhead benchmark to separate the two costs).
     ckpt_copy_ns_per_byte / restore_ns_per_byte / replay_ns_per_entry /
     rereg_ns_per_segment:
         Cost model for snapshotting into the buddy message, restoring
@@ -385,7 +368,6 @@ class FTConfig:
     replicas: int = 1
     spares: int = 0
     mode: str = "spare"
-    policy: str = "log"
     ckpt_copy_ns_per_byte: float = 0.05
     restore_ns_per_byte: float = 0.1
     replay_ns_per_entry: int = 120
@@ -402,10 +384,6 @@ class FTConfig:
         if self.mode not in ("spare", "shrink"):
             raise ValueError(
                 f"FTConfig.mode={self.mode!r} not in ('spare', 'shrink')")
-        if self.policy not in ("log", "ckpt_only"):
-            raise ValueError(
-                f"FTConfig.policy={self.policy!r} not in "
-                "('log', 'ckpt_only')")
         for name in ("ckpt_copy_ns_per_byte", "restore_ns_per_byte"):
             if getattr(self, name) < 0:
                 raise ValueError(f"FTConfig.{name} is negative")

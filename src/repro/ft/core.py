@@ -18,7 +18,7 @@ the target-side delivery counter at the snapshot instant.  The snapshot
 is deposited on a buddy node (seeded ring placement) as a real modeled
 network transfer; it *commits* when the replica arrives.
 
-**Put-logging** (policy ``"log"``): every remotely-delivered put or
+**Put-logging**: every remotely-delivered put or
 effective atomic targeting a protected window is recorded *at its
 delivery instant* with a monotonically increasing per-(window, target)
 stamp.  Replaying, in stamp order, exactly the entries above a
@@ -146,7 +146,6 @@ class FTRuntime:
         self.program = None
         self.p_args: tuple = ()
         self.p_kwargs: dict = {}
-        self.returns: dict[int, object] = {}
         self._restored: set[int] = set()
         self._unrecoverable: set[int] = set()
         self._restore_events: dict[int, Event] = {}
@@ -191,6 +190,13 @@ class FTRuntime:
         the target will never come back."""
         if target in self._restored:
             return  # the restart already happened; retry immediately
+        # Packet fates are computed at issue time, so the origin can hear
+        # of a crash that has not happened yet -- and the target may still
+        # take the checkpoint that makes it recoverable.  Decide at the
+        # crash instant, not before.
+        early = exc.crash_time_ns - self.env.now
+        if early > 0:
+            yield self.env.timeout(early)
         if not self.will_recover(target):
             raise exc
         yield self.restore_event(target)
@@ -230,7 +236,7 @@ class FTRuntime:
     def put_logger(self, win, target: int):
         """Delivery callback for a put, or None when the window is not
         log-protected.  ``off`` is segment-relative, matching replay."""
-        if self.cfg.policy != "log" or win.win_id not in self.protected:
+        if win.win_id not in self.protected:
             return None
         win_id = win.win_id
 
@@ -242,7 +248,7 @@ class FTRuntime:
         """Delivery callback for a single-cell atomic: receives the old
         value, reads the post value back from the cell (still inside the
         atomic closure) and logs it only when the op took effect."""
-        if self.cfg.policy != "log" or win.win_id not in self.protected:
+        if win.win_id not in self.protected:
             return None
         win_id = win.win_id
 
@@ -255,7 +261,7 @@ class FTRuntime:
     def amo_stream_logger(self, win, target: int, cells, base_idx: int):
         """Delivery callback for an element-wise atomic stream: receives
         the list of old values."""
-        if self.cfg.policy != "log" or win.win_id not in self.protected:
+        if win.win_id not in self.protected:
             return None
         win_id = win.win_id
 
@@ -545,14 +551,10 @@ class FTRuntime:
             checker.on_restore(rank, rec.coll_seq, rec.oseqs)
         ctx.ft._restored_state = dict(rec.app)
         self._restored.add(rank)
-
-        def _runner():
-            value = yield from self.program(ctx, *self.p_args,
-                                            **self.p_kwargs)
-            self.returns[rank] = value
-            return value
-
-        self.env.process(_runner(), name=f"rank{rank}:r2")
+        # The restarted incarnation's outcome is the rank's outcome.
+        world.rank_procs[rank] = self.env.process(
+            self.program(ctx, *self.p_args, **self.p_kwargs),
+            name=f"rank{rank}:r2")
 
 
 class FTContext:
@@ -572,8 +574,8 @@ class FTContext:
             and self._restored_state is not None
 
     def protect(self, win) -> None:
-        """Enroll a window for checkpointing (and, under policy
-        ``"log"``, delivery-time put/atomic logging)."""
+        """Enroll a window for checkpointing and delivery-time
+        put/atomic logging."""
         self.rt.protect(self.ctx.rank, win)
 
     def adopt(self, win_id: int):
@@ -601,9 +603,9 @@ class FTContext:
     # -- protocol hooks ------------------------------------------------
     def logged(self, win) -> bool:
         """True when remote deltas to ``win`` must be loggable (the
-        window is protected under policy ``"log"``)."""
-        return (self.rt.cfg.policy == "log"
-                and self.rt.is_protected(win.win_id))
+        window is protected)."""
+        return self.rt.is_protected(win.win_id)
+
     def consume_restored_lock_all(self, win) -> bool:
         """One-shot: the restored rank held a lock_all epoch at its
         checkpoint; its re-executed ``lock_all`` re-enters the epoch

@@ -1,12 +1,13 @@
-"""Crash-to-completion drivers for the rollback-recovery layer.
+"""The crash-to-completion driver for the rollback-recovery layer.
 
-The program they drive is ``ft_hashtable`` in :mod:`repro.workloads`.
-:func:`run_reference`, :func:`run_crash_to_completion` and :func:`soak`
-pick crash times as a fraction of a fault-free reference run's length,
-so schedules stay seeded-deterministic end to end.  All FT runs place
-one rank per node (``MachineConfig(ranks_per_node=1)``): cross-rank
-intra-node traffic bypasses the NIC (XPMEM) and is invisible to the
-put-log, a documented V1 limitation (docs/FAULT_TOLERANCE.md).
+It drives any registry entry marked ``ft=True`` (:mod:`repro.workloads`:
+``ft_hashtable``, ``ft_kvstore``).  :func:`run_reference`,
+:func:`run_crash_to_completion` and :func:`soak` pick crash times as a
+fraction of a fault-free reference run's length, so schedules stay
+seeded-deterministic end to end.  All FT runs place one rank per node
+(``MachineConfig(ranks_per_node=1)``): cross-rank intra-node traffic
+bypasses the NIC (XPMEM) and is invisible to the put-log, a documented
+V1 limitation (docs/FAULT_TOLERANCE.md).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.config import (
     SimConfig,
 )
 from repro.sim.random import derive_seed
-from repro.workloads import run_workload
+from repro.workloads import WORKLOADS, lookup, run_workload
 
 __all__ = [
     "ft_machine",
@@ -32,7 +33,7 @@ __all__ = [
     "run_reference",
     "run_crash_to_completion",
     "soak",
-    "table_bytes",
+    "final_bytes",
     "FTOutcome",
 ]
 
@@ -44,8 +45,7 @@ def ft_machine() -> MachineConfig:
 
 
 def ft_faults(*, crashes=(), mode: str = "spare", interval: int = 2,
-              policy: str = "log", replicas: int = 1,
-              spares: int | None = None) -> FaultConfig:
+              replicas: int = 1, spares: int | None = None) -> FaultConfig:
     """FaultConfig for an FT run; ``crashes=()`` gives the fault-free
     (but still checkpointing) configuration used as the reference."""
     if spares is None:
@@ -55,29 +55,33 @@ def ft_faults(*, crashes=(), mode: str = "spare", interval: int = 2,
                        recovery=RecoveryConfig(enabled=True),
                        ft=FTConfig(enabled=True, interval=interval,
                                    mode=mode, spares=spares,
-                                   policy=policy, replicas=replicas))
+                                   replicas=replicas))
 
 
-def run_reference(nranks: int = 4, inserts: int = 4, *,
+def run_reference(name: str, nranks: int = 4, *,
                   seed: int = SimConfig.seed, interval: int = 2,
-                  mode: str = "spare", policy: str = "log",
-                  ft_on: bool = True) -> RunResult:
-    """Fault-free run; with ``ft_on`` checkpoints are still taken (the
-    overhead the FT benchmark measures), without it the run is the pure
-    baseline."""
-    faults = (ft_faults(mode=mode, interval=interval, policy=policy)
-              if ft_on else None)
-    return run_workload("ft_hashtable", nranks, seed=seed, faults=faults,
-                        inserts=inserts)
+                  mode: str = "spare", ft_on: bool = True,
+                  obs: bool = False, **program_kwargs) -> RunResult:
+    """Fault-free run of an ``ft=True`` entry; with ``ft_on`` checkpoints
+    are still taken (the overhead the FT benchmark measures), without it
+    the run is the pure baseline."""
+    if not lookup(name).ft:
+        raise ValueError(f"workload {name!r} is not crash-recoverable")
+    faults = ft_faults(mode=mode, interval=interval) if ft_on else None
+    # run_workload's default placement is ft_machine()'s.
+    return run_workload(name, nranks, seed=seed, obs=obs, faults=faults,
+                        **program_kwargs)
 
 
-def table_bytes(result: RunResult) -> bytes:
-    """Concatenated final slot regions; raises the first rank failure."""
+def final_bytes(result: RunResult) -> bytes:
+    """Every rank's final window bytes, concatenated -- a rank returns
+    them alone or as the last element of a tuple; raises the first rank
+    failure."""
     chunks = []
     for value in result.returns:
         if isinstance(value, BaseException):
             raise value
-        chunks.append(value)
+        chunks.append(value if isinstance(value, bytes) else value[-1])
     return b"".join(chunks)
 
 
@@ -106,41 +110,52 @@ class FTOutcome:
         }
 
 
-def run_crash_to_completion(nranks: int = 4, inserts: int = 4, *,
+def run_crash_to_completion(name: str, nranks: int = 4, *,
                             seed: int = SimConfig.seed,
                             crash_rank: int = 1, crash_frac: float = 0.5,
                             mode: str = "spare", interval: int = 2,
-                            policy: str = "log",
-                            replicas: int = 1) -> FTOutcome:
+                            replicas: int = 1, obs: bool = False,
+                            **program_kwargs) -> FTOutcome:
     """Crash ``crash_rank`` at ``crash_frac`` of the fault-free run's
-    length, recover, and compare final tables bit-for-bit."""
-    ref = run_reference(nranks, inserts, seed=seed, interval=interval,
-                        mode=mode, policy=policy)
+    length, recover, and compare every rank's final window bytes
+    bit-for-bit against that fault-free (but checkpointing) run."""
+    ref = run_reference(name, nranks, seed=seed, interval=interval,
+                        mode=mode, obs=obs, **program_kwargs)
     t = max(1, int(ref.sim_time_ns * crash_frac))
     # One rank per node, so node id == rank id.
     faults = ft_faults(crashes=(NodeCrash(crash_rank, t),), mode=mode,
-                       interval=interval, policy=policy, replicas=replicas)
-    res = run_workload("ft_hashtable", nranks, seed=seed, faults=faults,
-                       inserts=inserts)
+                       interval=interval, replicas=replicas)
+    res = run_workload(name, nranks, seed=seed, obs=obs, faults=faults,
+                       **program_kwargs)
     return FTOutcome(reference=ref, recovered=res, crash_rank=crash_rank,
                      crash_time_ns=t, mode=mode,
-                     match=table_bytes(res) == table_bytes(ref))
+                     match=final_bytes(res) == final_bytes(ref))
 
 
-def soak(n_runs: int = 5, *, nranks: int = 4, inserts: int = 4,
+def _draw(seed: int, what: str, n: int) -> int:
+    """Seed-derived draw from ``range(n)``, taken from the hash's high
+    bits: the low bits of ``derive_seed``'s multiplicative mix depend
+    only on the low bits of its inputs, so ``% n`` alone ties every draw
+    of a run to the parity of its seed."""
+    return (derive_seed(seed, f"soak-{what}") >> 32) % n
+
+
+def soak(n_runs: int = 5, *, nranks: int = 4,
          base_seed: int = SimConfig.seed) -> list[dict]:
-    """Seeded randomized crash schedules: per run, derive a seed, a crash
-    rank, a crash fraction in [0.35, 0.75) and a recovery mode, then run
-    crash-to-completion and record whether the table matched."""
+    """Seeded randomized crash schedules: per run, derive a seed, an
+    ``ft=True`` entry, a crash rank, a crash fraction in [0.35, 0.75)
+    and a recovery mode, then run crash-to-completion and record whether
+    the final state matched."""
+    entries = [name for name, wl in WORKLOADS.items() if wl.ft]
     rows = []
     for k in range(n_runs):
         seed = derive_seed(base_seed, f"ft-soak-{k}") & 0x7FFF_FFFF
-        crash_rank = derive_seed(seed, "soak-rank") % nranks
-        frac = 0.35 + (derive_seed(seed, "soak-frac") % 1000) / 2500.0
-        mode = ("spare" if derive_seed(seed, "soak-mode") % 2 == 0
-                else "shrink")
-        out = run_crash_to_completion(nranks, inserts, seed=seed,
-                                      crash_rank=crash_rank,
-                                      crash_frac=frac, mode=mode)
-        rows.append({"run": k, "seed": seed, **out.stats_row()})
+        name = entries[_draw(seed, "entry", len(entries))]
+        out = run_crash_to_completion(
+            name, nranks, seed=seed,
+            crash_rank=_draw(seed, "rank", nranks),
+            crash_frac=0.35 + _draw(seed, "frac", 1000) / 2500.0,
+            mode=("spare", "shrink")[_draw(seed, "mode", 2)])
+        rows.append({"run": k, "seed": seed, "workload": name,
+                     **out.stats_row()})
     return rows

@@ -86,9 +86,10 @@ def run_on_world(world: World, program: Callable, *args, **kwargs) -> RunResult:
     from repro.sim.kernel import Interrupt
 
     contexts = [RankContext(world, r) for r in range(world.nranks)]
-    procs = [world.env.process(program(ctx, *args, **kwargs),
-                               name=f"rank{ctx.rank}")
-             for ctx in contexts]
+    procs = world.rank_procs = [
+        world.env.process(program(ctx, *args, **kwargs),
+                          name=f"rank{ctx.rank}")
+        for ctx in contexts]
     inj = world.injector
     if world.ft is not None:
         # Restarts re-enter the program from its checkpointed state; the
@@ -111,10 +112,6 @@ def run_on_world(world: World, program: Callable, *args, **kwargs) -> RunResult:
                 node = world.rank_map.node_of(rank)
                 value = NodeCrashedError(node, inj.crash_time(node) or 0,
                                          f"rank {rank} killed")
-        if world.ft is not None and rank in world.ft.returns:
-            # A restarted incarnation ran the rank to completion; its
-            # return value supersedes the dead incarnation's Interrupt.
-            value = world.ft.returns[rank]
         returns.append(value)
 
     stats = world.counters.snapshot()

@@ -50,10 +50,7 @@ class FailureNotifier:
        ``notify_round_ns`` charge per tree depth, updating each
        survivor's known-failure set and firing its pending
        :meth:`failure_event`;
-    3. *ack*      -- with ``ack_policy="collective"``, a second O(log p)
-       combine so every survivor is known to be notified before any
-       state is mutated;
-    4. *revoke*   -- run the registered revocation hooks
+    3. *revoke*   -- run the registered revocation hooks
        (:mod:`repro.rma.recovery`) after a ``revoke_ns`` charge.
     """
 
@@ -175,12 +172,6 @@ class FailureNotifier:
                     yield env.timeout(rec.notify_round_ns)
                 for r in by_depth.get(depth, ()):
                     self._deliver(r, failed_ranks)
-                env.note_progress()
-            if rec.ack_policy == "collective" and max_depth > 0:
-                # Ack combine: the notification tree in reverse, so the
-                # root knows every survivor saw the failure before any
-                # revocation mutates shared state.
-                yield env.timeout(max_depth * rec.notify_round_ns)
                 env.note_progress()
 
         if rec.revoke_ns > 0:

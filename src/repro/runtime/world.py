@@ -177,6 +177,9 @@ class World:
         # Cross-rank rendezvous spots used by collective protocols
         # (window-creation exchanges etc.); keyed by (kind, instance).
         self.blackboard: dict = {}
+        # rank -> the process running its current incarnation (filled by
+        # run_on_world; a rollback restart replaces the dead one's entry).
+        self.rank_procs: list = []
         # Survivor-side recovery: a failure-notification service plus the
         # lock-revocation ledger, constructed only for runs with planned
         # crashes and recovery enabled (same zero-cost-when-off contract

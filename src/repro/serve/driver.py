@@ -21,11 +21,12 @@ import numpy as np
 from repro.apps.kvstore.layout import KvLayout
 from repro.apps.kvstore.rma_kv import KvStore
 from repro.config import CheckConfig, MachineConfig, ObsConfig, SimConfig
+from repro.ft.steps import run_steps
 from repro.serve.zipf import OP_GET, OP_PUT, OP_UPDATE, ServeSpec, \
     client_schedule
 from repro.sim.random import derive_seed
 
-__all__ = ["kv_serve_program", "run_kv_serve", "initial_value",
+__all__ = ["kv_serve_program", "ft_kvstore", "run_kv_serve", "initial_value",
            "expected_contents", "merged_contents", "all_latencies"]
 
 _MASK63 = (1 << 63) - 1
@@ -39,6 +40,25 @@ def initial_value(seed: int, key: int) -> int:
 # ----------------------------------------------------------------------
 # RMA backend
 # ----------------------------------------------------------------------
+def _new_store(ctx, spec: ServeSpec, n_stripes: int) -> KvStore:
+    layout = KvLayout.default(max(1, spec.nkeys // ctx.nranks + 1))
+    return KvStore(ctx, layout, n_stripes=n_stripes)
+
+
+def _preload(store: KvStore, spec: ServeSpec) -> None:
+    """Owner-side preload through the local view, as the MPI-1 comparator
+    installs its dict; the caller's barrier orders it before any remote
+    access."""
+    layout, nranks, rank = store.layout, store.ctx.nranks, store.ctx.rank
+    store.win.note_local("store", layout.nbytes)
+    volume = store.win.local_view(np.int64)
+    for key in range(spec.nkeys):
+        owner, slot = layout.place(key + 1, nranks)
+        if owner == rank:
+            layout.insert_local(volume, slot, key + 1,
+                                initial_value(spec.seed, key))
+
+
 def kv_serve_program(ctx, spec: ServeSpec, n_stripes: int = 8):
     """One rank of the RMA serving phase.
 
@@ -48,18 +68,9 @@ def kv_serve_program(ctx, spec: ServeSpec, n_stripes: int = 8):
     Schedule keys are 0-based; the store keys are ``key + 1`` (zero
     marks an empty slot word).
     """
-    layout = KvLayout.default(max(1, spec.nkeys // ctx.nranks + 1))
-    store = KvStore(ctx, layout, n_stripes=n_stripes)
+    store = _new_store(ctx, spec, n_stripes)
     yield from store.setup()
-    # Owner-side preload through the local view, as the MPI-1 comparator
-    # installs its dict; the barrier orders it before any remote access.
-    store.win.note_local("store", layout.nbytes)
-    volume = store.win.local_view(np.int64)
-    for key in range(spec.nkeys):
-        owner, slot = layout.place(key + 1, ctx.nranks)
-        if owner == ctx.rank:
-            layout.insert_local(volume, slot, key + 1,
-                                initial_value(spec.seed, key))
+    _preload(store, spec)
     yield from ctx.coll.barrier()
 
     sched = client_schedule(spec, ctx.rank, ctx.nranks)
@@ -88,6 +99,75 @@ def kv_serve_program(ctx, spec: ServeSpec, n_stripes: int = 8):
     contents = store.scan_local()
     yield from store.close()
     return lat, contents
+
+
+def ft_kvstore(ctx, spec: ServeSpec | None = None, n_stripes: int = 8):
+    """One rank of crash-through serving: :func:`kv_serve_program`'s
+    store, preload and dispatch, one request per
+    :func:`~repro.ft.run_steps` step, so a node crash mid-serve recovers
+    to the fault-free final store bit for bit.
+
+    Replay is deterministic because every access of a serving run on
+    preloaded keys, the ``NO_OP`` reads included, is a sequence-numbered
+    NIC atomic: a restarted rank reads its pre-crash answers back from
+    the injector's replay cache and retraces its control flow (DESIGN.md
+    section 10).  That needs the single-writer schedule
+    (``ServeSpec.ft_mode``) and one rank per node -- a rank's accesses to
+    its own partition would take the unlogged XPMEM path.
+
+    ``spec`` defaults to a small ``ft_mode`` schedule on the run's seed.
+    Returns ``(lat, state)``: latency rows as :func:`kv_serve_program`
+    (a restarted incarnation reports only its post-restore rows) and the
+    rank's final store volume as ``bytes`` (:meth:`KvLayout.scan`
+    decodes it).
+    """
+    if spec is None:
+        spec = ServeSpec(nkeys=64, total_requests=200,
+                         seed=ctx.world.sim.seed, ft_mode=True)
+    if not spec.ft_mode:
+        raise ValueError("crash-through serving needs the single-writer "
+                         "schedule (ServeSpec.ft_mode)")
+    store = _new_store(ctx, spec, n_stripes)
+    sched = client_schedule(spec, ctx.rank, ctx.nranks)
+    lat = []
+    obs = ctx.obs
+    t_base = None
+
+    def create():
+        win = yield from store.setup()
+        _preload(store, spec)
+        done = yield from ctx.rma.win_allocate(8, disp_unit=8)
+        yield from ctx.coll.barrier()
+        return (win, done), done, 0
+
+    def serve(windows, i):
+        nonlocal t_base
+        if t_base is None:
+            # First request of this incarnation.  Arrivals stay
+            # schedule-relative from here: a restarted rank re-bases at
+            # its restart request, so the checkpointed backlog drains
+            # immediately (that catch-up IS the recovery cost measured).
+            if store.win is None:
+                store.bind(windows[0])
+            t_base = ctx.now - int(sched[i, 0])
+        t_arr = t_base + int(sched[i, 0])
+        if ctx.now < t_arr:
+            yield ctx.env.timeout(t_arr - ctx.now)
+        op, key, value = int(sched[i, 1]), int(sched[i, 2]), int(sched[i, 3])
+        if op == OP_GET:
+            yield from store.get(key + 1)
+        elif op == OP_PUT:
+            yield from store.put(key + 1, value)
+        else:
+            yield from store.update(key + 1, value)
+        done = ctx.now
+        lat.append((t_arr, done, op))
+        if obs is not None:
+            obs.metrics.observe("kv.latency_ns", ctx.rank, done - t_arr)
+
+    win, _done = yield from run_steps(ctx, create, len(sched), serve)
+    return (np.array(lat, dtype=np.int64).reshape(-1, 3),
+            win.seg.snapshot_bytes()[:store.layout.nbytes])
 
 
 def run_kv_serve(nranks: int, spec: ServeSpec, *, variant: str = "rma",

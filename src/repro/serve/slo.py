@@ -24,8 +24,8 @@ import numpy as np
 from repro.serve.driver import all_latencies
 from repro.serve.zipf import OP_GET, OP_PUT, OP_UPDATE, ServeSpec
 
-__all__ = ["exact_percentiles", "build_report", "render_report",
-           "report_digest"]
+__all__ = ["exact_percentiles", "build_report", "ft_section",
+           "render_report", "report_digest"]
 
 _QUANTILES = (("p50", 50.0), ("p99", 99.0), ("p99_9", 99.9))
 
@@ -102,6 +102,35 @@ def build_report(result, spec: ServeSpec, nranks: int, *,
         hist = result.obs.metrics.merged_histogram("kv.latency_ns")
         report["latency_hist"] = hist.snapshot()
     return report
+
+
+def ft_section(outcome) -> dict:
+    """``report["ft"]`` for a crash-through serving experiment (an
+    :class:`~repro.ft.workloads.FTOutcome` of ``ft_kvstore`` run with
+    ``obs=True``).
+
+    Both SLO facts are read off the recovered run's observability
+    timeline: the availability gap is crash instant to the end of the
+    last ``ft.restore`` span, the post-recovery p99 the tail over
+    requests completing after that point."""
+    rec = outcome.recovered
+    end = max((s.end_ns() for s in rec.obs.spans.spans
+               if s.name == "ft.restore"), default=None)
+    post = []
+    if end is not None:
+        for rows, _state in rec.returns:
+            late = rows[rows[:, 1] >= end]
+            post.extend((late[:, 1] - late[:, 0]).tolist())
+    return {
+        "crash_rank": outcome.crash_rank,
+        "crash_time_ns": outcome.crash_time_ns,
+        "state_match": outcome.match,
+        "availability_gap_ns": (max(0, end - outcome.crash_time_ns)
+                                if end is not None else 0),
+        "post_recovery_p99_ns": exact_percentiles(post)["p99"],
+        "ranks_restored": rec.stats.get("recovery", {}).get(
+            "ranks_restored", 0),
+    }
 
 
 def report_digest(report: dict) -> str:

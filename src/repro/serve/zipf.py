@@ -6,8 +6,8 @@ client's request schedule -- a pure function of the seed via the
 process-pool workers, reruns, and the MPI-1/RMA/FT store variants.
 
 Keys in a schedule are 0-based popularity ranks (key 0 is the hottest);
-store frontends map them to their own key space (the RMA store adds 1,
-the FT array store uses them as slot indices).
+store frontends map them to their own key space (the RMA store adds 1:
+zero marks an empty slot word).
 """
 
 from __future__ import annotations

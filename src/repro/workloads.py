@@ -31,9 +31,12 @@ Four groups, one per tool that introduced them:
   :class:`~repro.scale.protocols.WorkloadSpec` of the vectorized twin.
   ``fence`` and ``fence_ring`` are different programs pinned by
   different oracles, hence two names.
-* ``ft_hashtable`` -- the paper's distributed hashtable (Section 4.1)
-  restructured so a mid-run node crash recovers transparently; the
-  crash-to-completion drivers live in :mod:`repro.ft.workloads`.
+* ``ft_hashtable`` / ``ft_kvstore`` -- the programs that run to
+  completion through a node crash, both on :func:`repro.ft.run_steps`:
+  the paper's distributed hashtable (Section 4.1) with collision-free
+  keys, and the served :class:`~repro.apps.kvstore.KvStore`
+  (:func:`repro.serve.driver.ft_kvstore`); the crash-to-completion
+  driver lives in :mod:`repro.ft.workloads`.
 """
 
 from __future__ import annotations
@@ -51,10 +54,12 @@ from repro.config import (
     RunResult,
     SimConfig,
 )
+from repro.ft.steps import run_steps
 from repro.rma.datatypes import BYTE, Vector
 from repro.rma.enums import LockType, Op
 from repro.runtime.job import run_spmd
 from repro.scale.protocols import WorkloadSpec
+from repro.serve.driver import ft_kvstore
 from repro.sim.random import derive_seed
 
 __all__ = ["Workload", "WORKLOADS", "names", "lookup", "run_workload"]
@@ -423,38 +428,30 @@ def flush_ring(ctx, epochs: int = 2, nbytes: int = 8):
     return ctx.now
 
 
-# --- crash-recoverable hashtable (repro.ft) ---
+# --- crash-recoverable programs (repro.ft) ---
 _MASK63 = (1 << 63) - 1
 _SLOT = 16          # 8B key word + 8B value word
-_POLL_NS = 500      # completion-counter poll backoff
 
 
 def ft_hashtable(ctx, nslots: int | None = None, inserts: int = 4):
-    """One rank of the crash-recoverable hashtable insert phase.
+    """One rank of the crash-recoverable hashtable insert phase, one
+    insert per :func:`~repro.ft.run_steps` step.
 
-    Two design rules make transparent recovery possible (and testable):
-
-    * **Collective-free steady state.**  A restored rank cannot rejoin
-      collectives its survivors already completed, so after window
-      creation the workload uses only RMA: CAS-claimed inserts inside
-      one ``lock_all`` epoch, and a completion *counter in window
-      memory* (each rank fetch-and-adds rank 0's counter, then polls it)
-      instead of a final barrier.
-    * **Timing-independent final state.**  Keys are constructed so that
-      insert ``i`` of rank ``r`` hashes to the globally unique slot
-      ``r*inserts + i`` (``key % nslots == slot``); no two ranks ever
-      race for a slot, so the final table bytes are a pure function of
-      the seed -- the same whether a crash happened or not, and under
-      both ``spare`` and ``shrink`` recovery.  The CAS probe loop is
-      still the paper's linear probing; collisions just never occur by
-      construction (``old == key`` re-claims are exactly the restored
-      rank replaying its own inserts).
+    The harness keeps the steady state collective-free; what the program
+    adds is a **timing-independent final state**.  Keys are constructed
+    so that insert ``i`` of rank ``r`` hashes to the globally unique slot
+    ``r*inserts + i`` (``key % nslots == slot``); no two ranks ever race
+    for a slot, so the final table bytes are a pure function of the seed
+    -- the same whether a crash happened or not, and under both ``spare``
+    and ``shrink`` recovery.  The CAS probe loop is still the paper's
+    linear probing; collisions just never occur by construction
+    (``old == key`` re-claims are exactly the restored rank replaying
+    its own inserts).
 
     Layout: every rank's window holds ``nslots`` (default
-    ``nranks * inserts``) 16-byte slots plus one 8-byte completion
-    counter (only rank 0's counter is used).  Global slot ``s`` lives on
-    rank ``s % nranks`` at byte offset ``s*16``.  Returns the rank's
-    final slot region as ``bytes``.
+    ``nranks * inserts``) 16-byte slots plus the 8-byte completion
+    word.  Global slot ``s`` lives on rank ``s % nranks`` at byte offset
+    ``s*16``.  Returns the rank's final slot region as ``bytes``.
     """
     rank, nranks = ctx.rank, ctx.nranks
     if nslots is None:
@@ -462,30 +459,15 @@ def ft_hashtable(ctx, nslots: int | None = None, inserts: int = 4):
     if nslots < nranks * inserts:
         raise ValueError(f"nslots={nslots} < nranks*inserts="
                          f"{nranks * inserts}: slots must be collision-free")
-    ft = ctx.ft
-    interval = ft.rt.cfg.interval if ft is not None else 0
+    seed = ctx.world.sim.seed
 
-    if ft is not None and ft.restarting:
-        st = ft.restored_state()
-        win = ft.adopt(st["win_id"])
-        start_i = st["next_i"]
-    else:
+    def create():
         win = yield from ctx.rma.win_allocate(nslots * _SLOT + 8,
                                               disp_unit=1)
-        if ft is not None:
-            ft.protect(win)
-        start_i = 0
+        return (win,), win, nslots * _SLOT
 
-    # Passive-target epoch for the whole phase; a restored rank's
-    # lock_all re-enters its checkpointed epoch without re-acquiring.
-    yield from win.lock_all()
-    if ft is not None and start_i == 0:
-        # v0 checkpoint: taken inside the epoch so a crash at any later
-        # point has a consistent restart line.
-        yield from ft.checkpoint(win, {"win_id": win.win_id, "next_i": 0})
-
-    seed = ctx.world.sim.seed
-    for i in range(start_i, inserts):
+    def insert(windows, i):
+        (win,) = windows
         s = rank * inserts + i
         # key % nslots == s and key < 2**63 (signed-safe for the CAS),
         # key != 0 (zero marks an empty slot).
@@ -500,30 +482,11 @@ def ft_hashtable(ctx, nslots: int | None = None, inserts: int = 4):
                 vbuf = np.frombuffer(int(value).to_bytes(8, "little"),
                                      dtype=np.uint8)
                 yield from win.put(vbuf, owner, off + 8)
-                break
+                return
             j = (j + 1) % nslots
-        else:
-            raise RuntimeError(f"rank {rank}: hashtable full")
-        if ft is not None and interval and (i + 1) % interval == 0:
-            # Coordinated line: local puts flushed first so the snapshot
-            # plus the remote put-log covers everything this rank issued.
-            yield from win.flush_all()
-            yield from ft.checkpoint(win, {"win_id": win.win_id,
-                                           "next_i": i + 1})
+        raise RuntimeError(f"rank {rank}: hashtable full")
 
-    yield from win.flush_all()
-    # Collective-free completion: bump rank 0's counter, poll until all
-    # ranks arrived.  A restored rank's re-executed bump carries its
-    # pre-crash sequence number, so the injector's exactly-once cache
-    # suppresses double counting.
-    done_off = nslots * _SLOT
-    yield from win.fetch_and_op(1, 0, done_off, Op.SUM)
-    while True:
-        count = yield from win.fetch_and_op(0, 0, done_off, Op.SUM)
-        if count >= nranks:
-            break
-        yield from ctx.compute(_POLL_NS)
-    yield from win.unlock_all()
+    (win,) = yield from run_steps(ctx, create, inserts, insert)
     return win.seg.snapshot_bytes()[:nslots * _SLOT]
 
 
@@ -556,6 +519,7 @@ WORKLOADS: dict[str, Workload] = {
     "flush_ring": Workload(
         flush_ring, scale=WorkloadSpec("flush", epochs=2, nbytes=8)),
     "ft_hashtable": Workload(ft_hashtable, ft=True),
+    "ft_kvstore": Workload(ft_kvstore, ft=True),
 }
 
 

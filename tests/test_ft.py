@@ -9,20 +9,24 @@ recovery, for any crash rank, deterministically.
 
 import pytest
 
+import zlib
+
 from repro import run_spmd
 from repro.config import FTConfig, NodeCrash, SimConfig
 from repro.errors import FaultError, FTError
+from repro.ft import run_steps
 from repro.ft.workloads import (
+    final_bytes,
     ft_faults,
     ft_machine,
     run_crash_to_completion,
     run_reference,
     soak,
-    table_bytes,
 )
 from repro.workloads import ft_hashtable, run_workload
 
 NRANKS, INSERTS = 4, 4
+HT = "ft_hashtable"
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +38,8 @@ def test_crash_to_completion_bit_identical(crash_rank, mode):
     """A mid-run crash of any rank -- including rank 0, who owns the
     master lock word and the completion counter -- recovers to the exact
     fault-free final table."""
-    out = run_crash_to_completion(NRANKS, INSERTS, crash_rank=crash_rank,
-                                  mode=mode)
+    out = run_crash_to_completion(HT, NRANKS, inserts=INSERTS,
+                                  crash_rank=crash_rank, mode=mode)
     assert out.match, f"recovered table diverged ({crash_rank}/{mode})"
     row = out.stats_row()
     assert row["ranks_restored"] == 1
@@ -49,11 +53,11 @@ def test_crash_to_completion_bit_identical(crash_rank, mode):
 def test_same_seed_rerun_bit_identical():
     """The recovered schedule itself is deterministic: same seed, same
     crash, bit-identical returns / clock / event count."""
-    runs = [run_crash_to_completion(NRANKS, INSERTS, seed=77,
+    runs = [run_crash_to_completion(HT, NRANKS, inserts=INSERTS, seed=77,
                                     crash_rank=1, mode="spare")
             for _ in range(2)]
     a, b = (r.recovered for r in runs)
-    assert table_bytes(a) == table_bytes(b)
+    assert final_bytes(a) == final_bytes(b)
     assert a.sim_time_ns == b.sim_time_ns
     assert a.events_processed == b.events_processed
 
@@ -61,9 +65,9 @@ def test_same_seed_rerun_bit_identical():
 def test_checkpointing_does_not_change_the_answer():
     """FT-on fault-free runs pay overhead in time only: the final table
     matches the FT-off baseline bit for bit."""
-    base = run_reference(NRANKS, INSERTS, ft_on=False)
-    ft = run_reference(NRANKS, INSERTS, ft_on=True)
-    assert table_bytes(base) == table_bytes(ft)
+    base = run_reference(HT, NRANKS, inserts=INSERTS, ft_on=False)
+    ft = run_reference(HT, NRANKS, inserts=INSERTS, ft_on=True)
+    assert final_bytes(base) == final_bytes(ft)
     assert ft.stats["ft"]["checkpoints_taken"] > 0
     assert "ft" not in base.stats
 
@@ -113,6 +117,84 @@ def test_soak_smoke():
     assert all(r["match"] for r in rows)
     # Derived schedules are themselves deterministic.
     assert soak(2) == rows
+
+
+# ---------------------------------------------------------------------------
+# run_steps: the restart line, written once
+# ---------------------------------------------------------------------------
+def _pin(res):
+    return res.sim_time_ns, res.events_processed, zlib.crc32(final_bytes(res))
+
+
+#: ``(sim_time_ns, events_processed, crc32 of the table bytes)`` of
+#: ``ft_hashtable`` FT-off / FT-on fault-free / rank 1 crashed at half the
+#: FT-on run, captured at 14fe21c -- before the program moved onto
+#: ``run_steps``.  Keyed by (nranks, inserts, seed).
+HT_PINS = {
+    (4, 4, SimConfig.seed): ((25653, 308, 2875146469),
+                             (26567, 352, 2875146469),
+                             (57421, 558, 2875146469)),
+    (8, 16, 5): ((60576, 1360, 813398142),
+                 (66512, 1688, 813398142),
+                 (78159, 1824, 813398142)),
+}
+
+
+@pytest.mark.parametrize("cell", HT_PINS, ids=lambda c: f"{c[0]}x{c[1]}")
+def test_hashtable_schedule_unmoved_by_the_harness(cell):
+    nranks, inserts, seed = cell
+    kw = dict(seed=seed, inserts=inserts)
+    off = run_workload(HT, nranks, **kw)
+    on = run_workload(HT, nranks, faults=ft_faults(), **kw)
+    crash = NodeCrash(1, on.sim_time_ns // 2)
+    crashed = run_workload(HT, nranks, faults=ft_faults(crashes=(crash,)),
+                           **kw)
+    assert (_pin(off), _pin(on), _pin(crashed)) == HT_PINS[cell]
+
+
+@pytest.mark.parametrize("t_crash", [7_500, 8_000, 8_500, 9_000])
+def test_crash_heard_of_before_it_happens_still_recovers(t_crash):
+    """Packet fates are computed at issue time: ranks 1 and 2 learn at
+    7.26 us that rank 0 will be dead when their ``lock_all`` AMO lands --
+    ~0.3 us before rank 0 takes the v0 checkpoint that makes it
+    recoverable.  Recoverability is decided at the crash instant."""
+    kw = dict(inserts=INSERTS, machine=ft_machine(),
+              sim=SimConfig(seed=3, max_events=400_000))
+    ref = run_spmd(ft_hashtable, NRANKS, faults=ft_faults(), **kw)
+    faults = ft_faults(crashes=(NodeCrash(0, t_crash),))
+    rec = run_spmd(ft_hashtable, NRANKS, faults=faults, **kw)
+    assert rec.stats["ft"]["restores"] == 1
+    assert final_bytes(rec) == final_bytes(ref)
+
+
+def _one_step_raises_program(ctx):
+    def create():
+        win = yield from ctx.rma.win_allocate(8, disp_unit=8)
+        return (win,), win, 0
+
+    def step(windows, i):
+        if ctx.rank == 2:
+            raise RuntimeError("step failed")
+        yield from ctx.compute(100)
+
+    yield from run_steps(ctx, create, 1, step)
+    return "done"
+
+
+def test_completion_wait_gives_up_when_a_peer_program_failed():
+    """Every poll of the completion counter is a completed fetch-and-op,
+    so the watchdog sees progress forever; the wait itself must notice
+    that a peer's program ended in an exception."""
+    # Any planned crash makes the kernel non-strict (a rank's exception
+    # ends that rank, not the simulation); this one takes the idle spare
+    # node, so no rank is killed and nothing is restored.
+    faults = ft_faults(crashes=(NodeCrash(NRANKS, 1),))
+    res = run_spmd(_one_step_raises_program, NRANKS, machine=ft_machine(),
+                   sim=SimConfig(max_events=400_000), faults=faults)
+    assert isinstance(res.returns[2], RuntimeError)
+    for rank in (0, 1, 3):
+        assert isinstance(res.returns[rank], FTError), res.returns[rank]
+        assert "rank 2 ended in RuntimeError" in str(res.returns[rank])
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +266,6 @@ def test_ftconfig_validation():
         FTConfig(enabled=True, interval=0)
     with pytest.raises(ValueError, match="mode"):
         FTConfig(enabled=True, mode="migrate")
-    with pytest.raises(ValueError, match="policy"):
-        FTConfig(enabled=True, policy="undo")
     with pytest.raises(ValueError, match="replicas"):
         FTConfig(enabled=True, replicas=0)
 

@@ -586,8 +586,6 @@ def test_fault_plan_validation():
 
 
 def test_recovery_config_validation():
-    with pytest.raises(ValueError, match="ack_policy"):
-        RecoveryConfig(ack_policy="gossip")
     with pytest.raises(ValueError, match="detect_ns"):
         RecoveryConfig(detect_ns=-1)
 

@@ -9,6 +9,7 @@ schedule, and the checker's verdict must be the entry's ``expect``.
 
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.check.perturb import perturb_sweep
@@ -20,8 +21,16 @@ from tests.sim.test_kernel_gen2 import GOLDEN, GOLDEN_RETURNS
 NRANKS, SEED = 4, 11
 
 
+def _comparable(value):
+    # ft_kvstore returns (latency rows, bytes); arrays compare element-wise.
+    if isinstance(value, tuple):
+        return tuple(_comparable(v) for v in value)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def _fingerprint(res):
-    return res.sim_time_ns, res.events_processed, res.returns
+    return (res.sim_time_ns, res.events_processed,
+            [_comparable(v) for v in res.returns])
 
 
 @pytest.mark.parametrize("rpn", [1, 4])
@@ -82,13 +91,17 @@ def test_scale_entry_defaults_equal_its_spec(name):
 
 @pytest.mark.parametrize("mode", ["spare", "shrink"])
 def test_ft_entries_recover_bit_identically(mode):
-    # run_crash_to_completion drives the one entry that claims it.
-    assert [n for n, wl in WORKLOADS.items() if wl.ft] == ["ft_hashtable"]
-    assert run_crash_to_completion(NRANKS, seed=SEED, mode=mode).match
+    ft_entries = [n for n, wl in WORKLOADS.items() if wl.ft]
+    assert ft_entries == ["ft_hashtable", "ft_kvstore"]
+    for name in ft_entries:
+        assert run_crash_to_completion(name, NRANKS, seed=SEED,
+                                       mode=mode).match, name
+    with pytest.raises(ValueError, match="not crash-recoverable"):
+        run_crash_to_completion("putget", NRANKS)
 
 
 def test_lookup_errors_list_the_keys():
-    with pytest.raises(ValueError, match="racy_put_put.*ft_hashtable"):
+    with pytest.raises(ValueError, match="racy_put_put.*ft_hashtable ft_kvstore"):
         lookup("nope")
     # Scale consumers hear about scale keys only, and a known program
     # without a hybrid twin is a different message from a typo.
