@@ -128,12 +128,13 @@ def test_fig6_lock_constants(benchmark, record_series):
 
 
 def test_fig7a_hashtable_hybrid(benchmark, record_series):
-    """Figure 7a extended to paper scale (512Ki/1Mi) on the hybrid engine.
+    """Figure 7a extended to paper scale (512Ki/1Mi) in scale mode.
 
-    Every point's sync term comes from a hybrid run that carries the
-    engine's tier-parity and O(log p) bound checks; the curves are
-    pinned to the committed full-fidelity values at the overlap size,
-    so continuity at p=512 is asserted, not assumed.
+    Every point's sync term is the analytic clock of a scale-mode run
+    that passed the closed-form total and O(log p) bound checks at
+    that size; the curves are pinned to the committed full-fidelity
+    values at the overlap size, so continuity at p=512 is asserted,
+    not assumed.
     """
     from repro.scale.figures import (FIG7A_ANCHOR_P, FIG7A_ANCHORS,
                                      HT_PS_HYBRID, fig7a_hybrid_series)
@@ -159,11 +160,11 @@ def test_fig7a_hashtable_hybrid(benchmark, record_series):
 
 
 def test_fig8_milc_hybrid(benchmark, record_series):
-    """Figure 8 extended to paper scale (512Ki/1Mi) on the hybrid engine.
+    """Figure 8 extended to paper scale (512Ki/1Mi) in scale mode.
 
-    Weak scaling: the O(log p) reduction term is measured per size on
-    the hybrid DES (tier-parity + bound checked) and added to the
-    committed full-fidelity anchor at p=128.
+    Weak scaling: the O(log p) reduction term is the analytic clock per
+    size (each size's counts closed-form + bound checked) and added to
+    the committed full-fidelity anchor at p=128.
     """
     from repro.scale.figures import (FIG8_ANCHOR_P, FIG8_ANCHORS,
                                      MILC_PS_HYBRID, fig8_hybrid_series)

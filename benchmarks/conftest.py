@@ -68,10 +68,10 @@ def record_series(request):
 def record_scale():
     """Collect the hybrid scale-mode throughput section.
 
-    ``bench_scale.py`` reports ranks-per-second and sampling fractions
-    here; session finish merges them into ``BENCH_simperf.json`` under
-    the ``"scale"`` key (sub-dicts merged key-wise, like figure walls,
-    so a partial sweep never erases earlier sizes).
+    ``bench_scale.py`` reports ranks-per-second here; session finish
+    merges them into ``BENCH_simperf.json`` under the ``"scale"`` key
+    (sub-dicts merged key-wise, like figure walls, so a partial sweep
+    never erases earlier sizes).
     """
 
     def _write(section: dict) -> None:

@@ -67,6 +67,22 @@ def _require(name: str, *, scale: bool = False) -> None:
         raise SystemExit(str(exc)) from None
 
 
+def _rank_counts(text: str) -> list[int]:
+    """``--ranks`` of ``repro scale`` and ``figure --hybrid``: a count that
+    does not parse, or is below the ring workloads' two ranks, is a
+    one-line exit too."""
+    from repro.scale.units import parse_ranks_list
+
+    try:
+        ranks = parse_ranks_list(text)
+    except ValueError as exc:
+        raise SystemExit(f"--ranks: {exc}") from None
+    if min(ranks) < 2:
+        raise SystemExit(
+            f"--ranks {text}: the ring workloads need at least 2 ranks")
+    return ranks
+
+
 def _run(args, **kwargs):
     """``run_workload`` on a verb's ``workload`` / ``--ranks`` / ``--seed``."""
     _require(args.workload)
@@ -228,9 +244,8 @@ def main(argv=None) -> int:
         if args.hybrid:
             from repro.scale.figures import (fig7a_hybrid_series,
                                              fig8_hybrid_series)
-            from repro.scale.units import parse_ranks_list
 
-            ranks = parse_ranks_list(args.ranks) if args.ranks else None
+            ranks = _rank_counts(args.ranks) if args.ranks else None
             if args.id == "7a":
                 title = ("Figure 7a (hybrid, paper scale): hashtable "
                          "[M inserts/s]")
@@ -323,21 +338,28 @@ def _scale_cmd(args) -> int:
 
     from repro.scale import format_ranks, run_hybrid
     from repro.scale.parity import parity_table
-    from repro.scale.units import parse_ranks, parse_ranks_list
 
     workloads = (args.workloads or _SCALE_NAMES).split(",")
     for w in [*workloads, args.workload]:
         _require(w, scale=True)
+    ranks = _rank_counts(args.ranks or {"parity": "64,256,1Ki",
+                                        "smoke": "512Ki",
+                                        "run": "4Ki"}[args.action])
+    if args.action != "parity" and len(ranks) != 1:
+        raise SystemExit(
+            f"--ranks {args.ranks}: 'scale {args.action}' takes one count")
+    if args.rpn < 1:
+        raise SystemExit(f"--rpn {args.rpn}: ranks per node must be >= 1")
+    nranks = ranks[0]
 
     if args.action == "parity":
-        ranks = parse_ranks_list(args.ranks or "64,256,1Ki")
         table = parity_table(ranks, ranks_per_node=args.rpn,
                              workloads=workloads)
         for case in table["cases"]:
             verdict = "exact" if case["exact"] else "MISMATCH"
             print(f"{case['workload']:10s} p={case['ranks']:>6s} "
                   f"rpn={args.rpn:<3d} msgs={case['messages']:>12,d} "
-                  f"sampled={case['sampled']:<4d} {verdict}")
+                  f"{verdict}")
             if not case["exact"]:
                 print(f"  diff: {json.dumps(case['diff'])}")
         if args.out:
@@ -349,7 +371,6 @@ def _scale_cmd(args) -> int:
         return 0 if table["ok"] else 1
 
     if args.action == "smoke":
-        nranks = parse_ranks(args.ranks or "512Ki")
         rows = []
         t0 = time.perf_counter()
         for w in workloads:
@@ -362,8 +383,6 @@ def _scale_cmd(args) -> int:
                 "wall_s": round(wall, 3),
                 "ranks_per_sec": round(nranks / wall),
                 "messages": res.stats["messages"],
-                "sampled": len(res.sample),
-                "soa_nbytes": res.soa_nbytes,
                 "sim_time_ns": res.sim_time_ns,
                 "bounds": res.bounds,
             })
@@ -387,13 +406,9 @@ def _scale_cmd(args) -> int:
         return 0
 
     # action == "run"
-    nranks = parse_ranks(args.ranks or "4Ki")
     res = run_hybrid(args.workload, nranks, ranks_per_node=args.rpn)
     print(f"{args.workload} p={format_ranks(nranks)} rpn={args.rpn}: "
-          f"simulated {res.sim_time_ns / 1e3:.1f} us, "
-          f"{res.events_processed} events, "
-          f"{len(res.sample)} sampled ranks, "
-          f"SoA {res.soa_nbytes / 1e6:.1f} MB")
+          f"simulated {res.sim_time_ns / 1e3:.1f} us (analytic clock)")
     print(json.dumps(res.stats, indent=1))
     return 0
 

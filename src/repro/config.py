@@ -88,55 +88,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class ScaleConfig:
-    """Hybrid million-rank scale mode (:mod:`repro.scale`).
-
-    When ``enabled`` is False -- the default -- the full-fidelity DES
-    path runs unchanged.  Enabled, a seeded sample of ranks executes
-    protocol-faithful generator code on the DES while the remaining
-    ranks are folded into vectorized aggregate state evaluated against
-    the same calibrated cost models; message counts for *all* ranks come
-    from round-exact vectorized protocol models and are cross-checked
-    against what the sampled ranks actually issue.
-
-    Attributes
-    ----------
-    enabled:
-        Route runs through the hybrid engine (``repro.scale.run_hybrid``).
-    sample_fraction:
-        Fraction of ranks promoted to full DES execution.
-    sample_min / sample_max:
-        Clamp on the sampled-rank count: at least ``sample_min`` (or p,
-        if smaller) so tiny fractions still exercise the protocol code,
-        at most ``sample_max`` so million-rank runs stay CI-viable.
-    """
-
-    enabled: bool = False
-    sample_fraction: float = 1.0 / 64.0
-    sample_min: int = 8
-    sample_max: int = 256
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ValueError(
-                f"sample_fraction={self.sample_fraction} outside (0, 1]")
-        if self.sample_min < 2:
-            raise ValueError(
-                f"sample_min={self.sample_min} must be >= 2 (ring "
-                "workloads need a neighbor)")
-        if self.sample_max < self.sample_min:
-            raise ValueError(
-                f"sample_max={self.sample_max} below "
-                f"sample_min={self.sample_min}")
-
-    def sample_count(self, nranks: int) -> int:
-        """Sampled-rank count for a ``nranks``-rank hybrid run."""
-        want = int(round(nranks * self.sample_fraction))
-        want = max(self.sample_min, min(self.sample_max, want))
-        return min(nranks, want)
-
-
-@dataclass(frozen=True)
 class ObsConfig:
     """Observability (spans + per-rank metrics) switches.
 

@@ -32,15 +32,13 @@ __all__ = ["Instrumentation", "capture", "active_capture"]
 class Instrumentation:
     """Span timeline + metrics registry for one simulated run."""
 
-    def __init__(self, nranks: int, *, max_spans: int = 500_000,
-                 nic_marks: bool = False) -> None:
+    def __init__(self, nranks: int, *, max_spans: int = 500_000) -> None:
         # Local import keeps repro.sim free of an obs dependency.
         from repro.obs.metrics import MetricsRegistry
 
         self.nranks = nranks
         self.spans = SpanLog(limit=max_spans)
         self.metrics = MetricsRegistry()
-        self.nic_marks = nic_marks
         self.meta: dict[str, Any] = {}
 
     # -- span helpers ----------------------------------------------------
@@ -95,10 +93,8 @@ class Instrumentation:
                   deliver_ns: int, is_amo: bool) -> None:
         """Every delivered network packet (called by the network layer)."""
         self.metrics.link_bytes(src_node, dst_node, nbytes)
-        if self.nic_marks:
-            self.nic_instant(dst_node, "amo" if is_amo else "pkt",
-                             deliver_ns, args={"src": src_node,
-                                               "bytes": nbytes})
+        self.nic_instant(dst_node, "amo" if is_amo else "pkt", deliver_ns,
+                         args={"src": src_node, "bytes": nbytes})
 
     def snapshot(self) -> dict[str, Any]:
         """Metrics + span statistics as one JSON-ready dict."""

@@ -122,8 +122,7 @@ class World:
             from repro.obs.core import Instrumentation
 
             self.obs = Instrumentation(nranks,
-                                       max_spans=self.obs_config.max_spans,
-                                       nic_marks=True)
+                                       max_spans=self.obs_config.max_spans)
         else:
             from repro.obs.core import active_capture
 
@@ -132,8 +131,7 @@ class World:
                 from repro.obs.core import Instrumentation
 
                 self.obs = Instrumentation(
-                    nranks, max_spans=self.obs_config.max_spans,
-                    nic_marks=True)
+                    nranks, max_spans=self.obs_config.max_spans)
                 sink.append(self.obs)
         # Memory-model checker: same contract as obs -- constructed when
         # the config enables it or a repro.check capture block is live;

@@ -1,21 +1,21 @@
-"""Hybrid million-rank scale mode (ROADMAP item 1).
+"""Million-rank scale mode: an exact count model plus the analytic clock.
 
 The paper runs foMPI at up to 524,288 processes; the DES executes real
 protocol code only up to thousands of ranks.  This package closes the
-gap with a *hybrid* execution mode: a sampled subset of ranks runs
-protocol-faithful generator code on the DES kernel while the remaining
-ranks are folded into vectorized aggregate state (numpy
-structure-of-arrays for lock words, epoch counters and PSCW matching
-queues), evaluated against the same calibrated cost models
-(:mod:`repro.models.params_fompi`).
+gap with two things, neither of which runs a rank: a *vectorized count
+model* that replays every collective and protocol round over numpy
+vectors of all p ranks, and the paper's own performance models
+(:mod:`repro.models.params_fompi`) summed over the workload's phases
+for simulated time -- evaluated, not simulated.
 
 Validation is structural, not vibes: the vectorized models mirror the
 full runtime's collective and protocol algorithms *round by round*, so
-at overlapping sizes a hybrid run reproduces the full-fidelity run's
-per-protocol message counts **exactly** (``tests/scale``, the CI
-``scale-parity`` job, and ``repro scale parity``), and its O(log p)
-bounds (fence rounds, lock-acquire AMOs, notification fan-out) are
-asserted at every size up to 1Mi ranks.
+at overlapping sizes a scale-mode run reproduces the full-fidelity
+run's per-protocol message counts **exactly** (``tests/scale``, the CI
+``scale-parity`` job, and ``repro scale parity``); at every size up to
+1Mi ranks its message total must equal the paper's closed forms and
+its O(log p) bounds (fence rounds, lock-acquire AMOs, notification
+fan-out) are asserted.
 """
 
 from repro.scale.hybrid import HybridParityError, HybridResult, run_hybrid

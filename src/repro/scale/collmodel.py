@@ -32,9 +32,8 @@ def count_sends(counters: ScaleCounters, topo: ScaleTopology,
                 src: np.ndarray, dst: np.ndarray, nbytes: int) -> None:
     """One point-to-point send per (src, dst) pair, intra/inter classified.
 
-    ``src`` must be sorted and unique (every mirrored round satisfies
-    this); boolean masking preserves sortedness for the counter's
-    sampled-rank membership tests.
+    ``src`` must be unique (every mirrored round satisfies this): the
+    counter's per-rank add is a buffered fancy-index increment.
     """
     intra = topo.node[src] == topo.node[dst]
     n_intra = int(np.count_nonzero(intra))

@@ -4,12 +4,13 @@ The full-fidelity sweeps (``FIGURES["7a"]`` and ``["8"]`` in
 ``repro.bench.figures``) stop where per-rank DES execution stops being
 CI-viable (p = 512 / 128).  The paper's headline curves run to 512Ki
 processes; this module extends both figures there (and to 1Mi) using
-the hybrid engine:
+the scale mode:
 
-* the O(log p) synchronization terms are *measured on the hybrid DES*
-  (two fence-workload runs per size, differenced to isolate the
-  per-epoch cost) -- every such run carries the engine's built-in
-  tier-parity and O(log p) bound checks, so a figure point at 1Mi is
+* the O(log p) synchronization terms are the scale mode's analytic
+  clock (:func:`~repro.scale.protocols.model_time_ns`, the paper's
+  performance models summed over the workload's phases), and every
+  plotted size goes through one ``run_hybrid`` first -- its closed-form
+  total and O(log p) bound checks -- so a figure point at 1Mi is
   backed by the same structural validation as a parity cell at 256;
 * the per-variant constants are calibrated once, at the overlap size,
   against the *committed* full-fidelity anchor values -- the hybrid
@@ -29,7 +30,7 @@ import math
 
 from repro.bench import Series
 from repro.scale.hybrid import run_hybrid
-from repro.scale.protocols import WorkloadSpec
+from repro.scale.protocols import WorkloadSpec, model_time_ns
 
 __all__ = ["FIG7A_ANCHOR_P", "FIG7A_ANCHORS", "FIG8_ANCHOR_P",
            "FIG8_ANCHORS", "HT_PS_HYBRID", "MILC_PS_HYBRID",
@@ -54,29 +55,25 @@ MILC_SYNCS_PER_SOLVE = 50         # 25 CG iterations x 2 reductions
 MILC_MPI1_SYNC_FACTOR = 1.3       # two-sided progress overhead per sync
 
 
-def _insert_loop_ns(p: int, ranks_per_node: int) -> int:
-    """Hybrid-measured time for the passive-target insert loop.
+# One shared-lock / put / unlock iteration per insert: the protocol
+# skeleton of the hashtable's remote insert.
+_INSERT_LOOP = WorkloadSpec("lock", epochs=INSERTS_PER_RANK)
+_SYNC_1, _SYNC_3 = (WorkloadSpec("fence", epochs=e) for e in (1, 3))
 
-    One shared-lock / put / unlock iteration per insert -- the protocol
-    skeleton of the hashtable's remote insert -- run on the hybrid
-    engine (bounds-checked at every size).
+
+def _insert_loop_ns(p: int) -> int:
+    """Analytic time of the passive-target insert loop."""
+    return model_time_ns(_INSERT_LOOP, p)
+
+
+def _sync_epoch_ns(p: int) -> int:
+    """Analytic cost of one global sync epoch (put + fence).
+
+    Epoch count 3 minus epoch count 1, halved -- window allocation and
+    the opening fence cancel, leaving exactly the per-epoch inject +
+    O(log p) fence term.
     """
-    spec = WorkloadSpec("lock", epochs=INSERTS_PER_RANK)
-    return run_hybrid(spec, p, ranks_per_node=ranks_per_node).sim_time_ns
-
-
-def _sync_epoch_ns(p: int, ranks_per_node: int) -> int:
-    """Hybrid-measured cost of one global sync epoch (put + fence).
-
-    Two fence-workload runs differenced: epoch count 3 minus epoch
-    count 1, halved -- window allocation and the opening fence cancel,
-    leaving exactly the per-epoch inject + O(log p) fence term.
-    """
-    r1 = run_hybrid(WorkloadSpec("fence", epochs=1), p,
-                    ranks_per_node=ranks_per_node)
-    r3 = run_hybrid(WorkloadSpec("fence", epochs=3), p,
-                    ranks_per_node=ranks_per_node)
-    return (r3.sim_time_ns - r1.sim_time_ns) // 2
+    return (model_time_ns(_SYNC_3, p) - model_time_ns(_SYNC_1, p)) // 2
 
 
 def fig7a_hybrid_series(rank_counts: list[int] | None = None, *,
@@ -90,7 +87,7 @@ def fig7a_hybrid_series(rank_counts: list[int] | None = None, *,
     through its two largest full-fidelity anchors.
     """
     ps = rank_counts or HT_PS_HYBRID
-    anchor_loop = _insert_loop_ns(FIG7A_ANCHOR_P, ranks_per_node)
+    anchor_loop = _insert_loop_ns(FIG7A_ANCHOR_P)
 
     def raw_rate(p: int, loop_ns: int) -> float:
         return p * INSERTS_PER_RANK / (loop_ns * 1e-9) / 1e6
@@ -114,7 +111,10 @@ def fig7a_hybrid_series(rank_counts: list[int] | None = None, *,
             "anchor": FIG7A_ANCHORS[label]}))
     by = {s.label: s for s in series}
     for p in ps:
-        loop_ns = _insert_loop_ns(p, ranks_per_node)
+        # The plotted point's own counts, held to the closed form and
+        # the O(log p) budget at this size before its clock is used.
+        run_hybrid(_INSERT_LOOP, p, ranks_per_node=ranks_per_node)
+        loop_ns = _insert_loop_ns(p)
         for label in ("fompi", "upc"):
             by[label].add(p, round(cal[label] * raw_rate(p, loop_ns), 3))
         by["mpi1"].add(p, round(a / (1 + b * math.log2(p)), 3))
@@ -133,7 +133,7 @@ def fig8_hybrid_series(rank_counts: list[int] | None = None, *,
     improvement band.
     """
     ps = rank_counts or MILC_PS_HYBRID
-    anchor_sync = _sync_epoch_ns(FIG8_ANCHOR_P, ranks_per_node)
+    anchor_sync = _sync_epoch_ns(FIG8_ANCHOR_P)
     factors = {"mpi1": MILC_MPI1_SYNC_FACTOR, "fompi": 1.0, "upc": 1.0}
 
     series = []
@@ -144,8 +144,8 @@ def fig8_hybrid_series(rank_counts: list[int] | None = None, *,
             "syncs_per_solve": MILC_SYNCS_PER_SOLVE}))
     by = {s.label: s for s in series}
     for p in ps:
-        extra_ns = ((_sync_epoch_ns(p, ranks_per_node) - anchor_sync)
-                    * MILC_SYNCS_PER_SOLVE)
+        run_hybrid(_SYNC_3, p, ranks_per_node=ranks_per_node)  # as in 7a
+        extra_ns = (_sync_epoch_ns(p) - anchor_sync) * MILC_SYNCS_PER_SOLVE
         for label, factor in factors.items():
             ms = FIG8_ANCHORS[label] + factor * extra_ns * 1e-6
             by[label].add(p, round(ms, 3))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.config import ScaleConfig
 from repro.scale.hybrid import run_hybrid
 from repro.scale.units import format_ranks
 
@@ -32,23 +31,21 @@ def _stats_diff(full: dict, hybrid: dict) -> dict[str, Any]:
     return diff
 
 
-def parity_case(workload: str, nranks: int, *, ranks_per_node: int = 1,
-                scale: ScaleConfig | None = None) -> dict[str, Any]:
+def parity_case(workload: str, nranks: int, *,
+                ranks_per_node: int = 1) -> dict[str, Any]:
     """One parity cell: run the registry entry ``workload`` in both
     modes, diff the stats dicts exactly."""
     # Imported here, not at module level: the registry imports this package.
     from repro.workloads import run_workload
 
     full = run_workload(workload, nranks, ranks_per_node=ranks_per_node)
-    hybrid = run_hybrid(workload, nranks, ranks_per_node=ranks_per_node,
-                        scale=scale)
+    hybrid = run_hybrid(workload, nranks, ranks_per_node=ranks_per_node)
     diff = _stats_diff(full.stats, hybrid.stats)
     return {
         "workload": workload,
         "nranks": nranks,
         "ranks": format_ranks(nranks),
         "ranks_per_node": ranks_per_node,
-        "sampled": len(hybrid.sample),
         "exact": not diff,
         "diff": diff,
         "messages": hybrid.stats.get("messages"),
@@ -60,8 +57,7 @@ def parity_case(workload: str, nranks: int, *, ranks_per_node: int = 1,
 
 
 def parity_table(rank_counts: list[int], *, ranks_per_node: int = 1,
-                 workloads: list[str] | None = None,
-                 scale: ScaleConfig | None = None) -> dict[str, Any]:
+                 workloads: list[str] | None = None) -> dict[str, Any]:
     """The full parity sweep: every workload (default: every registry
     entry with a hybrid twin) at every size.
 
@@ -71,7 +67,7 @@ def parity_table(rank_counts: list[int], *, ranks_per_node: int = 1,
     from repro.workloads import names
 
     workloads = workloads or names(scale=True)
-    cases = [parity_case(w, p, ranks_per_node=ranks_per_node, scale=scale)
+    cases = [parity_case(w, p, ranks_per_node=ranks_per_node)
              for w in workloads for p in rank_counts]
     ok = all(c["exact"] and c["bounds"]["max_remote_ops_ok"]
              for c in cases)

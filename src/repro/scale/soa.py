@@ -1,11 +1,11 @@
-"""Aggregate rank state as numpy structure-of-arrays.
+"""Vector-fed counters and block placement for the scale count model.
 
 At 1Mi ranks the full runtime's one-object-per-rank state (address
 spaces, registration tables, window control blocks) is unaffordable;
-the hybrid mode folds every *aggregate* (non-sampled) rank into flat
-int64 arrays: one lock word per rank, one fence-epoch counter, the PSCW
-matching-queue depths.  Memory is O(p) machine words -- a few dozen MB
-at 1Mi ranks -- instead of O(p) Python objects.
+the count model holds only what the reported ``stats`` need: two int64
+arrays over all p ranks (per-rank counted operations and control
+words) plus the placement vectors -- O(p) machine words, a few dozen
+MB at 1Mi ranks, instead of O(p) Python objects.
 
 :class:`ScaleCounters` is the aggregate twin of
 :class:`repro.sim.trace.OpCounters`: the vectorized protocol models
@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rma.locks import WRITER_BIT
-
-__all__ = ["AggregateSoA", "ScaleCounters", "ScaleTopology"]
+__all__ = ["ScaleCounters", "ScaleTopology"]
 
 
 class ScaleTopology:
@@ -44,125 +42,31 @@ class ScaleTopology:
         self.ranks = np.arange(nranks, dtype=np.int64)
         self.node = (self.ranks // ranks_per_node).astype(np.int32)
 
-    def node_of(self, rank: int) -> int:
-        return int(rank) // self.ranks_per_node
-
-    def same_node(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        return self.node[src] == self.node[dst]
-
-
-class AggregateSoA:
-    """Protocol state for *all* ranks as flat arrays.
-
-    ``lock_word`` follows :mod:`repro.rma.locks`' local reader-writer
-    word layout (``WRITER_BIT`` | shared count); ``global_lock`` is the
-    master rank's two-halves word.  ``pscw_posted``/``pscw_consumed``
-    count matching-list appends and ``start()`` consumptions per rank;
-    ``pscw_done`` the completion-counter value.  ``fence_epoch`` counts
-    closed fence epochs.  Sampled ranks mutate their entries from real
-    DES processes; aggregate ranks' contributions are applied
-    vectorized -- both sides land in the same arrays, which is what
-    makes end-of-run invariant checks (balanced locks, fully consumed
-    matching lists, uniform epoch counters) meaningful.
-    """
-
-    def __init__(self, topo: ScaleTopology) -> None:
-        p = topo.nranks
-        self.topo = topo
-        # uint64: the word layout has WRITER_BIT at bit 63.
-        self.lock_word = np.zeros(p, dtype=np.uint64)
-        self.global_lock = 0
-        self.pscw_posted = np.zeros(p, dtype=np.int64)
-        self.pscw_consumed = np.zeros(p, dtype=np.int64)
-        self.pscw_done = np.zeros(p, dtype=np.int64)
-        self.fence_epoch = np.zeros(p, dtype=np.int64)
-
-    @property
-    def nbytes(self) -> int:
-        """Total aggregate-state footprint in bytes (arrays only)."""
-        arrays = (self.lock_word, self.pscw_posted, self.pscw_consumed,
-                  self.pscw_done, self.fence_epoch,
-                  self.topo.ranks, self.topo.node)
-        return int(sum(a.nbytes for a in arrays))
-
-    # -- sampled-rank protocol operations (scalar, on the shared arrays) --
-    def lock_acquire_shared(self, target: int) -> int:
-        """Fetch-add the reader count; returns the old word (one AMO)."""
-        old = int(self.lock_word[target])
-        if old & WRITER_BIT:
-            raise RuntimeError(
-                f"hybrid lock model: unexpected writer on rank {target} "
-                "(canonical workloads are contention-free by construction)")
-        self.lock_word[target] = old + 1
-        return old
-
-    def lock_release_shared(self, target: int) -> None:
-        self.lock_word[target] -= 1
-
-    def pscw_post_to(self, target: int) -> None:
-        self.pscw_posted[target] += 1
-
-    def pscw_start_consume(self, rank: int, k: int = 1) -> None:
-        avail = int(self.pscw_posted[rank] - self.pscw_consumed[rank])
-        if avail < k:
-            raise RuntimeError(
-                f"hybrid PSCW model: start() on rank {rank} found "
-                f"{avail} posts, needs {k}")
-        self.pscw_consumed[rank] += k
-
-    def pscw_complete_to(self, target: int) -> None:
-        self.pscw_done[target] += 1
-
-    def fence_close(self, rank: int) -> None:
-        self.fence_epoch[rank] += 1
-
 
 class ScaleCounters:
     """Vector-fed operation counters mirroring ``OpCounters``.
 
     ``add(kind, origins, nbytes_each)`` records one counted message per
-    origin; ``origins`` is a sorted int64 array of unique issuing ranks
-    (or ``None`` for "every rank once").  Alongside the totals, the
-    counters accumulate the *expected per-rank per-kind counts* for the
-    sampled ranks, which the hybrid engine cross-checks against what
-    the sampled DES processes actually issued -- the internal parity
-    gate between the two execution tiers.
+    origin; ``origins`` is an int64 array of unique issuing ranks.
     """
 
-    def __init__(self, nranks: int, sample: tuple[int, ...] = ()) -> None:
+    def __init__(self, nranks: int) -> None:
         self.nranks = nranks
         self.by_kind: dict[str, int] = {}
         self.bytes_moved = 0
         self.messages = 0
         self.remote_ops = np.zeros(nranks, dtype=np.int64)
         self.control_memory = np.zeros(nranks, dtype=np.int64)
-        self.sample = tuple(int(r) for r in sample)
-        self.expected: dict[int, dict[str, int]] = {
-            r: {} for r in self.sample}
 
-    def add(self, kind: str, origins: np.ndarray | None,
+    def add(self, kind: str, origins: np.ndarray,
             nbytes_each: int = 0) -> None:
         """Count one ``kind`` message from each origin rank."""
-        if origins is None:
-            n = self.nranks
-            self.remote_ops += 1
-            for r in self.sample:
-                exp = self.expected[r]
-                exp[kind] = exp.get(kind, 0) + 1
-        else:
-            n = int(origins.shape[0])
-            if n == 0:
-                return
-            # Origins are unique per round in every mirrored algorithm,
-            # so buffered fancy-index add is exact (and fast at 1Mi).
-            self.remote_ops[origins] += 1
-            for r in self.sample:
-                # Sorted-origins membership test: O(log p) per sample.
-                lo = int(np.searchsorted(origins, r, side="left"))
-                hi = int(np.searchsorted(origins, r, side="right"))
-                if hi > lo:
-                    exp = self.expected[r]
-                    exp[kind] = exp.get(kind, 0) + (hi - lo)
+        n = int(origins.shape[0])
+        if n == 0:
+            return
+        # Origins are unique per round in every mirrored algorithm,
+        # so buffered fancy-index add is exact (and fast at 1Mi).
+        self.remote_ops[origins] += 1
         self.by_kind[kind] = self.by_kind.get(kind, 0) + n
         self.messages += n
         self.bytes_moved += n * nbytes_each

@@ -7,9 +7,13 @@ per-kind counts, per-rank maxima -- across workloads, rank counts
 (powers of two and not), and placements (1 and 32 ranks/node).
 """
 
+import dataclasses
+
 import pytest
 
+from repro.scale import run_hybrid
 from repro.scale.parity import parity_case, parity_table
+from repro.workloads import WORKLOADS, run_workload
 from tests.scale import RING
 
 
@@ -27,6 +31,19 @@ def test_exact_parity_rpn32(workload, nranks):
     # become message-free CPU atomics -- the kind split must match too.
     case = parity_case(workload, nranks, ranks_per_node=32)
     assert case["exact"], case["diff"]
+
+
+@pytest.mark.parametrize("workload", RING)
+@pytest.mark.parametrize("rpn", [1, 4])
+@pytest.mark.parametrize("epochs,nbytes", [(1, 1), (3, 4096)])
+def test_exact_parity_off_the_registry_defaults(workload, rpn, epochs, nbytes):
+    # parity_case only ever runs epochs=2, nbytes=8; the spec's two
+    # fields must scale the counts the way the program's arguments do.
+    full = run_workload(workload, 8, ranks_per_node=rpn,
+                        epochs=epochs, nbytes=nbytes)
+    spec = dataclasses.replace(WORKLOADS[workload].scale,
+                               epochs=epochs, nbytes=nbytes)
+    assert run_hybrid(spec, 8, ranks_per_node=rpn).stats == full.stats
 
 
 def test_parity_table_verdict():

@@ -90,6 +90,13 @@ def test_cli_trace_unknown_workload():
      "'putget' has no hybrid twin (scale workloads: fence_ring"),
     (("scale", "parity", "--workloads", "fence_ring,nosuch"),
      "'nosuch' (have fence_ring"),
+    (("scale", "run", "--ranks", "1"), "need at least 2 ranks"),
+    (("scale", "run", "--ranks", "abc"), "--ranks: bad rank count 'abc'"),
+    (("scale", "run", "--ranks", "4Ki,8Ki"), "takes one count"),
+    (("scale", "run", "--rpn", "0"), "--rpn 0: ranks per node must be >= 1"),
+    (("scale", "parity", "--ranks", "1"), "need at least 2 ranks"),
+    (("scale", "smoke", "--ranks", "0"), "--ranks: rank count '0' must be"),
+    (("figure", "8", "--hybrid", "--ranks", "x"), "bad rank count 'x'"),
 ])
 def test_cli_unknown_workload_is_one_line(args, listed):
     """In process: ``SystemExit(<str>)`` is what the subprocess above
