@@ -1,7 +1,7 @@
 """DES kernel event-throughput microbenchmarks.
 
 Measures the raw event rate of :mod:`repro.sim.kernel`'s fast loop
-(front-slot scheduler, event recycling) on two synthetic workloads and on
+(front-slot scheduler, sleep tokens) on two synthetic workloads and on
 two full-stack runs, asserts a generous absolute events/sec floor, then
 writes the machine-readable perf report ``BENCH_simperf.json`` at the
 repository root (the per-figure wall-clock and cache sections are
@@ -12,13 +12,14 @@ machine-scaled baseline.
 Workloads
 ---------
 ring
-    ``NPROC`` processes passing a token with ``yield env.timeout(...)`` --
-    the pure scheduler loop, dominated by queue churn and Timeout/Event
-    allocation (the fast path recycles both and keeps the strict-min
-    entry in the front slot: ~100% front-hit rate).
+    ``NPROC`` processes passing a token, each sleeping ``yield ns``
+    between hand-offs as every CPU charge in ``src/`` does -- the pure
+    scheduler loop, dominated by queue churn and one ``Event`` per
+    hand-off (the strict-min entry sits in the front slot: ~100%
+    front-hit rate).
 put/get pattern
     An origin/NIC generator pair mimicking the kernel-level shape of a
-    flushed fompi put: descriptor-write timeout, a NIC service event
+    flushed fompi put: descriptor-write sleep, a NIC service event
     chain, and an URGENT remote-completion wakeup (~58% front-hit rate).
 full stack
     4096 fompi put + flush between two nodes on a world built outside the
@@ -63,7 +64,7 @@ def _ring_proc(env, idx, inboxes, steps):
     for _ in range(steps):
         yield inboxes[idx]
         inboxes[idx] = env.event()
-        yield env.timeout(10)
+        yield 10
         nxt = (idx + 1) % nproc
         inboxes[nxt].succeed(None)
 
@@ -77,7 +78,7 @@ def _build_ring(env, nproc=RING_NPROC, steps=RING_STEPS):
 
 def _putget_origin(env, n, nic_ev):
     for _ in range(n):
-        yield env.timeout(40)              # descriptor write / o_inject
+        yield 40                           # descriptor write / o_inject
         ev = env.event()
         nic_ev.append(ev)
         done = env.event()
@@ -89,7 +90,7 @@ def _putget_nic(env, n, nic_ev):
     served = 0
     while served < n:
         while not nic_ev:
-            yield env.timeout(10)          # poll
+            yield 10                       # poll
         ev = nic_ev.pop()
         done = yield ev
         done.succeed(None, delay=50, priority=URGENT)

@@ -153,7 +153,7 @@ class RmaHalo(_HaloBase):
         expected = self.rounds * len(plan)
         flag = win.local_view(np.int64)
         while int(flag[0]) < expected:
-            yield ctx.env.timeout(_POLL_NS)
+            yield _POLL_NS
         # 4. get each neighbor's opposite face, as late as possible
         faces = []
         for f in plan:
@@ -186,7 +186,7 @@ class UpcHalo(_HaloBase):
         expected = self.rounds * len(plan)
         flag = arr.local_view(np.int64)
         while int(flag[0]) < expected:
-            yield ctx.env.timeout(_POLL_NS)
+            yield _POLL_NS
         faces = []
         for f in plan:
             raw = np.empty(f.nbytes, dtype=np.uint8)

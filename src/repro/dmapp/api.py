@@ -406,7 +406,7 @@ class DmappEndpoint:
         # (o_inject); the DMA drain itself overlaps with computation.
         wait = cpu_free - env.now
         if wait > 0:
-            yield env.timeout(wait)
+            yield wait
         return handle
 
     def put_nb(self, desc: MemDescriptor, offset: int, data):
@@ -470,7 +470,7 @@ class DmappEndpoint:
                    net.injection_admit(node, inj_end, _HEADER_BYTES)
                    - self.env.now)
         if wait > 0:
-            yield self.env.timeout(wait)
+            yield wait
         return handle
 
     def get_b(self, desc: MemDescriptor, offset: int, nbytes: int):
@@ -536,7 +536,7 @@ class DmappEndpoint:
                    net.injection_admit(node, inj_end, _AMO_BYTES)
                    - self.env.now)
         if wait > 0:
-            yield self.env.timeout(wait)
+            yield wait
         return handle
 
     def amo_custom_nbi(self, target_rank: int, mutate):
@@ -587,7 +587,7 @@ class DmappEndpoint:
                    net.injection_admit(node, inj_end, _AMO_BYTES)
                    - self.env.now)
         if wait > 0:
-            yield self.env.timeout(wait)
+            yield wait
         return handle
 
     def amo_b(self, target_rank: int, cells: AtomicArray, idx: int,
@@ -654,7 +654,7 @@ class DmappEndpoint:
                    net.injection_admit(node, inj_end, nbytes)
                    - self.env.now)
         if wait > 0:
-            yield self.env.timeout(wait)
+            yield wait
         return handle
 
     # ------------------------------------------------------------------
@@ -675,19 +675,19 @@ class DmappEndpoint:
         """Wait for one explicit handle's remote completion."""
         delta = handle.remote_complete - self.env.now
         if delta > 0:
-            yield self.env.timeout(delta)
+            yield delta
         return handle.result
 
     def wait_local(self, handle: DmappHandle):
         delta = handle.local_complete - self.env.now
         if delta > 0:
-            yield self.env.timeout(delta)
+            yield delta
 
     def gsync(self):
         """Bulk remote completion of everything this endpoint issued."""
         delta = self._horizon - self.env.now
         if delta > 0:
-            yield self.env.timeout(delta)
+            yield delta
 
     @property
     def completion_horizon(self) -> int:

@@ -196,7 +196,7 @@ class FTRuntime:
         # crash instant, not before.
         early = exc.crash_time_ns - self.env.now
         if early > 0:
-            yield self.env.timeout(early)
+            yield early
         if not self.will_recover(target):
             raise exc
         yield self.restore_event(target)
@@ -315,7 +315,7 @@ class FTRuntime:
 
         cost = int(round(rec.nbytes * self.cfg.ckpt_copy_ns_per_byte))
         if cost > 0:
-            yield env.timeout(cost)
+            yield cost
 
         # Deposit on the buddy ring (original block placement: the buddy
         # of a re-homed rank stays pinned to its first home).
@@ -453,7 +453,7 @@ class FTRuntime:
                 replays[(win_id, r)] = entries
                 cost += len(entries) * self.cfg.replay_ns_per_entry
         if cost > 0:
-            yield env.timeout(cost)
+            yield cost
 
         # Pick the adoption node and rehome only *now*, at the instant the
         # memory rewrite below executes.  Rehoming before the cost timeout

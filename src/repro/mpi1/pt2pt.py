@@ -90,7 +90,7 @@ class Request:
             yield self.event
         if self._recv_cost:
             cost, self._recv_cost = self._recv_cost, 0
-            yield self.endpoint.env.timeout(cost)
+            yield cost
         return self._payload
 
 
@@ -217,7 +217,7 @@ class Mpi1Endpoint:
         env.api_sites[self._site_key] = (
             "mpi.isend(dest=%s, tag=%s, %sB)", dest, tag, n)
         req = Request(self, "req-send")
-        yield env.timeout(self._o_send)
+        yield self._o_send
         # Capture the send buffer at issue time (MPI send-buffer semantics).
         data = payload.copy() if isinstance(payload, np.ndarray) else payload
         msg = Message(self.rank, channel, tag, data, n, "eager")
@@ -248,7 +248,7 @@ class Mpi1Endpoint:
             req.event.succeed(delay=max(0, local_done - env.now))
         wait = cpu_free - env.now
         if wait > 0:
-            yield env.timeout(wait)
+            yield wait
         return req
 
     def send(self, dest: int, payload: Any, tag: int = 0,
@@ -305,6 +305,8 @@ class Mpi1Endpoint:
     def improbe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
                 channel: str = "user") -> Message | None:
         """Match-and-extract from the unexpected queue; pair with mrecv."""
+        if not self.queue.unexpected:
+            return None     # the idle poll: nothing arrived
         msg = self.queue.extract(src, channel, tag)
         if msg is not None and msg.kind == "rts":
             if msg.sender_state.get("sync_eager"):

@@ -81,7 +81,7 @@ def accumulate(win, data, target: int, target_disp: int, op: Op, *,
     arr = np.asarray(data)
     toff = target_disp * win.disp_unit
     if win._acc_ns is not None:
-        yield ctx.env.timeout(win._acc_ns)
+        yield win._acc_ns
 
     if _hw_eligible(win, op, arr.dtype, toff):
         seg, base = win._target_segment(target, toff, arr.nbytes)
@@ -131,7 +131,7 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
         delay = min(win.params.backoff_base_ns * (1 << min(attempt, 16)),
                     win.params.backoff_max_ns)
         attempt += 1
-        yield ctx.env.timeout(int(delay))
+        yield int(delay)
 
     nbytes = arr.nbytes
     # Get current contents.
@@ -222,7 +222,7 @@ def fetch_and_op(win, value, target: int, target_disp: int, op: Op):
     operand, dtype = _word(value)
     toff = target_disp * win.disp_unit
     if win._acc_ns is not None:
-        yield win.ctx.env.timeout(win._acc_ns)
+        yield win._acc_ns
     if _hw_eligible(win, op, dtype, toff):
         old = yield from _scalar_amo(win, target, toff, op.hw_name, operand)
         return _old_as(old, dtype)
@@ -237,7 +237,7 @@ def compare_and_swap(win, compare, swap, target: int, target_disp: int):
     if toff % 8:
         raise RmaError("CAS target must be 8-byte aligned")
     if win._acc_ns is not None:
-        yield win.ctx.env.timeout(win._acc_ns)
+        yield win._acc_ns
     c, dtype = _word(compare)
     s, _ = _word(swap)
     old = yield from _scalar_amo(win, target, toff, "cas", c, s)

@@ -80,7 +80,7 @@ def _backoff(win, attempt: int):
     win.lock_state.retries += 1
     delay = min(win.params.backoff_base_ns * (1 << min(attempt, 16)),
                 win.params.backoff_max_ns)
-    yield win.ctx.env.timeout(int(delay))
+    yield int(delay)
 
 
 def _amo(win, target: int, idx: int, op: str, operand: int,

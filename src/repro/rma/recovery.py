@@ -264,7 +264,7 @@ def _revoke_lock_words(world, failed):
         if ctrl is None:
             continue
         if rec.revoke_ns:
-            yield env.timeout(rec.revoke_ns)
+            yield rec.revoke_ns
         ctrl.apply(idx, "add", -delta)  # wakes any watchers of the word
         inj.stats.locks_revoked += 1
         inj._trace("lock-revoke",
@@ -303,7 +303,7 @@ def _mcs_zombie(world, lock, rank: int):
     # publication so the predecessor's release can find this node.
     if lock._pred and not lock._published:
         if rec.revoke_ns:
-            yield env.timeout(rec.revoke_ns)
+            yield rec.revoke_ns
         lock._cells(lock._pred - 1).apply(base + IDX_NEXT, "replace", me)
         lock._published = True
         env.note_progress()
@@ -320,7 +320,7 @@ def _mcs_zombie(world, lock, rank: int):
     # Forward to the successor, or retire the token at the tail.
     while True:
         if rec.revoke_ns:
-            yield env.timeout(rec.revoke_ns)
+            yield rec.revoke_ns
         succ = int(my.load(base + IDX_NEXT))
         if succ != 0 and succ != me:
             lock._cells(succ - 1).apply(base + IDX_FLAG, "replace", 1)
@@ -358,7 +358,7 @@ def _reclaim(world, failed):
         if not n:
             continue
         if rec.revoke_ns:
-            yield env.timeout(rec.revoke_ns)
+            yield rec.revoke_ns
         for desc in list(st.regions):
             try:
                 world.reg_tables[r].deregister(desc)
@@ -381,7 +381,7 @@ def _reclaim(world, failed):
             if win.freed or win.seg is None:
                 continue
             if rec.revoke_ns:
-                yield env.timeout(rec.revoke_ns)
+                yield rec.revoke_ns
             try:
                 world.spaces[r].free(win.seg)
             except Exception:

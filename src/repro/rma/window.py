@@ -167,7 +167,7 @@ class Window:
         epoch_rules.require_access(self, target)
         ctx = self.ctx
         if self._put_ns is not None:
-            yield ctx.env.timeout(self._put_ns)
+            yield self._put_ns
         raw = np.ascontiguousarray(np.asarray(data)).view(np.uint8).ravel()
         toff = target_disp * self.disp_unit
         pieces = self._pieces(raw, origin_datatype, target_datatype, count)
@@ -213,7 +213,7 @@ class Window:
         epoch_rules.require_access(self, target)
         ctx = self.ctx
         if self._get_ns is not None:
-            yield ctx.env.timeout(self._get_ns)
+            yield self._get_ns
         toff = target_disp * self.disp_unit
         pieces = self._pieces(out.view(np.uint8).reshape(-1),
                               origin_datatype, target_datatype, count)
@@ -397,9 +397,9 @@ class Window:
         ctx.note_api("win.flush(target=%s)", target)
         t0 = env.now
         if self._flush_ns is not None:
-            yield env.timeout(self._flush_ns)
+            yield self._flush_ns
         if self._mfence_ns is not None:
-            yield env.timeout(self._mfence_ns)
+            yield self._mfence_ns
         yield from ctx.dmapp.gsync()
         obs = ctx.obs
         if obs is not None:
@@ -418,7 +418,7 @@ class Window:
         """Local completion only: origin buffers reusable."""
         self._check_alive()
         if self._flush_ns is not None:
-            yield self.ctx.env.timeout(self._flush_ns)
+            yield self._flush_ns
 
     def flush_local_all(self):
         yield from self.flush_local(None)

@@ -71,7 +71,7 @@ def _crash_reaper(world, procs):
     for when, node in events:
         delta = when - world.env.now
         if delta > 0:
-            yield world.env.timeout(delta)
+            yield delta
         inj.mark_crashed(node)
         for rank, proc in enumerate(procs):
             if world.rank_map.node_of(rank) == node and proc.is_alive:

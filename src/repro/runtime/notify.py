@@ -152,7 +152,7 @@ class FailureNotifier:
         inj = self.world.injector
         delta = (when + rec.detect_ns) - env.now
         if delta > 0:
-            yield env.timeout(delta)
+            yield delta
         inj.stats.failures_detected += 1
         inj._trace("detect", f"node {node} death confirmed")
         t_detect = env.now
@@ -169,13 +169,13 @@ class FailureNotifier:
                 by_depth.setdefault(v.bit_length(), []).append(r)
             for depth in range(max_depth + 1):
                 if depth > 0:
-                    yield env.timeout(rec.notify_round_ns)
+                    yield rec.notify_round_ns
                 for r in by_depth.get(depth, ()):
                     self._deliver(r, failed_ranks)
                 env.note_progress()
 
         if rec.revoke_ns > 0:
-            yield env.timeout(rec.revoke_ns)
+            yield rec.revoke_ns
         for hook in self._hooks:
             yield from hook(failed_ranks)
         inj._trace("revoke", f"node {node} state revoked")

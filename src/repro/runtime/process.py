@@ -120,7 +120,7 @@ class RankContext:
     def compute(self, ns: float):
         """Model local computation taking ``ns`` nanoseconds."""
         if ns > 0:
-            yield self.env.timeout(int(round(ns)))
+            yield int(round(ns))
 
     def instr_ns(self, count: float) -> int | None:
         """What :meth:`instr` charges for ``count`` instructions: whole ns,
@@ -133,7 +133,7 @@ class RankContext:
         """Charge ``count`` CPU instructions at the machine clock."""
         ns = self.instr_ns(count)
         if ns is not None:
-            yield self.env.timeout(ns)
+            yield ns
 
     # -- topology helpers -------------------------------------------------
     def same_node(self, other_rank: int) -> bool:

@@ -80,7 +80,7 @@ def kv_serve_program(ctx, spec: ServeSpec, n_stripes: int = 8):
     for i in range(len(sched)):
         t_arr = t0 + int(sched[i, 0])
         if ctx.now < t_arr:
-            yield ctx.env.timeout(t_arr - ctx.now)
+            yield t_arr - ctx.now
         op, key, value = int(sched[i, 1]), int(sched[i, 2]), int(sched[i, 3])
         if op == OP_GET:
             yield from store.get(key + 1)
@@ -152,7 +152,7 @@ def ft_kvstore(ctx, spec: ServeSpec | None = None, n_stripes: int = 8):
             t_base = ctx.now - int(sched[i, 0])
         t_arr = t_base + int(sched[i, 0])
         if ctx.now < t_arr:
-            yield ctx.env.timeout(t_arr - ctx.now)
+            yield t_arr - ctx.now
         op, key, value = int(sched[i, 1]), int(sched[i, 2]), int(sched[i, 3])
         if op == OP_GET:
             yield from store.get(key + 1)

@@ -10,6 +10,7 @@ Design notes
   order they were scheduled, making every run bit-reproducible.
 * Processes are plain Python generators.  ``yield event`` suspends until the
   event fires; the value sent back into the generator is ``event.value``.
+  ``yield ns`` sleeps ``ns`` whole nanoseconds (see "Sleeping").
   Composite waits use :class:`AllOf` / :class:`AnyOf`.
 * Unlike SimPy we detect deadlock eagerly: if the queue drains while
   processes are still blocked, :class:`~repro.errors.DeadlockError` is
@@ -39,8 +40,8 @@ The two loops
 loop**: it hoists per-event attribute lookups into locals, merges the
 ``max_events`` and watchdog comparisons into a single trip compare,
 disables the cyclic GC for the duration of the loop (re-enabled in a
-``finally``), and inlines ``Process._resume`` for the ubiquitous
-single-waiter case.
+``finally``), and inlines ``Process._resume`` for the two ubiquitous
+cases: a sleep token, and an event with a single waiting process.
 
 A tracer (``env.tracer``) or an ``until`` argument takes the **step
 loop**: one ``step()`` per event through ``Process._resume``, with the
@@ -50,25 +51,26 @@ it by name; it is also the reference the fast loop is tested against
 store and allocate sequence numbers identically, so **event order,
 simulated times and all counters are bit-identical** between them.
 
-Freelists
----------
-Two free lists, fed only by the fast loop, recycle hot-path objects; both
-only swap object identity, never sequence numbers or values, so they
-cannot perturb ordering:
+Sleeping
+--------
+A process charges simulated time with ``yield ns``, ``ns`` a Python
+``int >= 0``; any other non-event (a negative or non-int number, a numpy
+integer, a ``bool``) raises :class:`~repro.errors.SimulationError` inside
+the program.  A sleep is a heap entry and nothing else: each process owns
+one **sleep token** (``Process._sleep``), a loop pushes ``(now + ns,
+NORMAL, seq, token)`` -- the entry a ``Timeout`` yielded at that instant
+would get, so order, clocks and ``events_processed`` are unchanged -- and
+on pop sends ``None`` straight into the generator: no event object, no
+callbacks list, no ``_target`` bookkeeping.
 
-* ``Timeout`` objects whose only callback was a process resumption (the
-  ``yield env.timeout(d)`` pattern) are returned to the pool after firing
-  and reused by the next ``env.timeout()`` call.
-* **Anonymous** ``Event`` objects (``env.event()`` with no name) consumed
-  the same way are likewise pooled and reused by the next ``env.event()``
-  call.  Named events -- every event the protocol layers create -- are
-  never recycled.
+Delivering an interrupt retires the token the process slept on and gives
+it a fresh one; the stale entry is still popped and counted, like the
+detached ``Timeout`` it replaces, but resumes nothing.
 
-The rule both lists impose: *do not retain a reference to a nameless
-event or timeout you have already yielded* (re-reading ``t.value`` later,
-or putting one inside a composite, is unsupported).  Objects waited on
-through ``AllOf``/``AnyOf`` or with multiple callbacks are never pooled --
-only the single-waiter resume pattern is.
+``env.timeout()`` stays the event for waits that compose or carry a value,
+and is not pooled: the ``Timeout`` and anonymous-``Event`` freelists
+existed only to make an event per sleep cheap, at the price of a rule --
+never touch a nameless event you have yielded -- that went with them.
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ LOW = 2
 
 _PENDING = object()
 _EV_NEW = None  # set after Event is defined
-_TO_NEW = None  # set after Timeout is defined
 
 
 class Interrupt(Exception):
@@ -186,17 +187,45 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: int, value: Any = None,
                  priority: int = NORMAL) -> None:
+        # Tested before ``schedule`` truncates to whole ns, so every
+        # negative delay is rejected, -0.5 included.
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
         super().__init__(env)
-        self._ok = True
         self._value = value
-        env.schedule(self, delay=int(delay), priority=priority)
+        env.schedule(self, delay=delay, priority=priority)
+
+
+class _Sleep:
+    """A process's sleep token: the queue entry of ``yield ns``.
+
+    Popping it resumes ``proc`` with ``None``; ``proc`` is ``None`` once an
+    interrupt retired the token (see "Sleeping" in the module docstring).
+    The class attributes let the resume loops and the tracer read a token
+    like a fired event.
+    """
+
+    __slots__ = ("proc",)
+    _ok = True
+    _value = None
+    name = "sleep"
+
+    def __init__(self, proc: "Process") -> None:
+        self.proc: Process | None = proc
+
+
+def _bad_yield(proc: "Process", out: Any) -> Event:
+    """A failed trigger that throws a bad yield back into ``proc``."""
+    ev = Event(proc.env)
+    ev._ok = False
+    ev._value = SimulationError(
+        f"process {proc.name!r} yielded non-event {out!r} "
+        "(a sleep is a whole number of ns: an int >= 0)")
+    return ev
 
 
 class Process(Event):
-    __slots__ = ("_gen", "_target", "_interrupts", "_bound_resume",
-                 "_send", "_throw")
+    __slots__ = ("_gen", "_target", "_sleep", "_send", "_throw")
 
     def __init__(self, env: "Environment", gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -208,8 +237,7 @@ class Process(Event):
         self._send = gen.send
         self._throw = gen.throw
         self._target: Event | None = None
-        self._interrupts: list[Interrupt] = []
-        self._bound_resume = self
+        self._sleep = _Sleep(self)
         env._nprocesses += 1
         env._live.add(self)
         init = Event(env, name=f"init:{self.name}")
@@ -230,10 +258,17 @@ class Process(Event):
         wake = Event(self.env, name=f"interrupt:{self.name}")
         wake._ok = False
         wake._value = exc
-        wake.callbacks.append(self)
+        wake.callbacks.append(self._interrupted)
         self.env.schedule(wake, delay=0, priority=URGENT)
 
-    def _resume(self, trigger: Event) -> None:
+    def _interrupted(self, wake: Event) -> None:
+        """Deliver an interrupt: retire the sleep token (a pending sleep
+        entry now resumes nothing), then throw into the program."""
+        self._sleep.proc = None
+        self._sleep = _Sleep(self)
+        self._resume(wake)
+
+    def _resume(self, trigger: "Event | _Sleep") -> None:
         env = self.env
         target = self._target
         if target is not None and target.callbacks is not None:
@@ -244,7 +279,7 @@ class Process(Event):
         self._target = None
         send = self._send
         throw = self._throw
-        event: Event = trigger
+        event = trigger
         while True:
             try:
                 if event._ok:
@@ -267,12 +302,14 @@ class Process(Event):
                     raise
                 self.fail(exc)
                 return
+            if out.__class__ is int and out >= 0:
+                env.schedule(self._sleep, delay=out)
+                return
             try:
                 cbs = out.callbacks
             except AttributeError:
-                self._gen.throw(SimulationError(
-                    f"process {self.name!r} yielded non-event {out!r}"))
-                return  # pragma: no cover
+                event = _bad_yield(self, out)
+                continue
             if cbs is not None:
                 cbs.append(self)
                 self._target = out
@@ -365,7 +402,7 @@ class AnyOf(ConditionEvent):
 class Environment:
     __slots__ = ("now", "_queue", "_front", "_seq", "_nprocesses", "_live",
                  "max_events", "strict", "events_processed", "tracer",
-                 "_timeout_pool", "_event_pool", "progress_marks", "watchdog_interval",
+                 "progress_marks", "watchdog_interval",
                  "watchdog_stalls", "_wd_next", "_wd_marks", "_wd_stale",
                  "api_sites", "__dict__")
 
@@ -383,8 +420,6 @@ class Environment:
         self.strict = strict
         self.events_processed = 0
         self.tracer = None  # installed by sim.trace.Tracer when wanted
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[Event] = []
         self.progress_marks = 0
         self.watchdog_interval = int(watchdog_interval)
         self.watchdog_stalls = int(watchdog_stalls)
@@ -404,20 +439,18 @@ class Environment:
             site = self.api_sites.get(proc.name)
             if site.__class__ is tuple:   # (format, *args), unformatted
                 site = site[0] % site[1:]
-            if site is None and proc._target is not None and proc._target.name:
-                site = f"waiting on {proc._target.name}"
+            # A sleeping process keeps the (fired) event it last waited on.
+            target = proc._target
+            if site is None and target is not None and target.name \
+                    and target.callbacks is not None:
+                site = f"waiting on {target.name}"
             if site is not None:
                 sites[proc.name] = site
         return tuple(names), sites
 
     def event(self, name: str = "") -> Event:
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-            ev._value = _PENDING
-            ev._ok = True
-            ev.name = name
-            return ev
+        # ``Event.__init__`` inlined: the protocol layers make one or more
+        # named events per message.
         ev = _EV_NEW(Event)
         ev.env = self
         ev.callbacks = []
@@ -427,38 +460,9 @@ class Environment:
         return ev
 
     def timeout(self, delay: int, value: Any = None, priority: int = NORMAL) -> Timeout:
-        if delay.__class__ is not int:
-            delay = int(delay)
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev._ok = True
-            ev._value = value
-        else:
-            ev = _TO_NEW(Timeout)
-            ev.env = self
-            ev.callbacks = []
-            ev._ok = True
-            ev._value = value
-            ev.name = ""
-        seq = self._seq + 1
-        self._seq = seq
-        entry = (self.now + delay, priority, seq, ev)
-        front = self._front
-        if front is None:
-            q = self._queue
-            if q and q[0] < entry:
-                heappush(q, entry)
-            else:
-                self._front = entry
-        elif entry < front:
-            heappush(self._queue, front)
-            self._front = entry
-        else:
-            heappush(self._queue, entry)
-        return ev
+        """An event that fires ``delay`` ns from now with ``value``; to
+        only wait, ``yield delay`` (see "Sleeping")."""
+        return Timeout(self, delay, value, priority)
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name=name)
@@ -511,10 +515,14 @@ class Environment:
         if when < self.now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self.now = when
-        callbacks, event.callbacks = event.callbacks, None
         self.events_processed += 1
         if self.tracer is not None:
-            self.tracer.record(self.now, event)
+            self.tracer.record(when, event)
+        if event.__class__ is _Sleep:
+            if event.proc is not None:
+                event.proc._resume(event)
+            return
+        callbacks, event.callbacks = event.callbacks, None
         for cb in callbacks:
             cb(event)
 
@@ -561,11 +569,11 @@ class Environment:
         trip = self._wd_next if wd_interval else max_events
         if trip > max_events:
             trip = max_events
-        tpool = self._timeout_pool
-        epool = self._event_pool
-        timeout_cls = Timeout
-        event_cls = Event
+        push = heappush
+        sleep_cls = _Sleep
         process_cls = Process
+        int_cls = int
+        normal = NORMAL
         gc_was = _gc_isenabled()
         if gc_was:
             _gc_disable()
@@ -589,67 +597,78 @@ class Environment:
                     trip = self._wd_next
                     if trip > max_events:
                         trip = max_events
-                self.now = entry[0]
+                now = entry[0]
+                self.now = now
                 event = entry[3]
-                cbs = event.callbacks
-                event.callbacks = None
                 nevents += 1
-                if len(cbs) == 1 and (proc := cbs[0]).__class__ is process_cls:
-                    # Inlined Process._resume for the single-waiter case.
-                    target = proc._target
-                    if target is not event and target is not None \
-                            and target.callbacks is not None:
-                        try:
-                            target.callbacks.remove(proc)
-                        except ValueError:
-                            pass
-                    ecls = event.__class__
-                    if ecls is timeout_cls:
-                        cbs.clear()
-                        event.callbacks = cbs
-                        tpool.append(event)
-                    elif ecls is event_cls and not event.name:
-                        cbs.clear()
-                        event.callbacks = cbs
-                        epool.append(event)
-                    send = proc._send
-                    ev2 = event
-                    while True:
-                        try:
-                            if ev2._ok:
-                                out = send(ev2._value)
-                            else:
-                                out = proc._throw(ev2._value)
-                        except StopIteration as stop:
-                            self._nprocesses -= 1
-                            self._live.discard(proc)
-                            self.progress_marks += 1
-                            proc.succeed(stop.value, priority=URGENT)
-                            break
-                        except BaseException as exc:
-                            self._nprocesses -= 1
-                            self._live.discard(proc)
-                            if self.strict:
-                                proc._ok = False
-                                proc._value = exc
-                                self.schedule(proc, delay=0, priority=URGENT)
-                                raise
-                            proc.fail(exc)
-                            break
-                        try:
-                            ocbs = out.callbacks
-                        except AttributeError:
-                            proc._gen.throw(SimulationError(
-                                f"process {proc.name!r} yielded non-event {out!r}"))
-                            break
-                        if ocbs is not None:
-                            ocbs.append(proc)
-                            proc._target = out
-                            break
-                        ev2 = out
+                if event.__class__ is sleep_cls:
+                    proc = event.proc
+                    if proc is None:
+                        continue        # retired by an interrupt
                 else:
-                    for cb in cbs:
-                        cb(event)
+                    cbs = event.callbacks
+                    event.callbacks = None
+                    if len(cbs) != 1 \
+                            or (proc := cbs[0]).__class__ is not process_cls:
+                        for cb in cbs:
+                            cb(event)
+                        continue
+                # Inlined Process._resume: a sleep token, or the one
+                # process waiting on ``event`` -- a process is a callback
+                # only of the event it yielded (or of its init event), so
+                # there is no other wait to detach it from.  Interrupts
+                # take ``Process._interrupted``.
+                send = proc._send
+                ev2 = event
+                while True:
+                    try:
+                        if ev2._ok:
+                            out = send(ev2._value)
+                        else:
+                            out = proc._throw(ev2._value)
+                    except StopIteration as stop:
+                        self._nprocesses -= 1
+                        self._live.discard(proc)
+                        self.progress_marks += 1
+                        proc.succeed(stop.value, priority=URGENT)
+                        break
+                    except BaseException as exc:
+                        self._nprocesses -= 1
+                        self._live.discard(proc)
+                        if self.strict:
+                            proc._ok = False
+                            proc._value = exc
+                            self.schedule(proc, delay=0, priority=URGENT)
+                            raise
+                        proc.fail(exc)
+                        break
+                    if out.__class__ is int_cls and out >= 0:
+                        # Sleep: Environment.schedule inlined.
+                        seq = self._seq + 1
+                        self._seq = seq
+                        new = (now + out, normal, seq, proc._sleep)
+                        front = self._front
+                        if front is None:
+                            if queue and queue[0] < new:
+                                push(queue, new)
+                            else:
+                                self._front = new
+                        elif new < front:
+                            push(queue, front)
+                            self._front = new
+                        else:
+                            push(queue, new)
+                        break
+                    try:
+                        ocbs = out.callbacks
+                    except AttributeError:
+                        ev2 = _bad_yield(proc, out)
+                        continue
+                    if ocbs is not None:
+                        ocbs.append(proc)
+                        proc._target = out
+                        break
+                    ev2 = out
         finally:
             self.events_processed = nevents
             if gc_was:
@@ -682,4 +701,3 @@ class Environment:
                 self._wd_stale * self.watchdog_interval, names, sites)
 
 _EV_NEW = Event.__new__
-_TO_NEW = Timeout.__new__

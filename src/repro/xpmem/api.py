@@ -75,7 +75,7 @@ class XpmemEndpoint:
             self.counters.count_issue(self.rank, "xpmem-store", src.size)
         if self.checker is not None:
             self.checker.note_transport(self.rank, "xpmem-store", src.size)
-        yield self.env.timeout(cost)
+        yield cost
         token.seg.write(offset, src)
         self.env.note_progress()  # completed data movement
 
@@ -91,7 +91,7 @@ class XpmemEndpoint:
             self.counters.count_issue(self.rank, "xpmem-load", nbytes)
         if self.checker is not None:
             self.checker.note_transport(self.rank, "xpmem-load", nbytes)
-        yield self.env.timeout(cost)
+        yield cost
         self.env.note_progress()  # completed data movement
         return token.seg.read(offset, nbytes)
 
@@ -100,7 +100,7 @@ class XpmemEndpoint:
             operand2: int = 0, on_applied=None):
         """lock-prefixed CPU atomic on (possibly remote-on-node) cells.
         ``on_applied(old)`` runs with the effect, like ``dmapp.amo_nbi``'s."""
-        yield self.env.timeout(self._amo_latency_int)
+        yield self._amo_latency_int
         if self.counters is not None:
             self.counters.count_issue(self.rank, f"cpu-amo:{op}", 8)
         if op == "cas":
@@ -118,7 +118,7 @@ class XpmemEndpoint:
         observe a half-applied op.  No caller in ``src/`` since the lock
         ledger became an ``on_applied`` record; ``perfbench/layers.py``
         binds the name."""
-        yield self.env.timeout(self._amo_latency_int)
+        yield self._amo_latency_int
         if self.counters is not None:
             self.counters.count_issue(self.rank, "cpu-amo:custom", 8)
         return mutate()
@@ -130,7 +130,7 @@ class XpmemEndpoint:
         n, run = prepare_stream(cells, base_idx, op, operands)
         cost = int(round(self.params.amo_latency +
                          self.params.copy_per_byte * 8 * n))
-        yield self.env.timeout(cost)
+        yield cost
         old = run()
         if self.counters is not None:
             self.counters.count_issue(self.rank, f"cpu-amo-stream:{op}",

@@ -1,9 +1,11 @@
 """Unit tests for the DES kernel."""
 
+import numpy as np
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.kernel import AllOf, AnyOf, Environment, Interrupt
+from repro.sim.kernel import AllOf, AnyOf, Environment, Interrupt, Timeout
+from tests.conftest import make_env
 
 
 def test_clock_starts_at_zero(env):
@@ -338,11 +340,78 @@ def test_process_requires_generator(env):
 
 def test_yield_non_event_raises(env):
     def prog():
-        yield 42  # type: ignore[misc]
+        yield "42"  # type: ignore[misc]
 
     env.process(prog())
     with pytest.raises(SimulationError, match="non-event"):
         env.run()
+
+
+def test_yield_int_sleeps(env):
+    def prog():
+        got = yield 100
+        yield 0
+        return (got, env.now)
+
+    p = env.process(prog())
+    assert env.run(p) == (None, 100)
+    # init + two sleeps + completion, as with two timeouts
+    assert env.events_processed == 4
+
+
+@pytest.mark.parametrize("step_loop", [False, True], ids=["fast", "step"])
+@pytest.mark.parametrize("bad", [-1, 1.5, np.int64(3), True],
+                         ids=["negative", "float", "np.int64", "bool"])
+def test_bad_sleep_raises_inside_program(bad, step_loop):
+    """Only a Python int >= 0 is a sleep; anything else is thrown into the
+    program, which can catch it and carry on."""
+    env = make_env(step_loop)
+
+    def prog():
+        try:
+            yield bad
+        except SimulationError as exc:
+            yield 5
+            return str(exc), env.now
+
+    p = env.process(prog())
+    env.run()
+    msg, t = p.value
+    assert "non-event" in msg and t == 5
+
+
+def test_uncaught_bad_sleep_fails_the_process():
+    env = Environment(strict=False)
+
+    def prog():
+        yield 1.5
+
+    p = env.process(prog())
+    env.run()
+    assert not p.ok and isinstance(p.value, SimulationError)
+
+
+@pytest.mark.parametrize("spelling, delay, error", [
+    ("env.timeout", -0.5, "negative timeout delay -0.5"),
+    ("Timeout", -0.5, "negative timeout delay -0.5"),
+    ("yield", -1, "non-event -1"),
+], ids=["env.timeout", "Timeout", "yield"])
+def test_every_negative_delay_rejected(env, spelling, delay, error):
+    """One rule for every spelling of a delay: a negative one is an error
+    (``env.timeout`` used to truncate -0.5 to a 0 ns timeout)."""
+    def prog():
+        if spelling == "env.timeout":
+            yield env.timeout(delay)
+        elif spelling == "Timeout":
+            yield Timeout(env, delay)
+        else:
+            yield delay
+        return "resumed"
+
+    env.process(prog())
+    with pytest.raises(SimulationError, match=error):
+        env.run()
+    assert env.now == 0
 
 
 def test_events_processed_counter(env):

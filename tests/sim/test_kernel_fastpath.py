@@ -3,58 +3,98 @@
 ``Environment.run()`` with no tracer and no ``until`` takes the fast loop;
 a tracer or an ``until`` takes the reference ``step()`` loop.  Both must
 process the exact same event schedule -- same event count, same final
-clock, same process return values -- while only the fast loop recycles
-``yield env.timeout(d)`` objects.  These tests pin the bit-identity
-contract and the recycling/detach invariants DESIGN.md documents; the
-reference side selects the step loop by installing a ``Tracer``.
+clock, same process return values -- and both resume a sleeping process
+(``yield ns``) straight from its sleep token.  These tests pin the
+bit-identity contract and the sleep-token and detach invariants
+DESIGN.md documents; the reference side selects the step loop by
+installing a ``Tracer``.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import URGENT, Environment, Timeout
+from repro.sim.kernel import URGENT, Environment, Interrupt, Timeout
 from tests.conftest import make_env
 
 
-def _mixed_workload(env, log):
-    """Timeouts, bare events, conditions, priorities and interrupts."""
+def _mixed_workload(env, log, sleep=True):
+    """Sleeps (``yield ns``; with ``sleep=False`` the same waits spelled
+    ``yield env.timeout(ns)``), timeouts carrying values, named events,
+    conditions, priorities and an interrupted sleeper that catches the
+    interrupt and sleeps again."""
+
+    def nap(ns):
+        return ns if sleep else env.timeout(ns)
 
     def ticker(name, period, n):
         for i in range(n):
-            yield env.timeout(period)
-            log.append((env.now, name, i))
+            got = yield nap(period)
+            log.append((env.now, name, i, got))
 
-    def waiter(ev):
+    def timer(n):
+        for i in range(n):
+            got = yield env.timeout(4, value=i)
+            log.append((env.now, "timer", got))
+
+    def waiter(ev, ev2):
         got = yield ev
         log.append((env.now, "waiter", got))
-        t1, t2 = env.timeout(5), env.timeout(50)
-        first = yield env.any_of([t1, t2])
+        first = yield env.any_of([env.timeout(9, value="t"), ev2])
         log.append((env.now, "anyof", first))
         yield env.all_of([env.timeout(3), env.timeout(7)])
         log.append((env.now, "allof", None))
+        yield nap(0)
+        log.append((env.now, "zero", None))
 
-    def firer(ev):
-        yield env.timeout(13)
+    def victim():
+        try:
+            yield nap(1000)
+        except Interrupt as i:
+            log.append((env.now, "interrupted", i.cause))
+        yield nap(30)
+        log.append((env.now, "victim", None))
+
+    def firer(ev, ev2, v):
+        yield nap(13)
         ev.succeed("payload", delay=2, priority=URGENT)
         log.append((env.now, "fired", None))
+        yield nap(37)
+        v.interrupt("stop")
+        ev2.succeed("ev2")
 
-    ev = env.event("ev")
+    ev, ev2 = env.event("ev"), env.event("ev2")
     env.process(ticker("a", 10, 8), name="a")
     env.process(ticker("b", 7, 8), name="b")
-    env.process(waiter(ev), name="waiter")
-    env.process(firer(ev), name="firer")
+    env.process(timer(6), name="timer")
+    env.process(waiter(ev, ev2), name="waiter")
+    v = env.process(victim(), name="victim")
+    env.process(firer(ev, ev2, v), name="firer")
 
 
-def _run(step_loop):
+def _run(step_loop, sleep=True):
     env = make_env(step_loop)
     log = []
-    _mixed_workload(env, log)
+    _mixed_workload(env, log, sleep)
     env.run()
     return log, env.now, env.events_processed
 
 
 def test_fast_matches_step_loop_bit_identical():
-    assert _run(step_loop=False) == _run(step_loop=True)
+    fast = _run(step_loop=False)
+    assert fast == _run(step_loop=True)
+    # The victim woke once, at the interrupt, and its second sleep fired
+    # on time; its retired entry still popped (at t = 1000) and counted.
+    log, now, _ = fast
+    assert [e for e in log if e[1] in ("interrupted", "victim")] == [
+        (50, "interrupted", "stop"), (80, "victim", None)]
+    assert now == 1000
+
+
+@pytest.mark.parametrize("step_loop", [False, True], ids=["fast", "step"])
+def test_sleep_schedules_like_a_timeout(step_loop):
+    """``yield ns`` is ``yield env.timeout(ns)`` without the event: same
+    resume order, clock and event count, interrupt included."""
+    assert _run(step_loop) == _run(step_loop, sleep=False)
 
 
 def test_fast_matches_step_loop_with_failures():
@@ -82,55 +122,68 @@ def test_fast_matches_step_loop_with_failures():
     assert outcomes[0][3][0] == (False, "ValueError")
 
 
-def test_timeouts_recycled_on_fast_path():
+def test_sleep_reuses_the_process_token(monkeypatch):
+    """Every sleep of a process pushes its one token -- no ``Timeout`` is
+    made -- on both loops."""
+    made = []
+    init = Timeout.__init__
+    monkeypatch.setattr(Timeout, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
     env = Environment()
 
     def spin():
         for _ in range(100):
-            yield env.timeout(1)
+            yield 1
 
-    env.process(spin(), name="spin")
-    env.run()
-    # The yield-timeout pattern must feed the freelist ...
-    assert env._timeout_pool
-    recycled = env._timeout_pool[-1]
-    # ... and a later request must reuse an instance, fully reset (a
-    # Timeout is scheduled -- hence triggered -- from birth, with no
-    # callbacks until somebody yields it).
-    t = env.timeout(4)
-    assert t is recycled
-    assert isinstance(t, Timeout)
-    assert t.callbacks == []
-    assert t.triggered and t._ok
+    proc = env.process(spin(), name="spin")
+    token = proc._sleep
+    env.run(until=50)                      # step loop
+    pending = env._front or env._queue[0]
+    assert pending[0] == 51 and pending[3] is token
+    env.run()                              # fast loop
+    assert proc._sleep is token and token.proc is proc
+    assert made == []
+    assert env.now == 100 and env.events_processed == 102
 
 
-def test_shared_timeout_not_recycled():
-    """A timeout with more than the single process callback (here: also
-    feeding an AllOf) must never enter the freelist."""
+def test_yielded_timeout_keeps_its_value():
+    """Timeouts are not pooled: one yielded directly and shared with an
+    ``AllOf`` keeps its identity and value after firing."""
     env = Environment()
+    seen = []
 
     def waiter():
-        t = env.timeout(10)
-        yield env.all_of([t, env.timeout(20)])
+        t = env.timeout(10, value="a")
+        got = yield t
+        vals = yield env.all_of([t, env.timeout(20, value="b")])
+        seen.append((got, vals, t.value, t.processed))
+        assert env.timeout(1) is not t
 
     env.process(waiter(), name="w")
     env.run()
-    assert env._timeout_pool == []
+    assert seen == [("a", ["a", "b"], "a", True)]
 
 
-def test_step_loop_never_recycles():
+def test_step_loop_traces_every_sleep():
     """A tracer puts ``run()`` on the step loop, which records every
-    event and feeds no freelist."""
-    env = make_env(step_loop=True)
-
-    def spin():
+    event -- sleeps by the token's name -- and counts what the fast loop
+    counts."""
+    def spin(env):
         for _ in range(5):
-            yield env.timeout(2)
+            yield 2
 
-    env.process(spin(), name="spin")
-    env.run()
-    assert len(env.tracer.records) == env.events_processed
-    assert env._timeout_pool == []
+    counts = []
+    for step_loop in (True, False):
+        env = make_env(step_loop=step_loop)
+        env.process(spin(env), name="spin")
+        env.run()
+        counts.append((env.now, env.events_processed))
+        if step_loop:
+            records = env.tracer.records
+    assert counts[0] == counts[1] == (10, 7)
+    assert len(records) == 7
+    assert [r for r in records if r[1] == "sleep"] == [
+        (t, "sleep") for t in range(2, 11, 2)]
 
 
 def test_anyof_detaches_loser_callbacks(env):
