@@ -27,7 +27,7 @@ full stack
     ``machine``), not of world construction.
 mpi1 path
     200 16-byte allreduces on 64 ranks at 32 per node, world built
-    outside the timer: ~0.46 M events of the two-sided message path
+    outside the timer: ~0.35 M events of the two-sided message path
     (``runtime.collectives`` -> ``mpi1.pt2pt`` -> XPMEM copy or
     ``machine``) that carries every collective of every run and is the
     comparator of every application figure.
@@ -50,7 +50,7 @@ RING_STEPS = 4000          # ~= RING_NPROC * RING_STEPS * 2 events
 PUTGET_N = 30_000
 FULL_STACK_PUTS = 4096     # put + flush each: ~20 k events
 MPI1_RANKS = 64            # at 32 per node: 5 of 6 rounds stay on the node
-MPI1_ALLREDUCES = 200      # 6 rounds x 64 ranks each: ~0.46 M events
+MPI1_ALLREDUCES = 200      # 6 rounds x 64 ranks each: ~0.35 M events
 # Best-of rounds: rates jitter a few percent in noisy containers.
 BEST_OF = 5
 

@@ -12,9 +12,9 @@ protocols):
 
 Because the network layer computes delivery times eagerly (busy-until
 channels), remote-completion *times* are known at issue; waiting is then a
-single timeout rather than per-packet events.  Target-memory mutation still
-happens via an event callback at the delivery instant, so reads at the
-target observe writes in true simulated-time order.
+single sleep rather than per-packet events.  Target-memory mutation still
+happens in a delivery callback (``env.call_at``) at the delivery instant,
+so reads at the target observe writes in true simulated-time order.
 """
 
 from __future__ import annotations
@@ -239,19 +239,19 @@ class DmappEndpoint:
 
     def _attempt_packet(self, tnode, nbytes, window, fate, is_amo, effect):
         """Put chunk / AMO: one packet that applies ``effect`` on delivery."""
-        delivery, ev = self.network.packet(
+        delivery = self.network.packet(
             self.node, tnode, nbytes, inject_window=window, is_amo=is_amo,
             fate=fate, on_deliver=effect)
-        if ev.name != "packet-deliver":
+        if delivery is None:
             return None
         return self._acked(tnode, delivery)
 
     def _attempt_get(self, tnode, req_bytes, window, fate, nbytes):
         """Get: header-only request out, response leg back."""
         inj = self.injector
-        req_delivery, ev = self.network.packet(
+        req_delivery = self.network.packet(
             self.node, tnode, req_bytes, inject_window=window, fate=fate)
-        if ev.name != "packet-deliver":
+        if req_delivery is None:
             return None
         # The response's fate is drawn before the target NIC streams it:
         # a lost response never occupies the response channel.
@@ -272,7 +272,7 @@ class DmappEndpoint:
                                          fate.extra_delay_ns)
         if fate.corrupt or self.injector.node_crashed(tnode, delivery):
             return None
-        self._at(delivery, "amo-stream", effect)
+        self._at(delivery, effect)
         return self._acked(tnode, delivery)
 
     def _await_restore(self, target_rank: int, exc: NodeCrashedError):
@@ -288,11 +288,9 @@ class DmappEndpoint:
     # ------------------------------------------------------------------
     # target-side legs shared by both fabrics
     # ------------------------------------------------------------------
-    def _at(self, when: int, name: str, callback) -> None:
-        """Run ``callback(event)`` at simulated time ``when``."""
-        ev = self.env.event(name=name)
-        ev.callbacks.append(callback)
-        ev.succeed(delay=max(0, when - self.env.now))
+    def _at(self, when: int, callback) -> None:
+        """Run ``callback()`` at simulated time ``when``."""
+        self.env.call_at(max(0, when - self.env.now), callback)
 
     def _response_leg(self, tnode: int, nbytes: int, req_delivery) -> int:
         """The target NIC reads memory and streams a get response back,
@@ -363,7 +361,7 @@ class DmappEndpoint:
                     piece = payload if n == total else payload[pos:pos + n]
                     off = offset + pos
 
-                    def _write(_t, seg=seg, off=off, piece=piece):
+                    def _write(seg=seg, off=off, piece=piece):
                         seg.write(off, piece)  # idempotent under retransmit
                         if on_applied is not None:
                             on_applied(off, piece)
@@ -371,7 +369,7 @@ class DmappEndpoint:
                     if self.injector is None:
                         window = net.occupy_injection(node, size)
                         inj_end = window[1]
-                        delivery, _ev = net.packet(
+                        delivery = net.packet(
                             node, tnode, size, inject_window=window,
                             on_deliver=_write)
                         done = delivery + wire_back
@@ -435,7 +433,7 @@ class DmappEndpoint:
                     # NIC, which streams the response back.
                     window = net.occupy_injection(node, _HEADER_BYTES)
                     inj_end = window[1]
-                    req_delivery, _ev = net.packet(
+                    req_delivery = net.packet(
                         node, tnode, _HEADER_BYTES, inject_window=window)
                     data_arrival = int(round(
                         self._response_leg(tnode, nbytes, req_delivery)
@@ -450,7 +448,7 @@ class DmappEndpoint:
         handle = DmappHandle("get", inj_end, data_arrival)
 
         # Memory is read at the target when the data lands at the origin.
-        def _read_at_target(_event):
+        def _read_at_target():
             if out is not None and out.flags["C_CONTIGUOUS"]:
                 # Zero-copy landing: one slice copy from target memory
                 # straight into the caller's buffer (watch hook included).
@@ -463,7 +461,7 @@ class DmappEndpoint:
             if out is not None:
                 out.view(np.uint8).ravel()[:] = data
 
-        self._at(data_arrival, "get-data", _read_at_target)
+        self._at(data_arrival, _read_at_target)
         net.counters.count_issue(self.rank, "get", nbytes)
         self._track(handle, desc.rank, nbytes)
         wait = max(net.o_inject_int,
@@ -497,7 +495,7 @@ class DmappEndpoint:
         seq = 0 if inj is None else self._next_seq()
         handle = DmappHandle("amo", 0, 0)
 
-        def _execute(_t):
+        def _execute():
             if seq and inj.amo_executed(self.rank, seq):
                 handle.result = inj.replay_result(self.rank, seq)
                 return
@@ -517,7 +515,7 @@ class DmappEndpoint:
                 if inj is None:
                     window = net.occupy_injection(node, _AMO_BYTES)
                     inj_end = window[1]
-                    delivery, _ev = net.packet(
+                    delivery = net.packet(
                         node, tnode, _AMO_BYTES, inject_window=window,
                         is_amo=True, on_deliver=_execute)
                     complete = int(round(delivery + net.wire(tnode, node)))
@@ -554,7 +552,7 @@ class DmappEndpoint:
         seq = 0 if inj is None else self._next_seq()
         handle = DmappHandle("amo-custom", 0, 0)
 
-        def _execute(_t):
+        def _execute():
             if seq and inj.amo_executed(self.rank, seq):
                 handle.result = inj.replay_result(self.rank, seq)
                 return
@@ -568,7 +566,7 @@ class DmappEndpoint:
                 if inj is None:
                     window = net.occupy_injection(node, _AMO_BYTES)
                     inj_end = window[1]
-                    delivery, _ev = net.packet(
+                    delivery = net.packet(
                         node, tnode, _AMO_BYTES, inject_window=window,
                         is_amo=True, on_deliver=_execute)
                     complete = int(round(delivery + net.wire(tnode, node)))
@@ -619,7 +617,7 @@ class DmappEndpoint:
         seq = 0 if inj is None else self._next_seq()
         handle = DmappHandle("amo-stream", 0, 0)
 
-        def _execute(_event):
+        def _execute():
             if seq and inj.amo_executed(self.rank, seq):
                 handle.result = inj.replay_result(self.rank, seq)
                 return
@@ -637,7 +635,7 @@ class DmappEndpoint:
                 if inj is None:
                     inj_end = net.occupy_injection(node, nbytes)[1]
                     delivery = self._stream_delivery(tnode, n, inj_end)
-                    self._at(delivery, "amo-stream", _execute)
+                    self._at(delivery, _execute)
                     complete = int(round(delivery + net.wire(tnode, node)))
                 else:
                     inj_end, complete = self._transmit(

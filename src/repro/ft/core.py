@@ -332,7 +332,7 @@ class FTRuntime:
             else:
                 self.world.network.packet(
                     cur_node, buddy, rec.nbytes,
-                    on_deliver=lambda _t, r=rec: self._commit(r))
+                    on_deliver=lambda r=rec: self._commit(r))
         obs = self.world.obs
         if obs is not None:
             obs.rank_span(rank, "ft.checkpoint", t0, env.now, cat="ft",

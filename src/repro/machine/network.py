@@ -11,8 +11,8 @@ multi-thousand-rank runs stay fast):
   atomics hot-spot contention that shapes the hashtable study.
 
 `Network.packet` returns the *delivery completion time* at the destination
-and an `Event` that fires then; higher layers (DMAPP) build put/get/AMO
-round trips out of it.
+and runs the caller's delivery callback then; higher layers (DMAPP) build
+put/get/AMO round trips out of it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 from repro.errors import DeadlineError
 from repro.machine.params import GeminiParams
 from repro.machine.topology import RankMap, Torus3D
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment
 from repro.sim.resources import BusyChannel
 from repro.sim.trace import OpCounters
 
@@ -130,11 +130,12 @@ class Network:
         *,
         inject_window: tuple[int, int] | None = None,
         is_amo: bool = False,
-        on_deliver: Callable[[Event], None] | None = None,
+        on_deliver: Callable[[], None] | None = None,
         fate=None,
         reliable: bool = False,
-    ) -> tuple[int, Event]:
-        """Send one packet; returns (delivery_time_ns, delivery_event).
+    ) -> int | None:
+        """Send one packet; returns its delivery time in ns, or ``None``
+        when it is lost.
 
         The pipeline is cut-through: the head of the packet leaves as soon
         as injection starts, so the uncontended delivery time is
@@ -145,23 +146,25 @@ class Network:
         ``inject_window=(start, end)`` lets a caller that already reserved
         the injection channel thread its occupancy through.
 
-        ``on_deliver(event)`` is the delivery event's first callback: it
-        runs at delivery time (``event.value``) *before* any process
-        waiting on the returned event resumes -- remote memory writes and
-        AMO side effects use it so memory is updated atomically at the
-        delivery instant.  Every producer ignores the argument (``_t``,
-        ``_event``), so it is the event itself, not a wrapper's time.
+        ``on_deliver()`` runs at the delivery time, as one ``env.call_at``
+        entry -- remote memory writes, AMO side effects and message
+        arrivals use it so the target changes atomically at the delivery
+        instant, and wake whatever waits on that change themselves.  A
+        packet without one (a get's request leg) schedules nothing: its
+        delivery time is all its caller needs.
 
         With a fault injector installed, each transmission can be dropped,
         corrupted (checksum fails at the target NIC, packet discarded),
-        delayed, or stalled -- a lost packet never runs ``on_deliver`` and
-        returns a ``packet-lost`` event.  ``fate`` lets a transport that
-        drew the fate itself (the DMAPP retransmit loop) thread it through;
-        ``reliable=True`` instead enables link-level recovery *inside* this
-        call: the source NIC, not the issuing CPU, retransmits after a
-        timeout, with capped seeded backoff, until delivery succeeds or the
-        retry budget is exhausted (the MPI-1 transport uses this).  Without
-        an injector both are no-ops and the loop ends on its first pass.
+        delayed, or stalled -- a lost packet never runs ``on_deliver``.
+        ``fate`` lets a transport that drew the fate itself (the DMAPP
+        retransmit loop) thread it through; ``reliable=True`` instead
+        enables link-level recovery *inside* this call: the source NIC, not
+        the issuing CPU, retransmits after a timeout, with capped seeded
+        backoff, until delivery succeeds or the retry budget is exhausted
+        (the MPI-1 transport uses this), which raises
+        :class:`~repro.errors.DeadlineError` out of the run at the last
+        attempt's would-be delivery time.  Without an injector both are
+        no-ops and the loop ends on its first pass.
         """
         p = self.params
         env = self.env
@@ -225,20 +228,17 @@ class Network:
                 # here; packets to a node dead by arrival are lost too.
                 if inj is None or not (fate.corrupt or inj.node_crashed(
                         dst_node, deliver_time)):
-                    ev = env.event(name="packet-deliver")
                     if on_deliver is not None:
-                        ev.callbacks.append(on_deliver)
-                    ev.succeed(deliver_time,
-                               delay=max(0, deliver_time - env.now))
+                        delay = deliver_time - env.now
+                        env.call_at(delay if delay > 0 else 0, on_deliver)
                     if self.obs is not None:
                         self.obs.on_packet(src_node, dst_node, nbytes,
                                            deliver_time, is_amo)
-                    return deliver_time, ev
+                    return deliver_time
 
             dst_dead = inj.node_crashed(dst_node, deliver_time)
             if (not reliable or attempt > inj.config.max_retries
                     or src_dead or dst_dead):
-                ev = env.event(name="packet-lost")
                 if reliable and not src_dead and not dst_dead:
                     # A reliable link exhausted its retry budget with both
                     # endpoints alive: fail loudly at the instant the last
@@ -248,12 +248,12 @@ class Network:
                     inj._trace("deadline",
                                f"{src_node}->{dst_node} after {attempt} tries")
 
-                    def _budget_exhausted(_event: Event) -> None:
+                    def _budget_exhausted() -> None:
                         raise DeadlineError("packet", dst_node, attempt,
                                             inj.config.op_deadline_ns)
-                    ev.callbacks.append(_budget_exhausted)
-                ev.succeed(deliver_time, delay=max(0, deliver_time - env.now))
-                return deliver_time, ev
+                    env.call_at(max(0, deliver_time - env.now),
+                                _budget_exhausted)
+                return None
             # Link-level recovery: the source NIC detects the missing ack
             # after the op deadline and retransmits with seeded backoff.
             inj.stats.retransmits += 1

@@ -45,7 +45,7 @@ class PostedRecv:
     src: int
     channel: str
     tag: int
-    event: Any             # the receive's Request, completed on match
+    req: Any               # the receive's Request, completed on match
 
 
 class MatchQueue:

@@ -18,12 +18,14 @@ RDMA usually require different protocols"):
 Small-message *intra-node* transfers bypass the NIC and use the XPMEM cost
 model, matching the intra/inter knees in the application figures.
 
-Host cost per message (DESIGN.md section 8, "Issue path"): every CPU
-charge that depends on no message is a whole number of ns made once per
-endpoint; the call site left for deadlock reports is an unformatted
-``(format, *args)`` tuple; a message's arrival handler is the delivery
-event's own callback (``partial(peer._on_arrival, msg)``); and a blocking
-call does not enter ``Request.wait`` for a send that completed at issue.
+Host cost per message (DESIGN.md section 8, "Issue path" and "Delivery
+path"): every CPU charge that depends on no message is a whole number of
+ns made once per endpoint; the call site left for deadlock reports is an
+unformatted ``(format, *args)`` tuple; a message's arrival handler is its
+delivery's ``env.call_at`` callback (``partial(peer._on_arrival, msg)``);
+a :class:`Request` is a completion flag that makes an event only for a
+process that blocks on it; and a blocking call does not enter
+``Request.wait`` for a send that completed at issue.
 ``isend``, ``send``, ``issend``, ``recv``, ``mrecv``, ``sendrecv`` and
 ``Request.wait`` stay generator functions looked up on the class at every
 call: the benchmark's tracer patches them there.
@@ -69,29 +71,53 @@ def wire_size(payload: Any) -> int:
 
 
 class Request:
-    """Completion handle for isend/irecv."""
+    """Completion handle for isend/irecv: a flag, and an event only for a
+    process that blocks on it.
 
-    __slots__ = ("endpoint", "event", "_payload", "_recv_cost", "message")
+    ``done`` is set by the match (receives) or by the protocol's last leg
+    (rendezvous and synchronous sends).  :meth:`wait` makes the request's
+    event -- named ``req-send`` / ``req-recv``, which is what a deadlock
+    report shows -- only when it has to block, and completion succeeds
+    the event only while a process waits on it: a request nobody blocks
+    on schedules nothing.  An eager send is complete at issue and gets its
+    endpoint's one shared, completed request.
+    """
+
+    __slots__ = ("endpoint", "name", "done", "_event", "_payload",
+                 "_recv_cost", "message")
 
     def __init__(self, endpoint: "Mpi1Endpoint", name: str) -> None:
         self.endpoint = endpoint
-        self.event = endpoint.env.event(name)
+        self.name = name
+        self.done = False
+        self._event = None
         self._payload: Any = None
         self._recv_cost = 0     # set by the match; sends never carry one
         self.message: Message | None = None
 
     def test(self) -> bool:
         """Nonblocking completion check (no cost model: a flag test)."""
-        return self.event.triggered
+        return self.done
 
     def wait(self):
         """Block until complete; returns the payload for receives."""
-        if not self.event.triggered:
-            yield self.event
+        if not self.done:
+            ev = self._event
+            if ev is None:
+                ev = self._event = self.endpoint.env.event(self.name)
+            yield ev
         if self._recv_cost:
             cost, self._recv_cost = self._recv_cost, 0
             yield cost
         return self._payload
+
+    def _complete(self) -> None:
+        """Mark complete; wake the process blocked in :meth:`wait`, if
+        one still is."""
+        self.done = True
+        ev = self._event
+        if ev is not None and ev.callbacks:
+            ev.succeed()
 
 
 class Mpi1Endpoint:
@@ -142,6 +168,9 @@ class Mpi1Endpoint:
         self._o_recv_match = int(round(p.o_recv_match))
         self._rndv_handshake = int(round(p.rndv_handshake))
         self._xpmem_latency = int(round(self.xpmem.latency))
+        # Every eager send's request: complete at issue, never waited on.
+        self._sent = Request(self, "req-send")
+        self._sent.done = True
 
     # ------------------------------------------------------------------
     # transport helpers
@@ -159,14 +188,13 @@ class Mpi1Endpoint:
                 f"{op} between rank {self.rank} and rank {peer_rank} "
                 f"refused (node quarantined)")
 
-    def _ship(self, dest: int, nbytes: int, deliver_cb) -> tuple[int, int]:
-        """Move ``nbytes`` to rank ``dest``; ``deliver_cb(event)`` is the
-        delivery event's own callback and runs on arrival.
+    def _ship(self, dest: int, nbytes: int, deliver_cb) -> int:
+        """Move ``nbytes`` to rank ``dest``; ``deliver_cb()`` runs on
+        arrival.
 
-        Returns ``(local_complete, cpu_free)``: when the buffer is
-        reusable and until when the sending CPU is busy (descriptor work
-        plus FIFO backpressure -- this bounds the MPI-1 message rate of
-        Figure 5b).  Uses the network inter-node and the XPMEM cost model
+        Returns until when the sending CPU is busy (descriptor work plus
+        FIFO backpressure -- this bounds the MPI-1 message rate of Figure
+        5b).  Uses the network inter-node and the XPMEM cost model
         intra-node.
         """
         env = self.env
@@ -175,13 +203,9 @@ class Mpi1Endpoint:
         if dnode == self.node:
             copy = int(round(self.xpmem.store_setup
                              + nbytes * self.xpmem.copy_per_byte))
-            ev = env.event("intra-msg")
-            ev.callbacks.append(deliver_cb)
-            delay = copy + self._xpmem_latency
-            ev.succeed(now + delay, delay=delay)
+            env.call_at(copy + self._xpmem_latency, deliver_cb)
             self.network.counters.count_issue(self.rank, "mpi1-intra", nbytes)
-            cpu_free = now + copy + self._o_issue
-            return cpu_free, cpu_free
+            return now + copy + self._o_issue
         total = nbytes + self.params.header_bytes
         net = self.network
         window = net.occupy_injection(self.node, total)
@@ -191,9 +215,8 @@ class Mpi1Endpoint:
         net.packet(self.node, dnode, total, inject_window=window,
                    on_deliver=deliver_cb, reliable=True)
         net.counters.count_issue(self.rank, "mpi1-inter", nbytes)
-        inj_end = window[1]
-        admit = net.injection_admit(self.node, inj_end, total)
-        return inj_end, (admit if admit > now else now) + self._o_inject_issue
+        admit = net.injection_admit(self.node, window[1], total)
+        return (admit if admit > now else now) + self._o_inject_issue
 
     # ------------------------------------------------------------------
     # sends
@@ -216,7 +239,6 @@ class Mpi1Endpoint:
         env = self.env
         env.api_sites[self._site_key] = (
             "mpi.isend(dest=%s, tag=%s, %sB)", dest, tag, n)
-        req = Request(self, "req-send")
         yield self._o_send
         # Capture the send buffer at issue time (MPI send-buffer semantics).
         data = payload.copy() if isinstance(payload, np.ndarray) else payload
@@ -230,6 +252,7 @@ class Mpi1Endpoint:
 
         eager_threshold = self.params.eager_threshold
         if sync or n > eager_threshold:
+            req = Request(self, "req-send")
             msg.kind = "rts"
             msg.sender_state = st = {
                 "req": req, "sync_eager": sync and n <= eager_threshold,
@@ -238,14 +261,16 @@ class Mpi1Endpoint:
             header = self.params.header_bytes
             if st["sync_eager"]:
                 # payload rides with the RTS; sender completes on match-ack
-                _done, cpu_free = self._ship(dest, n + header, arrive)
+                cpu_free = self._ship(dest, n + header, arrive)
             else:
+                # data moves only after CTS; "data" stays in the sender
+                # state until it has arrived
                 st["data"] = data
-                msg.payload = None  # data moves only after CTS
-                _done, cpu_free = self._ship(dest, header, arrive)
+                msg.payload = None
+                cpu_free = self._ship(dest, header, arrive)
         else:
-            local_done, cpu_free = self._ship(dest, n, arrive)
-            req.event.succeed(delay=max(0, local_done - env.now))
+            req = self._sent
+            cpu_free = self._ship(dest, n, arrive)
         wait = cpu_free - env.now
         if wait > 0:
             yield wait
@@ -255,7 +280,7 @@ class Mpi1Endpoint:
              channel: str = "user", nbytes: int | None = None):
         """Blocking standard send."""
         req = yield from self.isend(dest, payload, tag, channel, nbytes)
-        if not req.event.triggered:     # eager: complete at issue
+        if not req.done:     # eager: complete at issue
             yield from req.wait()
 
     def issend(self, dest: int, payload: Any, tag: int = 0,
@@ -321,7 +346,9 @@ class Mpi1Endpoint:
     def mrecv(self, msg: Message):
         """Receive a message previously extracted by improbe."""
         req = Request(self, "req-recv")
-        if msg.kind == "eager" or msg.payload is not None:
+        if msg.kind == "eager" or "data" not in msg.sender_state:
+            # Eager, sync-eager (the payload rode with the RTS, whatever
+            # it is), or a rendezvous whose data has already landed.
             self._complete_recv(req, msg)
         else:
             msg.sender_state["recv_req"] = req
@@ -330,7 +357,7 @@ class Mpi1Endpoint:
     # ------------------------------------------------------------------
     # engine internals (run from delivery callbacks)
     # ------------------------------------------------------------------
-    def _on_arrival(self, msg: Message, _event) -> None:
+    def _on_arrival(self, msg: Message) -> None:
         """``partial(peer._on_arrival, msg)`` is the delivery callback of
         the packet (or intra-node copy) that carries ``msg``."""
         # Every message arrival is forward progress (it happens once per
@@ -343,11 +370,11 @@ class Mpi1Endpoint:
             if msg.sender_state.get("sync_eager"):
                 # ack the match back to the sender
                 self._ack_sync(msg)
-                self._complete_recv(recv.event, msg)
+                self._complete_recv(recv.req, msg)
             else:
                 self._send_cts_for(msg, recv)
         else:
-            self._complete_recv(recv.event, msg)
+            self._complete_recv(recv.req, msg)
 
     def _complete_recv(self, req: Request, msg: Message) -> None:
         # A successful match is forward progress for the livelock watchdog.
@@ -362,41 +389,34 @@ class Mpi1Endpoint:
         else:
             req._recv_cost = self._o_recv_match
         req.message = msg
-        if not req.event.triggered:
-            req.event.succeed(msg)
+        # Request._complete, inlined: this runs once per receive.
+        req.done = True
+        ev = req._event
+        if ev is not None and ev.callbacks:
+            ev.succeed()
 
     def _ack_sync(self, msg: Message) -> None:
-        sreq: Request = msg.sender_state["req"]
-
-        def _acked(_event) -> None:
-            if not sreq.event.triggered:
-                sreq.event.succeed()
-
-        self._ship(msg.src, 0, _acked)
+        self._ship(msg.src, 0, msg.sender_state["req"]._complete)
 
     def _send_cts_for(self, msg: Message, recv: PostedRecv | None = None) -> None:
         """Receiver side of rendezvous: CTS back, then data comes over."""
         st = msg.sender_state
         sender: Mpi1Endpoint = st["endpoint"]
 
-        def _on_data(_event) -> None:
-            msg.payload = st["data"]
-            sreq: Request = st["req"]
-            if not sreq.event.triggered:
-                sreq.event.succeed()
-            target_req = st.get("recv_req") or (recv.event if recv else None)
+        def _on_data() -> None:
+            msg.payload = st.pop("data")
+            st["req"]._complete()
+            target_req = st.get("recv_req") or (recv.req if recv else None)
             if target_req is not None:
                 self._complete_recv(target_req, msg)
 
-        def _on_cts(_event) -> None:
+        def _on_cts() -> None:
             # The sender NIC moves the data without CPU involvement.
             sender._ship(self.rank, msg.nbytes, _on_data)
 
         # CTS header: receiver -> sender, plus software handshake latency.
-        ev = self.env.event("cts-delay")
-        ev.callbacks.append(lambda _e: self._ship(
+        self.env.call_at(self._rndv_handshake, lambda: self._ship(
             sender.rank, self.params.header_bytes, _on_cts))
-        ev.succeed(delay=self._rndv_handshake)
 
     # ------------------------------------------------------------------
     # convenience
@@ -406,6 +426,6 @@ class Mpi1Endpoint:
                  nbytes: int | None = None):
         sreq = yield from self.isend(dest, payload, tag, channel, nbytes)
         got = yield from self.irecv(src, tag, channel).wait()
-        if not sreq.event.triggered:    # eager: complete at issue
+        if not sreq.done:    # eager: complete at issue
             yield from sreq.wait()
         return got

@@ -100,7 +100,7 @@ class Cray22Window:
         seg = ctx.world.reg_tables[target].resolve(self.descs[target])
         vals = np.asarray(data).ravel()
 
-        def deliver(_t, seg=seg, off=offset, vals=vals):
+        def deliver(seg=seg, off=offset, vals=vals):
             view = seg.typed(vals.dtype, offset=off, count=vals.size)
             view += vals
 

@@ -144,7 +144,10 @@ class FailureNotifier:
         ev = self._events[rank]
         if ev is not None and not ev.triggered:
             self._events[rank] = None
-            ev.succeed(frozenset(known))
+            # Fire it only for a wait still on it: a wait that completed
+            # the other way has detached, and nothing else holds it.
+            if ev.callbacks:
+                ev.succeed(frozenset(known))
 
     def _disseminate(self, when: int, node: int, failed_ranks: tuple):
         env = self.env

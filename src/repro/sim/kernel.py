@@ -71,6 +71,17 @@ detached ``Timeout`` it replaces, but resumes nothing.
 and is not pooled: the ``Timeout`` and anonymous-``Event`` freelists
 existed only to make an event per sleep cheap, at the price of a rule --
 never touch a nameless event you have yielded -- that went with them.
+
+Callbacks
+---------
+``env.call_at(delay, fn)`` runs ``fn()`` ``delay`` ns from now, and is a
+heap entry and nothing else: it pushes ``(now + delay, NORMAL, seq,
+token)``, the entry an ``env.event()`` with ``fn`` as its one callback
+succeeded with that delay would get, and a loop that pops the token calls
+``fn``.  Every delivery -- a packet, an intra-node message, a get landing,
+an AMO stream -- is one; the receiving side decides whether some process
+needs waking.  An event is only for a waiter: a process that blocks, or a
+condition composing other events.
 """
 
 from __future__ import annotations
@@ -212,6 +223,17 @@ class _Sleep:
 
     def __init__(self, proc: "Process") -> None:
         self.proc: Process | None = proc
+
+
+class _Call:
+    """The queue entry of ``env.call_at``: popping it calls ``fn()`` (see
+    "Callbacks" in the module docstring).  ``name`` is for the tracer."""
+
+    __slots__ = ("fn",)
+    name = "call"
+
+
+_CALL_NEW = object.__new__
 
 
 def _bad_yield(proc: "Process", out: Any) -> Event:
@@ -464,6 +486,12 @@ class Environment:
         only wait, ``yield delay`` (see "Sleeping")."""
         return Timeout(self, delay, value, priority)
 
+    def call_at(self, delay: int, fn: Callable[[], Any]) -> None:
+        """Run ``fn()`` ``delay`` ns from now (see "Callbacks")."""
+        token = _CALL_NEW(_Call)
+        token.fn = fn
+        self.schedule(token, delay)
+
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name=name)
 
@@ -522,6 +550,9 @@ class Environment:
             if event.proc is not None:
                 event.proc._resume(event)
             return
+        if event.__class__ is _Call:
+            event.fn()
+            return
         callbacks, event.callbacks = event.callbacks, None
         for cb in callbacks:
             cb(event)
@@ -571,6 +602,7 @@ class Environment:
             trip = max_events
         push = heappush
         sleep_cls = _Sleep
+        call_cls = _Call
         process_cls = Process
         int_cls = int
         normal = NORMAL
@@ -601,10 +633,14 @@ class Environment:
                 self.now = now
                 event = entry[3]
                 nevents += 1
-                if event.__class__ is sleep_cls:
+                cls = event.__class__
+                if cls is sleep_cls:
                     proc = event.proc
                     if proc is None:
                         continue        # retired by an interrupt
+                elif cls is call_cls:
+                    event.fn()
+                    continue
                 else:
                     cbs = event.callbacks
                     event.callbacks = None

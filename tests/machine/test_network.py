@@ -35,14 +35,16 @@ def _fabrics(**kw):
 
 
 def test_packet_delivery_time_uncontended():
+    """A packet without ``on_deliver`` (a get's request leg) is its
+    delivery time and schedules nothing."""
     for env, net in _fabrics():
         p = net.params
-        t, ev = net.packet(0, 1, 8)
+        t = net.packet(0, 1, 8)
         expected = (max(p.nic_packet_gap, 8 * p.gap_per_byte)
                     + p.nic_latency + p.wire_latency(1))
         assert abs(t - expected) <= max(p.o_eject, 2) + p.o_eject
-        env.run(until=ev)
-        assert ev.triggered
+        env.run()
+        assert (env.now, env.events_processed) == (0, 0)
 
 
 def test_packet_bandwidth_paid_once():
@@ -50,37 +52,35 @@ def test_packet_bandwidth_paid_once():
     for env, net in _fabrics():
         p = net.params
         n = 1 << 20
-        t, _ = net.packet(0, 1, n)
+        t = net.packet(0, 1, n)
         one_bw = n * p.gap_per_byte
         assert t < one_bw * 1.2 + 2000
         assert t > one_bw
 
 
 def test_on_deliver_runs_at_delivery_time():
-    """``on_deliver`` is the delivery event's own callback: it gets the
-    event, whose value is the delivery time, at that time."""
+    """``on_deliver()`` runs once, at the returned delivery time, as the
+    one entry the packet schedules."""
     for env, net in _fabrics():
         seen = []
-        t, ev = net.packet(0, 2, 64,
-                           on_deliver=lambda event: seen.append(
-                               (event, event.value, env.now)))
+        t = net.packet(0, 2, 64, on_deliver=lambda: seen.append(env.now))
         env.run()
-        assert seen == [(ev, t, t)]
+        assert (seen, env.events_processed) == ([t], 1)
 
 
 def test_ejection_contention_serializes():
     """Two senders to one target: second delivery queues behind first."""
     for env, net in _fabrics():
-        t1, _ = net.packet(1, 0, 4096)
-        t2, _ = net.packet(2, 0, 4096)
+        t1 = net.packet(1, 0, 4096)
+        t2 = net.packet(2, 0, 4096)
         assert t2 > t1
         assert t2 - t1 >= 4096 * net.params.gap_per_byte * 0.9
 
 
 def test_amo_engine_separate_from_ejection():
     for env, net in _fabrics():
-        t_data, _ = net.packet(1, 0, 1 << 16)
-        t_amo, _ = net.packet(2, 0, 16, is_amo=True)
+        t_data = net.packet(1, 0, 1 << 16)
+        t_amo = net.packet(2, 0, 16, is_amo=True)
         # the AMO is not delayed by the bulk packet's ejection occupancy
         assert t_amo < t_data
 
@@ -90,15 +90,15 @@ def test_fma_bte_channel_split():
     for env, net in _fabrics():
         for _ in range(4):
             net.packet(0, 1, 512 * 1024)  # saturate BTE
-        t_small, _ = net.packet(0, 1, 16)  # FMA path
+        t_small = net.packet(0, 1, 16)  # FMA path
         p = net.params
         assert t_small < p.nic_latency + p.wire_latency(1) + 500
 
 
 def test_bulk_queues_on_bte():
     for env, net in _fabrics():
-        t1, _ = net.packet(0, 1, 512 * 1024)
-        t2, _ = net.packet(0, 1, 512 * 1024)
+        t1 = net.packet(0, 1, 512 * 1024)
+        t2 = net.packet(0, 1, 512 * 1024)
         assert t2 >= t1 + 512 * 1024 * net.params.gap_per_byte * 0.9
 
 
@@ -122,8 +122,8 @@ def test_small_ops_never_fifo_blocked():
 
 def test_noise_deterministic():
     (_, net1), (_, net2) = _fabrics(params=GeminiParams().with_noise(200.0))
-    t1 = [net1.packet(0, 1, 8)[0] for _ in range(20)]
-    t2 = [net2.packet(0, 1, 8)[0] for _ in range(20)]
+    t1 = [net1.packet(0, 1, 8) for _ in range(20)]
+    t2 = [net2.packet(0, 1, 8) for _ in range(20)]
     assert t1 == t2
     assert len(set(t1)) > 1  # noise actually varies
 
@@ -135,8 +135,8 @@ def test_no_noise_by_default():
 
 def test_wire_latency_scales_with_hops():
     env, net = _net(nnodes=8)
-    t_near, _ = net.packet(0, 1, 8)
-    t_far, _ = net.packet(0, 4, 8)  # 4 hops on a ring of 8
+    t_near = net.packet(0, 1, 8)
+    t_far = net.packet(0, 4, 8)  # 4 hops on a ring of 8
     assert t_far > t_near
 
 
@@ -170,14 +170,14 @@ def test_dropped_reliable_packet_redelivers_after_deadline_and_backoff():
     inj = _injector()
     env, net = _net(injector=inj)
     seen = []
-    t, ev = net.packet(0, 1, 64, fate=PacketFate(drop=True), reliable=True,
-                       on_deliver=lambda event: seen.append(env.now))
+    t = net.packet(0, 1, 64, fate=PacketFate(drop=True), reliable=True,
+                   on_deliver=lambda: seen.append(env.now))
     floor = (_injection_ns(net, 64) + inj.config.op_deadline_ns
              + inj.config.retry_backoff_base_ns)
     _, ref = _net()
-    t_ref, _ = ref.packet(
+    t_ref = ref.packet(
         0, 1, 64, inject_window=ref.occupy_injection(0, 64, earliest=floor))
-    assert (t, ev.name, inj.stats.retransmits) == (t_ref, "packet-deliver", 1)
+    assert (t, inj.stats.retransmits) == (t_ref, 1)
     env.run()
     assert seen == [t]
 
@@ -187,36 +187,41 @@ def test_destination_stall_delays_service_not_injection():
                                       duration_ns=50_000),))
     inj = _injector(plan)
     env, net = _net(injector=inj)
-    t, ev = net.packet(0, 1, 64)
+    seen = []
+    t = net.packet(0, 1, 64, on_deliver=lambda: seen.append(env.now))
     assert net.nic(0).fma.busy_until == _injection_ns(net, 64)
     assert t == 50_000 + int(round(net.params.o_eject))
-    assert (ev.name, inj.stats.stall_waits) == ("packet-deliver", 1)
+    assert inj.stats.stall_waits == 1
+    env.run()
+    assert seen == [t]
 
 
 @pytest.mark.parametrize("reliable", [False, True])
 def test_packet_to_node_dead_by_arrival_is_lost(reliable):
-    """Alive at injection, dead by arrival: no effect, no retransmission
-    (a reliable link gives up on a dead end without a DeadlineError)."""
+    """Alive at injection, dead by arrival: lost, with no effect and no
+    retransmission (a reliable link gives up on a dead end without a
+    DeadlineError), and nothing scheduled."""
     inj = _injector(FaultPlan(crashes=(NodeCrash(node=1, time_ns=100),)))
     env, net = _net(injector=inj)
     seen = []
-    t, ev = net.packet(0, 1, 64, reliable=reliable, on_deliver=seen.append)
-    assert t > 100 and ev.name == "packet-lost"
+    t = net.packet(0, 1, 64, reliable=reliable,
+                   on_deliver=lambda: seen.append(env.now))
+    # The destination NIC served it after the crash instant.
+    assert t is None and net.nic(1).eject_fma.busy_until > 100
     env.run()
-    assert (env.now, seen, inj.stats.retransmits) == (t, [], 0)
+    assert (env.events_processed, seen, inj.stats.retransmits) == (0, [], 0)
 
 
 def test_retry_budget_exhaustion_raises_at_last_attempts_time():
     inj = _injector(FaultPlan(drop_prob=1.0), max_retries=2)
     env, net = _net(injector=inj)
-    t, ev = net.packet(0, 1, 64, reliable=True)
+    assert net.packet(0, 1, 64, reliable=True) is None
     # Three injections, two ack deadlines, backoff 500 then 1000 ns.
     last_end = (3 * _injection_ns(net, 64) + 2 * inj.config.op_deadline_ns
                 + 500 + 1000)
     p = net.params
-    assert t == int(round(last_end + p.wire_latency(1) + p.nic_latency))
-    assert (ev.name, inj.stats.retransmits,
-            inj.stats.deadline_failures) == ("packet-lost", 2, 1)
+    assert (inj.stats.retransmits, inj.stats.deadline_failures) == (2, 1)
     with pytest.raises(DeadlineError) as exc:
         env.run()
+    t = int(round(last_end + p.wire_latency(1) + p.nic_latency))
     assert (env.now, exc.value.attempts) == (t, 3)

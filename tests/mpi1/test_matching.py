@@ -14,7 +14,7 @@ def _msg(src=0, tag=0, channel="user", payload="x"):
 
 
 def _recv(src=ANY_SOURCE, tag=ANY_TAG, channel="user"):
-    return PostedRecv(src, channel, tag, event=object())
+    return PostedRecv(src, channel, tag, req=object())
 
 
 def test_post_then_arrive_matches():

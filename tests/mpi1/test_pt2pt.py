@@ -1,5 +1,7 @@
 """End-to-end point-to-point semantics over the simulated machine."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro import run_spmd
 from repro.config import MachineConfig
 from repro.errors import Mpi1Error
 from repro.mpi1.pt2pt import wire_size
+from tests.conftest import idle_tracers
 
 INTER = MachineConfig(ranks_per_node=1)
 
@@ -228,3 +231,111 @@ def test_protocol_threshold_is_a_crossover():
     # far from the threshold the regimes differ visibly
     assert timed(64) < below - 1500       # tiny eager much cheaper
     assert timed(65536) > above + 5000    # large rendezvous bandwidth-bound
+
+
+# ---------------------------------------------------------------------------
+# requests: a completion flag, and an event only for a process that blocks
+# ---------------------------------------------------------------------------
+def _popped(program):
+    """Run on the step loop; the names of every popped entry, and the
+    idle ones (see ``tests.conftest.IdleTracer``)."""
+    with idle_tracers(limit=10_000) as tracers:
+        res = run_spmd(program, 2, machine=INTER)
+    (tracer,) = tracers
+    return res, Counter(name for _t, name in tracer.records), tracer.idle
+
+
+_BARE_RANKS = Counter({"init:rank0": 1, "init:rank1": 1,
+                       "rank0": 1, "rank1": 1})
+
+
+def test_eager_isend_and_wait_schedule_only_their_cpu_sleeps():
+    """An eager send is complete at issue: the request schedules nothing,
+    and ``wait()`` makes no event.  What remains is the two CPU charges
+    and the message's one delivery."""
+    def program(ctx):
+        if ctx.rank == 0:
+            req = yield from ctx.mpi.isend(1, b"x")
+            assert req.test()
+            yield from req.wait()
+
+    _res, popped, idle = _popped(program)
+    assert popped == _BARE_RANKS + Counter({"sleep": 2, "call": 1})
+    assert idle == {}
+
+
+def test_receive_matched_at_post_schedules_only_its_receive_cost():
+    def program(ctx):
+        if ctx.rank == 0:
+            yield from ctx.mpi.send(1, 7)
+            return None
+        yield 50_000                    # the message is already queued
+        req = ctx.mpi.irecv(0)
+        assert req.test()
+        return (yield from req.wait())
+
+    res, popped, idle = _popped(program)
+    assert res.returns[1] == 7
+    # Sender: o_send + issue.  Receiver: the 50 us nap + the match cost.
+    assert popped == _BARE_RANKS + Counter({"sleep": 4, "call": 1})
+    assert idle == {}
+
+
+def test_blocking_receive_is_woken_by_exactly_one_event():
+    def program(ctx):
+        if ctx.rank == 0:
+            yield 10_000
+            yield from ctx.mpi.send(1, "late")
+            return None
+        return (yield from ctx.mpi.recv(0))
+
+    res, popped, idle = _popped(program)
+    assert res.returns[1] == "late"
+    assert popped["req-recv"] == 1 and "req-send" not in popped
+    assert idle == {}
+
+
+@pytest.mark.parametrize("kind", ["eager", "rendezvous", "sync"])
+def test_send_request_test_before_and_after_completion(kind):
+    """``test()`` is true at issue for an eager send only; rendezvous and
+    synchronous sends complete once the late receiver matched."""
+    payload = np.zeros(100_000, np.uint8) if kind == "rendezvous" else b"x"
+
+    def program(ctx):
+        if ctx.rank == 0:
+            req = yield from ctx.mpi.isend(1, payload, sync=kind == "sync")
+            before = req.test()
+            yield from req.wait()
+            return before, req.test()
+        yield 20_000
+        yield from ctx.mpi.recv(0)
+        return None
+
+    res = run_spmd(program, 2, machine=INTER)
+    assert res.returns[0] == (kind == "eager", True)
+
+
+@pytest.mark.parametrize("payload,nbytes", [
+    (None, None), (b"", None), (b"x", None), (None, 100_000)],
+    ids=["sync-None", "sync-empty", "sync-x", "rendezvous-None"])
+def test_mrecv_after_improbe_completes_whatever_the_payload(payload, nbytes):
+    """``mrecv`` tells a message whose data is still to come from the
+    protocol state, not from the payload: a zero-byte synchronous send
+    (``None`` or ``b""``) and a rendezvous of ``None`` whose data has
+    landed complete like any other."""
+    def program(ctx):
+        if ctx.rank == 0:
+            req = yield from ctx.mpi.isend(1, payload, tag=5, nbytes=nbytes,
+                                           sync=nbytes is None)
+            yield from req.wait()
+            return "sent"
+        msg = None
+        while msg is None:
+            msg = ctx.mpi.improbe(tag=5)
+            if msg is None:
+                yield 100
+        yield 50_000                    # a rendezvous' data lands meanwhile
+        return (yield from ctx.mpi.mrecv(msg))
+
+    res = run_spmd(program, 2, machine=INTER)
+    assert res.returns == ["sent", payload]

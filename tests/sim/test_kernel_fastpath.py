@@ -4,10 +4,11 @@
 a tracer or an ``until`` takes the reference ``step()`` loop.  Both must
 process the exact same event schedule -- same event count, same final
 clock, same process return values -- and both resume a sleeping process
-(``yield ns``) straight from its sleep token.  These tests pin the
-bit-identity contract and the sleep-token and detach invariants
-DESIGN.md documents; the reference side selects the step loop by
-installing a ``Tracer``.
+(``yield ns``) straight from its sleep token and run a bare callback
+(``env.call_at``) straight from its entry.  These tests pin the
+bit-identity contract and the sleep-token, callback-entry and detach
+invariants DESIGN.md documents; the reference side selects the step loop
+by installing a ``Tracer``.
 """
 
 import pytest
@@ -20,8 +21,11 @@ from tests.conftest import make_env
 def _mixed_workload(env, log, sleep=True):
     """Sleeps (``yield ns``; with ``sleep=False`` the same waits spelled
     ``yield env.timeout(ns)``), timeouts carrying values, named events,
-    conditions, priorities and an interrupted sleeper that catches the
-    interrupt and sleeps again."""
+    conditions, priorities, an interrupted sleeper that catches the
+    interrupt and sleeps again, and bare callbacks (``env.call_at``): a
+    chain that schedules its successor (the first one on its own tick)
+    and one that wakes a process, as a delivery completing a request
+    does."""
 
     def nap(ns):
         return ns if sleep else env.timeout(ns)
@@ -62,7 +66,19 @@ def _mixed_workload(env, log, sleep=True):
         v.interrupt("stop")
         ev2.succeed("ev2")
 
-    ev, ev2 = env.event("ev"), env.event("ev2")
+    def chain(i):
+        log.append((env.now, "call", i))
+        if i < 3:
+            env.call_at(i, lambda: chain(i + 1))
+
+    def receiver(ev3):
+        got = yield ev3
+        log.append((env.now, "received", got))
+
+    ev, ev2, ev3 = env.event("ev"), env.event("ev2"), env.event("ev3")
+    env.call_at(10, lambda: chain(0))
+    env.call_at(21, lambda: ev3.succeed("delivered"))
+    env.process(receiver(ev3), name="receiver")
     env.process(ticker("a", 10, 8), name="a")
     env.process(ticker("b", 7, 8), name="b")
     env.process(timer(6), name="timer")
@@ -88,6 +104,49 @@ def test_fast_matches_step_loop_bit_identical():
     assert [e for e in log if e[1] in ("interrupted", "victim")] == [
         (50, "interrupted", "stop"), (80, "victim", None)]
     assert now == 1000
+    # Ticker "a" sleeps until 10 too: the chain's first call, pushed
+    # before the ticker started, runs ahead of it; its delay-0 successor
+    # runs on the same tick, after it.
+    assert [e for e in log
+            if e[1] in ("call", "received") or e[:2] == (10, "a")] == [
+        (10, "call", 0), (10, "a", 0, None), (10, "call", 1),
+        (11, "call", 2), (13, "call", 3), (21, "received", "delivered")]
+
+
+@pytest.mark.parametrize("step_loop", [False, True], ids=["fast", "step"])
+def test_call_at_is_the_entry_a_one_callback_event_gets(step_loop):
+    """``env.call_at(d, fn)`` runs ``fn()`` where an event with ``fn`` as
+    its one callback, succeeded with delay ``d``, would: same order, clock
+    and event count, against sleepers on the same ticks."""
+    def run(bare):
+        env = make_env(step_loop)
+        log = []
+
+        def sleeper():
+            for i in range(3):
+                yield 5
+                log.append((env.now, "sleep", i))
+
+        def note(tag):
+            return lambda: log.append((env.now, tag))
+
+        env.process(sleeper(), name="s")
+        for i, delay in enumerate((5, 0, 10, 5, 15)):
+            if bare:
+                env.call_at(delay, note(i))
+            else:
+                ev = env.event()
+                ev.callbacks.append(lambda _ev, fn=note(i): fn())
+                ev.succeed(delay=delay)
+        env.run()
+        return log, env.now, env.events_processed
+
+    assert run(bare=True) == run(bare=False)
+
+
+def test_call_at_rejects_the_past(env):
+    with pytest.raises(SimulationError, match="past"):
+        env.call_at(-1, lambda: None)
 
 
 @pytest.mark.parametrize("step_loop", [False, True], ids=["fast", "step"])

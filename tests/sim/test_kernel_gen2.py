@@ -13,6 +13,13 @@ Two contracts from DESIGN.md section 8:
   existed and were identical under every scheduler/batching combination
   (the hashtable point is the one where batches formed, so it pins
   times, returns and table contents but not the event count);
+* every pinned event count comes with its **callback-free** count: the
+  events of that run that popped with no callback and woke no process
+  (MPI-1 request events nobody blocked on, a get's request-leg delivery,
+  a lost packet, a failure notice for a wait that had already ended),
+  counted by ``tests.conftest.IdleTracer`` before such events stopped
+  being made.  The run now processes exactly the others (:func:`current`),
+  and the ``*_pops_no_idle_entry`` tests check that none is left;
 * same-tick events drain in ``(priority, seq)`` FIFO order across the
   front-slot/heap boundary, including urgent events scheduled while the
   tick is already draining -- on the fast loop and on the step loop.
@@ -39,15 +46,16 @@ from repro.rma.mcs import McsLock
 from repro.runtime.job import run_spmd
 from repro.sim.kernel import NORMAL, URGENT
 from repro.workloads import WORKLOADS
-from tests.conftest import make_env
+from tests.conftest import idle_tracers, make_env
 
 #: Pre-gen-2 golden schedules at seed 11, 4 ranks on one node (captured
-#: before the front-slot scheduler existed; tests/obs imports this table).
+#: before the front-slot scheduler existed; tests/test_workloads.py
+#: imports this table): (sim_time_ns, events_processed, callback-free).
 GOLDEN = {
-    "putget": (11835, 502),
-    "locks": (22876, 566),
-    "fence": (33492, 490),
-    "pscw": (16611, 302),
+    "putget": (11835, 502, 45),
+    "locks": (22876, 566, 59),
+    "fence": (33492, 490, 85),
+    "pscw": (16611, 302, 45),
 }
 
 #: Per-rank return values of the same four runs.
@@ -59,26 +67,29 @@ GOLDEN_RETURNS = {
 }
 
 #: putget, seed 13, one rank per node, drop 0.2 / corrupt 0.05 / delay
-#: 0.1 x 5 us: (sim_time_ns, events_processed, returns, retransmits).
-GOLDEN_FAULTY = (821343, 711, [0, 1, 2, 3], 70)
+#: 0.1 x 5 us: (sim_time_ns, events_processed, callback-free, returns,
+#: retransmits).
+GOLDEN_FAULTY = (821343, 711, 89, [0, 1, 2, 3], 70)
 
 #: The demo workloads under GOLDEN_FAULTY's plan plus a 60 us NIC stall on
 #: node 1 (seed 13, one rank per node), and an accumulate / atomic-read
 #: ring that takes the AMO-stream path and its replay dedup: (sim_time_ns,
-#: events_processed, retransmits).  Captured while the hardened transport
-#: was still a second endpoint class; they pin the retransmit schedule of
-#: every op kind (put, get, AMO, chained AMO, AMO stream).
+#: events_processed, callback-free, retransmits).  Captured while the
+#: hardened transport was still a second endpoint class; they pin the
+#: retransmit schedule of every op kind (put, get, AMO, chained AMO, AMO
+#: stream).
 GOLDEN_FAULTY_STALL = {
-    "putget": (1008000, 714, 71),
-    "locks": (3527404, 1142, 171),
-    "fence": (732291, 531, 34),
-    "pscw": (729787, 390, 35),
-    "acc_ring": (514586, 341, 24),
+    "putget": (1008000, 714, 87, 71),
+    "locks": (3527404, 1142, 137, 171),
+    "fence": (732291, 531, 91, 34),
+    "pscw": (729787, 390, 71, 35),
+    "acc_ring": (514586, 341, 62, 24),
 }
 
 #: Three fence epochs across a fail-stop crash of node 3 at 20 us, seed
-#: 13: (sim_time_ns, events_processed, return types, retransmits).
-GOLDEN_CRASH = (26200, 299,
+#: 13: (sim_time_ns, events_processed, callback-free, return types,
+#: retransmits).
+GOLDEN_CRASH = (26200, 299, 51,
                 ["EpochError", "EpochError", "EpochError",
                  "NodeCrashedError"], 0)
 
@@ -96,17 +107,17 @@ GOLDEN_HASHTABLE = (
 
 
 #: ``_flavour_mix`` at seed 11, 4 ranks, by ranks per node: (sim_time_ns,
-#: events_processed, per-rank crc32 per flavour).  2 per node runs
-#: ALLOCATE / CREATE / DYNAMIC against one intra-node and one inter-node
-#: target; 4 per node adds SHARED, all intra-node.  Captured before the
-#: issue path cached any translation state.
+#: events_processed, callback-free, per-rank crc32 per flavour).  2 per
+#: node runs ALLOCATE / CREATE / DYNAMIC against one intra-node and one
+#: inter-node target; 4 per node adds SHARED, all intra-node.  Captured
+#: before the issue path cached any translation state.
 GOLDEN_FLAVOURS = {
-    2: (117080, 1432,
+    2: (117080, 1432, 185,
         [[3688205378, 3688205378, 3401925421],
          [583395615, 583395615, 4274577793],
          [1072745482, 1072745482, 2393668365],
          [2504857677, 2504857677, 3647109043]]),
-    4: (91792, 1630,
+    4: (91792, 1630, 219,
         [[3688205378, 3688205378, 3401925421, 3688205378],
          [583395615, 583395615, 4274577793, 583395615],
          [1072745482, 1072745482, 2393668365, 1072745482],
@@ -115,17 +126,18 @@ GOLDEN_FLAVOURS = {
 
 #: ``_mcs_rounds`` (8 ranks x 4 acquire / 300 ns / release rounds on one
 #: MCS lock), default seed, by ranks per node: (sim_time_ns,
-#: events_processed, messages), per-rank acquire instants, per-rank
-#: ``remote_ops``.  Captured while McsLock still had a plain and a guarded
-#: body; 4 per node mixes CPU and NIC atomics on the same queue words.
+#: events_processed, callback-free, messages), per-rank acquire instants,
+#: per-rank ``remote_ops``.  Captured while McsLock still had a plain and a
+#: guarded body; 4 per node mixes CPU and NIC atomics on the same queue
+#: words.
 GOLDEN_MCS = {
-    1: ((81230, 756, 171),
+    1: ((81230, 756, 108, 171),
         [[10937, 11327, 11717, 12107], [26300, 41784, 57268, 72752],
          [17452, 32936, 48420, 63904], [19648, 35132, 50616, 66100],
          [13018, 30724, 46208, 61692], [21860, 37344, 52828, 68312],
          [24072, 39556, 55040, 70524], [28512, 43996, 59480, 74964]],
         [8, 12, 12, 12, 12, 12, 12, 12]),
-    4: ((40544, 704, 178),
+    4: ((40544, 704, 110, 178),
         [[9755, 11135, 18634, 25096], [10100, 11480, 18979, 25441],
          [9065, 10445, 11825, 19324], [9410, 10790, 18289, 24751],
          [15058, 21520, 27879, 31481], [16093, 22555, 28914, 34738],
@@ -136,12 +148,13 @@ GOLDEN_MCS = {
 
 #: ``_mpi1_mix`` (every MPI-1 protocol and every collective once) at seed
 #: 11, by (ranks, ranks per node): (sim_time_ns, events_processed,
-#: messages), every rank's clock after each of the 13 steps, and per rank
-#: a crc32 of every value it received.  Captured before the message path
-#: was flattened (integer charges, lazy sites, slotted messages, inline
-#: matching); 3 and 4 per node mix XPMEM and NIC transfers.
+#: callback-free, messages), every rank's clock after each of the 13
+#: steps, and per rank a crc32 of every value it received.  Captured
+#: before the message path was flattened (integer charges, lazy sites,
+#: slotted messages, inline matching); 3 and 4 per node mix XPMEM and NIC
+#: transfers.
 GOLDEN_MPI1 = {
-    (6, 1): ((61613, 1062, 185),
+    (6, 1): ((61613, 1062, 221, 185),
              [[3664, 4882, 18169, 24295, 26193, 28401, 33089, 37985, 39825,
                46803, 51827, 57821, 61517],
               [3648, 4882, 18121, 24247, 26557, 27679, 32569, 37461, 40361,
@@ -156,7 +169,7 @@ GOLDEN_MPI1 = {
                46691, 50599, 57853, 61485]],
              [3635601107, 1901328068, 2354620463, 938162013, 1698713467,
               230757979]),
-    (6, 3): ((57725, 1062, 185),
+    (6, 3): ((57725, 1062, 232, 185),
              [[3188, 4770, 17913, 23715, 24835, 27757, 31721, 36294, 37502,
                44464, 48470, 54137, 57361],
               [3456, 4251, 16589, 22391, 25501, 26296, 31237, 35806, 38002,
@@ -171,7 +184,7 @@ GOLDEN_MPI1 = {
                44368, 47434, 54173, 57725]],
              [3635601107, 1901328068, 2354620463, 938162013, 1698713467,
               230757979]),
-    (8, 1): ((59721, 1562, 271),
+    (8, 1): ((59721, 1562, 326, 271),
              [[3680, 4898, 18233, 24359, 26209, 29033, 32887, 36365, 39555,
                43581, 47339, 55945, 59721],
               [3664, 4898, 18137, 24263, 26573, 27695, 32791, 36367, 40091,
@@ -190,7 +203,7 @@ GOLDEN_MPI1 = {
                43677, 47243, 55929, 59593]],
              [886165717, 2575117702, 202127418, 3333043671, 753591334,
               3871035551, 3080220648, 4285882372]),
-    (8, 4): ((54481, 1562, 271),
+    (8, 4): ((54481, 1562, 332, 271),
              [[3284, 4674, 17817, 23619, 24739, 28261, 31161, 34271, 37007,
                40315, 43408, 50965, 54309],
               [3552, 4347, 16493, 22295, 24477, 25594, 31101, 34211, 37507,
@@ -213,17 +226,26 @@ GOLDEN_MPI1 = {
 
 #: ``milc_program``, 16 ranks at 8 per node, ``MilcSpec(maxiter=4,
 #: tol=0.0, seed=3)``, seed 11, by halo engine: (sim_time_ns,
-#: events_processed, messages) and the slowest rank's solve time.
+#: events_processed, callback-free, messages) and the slowest rank's solve
+#: time.
 #: Captured before the stencil and the halo exchange were planned.  The
 #: solver's floats are held to 1e-12, not pinned: ``np.vdot`` goes
 #: through the host's BLAS.
 GOLDEN_MILC = {
-    "mpi1": ((385874, 7520, 1216), 381386),
-    "rma": ((365390, 8226, 1903), 344866),
-    "upc": ((357481, 7200, 1856), 344478),
+    "mpi1": ((385874, 7520, 1912, 1216), 381386),
+    "rma": ((365390, 8226, 1360, 1903), 344866),
+    "upc": ((357481, 7200, 1230, 1856), 344478),
 }
 GOLDEN_MILC_RESIDUAL = float.fromhex("0x1.df09d76f5e35dp-7")
 GOLDEN_MILC_CHECKSUM = 205.22676721831235 + 0.038531896054528336j
+
+
+def current(pin):
+    """A pin as a run reproduces it now: ``(sim_time_ns, events,
+    callback_free, *rest)`` -> ``(sim_time_ns, events - callback_free,
+    *rest)``."""
+    t, events, callback_free, *rest = pin
+    return (t, events - callback_free, *rest)
 
 
 def _acc_ring(ctx):
@@ -373,7 +395,8 @@ def _run(name, *, trace=False, faults=None, seed=11, rpn=4):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_demo_workloads_reproduce_golden_pins(name):
     res = _run(name)
-    assert (res.sim_time_ns, res.events_processed) == GOLDEN[name], \
+    assert (res.sim_time_ns, res.events_processed) == \
+        current(GOLDEN[name]), \
         f"{name}: schedule drifted from the pre-gen-2 golden"
     assert res.returns == GOLDEN_RETURNS[name]
 
@@ -383,7 +406,7 @@ def test_step_loop_reproduces_golden_pins(name):
     """``SimConfig(trace=True)`` installs a tracer, which runs the whole
     stack on the step loop: same schedule as the fast loop."""
     res = _run(name, trace=True)
-    assert (res.sim_time_ns, res.events_processed) == GOLDEN[name]
+    assert (res.sim_time_ns, res.events_processed) == current(GOLDEN[name])
     assert res.returns == GOLDEN_RETURNS[name]
 
 
@@ -394,7 +417,7 @@ def test_faulty_run_reproduces_golden_pin():
                      delay_prob=0.1, delay_ns=5_000)
     res = _run("putget", faults=FaultConfig(plan=plan), seed=13, rpn=1)
     assert (res.sim_time_ns, res.events_processed, res.returns,
-            res.stats["retransmits"]) == GOLDEN_FAULTY
+            res.stats["retransmits"]) == current(GOLDEN_FAULTY)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_FAULTY_STALL))
@@ -407,7 +430,7 @@ def test_faulty_stalled_runs_reproduce_golden_pins(name):
                                       duration_ns=60_000),))
     res = _run(name, faults=FaultConfig(plan=plan), seed=13, rpn=1)
     assert (res.sim_time_ns, res.events_processed,
-            res.stats["retransmits"]) == GOLDEN_FAULTY_STALL[name]
+            res.stats["retransmits"]) == current(GOLDEN_FAULTY_STALL[name])
     if name == "acc_ring":
         assert res.returns == [[k * (r + 1) for k in range(1, 5)]
                                for r in range(4)]
@@ -420,7 +443,7 @@ def test_window_flavours_reproduce_golden_pins(rpn):
     the ``win_allocate``-only pins above."""
     res = _run("flavour_mix", rpn=rpn)
     assert (res.sim_time_ns, res.events_processed,
-            res.returns) == GOLDEN_FLAVOURS[rpn]
+            res.returns) == current(GOLDEN_FLAVOURS[rpn])
 
 
 @pytest.mark.parametrize("rpn", sorted(GOLDEN_MCS))
@@ -428,9 +451,11 @@ def test_mcs_rounds_reproduce_golden_pins(rpn):
     """The clean-fabric MCS wire protocol: who queues behind whom, when
     each hand-off lands and how many remote atomics each rank issued."""
     res = run_spmd(_mcs_rounds, 8, machine=MachineConfig(ranks_per_node=rpn))
+    counts, acquired, remote_ops = GOLDEN_MCS[rpn]
     assert ((res.sim_time_ns, res.events_processed, res.stats["messages"]),
             [r[0] for r in res.returns],
-            [r[1] for r in res.returns]) == GOLDEN_MCS[rpn]
+            [r[1] for r in res.returns]) == (current(counts), acquired,
+                                             remote_ops)
 
 
 @pytest.mark.parametrize("shape", sorted(GOLDEN_MPI1))
@@ -438,13 +463,21 @@ def test_mpi1_mix_reproduces_golden_pins(shape):
     """The two-sided message path: eager, rendezvous and sync-eager
     protocols, the match queues in both arrival orders, and every
     collective built on them."""
+    _assert_mpi1_mix_pin(shape, _run_mpi1_mix(shape))
+
+
+def _run_mpi1_mix(shape):
     nranks, rpn = shape
-    res = run_spmd(_mpi1_mix, nranks,
-                   machine=MachineConfig(ranks_per_node=rpn),
-                   sim=SimConfig(seed=11))
+    return run_spmd(_mpi1_mix, nranks,
+                    machine=MachineConfig(ranks_per_node=rpn),
+                    sim=SimConfig(seed=11))
+
+
+def _assert_mpi1_mix_pin(shape, res):
+    counts, clocks, crcs = GOLDEN_MPI1[shape]
     assert ((res.sim_time_ns, res.events_processed, res.stats["messages"]),
             [r[0] for r in res.returns],
-            [r[1] for r in res.returns]) == GOLDEN_MPI1[shape]
+            [r[1] for r in res.returns]) == (current(counts), clocks, crcs)
 
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_MILC))
@@ -454,8 +487,9 @@ def test_milc_reproduces_golden_pins(variant):
     res = run_spmd(milc_program, 16, MilcSpec(maxiter=4, tol=0.0, seed=3),
                    variant, machine=MachineConfig(ranks_per_node=8),
                    sim=SimConfig(seed=11))
+    counts, solve_ns = GOLDEN_MILC[variant]
     assert ((res.sim_time_ns, res.events_processed, res.stats["messages"]),
-            max(r[0] for r in res.returns)) == GOLDEN_MILC[variant]
+            max(r[0] for r in res.returns)) == (current(counts), solve_ns)
     assert {r[1] for r in res.returns} == {4}
     assert res.returns[0][2] == pytest.approx(GOLDEN_MILC_RESIDUAL,
                                               rel=1e-12)
@@ -483,7 +517,30 @@ def test_crash_run_reproduces_golden_pin():
         faults=FaultConfig(plan=plan))
     assert (res.sim_time_ns, res.events_processed,
             [type(r).__name__ for r in res.returns],
-            res.stats["retransmits"]) == GOLDEN_CRASH
+            res.stats["retransmits"]) == current(GOLDEN_CRASH)
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_MPI1))
+def test_mpi1_mix_pops_no_idle_entry(shape):
+    """Every entry the MPI-1 mix pops resumes a process or runs a callback
+    (or is an exit or a retired sleep): no request or delivery event is
+    made without a waiter.  The step loop under the tracer lands on the
+    same pin."""
+    with idle_tracers() as tracers:
+        res = _run_mpi1_mix(shape)
+    assert [t.idle for t in tracers] == [{}]
+    _assert_mpi1_mix_pin(shape, res)
+
+
+@pytest.mark.parametrize("rpn", sorted(GOLDEN_FLAVOURS))
+def test_flavour_mix_pops_no_idle_entry(rpn):
+    """The same for every data call on every window flavour: a get's
+    request leg schedules nothing."""
+    with idle_tracers() as tracers:
+        res = _run("flavour_mix", rpn=rpn)
+    assert [t.idle for t in tracers] == [{}]
+    assert (res.sim_time_ns, res.events_processed,
+            res.returns) == current(GOLDEN_FLAVOURS[rpn])
 
 
 def test_hashtable_delivery_order_reproduces_golden_pin():

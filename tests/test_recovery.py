@@ -36,6 +36,7 @@ from repro.errors import (
 )
 from repro.rma.enums import LockType
 from repro.rma.mcs import McsLock
+from tests.sim.test_kernel_gen2 import current
 
 INTER = MachineConfig(ranks_per_node=1)
 
@@ -162,23 +163,24 @@ def _lock_mix_program(ctx):
 
 
 @pytest.mark.parametrize("rpn,pin", [
-    (1, (10_015_502, 436, 100, 2)),
-    (2, (10_014_108, 405, 101, 2)),
+    (1, (10_015_502, 436, 45, 100, 2)),
+    (2, (10_014_108, 405, 45, 101, 2)),
 ])
 def test_lock_holder_crash_schedule_pinned(rpn, pin):
     """Rank 3 dies holding rank 0's exclusive lock while shared and
     exclusive waiters (CPU and NIC atomics at two ranks per node, where
     rank 2 dies too, mid-spin) retry against it: every lock-word AMO is a
-    ledger record, so ``(sim_time_ns, events_processed, messages,
-    locks_revoked)`` pins that recording changes no schedule.  Captured
-    while the ledger reissued each AMO as a chained ``amo:custom``."""
+    ledger record, so ``(sim_time_ns, events_processed, callback-free,
+    messages, locks_revoked)`` pins that recording changes no schedule.
+    Captured while the ledger reissued each AMO as a chained
+    ``amo:custom``; the callback-free events are no longer made."""
     res = run_spmd(_lock_mix_program, 6,
                    machine=MachineConfig(ranks_per_node=rpn),
                    faults=crash_plan((3 // rpn, 50_000)))
     assert [r for r in range(6) if res.returns[r] == ("ok", r)] == \
         [r for r in range(6) if r // rpn != 3 // rpn]
     assert (res.sim_time_ns, res.events_processed, res.stats["messages"],
-            res.stats["recovery"]["locks_revoked"]) == pin
+            res.stats["recovery"]["locks_revoked"]) == current(pin)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ One name -> one program -> one stated expectation: each entry of
 ``repro.workloads.WORKLOADS`` is run plain, with observability on, with
 the memory-model checker on and under an installed-but-empty fault plan,
 at one and at four ranks per node.  The four schedules must be the same
-schedule, and the checker's verdict must be the entry's ``expect``.
+schedule, no entry the plain or the empty-plan run pops may be idle (an
+event made for a waiter that never came), and the checker's verdict must
+be the entry's ``expect``.
 """
 
 import inspect
@@ -16,7 +18,8 @@ from repro.check.perturb import perturb_sweep
 from repro.config import FaultConfig, FaultPlan
 from repro.ft.workloads import run_crash_to_completion
 from repro.workloads import WORKLOADS, lookup, names, run_workload
-from tests.sim.test_kernel_gen2 import GOLDEN, GOLDEN_RETURNS
+from tests.conftest import idle_tracers
+from tests.sim.test_kernel_gen2 import GOLDEN, GOLDEN_RETURNS, current
 
 NRANKS, SEED = 4, 11
 
@@ -36,13 +39,18 @@ def _fingerprint(res):
 @pytest.mark.parametrize("rpn", [1, 4])
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_instruments_do_not_perturb_and_verdict_is_as_stated(name, rpn):
-    """Zero perturbation (obs, checker), empty plan == clean fabric, and
-    the checker reports exactly the entry's ``expect``."""
+    """Zero perturbation (obs, checker), empty plan == clean fabric, no
+    idle entry on either fabric, and the checker reports exactly the
+    entry's ``expect``.  The plain and empty-plan runs take the step loop
+    under the idle tracer; the instrumented ones take the fast loop."""
     kw = dict(nranks=NRANKS, seed=SEED, ranks_per_node=rpn)
-    plain = run_workload(name, **kw)
+    with idle_tracers() as tracers:
+        plain = run_workload(name, **kw)
+        hardened = run_workload(name, faults=FaultConfig(plan=FaultPlan()),
+                                **kw)
     observed = run_workload(name, obs=True, **kw)
     checked = run_workload(name, check=True, **kw)
-    hardened = run_workload(name, faults=FaultConfig(plan=FaultPlan()), **kw)
+    assert [t.idle for t in tracers] == [{}, {}]
 
     assert plain.obs is None and plain.check is None
     assert len(observed.obs.spans) > 0
@@ -59,7 +67,7 @@ def test_instruments_do_not_perturb_and_verdict_is_as_stated(name, rpn):
     if name in GOLDEN and rpn == 4:
         # The pre-checker, pre-obs schedules (tests/sim/test_kernel_gen2.py
         # pins the plain run; here every instrumented run lands on it too).
-        assert _fingerprint(observed)[:2] == GOLDEN[name], \
+        assert _fingerprint(observed)[:2] == current(GOLDEN[name]), \
             f"{name}: schedule drifted from pre-checker golden trace"
 
 
