@@ -2,11 +2,10 @@
 
 The sweeps themselves (grids, transports, specs, rounding, titles) are
 data in ``repro.bench.figures``; ``test_figure[<id>]`` runs one through
-the process pool and the run cache, writes
-``results/<name>.{json,txt}`` and checks the curve-shape claim of the
-paper it reproduces.  ``pytest benchmarks/bench_figures.py -k 7c``
-regenerates one figure; ``python -m repro figure 7c --full`` prints the
-same table.  The Section 3.2 lock constants and the two hybrid
+the process pool, writes ``results/<name>.{json,txt}`` and checks the
+curve-shape claim of the paper it reproduces.
+``pytest benchmarks/bench_figures.py -k 7c`` regenerates one figure;
+``python -m repro figure 7c --full`` prints the same table.  The Section 3.2 lock constants and the two hybrid
 paper-scale extensions are not point sweeps and keep their own targets.
 """
 

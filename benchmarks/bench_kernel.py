@@ -4,7 +4,7 @@ Measures the raw event rate of :mod:`repro.sim.kernel`'s fast loop
 (front-slot scheduler, sleep tokens) on two synthetic workloads and on
 two full-stack runs, asserts a generous absolute events/sec floor, then
 writes the machine-readable perf report ``BENCH_simperf.json`` at the
-repository root (the per-figure wall-clock and cache sections are
+repository root (the per-figure wall-clock and pool sections are
 appended by ``conftest.py`` at session end, so this file is the report's
 anchor).  ``repro.bench.perfgate`` holds the recorded rates against the
 machine-scaled baseline.

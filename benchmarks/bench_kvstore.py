@@ -2,11 +2,11 @@
 
 Open-loop Zipfian serving (``repro.serve``) at increasing client counts:
 aggregate throughput and the exact p99 for both backends.  The sweep
-fans out over the benchmark process pool and the content-addressed run
-cache like every figure sweep; results land in the ``serve`` section of
-``BENCH_simperf.json`` (via ``record_serve``), which ``perf_gate.py``
-diffs against the committed baseline (req/s floors, unscaled: simulated
-throughput is machine-independent).
+fans out over the benchmark process pool like every figure sweep;
+results land in the ``serve`` section of ``BENCH_simperf.json`` (via
+``record_serve``), which ``perf_gate.py`` diffs against the committed
+baseline (req/s floors, unscaled: simulated throughput is
+machine-independent).
 
 What the curves show -- and the shape assertions pin -- is the paper's
 claim on the repo's own serving workload: one-sided beats two-sided.

@@ -11,10 +11,9 @@ regenerating each figure.
 Perf plumbing (see DESIGN.md, "Performance subsystem"):
 
 * figure sweeps fan out over a process pool (``repro.bench.pool``) and
-  consult the content-addressed run cache (``repro.bench.cache``);
-* ``--no-cache`` forces every point to recompute (it sets
-  ``REPRO_BENCH_CACHE=0`` for the whole session);
-* at session end the per-figure wall times and the suite-wide pool/cache
+  compute every point: there is no result cache, so a recorded wall is
+  always a cold one;
+* at session end the per-figure wall times and the suite-wide pool
   counters are merged into ``BENCH_simperf.json`` at the repo root, next
   to the kernel-throughput section written by ``bench_kernel.py``.
 """
@@ -32,18 +31,6 @@ REPORT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_simperf.json"
 _FIGURE_TIMES: dict[str, float] = {}
 _SCALE_SECTION: dict = {}
 _SERVE_SECTION: dict = {}
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--no-cache", action="store_true", default=False,
-        help="disable the content-addressed benchmark run cache "
-             "(sets REPRO_BENCH_CACHE=0 for this session)")
-
-
-def pytest_configure(config):
-    if config.getoption("--no-cache", default=False):
-        os.environ["REPRO_BENCH_CACHE"] = "0"
 
 
 @pytest.fixture
@@ -104,25 +91,25 @@ def record_serve():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Merge per-figure wall times + pool/cache totals into the report."""
+    """Merge per-figure wall times + pool totals into the report."""
     if not _FIGURE_TIMES and not _SCALE_SECTION and not _SERVE_SECTION:
         return
     try:
-        from repro.bench.cache import cache_enabled, default_cache_dir
         from repro.bench.pool import default_workers, pool_totals
     except ImportError:
         return
     totals = pool_totals()
+    workers = default_workers()
     # CI fan-out gate: when the workflow pins REPRO_BENCH_WORKERS above 1
     # it is asserting that the figure sweeps really used the process pool
     # -- a silent fall-back to serial execution would still pass the perf
     # job while measuring something else entirely.
-    workers_pinned = int(os.environ.get("REPRO_BENCH_WORKERS") or 0)
-    if workers_pinned > 1 and totals.executed > 1 and not totals.parallel:
+    if (os.environ.get("REPRO_BENCH_WORKERS") and workers > 1
+            and totals.points > 1 and not totals.parallel):
         raise RuntimeError(
-            f"REPRO_BENCH_WORKERS={workers_pinned} but no sweep ran in "
-            f"parallel (points={totals.points}, executed={totals.executed});"
-            " used_parallel must be true in the aggregated report")
+            f"REPRO_BENCH_WORKERS={workers} but no sweep ran in parallel "
+            f"(points={totals.points}); used_parallel must be true in the "
+            "aggregated report")
     report = {}
     if REPORT.exists():
         try:
@@ -153,16 +140,9 @@ def pytest_sessionfinish(session, exitstatus):
             else:
                 merged[key] = value
         report[section_key] = merged
-    report["pool"] = {"workers": default_workers(),
+    report["pool"] = {"workers": workers,
                       "points": totals.points,
-                      "executed": totals.executed,
                       "used_parallel": totals.parallel}
-    hit_rate = (totals.cache_hits / totals.points) if totals.points else 0.0
-    report["cache"] = {"enabled": cache_enabled(),
-                       "dir": str(default_cache_dir()),
-                       "hits": totals.cache_hits,
-                       "misses": totals.executed,
-                       "hit_rate": round(hit_rate, 3)}
     try:
         REPORT.write_text(json.dumps(report, indent=1) + "\n")
     except OSError:

@@ -274,11 +274,9 @@ def main(argv=None) -> int:
             from repro.bench.harness import slowest_point, trace_point
 
             worst = slowest_point(series)
-            # Serial and uncached: a pool worker's or a cached point's
-            # simulation would not be captured.
+            # Serial: a pool worker's simulation would not be captured.
             path = trace_point(
-                lambda: figure_series(args.id, full=args.full, workers=1,
-                                      cache=False),
+                lambda: figure_series(args.id, full=args.full, workers=1),
                 args.trace, label=f"figure {args.id}")
             if worst is not None:
                 print(f"slowest point: {worst[0]} at x={worst[1]} "

@@ -11,9 +11,7 @@ Reusable drivers that reproduce every figure of the paper's evaluation:
 * :mod:`repro.bench.harness`    -- series containers and table/ASCII
   reporting shared by the pytest-benchmark targets in ``benchmarks/``,
 * :mod:`repro.bench.pool`       -- parallel fan-out of independent figure
-  points across CPU cores (deterministic, bit-identical to serial),
-* :mod:`repro.bench.cache`      -- content-addressed on-disk cache of
-  point results keyed by (package source, driver, config snapshot, seed).
+  points across CPU cores (deterministic, bit-identical to serial).
 
 Each driver runs a deterministic SPMD simulation and reports *simulated*
 nanoseconds (or derived rates); pytest-benchmark wraps the drivers so the
@@ -21,7 +19,6 @@ usual ``pytest benchmarks/ --benchmark-only`` flow works, with the
 reproduced series attached as ``extra_info``.
 """
 
-from repro.bench.cache import RunCache
 from repro.bench.harness import (
     Series,
     format_series_table,
@@ -32,5 +29,5 @@ from repro.bench.pool import BenchPoint, run_points
 
 __all__ = [
     "Series", "format_table", "format_series_table", "geomean",
-    "BenchPoint", "run_points", "RunCache",
+    "BenchPoint", "run_points",
 ]

@@ -74,7 +74,7 @@ def kv_serve_stats(variant: str, p: int, total_requests: int = 4000, *,
     """One open-loop KV serving run (``repro.serve``): throughput and
     exact tail latencies for the RMA store or the MPI-1 comparator.
 
-    Returns a plain dict (picklable, cacheable by the bench run cache):
+    Returns a plain dict (picklable, so it crosses the bench pool):
     ``{"throughput_rps", "p50_ns", "p99_ns", "p99_9_ns", "sim_time_ns"}``.
     """
     from repro.config import SimConfig

@@ -58,8 +58,8 @@ def figure_series(fig_id: str, *, full: bool = True,
     ``full=False`` (the CLI without ``--full``) keeps the first
     ``Figure.quick`` points of each curve's grid: a prefix of the full
     sweep, never a different experiment.  All points go through one
-    :func:`run_points` call (process pool + run cache, merged in input
-    order), which gets ``run_points_kwargs`` unchanged.
+    :func:`run_points` call (process pool, merged in input order), which
+    gets ``run_points_kwargs`` unchanged.
     """
     fig = FIGURES[fig_id]
     n = None if full else fig.quick

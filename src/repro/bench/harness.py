@@ -50,8 +50,8 @@ def trace_point(run_fn, path: str, *, label: str = "") -> str | None:
     launches is captured via :func:`repro.obs.capture` -- no driver needs
     an ``obs`` parameter -- and the Chrome trace of the run with the
     longest simulated timeline (the sweep's slowest point) is written to
-    ``path``.  Returns the path, or None when nothing was simulated
-    (e.g. every point came from the run cache).
+    ``path``.  Returns the path, or None when nothing was simulated in
+    this process (e.g. every point ran in a pool worker).
     """
     from repro.obs import capture, write_chrome_trace
 

@@ -8,11 +8,8 @@ CPU cores with :class:`concurrent.futures.ProcessPoolExecutor` and merges
 results **in input order**, so the output is bit-identical to running the
 same points serially (each worker computes exactly what the serial loop
 would have; simulation results depend only on the point's arguments and
-the deterministic kernel).
-
-Content-addressed caching (:mod:`repro.bench.cache`) is consulted before
-any work is scheduled: cache hits never reach the executor, and misses are
-written back after the sweep.
+the deterministic kernel).  Every call computes every point: nothing is
+read from or written to disk.
 
 Robustness: point functions must be picklable (module-level); if the host
 cannot spawn workers (sandboxes, ``workers=1``, pickling failure) the
@@ -24,11 +21,8 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
-
-from repro.bench.cache import RunCache, cache_enabled
 
 __all__ = ["BenchPoint", "PoolStats", "run_points", "last_run_stats",
            "pool_totals", "default_workers"]
@@ -55,11 +49,7 @@ class PoolStats:
     """What the last :func:`run_points` sweep did (for perf reports)."""
 
     points: int = 0
-    cache_hits: int = 0
-    executed: int = 0
-    workers: int = 1
     parallel: bool = False
-    wall_s: float = 0.0
 
 
 _LAST_STATS = PoolStats()
@@ -73,7 +63,7 @@ def last_run_stats() -> PoolStats:
 
 def pool_totals() -> PoolStats:
     """Cumulative stats across every :func:`run_points` call in this
-    process (``workers``/``parallel`` reflect the last sweep)."""
+    process (``parallel`` is true once any sweep fanned out)."""
     return _TOTALS
 
 
@@ -93,95 +83,44 @@ def _call_point(fn: Callable, args: tuple, kwargs: dict) -> Any:
     return fn(*args, **kwargs)
 
 
-def _run_parallel(points: Sequence[BenchPoint], indices: list[int],
-                  results: list, workers: int) -> bool:
-    """Execute ``points[i] for i in indices`` on a process pool; fill
-    ``results`` at the same indices.  Returns False when the pool cannot
-    be used at all (caller falls back to serial)."""
+def _run_parallel(points: Sequence[BenchPoint], workers: int) -> list | None:
+    """Every point's result from a process pool, in input order; None when
+    the pool cannot be used at all (caller falls back to serial)."""
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     try:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = {}
-            for i in indices:
-                pt = points[i]
-                futures[i] = ex.submit(_call_point, pt.fn, tuple(pt.args),
-                                       dict(pt.kwargs))
+            futures = [ex.submit(_call_point, pt.fn, tuple(pt.args),
+                                 dict(pt.kwargs))
+                       for pt in points]
             # Collect in input order -- deterministic merge regardless of
             # completion order.
-            for i in indices:
-                results[i] = futures[i].result()
-        return True
+            return [fut.result() for fut in futures]
     except (BrokenProcessPool, OSError, ImportError, AttributeError,
             TypeError, pickle.PicklingError):
-        return False
+        return None
 
 
-def run_points(points: Iterable[BenchPoint], *, workers: int | None = None,
-               cache: RunCache | None | bool = True) -> list:
+def run_points(points: Iterable[BenchPoint], *,
+               workers: int | None = None) -> list:
     """Run every point; return results in input order.
 
-    Parameters
-    ----------
-    workers:
-        Process count; ``None`` uses :func:`default_workers`.  ``1`` (or a
-        single point) runs serially in-process.
-    cache:
-        ``True`` (default) uses a :class:`RunCache` at the default
-        location when caching is enabled in the environment; ``False`` /
-        ``None`` disables; an explicit :class:`RunCache` instance is used
-        as given.
+    ``workers`` is the process count; ``None`` uses
+    :func:`default_workers`.  ``1`` (or a single point) runs serially
+    in-process.
     """
     global _LAST_STATS
     pts = list(points)
-    t0 = time.perf_counter()
-    if cache is True:
-        cache_obj = RunCache() if cache_enabled() else None
-    elif cache is False or cache is None:
-        cache_obj = None
-    else:
-        cache_obj = cache
-
     nworkers = default_workers() if workers is None else max(1, int(workers))
-    results: list = [None] * len(pts)
-    pending: list[int] = []
-    keys: dict[int, str] = {}
+    results = None
+    if nworkers > 1 and len(pts) > 1:
+        results = _run_parallel(pts, nworkers)
+    parallel = results is not None
+    if results is None:
+        results = [pt.run() for pt in pts]
 
-    if cache_obj is not None:
-        for i, pt in enumerate(pts):
-            key = keys[i] = cache_obj.key_for(pt.fn, tuple(pt.args), pt.kwargs)
-            hit = cache_obj.get(key)
-            if hit is RunCache.MISS:
-                pending.append(i)
-            else:
-                results[i] = hit
-    else:
-        pending = list(range(len(pts)))
-
-    parallel = False
-    if pending and nworkers > 1 and len(pending) > 1:
-        parallel = _run_parallel(pts, pending, results, nworkers)
-    if not parallel:
-        for i in pending:
-            results[i] = pts[i].run()
-
-    if cache_obj is not None:
-        for i in pending:
-            cache_obj.put(keys[i], results[i])
-
-    _LAST_STATS = PoolStats(
-        points=len(pts),
-        cache_hits=len(pts) - len(pending),
-        executed=len(pending),
-        workers=nworkers,
-        parallel=parallel,
-        wall_s=time.perf_counter() - t0,
-    )
-    _TOTALS.points += _LAST_STATS.points
-    _TOTALS.cache_hits += _LAST_STATS.cache_hits
-    _TOTALS.executed += _LAST_STATS.executed
-    _TOTALS.workers = nworkers
+    _LAST_STATS = PoolStats(points=len(pts), parallel=parallel)
+    _TOTALS.points += len(pts)
     _TOTALS.parallel = _TOTALS.parallel or parallel
-    _TOTALS.wall_s += _LAST_STATS.wall_s
     return results

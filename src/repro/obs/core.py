@@ -121,9 +121,9 @@ def capture() -> Iterator[list[Instrumentation]]:
     """Collect instrumentation from every run built inside the block.
 
     Nested captures are not supported; the inner block simply keeps the
-    outer sink.  Runs served from the benchmark cache produce no
-    instrumentation (nothing simulated, nothing to record), so callers
-    that need spans should bypass the cache for the traced point.
+    outer sink.  Runs in a benchmark pool worker build their world in
+    another process and record nothing here, so callers that need spans
+    should run the traced points serially.
     """
     global _CAPTURE
     if _CAPTURE is not None:

@@ -4,7 +4,7 @@ Every :meth:`Job.run` builds a fresh :class:`~repro.runtime.world.World`,
 so runs are independent and deterministic -- which also makes benchmark
 points embarrassingly parallel: :mod:`repro.bench.pool` ships picklable
 ``BenchPoint`` values (a driver function and its arguments) to worker
-processes, and :mod:`repro.bench.cache` keys on those arguments.
+processes.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ OP_UPDATE = 2
 
 @dataclass(frozen=True)
 class ServeSpec:
-    """One serving experiment (frozen => picklable, cache-keyable).
+    """One serving experiment (frozen; picklable for the bench pool).
 
     ``theta`` is the Zipf exponent (0 = uniform; the YCSB-style default
     0.99 is heavily skewed).  ``rate_hz`` is the per-client open-loop

@@ -56,22 +56,19 @@ def _figure_points():
 
 
 def test_parallel_matches_serial_bit_identical():
-    serial = run_points(_figure_points(), workers=1, cache=False)
+    serial = run_points(_figure_points(), workers=1)
     assert last_run_stats().parallel is False
-    parallel = run_points(_figure_points(), workers=4, cache=False)
-    stats = last_run_stats()
+    parallel = run_points(_figure_points(), workers=4)
     assert parallel == serial          # exact: same floats, same counters
-    assert stats.points == len(serial)
-    assert stats.executed == len(serial)
-    assert stats.cache_hits == 0
+    assert last_run_stats().points == len(serial)
 
 
 def test_parallel_path_actually_used():
     """On this platform the pool must really fan out (not fall back)."""
     pts = [BenchPoint(mb.put_latency, ("fompi", s)) for s in (8, 64, 512)]
-    out = run_points(pts, workers=4, cache=False)
+    out = run_points(pts, workers=4)
     assert last_run_stats().parallel is True
-    assert out == run_points(pts, workers=1, cache=False)
+    assert out == run_points(pts, workers=1)
 
 
 def test_serial_fallback_on_unpicklable_points():
@@ -80,13 +77,13 @@ def test_serial_fallback_on_unpicklable_points():
         return x * 3
 
     pts = [BenchPoint(local_fn, (i,)) for i in range(4)]
-    assert run_points(pts, workers=4, cache=False) == [0, 3, 6, 9]
+    assert run_points(pts, workers=4) == [0, 3, 6, 9]
     assert last_run_stats().parallel is False
 
 
 def test_single_point_runs_in_process():
     pts = [BenchPoint(mb.put_latency, ("fompi", 8))]
-    out = run_points(pts, workers=4, cache=False)
+    out = run_points(pts, workers=4)
     assert last_run_stats().parallel is False
     assert out == [mb.put_latency("fompi", 8)]
 
@@ -94,10 +91,8 @@ def test_single_point_runs_in_process():
 def test_faulty_run_reproducible_across_pool():
     """Fault injection derives from the master seed -- process boundary
     must not change drops/retries/times."""
-    a = run_points([BenchPoint(_faulty_result, (0.3,))] * 2,
-                   workers=1, cache=False)
-    b = run_points([BenchPoint(_faulty_result, (0.3,))] * 2,
-                   workers=4, cache=False)
+    a = run_points([BenchPoint(_faulty_result, (0.3,))] * 2, workers=1)
+    b = run_points([BenchPoint(_faulty_result, (0.3,))] * 2, workers=4)
     assert a == b
     assert a[0] == a[1]
 

@@ -129,13 +129,12 @@ def test_spec_validation():
         ServeSpec(rate_hz=0.0)
 
 
-def test_schedules_bit_identical_under_pool_fanout(monkeypatch):
+def test_schedules_bit_identical_under_pool_fanout():
     """Satellite gate: the benchmark pool fan-out returns the same bytes
     as the serial loop (schedules are pure functions of their args, and
     run_points merges in input order)."""
     from repro.bench.pool import BenchPoint, run_points
 
-    monkeypatch.setenv("REPRO_BENCH_CACHE", "0")
     points = [BenchPoint(client_schedule, (SPEC, c, 4)) for c in range(4)]
     serial = [client_schedule(SPEC, c, 4) for c in range(4)]
     pooled = run_points(points, workers=2)
