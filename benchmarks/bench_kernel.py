@@ -31,6 +31,11 @@ mpi1 path
     (``runtime.collectives`` -> ``mpi1.pt2pt`` -> XPMEM copy or
     ``machine``) that carries every collective of every run and is the
     comparator of every application figure.
+acc stream
+    2048 accumulates of 64 int64 (SUM) + flush between two nodes, world
+    built outside the timer: the NIC AMO-stream path (``Window`` ->
+    ``dmapp`` -> ``mem.atomic``) of the paper's accelerated accumulate
+    (Figure 6a).
 """
 
 import json
@@ -51,6 +56,8 @@ PUTGET_N = 30_000
 FULL_STACK_PUTS = 4096     # put + flush each: ~20 k events
 MPI1_RANKS = 64            # at 32 per node: 5 of 6 rounds stay on the node
 MPI1_ALLREDUCES = 200      # 6 rounds x 64 ranks each: ~0.35 M events
+ACC_STREAMS = 2048         # accumulate of ACC_ELEMS + flush each
+ACC_ELEMS = 64
 # Best-of rounds: rates jitter a few percent in noisy containers.
 BEST_OF = 5
 
@@ -144,6 +151,24 @@ def _mpi1_path_program(ctx):
     return total
 
 
+def _acc_stream_program(ctx):
+    """Figure 6a's accelerated accumulate, one flushed stream at a time."""
+    import numpy as np
+
+    from repro.rma.enums import Op
+    vals = np.arange(ACC_ELEMS, dtype=np.int64)
+    win = yield from ctx.rma.win_allocate(8 * ACC_ELEMS, disp_unit=8)
+    yield from win.lock_all()
+    yield from ctx.coll.barrier()
+    if ctx.rank == 0:
+        for _ in range(ACC_STREAMS):
+            yield from win.accumulate(vals, 1, 0, Op.SUM)
+            yield from win.flush(1)
+    yield from win.unlock_all()
+    yield from ctx.coll.barrier()
+    return ctx.now
+
+
 def _stack_rate(workload, program, nranks, machine):
     """Events/sec of ``program`` on the whole stack (best of N), timed
     from the first event: the world is built before the clock starts."""
@@ -177,7 +202,8 @@ def _merge_report(section, payload):
 
 def test_kernel_throughput(benchmark):
     """Kernel event-rate floor on ring and put/get pattern; the RMA issue
-    path and the MPI-1 message path recorded for the perf gate."""
+    path, the MPI-1 message path and the AMO-stream path recorded for the
+    perf gate."""
 
     def run():
         return [_bench_workload("ring", _build_ring),
@@ -188,13 +214,15 @@ def test_kernel_throughput(benchmark):
                        mb.INTER_2)
     mpi1 = _stack_rate("mpi1_allreduce", _mpi1_path_program, MPI1_RANKS,
                        MachineConfig(ranks_per_node=32))
+    acc = _stack_rate("acc_stream", _acc_stream_program, 2, mb.INTER_2)
     payload = {"workloads": rows, "full_stack": full, "mpi1_path": mpi1,
+               "acc_stream": acc,
                "floor_events_per_sec": EVENTS_PER_SEC_FLOOR}
     _merge_report("kernel", payload)
     print()
     for r in rows:
         print(f"{r['workload']:>16}: {r['fast_events_per_sec']:>11,.0f} ev/s")
-    for r in (full, mpi1):
+    for r in (full, mpi1, acc):
         print(f"{r['workload']:>16}: {r['events_per_sec']:>11,.0f} ev/s")
     for r in rows:
         assert r["fast_events_per_sec"] > EVENTS_PER_SEC_FLOOR, r

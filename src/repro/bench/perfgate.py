@@ -57,9 +57,9 @@ def _kernel_rates(report: dict) -> dict[str, float]:
         name, rate = w.get("workload"), w.get("fast_events_per_sec")
         if name is not None and rate is not None:
             rates[f"kernel.{name}"] = float(rate)
-    # The two whole-stack paths: RMA issue (put + flush) and MPI-1 message
-    # (allreduce).
-    for path in ("full_stack", "mpi1_path"):
+    # The whole-stack paths: RMA issue (put + flush), MPI-1 message
+    # (allreduce) and the NIC AMO stream (64-element accumulate + flush).
+    for path in ("full_stack", "mpi1_path", "acc_stream"):
         rate = (kernel.get(path) or {}).get("events_per_sec")
         if rate is not None:
             rates[f"kernel.{path}"] = float(rate)

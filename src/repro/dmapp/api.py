@@ -604,8 +604,11 @@ class DmappEndpoint:
         accumulate): one injection, AMO-engine occupancy per element.
 
         This is what produces the paper's P_acc,sum = 28 ns/elem + 2.4 us.
-        ``op='fetch'`` (MPI_NO_OP, the atomic read) costs the same and
-        modifies nothing: see :func:`repro.mem.atomic.prepare_stream`.
+        The operands are captured at issue; the stream lands in one
+        ``cells.apply_block`` when its last element executes, whose old
+        words (``uint64``) are the result with ``fetch=True``.  ``op='fetch'``
+        (MPI_NO_OP, the atomic read) costs the same and modifies nothing:
+        see :func:`repro.mem.atomic.prepare_stream`.
         """
         n, run = prepare_stream(cells, base_idx, op, operands)
         if n == 0:
@@ -623,7 +626,7 @@ class DmappEndpoint:
                 return
             old = run()
             if fetch:
-                handle.result = np.array(old, dtype=np.uint64)
+                handle.result = old
             if seq:
                 inj.record_amo(self.rank, seq, handle.result)
             if on_applied is not None:

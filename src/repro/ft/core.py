@@ -259,17 +259,17 @@ class FTRuntime:
         return _applied
 
     def amo_stream_logger(self, win, target: int, cells, base_idx: int):
-        """Delivery callback for an element-wise atomic stream: receives
-        the list of old values."""
+        """Delivery callback for an atomic stream: receives the ``uint64``
+        array of old words, compares it with the post-update words in one
+        array comparison and logs only the words that changed."""
         if win.win_id not in self.protected:
             return None
         win_id = win.win_id
 
         def _applied(olds):
-            for i, old in enumerate(olds):
-                post = cells.load(base_idx + i)
-                if post != old:
-                    self.log_amo(win_id, target, (base_idx + i) * 8, post)
+            post = cells.apply_block(base_idx, "fetch", olds)
+            for i in np.flatnonzero(post != olds).tolist():
+                self.log_amo(win_id, target, (base_idx + i) * 8, int(post[i]))
         return _applied
 
     # ------------------------------------------------------------------

@@ -29,6 +29,10 @@ __all__ = ["AtomicArray", "SegmentCells", "MASK64", "amo_result",
 
 MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
+# Read-modify-write stream ops; uint64 arithmetic wraps like amo_result.
+_STREAM_UFUNCS = {"add": np.add, "and": np.bitwise_and,
+                  "or": np.bitwise_or, "xor": np.bitwise_xor}
+
 
 def _wrap(v: int) -> int:
     return v & MASK64
@@ -72,17 +76,17 @@ def prepare_stream(cells, base_idx: int, op: str, operands):
     """Issue-time half of an AMO stream over consecutive cells.
 
     Returns ``(n, run)``: the element count, and the closure that applies
-    the stream at its effect instant and returns the old values.  A
-    ``fetch`` stream takes only its count from ``operands`` (MPI ignores
-    the origin buffer of a ``NO_OP``): no operand list is built and the
-    cells are read in one slice.
+    the whole stream with ``cells.apply_block`` at its effect instant and
+    returns the old words as a fresh ``uint64`` array.  The operands are
+    copied here, when the DMA reads the origin buffer, into a ``uint64``
+    array (mod 2**64, as the cells wrap); a ``fetch`` stream takes only
+    its count from them (MPI ignores the origin buffer of a ``NO_OP``).
     """
     if op == "fetch":
-        n = int(np.size(operands))
-        return n, lambda: cells.load_block(base_idx, n)
-    ops = [int(v) for v in np.asarray(operands).ravel()]
-    return len(ops), lambda: [cells.apply(base_idx + i, op, v)
-                              for i, v in enumerate(ops)]
+        block = range(np.size(operands))
+    else:
+        block = np.asarray(operands).astype(np.uint64).ravel()
+    return len(block), lambda: cells.apply_block(base_idx, op, block)
 
 
 class AtomicArray:
@@ -151,6 +155,12 @@ class AtomicArray:
         self._notify(idx)
         return old
 
+    def apply_block(self, idx: int, op: str, operands) -> np.ndarray:
+        """A stream (see :func:`prepare_stream`) cell by cell: each cell's
+        watchers must fire as that cell changes.  Returns the old words."""
+        return np.array([self.apply(idx + i, op, v)
+                         for i, v in enumerate(operands)], dtype=np.uint64)
+
     # -- watchers ----------------------------------------------------------
     def wait_until(self, idx: int, predicate: Callable[[int], bool]) -> Event:
         """Event that fires (with the value) when ``predicate(value)`` holds.
@@ -190,17 +200,19 @@ class SegmentCells:
     not just dedicated control words; this adapter lets the DMAPP AMO calls
     target window *data* (accumulates, fetch-and-op, CAS on user buffers).
     Cell index i is the i-th 8-byte word after ``base_offset``; values are
-    unsigned, exactly like :class:`AtomicArray` cells.  No watcher support
-    -- user data is polled by protocols, never watched.
+    unsigned, exactly like :class:`AtomicArray` cells.  No watchers (user
+    data is polled, never watched), so an AMO stream is one ``uint64``
+    array update on a numpy view of the same words (:meth:`apply_block`).
     """
 
-    __slots__ = ("seg", "_words")
+    __slots__ = ("seg", "_words", "_array")
 
     def __init__(self, seg, base_offset: int = 0) -> None:
         if base_offset % 8:
             raise MemoryError_(f"AMO base offset {base_offset} not 8-aligned")
         self.seg = seg
         self._words = seg.words64(base_offset)
+        self._array = np.frombuffer(self._words, np.uint64)
 
     def _live_words(self):
         if not self.seg.alive:
@@ -233,12 +245,25 @@ class SegmentCells:
         words[idx] = amo_result(old, op, operand)
         return old
 
-    def load_block(self, idx: int, n: int) -> list[int]:
-        """``n`` consecutive words in one slice read (the fetch-only
-        stream); slices clamp silently, so the range is checked here."""
-        words = self._live_words()
-        if idx < 0 or idx + n > len(words):
+    def apply_block(self, idx: int, op: str, operands) -> np.ndarray:
+        """A stream over words ``idx, idx+1, ...`` in one array update (see
+        :func:`prepare_stream`); returns a copy of the old words.  Numpy
+        slices clamp and wrap silently, so the range is checked first and a
+        bad block writes nothing."""
+        n = len(operands)
+        if idx < 0 or idx + n > len(self._live_words()):
             raise MemoryError_(
                 f"AMO block [{idx}, {idx + n}) outside the segment's "
-                f"{len(words)} words")
-        return words[idx:idx + n].tolist()
+                f"{len(self._words)} words")
+        block = self._array[idx:idx + n]
+        old = block.copy()
+        if op == "replace":
+            block[:] = operands
+        elif op != "fetch":
+            ufunc = _STREAM_UFUNCS.get(op)
+            if ufunc is None:
+                raise MemoryError_(f"unknown AMO stream op {op!r}")
+            # From the copy, not out=block: an in-place ufunc pays numpy's
+            # overlap analysis, which costs more than the one-stream copy.
+            block[:] = ufunc(old, operands)
+        return old

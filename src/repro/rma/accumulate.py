@@ -75,7 +75,7 @@ def acc_path(win, op: Op, dtype: np.dtype, toff: int) -> str:
 
 
 def accumulate(win, data, target: int, target_disp: int, op: Op, *,
-               element_bytes: int | None = None, fetch: bool):
+               fetch: bool):
     """MPI_Accumulate / MPI_Get_accumulate."""
     ctx = win.ctx
     arr = np.asarray(data)
@@ -87,24 +87,21 @@ def accumulate(win, data, target: int, target_disp: int, op: Op, *,
         seg, base = win._target_segment(target, toff, arr.nbytes)
         cells = seg.cells64()
         base_idx = (base + toff) // 8
-        operands = arr.ravel().astype(np.int64, copy=False)
         hw = op.hw_name
         if ctx.same_node(target):
-            old = yield from ctx.xpmem.amo_stream(cells, base_idx, hw,
-                                                  operands, fetch=fetch)
+            old = yield from ctx.xpmem.amo_stream(cells, base_idx, hw, arr,
+                                                  fetch=fetch)
         else:
             logger = (ctx.ft.amo_stream_logger(win, target, cells, base_idx)
                       if ctx.ft is not None else None)
             h = yield from ctx.dmapp.amo_stream_nbi(target, cells, base_idx,
-                                                    hw, operands, fetch=fetch,
+                                                    hw, arr, fetch=fetch,
                                                     on_applied=logger)
             if fetch:
                 yield from ctx.dmapp.wait(h)
             old = h.result
-        if fetch:
-            return np.asarray(old, dtype=np.uint64).view(arr.dtype).reshape(
-                arr.shape)
-        return None
+        # The engine's old words are a fresh uint64 array: view, no copy.
+        return old.view(arr.dtype).reshape(arr.shape) if fetch else None
 
     # ---------------- software fallback ---------------------------------
     old = yield from _locked_fallback(win, arr, target, toff, op)

@@ -123,17 +123,21 @@ class Window:
             raise WindowError("operation on a freed window")
 
     def _target_segment(self, target: int, toff: int, nbytes: int):
-        """Resolve (segment, base) for a target byte range (static flavors)."""
+        """Resolve (segment, base) for a target byte range (static flavors),
+        refusing a range outside the segment at issue, as put and get do."""
         flavor = self.flavor
         if flavor is WinFlavor.ALLOCATE:
             return self.ctx.world.reg_tables[target].lookup_va(
                 self.base_vaddr + toff, nbytes or 1)[0], 0
         if flavor is WinFlavor.CREATE:
-            return self.ctx.world.reg_tables[target].resolve(
+            seg, base = self.ctx.world.reg_tables[target].resolve(
                 self.descs[target]), 0
-        if flavor is WinFlavor.SHARED:
-            return self.shared_segment, self.shared_offsets[target]
-        raise WindowError(f"direct addressing unsupported for {flavor}")
+        elif flavor is WinFlavor.SHARED:
+            seg, base = self.shared_segment, self.shared_offsets[target]
+        else:
+            raise WindowError(f"direct addressing unsupported for {flavor}")
+        seg._check(base + toff, nbytes)
+        return seg, base
 
     def _target_desc(self, target: int, toff: int, nbytes: int):
         """(descriptor, offset of ``toff`` in its segment) for the DMAPP
@@ -276,15 +280,13 @@ class Window:
     # communication: atomics (delegated to the accumulate module)
     # ------------------------------------------------------------------
     def accumulate(self, data, target: int, target_disp: int = 0,
-                   op: Op = Op.SUM, *, element_bytes: int | None = None):
+                   op: Op = Op.SUM):
         self._check_alive()
         epoch_rules.require_access(self, target)
         if self.ctx.checker is not None:
             self._note_atomic("acc", target, target_disp, op, data)
         return (yield from acc_mod.accumulate(self, data, target,
-                                              target_disp, op,
-                                              element_bytes=element_bytes,
-                                              fetch=False))
+                                              target_disp, op, fetch=False))
 
     # A completed *fetching* atomic below is forward progress for the
     # watchdog: the caller holds the old value and can act on it, so a
@@ -293,7 +295,7 @@ class Window:
     # fallback lock) go straight to the transport and stay unmarked -- a
     # spinning lock() issues AMOs forever.
     def get_accumulate(self, data, target: int, target_disp: int = 0,
-                       op: Op = Op.SUM, *, element_bytes: int | None = None):
+                       op: Op = Op.SUM):
         """Returns the previous target contents (same shape as data);
         with ``Op.NO_OP`` this is MPI-3's atomic read."""
         self._check_alive()
@@ -301,8 +303,7 @@ class Window:
         if self.ctx.checker is not None:
             self._note_atomic("get_acc", target, target_disp, op, data)
         old = yield from acc_mod.accumulate(self, data, target, target_disp,
-                                            op, element_bytes=element_bytes,
-                                            fetch=True)
+                                            op, fetch=True)
         self.ctx.env.note_progress()
         return old
 

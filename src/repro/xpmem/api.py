@@ -126,7 +126,9 @@ class XpmemEndpoint:
     def amo_stream(self, cells: AtomicArray, base_idx: int, op: str,
                    operands, fetch: bool = False):
         """Element-wise CPU atomics over consecutive cells (``op='fetch'``
-        reads them atomically and modifies nothing)."""
+        reads them atomically and modifies nothing), captured at the call
+        and landed after the charged latency in one ``cells.apply_block``,
+        whose old words (``uint64``) are returned when ``fetch``."""
         n, run = prepare_stream(cells, base_idx, op, operands)
         cost = int(round(self.params.amo_latency +
                          self.params.copy_per_byte * 8 * n))
@@ -135,7 +137,7 @@ class XpmemEndpoint:
         if self.counters is not None:
             self.counters.count_issue(self.rank, f"cpu-amo-stream:{op}",
                                       8 * n)
-        return np.array(old, dtype=np.uint64) if fetch else None
+        return old if fetch else None
 
     def mfence(self):
         """x86 mfence: all prior stores globally visible (instant in the

@@ -89,6 +89,30 @@ def test_mpi1_path_gated_like_full_stack():
     assert not any("mpi1_path" in line for line in lines)
 
 
+def test_acc_stream_gated_like_full_stack():
+    """The AMO-stream path is held once a baseline records it: a
+    per-element stream engine (~0.35x the array update's rate) fails; a
+    baseline without the key asks nothing of a report that has it."""
+    base, cur = _report(), _report()
+    base["kernel"]["acc_stream"] = {"events_per_sec": 300_000}
+    cur["kernel"]["acc_stream"] = {"events_per_sec": 360_000}
+    failures, lines = compare_reports(base, cur)
+    assert failures == []
+    assert any(line.startswith("ok") and "kernel.acc_stream" in line
+               for line in lines)
+    cur["kernel"]["acc_stream"] = {"events_per_sec": 128_000}
+    failures, _ = compare_reports(base, cur)
+    assert failures == ["kernel.acc_stream: 128,000 ev/s below floor "
+                        "225,000 (>25% drop vs scaled baseline)"]
+    del cur["kernel"]["acc_stream"]
+    failures, _ = compare_reports(base, cur)
+    assert failures == ["kernel.acc_stream: missing from current report"]
+    cur["kernel"]["acc_stream"] = {"events_per_sec": 128_000}
+    failures, lines = compare_reports(_report(), cur)
+    assert failures == []
+    assert not any("acc_stream" in line for line in lines)
+
+
 def test_scale_section_gated_like_kernel_rates():
     base = _report(with_scale=True)
     failures, lines = compare_reports(base, _report(with_scale=True))

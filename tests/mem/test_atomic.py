@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import MemoryError_
 from repro.mem.address_space import AddressSpace
-from repro.mem.atomic import MASK64, AtomicArray, SegmentCells
+from repro.mem.atomic import (
+    MASK64,
+    AtomicArray,
+    SegmentCells,
+    amo_result,
+    prepare_stream,
+)
 from repro.sim.kernel import Environment
 
 
@@ -177,3 +183,84 @@ def test_segment_cells_unknown_op():
     seg = sp.alloc(8)
     with pytest.raises(MemoryError_):
         SegmentCells(seg).apply(0, "nand", 1)
+
+
+# ---------------------------------------------------------------------------
+# AMO streams: one array update equals amo_result element by element
+# ---------------------------------------------------------------------------
+STREAM_OPS = ["add", "and", "or", "xor", "replace", "fetch"]
+WORDS = 8
+_int64s = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=WORDS).map(
+    lambda v: np.array(v, np.int64))
+_uint64s = st.lists(st.integers(0, MASK64), max_size=WORDS).map(
+    lambda v: np.array(v, np.uint64))
+
+
+@given(op=st.sampled_from(STREAM_OPS),
+       start=st.lists(st.integers(0, MASK64), min_size=WORDS,
+                      max_size=WORDS),
+       idx=st.integers(-3, WORDS + 2),
+       operands=st.one_of(_int64s, _uint64s))
+@example(op="add", start=[MASK64 - 1] * WORDS, idx=2,
+         operands=np.array([3, 1 << 63, MASK64], np.uint64))   # wraps
+@example(op="add", start=[5] * WORDS, idx=0,
+         operands=np.array([-6, -(2**63)], np.int64))           # negative
+@example(op="replace", start=[1] * WORDS, idx=WORDS - 1,
+         operands=np.array([2, 3], np.int64))                   # past end
+def test_stream_block_matches_amo_result_per_element(op, start, idx,
+                                                      operands):
+    """``prepare_stream`` + ``SegmentCells.apply_block`` return the old
+    words and leave the memory that ``amo_result`` gives one element at a
+    time; a block outside the segment raises and writes nothing."""
+    seg = AddressSpace(0).alloc(8 * WORDS)
+    seg.typed(np.uint64)[:] = start
+    n, run = prepare_stream(SegmentCells(seg), idx, op, operands)
+    assert n == len(operands)
+    if idx < 0 or idx + n > WORDS:
+        with pytest.raises(MemoryError_):
+            run()
+        assert seg.typed(np.uint64).tolist() == start
+        return
+    expect = list(start)
+    for i, v in enumerate(operands.tolist()):
+        expect[idx + i] = amo_result(start[idx + i], op, v)
+    old = run()
+    assert old.dtype == np.uint64
+    assert old.tolist() == start[idx:idx + n]
+    assert seg.typed(np.uint64).tolist() == expect
+
+
+def test_stream_on_freed_segment_or_unknown_op_raises():
+    space = AddressSpace(0)
+    seg = space.alloc(16)
+    cells = SegmentCells(seg)
+    _n, run = prepare_stream(cells, 0, "min", np.ones(2, np.int64))
+    with pytest.raises(MemoryError_, match="unknown"):
+        run()
+    space.free(seg)
+    _n, run = prepare_stream(cells, 0, "add", np.ones(2, np.int64))
+    with pytest.raises(MemoryError_, match="freed"):
+        run()
+
+
+def test_atomic_array_stream_fires_watchers_per_cell(env):
+    """``AtomicArray.apply_block`` keeps the per-cell loop: a watcher on
+    any cell of the stream sees its own cell's new value."""
+    cells = AtomicArray(env, 4)
+    seen = []
+
+    def waiter(i):
+        seen.append((i, (yield cells.wait_until(i, lambda v: v > 0))))
+
+    def stream():
+        yield 10
+        _n, run = prepare_stream(cells, 1, "add",
+                                 np.array([5, 7], np.int64))
+        seen.append(run().tolist())
+
+    for i in (1, 2):
+        env.process(waiter(i))
+    env.process(stream())
+    env.run()
+    assert seen == [[0, 0], (1, 5), (2, 7)]
+    assert cells.snapshot() == [0, 5, 7, 0]

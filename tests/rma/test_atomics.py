@@ -5,10 +5,23 @@ import pytest
 
 from repro import run_spmd
 from repro.config import MachineConfig
+from repro.errors import MemoryError_
 from repro.rma.enums import Op
 
 INTER = MachineConfig(ranks_per_node=1)
 INTRA = MachineConfig(ranks_per_node=64)
+
+#: One call per atomic, at word displacement ``disp`` on ``target``.
+ATOMICS = {
+    "compare_and_swap": lambda win, target, disp: win.compare_and_swap(
+        np.int64(0), np.int64(7), target, disp),
+    "fetch_and_op": lambda win, target, disp: win.fetch_and_op(
+        np.int64(7), target, disp, Op.SUM),
+    "accumulate": lambda win, target, disp: win.accumulate(
+        np.array([1, 2], np.int64), target, disp, Op.SUM),
+    "get_accumulate": lambda win, target, disp: win.get_accumulate(
+        np.array([1, 2], np.int64), target, disp, Op.SUM),
+}
 
 
 @pytest.mark.parametrize("cfg", [INTER, INTRA], ids=["inter", "intra"])
@@ -271,3 +284,80 @@ def test_no_op_is_an_atomic_read_on_the_hw_path(cfg):
     assert t_read == t_sum and t_fao == t_fadd   # same cost as the RMW
     if cfg is INTER:
         assert 2000 <= t_read <= 3200, t_read    # P_acc base, not 7.3 us
+
+
+# ---------------------------------------------------------------------------
+# A displacement outside the target's window is refused at issue
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("rpn", [1, 2], ids=["dmapp", "xpmem"])
+@pytest.mark.parametrize("disp", [-1, 8], ids=["before", "past_end"])
+@pytest.mark.parametrize("call", sorted(ATOMICS))
+def test_atomic_outside_created_window_raises_at_issue(call, disp, rpn):
+    """A 64-byte ``win_create`` window at ``disp_unit=8`` has words 0-7:
+    every atomic at word -1 or 8 raises ``MemoryError_`` at issue, as put
+    and get do, and the target's memory stays untouched."""
+    def program(ctx):
+        win = yield from ctx.rma.win_create(ctx.space.alloc(64), disp_unit=8)
+        yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        if ctx.rank == 0:
+            with pytest.raises(MemoryError_):
+                yield from ATOMICS[call](win, 1, disp)
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        return win.local_view(np.int64).tolist()
+
+    res = run_spmd(program, 2, machine=MachineConfig(ranks_per_node=rpn))
+    assert res.returns == [[0] * 8, [0] * 8]
+
+
+@pytest.mark.parametrize("origin,target,disp", [(1, 0, -1), (0, 1, 8)],
+                         ids=["before_rank0", "past_end"])
+@pytest.mark.parametrize("call", sorted(ATOMICS))
+def test_atomic_outside_shared_window_raises_at_issue(call, origin, target,
+                                                      disp):
+    """On a ``win_allocate_shared`` window the ranks' regions are one
+    segment: word -1 of rank 0 is outside it (not rank 1's last word), and
+    so is the word past rank 1's region."""
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate_shared(64, disp_unit=8)
+        yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        if ctx.rank == origin:
+            with pytest.raises(MemoryError_):
+                yield from ATOMICS[call](win, target, disp)
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        return win.local_view(np.int64).tolist()
+
+    res = run_spmd(program, 2, machine=MachineConfig(ranks_per_node=2))
+    assert res.returns == [[0] * 8, [0] * 8]
+
+
+@pytest.mark.parametrize("rpn", [1, 2], ids=["dmapp", "xpmem"])
+def test_accumulate_captures_the_origin_buffer_at_issue(rpn):
+    """The origin buffer is read when the accumulate is issued: writing to
+    it before the flush changes nothing at the target."""
+    first = [1, -2, 3, 1 << 62]
+    second = [10, 20, -30, 1 << 62]
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64, disp_unit=8)
+        win.local_view(np.int64)[:4] = 100
+        yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        if ctx.rank == 0:
+            vals = np.array(first, np.int64)
+            yield from win.accumulate(vals, 1, 0, Op.SUM)
+            vals[:] = second
+            yield from win.accumulate(vals, 1, 0, Op.SUM)
+            vals[:] = -999
+            yield from win.flush(1)
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        return win.local_view(np.int64)[:4].tolist()
+
+    res = run_spmd(program, 2, machine=MachineConfig(ranks_per_node=rpn))
+    # Two 2**62 addends wrap the signed word: the cells are mod 2**64.
+    assert res.returns[1] == [(100 + a + b + (1 << 63)) % (1 << 64)
+                              - (1 << 63) for a, b in zip(first, second)]

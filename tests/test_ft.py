@@ -7,6 +7,7 @@ bit-identical to the fault-free run of the same seed -- under both
 recovery, for any crash rank, deterministically.
 """
 
+import numpy as np
 import pytest
 
 import zlib
@@ -15,6 +16,7 @@ from repro import run_spmd
 from repro.config import FTConfig, NodeCrash, SimConfig
 from repro.errors import FaultError, FTError
 from repro.ft import run_steps
+from repro.ft.core import FTRuntime
 from repro.ft.workloads import (
     final_bytes,
     ft_faults,
@@ -23,6 +25,7 @@ from repro.ft.workloads import (
     run_reference,
     soak,
 )
+from repro.rma.enums import Op
 from repro.workloads import ft_hashtable, run_workload
 from tests.sim.test_kernel_gen2 import current
 
@@ -199,6 +202,52 @@ def test_completion_wait_gives_up_when_a_peer_program_failed():
     for rank in (0, 1, 3):
         assert isinstance(res.returns[rank], FTError), res.returns[rank]
         assert "rank 2 ended in RuntimeError" in str(res.returns[rank])
+
+
+ACC_STEPS, ACC_WORDS = 8, 8
+
+
+def _acc_stream_program(ctx):
+    """Every step SUM-accumulates one 8-element stream into the next
+    rank's window.  Zeros leave their words unchanged, negatives and
+    2**62 wrap them; sums commute, so the final bytes are timing-free."""
+    def create():
+        win = yield from ctx.rma.win_allocate(8 * ACC_WORDS + 8,
+                                              disp_unit=8)
+        return (win,), win, ACC_WORDS
+
+    def step(windows, i):
+        (win,) = windows
+        vals = np.array([ctx.rank + 1, 0, -i, 1 << 62, 0, 7, i - 3, 1],
+                        np.int64)
+        yield from win.accumulate(vals, (ctx.rank + 1) % ctx.nranks, 0,
+                                  Op.SUM)
+
+    (win,) = yield from run_steps(ctx, create, ACC_STEPS, step)
+    return win.seg.snapshot_bytes()[:8 * ACC_WORDS]
+
+
+def test_accumulate_streams_recover_through_a_crash(monkeypatch):
+    """The AMO-stream logger is the only record of an accumulate's delta:
+    a rank crashed halfway through recovers to the fault-free bytes, and
+    only the words a stream changed were logged."""
+    logged = []
+    log_amo = FTRuntime.log_amo
+    monkeypatch.setattr(FTRuntime, "log_amo", lambda self, *a: (
+        logged.append(a), log_amo(self, *a)))
+    kw = dict(machine=ft_machine(), sim=SimConfig(max_events=400_000))
+    ref = run_spmd(_acc_stream_program, NRANKS, faults=ft_faults(), **kw)
+    # Per rank and step, the nonzero addends change their words (i - 3 and
+    # -i are zero once each), plus the completion fetch-adds of the ranks
+    # that are not rank 0 (rank 0's own goes through XPMEM, unlogged).
+    changed = sum(8 - 2 - (i == 0) - (i == 3) for i in range(ACC_STEPS))
+    assert len(logged) == NRANKS * changed + NRANKS - 1
+    crash = NodeCrash(1, ref.sim_time_ns // 2)
+    rec = run_spmd(_acc_stream_program, NRANKS,
+                   faults=ft_faults(crashes=(crash,)), **kw)
+    assert rec.stats["ft"]["restores"] == 1
+    assert final_bytes(rec) == final_bytes(ref)
+    assert final_bytes(ref) != bytes(8 * ACC_WORDS * NRANKS)
 
 
 # ---------------------------------------------------------------------------
