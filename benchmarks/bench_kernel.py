@@ -1,7 +1,7 @@
 """DES kernel event-throughput microbenchmarks.
 
 Measures the raw event rate of :mod:`repro.sim.kernel`'s fast loop
-(front-slot scheduler, sleep tokens) on two synthetic workloads and on
+(one heap, sleep tokens) on two synthetic workloads and on
 two full-stack runs, asserts a generous absolute events/sec floor, then
 writes the machine-readable perf report ``BENCH_simperf.json`` at the
 repository root (the per-figure wall-clock and pool sections are
@@ -15,12 +15,11 @@ ring
     ``NPROC`` processes passing a token, each sleeping ``yield ns``
     between hand-offs as every CPU charge in ``src/`` does -- the pure
     scheduler loop, dominated by queue churn and one ``Event`` per
-    hand-off (the strict-min entry sits in the front slot: ~100%
-    front-hit rate).
+    hand-off.
 put/get pattern
     An origin/NIC generator pair mimicking the kernel-level shape of a
     flushed fompi put: descriptor-write sleep, a NIC service event
-    chain, and an URGENT remote-completion wakeup (~58% front-hit rate).
+    chain, and an URGENT remote-completion wakeup.
 full stack
     4096 fompi put + flush between two nodes on a world built outside the
     timer: ~20 k events of the issue path (``Window`` -> ``dmapp`` ->

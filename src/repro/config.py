@@ -248,10 +248,6 @@ class RecoveryConfig:
 
     Attributes
     ----------
-    enabled:
-        Master switch for the failure-notification service.  Off, a crash
-        leaves survivors to the transport-level quarantine and the
-        progress watchdog (the PR-1 behaviour).
     detect_ns:
         Time from the crash instant until the runtime's failure detector
         confirms the death and seeds the notification broadcast.
@@ -268,7 +264,6 @@ class RecoveryConfig:
         a structured error instead of livelocking).
     """
 
-    enabled: bool = True
     detect_ns: int = 3_000
     notify_round_ns: int = 700
     revoke_ns: int = 900
@@ -285,9 +280,8 @@ class RecoveryConfig:
 class FTConfig:
     """Rollback-recovery (checkpoint + put-log + restart) policy.
 
-    Only consulted when the active :class:`FaultPlan` contains crashes and
-    :class:`RecoveryConfig` is enabled; otherwise none of the FT machinery
-    is constructed and schedules are bit-identical to FT-free runs.
+    Only consulted when ``enabled``; otherwise none of the FT machinery is
+    constructed and schedules are bit-identical to FT-free runs.
 
     Attributes
     ----------
@@ -370,8 +364,8 @@ class FaultConfig:
         Survivor-side recovery policy applied when the plan crashes nodes
         (:class:`RecoveryConfig`).
     ft:
-        Rollback-recovery policy (:class:`FTConfig`); only active on top
-        of an enabled ``recovery`` when the plan contains crashes.
+        Rollback-recovery policy (:class:`FTConfig`); restarts crashed
+        ranks on top of ``recovery``.
     """
 
     plan: FaultPlan | None = None

@@ -28,10 +28,21 @@ from repro.mem.atomic import AtomicArray, prepare_stream
 from repro.mem.registration import MemDescriptor, RegistrationTable
 from repro.machine.network import Network
 
-__all__ = ["DmappEndpoint", "DmappHandle"]
+__all__ = ["DmappEndpoint", "DmappHandle", "require_contiguous"]
 
 _HEADER_BYTES = 24  # request header: opcode + rkey + vaddr (get/amo requests)
 _AMO_BYTES = 16     # AMO request payload: operand + address
+
+
+def require_contiguous(out: np.ndarray, error=SimulationError) -> None:
+    """Refuse a get's ``out`` buffer unless it is C-contiguous: the flat
+    byte view a get lands in would be a copy of any other layout, and the
+    data would silently go nowhere."""
+    if not out.flags["C_CONTIGUOUS"]:
+        raise error(
+            f"get out-buffer (shape {out.shape}, strides {out.strides}) is "
+            "not C-contiguous; get into a contiguous buffer and describe a "
+            "strided layout with origin_datatype")
 
 
 def _as_payload(data) -> memoryview:
@@ -416,11 +427,13 @@ class DmappEndpoint:
     # ------------------------------------------------------------------
     def get_nbi(self, desc: MemDescriptor, offset: int, nbytes: int,
                 out: np.ndarray | None = None):
-        """Implicit-nonblocking get; data lands in ``out`` (or the handle's
-        ``result``) at remote completion."""
-        if out is not None and out.nbytes != nbytes:
-            raise SimulationError(
-                f"get out-buffer is {out.nbytes} B, expected {nbytes}")
+        """Implicit-nonblocking get; data lands in ``out`` (a C-contiguous
+        array) or the handle's ``result`` at remote completion."""
+        if out is not None:
+            if out.nbytes != nbytes:
+                raise SimulationError(
+                    f"get out-buffer is {out.nbytes} B, expected {nbytes}")
+            require_contiguous(out)
         net = self.network
         node = self.node
         while True:
@@ -449,17 +462,14 @@ class DmappEndpoint:
 
         # Memory is read at the target when the data lands at the origin.
         def _read_at_target():
-            if out is not None and out.flags["C_CONTIGUOUS"]:
-                # Zero-copy landing: one slice copy from target memory
-                # straight into the caller's buffer (watch hook included).
-                flat = out.view(np.uint8).ravel()
-                seg.read_into(offset, memoryview(flat.data))
-                handle.result = flat
+            if out is None:
+                handle.result = seg.read(offset, nbytes)
                 return
-            data = seg.read(offset, nbytes)
-            handle.result = data
-            if out is not None:
-                out.view(np.uint8).ravel()[:] = data
+            # Zero-copy landing: one slice copy from target memory straight
+            # into the caller's buffer (watch hook included).
+            flat = out.view(np.uint8).ravel()
+            seg.read_into(offset, memoryview(flat.data))
+            handle.result = flat
 
         self._at(data_arrival, _read_at_target)
         net.counters.count_issue(self.rank, "get", nbytes)

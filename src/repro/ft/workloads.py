@@ -20,7 +20,6 @@ from repro.config import (
     FTConfig,
     MachineConfig,
     NodeCrash,
-    RecoveryConfig,
     RunResult,
     SimConfig,
 )
@@ -52,7 +51,6 @@ def ft_faults(*, crashes=(), mode: str = "spare", interval: int = 2,
         spares = 1 if mode == "spare" else 0
     plan = FaultPlan(crashes=tuple(crashes)) if crashes else None
     return FaultConfig(plan=plan,
-                       recovery=RecoveryConfig(enabled=True),
                        ft=FTConfig(enabled=True, interval=interval,
                                    mode=mode, spares=spares,
                                    replicas=replicas))

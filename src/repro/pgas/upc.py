@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dmapp.api import require_contiguous
 from repro.errors import RmaError
 from repro.mem.atomic import SegmentCells
 
@@ -121,7 +122,9 @@ class UpcContext:
 
     def memget_nb(self, arr: UpcSharedArray, rank: int, offset: int,
                   nbytes: int, out: np.ndarray):
-        """upc_memget_nb (Cray extension, used by the MILC UPC port)."""
+        """upc_memget_nb (Cray extension, used by the MILC UPC port) into
+        the C-contiguous ``out``."""
+        require_contiguous(out)
         ctx = self.ctx
         if rank in arr.tokens:
             got = yield from ctx.xpmem.load(arr.tokens[rank], offset, nbytes)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import EpochError
+from repro.dmapp.api import require_contiguous
+from repro.errors import EpochError, WindowError
 
 __all__ = ["Cray22Params", "Cray22Window", "win_allocate_cray22"]
 
@@ -77,6 +78,7 @@ class Cray22Window:
         return None
 
     def get(self, out: np.ndarray, target: int, offset: int = 0):
+        require_contiguous(out, WindowError)
         ctx = self.ctx
         p = self.params
         n = out.nbytes

@@ -31,6 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.check import epochs as epoch_rules
+from repro.dmapp.api import require_contiguous
 from repro.errors import RmaError, WindowError
 from repro.mem.atomic import AtomicArray, SegmentCells
 from repro.rma import accumulate as acc_mod
@@ -211,10 +212,12 @@ class Window:
             origin_datatype: Datatype | None = None,
             target_datatype: Datatype | None = None,
             count: int | None = None):
-        """MPI_Get into the ``out`` buffer (filled at flush/completion for
-        the DMAPP path, immediately for XPMEM)."""
+        """MPI_Get into the C-contiguous ``out`` buffer (filled at
+        flush/completion for the DMAPP path, immediately for XPMEM); a
+        strided origin layout is ``origin_datatype``'s to describe."""
         self._check_alive()
         epoch_rules.require_access(self, target)
+        require_contiguous(out, WindowError)
         ctx = self.ctx
         if self._get_ns is not None:
             yield self._get_ns

@@ -180,12 +180,10 @@ class World:
         self.rank_procs: list = []
         # Survivor-side recovery: a failure-notification service plus the
         # lock-revocation ledger, constructed only for runs with planned
-        # crashes and recovery enabled (same zero-cost-when-off contract
-        # as the injector).
+        # crashes (same zero-cost-when-off contract as the injector).
         self.notifier = None
         self.lock_ledger = None
-        if (self.injector is not None and self.injector.has_crashes
-                and self.faults.recovery.enabled):
+        if self.injector is not None and self.injector.has_crashes:
             from repro.rma import recovery
             from repro.runtime.notify import FailureNotifier
 

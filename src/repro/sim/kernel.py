@@ -18,21 +18,16 @@ Design notes
   waiting configurations (Section 2.5 of the paper); this check is how the
   test suite asserts that the protocols never create them.
 
-Front-slot scheduler
---------------------
-The pending-event store is a **front-slot calendar queue**: a one-entry
-"near bucket" (``Environment._front``) holding the strict minimum entry,
-backed by the binary heap for everything else.  The invariant is that the
-front entry, when present, compares strictly below every heap entry (the
-``(time, priority, seq)`` tuples are unique, so "strictly" is free).  A
-push that beats the current front evicts it into the heap; a push that
-does not simply heap-pushes.  Popping takes the front slot when occupied
-and falls back to ``heappop``.  Event-driven protocol patterns schedule
-the immediate successor of the event being processed most of the time, so
-the front slot absorbs 60-100% of pushes on the benchmark workloads and
-turns an O(log n) heap round-trip into two compares and a store.  Ordering
-is untouched: pops deliver entries in exactly ``(time, priority, seq)``
-order, the total order a plain heap produces.
+The queue
+---------
+The pending-event store is one binary heap, ``Environment._queue``, of
+``(time, priority, seq, item)`` entries.  ``seq`` is unique, so the
+entries are totally ordered and ``heappop`` returns them in exactly that
+order.  There is no front slot before the heap: with many interleaved
+ranks it served 0.8-5.5 % of pops and charged every push an extra compare
+(DESIGN.md section 8).  There is no timer wheel either: delays span
+nanoseconds to milliseconds, so a wheel needs a bucket width to tune and
+still sorts each bucket, where ``heapq`` is one C call per push and pop.
 
 The two loops
 -------------
@@ -112,7 +107,6 @@ NORMAL = 1
 LOW = 2
 
 _PENDING = object()
-_EV_NEW = None  # set after Event is defined
 
 
 class Interrupt(Exception):
@@ -152,28 +146,11 @@ class Event:
     def succeed(self, value: Any = None, delay: int = 0, priority: int = NORMAL) -> "Event":
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
-        if delay.__class__ is not int:
-            delay = int(delay)
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # ``schedule`` rejects a bad delay before pushing, so the event is
+        # still pending when it raises.
+        self.env.schedule(self, delay, priority)
         self._ok = True
         self._value = value
-        env = self.env
-        seq = env._seq + 1
-        env._seq = seq
-        entry = (env.now + delay, priority, seq, self)
-        front = env._front
-        if front is None:
-            q = env._queue
-            if q and q[0] < entry:
-                heappush(q, entry)
-            else:
-                env._front = entry
-        elif entry < front:
-            heappush(env._queue, front)
-            env._front = entry
-        else:
-            heappush(env._queue, entry)
         return self
 
     def fail(self, exception: BaseException, delay: int = 0) -> "Event":
@@ -422,7 +399,7 @@ class AnyOf(ConditionEvent):
 
 
 class Environment:
-    __slots__ = ("now", "_queue", "_front", "_seq", "_nprocesses", "_live",
+    __slots__ = ("now", "_queue", "_seq", "_nprocesses", "_live",
                  "max_events", "strict", "events_processed", "tracer",
                  "progress_marks", "watchdog_interval",
                  "watchdog_stalls", "_wd_next", "_wd_marks", "_wd_stale",
@@ -434,7 +411,6 @@ class Environment:
         #: per operation by every layer, written by the run loops only.
         self.now = 0
         self._queue: list[tuple[int, int, int, Event]] = []
-        self._front: tuple[int, int, int, Event] | None = None
         self._seq = 0
         self._nprocesses = 0
         self._live: set[Process] = set()
@@ -471,15 +447,7 @@ class Environment:
         return tuple(names), sites
 
     def event(self, name: str = "") -> Event:
-        # ``Event.__init__`` inlined: the protocol layers make one or more
-        # named events per message.
-        ev = _EV_NEW(Event)
-        ev.env = self
-        ev.callbacks = []
-        ev._value = _PENDING
-        ev._ok = True
-        ev.name = name
-        return ev
+        return Event(self, name)
 
     def timeout(self, delay: int, value: Any = None, priority: int = NORMAL) -> Timeout:
         """An event that fires ``delay`` ns from now with ``value``; to
@@ -508,38 +476,10 @@ class Environment:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq + 1
         self._seq = seq
-        entry = (self.now + delay, priority, seq, event)
-        front = self._front
-        if front is None:
-            q = self._queue
-            if q and q[0] < entry:
-                heappush(q, entry)
-            else:
-                self._front = entry
-        elif entry < front:
-            heappush(self._queue, front)
-            self._front = entry
-        else:
-            heappush(self._queue, entry)
-
-    def _repush(self, entry) -> None:
-        """Put a popped-but-unprocessed entry back at the head."""
-        front = self._front
-        if front is None:
-            self._front = entry
-        elif entry < front:
-            heappush(self._queue, front)
-            self._front = entry
-        else:
-            heappush(self._queue, entry)
+        heappush(self._queue, (self.now + delay, priority, seq, event))
 
     def step(self) -> None:
-        entry = self._front
-        if entry is not None:
-            self._front = None
-        else:
-            entry = heappop(self._queue)
-        when, _prio, _seq, event = entry
+        when, _prio, _seq, event = heappop(self._queue)
         if when < self.now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self.now = when
@@ -573,15 +513,12 @@ class Environment:
         elif until is not None:
             stop_time = int(until)
         queue = self._queue
-        while queue or self._front is not None:
+        while queue:
             if stop_event is not None and stop_event.processed:
                 return stop_event.value if stop_event._ok else None
-            if stop_time is not None:
-                front = self._front
-                nxt = front[0] if front is not None else queue[0][0]
-                if nxt > stop_time:
-                    self.now = stop_time
-                    return None
+            if stop_time is not None and queue[0][0] > stop_time:
+                self.now = stop_time
+                return None
             if self.events_processed >= self.max_events:
                 raise SimulationError(
                     f"exceeded max_events={self.max_events} "
@@ -610,17 +547,9 @@ class Environment:
         if gc_was:
             _gc_disable()
         try:
-            while True:
-                entry = self._front
-                if entry is not None:
-                    self._front = None
-                elif queue:
-                    entry = pop(queue)
-                else:
-                    break
+            while queue:
                 if nevents >= trip:
                     if nevents >= max_events:
-                        self._repush(entry)
                         raise SimulationError(
                             f"exceeded max_events={max_events} "
                             f"(simulated t={self.now}ns) -- runaway protocol?")
@@ -629,6 +558,7 @@ class Environment:
                     trip = self._wd_next
                     if trip > max_events:
                         trip = max_events
+                entry = pop(queue)
                 now = entry[0]
                 self.now = now
                 event = entry[3]
@@ -682,18 +612,7 @@ class Environment:
                         # Sleep: Environment.schedule inlined.
                         seq = self._seq + 1
                         self._seq = seq
-                        new = (now + out, normal, seq, proc._sleep)
-                        front = self._front
-                        if front is None:
-                            if queue and queue[0] < new:
-                                push(queue, new)
-                            else:
-                                self._front = new
-                        elif new < front:
-                            push(queue, front)
-                            self._front = new
-                        else:
-                            push(queue, new)
+                        push(queue, (now + out, normal, seq, proc._sleep))
                         break
                     try:
                         ocbs = out.callbacks
@@ -735,5 +654,3 @@ class Environment:
             raise LivelockError(
                 self.now, self.events_processed,
                 self._wd_stale * self.watchdog_interval, names, sites)
-
-_EV_NEW = Event.__new__

@@ -16,8 +16,12 @@ from repro.bench.figures import FIGURES, figure_series
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
-# put + model overlay, put + get labels, per-curve grids, the noise rule
-@pytest.mark.parametrize("fig_id", ["4a", "4c", "6a", "6c"])
+# put + model overlay, put + get labels, per-curve grids, the noise rule,
+# and the get-latency (4b), overlap (5a), message-rate (5b, 5c) and
+# global-sync (6b) drivers: all of Figures 4-6
+@pytest.mark.parametrize("fig_id",
+                         ["4a", "4b", "4c", "5a", "5b", "5c", "6a", "6b",
+                          "6c"])
 def test_catalog_matches_committed_results(fig_id, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     fig = FIGURES[fig_id]

@@ -14,7 +14,8 @@ from repro import run_spmd
 from repro.config import FaultConfig, FaultPlan, MachineConfig
 from repro.dmapp.amo import AMO_OPS, amo_supported
 from repro.dmapp.api import DmappEndpoint
-from repro.errors import SimulationError
+from repro.errors import SimulationError, WindowError
+from repro.rma.cray22 import win_allocate_cray22
 
 INTER = MachineConfig(ranks_per_node=1)
 
@@ -181,6 +182,79 @@ def test_get_out_buffer_size_checked(faults):
         return None
 
     run_spmd(_with_window(body), 2, machine=INTER, faults=faults)
+
+
+# Every get that lands in a caller's buffer, as (collective set-up ->
+# (target-side segment, issue(buf), complete()), error it raises).
+def _window_get(ctx, rget=False):
+    win = yield from ctx.rma.win_allocate(64)
+    yield from win.lock_all()
+    issue = win.rget if rget else win.get
+    return win.seg, lambda buf: issue(buf, 1, 0), lambda: win.flush(1)
+
+
+def _endpoint_get(ctx):
+    seg = ctx.space.alloc(64)
+    descs = yield from ctx.coll.allgather(ctx.reg.register(seg), nbytes=32)
+    return (seg, lambda buf: ctx.dmapp.get_nbi(descs[1], 0, 8, out=buf),
+            ctx.dmapp.gsync)
+
+
+def _cray22_get(ctx):
+    win = yield from win_allocate_cray22(ctx, 64)
+    return win.seg, lambda buf: win.get(buf, 1, 0), lambda: win.flush(1)
+
+
+def _upc_get(ctx):
+    arr = yield from ctx.upc.all_alloc(64)
+    return (arr.seg, lambda buf: ctx.upc.memget_nb(arr, 1, 0, 8, buf),
+            ctx.upc.fence)
+
+
+GETS = {
+    "window": (_window_get, WindowError),
+    "window-rget": (lambda ctx: _window_get(ctx, rget=True), WindowError),
+    "endpoint": (_endpoint_get, SimulationError),
+    "cray22": (_cray22_get, WindowError),
+    "upc": (_upc_get, SimulationError),
+}
+STRIDED = {
+    "1d-strided": lambda: np.zeros(16, np.uint8)[::2],
+    "2d-column": lambda: np.zeros((4, 4), np.uint8)[:, :2],
+}
+
+
+@pytest.mark.parametrize("rpn", [1, 2])
+@pytest.mark.parametrize("layout", sorted(STRIDED))
+@pytest.mark.parametrize("entry", sorted(GETS))
+def test_get_refuses_a_strided_out_buffer_at_issue(entry, layout, rpn):
+    """A non-contiguous ``out``'s flat byte view is a copy, so a get into
+    it used to return normally and land nothing.  Every get taking a
+    caller's buffer now refuses it before charging any time; a contiguous
+    get after the refusal lands all 8 bytes."""
+    setup, error = GETS[entry]
+
+    def program(ctx):
+        seg, issue, complete = yield from setup(ctx)
+        seg.typed(np.uint8)[:] = 11
+        yield from ctx.coll.barrier()
+        refused = landed = None
+        if ctx.rank == 0:
+            t0 = ctx.now
+            try:
+                yield from issue(STRIDED[layout]())
+            except (WindowError, SimulationError) as exc:
+                refused = (type(exc), "origin_datatype" in str(exc),
+                           ctx.now - t0)
+            buf = np.zeros(8, np.uint8)
+            yield from issue(buf)
+            yield from complete()
+            landed = buf.tolist()
+        yield from ctx.coll.barrier()
+        return refused, landed
+
+    res = run_spmd(program, 2, machine=MachineConfig(ranks_per_node=rpn))
+    assert res.returns[0] == ((error, True, 0), [11] * 8)
 
 
 def test_large_put_chunked(faults):

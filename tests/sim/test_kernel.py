@@ -40,6 +40,18 @@ def test_negative_timeout_rejected(env):
         env.timeout(-1)
 
 
+def test_succeed_with_a_bad_delay_leaves_the_event_pending(env):
+    """The delay is checked before the event is marked triggered or
+    pushed, so the caller can still succeed it properly."""
+    ev = env.event("e")
+    with pytest.raises(SimulationError, match="past"):
+        ev.succeed(1, delay=-1)
+    assert not ev.triggered and env._queue == []
+    ev.succeed(2, delay=3)
+    env.run()
+    assert (ev.value, env.now) == (2, 3)
+
+
 def test_process_return_value(env):
     def prog():
         yield env.timeout(5)

@@ -197,7 +197,7 @@ def test_sleep_reuses_the_process_token(monkeypatch):
     proc = env.process(spin(), name="spin")
     token = proc._sleep
     env.run(until=50)                      # step loop
-    pending = env._front or env._queue[0]
+    pending = env._queue[0]
     assert pending[0] == 51 and pending[3] is token
     env.run()                              # fast loop
     assert proc._sleep is token and token.proc is proc

@@ -20,15 +20,20 @@ Two contracts from DESIGN.md section 8:
   counted by ``tests.conftest.IdleTracer`` before such events stopped
   being made.  The run now processes exactly the others (:func:`current`),
   and the ``*_pops_no_idle_entry`` tests check that none is left;
-* same-tick events drain in ``(priority, seq)`` FIFO order across the
-  front-slot/heap boundary, including urgent events scheduled while the
-  tick is already draining -- on the fast loop and on the step loop.
+* the queue pops entries in ``(time, priority, seq)`` order: same-tick
+  events drain in ``(priority, seq)`` FIFO order whatever order they were
+  pushed in, including urgent events scheduled while the tick is already
+  draining, and random mixes of sleeps, timeouts, succeeded events and
+  bare callbacks fire in their sorted entry order -- on the fast loop and
+  on the step loop.
 """
 
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.hashtable import HashTableLayout, rma_insert_program
 from repro.apps.milc import MilcSpec, milc_program
@@ -49,8 +54,8 @@ from repro.workloads import WORKLOADS
 from tests.conftest import idle_tracers, make_env
 
 #: Pre-gen-2 golden schedules at seed 11, 4 ranks on one node (captured
-#: before the front-slot scheduler existed; tests/test_workloads.py
-#: imports this table): (sim_time_ns, events_processed, callback-free).
+#: on the plain heap the queue is again; tests/test_workloads.py imports
+#: this table): (sim_time_ns, events_processed, callback-free).
 GOLDEN = {
     "putget": (11835, 502, 45),
     "locks": (22876, 566, 59),
@@ -559,23 +564,23 @@ def test_hashtable_delivery_order_reproduces_golden_pin():
 
 
 # ---------------------------------------------------------------------------
-# tie-break audit: same-tick (priority, seq) FIFO across the front slot
+# tie-break audit: the queue pops in (time, priority, seq) order
 # ---------------------------------------------------------------------------
 BOTH_LOOPS = pytest.mark.parametrize(
     "step_loop", [False, True], ids=["fast-loop", "step-loop"])
 
 
 def _same_tick_run(step_loop):
-    """Many events on one tick, mixed priorities, scheduled in an order
-    that forces front-slot evictions (later-but-smaller entries)."""
+    """Many events on one tick, mixed priorities, pushed in an order where
+    later pushes sort ahead of earlier ones."""
     env = make_env(step_loop)
     order = []
 
     def note(tag):
         return lambda ev: order.append((env.now, tag))
 
-    # Schedule NORMAL first, then URGENT (evicts the front slot), then
-    # more NORMAL -- all at tick 10; plus a lone later tick.
+    # Schedule NORMAL first, then URGENT (sorts ahead of them), then more
+    # NORMAL -- all at tick 10; plus a lone later tick.
     for i in range(3):
         ev = env.event(name=f"n{i}")
         ev.callbacks.append(note(("n", i)))
@@ -601,8 +606,8 @@ def test_same_tick_priority_seq_fifo(step_loop):
 
 def _urgent_mid_drain_run(step_loop):
     """An URGENT event scheduled *while its tick is draining* must fire
-    before the remaining NORMAL events of that tick (priority beats seq)
-    -- this crosses the front-slot/heap boundary mid-drain."""
+    before the remaining NORMAL events of that tick (priority beats seq),
+    though it was pushed after them and in the middle of the drain."""
     env = make_env(step_loop)
     order = []
 
@@ -631,8 +636,8 @@ def test_urgent_scheduled_mid_drain_orders_by_priority_then_seq(step_loop):
 def _rollover_run(step_loop):
     env = make_env(step_loop)
     order = []
-    # Tick 10 normals (land in heap/front), then a tick-5 urgent that
-    # evicts the front slot, then more tick-10 normals.
+    # Tick 10 normals, then a tick-5 entry that sorts ahead of them, then
+    # more tick-10 normals.
     for i in range(2):
         ev = env.event(name=f"a{i}")
         ev.callbacks.append(lambda _e, i=i: order.append(f"a{i}"))
@@ -650,6 +655,95 @@ def _rollover_run(step_loop):
 
 @BOTH_LOOPS
 def test_same_tick_fifo_across_rollover(step_loop):
-    """FIFO within a priority class survives a front-slot eviction by an
-    earlier-tick entry: seq order is global, not per-container."""
+    """FIFO within a priority class survives an earlier-tick entry pushed
+    between two same-tick groups: seq order is global, so the tick-10
+    entries fire in push order once the tick-5 one is gone."""
     assert _rollover_run(step_loop) == ["early", "a0", "a1", "b0", "b1"]
+
+
+# Short delays so that entries from different processes collide.
+_DELAY = st.sampled_from([0, 0, 1, 2, 5])
+_PRIO = st.sampled_from([URGENT, NORMAL])
+_OP = st.one_of(
+    st.tuples(st.just("sleep"), _DELAY),
+    st.tuples(st.just("timeout"), _DELAY, _PRIO),
+    st.tuples(st.just("succeed"), _DELAY, _PRIO),
+    st.tuples(st.just("call"), _DELAY),
+    # a callback that, when it runs, succeeds an event on its own tick or
+    # later: a push made while that tick drains
+    st.tuples(st.just("chain"), _DELAY, _DELAY, _PRIO),
+)
+_PROGRAMS = st.lists(st.lists(_OP, min_size=1, max_size=8),
+                     min_size=2, max_size=5)
+
+
+def _mixed_order_run(programs, step_loop):
+    """Run ``programs`` (one op list per process).  The log notes each
+    tagged entry as ``(time, priority, seq, tag)`` when it is pushed, and
+    its ``tag`` when it fires; returns it with the final clock and event
+    count."""
+    env = make_env(step_loop)
+    log = []
+
+    def push(tag, delay, prio):
+        # the entry just pushed drew the latest seq
+        log.append((env.now + delay, prio, env._seq, tag))
+
+    def event_at(tag, delay, prio):
+        ev = env.event(tag)
+        ev.callbacks.append(lambda _ev: log.append(tag))
+        ev.succeed(delay=delay, priority=prio)
+        push(tag, delay, prio)
+
+    def chain(tag, delay, prio):
+        log.append(tag)
+        event_at(tag + "+", delay, prio)
+
+    def proc(p, ops):
+        for i, (kind, delay, *rest) in enumerate(ops):
+            tag = f"{p}.{i}.{kind}"
+            if kind == "sleep":
+                # ``yield ns`` draws its seq as the process suspends
+                log.append((env.now + delay, NORMAL, env._seq + 1, tag))
+                yield delay
+                log.append(tag)
+            elif kind == "timeout":
+                t = env.timeout(delay, tag, priority=rest[0])
+                push(tag, delay, rest[0])
+                log.append((yield t))
+            elif kind == "succeed":
+                event_at(tag, delay, rest[0])
+            elif kind == "call":
+                env.call_at(delay, lambda tag=tag: log.append(tag))
+                push(tag, delay, NORMAL)
+            else:
+                env.call_at(delay, lambda tag=tag, d=rest[0], pr=rest[1]:
+                            chain(tag, d, pr))
+                push(tag, delay, NORMAL)
+
+    for p, ops in enumerate(programs):
+        env.process(proc(p, ops), name=f"p{p}")
+    env.run()
+    return log, env.now, env.events_processed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PROGRAMS)
+def test_random_mix_fires_in_sorted_entry_order(programs):
+    """Sleeps, timeouts, succeeded events of both priorities and bare
+    callbacks (some pushing more entries as they run), several processes,
+    colliding instants: every entry that fires is the smallest
+    ``(time, priority, seq)`` of the entries pending at that moment, every
+    entry fires, and the fast and the step loop give the same log."""
+    log, now, events = _mixed_order_run(programs, step_loop=False)
+    pending = []
+    for item in log:
+        if isinstance(item, tuple):
+            pending.append(item)
+        else:
+            first = min(pending)
+            assert item == first[3], (item, sorted(pending))
+            pending.remove(first)
+    assert pending == []
+    assert _mixed_order_run(programs, step_loop=True) == (log, now, events)
+
