@@ -14,9 +14,11 @@ Reusable drivers that reproduce every figure of the paper's evaluation:
   points across CPU cores (deterministic, bit-identical to serial).
 
 Each driver runs a deterministic SPMD simulation and reports *simulated*
-nanoseconds (or derived rates); pytest-benchmark wraps the drivers so the
-usual ``pytest benchmarks/ --benchmark-only`` flow works, with the
-reproduced series attached as ``extra_info``.
+nanoseconds (or derived rates).  Every transport is measured by the same
+program: a transport's calls appear once, in a table, never in a
+per-transport copy of the measurement.  pytest-benchmark wraps the
+drivers so the usual ``pytest benchmarks/ --benchmark-only`` flow works,
+with the reproduced series attached as ``extra_info``.
 """
 
 from repro.bench.harness import (

@@ -4,14 +4,17 @@ and the Section 3.2 passive-target constants.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import MachineConfig
 from repro.rma.cray22 import win_allocate_cray22
 from repro.rma.enums import LockType
 from repro.runtime.job import run_spmd
 
 __all__ = ["global_sync_latency", "pscw_ring_latency", "lock_constants"]
+
+#: The two MPI windows Figures 6b and 6c compare; a program that takes
+#: one runs the same calls on either.
+_WINDOWS = {"fompi": lambda ctx, nbytes: ctx.rma.win_allocate(nbytes),
+            "cray22": win_allocate_cray22}
 
 
 def _machine(ranks_per_node: int = 1) -> MachineConfig:
@@ -28,38 +31,22 @@ def global_sync_latency(transport: str, p: int, *, reps: int = 3,
     Transports: 'fompi' (Win_fence), 'upc' (upc_barrier), 'caf'
     (sync all), 'cray22' (Cray MPI-2.2 Win_fence).
     """
-    if transport == "fompi":
-        def program(ctx):
-            win = yield from ctx.rma.win_allocate(64)
-            yield from win.fence()
-            t0 = ctx.now
-            for _ in range(reps):
-                yield from win.fence()
-            return (ctx.now - t0) / reps
-    elif transport == "upc":
-        def program(ctx):
-            yield from ctx.upc.barrier()
-            t0 = ctx.now
-            for _ in range(reps):
-                yield from ctx.upc.barrier()
-            return (ctx.now - t0) / reps
-    elif transport == "caf":
-        def program(ctx):
-            yield from ctx.caf.sync_all()
-            t0 = ctx.now
-            for _ in range(reps):
-                yield from ctx.caf.sync_all()
-            return (ctx.now - t0) / reps
-    elif transport == "cray22":
-        def program(ctx):
-            win = yield from win_allocate_cray22(ctx, 64)
-            yield from win.fence()
-            t0 = ctx.now
-            for _ in range(reps):
-                yield from win.fence()
-            return (ctx.now - t0) / reps
-    else:
+    if transport not in ("fompi", "upc", "caf", "cray22"):
         raise ValueError(f"unknown transport {transport!r}")
+
+    def program(ctx):
+        if transport == "upc":
+            sync = ctx.upc.barrier
+        elif transport == "caf":
+            sync = ctx.caf.sync_all
+        else:
+            win = yield from _WINDOWS[transport](ctx, 64)
+            sync = win.fence
+        yield from sync()
+        t0 = ctx.now
+        for _ in range(reps):
+            yield from sync()
+        return (ctx.now - t0) / reps
 
     res = run_spmd(program, p, machine=_machine(ranks_per_node))
     return float(max(res.returns))
@@ -79,43 +66,27 @@ def pscw_ring_latency(transport: str, p: int, *, reps: int = 3,
     """
     from repro.machine.params import GeminiParams
 
-    gemini = GeminiParams().with_noise(noise_ns) if noise_ns else None
-
-    if transport == "fompi":
-        def program(ctx):
-            win = yield from ctx.rma.win_allocate(64)
-            yield from ctx.coll.barrier()
-            left = (ctx.rank - 1) % ctx.nranks
-            right = (ctx.rank + 1) % ctx.nranks
-            group = [left, right] if ctx.nranks > 2 else [1 - ctx.rank]
-            t0 = ctx.now
-            for _ in range(reps):
-                yield from win.post(group)
-                yield from win.start(group)
-                yield from win.complete()
-                yield from win.wait()
-            return (ctx.now - t0) / reps
-    elif transport == "cray22":
-        def program(ctx):
-            win = yield from win_allocate_cray22(ctx, 64)
-            yield from ctx.coll.barrier()
-            left = (ctx.rank - 1) % ctx.nranks
-            right = (ctx.rank + 1) % ctx.nranks
-            group = [left, right] if ctx.nranks > 2 else [1 - ctx.rank]
-            t0 = ctx.now
-            for _ in range(reps):
-                yield from win.post(group)
-                yield from win.start(group)
-                yield from win.complete()
-                yield from win.wait()
-            return (ctx.now - t0) / reps
-    else:
+    if transport not in _WINDOWS:
         raise ValueError(f"unknown transport {transport!r}")
+    allocate = _WINDOWS[transport]
 
-    kwargs = {"machine": _machine(ranks_per_node)}
-    if gemini is not None:
-        kwargs["gemini"] = gemini
-    res = run_spmd(program, p, **kwargs)
+    def program(ctx):
+        win = yield from allocate(ctx, 64)
+        yield from ctx.coll.barrier()
+        left = (ctx.rank - 1) % ctx.nranks
+        right = (ctx.rank + 1) % ctx.nranks
+        group = [left, right] if ctx.nranks > 2 else [1 - ctx.rank]
+        t0 = ctx.now
+        for _ in range(reps):
+            yield from win.post(group)
+            yield from win.start(group)
+            yield from win.complete()
+            yield from win.wait()
+        return (ctx.now - t0) / reps
+
+    gemini = GeminiParams().with_noise(noise_ns) if noise_ns else None
+    res = run_spmd(program, p, machine=_machine(ranks_per_node),
+                   gemini=gemini)
     return float(max(res.returns))
 
 

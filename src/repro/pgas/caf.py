@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.pgas.upc import _symmetric_alloc
+
 __all__ = ["CafParams", "CafContext", "Coarray"]
 
 
@@ -60,21 +62,10 @@ class CafContext:
 
     def coarray_alloc(self, nbytes: int):
         """Collective coarray allocation."""
-        ctx = self.ctx
         self._alloc_seq += 1
-        seg = ctx.space.alloc(max(1, nbytes), label=f"caf{self._alloc_seq}")
-        desc = ctx.reg.register(seg)
-        descs = yield from ctx.coll.allgather(desc, nbytes=32)
-        token = ctx.xpmem.expose(seg)
-        bb = ctx.world.blackboard
-        key = ("caf", self._alloc_seq)
-        bb.setdefault(key, {})[ctx.rank] = token
-        yield from ctx.coll.barrier()
-        tokens = {r: t for r, t in bb[key].items()
-                  if r != ctx.rank and ctx.same_node(r)}
-        for t in tokens.values():
-            ctx.xpmem.attach(t)
-        return Coarray(ctx, nbytes, seg, dict(enumerate(descs)), tokens)
+        seg, descs, tokens = yield from _symmetric_alloc(
+            self.ctx, nbytes, "caf", self._alloc_seq)
+        return Coarray(self.ctx, nbytes, seg, descs, tokens)
 
     # ------------------------------------------------------------------
     def assign(self, co: Coarray, image: int, offset: int, data,

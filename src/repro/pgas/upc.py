@@ -42,6 +42,26 @@ class UpcParams:
     intra_overhead: float = 150.0
 
 
+def _symmetric_alloc(ctx, nbytes: int, kind: str, seq: int):
+    """The collective allocation both PGAS layers share: allocate and
+    register ``nbytes`` on every rank, allgather the descriptors, expose
+    the segment, and attach every same-node peer's.  Returns
+    ``(seg, descs, tokens)``: this rank's segment, rank -> descriptor, and
+    same-node rank -> attached XPMEM segment."""
+    seg = ctx.space.alloc(max(1, nbytes), label=f"{kind}{seq}")
+    desc = ctx.reg.register(seg)
+    descs = yield from ctx.coll.allgather(desc, nbytes=32)
+    bb = ctx.world.blackboard
+    key = (kind, seq)
+    bb.setdefault(key, {})[ctx.rank] = ctx.xpmem.expose(seg)
+    yield from ctx.coll.barrier()
+    tokens = {r: t for r, t in bb[key].items()
+              if r != ctx.rank and ctx.same_node(r)}
+    for t in tokens.values():
+        ctx.xpmem.attach(t)
+    return seg, dict(enumerate(descs)), tokens
+
+
 class UpcSharedArray:
     """A UPC shared array: one affinity block per thread (rank)."""
 
@@ -72,23 +92,10 @@ class UpcContext:
     # ------------------------------------------------------------------
     def all_alloc(self, nbytes_per_thread: int):
         """upc_all_alloc: collective; returns the shared array handle."""
-        ctx = self.ctx
         self._alloc_seq += 1
-        seg = ctx.space.alloc(max(1, nbytes_per_thread),
-                              label=f"upc{self._alloc_seq}")
-        desc = ctx.reg.register(seg)
-        descs = yield from ctx.coll.allgather(desc, nbytes=32)
-        token = ctx.xpmem.expose(seg)
-        bb = ctx.world.blackboard
-        key = ("upc", self._alloc_seq)
-        bb.setdefault(key, {})[ctx.rank] = token
-        yield from ctx.coll.barrier()
-        tokens = {r: t for r, t in bb[key].items()
-                  if r != ctx.rank and ctx.same_node(r)}
-        for t in tokens.values():
-            ctx.xpmem.attach(t)
-        return UpcSharedArray(ctx, nbytes_per_thread, seg,
-                              dict(enumerate(descs)), tokens)
+        seg, descs, tokens = yield from _symmetric_alloc(
+            self.ctx, nbytes_per_thread, "upc", self._alloc_seq)
+        return UpcSharedArray(self.ctx, nbytes_per_thread, seg, descs, tokens)
 
     # ------------------------------------------------------------------
     def memput(self, arr: UpcSharedArray, rank: int, offset: int, data):

@@ -13,8 +13,10 @@ Two paths, exactly as in foMPI:
 
 The fallback uses a dedicated internal lock word (``IDX_ACC_LOCK``) so it
 serializes only against other accumulates, never against user lock
-epochs; element-wise atomicity of the fast path is a property of the NIC
-AMO engine.
+epochs.  Its AMOs take the lock words' path (``locks._amo``), so under a
+crash plan the revocation ledger rolls back a dead holder's bit.
+Element-wise atomicity of the fast path is a property of the NIC AMO
+engine.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from repro.errors import RmaError
 from repro.rma import window as win_mod
 from repro.rma.enums import HW_OPS, Op, WinFlavor
+from repro.rma.locks import _amo
 
 __all__ = ["accumulate", "fetch_and_op", "compare_and_swap", "apply_op",
            "acc_path"]
@@ -122,7 +125,8 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
     attempt = 0
     # Acquire the internal exclusive lock (CAS 0 -> 1 on IDX_ACC_LOCK).
     while True:
-        old_lock = yield from _acc_amo(win, target, "cas", 0, 1)
+        old_lock = yield from _amo(win, target, win_mod.IDX_ACC_LOCK,
+                                   "cas", 0, 1)
         if old_lock == 0:
             break
         delay = min(win.params.backoff_base_ns * (1 << min(attempt, 16)),
@@ -153,7 +157,8 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
         yield from ctx.dmapp.put_nbi(desc, off, new_vals.view(np.uint8))
         yield from ctx.dmapp.gsync()
     # Release (fire-and-forget).
-    yield from _acc_amo(win, target, "replace", 0, blocking=False)
+    yield from _amo(win, target, win_mod.IDX_ACC_LOCK, "replace", 0,
+                    blocking=False)
     return old_vals
 
 
@@ -164,22 +169,6 @@ def _data_desc(win, target: int, toff: int, nbytes: int):
         desc = yield from win.dyn.resolve(win, target, toff, nbytes)
         return desc, toff - desc.vaddr
     return win._target_desc(target, toff, nbytes)
-
-
-def _acc_amo(win, target: int, op: str, operand: int, operand2: int = 0,
-             blocking: bool = True):
-    ctx = win.ctx
-    cells = win.ctrl_refs[target]
-    if ctx.same_node(target):
-        return (yield from ctx.xpmem.amo(cells, win_mod.IDX_ACC_LOCK, op,
-                                         operand, operand2))
-    if blocking:
-        return (yield from ctx.dmapp.amo_b(target, cells,
-                                           win_mod.IDX_ACC_LOCK, op,
-                                           operand, operand2))
-    yield from ctx.dmapp.amo_nbi(target, cells, win_mod.IDX_ACC_LOCK, op,
-                                 operand, operand2)
-    return None
 
 
 def _word(value) -> tuple[int, np.dtype]:

@@ -100,6 +100,9 @@ def _amo(win, target: int, idx: int, op: str, operand: int,
             elif op == "cas" and old == operand:
                 ledger.record(win.win_id, target, idx, ctx.rank,
                               operand2 - operand)
+            elif op == "replace":
+                ledger.record(win.win_id, target, idx, ctx.rank,
+                              operand - old)
 
     cells = win.ctrl_refs[target]
     if ctx.same_node(target):

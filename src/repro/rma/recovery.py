@@ -11,14 +11,16 @@ Three cooperating mechanisms, all driven by the
 under the run seed:
 
 **Revocation ledger** (:class:`RevocationLedger`).  Every lock-word AMO an
-origin issues (``locks._amo``) is the ordinary ``xpmem.amo`` /
+origin issues through ``locks._amo`` -- the two-level lock words and the
+software accumulate's ``IDX_ACC_LOCK`` -- is the ordinary ``xpmem.amo`` /
 ``dmapp.amo_b`` / ``amo_nbi`` call with the ledger record as its
 ``on_applied`` delivery callback -- the same interposition the FT layer
-uses for its put/AMO log.  Recording at delivery -- not at the origin --
-matters: a packet injected before its origin's crash still delivers, so an
-origin that dies between remote effect and acknowledgment must still be
-charged for its contribution (and a deduplicated replay never calls back,
-so it is charged once).  On failure, the per-origin *net* contribution of
+uses for its put/AMO log.  An ``add`` records its operand, a successful
+``cas`` ``swap - compare`` and a ``replace`` ``new - old``.  Recording
+at delivery -- not at the origin -- matters: a packet injected before its
+origin's crash still delivers, so an origin that dies between remote
+effect and acknowledgment must still be charged for its contribution
+(and a deduplicated replay never calls back, so it is charged once).  On failure, the per-origin *net* contribution of
 each dead rank to each lock word is rolled back with one compensating
 atomic, which wakes any watchers of the word.
 

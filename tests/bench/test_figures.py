@@ -11,6 +11,8 @@ import pathlib
 import pytest
 
 from repro.bench import format_series_table
+from repro.bench import microbench as mb
+from repro.bench import syncbench as sb
 from repro.bench.figures import FIGURES, figure_series
 
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
@@ -40,3 +42,19 @@ def test_catalog_matches_committed_results(fig_id, tmp_path, monkeypatch):
 
     # A sweep computes every point and leaves nothing on disk.
     assert list(tmp_path.iterdir()) == []
+
+
+def test_lock_constants_match_committed_results():
+    """The Section 3.2 constants, the one syncbench driver outside the
+    figure catalog, reproduce ``fig6_locks.json`` exactly."""
+    assert [sb.lock_constants()] == \
+        json.loads((RESULTS / "fig6_locks.json").read_text())
+
+
+@pytest.mark.parametrize("kind", ["upc_swap", "fompi_max", "fompi", "cas"])
+def test_atomic_latency_refuses_unknown_kind(kind, monkeypatch):
+    """An unknown kind is refused before any simulation runs -- not
+    measured as a CAS, nor failed from inside the run."""
+    monkeypatch.setattr(mb, "run_spmd", None)
+    with pytest.raises(ValueError, match="unknown atomic kind"):
+        mb.atomic_latency(kind, 1)

@@ -15,6 +15,7 @@ unhardened code (checked by the tier-1 determinism suite).
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro import run_spmd
@@ -34,7 +35,7 @@ from repro.errors import (
     NodeCrashedError,
     RankFailedError,
 )
-from repro.rma.enums import LockType
+from repro.rma.enums import LockType, Op
 from repro.rma.mcs import McsLock
 from tests.sim.test_kernel_gen2 import current
 
@@ -313,6 +314,35 @@ def test_mcs_hand_off_in_flight_spares_next_turn_notes():
     res = run_spmd(program, 3, machine=INTER,
                    faults=crash_plan((2, 5_000_000)))
     assert res.returns[1] == (True, 2, False)
+
+
+def test_accumulate_lock_holder_crash_revoked():
+    """Rank 1 dies inside a software-fallback accumulate, holding the
+    internal accumulate lock word: the ledger records that word's CAS
+    and release like any lock word's, so revocation clears the dead
+    holder's bit and rank 2's accumulate completes instead of spinning
+    into the watchdog."""
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(1 << 20)
+        yield from win.lock_all()
+        if ctx.rank == 1:   # 1 MiB MIN: the locked get-modify-put path
+            yield from win.accumulate(np.ones(1 << 17), 0, 0, Op.MIN)
+            yield from win.flush(0)
+        elif ctx.rank == 2:
+            yield ctx.env.timeout(20_000)
+            yield from win.accumulate(np.ones(1), 0, 0, Op.MIN)
+            yield from win.flush(0)
+            return ("ok", ctx.now)
+        yield ctx.env.timeout(200_000)
+        return ("ok", ctx.rank)
+
+    res = run_spmd(program, 3, machine=INTER,
+                   faults=crash_plan((1, 30_000)))
+    assert isinstance(res.returns[1], NodeCrashedError)
+    assert res.returns[0] == ("ok", 0)
+    assert res.returns[2] == ("ok", 43_789)
+    # the accumulate lock word and rank 1's lock_all registration
+    assert res.stats["recovery"]["locks_revoked"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +630,7 @@ def test_fault_config_retry_validation():
 
 
 # ---------------------------------------------------------------------------
-# CI fault matrix: {drop, stall, crash} x {locks, fence, pscw}
+# CI fault matrix: {drop, stall, crash} x {locks, fence, pscw, accumulate}
 # ---------------------------------------------------------------------------
 def _locks_workload(ctx):
     win = yield from ctx.rma.win_allocate(256)
@@ -628,8 +658,19 @@ def _pscw_workload(ctx):
     return "ok"
 
 
+def _accumulate_workload(ctx):
+    win = yield from ctx.rma.win_allocate(8192 * 8)
+    yield from win.lock_all()
+    for _ in range(3):   # MIN on float64: the software-fallback lock
+        yield from win.accumulate(np.ones(8192), 0, 0, Op.MIN)
+        yield from win.flush(0)
+    yield from win.unlock_all()
+    return "ok"
+
+
 _WORKLOADS = {"locks": (_locks_workload, 4), "fence": (_fence_workload, 4),
-              "pscw": (_pscw_workload, 4)}
+              "pscw": (_pscw_workload, 4),
+              "accumulate": (_accumulate_workload, 4)}
 
 _FAULTS = {
     "drop": FaultConfig(plan=FaultPlan(drop_prob=0.05)),
