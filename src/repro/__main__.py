@@ -83,6 +83,18 @@ def _rank_counts(text: str) -> list[int]:
     return ranks
 
 
+def _crash_run(name: str, nranks: int, **kwargs):
+    """``run_crash_to_completion`` for ``repro ft`` and ``serve --ft``: a
+    crash rank, crash fraction or interval it refuses is a one-line exit
+    (it refuses them before the reference run)."""
+    from repro.ft.workloads import run_crash_to_completion
+
+    try:
+        return run_crash_to_completion(name, nranks, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def _run(args, **kwargs):
     """``run_workload`` on a verb's ``workload`` / ``--ranks`` / ``--seed``."""
     _require(args.workload)
@@ -433,13 +445,12 @@ def _serve_cmd(args) -> int:
     failures = []
 
     if args.ft:
-        from repro.ft.workloads import run_crash_to_completion
         from repro.serve.slo import ft_section
 
-        out = run_crash_to_completion(
-            "ft_kvstore", nranks, seed=seed, crash_rank=args.crash,
-            crash_frac=args.crash_frac, interval=args.interval, obs=True,
-            spec=spec, n_stripes=args.stripes)
+        out = _crash_run("ft_kvstore", nranks, seed=seed,
+                         crash_rank=args.crash, crash_frac=args.crash_frac,
+                         interval=args.interval, obs=True, spec=spec,
+                         n_stripes=args.stripes)
         report = build_report(out.recovered, spec, nranks, variant="rma-ft")
         report["ft"] = ft_section(out)
         gap_ns = report["ft"]["availability_gap_ns"]
@@ -487,7 +498,7 @@ def _ft_cmd(args) -> int:
     import json
 
     from repro.config import SimConfig
-    from repro.ft.workloads import run_crash_to_completion, soak
+    from repro.ft.workloads import soak
 
     seed = SimConfig.seed if args.seed is None else args.seed
     if args.workload == "soak":
@@ -509,10 +520,13 @@ def _ft_cmd(args) -> int:
     if args.workload != "hashtable":
         raise SystemExit(f"unknown ft workload {args.workload!r} "
                          "(expected 'hashtable' or 'soak')")
-    out = run_crash_to_completion(
-        "ft_hashtable", args.ranks, seed=seed, crash_rank=args.crash_rank,
-        crash_frac=args.crash_frac, mode=args.mode,
-        interval=args.interval, inserts=args.inserts)
+    if args.inserts < 1:
+        raise SystemExit(f"--inserts {args.inserts}: the crash needs at "
+                         "least one insert per rank to interrupt")
+    out = _crash_run("ft_hashtable", args.ranks, seed=seed,
+                     crash_rank=args.crash_rank, crash_frac=args.crash_frac,
+                     mode=args.mode, interval=args.interval,
+                     inserts=args.inserts)
     row = out.stats_row()
     print(f"reference run: {out.reference.sim_time_ns / 1e3:.1f} us "
           f"fault-free")

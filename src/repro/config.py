@@ -239,44 +239,6 @@ class FaultPlan:
 
 
 @dataclass(frozen=True)
-class RecoveryConfig:
-    """Survivor-side recovery policy for planned node crashes.
-
-    Only consulted when the active :class:`FaultPlan` contains crashes;
-    without crashes none of the recovery machinery is constructed and the
-    fault-free (and crash-free) schedules are untouched.
-
-    Attributes
-    ----------
-    detect_ns:
-        Time from the crash instant until the runtime's failure detector
-        confirms the death and seeds the notification broadcast.
-    notify_round_ns:
-        Per-round cost of the binomial notification broadcast; survivor
-        ``i`` learns of the failure after O(log p) such rounds.
-    revoke_ns:
-        Cost of one revocation step (rolling back one lock-word
-        contribution, splicing one queue node, reclaiming one region).
-    revoke_locks:
-        When True, lock words and MCS queues owned by dead ranks are
-        revoked so surviving waiters can proceed; when False, survivors
-        only receive notifications (pending acquisitions still fail with
-        a structured error instead of livelocking).
-    """
-
-    detect_ns: int = 3_000
-    notify_round_ns: int = 700
-    revoke_ns: int = 900
-    revoke_locks: bool = True
-
-    def __post_init__(self) -> None:
-        for name in ("detect_ns", "notify_round_ns", "revoke_ns"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"RecoveryConfig.{name}={v} is negative")
-
-
-@dataclass(frozen=True)
 class FTConfig:
     """Rollback-recovery (checkpoint + put-log + restart) policy.
 
@@ -287,54 +249,33 @@ class FTConfig:
     ----------
     enabled:
         Master switch for rollback recovery.  Off, crashes are survived
-        only in the PR-4 sense (structured errors, revoked locks).
+        only in the survivor-side sense (structured errors, revoked
+        locks).
     interval:
         Application steps between coordinated checkpoints (the knob the
         FT paper's headline overhead figure sweeps).
-    replicas:
-        Buddy copies kept per checkpoint (each on the next ring node).
-    spares:
-        Spare *nodes* held out of the initial placement.  A crashed
-        node's ranks restart on the next unused spare; with no spare
-        left (or ``mode="shrink"``) they shrink onto their buddy node.
     mode:
-        ``"spare"`` prefers spare nodes, ``"shrink"`` always re-homes
-        onto the checkpoint buddy's node (oversubscribing it).
-    ckpt_copy_ns_per_byte / restore_ns_per_byte / replay_ns_per_entry /
-    rereg_ns_per_segment:
-        Cost model for snapshotting into the buddy message, restoring
-        bytes on the adopting node, replaying one log entry, and
-        re-registering one adopted segment (memory registration +
-        XPMEM re-expose).
+        ``"spare"`` holds one spare *node* out of the initial placement
+        and restarts the first crashed node's ranks there; ``"shrink"``
+        (and a second crash under ``"spare"``) re-homes them onto their
+        checkpoint buddy's node, oversubscribing it.
     """
 
     enabled: bool = False
     interval: int = 8
-    replicas: int = 1
-    spares: int = 0
     mode: str = "spare"
-    ckpt_copy_ns_per_byte: float = 0.05
-    restore_ns_per_byte: float = 0.1
-    replay_ns_per_entry: int = 120
-    rereg_ns_per_segment: int = 2_500
 
     def __post_init__(self) -> None:
         if self.interval < 1:
             raise ValueError(f"FTConfig.interval={self.interval} must be >= 1")
-        if self.replicas < 1:
-            raise ValueError(
-                f"FTConfig.replicas={self.replicas} must be >= 1")
-        if self.spares < 0:
-            raise ValueError(f"FTConfig.spares={self.spares} is negative")
         if self.mode not in ("spare", "shrink"):
             raise ValueError(
                 f"FTConfig.mode={self.mode!r} not in ('spare', 'shrink')")
-        for name in ("ckpt_copy_ns_per_byte", "restore_ns_per_byte"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"FTConfig.{name} is negative")
-        for name in ("replay_ns_per_entry", "rereg_ns_per_segment"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"FTConfig.{name} is negative")
+
+    @property
+    def spares(self) -> int:
+        """Spare nodes held out of the initial placement."""
+        return 1 if self.mode == "spare" else 0
 
 
 @dataclass(frozen=True)
@@ -360,12 +301,10 @@ class FaultConfig:
     retry_jitter_ns:
         Amplitude of the seeded (deterministic) jitter added to each
         backoff step to de-synchronize contending retriers.
-    recovery:
-        Survivor-side recovery policy applied when the plan crashes nodes
-        (:class:`RecoveryConfig`).
     ft:
         Rollback-recovery policy (:class:`FTConfig`); restarts crashed
-        ranks on top of ``recovery``.
+        ranks on top of the survivor-side revocation every crash plan
+        gets (:mod:`repro.rma.recovery`).
     """
 
     plan: FaultPlan | None = None
@@ -374,7 +313,6 @@ class FaultConfig:
     retry_backoff_base_ns: int = 500
     retry_backoff_max_ns: int = 16_000
     retry_jitter_ns: int = 200
-    recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     ft: FTConfig = field(default_factory=FTConfig)
 
     def __post_init__(self) -> None:

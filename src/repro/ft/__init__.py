@@ -17,8 +17,8 @@ Everything is seeded-deterministic: a crashed-and-recovered run replays
 bit-identically for a fixed ``(seed, fault plan, FTConfig)``.
 """
 
-from repro.ft.core import FTContext, FTRuntime
+from repro.ft.core import FTRuntime
 from repro.ft.placement import BuddyPlacement
 from repro.ft.steps import run_steps
 
-__all__ = ["FTRuntime", "FTContext", "BuddyPlacement", "run_steps"]
+__all__ = ["FTRuntime", "BuddyPlacement", "run_steps"]

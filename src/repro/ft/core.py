@@ -2,9 +2,11 @@
 
 One :class:`FTRuntime` per world (constructed only when
 ``FaultConfig.ft.enabled``; every hook below the runtime is behind a
-single ``is None`` test, so FT-off schedules stay bit-identical).  Each
-rank talks to it through a thin per-rank :class:`FTContext` facade
-(``ctx.ft``).
+single ``is None`` test, so FT-off schedules stay bit-identical).  Every
+rank holds the same runtime as ``ctx.ft``; each call that acts for one
+rank names it (``protect(rank, win)``, ``restarting(rank)``,
+``adopt(rank, win_id)``, ...), and what a restarted incarnation carries
+lives in per-rank tables on the runtime.
 
 Protocol summary
 ----------------
@@ -15,8 +17,9 @@ barrier.  A snapshot records the window bytes (checksummed), the control
 words, the lock state, the origin-side op-sequence and collective-tag
 counters, the caller's application state, and a per-window *watermark* --
 the target-side delivery counter at the snapshot instant.  The snapshot
-is deposited on a buddy node (seeded ring placement) as a real modeled
-network transfer; it *commits* when the replica arrives.
+is deposited once, on the buddy of the rank's first home node (seeded
+ring placement), as a real modeled network transfer; it *commits* when
+the replica arrives.
 
 **Put-logging**: every remotely-delivered put or
 effective atomic targeting a protected window is recorded *at its
@@ -33,8 +36,11 @@ committed checkpoints are checksum-verified and restored in place,
 post-watermark log entries are replayed, lock words are reconciled
 against the revocation ledger, and fresh rank processes re-enter the
 program from the checkpointed application state.  Origin sequence
-numbers are restored too, so re-executed atomics hit the PR-1 replay
-dedup and apply exactly once.
+numbers are restored too, so re-executed atomics hit the transport's
+replay dedup and apply exactly once.
+
+The cost model is four constants: the snapshot copy, the restored bytes,
+one replayed log entry, and one adopted segment's re-registration.
 """
 
 from __future__ import annotations
@@ -48,9 +54,14 @@ from repro.errors import FTError
 from repro.ft.placement import BuddyPlacement
 from repro.sim.kernel import Event
 
-__all__ = ["FTRuntime", "FTContext", "FTStats"]
+__all__ = ["FTRuntime", "FTStats"]
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
+CKPT_COPY_NS_PER_BYTE = 0.05
+RESTORE_NS_PER_BYTE = 0.1
+REPLAY_NS_PER_ENTRY = 120
+REREG_NS_PER_SEGMENT = 2_500
 
 
 @dataclass
@@ -71,24 +82,6 @@ class FTStats:
     unrecoverable: int = 0
     spares_used: int = 0
     restore_ns: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "checkpoints_taken": self.checkpoints_taken,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "replicas_deposited": self.replicas_deposited,
-            "replicas_arrived": self.replicas_arrived,
-            "checkpoints_cancelled": self.checkpoints_cancelled,
-            "buddy_bytes": self.buddy_bytes,
-            "log_entries": self.log_entries,
-            "log_bytes": self.log_bytes,
-            "entries_replayed": self.entries_replayed,
-            "restores": self.restores,
-            "ranks_restored": self.ranks_restored,
-            "unrecoverable": self.unrecoverable,
-            "spares_used": self.spares_used,
-            "restore_ns": self.restore_ns,
-        }
 
 
 @dataclass
@@ -128,13 +121,11 @@ class FTRuntime:
         self.world = world
         self.env = world.env
         self.cfg = world.faults.ft
-        base_nnodes = world.rank_map.nnodes
-        self.placement = BuddyPlacement(base_nnodes, self.cfg.spares,
+        self.placement = BuddyPlacement(world.rank_map.nnodes,
                                         world.sim.seed)
         self.stats = FTStats()
         # Protected-window registry: win_id -> {rank -> Window}.
         self.windows: dict[int, dict] = {}
-        self.protected: set[int] = set()
         # Target-side delivery stamps and demand-driven logs, keyed by
         # (win_id, target_rank).
         self.stamps: dict[tuple[int, int], int] = {}
@@ -146,10 +137,13 @@ class FTRuntime:
         self.program = None
         self.p_args: tuple = ()
         self.p_kwargs: dict = {}
-        self._restored: set[int] = set()
+        # What a restarted incarnation carries: rank -> the application
+        # state of its restored checkpoint, and the (rank, win_id) epochs
+        # its re-executed lock_all re-enters without touching lock words.
+        self._restored: dict[int, dict] = {}
+        self._restored_lock_all: set[tuple[int, int]] = set()
         self._unrecoverable: set[int] = set()
         self._restore_events: dict[int, Event] = {}
-        self._spares_used = 0
         self._generation = 0
 
     # ------------------------------------------------------------------
@@ -164,12 +158,10 @@ class FTRuntime:
     def will_recover(self, rank: int) -> bool:
         """Will a crash of ``rank`` be repaired by a restart?
 
-        Requires an enabled config, a bound program, at least one
-        checkpoint taken by the rank, and (V1 limitation) no earlier
-        crash of the same rank.
+        Requires a bound program, at least one checkpoint taken by the
+        rank, and (V1 limitation) no earlier crash of the same rank.
         """
-        return (self.cfg.enabled
-                and self.program is not None
+        return (self.program is not None
                 and rank not in self._restored
                 and rank not in self._unrecoverable
                 and self.versions.get(rank, -1) >= 0)
@@ -202,18 +194,52 @@ class FTRuntime:
         yield self.restore_event(target)
 
     # ------------------------------------------------------------------
+    # the restarted incarnation
+    # ------------------------------------------------------------------
+    def restarting(self, rank: int) -> bool:
+        """True inside a restarted incarnation of ``rank``'s program."""
+        return rank in self._restored
+
+    def restored_state(self, rank: int) -> dict:
+        """Application state carried by ``rank``'s restored checkpoint."""
+        state = self._restored.get(rank)
+        if state is None:
+            raise FTError(f"rank {rank} is not restarting")
+        return state
+
+    def adopt(self, rank: int, win_id: int):
+        """Restarted ``rank``: take over the preserved, already-restored
+        window object instead of re-allocating."""
+        win = self.windows.get(win_id, {}).get(rank)
+        if win is None:
+            raise FTError(f"rank {rank}: no protected window {win_id} "
+                          f"to adopt")
+        return win
+
+    def consume_restored_lock_all(self, rank: int, win) -> bool:
+        """One-shot: restored ``rank`` held a lock_all epoch on ``win`` at
+        its checkpoint; its re-executed ``lock_all`` re-enters the epoch
+        without touching the (already reconciled) lock words."""
+        key = (rank, win.win_id)
+        if key in self._restored_lock_all:
+            self._restored_lock_all.remove(key)
+            return True
+        return False
+
+    # ------------------------------------------------------------------
     # protection + logging
     # ------------------------------------------------------------------
     def protect(self, rank: int, win) -> None:
+        """Enroll ``rank``'s ``win`` for checkpointing and delivery-time
+        put/atomic logging."""
         if win.seg is None:
             raise FTError(
                 f"window {win.win_id} ({win.flavor}) has no per-rank heap "
                 f"segment; only ALLOCATE/CREATE windows can be protected")
         self.windows.setdefault(win.win_id, {})[rank] = win
-        self.protected.add(win.win_id)
 
     def is_protected(self, win_id: int) -> bool:
-        return win_id in self.protected
+        return win_id in self.windows
 
     def log_put(self, win_id: int, target: int, off: int, data: bytes) -> None:
         """Record one delivered put piece (called inside the delivery
@@ -236,7 +262,7 @@ class FTRuntime:
     def put_logger(self, win, target: int):
         """Delivery callback for a put, or None when the window is not
         log-protected.  ``off`` is segment-relative, matching replay."""
-        if win.win_id not in self.protected:
+        if win.win_id not in self.windows:
             return None
         win_id = win.win_id
 
@@ -248,7 +274,7 @@ class FTRuntime:
         """Delivery callback for a single-cell atomic: receives the old
         value, reads the post value back from the cell (still inside the
         atomic closure) and logs it only when the op took effect."""
-        if win.win_id not in self.protected:
+        if win.win_id not in self.windows:
             return None
         win_id = win.win_id
 
@@ -262,7 +288,7 @@ class FTRuntime:
         """Delivery callback for an atomic stream: receives the ``uint64``
         array of old words, compares it with the post-update words in one
         array comparison and logs only the words that changed."""
-        if win.win_id not in self.protected:
+        if win.win_id not in self.windows:
             return None
         win_id = win.win_id
 
@@ -275,10 +301,11 @@ class FTRuntime:
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def checkpoint(self, ctx, win, state: dict):
-        """Snapshot ``win`` + protocol state for ``ctx.rank`` and deposit
-        the replica on the buddy node.  Generator (charges the copy cost);
-        the deposit itself is asynchronous and commits at delivery."""
+    def checkpoint(self, ctx, windows, state: dict):
+        """Snapshot ``windows`` (one window or a list) + protocol state for
+        ``ctx.rank`` and deposit the replica on the buddy node.  Generator
+        (charges the copy cost); the deposit itself is asynchronous and
+        commits at delivery."""
         rank = ctx.rank
         env = self.env
         t0 = env.now
@@ -295,7 +322,9 @@ class FTRuntime:
             rec.oseqs = {k: v for k, v in checker._oseq.items()
                          if k[0] == rank}
         ledger = self.world.lock_ledger
-        for w in ([win] if not isinstance(win, (list, tuple)) else win):
+        if not isinstance(windows, (list, tuple)):
+            windows = [windows]
+        for w in windows:
             data = w.seg.snapshot_bytes()
             snap = _WinSnap(
                 data=data,
@@ -313,26 +342,22 @@ class FTRuntime:
         self.stats.checkpoints_taken += 1
         self.stats.checkpoint_bytes += rec.nbytes
 
-        cost = int(round(rec.nbytes * self.cfg.ckpt_copy_ns_per_byte))
+        cost = int(round(rec.nbytes * CKPT_COPY_NS_PER_BYTE))
         if cost > 0:
             yield cost
 
-        # Deposit on the buddy ring (original block placement: the buddy
-        # of a re-homed rank stays pinned to its first home).
-        orig_node = rank // self.world.rank_map.ranks_per_node
-        cur_node = self.world.rank_map.node_of(rank)
-        base = self.placement.base_nnodes
-        step = self.placement.step
-        for i in range(self.cfg.replicas):
-            buddy = (orig_node + (i + 1) * step) % base if base > 1 \
-                else orig_node
-            self.stats.replicas_deposited += 1
-            if buddy == cur_node:
-                self._commit(rec)
-            else:
-                self.world.network.packet(
-                    cur_node, buddy, rec.nbytes,
-                    on_deliver=lambda r=rec: self._commit(r))
+        # Deposit at the buddy of the rank's first home: a re-homed rank's
+        # buddy stays pinned to the original block placement.  On a single
+        # node the buddy is the node itself and the checkpoint commits now.
+        rank_map = self.world.rank_map
+        buddy = self.placement.buddy_of(rank // rank_map.ranks_per_node)
+        cur_node = rank_map.node_of(rank)
+        self.stats.replicas_deposited += 1
+        if buddy == cur_node:
+            self._commit(rec)
+        else:
+            self.world.network.packet(cur_node, buddy, rec.nbytes,
+                                      on_deliver=lambda: self._commit(rec))
         obs = self.world.obs
         if obs is not None:
             obs.rank_span(rank, "ft.checkpoint", t0, env.now, cat="ft",
@@ -343,7 +368,7 @@ class FTRuntime:
     def _commit(self, rec: _Checkpoint) -> None:
         """Replica arrival: the checkpoint becomes restorable; older
         committed versions and covered log entries are garbage-collected."""
-        if rec.cancelled or rec.arrived:
+        if rec.cancelled:
             return
         rec.arrived = True
         self.stats.replicas_arrived += 1
@@ -383,7 +408,6 @@ class FTRuntime:
         if wins is not None:
             wins.pop(rank, None)
             if not wins:
-                self.protected.discard(win_id)
                 del self.windows[win_id]
         for (v, r), rec in list(self.ckpts.items()):
             if r != rank or win_id not in rec.windows:
@@ -402,14 +426,10 @@ class FTRuntime:
     # ------------------------------------------------------------------
     # restart
     # ------------------------------------------------------------------
-    def make_restore_hook(self):
-        """Revocation hook for the failure notifier (runs after the PR-4
-        survivor-side revocation in registration order)."""
-        def _hook(failed_ranks):
-            yield from self._restore(failed_ranks)
-        return _hook
-
-    def _restore(self, failed_ranks):
+    def restore(self, failed_ranks):
+        """The failure notifier's last revocation hook (registered after
+        survivor-side revocation): restart the recoverable ranks among
+        ``failed_ranks`` from their newest committed checkpoints."""
         env = self.env
         cohort = sorted(self.recoverable(failed_ranks))
         if not cohort:
@@ -444,14 +464,13 @@ class FTRuntime:
         for r in cohort:
             rec = recs[r]
             for win_id, snap in rec.windows.items():
-                cost += self.cfg.rereg_ns_per_segment
-                cost += int(round(len(snap.data)
-                                  * self.cfg.restore_ns_per_byte))
+                cost += REREG_NS_PER_SEGMENT
+                cost += int(round(len(snap.data) * RESTORE_NS_PER_BYTE))
                 entries = [e for e in self.logs.get((win_id, r), [])
                            if e[0] > snap.watermark]
                 entries.sort(key=lambda e: e[0])
                 replays[(win_id, r)] = entries
-                cost += len(entries) * self.cfg.replay_ns_per_entry
+                cost += len(entries) * REPLAY_NS_PER_ENTRY
         if cost > 0:
             yield cost
 
@@ -463,10 +482,8 @@ class FTRuntime:
         # restore_bytes.  Until this point they keep hitting the original
         # crashed node and park in pause_for_restore.
         orig_node = cohort[0] // self.world.rank_map.ranks_per_node
-        if (self.cfg.mode == "spare"
-                and self._spares_used < self.cfg.spares):
-            node = self.placement.spare_node(self._spares_used)
-            self._spares_used += 1
+        if self.stats.spares_used < self.cfg.spares:
+            node = self.placement.spare_node(self.stats.spares_used)
             self.stats.spares_used += 1
         else:
             node = self.placement.buddy_of(orig_node)
@@ -484,8 +501,7 @@ class FTRuntime:
                 # ledger's *post-checkpoint* delta, so survivor lock
                 # traffic that landed after the snapshot is kept and
                 # pre-snapshot contributions are not double-counted.
-                sums_now = (ledger.sums(win_id, r)
-                            if ledger is not None else {})
+                sums_now = ledger.sums(win_id, r)
                 for idx, ck_val in enumerate(snap.ctrl):
                     val = (ck_val + sums_now.get(idx, 0)
                            - snap.ledger_sums.get(idx, 0)) & _MASK64
@@ -497,9 +513,7 @@ class FTRuntime:
                     self.stats.entries_replayed += 1
             self._respawn(r, rec)
         self._fire_restore_events(cohort)
-        notifier = self.world.notifier
-        if notifier is not None:
-            notifier.absolve(cohort)
+        self.world.notifier.absolve(cohort)
         inj = self.world.injector
         inj.stats.ranks_restored += len(cohort)
         self.stats.restores += 1
@@ -538,7 +552,7 @@ class FTRuntime:
                 max_win = max(max_win, win_id)
                 snap = rec.windows.get(win_id)
                 if snap is not None and snap.lock_snap.get("lock_all_held"):
-                    ctx.ft._restored_lock_all.add(win_id)
+                    self._restored_lock_all.add((rank, win_id))
         ctx.rma._next_win = max_win + 1
         # Restored origin sequence numbers make re-executed atomics hit
         # the injector's replay dedup: exactly-once effects.
@@ -549,77 +563,9 @@ class FTRuntime:
         checker = world.checker
         if checker is not None:
             checker.on_restore(rank, rec.coll_seq, rec.oseqs)
-        ctx.ft._restored_state = dict(rec.app)
-        self._restored.add(rank)
+        self._restored[rank] = dict(rec.app)
         # The restarted incarnation's outcome is the rank's outcome.
         world.rank_procs[rank] = self.env.process(
             self.program(ctx, *self.p_args, **self.p_kwargs),
             name=f"rank{rank}:r2")
 
-
-class FTContext:
-    """Per-rank facade over the world's :class:`FTRuntime` (``ctx.ft``)."""
-
-    def __init__(self, rt: FTRuntime, ctx) -> None:
-        self.rt = rt
-        self.ctx = ctx
-        self._restored_state: dict | None = None
-        self._restored_lock_all: set[int] = set()
-
-    # -- workload API --------------------------------------------------
-    @property
-    def restarting(self) -> bool:
-        """True inside a restarted incarnation of the program."""
-        return self.ctx.rank in self.rt._restored \
-            and self._restored_state is not None
-
-    def protect(self, win) -> None:
-        """Enroll a window for checkpointing and delivery-time
-        put/atomic logging."""
-        self.rt.protect(self.ctx.rank, win)
-
-    def adopt(self, win_id: int):
-        """Restarted rank: take over the preserved, already-restored
-        window object instead of re-allocating."""
-        win = self.rt.windows.get(win_id, {}).get(self.ctx.rank)
-        if win is None:
-            raise FTError(f"rank {self.ctx.rank}: no protected window "
-                          f"{win_id} to adopt")
-        return win
-
-    def restored_state(self) -> dict:
-        """Application state carried by the restored checkpoint."""
-        if self._restored_state is None:
-            raise FTError(f"rank {self.ctx.rank} is not restarting")
-        return self._restored_state
-
-    def checkpoint(self, win, state: dict):
-        """Generator: snapshot + buddy deposit (see FTRuntime.checkpoint)."""
-        return self.rt.checkpoint(self.ctx, win, state)
-
-    def release_window(self, win) -> None:
-        self.rt.release_window(self.ctx.rank, win)
-
-    # -- protocol hooks ------------------------------------------------
-    def logged(self, win) -> bool:
-        """True when remote deltas to ``win`` must be loggable (the
-        window is protected)."""
-        return self.rt.is_protected(win.win_id)
-
-    def consume_restored_lock_all(self, win) -> bool:
-        """One-shot: the restored rank held a lock_all epoch at its
-        checkpoint; its re-executed ``lock_all`` re-enters the epoch
-        without touching the (already reconciled) lock words."""
-        if win.win_id in self._restored_lock_all:
-            self._restored_lock_all.discard(win.win_id)
-            return True
-        return False
-
-    def put_logger(self, win, target: int):
-        return self.rt.put_logger(win, target)
-
-    def amo_logger(self, win, target: int, cells, base_idx: int):
-        return self.rt.amo_logger(win, target, cells, base_idx)
-
-    def amo_stream_logger(self, win, target: int, cells, base_idx: int):
-        return self.rt.amo_stream_logger(win, target, cells, base_idx)

@@ -26,11 +26,10 @@ __all__ = ["BuddyPlacement"]
 class BuddyPlacement:
     """Deterministic buddy/spare placement for one run."""
 
-    def __init__(self, base_nnodes: int, spares: int, seed: int) -> None:
+    def __init__(self, base_nnodes: int, seed: int) -> None:
         if base_nnodes < 1:
             raise ValueError(f"base_nnodes={base_nnodes} must be >= 1")
         self.base_nnodes = base_nnodes
-        self.spares = spares
         if base_nnodes > 1:
             self.step = 1 + derive_seed(seed, "ft-buddy") % (base_nnodes - 1)
         else:
@@ -42,6 +41,4 @@ class BuddyPlacement:
 
     def spare_node(self, k: int) -> int:
         """Node id of the ``k``-th spare (0-based)."""
-        if not 0 <= k < self.spares:
-            raise ValueError(f"spare {k} out of range (spares={self.spares})")
         return self.base_nnodes + k

@@ -29,7 +29,7 @@ def _lost_peers(ctx) -> dict:
         if proc.is_alive or proc.ok:
             continue
         if (ft is not None and isinstance(proc.value, Interrupt)
-                and ft.rt.will_recover(rank)):
+                and ft.will_recover(rank)):
             continue  # dead, but its restart is on the way
         lost[rank] = proc.value
     return lost
@@ -60,10 +60,10 @@ def run_steps(ctx, create, nsteps: int, step):
     :class:`~repro.errors.FTError` once a peer is lost for good: the
     count can then never reach ``nranks``.
     """
-    ft = ctx.ft
-    if ft is not None and ft.restarting:
-        state = ft.restored_state()
-        windows = [ft.adopt(win_id) for win_id in state["win_ids"]]
+    ft, rank = ctx.ft, ctx.rank
+    if ft is not None and ft.restarting(rank):
+        state = ft.restored_state(rank)
+        windows = [ft.adopt(rank, win_id) for win_id in state["win_ids"]]
         # Re-enters each checkpointed epoch without re-acquiring it.
         for win in windows:
             yield from win.lock_all()
@@ -74,16 +74,16 @@ def run_steps(ctx, create, nsteps: int, step):
                  "done": (windows.index(done_win), done_disp), "next_i": 0}
         for win in windows:
             if ft is not None:
-                ft.protect(win)
+                ft.protect(rank, win)
             if not win.lock_state.lock_all_held:
                 yield from win.lock_all()
         if ft is not None:
             # Inside the epochs, so a crash at any later point has a
             # consistent restart line.
-            yield from ft.checkpoint(windows, state)
+            yield from ft.checkpoint(ctx, windows, state)
     done_idx, done_disp = state["done"]
     done_win = windows[done_idx]
-    interval = ft.rt.cfg.interval if ft is not None else 0
+    interval = ft.cfg.interval if ft is not None else 0
 
     for i in range(state["next_i"], nsteps):
         yield from step(windows, i)
@@ -92,7 +92,7 @@ def run_steps(ctx, create, nsteps: int, step):
             # snapshot plus the remote put-log covers everything it issued.
             for win in windows:
                 yield from win.flush_all()
-            yield from ft.checkpoint(windows, {**state, "next_i": i + 1})
+            yield from ft.checkpoint(ctx, windows, {**state, "next_i": i + 1})
 
     for win in windows:
         yield from win.flush_all()

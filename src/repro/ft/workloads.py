@@ -43,17 +43,13 @@ def ft_machine() -> MachineConfig:
     return MachineConfig(ranks_per_node=1)
 
 
-def ft_faults(*, crashes=(), mode: str = "spare", interval: int = 2,
-              replicas: int = 1, spares: int | None = None) -> FaultConfig:
+def ft_faults(*, crashes=(), mode: str = "spare",
+              interval: int = 2) -> FaultConfig:
     """FaultConfig for an FT run; ``crashes=()`` gives the fault-free
     (but still checkpointing) configuration used as the reference."""
-    if spares is None:
-        spares = 1 if mode == "spare" else 0
     plan = FaultPlan(crashes=tuple(crashes)) if crashes else None
-    return FaultConfig(plan=plan,
-                       ft=FTConfig(enabled=True, interval=interval,
-                                   mode=mode, spares=spares,
-                                   replicas=replicas))
+    return FaultConfig(plan=plan, ft=FTConfig(enabled=True, interval=interval,
+                                              mode=mode))
 
 
 def run_reference(name: str, nranks: int = 4, *,
@@ -112,17 +108,26 @@ def run_crash_to_completion(name: str, nranks: int = 4, *,
                             seed: int = SimConfig.seed,
                             crash_rank: int = 1, crash_frac: float = 0.5,
                             mode: str = "spare", interval: int = 2,
-                            replicas: int = 1, obs: bool = False,
+                            obs: bool = False,
                             **program_kwargs) -> FTOutcome:
     """Crash ``crash_rank`` at ``crash_frac`` of the fault-free run's
     length, recover, and compare every rank's final window bytes
-    bit-for-bit against that fault-free (but checkpointing) run."""
+    bit-for-bit against that fault-free (but checkpointing) run.
+
+    Raises :class:`ValueError`, before any run, when ``crash_rank`` is
+    not a rank of the run or ``crash_frac`` is outside (0, 1): such a
+    crash would hit no rank, or no running program."""
+    if not 0 <= crash_rank < nranks:
+        raise ValueError(f"crash rank {crash_rank} is not a rank of the "
+                         f"{nranks}-rank run")
+    if not 0.0 < crash_frac < 1.0:
+        raise ValueError(f"crash fraction {crash_frac} is outside (0, 1)")
     ref = run_reference(name, nranks, seed=seed, interval=interval,
                         mode=mode, obs=obs, **program_kwargs)
     t = max(1, int(ref.sim_time_ns * crash_frac))
     # One rank per node, so node id == rank id.
     faults = ft_faults(crashes=(NodeCrash(crash_rank, t),), mode=mode,
-                       interval=interval, replicas=replicas)
+                       interval=interval)
     res = run_workload(name, nranks, seed=seed, obs=obs, faults=faults,
                        **program_kwargs)
     return FTOutcome(reference=ref, recovered=res, crash_rank=crash_rank,

@@ -114,7 +114,7 @@ def accumulate(win, data, target: int, target_disp: int, op: Op, *,
 def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
     """Lock-get-modify-put protocol on the internal accumulate lock."""
     ctx = win.ctx
-    if (ctx.ft is not None and ctx.ft.logged(win)
+    if (ctx.ft is not None and ctx.ft.is_protected(win.win_id)
             and not ctx.same_node(target)):
         from repro.errors import FTError
         raise FTError(

@@ -73,10 +73,6 @@ class LockState:
 def _backoff(win, attempt: int):
     """Deterministic exponential back-off (the paper: 'All waits/retries
     can be performed with exponential back off to avoid congestion')."""
-    # With revocation disabled a dead holder will never clear the word --
-    # abandon the retry loop with a structured error instead of spinning
-    # into the watchdog.  (No-op without a failure notifier.)
-    recovery.check_pending_acquire(win)
     win.lock_state.retries += 1
     delay = min(win.params.backoff_base_ns * (1 << min(attempt, 16)),
                 win.params.backoff_max_ns)
@@ -90,10 +86,10 @@ def _amo(win, target: int, idx: int, op: str, operand: int,
     ledger = ctx.lock_ledger
     record = None
     if ledger is not None:
-        # Revocation on: charge this origin for what the AMO did to the
-        # word, at delivery -- a packet injected before its origin's crash
-        # still lands, and a deduplicated replay never calls back, so a
-        # contribution is neither lost nor counted twice.
+        # A crash plan is active: charge this origin for what the AMO did
+        # to the word, at delivery -- a packet injected before its
+        # origin's crash still lands, and a deduplicated replay never
+        # calls back, so a contribution is neither lost nor counted twice.
         def record(old):
             if op == "add":
                 ledger.record(win.win_id, target, idx, ctx.rank, operand)
@@ -271,7 +267,7 @@ def lock_all(win):
     global word (the spec has no exclusive lock_all)."""
     st = win.lock_state
     ctx = win.ctx
-    if ctx.ft is not None and ctx.ft.consume_restored_lock_all(win):
+    if ctx.ft is not None and ctx.ft.consume_restored_lock_all(ctx.rank, win):
         # Restarted incarnation re-executing its program from the top: the
         # checkpoint says this epoch was already open and the global-word
         # registration survived the crash (lock words are checkpointed

@@ -24,15 +24,15 @@ There is one wire protocol, on every fabric.  Each AMO carries an
 the queue; only :mod:`repro.rma.recovery` reads those notes, to turn a
 dead rank's queue node into a token forwarder.  What a run with a failure
 notifier adds is confined to the ``ctx.notifier`` tests below: structured
-errors for a dead master, a direct store for a dead queue neighbour, and
-a spin that gives up when revocation is disabled.
+errors for a dead master and a direct store for a dead queue neighbour.
+A waiter's spin is the plain local ``wait_until`` on every run: a dead
+neighbour's forwarder writes the word it waits on.
 """
 
 from __future__ import annotations
 
-from repro.errors import LockError, NodeCrashedError, RankFailedError
+from repro.errors import LockError, NodeCrashedError
 from repro.rma import recovery
-from repro.sim.kernel import AnyOf
 
 __all__ = ["McsLock", "IDX_TAIL", "IDX_NEXT", "IDX_FLAG"]
 
@@ -108,30 +108,6 @@ class McsLock:
             on_applied(self._cells(target).apply(self.base + idx, "replace",
                                                  value))
 
-    def _spin(self, idx: int, op: str, why: str):
-        """Wait on MY word ``idx`` -- zero remote traffic while waiting
-        (the MCS property)."""
-        ctx = self.win.ctx
-        my = self._cells(ctx.rank)
-        notifier = ctx.notifier
-        if notifier is None or ctx.lock_ledger is not None:
-            # With revocation on, a dead neighbour's zombie forwarder
-            # writes the word, so the plain spin terminates.
-            yield my.wait_until(self.base + idx, lambda v: v != 0)
-            return
-        # Revocation off: a dead neighbour never writes -- race the spin
-        # against the failure notification.
-        while my.load(self.base + idx) == 0:
-            known = notifier.known(ctx.rank)
-            if known:
-                ctx.world.injector.stats.acquisitions_failed += 1
-                self.holding = False
-                raise RankFailedError(
-                    known, op=op, detail=f"lock revocation disabled; {why}")
-            yield AnyOf(ctx.env, [
-                my.wait_until(self.base + idx, lambda v: v != 0),
-                notifier.failure_event(ctx.rank)])
-
     # ------------------------------------------------------------------
     def acquire(self):
         """Enqueue and wait; O(1) remote AMOs regardless of contention."""
@@ -164,8 +140,9 @@ class McsLock:
         if pred != 0:
             yield from self._set_peer_word(int(pred) - 1, IDX_NEXT, me,
                                            published)
-            yield from self._spin(IDX_FLAG, "mcs acquire",
-                                  "predecessor may never hand off")
+            # Spin on MY flag: no remote traffic while waiting (the MCS
+            # property).
+            yield my.wait_until(self.base + IDX_FLAG, lambda v: v != 0)
             my.store(self.base + IDX_FLAG, 0)
         self._token = True
         self.holding = True
@@ -231,8 +208,7 @@ class McsLock:
             if old != me:
                 # A successor is in the middle of enqueueing: wait for its
                 # next-pointer publication.
-                yield from self._spin(IDX_NEXT, "mcs release",
-                                      "successor died mid-enqueue")
+                yield my.wait_until(self.base + IDX_NEXT, lambda v: v != 0)
         succ = int(my.load(self.base + IDX_NEXT))
         if succ != 0:
             yield from self._set_peer_word(succ - 1, IDX_FLAG, 1, handed)

@@ -8,7 +8,9 @@ spin loop (or hangs in a matching list) that can never complete.
 
 Three cooperating mechanisms, all driven by the
 :class:`~repro.runtime.notify.FailureNotifier` and fully deterministic
-under the run seed:
+under the run seed.  There is one policy: every run with a crash plan
+revokes, and ranks that rollback recovery (:mod:`repro.ft`) will restart
+keep their state for the restore instead:
 
 **Revocation ledger** (:class:`RevocationLedger`).  Every lock-word AMO an
 origin issues through ``locks._amo`` -- the two-level lock words and the
@@ -47,16 +49,17 @@ to a local free so a dead rank cannot deadlock collective teardown, and
 the dead ranks' dynamic attach lists and heap segments are reclaimed.
 
 Timing assumption (documented, also in DESIGN.md section 9): revocation
-runs at least ``detect_ns + revoke_ns`` after the crash, which must
-exceed the maximum in-flight packet latency so that every pre-crash
-effect has landed before compensation.  The defaults leave a wide margin
-over the modeled wire latencies.
+runs at least ``DETECT_NS + REVOKE_NS`` (:mod:`repro.runtime.notify`)
+after the crash, which must exceed the maximum in-flight packet latency
+so that every pre-crash effect has landed before compensation.  The
+constants leave a wide margin over the modeled wire latencies.
 """
 
 from __future__ import annotations
 
 from repro.errors import (EpochError, FaultError, NodeCrashedError,
                           RankFailedError)
+from repro.runtime.notify import REVOKE_NS
 from repro.sim.kernel import AnyOf
 
 __all__ = [
@@ -65,7 +68,6 @@ __all__ = [
     "ranks_on_node",
     "fail_acquire",
     "check_peer_alive",
-    "check_pending_acquire",
     "guarded_barrier",
     "guarded_free",
 ]
@@ -144,22 +146,6 @@ def check_peer_alive(win, target: int, op: str) -> None:
         raise RankFailedError((target,), op=op)
 
 
-def check_pending_acquire(win) -> None:
-    """With revocation disabled, a spinning acquisition can never be
-    unblocked by a dead holder -- abandon it with the structured error as
-    soon as this rank learns of any failure."""
-    ctx = win.ctx
-    notifier = ctx.notifier
-    if notifier is None or ctx.lock_ledger is not None:
-        return
-    known = notifier.known(ctx.rank)
-    if known:
-        ctx.world.injector.stats.acquisitions_failed += 1
-        raise RankFailedError(
-            known, op="lock acquisition retry",
-            detail="lock revocation disabled; abandoning the spin loop")
-
-
 # ----------------------------------------------------------------------
 # epoch fault containment
 # ----------------------------------------------------------------------
@@ -226,7 +212,6 @@ def install(world) -> None:
 
 
 def _revoke(world, failed_ranks):
-    rec = world.faults.recovery
     failed = set(failed_ranks)
     if world.ft is not None:
         # Ranks the FT layer will restore keep their protocol state: their
@@ -235,24 +220,19 @@ def _revoke(world, failed_ranks):
         failed -= world.ft.recoverable(failed)
         if not failed:
             return
-    if rec.revoke_locks:
-        yield from _revoke_lock_words(world, failed)
-        _spawn_mcs_zombies(world, failed)
+    yield from _revoke_lock_words(world, failed)
+    _spawn_mcs_zombies(world, failed)
     yield from _reclaim(world, failed)
 
 
 def _revoke_lock_words(world, failed):
     """Roll back the dead origins' net contributions to every lock word
     (global and local halves of the two-level hierarchy alike)."""
-    ledger = world.lock_ledger
-    if ledger is None:
-        return
     env = world.env
-    rec = world.faults.recovery
     inj = world.injector
     node_of = world.rank_map.node_of
     comp: dict[tuple[int, int, int], int] = {}
-    for win_id, target, idx, origin, delta in ledger.debts_of(failed):
+    for win_id, target, idx, _, delta in world.lock_ledger.debts_of(failed):
         key = (win_id, target, idx)
         comp[key] = comp.get(key, 0) + delta
     for key in sorted(comp):
@@ -265,8 +245,7 @@ def _revoke_lock_words(world, failed):
         ctrl = world.blackboard.get(("winctrl", win_id), {}).get(target)
         if ctrl is None:
             continue
-        if rec.revoke_ns:
-            yield rec.revoke_ns
+        yield REVOKE_NS
         ctrl.apply(idx, "add", -delta)  # wakes any watchers of the word
         inj.stats.locks_revoked += 1
         inj._trace("lock-revoke",
@@ -294,7 +273,6 @@ def _mcs_zombie(world, lock, rank: int):
     from repro.rma.mcs import IDX_FLAG, IDX_NEXT, IDX_TAIL
 
     env = world.env
-    rec = world.faults.recovery
     inj = world.injector
     base = lock.base
     my = lock._cells(rank)
@@ -304,8 +282,7 @@ def _mcs_zombie(world, lock, rank: int):
     # without ever publishing itself to its predecessor -- finish the
     # publication so the predecessor's release can find this node.
     if lock._pred and not lock._published:
-        if rec.revoke_ns:
-            yield rec.revoke_ns
+        yield REVOKE_NS
         lock._cells(lock._pred - 1).apply(base + IDX_NEXT, "replace", me)
         lock._published = True
         env.note_progress()
@@ -321,8 +298,7 @@ def _mcs_zombie(world, lock, rank: int):
 
     # Forward to the successor, or retire the token at the tail.
     while True:
-        if rec.revoke_ns:
-            yield rec.revoke_ns
+        yield REVOKE_NS
         succ = int(my.load(base + IDX_NEXT))
         if succ != 0 and succ != me:
             lock._cells(succ - 1).apply(base + IDX_FLAG, "replace", 1)
@@ -345,7 +321,6 @@ def _reclaim(world, failed):
     lists and reclaim their window heap segments so crashed ranks cannot
     leak registrations."""
     env = world.env
-    rec = world.faults.recovery
     inj = world.injector
     bb = world.blackboard
     dyn_keys = sorted((k for k in bb
@@ -359,8 +334,7 @@ def _reclaim(world, failed):
         n = len(st.regions)
         if not n:
             continue
-        if rec.revoke_ns:
-            yield rec.revoke_ns
+        yield REVOKE_NS
         for desc in list(st.regions):
             try:
                 world.reg_tables[r].deregister(desc)
@@ -382,8 +356,7 @@ def _reclaim(world, failed):
             win = wins[r]
             if win.freed or win.seg is None:
                 continue
-            if rec.revoke_ns:
-                yield rec.revoke_ns
+            yield REVOKE_NS
             try:
                 world.spaces[r].free(win.seg)
             except Exception:

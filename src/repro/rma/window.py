@@ -447,7 +447,7 @@ class Window:
         if self.ctx.ft is not None:
             # Cancel in-flight replica deposits and release buddy-side
             # checkpoint memory before the segment itself goes away.
-            self.ctx.ft.release_window(self)
+            self.ctx.ft.release_window(self.ctx.rank, self)
         if self.ctx.notifier is None:
             yield from self.ctx.coll.barrier()
         else:

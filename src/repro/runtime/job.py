@@ -9,7 +9,7 @@ processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from repro.config import (
@@ -122,7 +122,7 @@ def run_on_world(world: World, program: Callable, *args, **kwargs) -> RunResult:
     if world.checker is not None:
         stats["check"] = world.checker.stats_snapshot()
     if world.ft is not None:
-        stats["ft"] = world.ft.stats.snapshot()
+        stats["ft"] = asdict(world.ft.stats)
     return RunResult(
         returns=returns,
         sim_time_ns=world.env.now,

@@ -10,24 +10,24 @@ structured error and state owned by the dead rank can be revoked.
 
 :class:`FailureNotifier` models that propagation the way a scalable
 runtime would implement it (and the way ULFM implementations do): a local
-failure detector confirms the death after ``detect_ns``, then a binomial
+failure detector confirms the death after ``DETECT_NS``, then a binomial
 broadcast seeded at the first survivor disseminates the notification in
-``ceil(log2 p)`` rounds of ``notify_round_ns`` each -- the same O(log p)
+``ceil(log2 p)`` rounds of ``NOTIFY_ROUND_NS`` each -- the same O(log p)
 round structure the paper uses for its scalability bounds.  Survivor
 ``i`` (in rank order among survivors) learns of the failure after
 ``depth(i) = bit_length(i)`` rounds, so the last survivor learns after at
 most ``ceil(log2 p)`` rounds and total notification cost is O(log p)
 regardless of job size.
 
-Everything is derived from the planned crash times, the
-:class:`~repro.config.RecoveryConfig` constants and the deterministic DES
-kernel -- no randomness is consumed -- so a recovered run replays
-bit-identically under the same seed.
+Everything is derived from the planned crash times, the three timing
+constants below and the deterministic DES kernel -- no randomness is
+consumed -- so a recovered run replays bit-identically under the same
+seed.
 
 The notifier is only constructed when the active
-:class:`~repro.config.FaultPlan` contains crashes and recovery is
-enabled; every hook in the protocol layers is behind a single
-``notifier is None`` test, keeping fault-free schedules byte-identical.
+:class:`~repro.config.FaultPlan` contains crashes; every hook in the
+protocol layers is behind a single ``notifier is None`` test, keeping
+fault-free schedules byte-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +36,15 @@ from typing import Callable, Iterable
 
 from repro.sim.kernel import Event
 
-__all__ = ["FailureNotifier"]
+__all__ = ["FailureNotifier", "DETECT_NS", "NOTIFY_ROUND_NS", "REVOKE_NS"]
+
+#: Crash instant to the failure detector's confirmation.
+DETECT_NS = 3_000
+#: One round of the binomial notification broadcast.
+NOTIFY_ROUND_NS = 700
+#: One revocation step: before the hooks run, and per lock word rolled
+#: back, queue hop forwarded or region reclaimed (repro.rma.recovery).
+REVOKE_NS = 900
 
 
 class FailureNotifier:
@@ -45,19 +53,19 @@ class FailureNotifier:
     One dissemination process is spawned per planned crash event.  Each
     runs:
 
-    1. *detect*   -- wait until ``crash_time + detect_ns``;
+    1. *detect*   -- wait until ``crash_time + DETECT_NS``;
     2. *notify*   -- binomial broadcast over survivors, one
-       ``notify_round_ns`` charge per tree depth, updating each
+       ``NOTIFY_ROUND_NS`` charge per tree depth, updating each
        survivor's known-failure set and firing its pending
        :meth:`failure_event`;
     3. *revoke*   -- run the registered revocation hooks
-       (:mod:`repro.rma.recovery`) after a ``revoke_ns`` charge.
+       (:mod:`repro.rma.recovery`, then the FT restore) after a
+       ``REVOKE_NS`` charge.
     """
 
     def __init__(self, world) -> None:
         self.world = world
         self.env = world.env
-        self.recovery = world.faults.recovery
         self._known: list[set[int]] = [set() for _ in range(world.nranks)]
         self._events: list[Event | None] = [None] * world.nranks
         self._hooks: list[Callable] = []
@@ -151,9 +159,8 @@ class FailureNotifier:
 
     def _disseminate(self, when: int, node: int, failed_ranks: tuple):
         env = self.env
-        rec = self.recovery
         inj = self.world.injector
-        delta = (when + rec.detect_ns) - env.now
+        delta = (when + DETECT_NS) - env.now
         if delta > 0:
             yield delta
         inj.stats.failures_detected += 1
@@ -164,7 +171,7 @@ class FailureNotifier:
         survivors = self._survivors(when)
         if survivors:
             # Binomial broadcast: survivor at position v receives at depth
-            # bit_length(v); one notify_round_ns charge per depth level.
+            # bit_length(v); one NOTIFY_ROUND_NS charge per depth level.
             max_depth = ((len(survivors) - 1).bit_length()
                          if len(survivors) > 1 else 0)
             by_depth: dict[int, list[int]] = {}
@@ -172,13 +179,12 @@ class FailureNotifier:
                 by_depth.setdefault(v.bit_length(), []).append(r)
             for depth in range(max_depth + 1):
                 if depth > 0:
-                    yield rec.notify_round_ns
+                    yield NOTIFY_ROUND_NS
                 for r in by_depth.get(depth, ()):
                     self._deliver(r, failed_ranks)
                 env.note_progress()
 
-        if rec.revoke_ns > 0:
-            yield rec.revoke_ns
+        yield REVOKE_NS
         for hook in self._hooks:
             yield from hook(failed_ranks)
         inj._trace("revoke", f"node {node} state revoked")

@@ -57,12 +57,10 @@ class RankContext:
         # ``is None`` gate every protocol-layer recovery hook tests).
         self.notifier = world.notifier
         self.lock_ledger = world.lock_ledger
-        # Rollback recovery (same None-when-off contract).
-        self.ft = None
+        # Rollback recovery: the world's FTRuntime (same None-when-off
+        # contract); its calls name the rank they act for.
+        self.ft = world.ft
         if world.ft is not None:
-            from repro.ft.core import FTContext
-
-            self.ft = FTContext(world.ft, self)
             self.dmapp.ft = world.ft
             self.mpi.ft = world.ft
         self._coll = None

@@ -188,8 +188,7 @@ class World:
             from repro.runtime.notify import FailureNotifier
 
             self.notifier = FailureNotifier(self)
-            if self.faults.recovery.revoke_locks:
-                self.lock_ledger = recovery.RevocationLedger()
+            self.lock_ledger = recovery.RevocationLedger()
             recovery.install(self)
         # Rollback recovery (checkpoint + log + restart).  Constructed for
         # any FT-enabled run -- including fault-free ones, so the overhead
@@ -201,7 +200,7 @@ class World:
 
             self.ft = FTRuntime(self)
             if self.notifier is not None:
-                self.notifier.on_revoke(self.ft.make_restore_hook())
+                self.notifier.on_revoke(self.ft.restore)
 
     def rng(self, purpose: str, rank: int = 0):
         """Deterministic random stream for (purpose, rank)."""

@@ -97,6 +97,17 @@ def test_cli_trace_unknown_workload():
     (("scale", "parity", "--ranks", "1"), "need at least 2 ranks"),
     (("scale", "smoke", "--ranks", "0"), "--ranks: rank count '0' must be"),
     (("figure", "8", "--hybrid", "--ranks", "x"), "bad rank count 'x'"),
+    (("ft", "hashtable", "--crash-rank", "7"),
+     "crash rank 7 is not a rank of the 4-rank run"),
+    (("serve", "kvstore", "--ft", "--crash", "9", "--requests", "200"),
+     "crash rank 9 is not a rank of the 8-rank run"),
+    (("ft", "hashtable", "--crash-frac", "0"),
+     "crash fraction 0.0 is outside (0, 1)"),
+    (("ft", "hashtable", "--crash-frac", "1.5"),
+     "crash fraction 1.5 is outside (0, 1)"),
+    (("ft", "hashtable", "--crash-rank", "-1"), "crash rank -1 is not"),
+    (("ft", "hashtable", "--interval", "0"), "FTConfig.interval=0"),
+    (("ft", "hashtable", "--inserts", "0"), "--inserts 0:"),
 ])
 def test_cli_unknown_workload_is_one_line(args, listed):
     """In process: ``SystemExit(<str>)`` is what the subprocess above

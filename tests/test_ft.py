@@ -74,15 +74,20 @@ def test_checkpointing_does_not_change_the_answer():
     assert final_bytes(base) == final_bytes(ft)
     assert ft.stats["ft"]["checkpoints_taken"] > 0
     assert "ft" not in base.stats
+    # One rank on one node: the buddy is the rank's own node, so every
+    # checkpoint commits where it is taken.
+    solo = run_reference(HT, 1, inserts=INSERTS).stats["ft"]
+    assert solo["replicas_arrived"] == solo["checkpoints_taken"] > 0
+    assert solo["buddy_bytes"] > 0
 
 
 def _uncheckpointed_victim_program(ctx):
     import numpy as np
     win = yield from ctx.rma.win_allocate(256)
-    ctx.ft.protect(win)
+    ctx.ft.protect(ctx.rank, win)
     yield from win.lock_all()
     if ctx.rank != 2:
-        yield from ctx.ft.checkpoint(win, {"win_id": win.win_id})
+        yield from ctx.ft.checkpoint(ctx, win, {"win_id": win.win_id})
     data = np.ones(8, np.uint8)
     for i in range(50):
         yield from win.put(data, 2, 8 * ((i + ctx.rank) % 16))
@@ -255,8 +260,8 @@ def test_accumulate_streams_recover_through_a_crash(monkeypatch):
 # ---------------------------------------------------------------------------
 def _free_mid_deposit_program(ctx):
     win = yield from ctx.rma.win_allocate(512)
-    ctx.ft.protect(win)
-    yield from ctx.ft.checkpoint(win, {"win_id": win.win_id})
+    ctx.ft.protect(ctx.rank, win)
+    yield from ctx.ft.checkpoint(ctx, win, {"win_id": win.win_id})
     # Free immediately: the buddy replica packet is still on the wire.
     yield from win.free()
     return "ok"
@@ -279,8 +284,8 @@ def test_win_free_cancels_inflight_replica():
 
 def _free_after_commit_program(ctx):
     win = yield from ctx.rma.win_allocate(512)
-    ctx.ft.protect(win)
-    yield from ctx.ft.checkpoint(win, {"win_id": win.win_id})
+    ctx.ft.protect(ctx.rank, win)
+    yield from ctx.ft.checkpoint(ctx, win, {"win_id": win.win_id})
     yield from ctx.compute(50_000)  # let the replica arrive and commit
     yield from win.free()
     return "ok"
@@ -302,7 +307,7 @@ def test_win_free_releases_committed_buddy_memory():
 def _adopt_unknown_program(ctx):
     yield from ctx.coll.barrier()
     try:
-        ctx.ft.adopt(99)
+        ctx.ft.adopt(ctx.rank, 99)
     except FTError:
         return "guarded"
     return "missed"
@@ -314,13 +319,46 @@ def test_adopt_unknown_window_raises():
     assert list(res.returns) == ["guarded", "guarded"]
 
 
+def _restored_state_first_start_program(ctx):
+    yield from ctx.coll.barrier()
+    try:
+        ctx.ft.restored_state(ctx.rank)
+    except FTError:
+        return ctx.ft.restarting(ctx.rank)
+    return "missed"
+
+
+def test_restored_state_outside_a_restart_raises():
+    res = run_spmd(_restored_state_first_start_program, 2,
+                   machine=ft_machine(), faults=ft_faults())
+    assert list(res.returns) == [False, False]
+
+
+@pytest.mark.parametrize("kw, match", [
+    (dict(crash_rank=NRANKS), "not a rank"),
+    (dict(crash_rank=-1), "not a rank"),
+    (dict(crash_frac=0.0), "outside"),
+    (dict(crash_frac=1.5), "outside"),
+], ids=["rank-past-end", "rank-negative", "frac-0", "frac-1.5"])
+def test_crash_that_hits_no_rank_is_refused(kw, match, monkeypatch):
+    """A crash outside the run's ranks or its length would recover
+    nothing and report success; it is refused before the reference run."""
+    import repro.ft.workloads as ftw
+
+    monkeypatch.setattr(ftw, "run_reference",
+                        lambda *a, **k: pytest.fail("reference run started"))
+    with pytest.raises(ValueError, match=match):
+        run_crash_to_completion(HT, NRANKS, inserts=INSERTS, **kw)
+
+
 def test_ftconfig_validation():
     with pytest.raises(ValueError, match="interval"):
         FTConfig(enabled=True, interval=0)
     with pytest.raises(ValueError, match="mode"):
         FTConfig(enabled=True, mode="migrate")
-    with pytest.raises(ValueError, match="replicas"):
-        FTConfig(enabled=True, replicas=0)
+    # The spare-node count is derived from the mode, not set.
+    assert FTConfig(mode="spare").spares == 1
+    assert FTConfig(mode="shrink").spares == 0
 
 
 def test_workload_rejects_colliding_layout():

@@ -25,7 +25,6 @@ from repro.config import (
     MachineConfig,
     NicStall,
     NodeCrash,
-    RecoveryConfig,
     SimConfig,
 )
 from repro.errors import (
@@ -121,32 +120,6 @@ def test_lock_dead_target_fails_structured():
                    faults=crash_plan((1, 30_000)))
     assert res.returns[0] == "refused"
     assert res.stats["recovery"]["acquisitions_failed"] == 1
-
-
-def test_revocation_disabled_fails_pending_acquire():
-    """With revoke_locks=False a dead holder's word is never cleared; the
-    spinning survivor gets a structured RankFailedError instead of a
-    livelock."""
-    faults = FaultConfig(
-        plan=FaultPlan(crashes=(NodeCrash(node=1, time_ns=50_000),)),
-        recovery=RecoveryConfig(revoke_locks=False))
-
-    def program(ctx):
-        win = yield from ctx.rma.win_allocate(256)
-        if ctx.rank == 1:
-            yield from win.lock(0, LockType.EXCLUSIVE)
-            yield ctx.env.timeout(10_000_000)
-        else:
-            yield ctx.env.timeout(20_000)
-            with pytest.raises(RankFailedError) as exc:
-                yield from win.lock(0, LockType.EXCLUSIVE)
-            assert 1 in exc.value.failed_ranks
-            return "refused"
-
-    res = run_spmd(program, 2, machine=INTER, faults=faults)
-    assert res.returns[0] == "refused"
-    assert res.stats["recovery"]["locks_revoked"] == 0
-    assert res.stats["recovery"]["acquisitions_failed"] >= 1
 
 
 def _lock_mix_program(ctx):
@@ -260,33 +233,6 @@ def test_mcs_adjacent_dead_waiters_chain():
         assert res.returns[r] == ("ok", r)
     assert res.stats["recovery"]["queue_splices"] == 2
     assert (res.sim_time_ns, res.stats["messages"]) == (137_343, 40)
-
-
-def test_mcs_revocation_disabled_fails_the_spin():
-    """With revoke_locks=False no zombie forwards a dead holder's token:
-    the waiter's local spin is raced against the failure notification and
-    ends in a structured error, not a livelock."""
-    faults = FaultConfig(
-        plan=FaultPlan(crashes=(NodeCrash(node=1, time_ns=50_000),)),
-        recovery=RecoveryConfig(revoke_locks=False))
-
-    def program(ctx):
-        win = yield from ctx.rma.win_allocate(64)
-        lock = McsLock(win)
-        if ctx.rank == 1:
-            yield from lock.acquire()
-            yield ctx.env.timeout(10_000_000)  # crashes while holding
-        else:
-            yield ctx.env.timeout(20_000)
-            with pytest.raises(RankFailedError) as exc:
-                yield from lock.acquire()
-            assert exc.value.failed_ranks == (1,)
-            return (lock.holding, lock._queued)
-
-    res = run_spmd(program, 2, machine=INTER, faults=faults)
-    assert res.returns[0] == (False, True)
-    rec = res.stats["recovery"]
-    assert (rec["acquisitions_failed"], rec["queue_splices"]) == (1, 0)
 
 
 def test_mcs_hand_off_in_flight_spares_next_turn_notes():
@@ -615,11 +561,6 @@ def test_fault_plan_validation():
         NicStall(node=0, start_ns=-1, duration_ns=10)
     with pytest.raises(ValueError, match="not a NodeCrash"):
         FaultPlan(crashes=("node3",))
-
-
-def test_recovery_config_validation():
-    with pytest.raises(ValueError, match="detect_ns"):
-        RecoveryConfig(detect_ns=-1)
 
 
 def test_fault_config_retry_validation():
