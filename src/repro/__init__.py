@@ -29,7 +29,6 @@ the subpackages for the full API:
 
 from repro._version import __version__
 from repro.config import (
-    FaultConfig,
     FaultPlan,
     MachineConfig,
     NicStall,
@@ -42,7 +41,6 @@ __all__ = [
     "MachineConfig",
     "SimConfig",
     "FaultPlan",
-    "FaultConfig",
     "NicStall",
     "NodeCrash",
     "Job",

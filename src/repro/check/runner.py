@@ -7,7 +7,6 @@ from typing import Any, Callable
 from repro.check.core import RaceChecker
 from repro.config import (
     CheckConfig,
-    FaultConfig,
     FaultPlan,
     MachineConfig,
     RunResult,
@@ -21,8 +20,7 @@ __all__ = ["run_checked", "JITTER_PROB", "JITTER_DELAY_NS", "JITTER_FAULTS"]
 #: Deterministic per seed -- a finding's reproducer seed replays exactly.
 JITTER_PROB = 0.25
 JITTER_DELAY_NS = 5_000
-JITTER_FAULTS = FaultConfig(plan=FaultPlan(delay_prob=JITTER_PROB,
-                                           delay_ns=JITTER_DELAY_NS))
+JITTER_FAULTS = FaultPlan(delay_prob=JITTER_PROB, delay_ns=JITTER_DELAY_NS)
 
 
 def run_checked(program: Callable[..., Any], nranks: int = 4, *,

@@ -103,17 +103,9 @@ class ObsConfig:
     enabled:
         Attach an :class:`~repro.obs.core.Instrumentation` to the run
         (exposed as ``RunResult.obs``).
-    max_spans:
-        Span-log truncation limit; appends past it are counted in
-        ``spans.dropped`` instead of stored.
     """
 
     enabled: bool = False
-    max_spans: int = 500_000
-
-    def __post_init__(self) -> None:
-        if self.max_spans < 0:
-            raise ValueError(f"max_spans={self.max_spans} is negative")
 
 
 @dataclass(frozen=True)
@@ -242,15 +234,13 @@ class FaultPlan:
 class FTConfig:
     """Rollback-recovery (checkpoint + put-log + restart) policy.
 
-    Only consulted when ``enabled``; otherwise none of the FT machinery is
-    constructed and schedules are bit-identical to FT-free runs.
+    A run gets the FT runtime exactly when it is passed one (``ft=`` on
+    :func:`~repro.runtime.job.run_spmd`); without it none of the FT
+    machinery is constructed and crashes are survived only in the
+    survivor-side sense (structured errors, revoked locks).
 
     Attributes
     ----------
-    enabled:
-        Master switch for rollback recovery.  Off, crashes are survived
-        only in the survivor-side sense (structured errors, revoked
-        locks).
     interval:
         Application steps between coordinated checkpoints (the knob the
         FT paper's headline overhead figure sweeps).
@@ -261,7 +251,6 @@ class FTConfig:
         checkpoint buddy's node, oversubscribing it.
     """
 
-    enabled: bool = False
     interval: int = 8
     mode: str = "spare"
 
@@ -276,64 +265,6 @@ class FTConfig:
     def spares(self) -> int:
         """Spare nodes held out of the initial placement."""
         return 1 if self.mode == "spare" else 0
-
-
-@dataclass(frozen=True)
-class FaultConfig:
-    """A :class:`FaultPlan` plus the resilience-machinery tuning knobs.
-
-    When no ``FaultConfig`` is supplied to a run, none of the fault or
-    retry machinery is constructed at all -- fault-free runs are
-    bit-identical to runs of the unhardened code.
-
-    Attributes
-    ----------
-    plan:
-        The faults to inject (``None`` = no injection, machinery off).
-    max_retries:
-        Retransmissions per operation before the transport gives up and
-        raises :class:`~repro.errors.DeadlineError`.
-    op_deadline_ns:
-        Time the origin NIC waits for the remote-completion ack of one
-        transmission attempt before declaring it lost.
-    retry_backoff_base_ns / retry_backoff_max_ns:
-        Capped exponential backoff between retransmissions.
-    retry_jitter_ns:
-        Amplitude of the seeded (deterministic) jitter added to each
-        backoff step to de-synchronize contending retriers.
-    ft:
-        Rollback-recovery policy (:class:`FTConfig`); restarts crashed
-        ranks on top of the survivor-side revocation every crash plan
-        gets (:mod:`repro.rma.recovery`).
-    """
-
-    plan: FaultPlan | None = None
-    max_retries: int = 64
-    op_deadline_ns: int = 30_000
-    retry_backoff_base_ns: int = 500
-    retry_backoff_max_ns: int = 16_000
-    retry_jitter_ns: int = 200
-    ft: FTConfig = field(default_factory=FTConfig)
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries={self.max_retries} is negative")
-        if self.op_deadline_ns <= 0:
-            raise ValueError(
-                f"op_deadline_ns={self.op_deadline_ns} must be positive")
-        for name in ("retry_backoff_base_ns", "retry_backoff_max_ns",
-                     "retry_jitter_ns"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name}={v} is negative")
-        if self.retry_backoff_max_ns < self.retry_backoff_base_ns:
-            raise ValueError(
-                f"retry_backoff_max_ns={self.retry_backoff_max_ns} below "
-                f"retry_backoff_base_ns={self.retry_backoff_base_ns}")
-
-    @property
-    def active(self) -> bool:
-        return self.plan is not None
 
 
 @dataclass

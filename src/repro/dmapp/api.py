@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import DeadlineError, NodeCrashedError, SimulationError
+from repro.faults import MAX_RETRIES, OP_DEADLINE_NS
 from repro.mem.atomic import AtomicArray, prepare_stream
 from repro.mem.registration import MemDescriptor, RegistrationTable
 from repro.machine.network import Network
@@ -86,7 +87,7 @@ class DmappEndpoint:
     is transmitted until its effect is applied *and* acknowledged
     (:meth:`_transmit`):
 
-    * a missing ack after ``op_deadline_ns`` triggers a NIC-driven
+    * a missing ack after ``OP_DEADLINE_NS`` triggers a NIC-driven
       retransmission -- the issuing CPU is charged only for the first
       attempt's descriptor write, recovery overlaps computation -- with
       capped exponential backoff and seeded jitter, so replay timing is
@@ -97,7 +98,7 @@ class DmappEndpoint:
       ``(origin_rank, seq)``, so a replayed atomic whose first copy took
       effect (only the ack was lost) returns the cached old value instead
       of re-applying;
-    * :class:`~repro.errors.DeadlineError` is raised after ``max_retries``
+    * :class:`~repro.errors.DeadlineError` is raised after ``MAX_RETRIES``
       lost attempts, :class:`~repro.errors.NodeCrashedError` as soon as
       the target node is known to have fail-stopped (quarantine: ops to
       crashed nodes fail fast without touching the wire).  Under an FT
@@ -180,7 +181,6 @@ class DmappEndpoint:
         first injection, completion time)``.
         """
         inj = self.injector
-        cfg = inj.config
         net = self.network
         env = self.env
         if inj.node_crashed(tnode, env.now):
@@ -193,7 +193,7 @@ class DmappEndpoint:
         first_end: int | None = None
         while True:
             attempts += 1
-            if attempts > cfg.max_retries + 1:
+            if attempts > MAX_RETRIES + 1:
                 inj.stats.deadline_failures += 1
                 ct = inj.crash_time(tnode)
                 if ct is not None and env.now >= ct:
@@ -202,7 +202,7 @@ class DmappEndpoint:
                         f"{kind} from rank {self.rank} to rank "
                         f"{target_rank} undeliverable")
                 raise DeadlineError(kind, target_rank, attempts - 1,
-                                    cfg.op_deadline_ns)
+                                    OP_DEADLINE_NS)
             fate = inj.packet_fate(self.node, tnode)
             window = net.occupy_injection(self.node, nbytes,
                                           earliest=resend_floor)
@@ -236,7 +236,7 @@ class DmappEndpoint:
                 self.obs.on_retransmit(self.rank, kind, target_rank,
                                        env.now, attempts,
                                        int(round(backoff)))
-            resend_floor = int(round(window[1] + cfg.op_deadline_ns
+            resend_floor = int(round(window[1] + OP_DEADLINE_NS
                                      + backoff))
 
     def _acked(self, tnode: int, applied: int) -> int | None:
@@ -491,13 +491,11 @@ class DmappEndpoint:
     # AMOs
     # ------------------------------------------------------------------
     def amo_nbi(self, target_rank: int, cells: AtomicArray, idx: int,
-                op: str, operand: int, operand2: int = 0, fetch: bool = False,
-                on_applied=None):
+                op: str, operand: int, operand2: int = 0, on_applied=None):
         """One 8-byte AMO at the target NIC.
 
         ``op='cas'`` uses ``operand`` as compare and ``operand2`` as swap.
-        With ``fetch=True`` the old value is available in ``handle.result``
-        once the handle completes.
+        The old value is in ``handle.result`` once the handle completes.
         """
         net = self.network
         node = self.node
@@ -601,9 +599,8 @@ class DmappEndpoint:
     def amo_b(self, target_rank: int, cells: AtomicArray, idx: int,
               op: str, operand: int, operand2: int = 0, on_applied=None):
         """Blocking fetching AMO; returns the OLD value."""
-        handle = yield from self.amo_nbi(target_rank, cells, idx, op,
-                                         operand, operand2, fetch=True,
-                                         on_applied=on_applied)
+        handle = yield from self.amo_nbi(target_rank, cells, idx, op, operand,
+                                         operand2, on_applied=on_applied)
         yield from self.wait(handle)
         return handle.result
 

@@ -27,12 +27,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import FaultConfig, FaultPlan
+from repro.config import FaultPlan
 from repro.sim.random import derive_seed
 
 __all__ = ["PacketFate", "FaultStats", "FaultInjector"]
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
+# The modelled NIC's retransmit policy (DESIGN.md section 7): resend after
+# an OP_DEADLINE_NS ack timeout plus a capped exponential backoff and a
+# seeded jitter below JITTER_NS; DeadlineError after MAX_RETRIES resends.
+MAX_RETRIES = 64
+OP_DEADLINE_NS = 30_000
+BACKOFF_BASE_NS = 500
+BACKOFF_MAX_NS = 16_000
+JITTER_NS = 200
 
 
 @dataclass
@@ -126,12 +135,12 @@ class _XorShift:
 
 
 class FaultInjector:
-    """Runtime fault oracle for one simulated job."""
+    """Runtime fault oracle for one simulated job: draws the fates of
+    ``plan`` from streams derived from ``seed``; ``env`` (optional) is the
+    kernel whose tracer records each injected fault."""
 
-    def __init__(self, plan: FaultPlan, config: FaultConfig, seed: int,
-                 env=None) -> None:
+    def __init__(self, plan: FaultPlan, seed: int, env=None) -> None:
         self.plan = plan
-        self.config = config
         self.env = env
         self.stats = FaultStats()
         self._packet_rng = _XorShift(derive_seed(seed, "fault.packet"))
@@ -217,13 +226,9 @@ class FaultInjector:
     def backoff_ns(self, attempt: int) -> int:
         """Capped exponential backoff with seeded jitter for retransmission
         ``attempt`` (1-based)."""
-        cfg = self.config
-        base = min(cfg.retry_backoff_base_ns * (1 << min(attempt - 1, 16)),
-                   cfg.retry_backoff_max_ns)
-        jitter = 0
-        if cfg.retry_jitter_ns > 0:
-            jitter = int(self._jitter_rng.uniform() * cfg.retry_jitter_ns)
-        return int(base) + jitter
+        base = min(BACKOFF_BASE_NS * (1 << min(attempt - 1, 16)),
+                   BACKOFF_MAX_NS)
+        return base + int(self._jitter_rng.uniform() * JITTER_NS)
 
     # ------------------------------------------------------------------
     # AMO replay dedup

@@ -1,7 +1,7 @@
 """Checkpoint, put-log and restart machinery (the FT runtime).
 
-One :class:`FTRuntime` per world (constructed only when
-``FaultConfig.ft.enabled``; every hook below the runtime is behind a
+One :class:`FTRuntime` per world (constructed only when the run is given
+an :class:`~repro.config.FTConfig`; every hook below the runtime is behind a
 single ``is None`` test, so FT-off schedules stay bit-identical).  Every
 rank holds the same runtime as ``ctx.ft``; each call that acts for one
 rank names it (``protect(rank, win)``, ``restarting(rank)``,
@@ -120,7 +120,7 @@ class FTRuntime:
     def __init__(self, world) -> None:
         self.world = world
         self.env = world.env
-        self.cfg = world.faults.ft
+        self.cfg = world.ft_config
         self.placement = BuddyPlacement(world.rank_map.nnodes,
                                         world.sim.seed)
         self.stats = FTStats()

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import (
-    FaultConfig,
     FaultPlan,
     FTConfig,
     MachineConfig,
@@ -28,7 +27,6 @@ from repro.workloads import WORKLOADS, lookup, run_workload
 
 __all__ = [
     "ft_machine",
-    "ft_faults",
     "run_reference",
     "run_crash_to_completion",
     "soak",
@@ -43,15 +41,6 @@ def ft_machine() -> MachineConfig:
     return MachineConfig(ranks_per_node=1)
 
 
-def ft_faults(*, crashes=(), mode: str = "spare",
-              interval: int = 2) -> FaultConfig:
-    """FaultConfig for an FT run; ``crashes=()`` gives the fault-free
-    (but still checkpointing) configuration used as the reference."""
-    plan = FaultPlan(crashes=tuple(crashes)) if crashes else None
-    return FaultConfig(plan=plan, ft=FTConfig(enabled=True, interval=interval,
-                                              mode=mode))
-
-
 def run_reference(name: str, nranks: int = 4, *,
                   seed: int = SimConfig.seed, interval: int = 2,
                   mode: str = "spare", ft_on: bool = True,
@@ -61,9 +50,9 @@ def run_reference(name: str, nranks: int = 4, *,
     the run is the pure baseline."""
     if not lookup(name).ft:
         raise ValueError(f"workload {name!r} is not crash-recoverable")
-    faults = ft_faults(mode=mode, interval=interval) if ft_on else None
+    ft = FTConfig(interval=interval, mode=mode) if ft_on else None
     # run_workload's default placement is ft_machine()'s.
-    return run_workload(name, nranks, seed=seed, obs=obs, faults=faults,
+    return run_workload(name, nranks, seed=seed, obs=obs, ft=ft,
                         **program_kwargs)
 
 
@@ -126,9 +115,9 @@ def run_crash_to_completion(name: str, nranks: int = 4, *,
                         mode=mode, obs=obs, **program_kwargs)
     t = max(1, int(ref.sim_time_ns * crash_frac))
     # One rank per node, so node id == rank id.
-    faults = ft_faults(crashes=(NodeCrash(crash_rank, t),), mode=mode,
-                       interval=interval)
-    res = run_workload(name, nranks, seed=seed, obs=obs, faults=faults,
+    res = run_workload(name, nranks, seed=seed, obs=obs,
+                       faults=FaultPlan(crashes=(NodeCrash(crash_rank, t),)),
+                       ft=FTConfig(interval=interval, mode=mode),
                        **program_kwargs)
     return FTOutcome(reference=ref, recovered=res, crash_rank=crash_rank,
                      crash_time_ns=t, mode=mode,

@@ -21,6 +21,7 @@ from collections import deque
 from typing import Callable
 
 from repro.errors import DeadlineError
+from repro.faults import MAX_RETRIES, OP_DEADLINE_NS
 from repro.machine.params import GeminiParams
 from repro.machine.topology import RankMap, Torus3D
 from repro.sim.kernel import Environment
@@ -237,7 +238,7 @@ class Network:
                     return deliver_time
 
             dst_dead = inj.node_crashed(dst_node, deliver_time)
-            if (not reliable or attempt > inj.config.max_retries
+            if (not reliable or attempt > MAX_RETRIES
                     or src_dead or dst_dead):
                 if reliable and not src_dead and not dst_dead:
                     # A reliable link exhausted its retry budget with both
@@ -250,7 +251,7 @@ class Network:
 
                     def _budget_exhausted() -> None:
                         raise DeadlineError("packet", dst_node, attempt,
-                                            inj.config.op_deadline_ns)
+                                            OP_DEADLINE_NS)
                     env.call_at(max(0, deliver_time - env.now),
                                 _budget_exhausted)
                 return None
@@ -266,7 +267,7 @@ class Network:
                 self.obs.on_link_retransmit(src_node, dst_node, env.now,
                                             attempt, int(round(backoff)))
             resend_floor = int(round(
-                inject_end + inj.config.op_deadline_ns + backoff))
+                inject_end + OP_DEADLINE_NS + backoff))
             attempt += 1
             fate = inject_window = None
 

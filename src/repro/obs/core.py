@@ -28,16 +28,19 @@ from repro.sim.trace import SpanLog
 
 __all__ = ["Instrumentation", "capture", "active_capture"]
 
+#: Span-log truncation limit; appends past it only count ``spans.dropped``.
+SPAN_LIMIT = 500_000
+
 
 class Instrumentation:
     """Span timeline + metrics registry for one simulated run."""
 
-    def __init__(self, nranks: int, *, max_spans: int = 500_000) -> None:
+    def __init__(self, nranks: int) -> None:
         # Local import keeps repro.sim free of an obs dependency.
         from repro.obs.metrics import MetricsRegistry
 
         self.nranks = nranks
-        self.spans = SpanLog(limit=max_spans)
+        self.spans = SpanLog(limit=SPAN_LIMIT)
         self.metrics = MetricsRegistry()
         self.meta: dict[str, Any] = {}
 

@@ -199,7 +199,7 @@ def _scalar_amo(win, target: int, toff: int, op: str, a: int, b: int = 0):
     logger = (ctx.ft.amo_logger(win, target, cells, idx)
               if ctx.ft is not None else None)
     handle = yield from ctx.dmapp.amo_nbi(target, cells, idx, op, a, b,
-                                          fetch=True, on_applied=logger)
+                                          on_applied=logger)
     return (yield from ctx.dmapp.wait(handle))
 
 

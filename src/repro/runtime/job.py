@@ -14,7 +14,8 @@ from typing import Callable
 
 from repro.config import (
     CheckConfig,
-    FaultConfig,
+    FaultPlan,
+    FTConfig,
     MachineConfig,
     ObsConfig,
     RunResult,
@@ -42,14 +43,15 @@ class Job:
     gemini: GeminiParams = field(default_factory=GeminiParams)
     xpmem: XpmemParams = field(default_factory=XpmemParams)
     mpi1: Mpi1Params = field(default_factory=Mpi1Params)
-    faults: FaultConfig = field(default_factory=FaultConfig)
+    faults: FaultPlan | None = None
     obs: ObsConfig = field(default_factory=ObsConfig)
     check: CheckConfig = field(default_factory=CheckConfig)
+    ft: FTConfig | None = None
 
     def build_world(self) -> World:
         return World(self.nranks, self.machine, self.sim, self.gemini,
                      self.xpmem, self.mpi1, self.faults, self.obs,
-                     self.check)
+                     self.check, self.ft)
 
     def run(self, program: Callable, *args, **kwargs) -> RunResult:
         """Run ``program(ctx, *args, **kwargs)`` on every rank."""
@@ -67,7 +69,7 @@ def _crash_reaper(world, procs):
     """
     inj = world.injector
     events = sorted({(inj.crash_time(cr.node), cr.node)
-                     for cr in world.faults.plan.crashes})
+                     for cr in world.faults.crashes})
     for when, node in events:
         delta = when - world.env.now
         if delta > 0:
@@ -139,16 +141,19 @@ def run_spmd(program: Callable, nranks: int, *args,
              gemini: GeminiParams | None = None,
              xpmem: XpmemParams | None = None,
              mpi1: Mpi1Params | None = None,
-             faults: FaultConfig | None = None,
+             faults: FaultPlan | None = None,
              obs: ObsConfig | None = None,
              check: CheckConfig | None = None,
+             ft: FTConfig | None = None,
              **kwargs) -> RunResult:
     """One-shot SPMD run; the package's main entry point.
 
     Parameters mirror :class:`Job`; extra positional/keyword arguments are
-    forwarded to ``program`` after the rank context.  ``faults`` attaches a
-    :class:`~repro.config.FaultConfig`; without one, no fault machinery is
-    constructed and runs are bit-identical to the unhardened code.
+    forwarded to ``program`` after the rank context.  ``faults`` injects a
+    :class:`~repro.config.FaultPlan`; without one, no fault machinery is
+    constructed and runs are bit-identical to the unhardened code.  ``ft``
+    turns on rollback recovery with an :class:`~repro.config.FTConfig`
+    policy (checkpoints and put-logs, and restarts under a crash plan).
     ``obs`` enables the observability layer (``RunResult.obs``); ``check``
     attaches the memory-model checker (``RunResult.check``).
     """
@@ -158,7 +163,8 @@ def run_spmd(program: Callable, nranks: int, *args,
               gemini=gemini or GeminiParams(),
               xpmem=xpmem or XpmemParams(),
               mpi1=mpi1 or Mpi1Params(),
-              faults=faults or FaultConfig(),
+              faults=faults,
               obs=obs or ObsConfig(),
-              check=check or CheckConfig())
+              check=check or CheckConfig(),
+              ft=ft)
     return job.run(program, *args, **kwargs)

@@ -72,7 +72,7 @@ class FailureNotifier:
         # (time_ns, node, failed_ranks) per planned crash, in time order.
         inj = world.injector
         crashes = sorted({(inj.crash_time(cr.node), cr.node)
-                          for cr in world.faults.plan.crashes})
+                          for cr in world.faults.crashes})
         self._crash_events: list[tuple[int, int, tuple[int, ...]]] = []
         node_of = world.rank_map.node_of
         for when, node in crashes:

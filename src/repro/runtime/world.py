@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.config import (CheckConfig, FaultConfig, MachineConfig, ObsConfig,
-                          SimConfig)
+from repro.config import (CheckConfig, FaultPlan, FTConfig, MachineConfig,
+                          ObsConfig, SimConfig)
 from repro.machine.network import Network
 from repro.machine.params import GeminiParams, XpmemParams
 from repro.machine.topology import RankMap, Torus3D
@@ -68,7 +68,14 @@ class RankTable(dict):
 
 
 class World:
-    """Everything shared by the ranks of one simulated job."""
+    """Everything shared by the ranks of one simulated job.
+
+    ``faults`` is the run's :class:`~repro.config.FaultPlan` and ``ft`` its
+    rollback-recovery policy (:class:`~repro.config.FTConfig`); each is
+    ``None`` when the run has none, and then none of its machinery is
+    constructed.  A crash or stall on a node the run does not have
+    (outside its ranks' nodes and the FT spares) raises ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -78,9 +85,10 @@ class World:
         gemini: GeminiParams | None = None,
         xpmem: XpmemParams | None = None,
         mpi1: Mpi1Params | None = None,
-        faults: FaultConfig | None = None,
+        faults: FaultPlan | None = None,
         obs: ObsConfig | None = None,
         check: CheckConfig | None = None,
+        ft: FTConfig | None = None,
     ) -> None:
         if nranks < 1:
             raise ValueError("need at least one rank")
@@ -90,13 +98,23 @@ class World:
         self.gemini = gemini or GeminiParams()
         self.xpmem = xpmem or XpmemParams()
         self.mpi1 = mpi1 or Mpi1Params()
-        self.faults = faults or FaultConfig()
+        self.faults = faults
+        self.ft_config = ft
         self.obs_config = obs or ObsConfig()
+        self.rank_map = RankMap.for_config(nranks, self.machine)
+        # Rollback recovery holds spare nodes out of the initial placement.
+        spares = ft.spares if ft is not None else 0
+        if faults is not None:
+            nnodes = self.rank_map.nnodes + spares
+            for fault in faults.crashes + faults.stalls:
+                if fault.node >= nnodes:
+                    raise ValueError(
+                        f"{type(fault).__name__}.node={fault.node} is not a "
+                        f"node of this run (nodes 0..{nnodes - 1})")
 
         # With planned crashes, rank processes die by Interrupt; the run
         # must survive those instead of aborting (non-strict kernel).
-        has_crashes = (self.faults.plan is not None
-                       and bool(self.faults.plan.crashes))
+        has_crashes = faults is not None and bool(faults.crashes)
         self.env = Environment(max_events=self.sim.max_events,
                                strict=not has_crashes,
                                watchdog_interval=self.sim.watchdog_interval,
@@ -106,11 +124,10 @@ class World:
         # The injector exists only when a FaultPlan is active; every fault
         # hook in the machine/transport layers is behind an ``is None``
         # test, so fault-free runs stay bit-identical to pre-fault code.
-        if self.faults.active:
+        if faults is not None:
             from repro.faults import FaultInjector
 
-            self.injector = FaultInjector(self.faults.plan, self.faults,
-                                          self.sim.seed, self.env)
+            self.injector = FaultInjector(faults, self.sim.seed, self.env)
         else:
             self.injector = None
         # Observability: spans + per-rank metrics.  Constructed when the
@@ -121,8 +138,7 @@ class World:
         if self.obs_config.enabled:
             from repro.obs.core import Instrumentation
 
-            self.obs = Instrumentation(nranks,
-                                       max_spans=self.obs_config.max_spans)
+            self.obs = Instrumentation(nranks)
         else:
             from repro.obs.core import active_capture
 
@@ -130,8 +146,7 @@ class World:
             if sink is not None:
                 from repro.obs.core import Instrumentation
 
-                self.obs = Instrumentation(
-                    nranks, max_spans=self.obs_config.max_spans)
+                self.obs = Instrumentation(nranks)
                 sink.append(self.obs)
         # Memory-model checker: same contract as obs -- constructed when
         # the config enables it or a repro.check capture block is live;
@@ -154,15 +169,9 @@ class World:
                                            config=self.check_config,
                                            obs=self.obs)
                 csink.append(self.checker)
-        self.rank_map = RankMap.for_config(nranks, self.machine)
-        # Rollback recovery holds spare nodes out of the initial placement;
-        # the torus must cover them so replica/restore traffic to spares
-        # pays real modeled hop counts.
-        ft_cfg = self.faults.ft
-        if ft_cfg.enabled and ft_cfg.spares > 0:
-            torus_ranks = nranks + ft_cfg.spares * self.rank_map.ranks_per_node
-        else:
-            torus_ranks = nranks
+        # The torus covers the FT spares, so replica/restore traffic to
+        # them pays real modeled hop counts.
+        torus_ranks = nranks + spares * self.rank_map.ranks_per_node
         self.torus = Torus3D(self.machine.derive_torus(torus_ranks))
         self.counters = OpCounters()
         self.network = Network(self.env, self.torus, self.rank_map,
@@ -195,7 +204,7 @@ class World:
         # benchmark can measure checkpoint cost without an injector.  The
         # restore hook needs the notifier and runs after revocation.
         self.ft = None
-        if self.faults.ft.enabled:
+        if ft is not None:
             from repro.ft.core import FTRuntime
 
             self.ft = FTRuntime(self)

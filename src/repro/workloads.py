@@ -49,6 +49,8 @@ import numpy as np
 from repro.check.runner import JITTER_FAULTS
 from repro.config import (
     CheckConfig,
+    FaultPlan,
+    FTConfig,
     MachineConfig,
     ObsConfig,
     RunResult,
@@ -548,21 +550,28 @@ def lookup(name: str, *, scale: bool = False) -> Workload:
 def run_workload(name: str, nranks: int = 4, *, seed: int | None = None,
                  ranks_per_node: int = 1, obs: bool = False,
                  check: bool = False, jitter: bool = False,
+                 faults: FaultPlan | None = None, ft: FTConfig | None = None,
                  **kwargs: Any) -> RunResult:
     """Run one registry entry; the instruments land on the result.
 
     ``obs`` / ``check`` attach observability (``res.obs``) and the
     memory-model checker (``res.check``); ``jitter`` perturbs the
-    schedule with the checker's seeded latency spikes.  Remaining
-    keyword arguments go to :func:`~repro.runtime.job.run_spmd`
-    (``faults=``, ``gemini=``, program arguments).
+    schedule with the checker's seeded latency spikes, a fault plan of
+    its own, so it refuses ``faults``.  ``faults`` / ``ft`` are the run's
+    fault plan and rollback-recovery policy.  Remaining keyword arguments
+    go to :func:`~repro.runtime.job.run_spmd` (``gemini=``, program
+    arguments).
     """
     program = lookup(name).program
     if jitter:
-        kwargs["faults"] = JITTER_FAULTS
+        if faults is not None:
+            raise ValueError("jitter=True injects its own fault plan; "
+                             "pass faults= or jitter=, not both")
+        faults = JITTER_FAULTS
     return run_spmd(program, nranks,
                     machine=MachineConfig(ranks_per_node=ranks_per_node),
                     sim=SimConfig() if seed is None else SimConfig(seed=seed),
+                    faults=faults, ft=ft,
                     obs=ObsConfig(enabled=True) if obs else None,
                     check=CheckConfig(enabled=True) if check else None,
                     **kwargs)

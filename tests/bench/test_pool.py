@@ -9,7 +9,7 @@ from repro.bench import microbench as mb
 from repro.bench import syncbench as sb
 from repro.bench.pool import (BenchPoint, default_workers, last_run_stats,
                               run_points)
-from repro.config import FaultConfig, FaultPlan, MachineConfig
+from repro.config import FaultPlan, MachineConfig
 from repro.runtime.job import run_spmd
 
 INTER = MachineConfig(ranks_per_node=1)
@@ -33,7 +33,7 @@ def _faulty_ping(ctx):
 def _faulty_result(drop_prob):
     """A fault-injected run: drops + deterministic retries (picklable)."""
     res = run_spmd(_faulty_ping, 2, machine=INTER,
-                   faults=FaultConfig(plan=FaultPlan(drop_prob=drop_prob)))
+                   faults=FaultPlan(drop_prob=drop_prob))
     return (res.returns, res.sim_time_ns, res.events_processed, res.stats)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.config import FaultConfig, FaultPlan, MachineConfig
+from repro.config import FaultPlan, MachineConfig
 from repro.dmapp.amo import AMO_OPS, amo_supported
 from repro.dmapp.api import DmappEndpoint
 from repro.errors import SimulationError, WindowError
@@ -20,7 +20,7 @@ from repro.rma.cray22 import win_allocate_cray22
 INTER = MachineConfig(ranks_per_node=1)
 
 
-@pytest.fixture(params=[None, FaultConfig(plan=FaultPlan())],
+@pytest.fixture(params=[None, FaultPlan()],
                 ids=["clean-fabric", "empty-fault-plan"])
 def faults(request):
     return request.param
@@ -290,8 +290,7 @@ def test_amo_stream_empty_rejected(faults):
     from repro.mem.atomic import AtomicArray
     from repro.runtime.job import Job, run_on_world
 
-    job = Job(nranks=2, machine=INTER,
-              faults=faults or FaultConfig())
+    job = Job(nranks=2, machine=INTER, faults=faults)
     world = job.build_world()
     cells = AtomicArray(world.env, 4)
 

@@ -3,9 +3,11 @@ what a fault injector adds to one transmission."""
 
 import pytest
 
-from repro.config import FaultConfig, FaultPlan, NicStall, NodeCrash
+from repro import faults
+from repro.config import FaultPlan, NicStall, NodeCrash
 from repro.errors import DeadlineError
-from repro.faults import FaultInjector, PacketFate
+from repro.faults import (BACKOFF_BASE_NS, BACKOFF_MAX_NS, MAX_RETRIES,
+                          OP_DEADLINE_NS, FaultInjector, PacketFate)
 from repro.machine.network import Network
 from repro.machine.params import GeminiParams
 from repro.machine.topology import RankMap, Torus3D
@@ -20,10 +22,14 @@ def _net(nnodes=4, params=None, injector=None):
                         injector=injector)
 
 
-def _injector(plan=None, **config):
-    config = FaultConfig(plan=plan or FaultPlan(), retry_jitter_ns=0,
-                         **config)
-    return FaultInjector(config.plan, config, seed=1)
+def _injector(plan=None):
+    return FaultInjector(plan or FaultPlan(), seed=1)
+
+
+@pytest.fixture
+def no_jitter(monkeypatch):
+    """Zero the seeded backoff jitter, so retransmit times are exact."""
+    monkeypatch.setattr(faults, "JITTER_NS", 0)
 
 
 def _fabrics(**kw):
@@ -163,17 +169,17 @@ def _injection_ns(net, nbytes):
     return int(round(max(p.nic_packet_gap, nbytes * p.gap_per_byte)))
 
 
-def test_dropped_reliable_packet_redelivers_after_deadline_and_backoff():
+def test_dropped_reliable_packet_redelivers_after_deadline_and_backoff(
+        no_jitter):
     """Link-level recovery: the retransmission is injected no earlier than
-    the first attempt's ``inject_end + op_deadline_ns + backoff``, and from
+    the first attempt's ``inject_end + OP_DEADLINE_NS + backoff``, and from
     there on it is an ordinary packet."""
     inj = _injector()
     env, net = _net(injector=inj)
     seen = []
     t = net.packet(0, 1, 64, fate=PacketFate(drop=True), reliable=True,
                    on_deliver=lambda: seen.append(env.now))
-    floor = (_injection_ns(net, 64) + inj.config.op_deadline_ns
-             + inj.config.retry_backoff_base_ns)
+    floor = _injection_ns(net, 64) + OP_DEADLINE_NS + BACKOFF_BASE_NS
     _, ref = _net()
     t_ref = ref.packet(
         0, 1, 64, inject_window=ref.occupy_injection(0, 64, earliest=floor))
@@ -212,16 +218,20 @@ def test_packet_to_node_dead_by_arrival_is_lost(reliable):
     assert (env.events_processed, seen, inj.stats.retransmits) == (0, [], 0)
 
 
-def test_retry_budget_exhaustion_raises_at_last_attempts_time():
-    inj = _injector(FaultPlan(drop_prob=1.0), max_retries=2)
+def test_retry_budget_exhaustion_raises_at_last_attempts_time(no_jitter):
+    inj = _injector(FaultPlan(drop_prob=1.0))
     env, net = _net(injector=inj)
     assert net.packet(0, 1, 64, reliable=True) is None
-    # Three injections, two ack deadlines, backoff 500 then 1000 ns.
-    last_end = (3 * _injection_ns(net, 64) + 2 * inj.config.op_deadline_ns
-                + 500 + 1000)
+    # MAX_RETRIES + 1 injections, one ack deadline and one capped
+    # exponential backoff before each retransmission.
+    backoffs = sum(min(BACKOFF_BASE_NS << (a - 1), BACKOFF_MAX_NS)
+                   for a in range(1, MAX_RETRIES + 1))
+    last_end = ((MAX_RETRIES + 1) * _injection_ns(net, 64)
+                + MAX_RETRIES * OP_DEADLINE_NS + backoffs)
     p = net.params
-    assert (inj.stats.retransmits, inj.stats.deadline_failures) == (2, 1)
+    assert (inj.stats.retransmits,
+            inj.stats.deadline_failures) == (MAX_RETRIES, 1)
     with pytest.raises(DeadlineError) as exc:
         env.run()
     t = int(round(last_end + p.wire_latency(1) + p.nic_latency))
-    assert (env.now, exc.value.attempts) == (t, 3)
+    assert (env.now, exc.value.attempts) == (t, MAX_RETRIES + 1)

@@ -6,7 +6,6 @@ whole registry in tests/test_workloads.py.)"""
 import json
 
 from repro.config import (
-    FaultConfig,
     FaultPlan,
     MachineConfig,
     ObsConfig,
@@ -99,7 +98,7 @@ def test_obs_faulty_schedule_bit_identical():
     run's schedule is identical with observability on and off."""
     plan = FaultPlan(drop_prob=0.25)
     kw = dict(machine=MachineConfig(ranks_per_node=1),
-              sim=SimConfig(seed=13), faults=FaultConfig(plan=plan))
+              sim=SimConfig(seed=13), faults=plan)
     off = run_spmd(putget, 4, **kw)
     on = run_spmd(putget, 4, obs=ObsConfig(enabled=True), **kw)
     assert off.sim_time_ns == on.sim_time_ns

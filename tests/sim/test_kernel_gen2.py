@@ -38,7 +38,6 @@ from hypothesis import strategies as st
 from repro.apps.hashtable import HashTableLayout, rma_insert_program
 from repro.apps.milc import MilcSpec, milc_program
 from repro.config import (
-    FaultConfig,
     FaultPlan,
     MachineConfig,
     NicStall,
@@ -391,7 +390,7 @@ def _run(name, *, trace=False, faults=None, seed=11, rpn=4):
         _LOCAL.get(name) or WORKLOADS[name].program, 4,
         machine=MachineConfig(ranks_per_node=rpn),
         sim=SimConfig(seed=seed, trace=trace),
-        faults=faults or FaultConfig())
+        faults=faults)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +419,7 @@ def test_faulty_run_reproduces_golden_pin():
     stall paths."""
     plan = FaultPlan(drop_prob=0.2, corrupt_prob=0.05,
                      delay_prob=0.1, delay_ns=5_000)
-    res = _run("putget", faults=FaultConfig(plan=plan), seed=13, rpn=1)
+    res = _run("putget", faults=plan, seed=13, rpn=1)
     assert (res.sim_time_ns, res.events_processed, res.returns,
             res.stats["retransmits"]) == current(GOLDEN_FAULTY)
 
@@ -433,7 +432,7 @@ def test_faulty_stalled_runs_reproduce_golden_pins(name):
                      delay_prob=0.1, delay_ns=5_000,
                      stalls=(NicStall(node=1, start_ns=100_000,
                                       duration_ns=60_000),))
-    res = _run(name, faults=FaultConfig(plan=plan), seed=13, rpn=1)
+    res = _run(name, faults=plan, seed=13, rpn=1)
     assert (res.sim_time_ns, res.events_processed,
             res.stats["retransmits"]) == current(GOLDEN_FAULTY_STALL[name])
     if name == "acc_ring":
@@ -519,7 +518,7 @@ def test_crash_run_reproduces_golden_pin():
         _crash_prog, 4,
         machine=MachineConfig(ranks_per_node=1),
         sim=SimConfig(seed=13),
-        faults=FaultConfig(plan=plan))
+        faults=plan)
     assert (res.sim_time_ns, res.events_processed,
             [type(r).__name__ for r in res.returns],
             res.stats["retransmits"]) == current(GOLDEN_CRASH)

@@ -13,13 +13,12 @@ import pytest
 import zlib
 
 from repro import run_spmd
-from repro.config import FTConfig, NodeCrash, SimConfig
+from repro.config import FaultPlan, FTConfig, NodeCrash, SimConfig
 from repro.errors import FaultError, FTError
 from repro.ft import run_steps
 from repro.ft.core import FTRuntime
 from repro.ft.workloads import (
     final_bytes,
-    ft_faults,
     ft_machine,
     run_crash_to_completion,
     run_reference,
@@ -31,6 +30,13 @@ from tests.sim.test_kernel_gen2 import current
 
 NRANKS, INSERTS = 4, 4
 HT = "ft_hashtable"
+
+
+def _ft(*crashes, mode="spare"):
+    """``faults=`` / ``ft=`` keywords of an FT run that checkpoints every
+    2 steps; no crashes gives the fault-free reference."""
+    return dict(faults=FaultPlan(crashes=crashes) if crashes else None,
+                ft=FTConfig(interval=2, mode=mode))
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +106,9 @@ def test_crash_without_checkpoint_is_unrecoverable_but_terminates():
     """Rank 2 dies having never checkpointed: no restart is possible,
     but survivors must terminate with structured errors -- paused origins
     re-raise instead of waiting for a restore that can never happen."""
-    faults = ft_faults(crashes=(NodeCrash(2, 30_000),), mode="spare")
     res = run_spmd(_uncheckpointed_victim_program, NRANKS,
                    machine=ft_machine(), sim=SimConfig(seed=SimConfig.seed),
-                   faults=faults)
+                   **_ft(NodeCrash(2, 30_000)))
     assert all(isinstance(r, FaultError) for r in res.returns)
     assert res.stats["ft"]["restores"] == 0
 
@@ -112,8 +117,8 @@ def test_crash_recovery_is_checker_clean():
     """The restore path (snapshot rollback + log replay + respawn) must
     not fabricate RMA memory-model violations: the happens-before edges
     installed at restore keep the checker clean."""
-    faults = ft_faults(crashes=(NodeCrash(2, 13_000),), mode="spare")
-    res = run_workload("ft_hashtable", NRANKS, faults=faults, check=True)
+    res = run_workload("ft_hashtable", NRANKS, check=True,
+                       **_ft(NodeCrash(2, 13_000)))
     assert res.stats["ft"]["restores"] == 1
     assert res.check is not None and res.check.clean, \
         [v.describe() for v in res.check.violations]
@@ -156,10 +161,9 @@ def test_hashtable_schedule_unmoved_by_the_harness(cell):
     nranks, inserts, seed = cell
     kw = dict(seed=seed, inserts=inserts)
     off = run_workload(HT, nranks, **kw)
-    on = run_workload(HT, nranks, faults=ft_faults(), **kw)
-    crash = NodeCrash(1, on.sim_time_ns // 2)
-    crashed = run_workload(HT, nranks, faults=ft_faults(crashes=(crash,)),
-                           **kw)
+    on = run_workload(HT, nranks, **_ft(), **kw)
+    crashed = run_workload(HT, nranks,
+                           **_ft(NodeCrash(1, on.sim_time_ns // 2)), **kw)
     assert (_pin(off), _pin(on), _pin(crashed)) == \
         tuple(current(pin) for pin in HT_PINS[cell])
 
@@ -172,9 +176,8 @@ def test_crash_heard_of_before_it_happens_still_recovers(t_crash):
     recoverable.  Recoverability is decided at the crash instant."""
     kw = dict(inserts=INSERTS, machine=ft_machine(),
               sim=SimConfig(seed=3, max_events=400_000))
-    ref = run_spmd(ft_hashtable, NRANKS, faults=ft_faults(), **kw)
-    faults = ft_faults(crashes=(NodeCrash(0, t_crash),))
-    rec = run_spmd(ft_hashtable, NRANKS, faults=faults, **kw)
+    ref = run_spmd(ft_hashtable, NRANKS, **_ft(), **kw)
+    rec = run_spmd(ft_hashtable, NRANKS, **_ft(NodeCrash(0, t_crash)), **kw)
     assert rec.stats["ft"]["restores"] == 1
     assert final_bytes(rec) == final_bytes(ref)
 
@@ -200,9 +203,9 @@ def test_completion_wait_gives_up_when_a_peer_program_failed():
     # Any planned crash makes the kernel non-strict (a rank's exception
     # ends that rank, not the simulation); this one takes the idle spare
     # node, so no rank is killed and nothing is restored.
-    faults = ft_faults(crashes=(NodeCrash(NRANKS, 1),))
     res = run_spmd(_one_step_raises_program, NRANKS, machine=ft_machine(),
-                   sim=SimConfig(max_events=400_000), faults=faults)
+                   sim=SimConfig(max_events=400_000),
+                   **_ft(NodeCrash(NRANKS, 1)))
     assert isinstance(res.returns[2], RuntimeError)
     for rank in (0, 1, 3):
         assert isinstance(res.returns[rank], FTError), res.returns[rank]
@@ -241,15 +244,14 @@ def test_accumulate_streams_recover_through_a_crash(monkeypatch):
     monkeypatch.setattr(FTRuntime, "log_amo", lambda self, *a: (
         logged.append(a), log_amo(self, *a)))
     kw = dict(machine=ft_machine(), sim=SimConfig(max_events=400_000))
-    ref = run_spmd(_acc_stream_program, NRANKS, faults=ft_faults(), **kw)
+    ref = run_spmd(_acc_stream_program, NRANKS, **_ft(), **kw)
     # Per rank and step, the nonzero addends change their words (i - 3 and
     # -i are zero once each), plus the completion fetch-adds of the ranks
     # that are not rank 0 (rank 0's own goes through XPMEM, unlogged).
     changed = sum(8 - 2 - (i == 0) - (i == 3) for i in range(ACC_STEPS))
     assert len(logged) == NRANKS * changed + NRANKS - 1
     crash = NodeCrash(1, ref.sim_time_ns // 2)
-    rec = run_spmd(_acc_stream_program, NRANKS,
-                   faults=ft_faults(crashes=(crash,)), **kw)
+    rec = run_spmd(_acc_stream_program, NRANKS, **_ft(crash), **kw)
     assert rec.stats["ft"]["restores"] == 1
     assert final_bytes(rec) == final_bytes(ref)
     assert final_bytes(ref) != bytes(8 * ACC_WORDS * NRANKS)
@@ -272,7 +274,7 @@ def test_win_free_cancels_inflight_replica():
     cancels the deposit (the late packet commits nothing) and releases
     every buddy-side byte."""
     res = run_spmd(_free_mid_deposit_program, NRANKS,
-                   machine=ft_machine(), faults=ft_faults())
+                   machine=ft_machine(), **_ft())
     assert list(res.returns) == ["ok"] * NRANKS
     ft = res.stats["ft"]
     assert ft["checkpoints_taken"] == NRANKS
@@ -293,7 +295,7 @@ def _free_after_commit_program(ctx):
 
 def test_win_free_releases_committed_buddy_memory():
     res = run_spmd(_free_after_commit_program, NRANKS,
-                   machine=ft_machine(), faults=ft_faults())
+                   machine=ft_machine(), **_ft())
     assert list(res.returns) == ["ok"] * NRANKS
     ft = res.stats["ft"]
     assert ft["replicas_arrived"] == NRANKS
@@ -314,8 +316,7 @@ def _adopt_unknown_program(ctx):
 
 
 def test_adopt_unknown_window_raises():
-    res = run_spmd(_adopt_unknown_program, 2, machine=ft_machine(),
-                   faults=ft_faults())
+    res = run_spmd(_adopt_unknown_program, 2, machine=ft_machine(), **_ft())
     assert list(res.returns) == ["guarded", "guarded"]
 
 
@@ -330,7 +331,7 @@ def _restored_state_first_start_program(ctx):
 
 def test_restored_state_outside_a_restart_raises():
     res = run_spmd(_restored_state_first_start_program, 2,
-                   machine=ft_machine(), faults=ft_faults())
+                   machine=ft_machine(), **_ft())
     assert list(res.returns) == [False, False]
 
 
@@ -353,9 +354,9 @@ def test_crash_that_hits_no_rank_is_refused(kw, match, monkeypatch):
 
 def test_ftconfig_validation():
     with pytest.raises(ValueError, match="interval"):
-        FTConfig(enabled=True, interval=0)
+        FTConfig(interval=0)
     with pytest.raises(ValueError, match="mode"):
-        FTConfig(enabled=True, mode="migrate")
+        FTConfig(mode="migrate")
     # The spare-node count is derived from the mode, not set.
     assert FTConfig(mode="spare").spares == 1
     assert FTConfig(mode="shrink").spares == 0

@@ -20,7 +20,6 @@ import pytest
 
 from repro import run_spmd
 from repro.config import (
-    FaultConfig,
     FaultPlan,
     MachineConfig,
     NicStall,
@@ -42,8 +41,8 @@ INTER = MachineConfig(ranks_per_node=1)
 
 
 def crash_plan(*nodes_times):
-    return FaultConfig(plan=FaultPlan(crashes=tuple(
-        NodeCrash(node=n, time_ns=t) for n, t in nodes_times)))
+    return FaultPlan(crashes=tuple(NodeCrash(node=n, time_ns=t)
+                                   for n, t in nodes_times))
 
 
 def _fingerprint(res):
@@ -563,13 +562,6 @@ def test_fault_plan_validation():
         FaultPlan(crashes=("node3",))
 
 
-def test_fault_config_retry_validation():
-    with pytest.raises(ValueError, match="op_deadline_ns"):
-        FaultConfig(op_deadline_ns=0)
-    with pytest.raises(ValueError, match="max_retries"):
-        FaultConfig(max_retries=-1)
-
-
 # ---------------------------------------------------------------------------
 # CI fault matrix: {drop, stall, crash} x {locks, fence, pscw, accumulate}
 # ---------------------------------------------------------------------------
@@ -614,24 +606,23 @@ _WORKLOADS = {"locks": (_locks_workload, 4), "fence": (_fence_workload, 4),
               "accumulate": (_accumulate_workload, 4)}
 
 _FAULTS = {
-    "drop": FaultConfig(plan=FaultPlan(drop_prob=0.05)),
-    "stall": FaultConfig(plan=FaultPlan(
-        stalls=(NicStall(node=1, start_ns=10_000, duration_ns=40_000),))),
-    "crash": FaultConfig(plan=FaultPlan(
-        crashes=(NodeCrash(node=3, time_ns=150_000),))),
+    "drop": FaultPlan(drop_prob=0.05),
+    "stall": FaultPlan(
+        stalls=(NicStall(node=1, start_ns=10_000, duration_ns=40_000),)),
+    "crash": FaultPlan(crashes=(NodeCrash(node=3, time_ns=150_000),)),
     # Crash with every packet also delayed: deliveries straddle the
     # crash instant, so detection and revocation race in-flight traffic.
-    "crash+delay": FaultConfig(plan=FaultPlan(
+    "crash+delay": FaultPlan(
         delay_prob=0.3, delay_ns=8_000,
-        crashes=(NodeCrash(node=3, time_ns=150_000),))),
+        crashes=(NodeCrash(node=3, time_ns=150_000),)),
     # Crash plus loss: retransmit chains that target the dead node must
     # convert to NodeCrashedError as soon as an attempt lands past the
     # crash instant, instead of burning the whole retry budget and
     # clogging the injection channel (DeadlineError here would mean the
     # early-exit regressed).
-    "crash+rexmit": FaultConfig(plan=FaultPlan(
+    "crash+rexmit": FaultPlan(
         drop_prob=0.10,
-        crashes=(NodeCrash(node=3, time_ns=150_000),))),
+        crashes=(NodeCrash(node=3, time_ns=150_000),)),
 }
 
 

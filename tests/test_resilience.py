@@ -15,7 +15,6 @@ import pytest
 
 from repro import run_spmd
 from repro.config import (
-    FaultConfig,
     FaultPlan,
     MachineConfig,
     NicStall,
@@ -27,11 +26,10 @@ from repro.rma.enums import LockType
 
 INTER = MachineConfig(ranks_per_node=1)
 
-DROP = FaultConfig(plan=FaultPlan(drop_prob=0.25))
-CORRUPT = FaultConfig(plan=FaultPlan(corrupt_prob=0.25))
-STALL = FaultConfig(plan=FaultPlan(
-    stalls=(NicStall(node=1, start_ns=0, duration_ns=40_000),)))
-DELAY = FaultConfig(plan=FaultPlan(delay_prob=0.3, delay_ns=4_000))
+DROP = FaultPlan(drop_prob=0.25)
+CORRUPT = FaultPlan(corrupt_prob=0.25)
+STALL = FaultPlan(stalls=(NicStall(node=1, start_ns=0, duration_ns=40_000),))
+DELAY = FaultPlan(delay_prob=0.3, delay_ns=4_000)
 
 LOSSY = {"drop": DROP, "corrupt": CORRUPT}
 ALL = {"drop": DROP, "corrupt": CORRUPT, "stall": STALL, "delay": DELAY}
@@ -151,11 +149,11 @@ def _fingerprint(res):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_inactive_fault_config_is_bit_identical(workload):
-    """FaultConfig with no plan constructs no machinery: identical
+    """``faults=None`` constructs no machinery: identical
     (sim_time, events, returns) to a run with no faults argument at all."""
     program = WORKLOADS[workload]
     base = run_spmd(program, 2, machine=INTER)
-    off = run_spmd(program, 2, machine=INTER, faults=FaultConfig(plan=None))
+    off = run_spmd(program, 2, machine=INTER, faults=None)
     assert _fingerprint(base) == _fingerprint(off)
     assert "retransmits" not in off.stats
 
@@ -195,8 +193,7 @@ def test_empty_plan_is_bit_identical_to_no_plan():
 
     kw = dict(machine=INTER, gemini=GeminiParams(max_chunk=32_768))
     base = run_spmd(_op_mix_program, 4, **kw)
-    hard = run_spmd(_op_mix_program, 4, faults=FaultConfig(plan=FaultPlan()),
-                    **kw)
+    hard = run_spmd(_op_mix_program, 4, faults=FaultPlan(), **kw)
     assert _fingerprint(base) == _fingerprint(hard)
     assert hard.stats["retransmits"] == 0
 
@@ -277,7 +274,7 @@ def test_seed_changes_fault_pattern():
 def test_total_packet_loss_exhausts_retry_budget():
     """drop_prob=1.0: every (re)transmission is lost; the hardened
     transport gives up with DeadlineError instead of hanging."""
-    faults = FaultConfig(plan=FaultPlan(drop_prob=1.0), max_retries=6)
+    faults = FaultPlan(drop_prob=1.0)
 
     def program(ctx):
         seg = ctx.space.alloc(64)
@@ -288,7 +285,7 @@ def test_total_packet_loss_exhausts_retry_budget():
         if ctx.rank == 0:
             with pytest.raises(DeadlineError) as exc:
                 yield from ctx.dmapp.put_nbi(bb[1], 0, np.ones(8, np.uint8))
-            assert exc.value.attempts == 7  # 1 try + 6 retries
+            assert exc.value.attempts == 65  # 1 try + MAX_RETRIES (64)
             assert exc.value.target == 1
         return "done"
 
@@ -297,11 +294,22 @@ def test_total_packet_loss_exhausts_retry_budget():
     assert res.stats["faults"]["deadline_failures"] == 1
 
 
+@pytest.mark.parametrize("fault", [
+    FaultPlan(crashes=(NodeCrash(9, 1_000),)),
+    FaultPlan(stalls=(NicStall(9, 0, 10**6),)),
+], ids=["crash", "stall"])
+def test_fault_on_a_node_outside_the_run_is_refused(fault):
+    """A crash or stall on a node the run does not have would inject
+    nothing and report the clean run; it is refused before anything is
+    simulated."""
+    with pytest.raises(ValueError, match="not a node of this run"):
+        run_spmd(_fig4_put_program, 4, machine=INTER, faults=fault)
+
+
 def test_node_crash_quarantines_and_fails_fast():
     """Fail-stop crash: the node's rank dies, later ops addressed to it
     raise NodeCrashedError immediately (no retry storm, no hang)."""
-    faults = FaultConfig(plan=FaultPlan(
-        crashes=(NodeCrash(node=1, time_ns=200_000),)))
+    faults = FaultPlan(crashes=(NodeCrash(node=1, time_ns=200_000),))
 
     def program(ctx):
         seg = ctx.space.alloc(64)
@@ -338,8 +346,7 @@ def test_op_in_flight_at_crash_fails_fast(op):
     from repro.mem.atomic import AtomicArray
 
     crash_ns = 200_000
-    faults = FaultConfig(plan=FaultPlan(
-        crashes=(NodeCrash(node=1, time_ns=crash_ns),)))
+    faults = FaultPlan(crashes=(NodeCrash(node=1, time_ns=crash_ns),))
 
     def program(ctx):
         seg = ctx.space.alloc(64)
@@ -384,7 +391,7 @@ def test_trace_surfaces_injected_faults():
 def test_amo_replays_are_deduplicated():
     """A lost ack must not re-apply the atomic: heavy loss on an AMO
     workload still yields the exact fault-free counter value."""
-    faults = FaultConfig(plan=FaultPlan(drop_prob=0.25))
+    faults = FaultPlan(drop_prob=0.25)
     adds_per_rank = 16
 
     def program(ctx):
@@ -419,7 +426,7 @@ def test_atomic_reads_survive_packet_loss():
     """The fetch-only AMO stream (MPI_NO_OP) on the hardened transport:
     under heavy loss every atomic read still returns the word a
     fetch-and-add left there, and the reads themselves change nothing."""
-    faults = FaultConfig(plan=FaultPlan(drop_prob=0.25))
+    faults = FaultPlan(drop_prob=0.25)
     rounds = 12
 
     def program(ctx):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.check.perturb import perturb_sweep
-from repro.config import FaultConfig, FaultPlan
+from repro.config import FaultPlan
 from repro.ft.workloads import run_crash_to_completion
 from repro.workloads import WORKLOADS, lookup, names, run_workload
 from tests.conftest import idle_tracers
@@ -46,8 +46,7 @@ def test_instruments_do_not_perturb_and_verdict_is_as_stated(name, rpn):
     kw = dict(nranks=NRANKS, seed=SEED, ranks_per_node=rpn)
     with idle_tracers() as tracers:
         plain = run_workload(name, **kw)
-        hardened = run_workload(name, faults=FaultConfig(plan=FaultPlan()),
-                                **kw)
+        hardened = run_workload(name, faults=FaultPlan(), **kw)
     observed = run_workload(name, obs=True, **kw)
     checked = run_workload(name, check=True, **kw)
     assert [t.idle for t in tracers] == [{}, {}]
@@ -85,6 +84,13 @@ def test_latent_entry_is_clean_until_perturbed():
     assert WORKLOADS["racy_latent"].expect is None   # swept clean above
     sweep = perturb_sweep("racy_latent", 6, nranks=NRANKS, base_seed=SEED)
     assert "put-get" in {v.kind for v in sweep.findings}
+
+
+def test_jitter_refuses_a_fault_plan_of_its_own():
+    """``jitter=True`` is a fault plan; it may not silently replace the
+    caller's."""
+    with pytest.raises(ValueError, match="jitter"):
+        run_workload("putget", faults=FaultPlan(drop_prob=0.1), jitter=True)
 
 
 @pytest.mark.parametrize("name", names(scale=True))
