@@ -136,12 +136,11 @@ def test_fig7a_hashtable_hybrid(benchmark, record_series):
     not assumed.
     """
     from repro.scale.figures import (FIG7A_ANCHOR_P, FIG7A_ANCHORS,
-                                     HT_PS_HYBRID, fig7a_hybrid_series)
+                                     HYBRID_FIGURES)
 
-    by = _record(
-        benchmark, record_series, "fig7a_hybrid",
-        "Figure 7a (hybrid): hashtable inserts [M/s] to 1Mi processes "
-        "(32 ranks/node)", "p", lambda: fig7a_hybrid_series(HT_PS_HYBRID))
+    title, series = HYBRID_FIGURES["7a"]
+    by = _record(benchmark, record_series, "fig7a_hybrid", title, "p",
+                 series)
     fompi, upc, mpi1 = by["fompi"], by["upc"], by["mpi1"]
     # Continuity: the hybrid curve passes through the full-fidelity
     # anchor at the overlap size.
@@ -165,14 +164,10 @@ def test_fig8_milc_hybrid(benchmark, record_series):
     size (each size's counts closed-form + bound checked) and added to
     the committed full-fidelity anchor at p=128.
     """
-    from repro.scale.figures import (FIG8_ANCHOR_P, FIG8_ANCHORS,
-                                     MILC_PS_HYBRID, fig8_hybrid_series)
+    from repro.scale.figures import FIG8_ANCHOR_P, FIG8_ANCHORS, HYBRID_FIGURES
 
-    by = _record(
-        benchmark, record_series, "fig8_hybrid",
-        "Figure 8 (hybrid): MILC proxy completion time [ms] to 1Mi "
-        "processes (weak scaling)", "p",
-        lambda: fig8_hybrid_series(MILC_PS_HYBRID))
+    title, series = HYBRID_FIGURES["8"]
+    by = _record(benchmark, record_series, "fig8_hybrid", title, "p", series)
     # Continuity with the full-fidelity curves at the overlap size.
     assert by["fompi"].xs[0] == FIG8_ANCHOR_P
     for label in ("mpi1", "fompi", "upc"):

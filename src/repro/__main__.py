@@ -52,17 +52,19 @@ import argparse
 
 from repro.bench import format_series_table
 from repro.bench.report import ascii_chart
+from repro.config import SimConfig
 from repro.workloads import lookup, names, run_workload
 
 _NAMES = ", ".join(names())
 _SCALE_NAMES = ",".join(names(scale=True))
 
 
-def _require(name: str, *, scale: bool = False) -> None:
-    """A workload name the registry does not resolve is a one-line exit
-    listing the keys, as ``repro figure 99`` is -- not a traceback."""
+def _refused(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; the ``ValueError`` it raises on a bad
+    argument (an unknown workload name, a bad rank count), before anything
+    is simulated, is a one-line exit as ``repro figure 99`` is."""
     try:
-        lookup(name, scale=scale)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
@@ -89,17 +91,13 @@ def _crash_run(name: str, nranks: int, **kwargs):
     (it refuses them before the reference run)."""
     from repro.ft.workloads import run_crash_to_completion
 
-    try:
-        return run_crash_to_completion(name, nranks, **kwargs)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    return _refused(run_crash_to_completion, name, nranks, **kwargs)
 
 
 def _run(args, **kwargs):
     """``run_workload`` on a verb's ``workload`` / ``--ranks`` / ``--seed``."""
-    _require(args.workload)
-    return run_workload(args.workload, nranks=args.ranks, seed=args.seed,
-                        **kwargs)
+    return _refused(run_workload, args.workload, nranks=args.ranks,
+                    seed=args.seed, **kwargs)
 
 
 def main(argv=None) -> int:
@@ -124,20 +122,20 @@ def main(argv=None) -> int:
     t = sub.add_parser("trace")
     t.add_argument("workload", help=f"one of {_NAMES}")
     t.add_argument("--ranks", type=int, default=4)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=int, default=SimConfig.seed)
     t.add_argument("--out", default=None,
                    help="output path (default trace_<workload>.json)")
     r = sub.add_parser("report")
     r.add_argument("workload", nargs="?", default="putget",
                    help=f"one of {_NAMES} (default putget)")
     r.add_argument("--ranks", type=int, default=4)
-    r.add_argument("--seed", type=int, default=None)
+    r.add_argument("--seed", type=int, default=SimConfig.seed)
     c = sub.add_parser("check")
     c.add_argument("workload",
                    help=f"one of {_NAMES}, or path to a .py script to "
                         "run under check_capture()")
     c.add_argument("--ranks", type=int, default=4)
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--seed", type=int, default=SimConfig.seed)
     c.add_argument("--rpn", type=int, default=1,
                    help="ranks per node (default 1)")
     c.add_argument("--perturb", type=int, metavar="N", default=0,
@@ -171,8 +169,6 @@ def main(argv=None) -> int:
     sv.add_argument("workload", nargs="?", default="kvstore",
                     help="only 'kvstore' for now")
     sv.add_argument("--ranks", type=int, default=8)
-    sv.add_argument("--clients", type=int, default=None,
-                    help="alias for --ranks (one client per rank)")
     sv.add_argument("--requests", type=int, default=4000,
                     help="total requests across all clients")
     sv.add_argument("--nkeys", type=int, default=512)
@@ -182,7 +178,7 @@ def main(argv=None) -> int:
                     help="per-client open-loop arrival rate [req/s]")
     sv.add_argument("--get-frac", type=float, default=0.8)
     sv.add_argument("--update-frac", type=float, default=0.1)
-    sv.add_argument("--seed", type=int, default=None)
+    sv.add_argument("--seed", type=int, default=SimConfig.seed)
     sv.add_argument("--rpn", type=int, default=8,
                     help="ranks per node (fault-free runs; --ft always "
                          "places one rank per node)")
@@ -214,7 +210,7 @@ def main(argv=None) -> int:
     ft.add_argument("--ranks", type=int, default=4)
     ft.add_argument("--inserts", type=int, default=4,
                     help="inserts per rank (hashtable)")
-    ft.add_argument("--seed", type=int, default=None)
+    ft.add_argument("--seed", type=int, default=SimConfig.seed)
     ft.add_argument("--crash-rank", type=int, default=1)
     ft.add_argument("--crash-frac", type=float, default=0.5,
                     help="crash time as a fraction of the fault-free "
@@ -254,20 +250,14 @@ def main(argv=None) -> int:
             print(f"rank {rank}: received {received}, atomic ticket {ticket}")
     elif args.cmd == "figure":
         if args.hybrid:
-            from repro.scale.figures import (fig7a_hybrid_series,
-                                             fig8_hybrid_series)
+            from repro.scale.figures import HYBRID_FIGURES
 
             ranks = _rank_counts(args.ranks) if args.ranks else None
-            if args.id == "7a":
-                title = ("Figure 7a (hybrid, paper scale): hashtable "
-                         "[M inserts/s]")
-                series = fig7a_hybrid_series(ranks)
-            elif args.id == "8":
-                title = "Figure 8 (hybrid, paper scale): MILC [ms]"
-                series = fig8_hybrid_series(ranks)
-            else:
+            if args.id not in HYBRID_FIGURES:
                 raise SystemExit(
                     f"--hybrid supports figures 7a and 8, not {args.id!r}")
+            title, hybrid_series = HYBRID_FIGURES[args.id]
+            series = hybrid_series(ranks)
             print(format_series_table(title, "p", series))
             print()
             print(ascii_chart(title, series))
@@ -302,11 +292,12 @@ def main(argv=None) -> int:
     elif args.cmd == "calibrate":
         from repro.bench import microbench as mb
         from repro.models.fitting import fit_affine, relative_error
+        from repro.models.params_fompi import PAPER_MODELS
 
         sizes = [8, 512, 8192, 65536]
-        for name, fn, base, slope in (
-                ("put", mb.put_latency, 1000.0, 0.16),
-                ("get", mb.get_latency, 1900.0, 0.17)):
+        for name, fn in (("put", mb.put_latency), ("get", mb.get_latency)):
+            base = PAPER_MODELS[name].base_ns
+            slope = PAPER_MODELS[name].per_byte_ns
             a, b = fit_affine(sizes, [fn("fompi", s) for s in sizes])
             print(f"{name}: measured {b:.3f} ns/B + {a / 1e3:.2f} us  "
                   f"(paper {slope} ns/B + {base / 1e3:.2f} us; "
@@ -351,7 +342,7 @@ def _scale_cmd(args) -> int:
 
     workloads = (args.workloads or _SCALE_NAMES).split(",")
     for w in [*workloads, args.workload]:
-        _require(w, scale=True)
+        _refused(lookup, w, scale=True)
     ranks = _rank_counts(args.ranks or {"parity": "64,256,1Ki",
                                         "smoke": "512Ki",
                                         "run": "4Ki"}[args.action])
@@ -429,25 +420,26 @@ def _serve_cmd(args) -> int:
     final state mismatches, or the checker finds a violation."""
     import json
 
-    from repro.config import SimConfig
     from repro.serve.slo import build_report, render_report
     from repro.serve.zipf import ServeSpec
 
     if args.workload != "kvstore":
         raise SystemExit(f"unknown serve workload {args.workload!r} "
                          "(expected 'kvstore')")
-    nranks = args.clients if args.clients is not None else args.ranks
-    seed = SimConfig.seed if args.seed is None else args.seed
-    spec = ServeSpec(nkeys=args.nkeys, theta=args.skew,
-                     get_frac=args.get_frac, update_frac=args.update_frac,
-                     total_requests=args.requests, rate_hz=args.rate,
-                     seed=seed, ft_mode=args.ft)
+    if args.requests < 1:
+        raise SystemExit(f"--requests {args.requests}: an SLO over no "
+                         "requests tests nothing")
+    nranks = args.ranks
+    spec = _refused(ServeSpec, nkeys=args.nkeys, theta=args.skew,
+                    get_frac=args.get_frac, update_frac=args.update_frac,
+                    total_requests=args.requests, rate_hz=args.rate,
+                    seed=args.seed, ft_mode=args.ft)
     failures = []
 
     if args.ft:
         from repro.serve.slo import ft_section
 
-        out = _crash_run("ft_kvstore", nranks, seed=seed,
+        out = _crash_run("ft_kvstore", nranks, seed=args.seed,
                          crash_rank=args.crash, crash_frac=args.crash_frac,
                          interval=args.interval, obs=True, spec=spec,
                          n_stripes=args.stripes)
@@ -464,9 +456,9 @@ def _serve_cmd(args) -> int:
     else:
         from repro.serve.driver import run_kv_serve
 
-        res = run_kv_serve(nranks, spec, variant=args.variant,
-                           n_stripes=args.stripes, ranks_per_node=args.rpn,
-                           check=args.check)
+        res = _refused(run_kv_serve, nranks, spec, variant=args.variant,
+                       n_stripes=args.stripes, ranks_per_node=args.rpn,
+                       check=args.check)
         report = build_report(res, spec, nranks, variant=args.variant)
         if args.check:
             from repro.check.report import check_failed, render_check_report
@@ -497,12 +489,13 @@ def _ft_cmd(args) -> int:
     recovery layer.  Exit code 1 iff any final state mismatched."""
     import json
 
-    from repro.config import SimConfig
     from repro.ft.workloads import soak
 
-    seed = SimConfig.seed if args.seed is None else args.seed
     if args.workload == "soak":
-        rows = soak(args.runs, nranks=args.ranks, base_seed=seed)
+        if args.runs < 1:
+            raise SystemExit(f"--runs {args.runs}: a soak of no runs "
+                             "recovers nothing")
+        rows = soak(args.runs, nranks=args.ranks, base_seed=args.seed)
         for r in rows:
             print(f"run {r['run']}: seed={r['seed']} {r['workload']:12s} "
                   f"crash_rank={r['crash_rank']} mode={r['mode']:6s} "
@@ -523,7 +516,7 @@ def _ft_cmd(args) -> int:
     if args.inserts < 1:
         raise SystemExit(f"--inserts {args.inserts}: the crash needs at "
                          "least one insert per rank to interrupt")
-    out = _crash_run("ft_hashtable", args.ranks, seed=seed,
+    out = _crash_run("ft_hashtable", args.ranks, seed=args.seed,
                      crash_rank=args.crash_rank, crash_frac=args.crash_frac,
                      mode=args.mode, interval=args.interval,
                      inserts=args.inserts)
@@ -554,6 +547,9 @@ def _check_cmd(args) -> int:
     run hit the record cap (:func:`~repro.check.report.check_failed`)."""
     from repro.check.report import check_failed, render_check_report
 
+    if args.perturb < 0:
+        raise SystemExit(f"--perturb {args.perturb}: the number of "
+                         "perturbed reruns cannot be negative")
     dirty = False
     if args.workload.endswith(".py"):
         # Run an arbitrary script (e.g. examples/*.py); every world it

@@ -17,7 +17,7 @@ from repro.apps.hashtable import (
     upc_insert_program,
 )
 from repro.apps.milc import MilcSpec, milc_program
-from repro.config import MachineConfig
+from repro.config import MachineConfig, SimConfig
 from repro.runtime.job import run_spmd
 
 __all__ = ["hashtable_rate", "dsde_time_us", "fft_gflops", "milc_time_s",
@@ -69,7 +69,7 @@ def fft_gflops(variant: str, p: int, spec: FftSpec | None = None, *,
 
 def kv_serve_stats(variant: str, p: int, total_requests: int = 4000, *,
                    nkeys: int = 512, theta: float = 0.99,
-                   rate_hz: float = 2e5, seed: int | None = None,
+                   rate_hz: float = 2e5, seed: int = SimConfig.seed,
                    ranks_per_node: int = 8) -> dict:
     """One open-loop KV serving run (``repro.serve``): throughput and
     exact tail latencies for the RMA store or the MPI-1 comparator.
@@ -77,14 +77,12 @@ def kv_serve_stats(variant: str, p: int, total_requests: int = 4000, *,
     Returns a plain dict (picklable, so it crosses the bench pool):
     ``{"throughput_rps", "p50_ns", "p99_ns", "p99_9_ns", "sim_time_ns"}``.
     """
-    from repro.config import SimConfig
     from repro.serve.driver import run_kv_serve
     from repro.serve.slo import build_report
     from repro.serve.zipf import ServeSpec
 
     spec = ServeSpec(nkeys=nkeys, theta=theta, total_requests=total_requests,
-                     rate_hz=rate_hz,
-                     seed=SimConfig.seed if seed is None else seed)
+                     rate_hz=rate_hz, seed=seed)
     res = run_kv_serve(p, spec, variant=variant,
                        ranks_per_node=ranks_per_node)
     report = build_report(res, spec, p, variant=variant)

@@ -67,6 +67,10 @@ from repro.check.vclock import VectorClock
 __all__ = ["Access", "Violation", "RaceChecker", "check_capture",
            "active_check_capture"]
 
+#: Cap on live shadow access records; past it recording stops and the run
+#: is flagged ``truncated`` (full barriers prune records that cannot race).
+RECORD_LIMIT = 200_000
+
 #: Access kinds that only read target memory.
 _READ_KINDS = frozenset({"get", "local_load"})
 #: Access kinds in the accumulate family (element-wise atomic).
@@ -165,12 +169,8 @@ class _Shadow:
 class RaceChecker:
     """Vector-clock race detection for one simulated run."""
 
-    def __init__(self, nranks: int, config: Any = None,
-                 obs: Any = None) -> None:
-        from repro.config import CheckConfig
-
+    def __init__(self, nranks: int, obs: Any = None) -> None:
         self.nranks = nranks
-        self.config = config or CheckConfig(enabled=True)
         self.obs = obs
         self.clocks = [VectorClock(nranks, r) for r in range(nranks)]
         self.violations: list[Violation] = []
@@ -520,7 +520,7 @@ class RaceChecker:
             kind = _classify(old, rec)
             if kind is not None:
                 self._report(kind, old, rec)
-        if self.nrecords >= self.config.max_records:
+        if self.nrecords >= RECORD_LIMIT:
             self.truncated = True
             return
         shadow.records.append(rec)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.check.core import RaceChecker, Violation
+from repro.config import SimConfig
 from repro.sim.random import derive_seed
 
 __all__ = ["PerturbResult", "perturb_sweep", "reproducer_command"]
@@ -51,16 +52,13 @@ class PerturbResult:
 
 
 def perturb_sweep(name: str, iterations: int, *, nranks: int = 4,
-                  base_seed: int | None = None,
+                  base_seed: int = SimConfig.seed,
                   ranks_per_node: int = 1) -> PerturbResult:
     """Rerun workload ``name`` under ``iterations`` perturbed schedules."""
-    from repro.config import SimConfig
     from repro.workloads import run_workload
 
     if iterations < 1:
         raise ValueError(f"iterations={iterations} must be positive")
-    if base_seed is None:
-        base_seed = SimConfig().seed
     out = PerturbResult(workload=name, nranks=nranks, iterations=iterations)
     for i in range(iterations):
         seed = derive_seed(base_seed, f"perturb-{i}")

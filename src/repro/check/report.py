@@ -16,7 +16,7 @@ __all__ = ["check_failed", "render_check_report",
 def check_failed(ck: RaceChecker) -> bool:
     """What ``repro check`` and ``repro serve --check`` exit nonzero on:
     a violation, or a run the record cap cut short -- past
-    ``CheckConfig.max_records`` nothing was checked, so zero findings
+    ``RECORD_LIMIT`` live records nothing was checked, so zero findings
     prove nothing."""
     return bool(ck.violations) or ck.truncated
 

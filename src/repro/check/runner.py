@@ -24,7 +24,7 @@ JITTER_FAULTS = FaultPlan(delay_prob=JITTER_PROB, delay_ns=JITTER_DELAY_NS)
 
 
 def run_checked(program: Callable[..., Any], nranks: int = 4, *,
-                seed: int | None = None, ranks_per_node: int = 1,
+                seed: int = SimConfig.seed, ranks_per_node: int = 1,
                 jitter: bool = False,
                 **kwargs: Any) -> tuple[RunResult, RaceChecker]:
     """Run ``program`` with the checker attached.
@@ -35,10 +35,9 @@ def run_checked(program: Callable[..., Any], nranks: int = 4, *,
     """
     from repro.runtime.job import run_spmd
 
-    sim = SimConfig() if seed is None else SimConfig(seed=seed)
     res = run_spmd(program, nranks,
                    machine=MachineConfig(ranks_per_node=ranks_per_node),
-                   sim=sim, faults=JITTER_FAULTS if jitter else None,
+                   sim=SimConfig(seed=seed), faults=JITTER_FAULTS if jitter else None,
                    check=CheckConfig(enabled=True), **kwargs)
     assert isinstance(res.check, RaceChecker)
     return res, res.check

@@ -1,10 +1,10 @@
 """Global configuration dataclasses.
 
-`MachineConfig` describes the simulated machine (a Cray-XE6-like system by
-default: 32 cores per node, 3-D torus).  `SimConfig` controls simulation
-determinism and safety limits.  Timing constants for the network and the
-individual transports live in :mod:`repro.machine.params` — this module only
-holds the structural knobs shared by every layer.
+`MachineConfig` places ranks on the simulated machine (a Cray XE6 like
+Blue Waters: 2.3 GHz cores, 3-D torus).  `SimConfig` is the master seed.
+Timing constants for the network and the individual transports live in
+:mod:`repro.machine.params` -- this module only holds the structural knobs
+shared by every layer.
 """
 
 from __future__ import annotations
@@ -12,26 +12,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+#: Core clock of the modelled XE6 (Interlagos), for instruction counts.
+CPU_GHZ = 2.3
+
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Structural description of the simulated machine.
+    """Placement of ranks on the simulated machine.
 
     Attributes
     ----------
     ranks_per_node:
         Number of MPI processes placed on each node (Blue Waters XE6 nodes
         have 4 x 8-core Interlagos sockets; the paper runs 32 ranks/node).
-    torus_shape:
-        Shape of the 3-D torus.  ``None`` derives a near-cubic torus large
-        enough for the requested number of nodes.
-    cpu_ghz:
-        Core clock used to convert instruction counts to nanoseconds.
     """
 
     ranks_per_node: int = 32
-    torus_shape: tuple[int, int, int] | None = None
-    cpu_ghz: float = 2.3
 
     def nodes_for(self, nranks: int) -> int:
         """Number of nodes needed to host ``nranks`` processes."""
@@ -39,8 +35,6 @@ class MachineConfig:
 
     def derive_torus(self, nranks: int) -> tuple[int, int, int]:
         """Torus shape hosting ``nranks`` ranks (near-cubic, min volume)."""
-        if self.torus_shape is not None:
-            return self.torus_shape
         nodes = self.nodes_for(nranks)
         # Near-cubic torus: x >= y >= z with x*y*z >= nodes.
         z = max(1, int(nodes ** (1.0 / 3.0)))
@@ -52,12 +46,13 @@ class MachineConfig:
 
     def instructions_to_ns(self, instructions: float) -> float:
         """Convert an instruction count to nanoseconds at ~1 IPC."""
-        return instructions / self.cpu_ghz
+        return instructions / CPU_GHZ
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation determinism and safety limits.
+    """Simulation determinism (the safety limits are constants of
+    :mod:`repro.runtime.world`).
 
     Attributes
     ----------
@@ -65,26 +60,9 @@ class SimConfig:
         Master seed; all stochastic choices (symmetric-heap addresses,
         random keys in applications, backoff jitter, fault injection)
         derive from it.
-    max_events:
-        Hard cap on processed events -- a runaway-protocol backstop.
-    trace:
-        Record an event trace (slower; used by tests and debugging).
-    watchdog_interval:
-        Events between progress-watchdog checks (0 disables the watchdog).
-        The watchdog is a pure observer: it never schedules events or
-        perturbs timing, so enabling it cannot change simulation results.
-    watchdog_stalls:
-        Consecutive stale checks (no protocol progress anywhere) before
-        the watchdog raises :class:`~repro.errors.LivelockError` -- far
-        earlier than the ``max_events`` backstop, and with diagnostics
-        naming the stuck ranks.
     """
 
     seed: int = 0xF0_3131  # "fo" MPI-3.1 :-)
-    max_events: int = 200_000_000
-    trace: bool = False
-    watchdog_interval: int = 800
-    watchdog_stalls: int = 3
 
 
 @dataclass(frozen=True)
@@ -123,19 +101,11 @@ class CheckConfig:
     ----------
     enabled:
         Attach a :class:`~repro.check.core.RaceChecker` to the run
-        (exposed as ``RunResult.check``).
-    max_records:
-        Cap on live shadow access records.  Past it, recording stops and
-        the run is flagged ``truncated`` instead of growing without
-        bound; full barriers prune records that can no longer race.
+        (exposed as ``RunResult.check``).  Its live shadow records are
+        capped at :data:`repro.check.core.RECORD_LIMIT`.
     """
 
     enabled: bool = False
-    max_records: int = 200_000
-
-    def __post_init__(self) -> None:
-        if self.max_records < 0:
-            raise ValueError(f"max_records={self.max_records} is negative")
 
 
 @dataclass(frozen=True)

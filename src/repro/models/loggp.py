@@ -39,10 +39,6 @@ class LogGPModel:
         rounds = math.ceil(math.log2(self.P)) if self.P > 1 else 0
         return rounds * self.point_to_point(0)
 
-    def binomial_bcast(self, nbytes: int) -> float:
-        rounds = math.ceil(math.log2(self.P)) if self.P > 1 else 0
-        return rounds * self.point_to_point(nbytes)
-
     def allreduce(self, nbytes: int) -> float:
         """Recursive doubling: log2 P exchange rounds."""
         rounds = math.ceil(math.log2(self.P)) if self.P > 1 else 0

@@ -12,9 +12,16 @@ from repro.mem.registration import RegistrationTable
 from repro.mpi1.params import Mpi1Params
 from repro.sim.kernel import Environment
 from repro.sim.random import stream
-from repro.sim.trace import OpCounters, Tracer
+from repro.sim.trace import OpCounters
 
 __all__ = ["RankTable", "World"]
+
+#: Every run's safety limits: the runaway-protocol event backstop, and the
+#: progress watchdog's check interval and the stale checks before it
+#: raises LivelockError (a pure observer: it never schedules an event).
+MAX_EVENTS = 200_000_000
+WATCHDOG_INTERVAL = 800
+WATCHDOG_STALLS = 3
 
 
 class RankTable(dict):
@@ -100,7 +107,6 @@ class World:
         self.mpi1 = mpi1 or Mpi1Params()
         self.faults = faults
         self.ft_config = ft
-        self.obs_config = obs or ObsConfig()
         self.rank_map = RankMap.for_config(nranks, self.machine)
         # Rollback recovery holds spare nodes out of the initial placement.
         spares = ft.spares if ft is not None else 0
@@ -115,12 +121,9 @@ class World:
         # With planned crashes, rank processes die by Interrupt; the run
         # must survive those instead of aborting (non-strict kernel).
         has_crashes = faults is not None and bool(faults.crashes)
-        self.env = Environment(max_events=self.sim.max_events,
-                               strict=not has_crashes,
-                               watchdog_interval=self.sim.watchdog_interval,
-                               watchdog_stalls=self.sim.watchdog_stalls)
-        if self.sim.trace:
-            self.env.tracer = Tracer()
+        self.env = Environment(max_events=MAX_EVENTS, strict=not has_crashes,
+                               watchdog_interval=WATCHDOG_INTERVAL,
+                               watchdog_stalls=WATCHDOG_STALLS)
         # The injector exists only when a FaultPlan is active; every fault
         # hook in the machine/transport layers is behind an ``is None``
         # test, so fault-free runs stay bit-identical to pre-fault code.
@@ -130,44 +133,29 @@ class World:
             self.injector = FaultInjector(faults, self.sim.seed, self.env)
         else:
             self.injector = None
+        from repro.check.core import RaceChecker, active_check_capture
+        from repro.obs.core import Instrumentation, active_capture
+
         # Observability: spans + per-rank metrics.  Constructed when the
         # config enables it, or when a repro.obs.capture() block is live
         # (the benchmark-harness hook); None otherwise, and every
         # protocol-layer hook is behind a single ``is None`` test.
         self.obs = None
-        if self.obs_config.enabled:
-            from repro.obs.core import Instrumentation
-
+        observed = obs is not None and obs.enabled
+        sink = None if observed else active_capture()
+        if observed or sink is not None:
             self.obs = Instrumentation(nranks)
-        else:
-            from repro.obs.core import active_capture
-
-            sink = active_capture()
             if sink is not None:
-                from repro.obs.core import Instrumentation
-
-                self.obs = Instrumentation(nranks)
                 sink.append(self.obs)
         # Memory-model checker: same contract as obs -- constructed when
         # the config enables it or a repro.check capture block is live;
         # None otherwise, one ``is None`` test per protocol hook.
-        self.check_config = check or CheckConfig()
         self.checker = None
-        if self.check_config.enabled:
-            from repro.check.core import RaceChecker
-
-            self.checker = RaceChecker(nranks, config=self.check_config,
-                                       obs=self.obs)
-        else:
-            from repro.check.core import active_check_capture
-
-            csink = active_check_capture()
+        checked = check is not None and check.enabled
+        csink = None if checked else active_check_capture()
+        if checked or csink is not None:
+            self.checker = RaceChecker(nranks, obs=self.obs)
             if csink is not None:
-                from repro.check.core import RaceChecker
-
-                self.checker = RaceChecker(nranks,
-                                           config=self.check_config,
-                                           obs=self.obs)
                 csink.append(self.checker)
         # The torus covers the FT spares, so replica/restore traffic to
         # them pays real modeled hop counts.

@@ -33,8 +33,8 @@ from repro.scale.hybrid import run_hybrid
 from repro.scale.protocols import WorkloadSpec, model_time_ns
 
 __all__ = ["FIG7A_ANCHOR_P", "FIG7A_ANCHORS", "FIG8_ANCHOR_P",
-           "FIG8_ANCHORS", "HT_PS_HYBRID", "MILC_PS_HYBRID",
-           "fig7a_hybrid_series", "fig8_hybrid_series"]
+           "FIG8_ANCHORS", "HT_PS_HYBRID", "HYBRID_FIGURES",
+           "MILC_PS_HYBRID", "fig7a_hybrid_series", "fig8_hybrid_series"]
 
 # Committed full-fidelity values at the largest overlap sizes
 # (benchmarks/results/fig7a.json / fig8.json: test_figure_anchors.py);
@@ -155,3 +155,13 @@ def fig8_hybrid_series(rank_counts: list[int] | None = None, *,
         imp.add(p, round(100 * (m - f) / m, 1))
     series.append(imp)
     return series
+
+
+#: ``repro figure <id> --hybrid`` and ``benchmarks/bench_figures.py``: each
+#: extension's title and series function (default sizes when passed None).
+HYBRID_FIGURES = {
+    "7a": ("Figure 7a (hybrid): hashtable inserts [M/s] to 1Mi processes "
+           "(32 ranks/node)", fig7a_hybrid_series),
+    "8": ("Figure 8 (hybrid): MILC proxy completion time [ms] to 1Mi "
+          "processes (weak scaling)", fig8_hybrid_series),
+}

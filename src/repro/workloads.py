@@ -547,7 +547,7 @@ def lookup(name: str, *, scale: bool = False) -> Workload:
     return wl
 
 
-def run_workload(name: str, nranks: int = 4, *, seed: int | None = None,
+def run_workload(name: str, nranks: int = 4, *, seed: int = SimConfig.seed,
                  ranks_per_node: int = 1, obs: bool = False,
                  check: bool = False, jitter: bool = False,
                  faults: FaultPlan | None = None, ft: FTConfig | None = None,
@@ -570,7 +570,7 @@ def run_workload(name: str, nranks: int = 4, *, seed: int | None = None,
         faults = JITTER_FAULTS
     return run_spmd(program, nranks,
                     machine=MachineConfig(ranks_per_node=ranks_per_node),
-                    sim=SimConfig() if seed is None else SimConfig(seed=seed),
+                    sim=SimConfig(seed=seed),
                     faults=faults, ft=ft,
                     obs=ObsConfig(enabled=True) if obs else None,
                     check=CheckConfig(enabled=True) if check else None,

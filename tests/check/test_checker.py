@@ -185,7 +185,8 @@ def test_full_barrier_prunes_shadow_records():
     assert ck.pruned > 0
 
 
-def test_record_cap_truncates_gracefully():
+def test_record_cap_truncates_gracefully(monkeypatch):
+    from repro.check import core as check_core
     from repro.config import CheckConfig
     from repro.runtime.job import run_spmd
 
@@ -199,8 +200,8 @@ def test_record_cap_truncates_gracefully():
         yield from ctx.coll.barrier()
         yield from win.free()
 
-    res = run_spmd(program, 4, check=CheckConfig(enabled=True,
-                                                 max_records=2))
+    monkeypatch.setattr(check_core, "RECORD_LIMIT", 2)
+    res = run_spmd(program, 4, check=CheckConfig(enabled=True))
     ck = res.check
     assert ck.truncated
     assert ck.stats_snapshot()["truncated"]

@@ -102,11 +102,6 @@ def test_derived_torus_fits_node_count(nranks, ranks_per_node):
     assert x >= y >= z
 
 
-def test_machine_config_explicit_torus():
-    cfg = MachineConfig(torus_shape=(8, 8, 8))
-    assert cfg.derive_torus(10_000) == (8, 8, 8)
-
-
 def test_instructions_to_ns():
-    cfg = MachineConfig(cpu_ghz=2.3)
+    cfg = MachineConfig()
     assert cfg.instructions_to_ns(173) == pytest.approx(75.2, rel=0.01)

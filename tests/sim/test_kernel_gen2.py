@@ -385,11 +385,11 @@ def _mpi1_mix(ctx):
 _LOCAL = {"acc_ring": _acc_ring, "flavour_mix": _flavour_mix}
 
 
-def _run(name, *, trace=False, faults=None, seed=11, rpn=4):
+def _run(name, *, faults=None, seed=11, rpn=4):
     return run_spmd(
         _LOCAL.get(name) or WORKLOADS[name].program, 4,
         machine=MachineConfig(ranks_per_node=rpn),
-        sim=SimConfig(seed=seed, trace=trace),
+        sim=SimConfig(seed=seed),
         faults=faults)
 
 
@@ -407,9 +407,10 @@ def test_demo_workloads_reproduce_golden_pins(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_step_loop_reproduces_golden_pins(name):
-    """``SimConfig(trace=True)`` installs a tracer, which runs the whole
-    stack on the step loop: same schedule as the fast loop."""
-    res = _run(name, trace=True)
+    """A tracer runs the whole stack on the step loop: same schedule as
+    the fast loop."""
+    with idle_tracers():
+        res = _run(name)
     assert (res.sim_time_ns, res.events_processed) == current(GOLDEN[name])
     assert res.returns == GOLDEN_RETURNS[name]
 

@@ -48,6 +48,19 @@ def test_cli_figure_6c():
                            for line in committed.splitlines()[4:7]]
 
 
+def test_cli_figure_8_hybrid():
+    """``--hybrid`` prints the committed extension's title and rows."""
+    out = _cli("figure", "8", "--hybrid", "--ranks", "128,1024")
+    assert out.returncode == 0
+    committed = (REPO / "benchmarks" / "results"
+                 / "fig8_hybrid.txt").read_text().splitlines()
+    printed = out.stdout.splitlines()
+    assert printed[0] == committed[0]
+    # Rows 128 and 1024 (column widths differ with the row count).
+    assert [line.split() for line in printed[4:6]] == \
+        [line.split() for line in committed[4:6]]
+
+
 def test_cli_unknown_figure():
     out = _cli("figure", "99")
     assert out.returncode != 0
@@ -108,6 +121,20 @@ def test_cli_trace_unknown_workload():
     (("ft", "hashtable", "--crash-rank", "-1"), "crash rank -1 is not"),
     (("ft", "hashtable", "--interval", "0"), "FTConfig.interval=0"),
     (("ft", "hashtable", "--inserts", "0"), "--inserts 0:"),
+    (("trace", "putget", "--ranks", "0"), "need at least one rank"),
+    (("report", "putget", "--ranks", "0"), "need at least one rank"),
+    (("check", "putget", "--ranks", "0"), "need at least one rank"),
+    (("check", "putget", "--rpn", "0"), "ranks_per_node must be positive"),
+    (("serve", "kvstore", "--rpn", "0", "--requests", "200"),
+     "ranks_per_node must be positive"),
+    (("serve", "kvstore", "--stripes", "0", "--requests", "200"),
+     "n_stripes=0 must be >= 1"),
+    (("serve", "kvstore", "--skew", "-1"), "theta=-1.0 is negative"),
+    (("serve", "kvstore", "--get-frac", "2"), "get_frac=2.0 outside [0, 1]"),
+    (("ft", "soak", "--runs", "0"), "--runs 0:"),
+    (("serve", "kvstore", "--requests", "0", "--slo-p99-us", "1"),
+     "--requests 0:"),
+    (("check", "racy_latent", "--perturb", "-1"), "--perturb -1:"),
 ])
 def test_cli_unknown_workload_is_one_line(args, listed):
     """In process: ``SystemExit(<str>)`` is what the subprocess above

@@ -9,8 +9,9 @@ rather than silent hangs -- these tests inject such bugs on purpose.
 import numpy as np
 import pytest
 
+import repro.runtime.world as world_module
 from repro import run_spmd
-from repro.config import MachineConfig, SimConfig
+from repro.config import MachineConfig
 from repro.errors import (
     DeadlockError,
     LivelockError,
@@ -78,11 +79,11 @@ def test_mismatched_collective_deadlocks():
         run_spmd(program, 3, machine=INTER)
 
 
-def test_lock_livelock_hits_backstop():
+def test_lock_livelock_hits_backstop(monkeypatch):
     """A never-released exclusive lock spins the waiter forever.  The
     progress watchdog converts this into a :class:`LivelockError` naming
     the spinning ranks -- in a small fraction of the 40k-event budget the
-    ``max_events`` backstop used to need."""
+    ``MAX_EVENTS`` backstop used to need."""
     def program(ctx):
         win = yield from ctx.rma.win_allocate(64)
         yield from ctx.coll.barrier()
@@ -97,10 +98,10 @@ def test_lock_livelock_hits_backstop():
             yield from win.lock(2, LockType.EXCLUSIVE)
             yield from win.unlock(2)
 
+    monkeypatch.setattr(world_module, "MAX_EVENTS", 40_000)
     with pytest.raises(LivelockError) as exc:
-        run_spmd(program, 3, machine=INTER,
-                 sim=SimConfig(max_events=40_000))
-    # Detected far earlier than the 40k max_events backstop ...
+        run_spmd(program, 3, machine=INTER)
+    # Detected far earlier than the 40k MAX_EVENTS backstop ...
     assert exc.value.events < 4_000
     # ... and the diagnostic names the rank spinning in lock().
     assert "rank1" in exc.value.blocked_ranks
@@ -142,8 +143,8 @@ def test_atomics_only_polling_is_not_a_livelock(poll_op):
     assert res.returns[1] > 1000 and res.events_processed > 4_000
 
 
-def test_watchdog_can_be_disabled():
-    """watchdog_interval=0 restores the old backstop-only behaviour."""
+def test_watchdog_can_be_disabled(monkeypatch):
+    """WATCHDOG_INTERVAL=0 restores the old backstop-only behaviour."""
     def program(ctx):
         win = yield from ctx.rma.win_allocate(64)
         yield from ctx.coll.barrier()
@@ -156,9 +157,10 @@ def test_watchdog_can_be_disabled():
             yield from ctx.compute(5_000)
             yield from win.lock(1, LockType.EXCLUSIVE)
 
+    monkeypatch.setattr(world_module, "MAX_EVENTS", 40_000)
+    monkeypatch.setattr(world_module, "WATCHDOG_INTERVAL", 0)
     with pytest.raises(SimulationError, match="max_events"):
-        run_spmd(program, 2, machine=INTER,
-                 sim=SimConfig(max_events=40_000, watchdog_interval=0))
+        run_spmd(program, 2, machine=INTER)
 
 
 def test_stale_descriptor_after_deregistration():

@@ -175,7 +175,7 @@ def test_crash_heard_of_before_it_happens_still_recovers(t_crash):
     ~0.3 us before rank 0 takes the v0 checkpoint that makes it
     recoverable.  Recoverability is decided at the crash instant."""
     kw = dict(inserts=INSERTS, machine=ft_machine(),
-              sim=SimConfig(seed=3, max_events=400_000))
+              sim=SimConfig(seed=3))
     ref = run_spmd(ft_hashtable, NRANKS, **_ft(), **kw)
     rec = run_spmd(ft_hashtable, NRANKS, **_ft(NodeCrash(0, t_crash)), **kw)
     assert rec.stats["ft"]["restores"] == 1
@@ -204,7 +204,6 @@ def test_completion_wait_gives_up_when_a_peer_program_failed():
     # ends that rank, not the simulation); this one takes the idle spare
     # node, so no rank is killed and nothing is restored.
     res = run_spmd(_one_step_raises_program, NRANKS, machine=ft_machine(),
-                   sim=SimConfig(max_events=400_000),
                    **_ft(NodeCrash(NRANKS, 1)))
     assert isinstance(res.returns[2], RuntimeError)
     for rank in (0, 1, 3):
@@ -243,7 +242,7 @@ def test_accumulate_streams_recover_through_a_crash(monkeypatch):
     log_amo = FTRuntime.log_amo
     monkeypatch.setattr(FTRuntime, "log_amo", lambda self, *a: (
         logged.append(a), log_amo(self, *a)))
-    kw = dict(machine=ft_machine(), sim=SimConfig(max_events=400_000))
+    kw = dict(machine=ft_machine())
     ref = run_spmd(_acc_stream_program, NRANKS, **_ft(), **kw)
     # Per rank and step, the nonzero addends change their words (i - 3 and
     # -i are zero once each), plus the completion fetch-adds of the ranks

@@ -18,13 +18,13 @@ import os
 import numpy as np
 import pytest
 
+import repro.runtime.world as world_module
 from repro import run_spmd
 from repro.config import (
     FaultPlan,
     MachineConfig,
     NicStall,
     NodeCrash,
-    SimConfig,
 )
 from repro.errors import (
     EpochError,
@@ -462,12 +462,13 @@ def test_recovered_run_replays_bit_identically():
     assert _fingerprint(c) == _fingerprint(d)
 
 
-def test_recovery_terminates_under_strict_watchdog():
+def test_recovery_terminates_under_strict_watchdog(monkeypatch):
     """The whole point: with the watchdog armed aggressively, recovery
     finishes without tripping LivelockError or the event backstop."""
-    sim = SimConfig(watchdog_interval=256, watchdog_stalls=8)
+    monkeypatch.setattr(world_module, "WATCHDOG_INTERVAL", 256)
+    monkeypatch.setattr(world_module, "WATCHDOG_STALLS", 8)
     try:
-        res = run_spmd(_exclusive_holder_program, 3, machine=INTER, sim=sim,
+        res = run_spmd(_exclusive_holder_program, 3, machine=INTER,
                        faults=crash_plan((1, 50_000)))
     except LivelockError as exc:  # pragma: no cover - the failure mode
         pytest.fail(f"recovery livelocked: {exc}")

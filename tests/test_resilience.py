@@ -23,6 +23,7 @@ from repro.config import (
 )
 from repro.errors import DeadlineError, NodeCrashedError
 from repro.rma.enums import LockType
+from tests.conftest import idle_tracers
 
 INTER = MachineConfig(ranks_per_node=1)
 
@@ -381,8 +382,8 @@ def test_op_in_flight_at_crash_fails_fast(op):
 # observability
 # ---------------------------------------------------------------------------
 def test_trace_surfaces_injected_faults():
-    res = run_spmd(_fig4_put_program, 2, machine=INTER, faults=DROP,
-                   sim=SimConfig(trace=True))
+    with idle_tracers():
+        res = run_spmd(_fig4_put_program, 2, machine=INTER, faults=DROP)
     counts = res.stats["fault_trace_counts"]
     assert counts.get("drop", 0) == res.stats["faults"]["drops"] > 0
     assert counts.get("retransmit", 0) == res.stats["retransmits"] > 0
