@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FftSpec", "fft_program", "gather_result"]
+__all__ = ["VARIANTS", "FftSpec", "fft_program", "gather_result"]
+
+VARIANTS = ("rma_overlap", "upc_overlap", "mpi1")
 
 _COMPLEX = np.complex128
 _ELEM = 16  # bytes per complex128

@@ -11,9 +11,10 @@ from repro.apps.milc.comm import Mpi1Halo, RmaHalo, UpcHalo
 from repro.apps.milc.lattice import LatticeDecomp
 from repro.apps.milc.su3 import StencilOperator, make_source
 
-__all__ = ["MilcSpec", "milc_program"]
+__all__ = ["ENGINES", "MilcSpec", "milc_program"]
 
-_ENGINES = {"mpi1": Mpi1Halo, "rma": RmaHalo, "upc": UpcHalo}
+#: variant -> halo exchange engine.
+ENGINES = {"mpi1": Mpi1Halo, "rma": RmaHalo, "upc": UpcHalo}
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def milc_program(ctx, spec: MilcSpec, variant: str,
     decomp = LatticeDecomp.weak(spec.local, ctx.nranks)
     op = StencilOperator(decomp, ctx.rank, spec.mass, spec.seed)
     b = make_source(decomp, ctx.rank, spec.seed)
-    engine = _ENGINES[variant](ctx, decomp)
+    engine = ENGINES[variant](ctx, decomp)
     if hasattr(engine, "setup"):
         yield from engine.setup()
     yield from ctx.coll.barrier()

@@ -8,8 +8,9 @@ axes go far beyond that, and label the mode.
 
 from __future__ import annotations
 
-from repro.apps.dsde import dsde_program
+from repro.apps.dsde import PROTOCOLS, dsde_program
 from repro.apps.fft import FftSpec, fft_program
+from repro.apps.fft.parallel import VARIANTS as FFT_VARIANTS
 from repro.apps.hashtable import (
     HashTableLayout,
     mpi1_insert_program,
@@ -17,6 +18,7 @@ from repro.apps.hashtable import (
     upc_insert_program,
 )
 from repro.apps.milc import MilcSpec, milc_program
+from repro.apps.milc.driver import ENGINES as MILC_ENGINES
 from repro.config import MachineConfig, SimConfig
 from repro.runtime.job import run_spmd
 
@@ -34,12 +36,19 @@ def _machine(ranks_per_node: int) -> MachineConfig:
     return MachineConfig(ranks_per_node=ranks_per_node)
 
 
+def _refuse_unknown(what: str, variant: str, choices) -> None:
+    if variant not in choices:
+        raise ValueError(f"unknown {what} variant {variant!r}; choose from "
+                         f"{', '.join(sorted(choices))}")
+
+
 def hashtable_rate(variant: str, p: int, inserts_per_rank: int = 64, *,
                    ranks_per_node: int = 32,
                    table_slots: int | None = None) -> float:
     """Aggregate inserts/second (Figure 7a's y axis)."""
     from repro.apps.hashtable.common import DEFAULT_TABLE_SLOTS
 
+    _refuse_unknown("hashtable", variant, HT_PROGRAMS)
     layout = HashTableLayout.default(
         inserts_per_rank,
         table_slots=DEFAULT_TABLE_SLOTS if table_slots is None
@@ -53,6 +62,7 @@ def hashtable_rate(variant: str, p: int, inserts_per_rank: int = 64, *,
 def dsde_time_us(protocol: str, p: int, k: int = 6, *,
                  ranks_per_node: int = 32) -> float:
     """Time of one complete dynamic sparse data exchange (Figure 7b)."""
+    _refuse_unknown("DSDE", protocol, PROTOCOLS)
     res = run_spmd(dsde_program, p, protocol, k,
                    machine=_machine(ranks_per_node))
     return max(t for t, _ in res.returns) / 1e3
@@ -61,6 +71,7 @@ def dsde_time_us(protocol: str, p: int, k: int = 6, *,
 def fft_gflops(variant: str, p: int, spec: FftSpec | None = None, *,
                ranks_per_node: int = 32) -> float:
     """3-D FFT performance (Figure 7c's y axis)."""
+    _refuse_unknown("FFT", variant, FFT_VARIANTS)
     spec = spec or FftSpec(nx=32, ny=32, nz=32, flop_rate=1.2e10, chunks=4)
     res = run_spmd(fft_program, p, spec, variant,
                    machine=_machine(ranks_per_node))
@@ -97,6 +108,7 @@ def milc_time_s(variant: str, p: int, spec: MilcSpec | None = None, *,
     """MILC proxy completion time in simulated seconds (Figure 8's y axis,
     scaled: the paper runs many trajectories; we run one fixed-iteration
     CG solve and weak-scale it)."""
+    _refuse_unknown("MILC", variant, MILC_ENGINES)
     spec = spec or MilcSpec(maxiter=25, tol=0.0)
     res = run_spmd(milc_program, p, spec, variant,
                    machine=_machine(ranks_per_node))

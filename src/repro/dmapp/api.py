@@ -225,9 +225,6 @@ class DmappEndpoint:
                     f"{kind} from rank {self.rank} to rank "
                     f"{target_rank} undeliverable (target crashed)")
             inj.stats.retransmits += 1
-            inj._trace("retransmit",
-                       f"{kind} rank{self.rank}->rank{target_rank} "
-                       f"#{attempts}")
             # Draw the backoff exactly once: the obs hook must reuse it,
             # or recording would consume an extra jitter sample and
             # perturb the (seeded, deterministic) retransmit schedule.

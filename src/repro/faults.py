@@ -18,9 +18,7 @@ backoff jitter and crash/stall state).  Three properties drive the design:
   no events, draws or allocations happen.
 
 * **Observability.**  Every injected fault and every recovery action is
-  counted in :class:`FaultStats` (surfaced through ``RunResult.stats``)
-  and, when a tracer is installed, appended to the event trace so traces
-  show where time went under faults.
+  counted in :class:`FaultStats`, surfaced through ``RunResult.stats``.
 """
 
 from __future__ import annotations
@@ -136,12 +134,10 @@ class _XorShift:
 
 class FaultInjector:
     """Runtime fault oracle for one simulated job: draws the fates of
-    ``plan`` from streams derived from ``seed``; ``env`` (optional) is the
-    kernel whose tracer records each injected fault."""
+    ``plan`` from streams derived from ``seed``."""
 
-    def __init__(self, plan: FaultPlan, seed: int, env=None) -> None:
+    def __init__(self, plan: FaultPlan, seed: int) -> None:
         self.plan = plan
-        self.env = env
         self.stats = FaultStats()
         self._packet_rng = _XorShift(derive_seed(seed, "fault.packet"))
         self._jitter_rng = _XorShift(derive_seed(seed, "fault.jitter"))
@@ -170,18 +166,15 @@ class FaultInjector:
         if plan.drop_prob > 0.0 and self._packet_rng.uniform() < plan.drop_prob:
             fate.drop = True
             self.stats.drops += 1
-            self._trace("drop", f"{src_node}->{dst_node}")
             return fate
         if (plan.corrupt_prob > 0.0
                 and self._packet_rng.uniform() < plan.corrupt_prob):
             fate.corrupt = True
             self.stats.corruptions += 1
-            self._trace("corrupt", f"{src_node}->{dst_node}")
             return fate
         if plan.delay_prob > 0.0 and self._packet_rng.uniform() < plan.delay_prob:
             fate.extra_delay_ns = plan.delay_ns
             self.stats.delays += 1
-            self._trace("delay", f"{src_node}->{dst_node} +{plan.delay_ns}ns")
         return fate
 
     # ------------------------------------------------------------------
@@ -198,7 +191,6 @@ class FaultInjector:
             if st.start_ns <= release < st.end_ns:
                 release = st.end_ns
                 self.stats.stall_waits += 1
-                self._trace("stall", f"node {node} until {release}ns")
         return release
 
     # ------------------------------------------------------------------
@@ -218,7 +210,6 @@ class FaultInjector:
     def mark_crashed(self, node: int) -> None:
         if node not in self.stats.crashed_nodes:
             self.stats.crashed_nodes.append(node)
-            self._trace("crash", f"node {node}")
 
     # ------------------------------------------------------------------
     # retry schedule
@@ -244,13 +235,4 @@ class FaultInjector:
     def replay_result(self, origin_rank: int, seq: int):
         """Cached result of an already-executed atomic (exactly-once)."""
         self.stats.amo_replays_suppressed += 1
-        self._trace("amo-replay", f"rank {origin_rank} seq {seq}")
         return self._amo_results[(origin_rank, seq)]
-
-    # ------------------------------------------------------------------
-    # trace feed
-    # ------------------------------------------------------------------
-    def _trace(self, kind: str, detail: str) -> None:
-        env = self.env
-        if env is not None and env.tracer is not None:
-            env.tracer.record_fault(env.now, kind, detail)

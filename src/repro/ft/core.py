@@ -450,9 +450,6 @@ class FTRuntime:
                 # structured error instead of hanging.
                 self._unrecoverable.update(cohort)
                 self.stats.unrecoverable += len(cohort)
-                self.world.injector._trace(
-                    "ft-unrecoverable",
-                    f"rank {r}: no valid checkpoint; cohort {cohort} lost")
                 self._fire_restore_events(cohort)
                 return
             recs[r] = rec
@@ -519,9 +516,6 @@ class FTRuntime:
         self.stats.restores += 1
         self.stats.ranks_restored += len(cohort)
         self.stats.restore_ns += env.now - t0
-        inj._trace("ft-restore",
-                   f"ranks {cohort} restored on node {node} "
-                   f"(gen {self._generation})")
         obs = self.world.obs
         if obs is not None:
             obs.nic_span(node, "ft.restore", t0, env.now, cat="ft",

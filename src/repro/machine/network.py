@@ -17,7 +17,8 @@ put/get/AMO round trips out of it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import DeadlineError
@@ -26,9 +27,56 @@ from repro.machine.params import GeminiParams
 from repro.machine.topology import RankMap, Torus3D
 from repro.sim.kernel import Environment
 from repro.sim.resources import BusyChannel
-from repro.sim.trace import OpCounters
 
-__all__ = ["Nic", "Network"]
+__all__ = ["Nic", "Network", "OpCounters"]
+
+
+@dataclass
+class OpCounters:
+    """Per-run operation counters, aggregated across all ranks: the tests
+    check the paper's O(log p) / O(k) claims by counting these.
+
+    ``remote_ops[rank]`` counts RDMA operations *issued by* each rank;
+    ``nic_ops[rank]`` counts operations *serviced at* each rank's NIC
+    (useful for hot-spot analysis); ``bytes_moved`` counts payload bytes on
+    the network; ``control_memory[rank]`` tracks the peak number of
+    control words (lock variables, matching-list slots, descriptors) a
+    protocol allocated at each rank -- the paper's "memory overhead".
+    """
+
+    remote_ops: Counter = field(default_factory=Counter)
+    nic_ops: Counter = field(default_factory=Counter)
+    bytes_moved: int = 0
+    messages: int = 0
+    control_memory: Counter = field(default_factory=Counter)
+    by_kind: Counter = field(default_factory=Counter)
+
+    def count_issue(self, origin: int, kind: str, nbytes: int = 0) -> None:
+        self.remote_ops[origin] += 1
+        self.by_kind[kind] += 1
+        self.bytes_moved += nbytes
+        self.messages += 1
+
+    def count_service(self, target: int) -> None:
+        self.nic_ops[target] += 1
+
+    def add_control_memory(self, rank: int, words: int) -> None:
+        self.control_memory[rank] += words
+
+    def max_remote_ops(self) -> int:
+        return max(self.remote_ops.values(), default=0)
+
+    def max_control_memory(self) -> int:
+        return max(self.control_memory.values(), default=0)
+
+    def snapshot(self) -> dict:
+        return {
+            "messages": self.messages,
+            "bytes_moved": self.bytes_moved,
+            "max_remote_ops": self.max_remote_ops(),
+            "max_control_memory": self.max_control_memory(),
+            "by_kind": dict(self.by_kind),
+        }
 
 
 class Nic:
@@ -246,8 +294,6 @@ class Network:
                     # ack window expires, instead of leaving the waiter to
                     # decay into a deadlock report.
                     inj.stats.deadline_failures += 1
-                    inj._trace("deadline",
-                               f"{src_node}->{dst_node} after {attempt} tries")
 
                     def _budget_exhausted() -> None:
                         raise DeadlineError("packet", dst_node, attempt,
@@ -258,7 +304,6 @@ class Network:
             # Link-level recovery: the source NIC detects the missing ack
             # after the op deadline and retransmits with seeded backoff.
             inj.stats.retransmits += 1
-            inj._trace("retransmit", f"{src_node}->{dst_node} #{attempt}")
             # Draw the backoff once and share it with the obs hook: a
             # second draw would shift the jitter stream and make
             # instrumented schedules diverge from uninstrumented ones.

@@ -1,8 +1,8 @@
 """The per-run instrumentation object and the capture override.
 
-:class:`Instrumentation` bundles a :class:`~repro.sim.trace.SpanLog`
-(span timeline) with a :class:`~repro.obs.metrics.MetricsRegistry`
-(per-rank counters/gauges/histograms).  One instance is attached to a
+:class:`Instrumentation` bundles a :class:`SpanLog` (span timeline) with
+a :class:`~repro.obs.metrics.MetricsRegistry` (per-rank
+counters/gauges/histograms).  One instance is attached to a
 :class:`~repro.runtime.world.World` when observability is enabled; every
 protocol-layer hook is behind a single ``obs is None`` test, so disabled
 runs execute the exact pre-observability code path.
@@ -22,14 +22,73 @@ an ``obs`` parameter through every call chain.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.sim.trace import SpanLog
-
-__all__ = ["Instrumentation", "capture", "active_capture"]
+__all__ = ["Instrumentation", "SpanLog", "SpanRecord", "capture", "active_capture"]
 
 #: Span-log truncation limit; appends past it only count ``spans.dropped``.
 SPAN_LIMIT = 500_000
+
+
+@dataclass(frozen=True, slots=True)
+class SpanRecord:
+    """One finished span (or instant, when ``dur_ns == 0``) on a track.
+
+    ``track`` names the track family (``"rank"`` or ``"nic"``), ``tid``
+    the track instance (rank number / node number).  Times are simulated
+    nanoseconds; ``args`` carries free-form labels for the exporters,
+    frozen as a sorted item tuple.
+    """
+
+    track: str
+    tid: int
+    name: str
+    cat: str
+    start_ns: int
+    dur_ns: int
+    args: tuple[tuple[str, Any], ...] = ()
+
+    def end_ns(self) -> int:
+        return self.start_ns + self.dur_ns
+
+
+class SpanLog:
+    """Append-only log of finished spans with bounded memory.
+
+    Appends past ``limit`` are counted in ``dropped`` instead of stored.
+    Append order is the (deterministic) order protocol code closed the
+    spans, so exports are reproducible without sorting by insertion time.
+    """
+
+    def __init__(self, limit: int = SPAN_LIMIT) -> None:
+        self.spans: list[SpanRecord] = []
+        self.dropped = 0
+        self.limit = limit
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def add(
+        self,
+        track: str,
+        tid: int,
+        name: str,
+        cat: str,
+        start_ns: int,
+        end_ns: int,
+        args: dict | None = None,
+    ) -> None:
+        """Record a finished span; ``args`` is snapshotted to a tuple."""
+        if len(self.spans) >= self.limit:
+            self.dropped += 1
+            return
+        if end_ns < start_ns:
+            end_ns = start_ns
+        frozen = tuple(sorted(args.items())) if args else ()
+        dur_ns = int(end_ns - start_ns)
+        span = SpanRecord(track, tid, name, cat, int(start_ns), dur_ns, frozen)
+        self.spans.append(span)
 
 
 class Instrumentation:
@@ -40,7 +99,7 @@ class Instrumentation:
         from repro.obs.metrics import MetricsRegistry
 
         self.nranks = nranks
-        self.spans = SpanLog(limit=SPAN_LIMIT)
+        self.spans = SpanLog()
         self.metrics = MetricsRegistry()
         self.meta: dict[str, Any] = {}
 
@@ -52,7 +111,7 @@ class Instrumentation:
 
     def rank_instant(self, rank: int, name: str, ts_ns: int,
                      cat: str = "rma", args: dict | None = None) -> None:
-        self.spans.instant("rank", rank, name, cat, ts_ns, args)
+        self.spans.add("rank", rank, name, cat, ts_ns, ts_ns, args)
 
     def nic_span(self, node: int, name: str, start_ns: int, end_ns: int,
                  cat: str = "nic", args: dict | None = None) -> None:
@@ -61,7 +120,7 @@ class Instrumentation:
 
     def nic_instant(self, node: int, name: str, ts_ns: int,
                     cat: str = "nic", args: dict | None = None) -> None:
-        self.spans.instant("nic", node, name, cat, ts_ns, args)
+        self.spans.add("nic", node, name, cat, ts_ns, ts_ns, args)
 
     # -- layer-specific hooks -------------------------------------------
     def on_op(self, rank: int, kind: str, target: int, t0: int,

@@ -194,11 +194,8 @@ def guarded_free(win):
     ctx = win.ctx
     try:
         yield from guarded_barrier(ctx, "win_free")
-    except EpochError as exc:
-        inj = ctx.world.injector
-        inj.stats.degraded_frees += 1
-        inj._trace("degraded-free",
-                   f"win{win.win_id} rank{ctx.rank}: {exc}")
+    except EpochError:
+        ctx.world.injector.stats.degraded_frees += 1
         ctx.env.note_progress()
 
 
@@ -248,8 +245,6 @@ def _revoke_lock_words(world, failed):
         yield REVOKE_NS
         ctrl.apply(idx, "add", -delta)  # wakes any watchers of the word
         inj.stats.locks_revoked += 1
-        inj._trace("lock-revoke",
-                   f"win{win_id} word{idx}@rank{target} -= {delta:#x}")
         env.note_progress()
 
 
@@ -312,7 +307,6 @@ def _mcs_zombie(world, lock, rank: int):
     lock._token = False
     lock.holding = False
     inj.stats.queue_splices += 1
-    inj._trace("mcs-splice", f"rank {rank} spliced out of the queue")
     env.note_progress()
 
 
@@ -343,7 +337,6 @@ def _reclaim(world, failed):
         st.regions.clear()
         st.cache.clear()
         inj.stats.regions_reclaimed += n
-        inj._trace("reclaim", f"win{win_id} rank{r}: {n} dynamic region(s)")
         env.note_progress()
     win_keys = sorted((k for k in bb
                        if isinstance(k, tuple) and k and k[0] == "winobjs"),
@@ -363,5 +356,4 @@ def _reclaim(world, failed):
                 pass
             win.freed = True
             inj.stats.regions_reclaimed += 1
-            inj._trace("reclaim", f"win{win.win_id} rank{r}: heap segment")
             env.note_progress()

@@ -119,8 +119,6 @@ def run_on_world(world: World, program: Callable, *args, **kwargs) -> RunResult:
     stats = world.counters.snapshot()
     if inj is not None:
         stats.update(inj.stats.snapshot())
-        if world.env.tracer is not None:
-            stats["fault_trace_counts"] = dict(world.env.tracer.fault_counts)
     if world.checker is not None:
         stats["check"] = world.checker.stats_snapshot()
     if world.ft is not None:

@@ -164,7 +164,6 @@ class FailureNotifier:
         if delta > 0:
             yield delta
         inj.stats.failures_detected += 1
-        inj._trace("detect", f"node {node} death confirmed")
         t_detect = env.now
         env.note_progress()
 
@@ -187,7 +186,6 @@ class FailureNotifier:
         yield REVOKE_NS
         for hook in self._hooks:
             yield from hook(failed_ranks)
-        inj._trace("revoke", f"node {node} state revoked")
         obs = self.world.obs
         if obs is not None:
             # Detection-to-revocation on the dead node's NIC track: the

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.config import (CheckConfig, FaultPlan, FTConfig, MachineConfig,
                           ObsConfig, SimConfig)
-from repro.machine.network import Network
+from repro.machine.network import Network, OpCounters
 from repro.machine.params import GeminiParams, XpmemParams
 from repro.machine.topology import RankMap, Torus3D
 from repro.mem.address_space import AddressSpace
@@ -12,7 +12,6 @@ from repro.mem.registration import RegistrationTable
 from repro.mpi1.params import Mpi1Params
 from repro.sim.kernel import Environment
 from repro.sim.random import stream
-from repro.sim.trace import OpCounters
 
 __all__ = ["RankTable", "World"]
 
@@ -130,7 +129,7 @@ class World:
         if faults is not None:
             from repro.faults import FaultInjector
 
-            self.injector = FaultInjector(faults, self.sim.seed, self.env)
+            self.injector = FaultInjector(faults, self.sim.seed)
         else:
             self.injector = None
         from repro.check.core import RaceChecker, active_check_capture

@@ -8,7 +8,7 @@ words) plus the placement vectors -- O(p) machine words, a few dozen
 MB at 1Mi ranks, instead of O(p) Python objects.
 
 :class:`ScaleCounters` is the aggregate twin of
-:class:`repro.sim.trace.OpCounters`: the vectorized protocol models
+:class:`repro.machine.network.OpCounters`: the vectorized protocol models
 (:mod:`repro.scale.collmodel` / :mod:`repro.scale.protocols`) feed it
 whole origin vectors per algorithm round, and its :meth:`snapshot`
 returns the exact dict shape ``OpCounters.snapshot()`` produces, so

@@ -15,7 +15,6 @@ from repro.sim.kernel import (
     Process,
     Timeout,
 )
-from repro.sim.trace import Tracer
 
 __all__ = [
     "Environment",
@@ -25,5 +24,4 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Interrupt",
-    "Tracer",
 ]

@@ -8,8 +8,8 @@ Design notes
 * Events in the queue are ordered by ``(time, priority, seq)`` where ``seq``
   is a monotone counter -- two events at the same instant always fire in the
   order they were scheduled, making every run bit-reproducible.
-* Processes are plain Python generators.  ``yield event`` suspends until the
-  event fires; the value sent back into the generator is ``event.value``.
+* Processes are plain Python generators.  ``yield event`` suspends a
+  process till the event fires and sends it ``event.value``.
   ``yield ns`` sleeps ``ns`` whole nanoseconds (see "Sleeping").
   Composite waits use :class:`AllOf` / :class:`AnyOf`.
 * Unlike SimPy we detect deadlock eagerly: if the queue drains while
@@ -29,22 +29,15 @@ ranks it served 0.8-5.5 % of pops and charged every push an extra compare
 nanoseconds to milliseconds, so a wheel needs a bucket width to tune and
 still sorts each bucket, where ``heapq`` is one C call per push and pop.
 
-The two loops
--------------
-``run()`` with no tracer installed and no ``until`` takes the **fast
-loop**: it hoists per-event attribute lookups into locals, merges the
-``max_events`` and watchdog comparisons into a single trip compare,
-disables the cyclic GC for the duration of the loop (re-enabled in a
-``finally``), and inlines ``Process._resume`` for the two ubiquitous
-cases: a sleep token, and an event with a single waiting process.
-
-A tracer (``env.tracer``) or an ``until`` argument takes the **step
-loop**: one ``step()`` per event through ``Process._resume``, with the
-tracer hook, the stop checks and the watchdog in between.  Nothing selects
-it by name; it is also the reference the fast loop is tested against
-(tests put a ``Tracer`` on the reference side).  Both loops pop the same
-store and allocate sequence numbers identically, so **event order,
-simulated times and all counters are bit-identical** between them.
+The run loop
+------------
+``run()`` is a single loop over the heap.  It hoists per-event attribute
+lookups into locals, merges the ``max_events`` and watchdog comparisons
+into a single trip compare, disables the cyclic GC for the duration of the
+loop (re-enabled in a ``finally``), and inlines ``Process._resume`` for the
+two ubiquitous cases: a sleep token, and an event with a single waiting
+process.  ``tests/conftest.py`` holds the uninlined reference stepper it is
+tested against, bit for bit.
 
 Sleeping
 --------
@@ -99,12 +92,10 @@ __all__ = [
     "Interrupt",
     "URGENT",
     "NORMAL",
-    "LOW",
 ]
 
 URGENT = 0
 NORMAL = 1
-LOW = 2
 
 _PENDING = object()
 
@@ -189,14 +180,12 @@ class _Sleep:
 
     Popping it resumes ``proc`` with ``None``; ``proc`` is ``None`` once an
     interrupt retired the token (see "Sleeping" in the module docstring).
-    The class attributes let the resume loops and the tracer read a token
-    like a fired event.
+    The class attributes let a loop read a token like a fired event.
     """
 
     __slots__ = ("proc",)
     _ok = True
     _value = None
-    name = "sleep"
 
     def __init__(self, proc: "Process") -> None:
         self.proc: Process | None = proc
@@ -204,10 +193,9 @@ class _Sleep:
 
 class _Call:
     """The queue entry of ``env.call_at``: popping it calls ``fn()`` (see
-    "Callbacks" in the module docstring).  ``name`` is for the tracer."""
+    "Callbacks" in the module docstring)."""
 
     __slots__ = ("fn",)
-    name = "call"
 
 
 _CALL_NEW = object.__new__
@@ -400,7 +388,7 @@ class AnyOf(ConditionEvent):
 
 class Environment:
     __slots__ = ("now", "_queue", "_seq", "_nprocesses", "_live",
-                 "max_events", "strict", "events_processed", "tracer",
+                 "max_events", "strict", "events_processed",
                  "progress_marks", "watchdog_interval",
                  "watchdog_stalls", "_wd_next", "_wd_marks", "_wd_stale",
                  "api_sites", "__dict__")
@@ -417,7 +405,6 @@ class Environment:
         self.max_events = max_events
         self.strict = strict
         self.events_processed = 0
-        self.tracer = None  # installed by sim.trace.Tracer when wanted
         self.progress_marks = 0
         self.watchdog_interval = int(watchdog_interval)
         self.watchdog_stalls = int(watchdog_stalls)
@@ -478,57 +465,8 @@ class Environment:
         self._seq = seq
         heappush(self._queue, (self.now + delay, priority, seq, event))
 
-    def step(self) -> None:
-        when, _prio, _seq, event = heappop(self._queue)
-        if when < self.now:  # pragma: no cover - defensive
-            raise SimulationError("time went backwards")
-        self.now = when
-        self.events_processed += 1
-        if self.tracer is not None:
-            self.tracer.record(when, event)
-        if event.__class__ is _Sleep:
-            if event.proc is not None:
-                event.proc._resume(event)
-            return
-        if event.__class__ is _Call:
-            event.fn()
-            return
-        callbacks, event.callbacks = event.callbacks, None
-        for cb in callbacks:
-            cb(event)
-
-    def run(self, until: Event | int | None = None) -> Any:
-        """Process events until the store drains, or until ``until`` (an
-        event: returns its value once processed; an int: a stop time).
-
-        With no ``until`` and no tracer installed this is the fast loop;
-        otherwise one ``step()`` per event (see the module docstring).
-        """
-        if until is None and self.tracer is None:
-            return self._run_fast()
-        stop_event: Event | None = None
-        stop_time: int | None = None
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = int(until)
-        queue = self._queue
-        while queue:
-            if stop_event is not None and stop_event.processed:
-                return stop_event.value if stop_event._ok else None
-            if stop_time is not None and queue[0][0] > stop_time:
-                self.now = stop_time
-                return None
-            if self.events_processed >= self.max_events:
-                raise SimulationError(
-                    f"exceeded max_events={self.max_events} "
-                    f"(simulated t={self.now}ns) -- runaway protocol?")
-            self.step()
-            if self.watchdog_interval and self.events_processed >= self._wd_next:
-                self._watchdog_check()
-        return self._drained(stop_event)
-
-    def _run_fast(self) -> Any:
+    def run(self) -> None:
+        """Process events till the store drains (see "The run loop")."""
         queue = self._queue
         pop = heappop
         nevents = self.events_processed
@@ -628,18 +566,12 @@ class Environment:
             self.events_processed = nevents
             if gc_was:
                 _gc_enable()
-        return self._drained(None)
+        self._drained()
 
-    def _drained(self, stop_event: Event | None) -> Any:
-        if stop_event is not None:
-            if stop_event.processed:
-                return stop_event.value if stop_event._ok else None
-            names, sites = self.blocked_diagnostics()
-            raise DeadlockError(self._nprocesses, self.now, names, sites)
+    def _drained(self) -> None:
         if self._nprocesses > 0:
             names, sites = self.blocked_diagnostics()
             raise DeadlockError(self._nprocesses, self.now, names, sites)
-        return None
 
     def _watchdog_check(self) -> None:
         self._wd_next = self.events_processed + max(

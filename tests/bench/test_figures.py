@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+from repro.bench import appbench as ab
 from repro.bench import format_series_table
 from repro.bench import microbench as mb
 from repro.bench import syncbench as sb
@@ -58,3 +59,14 @@ def test_atomic_latency_refuses_unknown_kind(kind, monkeypatch):
     monkeypatch.setattr(mb, "run_spmd", None)
     with pytest.raises(ValueError, match="unknown atomic kind"):
         mb.atomic_latency(kind, 1)
+
+
+@pytest.mark.parametrize("driver,variant", [
+    ("hashtable_rate", "bogus"), ("dsde_time_us", "bogus"),
+    ("fft_gflops", "bogus"), ("milc_time_s", "fompi")])
+def test_app_drivers_refuse_unknown_variant(driver, variant, monkeypatch):
+    """An unknown variant is refused, naming the valid ones, before any
+    simulation runs -- not failed with a KeyError from inside the run."""
+    monkeypatch.setattr(ab, "run_spmd", None)
+    with pytest.raises(ValueError, match=r"unknown \w+ variant .*; choose"):
+        getattr(ab, driver)(variant, 4)

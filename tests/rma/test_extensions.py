@@ -95,7 +95,7 @@ def test_optimized_detach_notifies_cachers():
 
 
 def test_optimized_variant_costs_more_memory():
-    from repro.sim.trace import OpCounters
+    from repro.machine.network import OpCounters
 
     def program(ctx, optimized):
         win = yield from ctx.rma.win_create_dynamic(optimized=optimized)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.kernel import AllOf, AnyOf, Environment, Interrupt, Timeout
-from tests.conftest import make_env
+from tests.conftest import StepEnvironment, make_env
 
 
 def test_clock_starts_at_zero(env):
@@ -58,7 +58,8 @@ def test_process_return_value(env):
         return 42
 
     p = env.process(prog())
-    assert env.run(p) == 42
+    env.run()
+    assert p.value == 42
 
 
 def test_sequential_timeouts_accumulate(env):
@@ -69,7 +70,8 @@ def test_sequential_timeouts_accumulate(env):
         return env.now
 
     p = env.process(prog())
-    assert env.run(p) == 60
+    env.run()
+    assert p.value == 60
 
 
 def test_yield_from_subroutine(env):
@@ -82,7 +84,8 @@ def test_yield_from_subroutine(env):
         return (val, env.now)
 
     p = env.process(prog())
-    assert env.run(p) == ("sub-result", 7)
+    env.run()
+    assert p.value == ("sub-result", 7)
 
 
 def test_two_processes_interleave(env):
@@ -182,7 +185,8 @@ def test_yield_already_processed_event_continues(env):
 
     p = env.process(prog())
     env.process(firer())
-    assert env.run(p) == ("early", 10)
+    env.run()
+    assert p.value == ("early", 10)
 
 
 def test_wait_on_process(env):
@@ -196,7 +200,8 @@ def test_wait_on_process(env):
         return (val, env.now)
 
     p = env.process(parent())
-    assert env.run(p) == ("child-val", 25)
+    env.run()
+    assert p.value == ("child-val", 25)
 
 
 def test_allof_waits_for_all(env):
@@ -207,7 +212,8 @@ def test_allof_waits_for_all(env):
         return (vals, env.now)
 
     p = env.process(prog())
-    vals, t = env.run(p)
+    env.run()
+    vals, t = p.value
     assert vals == ["a", "b"]
     assert t == 30
 
@@ -218,7 +224,8 @@ def test_allof_empty_fires_immediately(env):
         return (vals, env.now)
 
     p = env.process(prog())
-    assert env.run(p) == ([], 0)
+    env.run()
+    assert p.value == ([], 0)
 
 
 def test_anyof_fires_on_first(env):
@@ -229,7 +236,8 @@ def test_anyof_fires_on_first(env):
         return (val, env.now)
 
     p = env.process(prog())
-    assert env.run(p) == ("fast", 10)
+    env.run()
+    assert p.value == ("fast", 10)
 
 
 def test_allof_with_already_fired_children(env):
@@ -240,7 +248,8 @@ def test_allof_with_already_fired_children(env):
         return vals
 
     p = env.process(prog())
-    assert env.run(p) == ["x", "y"]
+    env.run()
+    assert p.value == ["x", "y"]
 
 
 def test_deadlock_detected(env):
@@ -263,7 +272,8 @@ def test_deadlock_counts_blocked(env):
     assert exc.value.blocked == 3
 
 
-def test_run_until_time(env):
+def test_run_until_time():
+    env = StepEnvironment()
     ticks = []
 
     def prog():
@@ -366,7 +376,8 @@ def test_yield_int_sleeps(env):
         return (got, env.now)
 
     p = env.process(prog())
-    assert env.run(p) == (None, 100)
+    env.run()
+    assert p.value == (None, 100)
     # init + two sleeps + completion, as with two timeouts
     assert env.events_processed == 4
 

@@ -1,21 +1,20 @@
-"""The inlined fast run loop vs the step loop.
+"""The kernel's inlined run loop vs the reference step loop.
 
-``Environment.run()`` with no tracer and no ``until`` takes the fast loop;
-a tracer or an ``until`` takes the reference ``step()`` loop.  Both must
-process the exact same event schedule -- same event count, same final
-clock, same process return values -- and both resume a sleeping process
-(``yield ns``) straight from its sleep token and run a bare callback
-(``env.call_at``) straight from its entry.  These tests pin the
-bit-identity contract and the sleep-token, callback-entry and detach
-invariants DESIGN.md documents; the reference side selects the step loop
-by installing a ``Tracer``.
+``Environment.run()`` is the kernel's one, inlined loop;
+``tests.conftest.StepEnvironment`` is the reference stepper (and the one
+that stops at ``run(until=t)``).  Both must process the exact same event
+schedule -- same event count, same final clock, same process return
+values -- and both resume a sleeping process (``yield ns``) straight from
+its sleep token and run a bare callback (``env.call_at``) straight from
+its entry.  These tests pin the bit-identity contract and the sleep-token,
+callback-entry and detach invariants DESIGN.md documents.
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import URGENT, Environment, Interrupt, Timeout
-from tests.conftest import make_env
+from tests.conftest import IdleTracer, StepEnvironment, make_env
 
 
 def _mixed_workload(env, log, sleep=True):
@@ -188,7 +187,7 @@ def test_sleep_reuses_the_process_token(monkeypatch):
     init = Timeout.__init__
     monkeypatch.setattr(Timeout, "__init__",
                         lambda self, *a, **k: made.append(1) or init(self, *a, **k))
-    env = Environment()
+    env = StepEnvironment()
 
     def spin():
         for _ in range(100):
@@ -199,7 +198,7 @@ def test_sleep_reuses_the_process_token(monkeypatch):
     env.run(until=50)                      # step loop
     pending = env._queue[0]
     assert pending[0] == 51 and pending[3] is token
-    env.run()                              # fast loop
+    Environment.run(env)                   # the kernel's loop
     assert proc._sleep is token and token.proc is proc
     assert made == []
     assert env.now == 100 and env.events_processed == 102
@@ -224,9 +223,8 @@ def test_yielded_timeout_keeps_its_value():
 
 
 def test_step_loop_traces_every_sleep():
-    """A tracer puts ``run()`` on the step loop, which records every
-    event -- sleeps by the token's name -- and counts what the fast loop
-    counts."""
+    """The step loop shows its tracer every entry -- sleeps as
+    ``"sleep"`` -- and counts what the kernel's loop counts."""
     def spin(env):
         for _ in range(5):
             yield 2
@@ -234,18 +232,20 @@ def test_step_loop_traces_every_sleep():
     counts = []
     for step_loop in (True, False):
         env = make_env(step_loop=step_loop)
+        if step_loop:
+            env.tracer = tracer = IdleTracer(limit=100)
         env.process(spin(env), name="spin")
         env.run()
         counts.append((env.now, env.events_processed))
-        if step_loop:
-            records = env.tracer.records
+    records = tracer.records
     assert counts[0] == counts[1] == (10, 7)
     assert len(records) == 7
     assert [r for r in records if r[1] == "sleep"] == [
         (t, "sleep") for t in range(2, 11, 2)]
 
 
-def test_anyof_detaches_loser_callbacks(env):
+def test_anyof_detaches_loser_callbacks():
+    env = StepEnvironment()
     winner = env.timeout(5)
     loser = env.timeout(500)
 
@@ -259,7 +259,8 @@ def test_anyof_detaches_loser_callbacks(env):
     assert loser.callbacks == []
 
 
-def test_condition_with_fired_children_detaches(env):
+def test_condition_with_fired_children_detaches():
+    env = StepEnvironment()
     done = env.event()
     done.succeed(1)
     pending = env.timeout(50)
@@ -283,9 +284,9 @@ def test_max_events_backstop_on_fast_path():
 
 
 def test_run_until_takes_the_step_loop():
-    """``until`` stops on the step loop: the clock lands on the stop time,
+    """``until`` stops the step loop: the clock lands on the stop time,
     only events due by then ran, and nothing was recycled."""
-    env = Environment()
+    env = StepEnvironment()
     log = []
     timeouts = []
 

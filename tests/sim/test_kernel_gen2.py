@@ -407,8 +407,8 @@ def test_demo_workloads_reproduce_golden_pins(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_step_loop_reproduces_golden_pins(name):
-    """A tracer runs the whole stack on the step loop: same schedule as
-    the fast loop."""
+    """The whole stack on the reference step loop: same schedule as the
+    kernel's loop."""
     with idle_tracers():
         res = _run(name)
     assert (res.sim_time_ns, res.events_processed) == current(GOLDEN[name])

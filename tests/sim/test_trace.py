@@ -1,53 +1,14 @@
-"""Tracer, span log, and operation counters."""
+"""Span log and operation counters."""
 
-from repro.sim.kernel import Environment
-from repro.sim.trace import OpCounters, SpanLog, SpanRecord, Tracer
-
-
-def test_tracer_records_events():
-    env = Environment()
-    env.tracer = Tracer()
-
-    def prog():
-        yield env.timeout(5)
-        yield env.timeout(5)
-
-    env.process(prog())
-    env.run()
-    assert len(env.tracer.records) >= 3
-    assert all(isinstance(t, int) for t, _name in env.tracer.records)
-
-
-def test_tracer_limit():
-    env = Environment()
-    env.tracer = Tracer(limit=2)
-
-    def prog():
-        for _ in range(10):
-            yield env.timeout(1)
-
-    env.process(prog())
-    env.run()
-    assert len(env.tracer.records) == 2
-    assert env.tracer.dropped > 0
-
-
-def test_tracer_fault_counts_aggregate_past_limit():
-    tr = Tracer(limit=1)
-    tr.record_fault(0, "drop")
-    tr.record_fault(5, "drop")
-    tr.record_fault(9, "retransmit", "rank0->rank1 #2")
-    assert len(tr.records) == 1
-    assert tr.dropped == 2
-    # The record stream is bounded; the statistics are not.
-    assert tr.fault_counts == {"drop": 2, "retransmit": 1}
+from repro.machine.network import OpCounters
+from repro.obs.core import SpanLog, SpanRecord
 
 
 def test_span_log_add_and_instant():
     log = SpanLog()
     log.add("rank", 3, "lock.hold", "lock", 100, 250,
             args={"target": 1, "attempt": 2})
-    log.instant("nic", 0, "pkt", "nic", 400)
+    log.add("nic", 0, "pkt", "nic", 400, 400)
     assert len(log) == 2
     span, mark = log.spans
     assert span == SpanRecord("rank", 3, "lock.hold", "lock", 100, 150,
