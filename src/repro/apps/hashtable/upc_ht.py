@@ -23,9 +23,9 @@ def upc_insert(ctx, arr, layout: HashTableLayout, key: int):
     cell = layout.claim_cell(cell0)
     yield from ctx.upc.memput_nb(arr, owner, 8 * layout.heap_value(cell),
                                  np.array([key], np.int64))
-    # second CAS-style update of the chain head: fetch old head, link
+    # second CAS-style update of the chain head: read it (CAS 0 -> 0), link
     while True:
-        head = yield from ctx.upc.aadd(arr, owner, layout.slot_head(slot), 0)
+        head = yield from ctx.upc.cas(arr, owner, layout.slot_head(slot), 0, 0)
         got = yield from ctx.upc.cas(arr, owner, layout.slot_head(slot),
                                      int(head), cell)
         if int(got) == int(head):

@@ -333,7 +333,6 @@ class DmappEndpoint:
         busy = int(round(p.amo_gap * n))
         chan.busy_until = max(int(round(head)), chan.busy_until) + busy
         chan.total_busy += busy
-        net.counters.count_service(tnode)
         return chan.busy_until + net.amo_service_int
 
     # ------------------------------------------------------------------

@@ -37,15 +37,13 @@ class OpCounters:
     check the paper's O(log p) / O(k) claims by counting these.
 
     ``remote_ops[rank]`` counts RDMA operations *issued by* each rank;
-    ``nic_ops[rank]`` counts operations *serviced at* each rank's NIC
-    (useful for hot-spot analysis); ``bytes_moved`` counts payload bytes on
-    the network; ``control_memory[rank]`` tracks the peak number of
-    control words (lock variables, matching-list slots, descriptors) a
-    protocol allocated at each rank -- the paper's "memory overhead".
+    ``bytes_moved`` counts payload bytes on the network;
+    ``control_memory[rank]`` tracks the peak number of control words (lock
+    variables, matching-list slots, descriptors) a protocol allocated at
+    each rank -- the paper's "memory overhead".
     """
 
     remote_ops: Counter = field(default_factory=Counter)
-    nic_ops: Counter = field(default_factory=Counter)
     bytes_moved: int = 0
     messages: int = 0
     control_memory: Counter = field(default_factory=Counter)
@@ -56,9 +54,6 @@ class OpCounters:
         self.by_kind[kind] += 1
         self.bytes_moved += nbytes
         self.messages += 1
-
-    def count_service(self, target: int) -> None:
-        self.nic_ops[target] += 1
 
     def add_control_memory(self, rank: int, words: int) -> None:
         self.control_memory[rank] += words
@@ -272,7 +267,6 @@ class Network:
                 chan.total_busy += svc_int
                 if is_amo:
                     deliver_time += self.amo_service_int
-                self.counters.count_service(dst_node)
                 # Corrupted payloads fail the checksum and are discarded
                 # here; packets to a node dead by arrival are lost too.
                 if inj is None or not (fate.corrupt or inj.node_crashed(

@@ -1,10 +1,10 @@
 """PGAS comparators: Cray-UPC-like and Fortran-Coarray-like layers.
 
 The paper benchmarks foMPI against Cray's tuned UPC and Fortran 2008
-coarray compilers.  Both compile remote accesses to the same DMAPP
-hardware ops foMPI uses, but with compiler-runtime overheads of their own;
-these layers reproduce that: thin shims over the DMAPP/XPMEM substrates
-with per-transport software constants calibrated to Figures 4-6.
+coarray compilers, which issue the same DMAPP/XPMEM ops with runtime
+overheads of their own.  Here a shared array or coarray is a
+``win_create`` window, so the race checker sees every access, and each
+call adds its layer's software cost, calibrated to Figures 4-6.
 """
 
 from repro.pgas.caf import CafContext, CafParams

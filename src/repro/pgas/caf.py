@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from repro.pgas.upc import shared_window
 
-from repro.pgas.upc import _symmetric_alloc
-
-__all__ = ["CafParams", "CafContext", "Coarray"]
+__all__ = ["CafParams", "CafContext"]
 
 
 @dataclass(frozen=True)
@@ -37,20 +35,6 @@ class CafParams:
     intra_overhead: float = 200.0
 
 
-class Coarray:
-    """One symmetric coarray (same size on every image)."""
-
-    def __init__(self, ctx, nbytes: int, seg, descs, tokens) -> None:
-        self.ctx = ctx
-        self.nbytes = nbytes
-        self.seg = seg
-        self.descs = descs
-        self.tokens = tokens
-
-    def local_view(self, dtype=np.float64) -> np.ndarray:
-        return self.seg.typed(dtype)
-
-
 class CafContext:
     """Per-rank CAF runtime (``ctx.caf``); images are 1-based externally
     but this API keeps 0-based ranks for consistency."""
@@ -58,18 +42,15 @@ class CafContext:
     def __init__(self, ctx, params: CafParams | None = None) -> None:
         self.ctx = ctx
         self.params = params or CafParams()
-        self._alloc_seq = 0
+        self.coarrays: list = []   # the windows sync memory completes
 
     def coarray_alloc(self, nbytes: int):
         """Collective coarray allocation."""
-        self._alloc_seq += 1
-        seg, descs, tokens = yield from _symmetric_alloc(
-            self.ctx, nbytes, "caf", self._alloc_seq)
-        return Coarray(self.ctx, nbytes, seg, descs, tokens)
+        co = yield from shared_window(self.ctx, nbytes, "caf")
+        self.coarrays.append(co)
+        return co
 
-    # ------------------------------------------------------------------
-    def assign(self, co: Coarray, image: int, offset: int, data,
-               nblocks: int = 1):
+    def assign(self, co, image: int, offset: int, data, nblocks: int = 1):
         """Remote assignment buf(...)[image] = data.
 
         ``nblocks`` models an array-section transfer decomposed into that
@@ -78,44 +59,37 @@ class CafContext:
         ctx = self.ctx
         yield from ctx.compute(self.params.put_overhead
                                + self.params.per_block_overhead * (nblocks - 1))
-        if image in co.tokens:
+        if image in co.xtokens:
             yield from ctx.compute(self.params.intra_overhead)
-            yield from ctx.xpmem.store(co.tokens[image], offset, data)
-            return None
-        return (yield from ctx.dmapp.put_nbi(co.descs[image], offset, data))
+        yield from co.put(data, image, offset)
 
-    def assign_nb(self, co: Coarray, image: int, offset: int, data):
+    def assign_nb(self, co, image: int, offset: int, data):
         """Deferred remote assignment (Cray 'pgas defer_sync' pragma) --
         used by the message-rate benchmark."""
-        ctx = self.ctx
-        yield from ctx.compute(self.params.nb_overhead)
-        if image in co.tokens:
-            yield from ctx.xpmem.store(co.tokens[image], offset, data)
-            return None
-        return (yield from ctx.dmapp.put_nbi(co.descs[image], offset, data))
+        yield from self.ctx.compute(self.params.nb_overhead)
+        yield from co.put(data, image, offset)
 
-    def read(self, co: Coarray, image: int, offset: int, nbytes: int,
+    def read(self, co, image: int, offset: int, nbytes: int,
              nblocks: int = 1):
         """Remote read dst = buf(...)[image]."""
         ctx = self.ctx
         yield from ctx.compute(self.params.get_overhead
                                + self.params.per_block_overhead * (nblocks - 1))
-        if image in co.tokens:
+        if image in co.xtokens:
             yield from ctx.compute(self.params.intra_overhead)
-            return (yield from ctx.xpmem.load(co.tokens[image], offset, nbytes))
-        return (yield from ctx.dmapp.get_b(co.descs[image], offset, nbytes))
+        return (yield from co.get_blocking(image, offset, nbytes))
 
-    # ------------------------------------------------------------------
     def sync_memory(self):
         """sync memory: local completion of outstanding accesses."""
         yield from self.ctx.compute(self.params.sync_memory_overhead)
         yield from self.ctx.dmapp.gsync()
-        yield from self.ctx.xpmem.mfence()
+        if self.ctx.checker is not None:
+            for co in self.coarrays:
+                self.ctx.checker.on_flush(co)
 
     def sync_all(self):
         """sync all: global barrier + memory synchronization."""
         yield from self.sync_memory()
-        p = self.ctx.nranks
-        rounds = max(1, (p - 1).bit_length()) if p > 1 else 0
+        rounds = (self.ctx.nranks - 1).bit_length()
         yield from self.ctx.compute(self.params.sync_all_per_round * rounds)
         yield from self.ctx.coll.barrier()

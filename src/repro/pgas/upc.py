@@ -11,6 +11,10 @@ Models the UPC constructs the paper's benchmarks use:
 * ``aadd`` / ``cas`` -- Cray's proprietary atomic extensions
   (``upc_atomic``), used by the UPC hashtable in Section 4.1.
 
+A shared array is a ``win_create`` window over the affinity blocks: a
+call charges its Cray runtime cost, then the window routes, range-checks
+and records the access for the race checker.
+
 Calibration: Figure 4a shows UPC put latency roughly 2x foMPI's at small
 sizes (foMPI claims ">50% lower latency than other PGAS models") and the
 same bandwidth at large sizes; atomics land near 2.4 us (Figure 6a);
@@ -19,15 +23,14 @@ same bandwidth at large sizes; atomics land near 2.4 us (Figure 6a);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.dmapp.api import require_contiguous
-from repro.errors import RmaError
-from repro.mem.atomic import SegmentCells
+from repro.rma.enums import Op
 
-__all__ = ["UpcParams", "UpcContext", "UpcSharedArray"]
+__all__ = ["UpcParams", "UpcContext", "shared_window"]
 
 
 @dataclass(frozen=True)
@@ -42,43 +45,21 @@ class UpcParams:
     intra_overhead: float = 150.0
 
 
-def _symmetric_alloc(ctx, nbytes: int, kind: str, seq: int):
-    """The collective allocation both PGAS layers share: allocate and
-    register ``nbytes`` on every rank, allgather the descriptors, expose
-    the segment, and attach every same-node peer's.  Returns
-    ``(seg, descs, tokens)``: this rank's segment, rank -> descriptor, and
-    same-node rank -> attached XPMEM segment."""
-    seg = ctx.space.alloc(max(1, nbytes), label=f"{kind}{seq}")
-    desc = ctx.reg.register(seg)
-    descs = yield from ctx.coll.allgather(desc, nbytes=32)
-    bb = ctx.world.blackboard
-    key = (kind, seq)
-    bb.setdefault(key, {})[ctx.rank] = ctx.xpmem.expose(seg)
-    yield from ctx.coll.barrier()
-    tokens = {r: t for r, t in bb[key].items()
-              if r != ctx.rank and ctx.same_node(r)}
-    for t in tokens.values():
-        ctx.xpmem.attach(t)
-    return seg, dict(enumerate(descs)), tokens
-
-
-class UpcSharedArray:
-    """A UPC shared array: one affinity block per thread (rank)."""
-
-    def __init__(self, ctx, nbytes_per_thread: int, seg, descs, tokens) -> None:
-        self.ctx = ctx
-        self.block = nbytes_per_thread
-        self.seg = seg          # this thread's affinity block
-        self.descs = descs      # rank -> MemDescriptor
-        self.tokens = tokens    # same-node rank -> XpmemSegment
-
-    def local_view(self, dtype=np.uint8) -> np.ndarray:
-        return self.seg.typed(dtype)
-
-    def cells(self, rank: int) -> SegmentCells:
-        """Atomic int64 view of a peer's affinity block (for aadd/cas)."""
-        return self.ctx.world.reg_tables[rank].resolve(
-            self.descs[rank]).cells64()
+def shared_window(ctx, nbytes: int, kind: str):
+    """The collective allocation both PGAS layers share: a window over
+    ``nbytes`` of this rank's memory that charges none of foMPI's costs
+    (the layers charge their own) and is always in an access epoch."""
+    rma = ctx.rma
+    saved = rma.params
+    rma.params = replace(saved, instr_put=0, instr_get=0, instr_flush=0,
+                         instr_accumulate=0, mfence_ns=0.0)
+    try:
+        win = yield from rma.win_create(ctx.space.alloc(max(1, nbytes),
+                                                        label=kind))
+    finally:
+        rma.params = saved
+    win.epoch_access = "lock_all"
+    return win
 
 
 class UpcContext:
@@ -87,124 +68,85 @@ class UpcContext:
     def __init__(self, ctx, params: UpcParams | None = None) -> None:
         self.ctx = ctx
         self.params = params or UpcParams()
-        self._alloc_seq = 0
+        self.arrays: list = []   # the windows a fence completes
 
-    # ------------------------------------------------------------------
     def all_alloc(self, nbytes_per_thread: int):
-        """upc_all_alloc: collective; returns the shared array handle."""
-        self._alloc_seq += 1
-        seg, descs, tokens = yield from _symmetric_alloc(
-            self.ctx, nbytes_per_thread, "upc", self._alloc_seq)
-        return UpcSharedArray(self.ctx, nbytes_per_thread, seg, descs, tokens)
+        """upc_all_alloc: collective; returns the shared array (a window)."""
+        arr = yield from shared_window(self.ctx, nbytes_per_thread, "upc")
+        self.arrays.append(arr)
+        return arr
 
-    # ------------------------------------------------------------------
-    def memput(self, arr: UpcSharedArray, rank: int, offset: int, data):
+    def memput(self, arr, rank: int, offset: int, data):
         """upc_memput + implicit completion on the next fence."""
-        ctx = self.ctx
-        if rank in arr.tokens:
-            yield from ctx.compute(self.params.intra_overhead)
-            yield from ctx.xpmem.store(arr.tokens[rank], offset, data)
-            return None
-        yield from ctx.compute(self.params.put_overhead)
-        handle = yield from ctx.dmapp.put_nbi(arr.descs[rank], offset, data)
-        return handle
+        p = self.params
+        yield from self.ctx.compute(
+            p.intra_overhead if rank in arr.xtokens else p.put_overhead)
+        yield from arr.put(data, rank, offset)
 
-    def memput_nb(self, arr: UpcSharedArray, rank: int, offset: int, data):
+    def memput_nb(self, arr, rank: int, offset: int, data):
         """Deferred put (Cray 'defer_sync' pragma): minimal overhead."""
-        ctx = self.ctx
-        yield from ctx.compute(self.params.nb_overhead)
-        if rank in arr.tokens:
-            yield from ctx.xpmem.store(arr.tokens[rank], offset, data)
-            return None
-        return (yield from ctx.dmapp.put_nbi(arr.descs[rank], offset, data))
+        yield from self.ctx.compute(self.params.nb_overhead)
+        yield from arr.put(data, rank, offset)
 
-    def memget(self, arr: UpcSharedArray, rank: int, offset: int, nbytes: int):
+    def memget(self, arr, rank: int, offset: int, nbytes: int):
         """upc_memget (blocking)."""
-        ctx = self.ctx
-        if rank in arr.tokens:
-            yield from ctx.compute(self.params.intra_overhead)
-            return (yield from ctx.xpmem.load(arr.tokens[rank], offset, nbytes))
-        yield from ctx.compute(self.params.get_overhead)
-        return (yield from ctx.dmapp.get_b(arr.descs[rank], offset, nbytes))
+        p = self.params
+        yield from self.ctx.compute(
+            p.intra_overhead if rank in arr.xtokens else p.get_overhead)
+        return (yield from arr.get_blocking(rank, offset, nbytes))
 
-    def memget_nb(self, arr: UpcSharedArray, rank: int, offset: int,
-                  nbytes: int, out: np.ndarray):
+    def memget_nb(self, arr, rank: int, offset: int, nbytes: int,
+                  out: np.ndarray):
         """upc_memget_nb (Cray extension, used by the MILC UPC port) into
-        the C-contiguous ``out``."""
+        the C-contiguous ``out``; complete after the next fence."""
         require_contiguous(out)
-        ctx = self.ctx
-        if rank in arr.tokens:
-            got = yield from ctx.xpmem.load(arr.tokens[rank], offset, nbytes)
-            out.view(np.uint8).ravel()[:] = got
-            return None
-        yield from ctx.compute(self.params.nb_overhead)
-        return (yield from ctx.dmapp.get_nbi(arr.descs[rank], offset, nbytes,
-                                             out=out))
+        if rank not in arr.xtokens:
+            yield from self.ctx.compute(self.params.nb_overhead)
+        yield from arr.get(out.view(np.uint8).reshape(-1)[:nbytes], rank,
+                           offset)
 
     def fence(self):
         """upc_fence: complete all outstanding accesses."""
         yield from self.ctx.dmapp.gsync()
-        yield from self.ctx.xpmem.mfence()
-
-    def sync_nb(self, handle):
-        """Complete one deferred access."""
-        if handle is not None:
-            yield from self.ctx.dmapp.wait(handle)
+        if self.ctx.checker is not None:
+            for arr in self.arrays:
+                self.ctx.checker.on_flush(arr)
 
     def barrier(self):
         """upc_barrier (Cray's is the fastest barrier in Figure 6b)."""
-        p = self.ctx.nranks
-        rounds = max(1, (p - 1).bit_length()) if p > 1 else 0
+        rounds = (self.ctx.nranks - 1).bit_length()
         yield from self.ctx.compute(
             self.params.barrier_overhead_per_round * rounds)
         yield from self.ctx.coll.barrier()
 
-    # ------------------------------------------------------------------
-    def aadd(self, arr: UpcSharedArray, rank: int, word_index: int,
-             value: int):
+    def aadd(self, arr, rank: int, word_index: int, value: int):
         """Cray atomic fetch-and-add on a shared int64; returns old."""
-        ctx = self.ctx
-        yield from ctx.compute(self.params.amo_overhead)
-        cells = arr.cells(rank)
-        if rank in arr.tokens or rank == ctx.rank:
-            old = yield from ctx.xpmem.amo(cells, word_index, "add",
-                                           int(value))
-        else:
-            old = yield from ctx.dmapp.amo_b(rank, cells, word_index, "add",
-                                             int(value))
-        # A completed user-level atomic is forward progress (unlike the
-        # protocol-internal AMO retries inside lock acquisition).
-        ctx.env.note_progress()
-        return old
+        yield from self.ctx.compute(self.params.amo_overhead)
+        old = yield from arr.fetch_and_op(np.int64(value), rank,
+                                          8 * word_index, Op.SUM)
+        return int(old)
 
-    def aadd_nb(self, arr: UpcSharedArray, rank: int, word_index: int,
-                value: int):
+    def aadd_nb(self, arr, rank: int, word_index: int, value: int):
         """Non-fetching atomic add (deferred completion) -- the 'separate
-        atomic add' notification of the paper's MILC port."""
+        atomic add' notification of the paper's MILC port.
+
+        One AMO, not the window's ``accumulate``: that issues an AMO
+        stream, a different cost on the Figure 8 UPC curve."""
         ctx = self.ctx
-        cells = arr.cells(rank)
-        if rank in arr.tokens or rank == ctx.rank:
+        if ctx.checker is not None:
+            arr._note_atomic("acc", rank, 8 * word_index, Op.SUM,
+                             np.int64(value))
+        cells = arr._target_segment(rank, 8 * word_index, 8)[0].cells64()
+        if ctx.same_node(rank):
             yield from ctx.xpmem.amo(cells, word_index, "add", int(value))
             return
         yield from ctx.compute(self.params.nb_overhead)
         yield from ctx.dmapp.amo_nbi(rank, cells, word_index, "add",
                                      int(value))
 
-    def cas(self, arr: UpcSharedArray, rank: int, word_index: int,
-            compare: int, swap: int):
+    def cas(self, arr, rank: int, word_index: int, compare: int, swap: int):
         """Cray atomic compare-and-swap; returns old value."""
-        ctx = self.ctx
-        yield from ctx.compute(self.params.amo_overhead)
-        cells = arr.cells(rank)
-        if rank in arr.tokens or rank == ctx.rank:
-            old = yield from ctx.xpmem.amo(cells, word_index, "cas",
-                                           int(compare), int(swap))
-        else:
-            old = yield from ctx.dmapp.amo_b(rank, cells, word_index, "cas",
-                                             int(compare), int(swap))
-        ctx.env.note_progress()
-        return old
-
-    def check_affinity(self, arr: UpcSharedArray, offset: int) -> None:
-        if not 0 <= offset < arr.block:
-            raise RmaError(f"offset {offset} outside affinity block")
+        yield from self.ctx.compute(self.params.amo_overhead)
+        old = yield from arr.compare_and_swap(
+            np.int64(compare), np.int64(swap), rank, 8 * word_index)
+        return int(old)

@@ -33,7 +33,7 @@ import numpy as np
 from repro.check import epochs as epoch_rules
 from repro.dmapp.api import require_contiguous
 from repro.errors import RmaError, WindowError
-from repro.mem.atomic import AtomicArray, SegmentCells
+from repro.mem.atomic import AtomicArray
 from repro.rma import accumulate as acc_mod
 from repro.rma import fence as fence_mod
 from repro.rma import locks as locks_mod

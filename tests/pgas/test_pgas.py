@@ -172,9 +172,9 @@ def test_upc_memget_nb_and_sync():
         arr.local_view(np.uint8)[:8] = ctx.rank + 1
         yield from ctx.upc.barrier()
         out = np.zeros(8, np.uint8)
-        h = yield from ctx.upc.memget_nb(arr, (ctx.rank + 1) % ctx.nranks,
-                                         0, 8, out)
-        yield from ctx.upc.sync_nb(h)
+        yield from ctx.upc.memget_nb(arr, (ctx.rank + 1) % ctx.nranks,
+                                     0, 8, out)
+        yield from ctx.upc.fence()
         yield from ctx.upc.barrier()
         return out.tolist()
 
@@ -225,13 +225,117 @@ def test_caf_assign_nb_cheaper_than_assign():
 
 
 def test_upc_affinity_check():
-    from repro.errors import RmaError
+    """A shared array is a window: a put past the end of the target's
+    64-byte affinity block is refused, on-node (XPMEM) and off-node
+    (DMAPP) alike."""
+    from repro.errors import MemoryError_
 
     def program(ctx):
         arr = yield from ctx.upc.all_alloc(64)
-        ctx.upc.check_affinity(arr, 10)
-        with pytest.raises(RmaError):
-            ctx.upc.check_affinity(arr, 64)
+        yield from ctx.upc.barrier()
+        if ctx.rank == 0:
+            with pytest.raises(MemoryError_):
+                yield from ctx.upc.memput(arr, 1, 64, np.zeros(8, np.uint8))
         yield from ctx.upc.barrier()
 
-    run_spmd(program, 2, machine=INTER)
+    for machine in (INTER, INTRA):
+        run_spmd(program, 2, machine=machine)
+
+
+def test_upc_app_points_pinned():
+    """The UPC curves of Figures 7a, 7c and 8, one exact point each: the
+    hashtable's cas / aadd / memput_nb, the FFT's memput_nb and the MILC
+    halo's aadd_nb / memget_nb, each on a mix of on-node and off-node
+    peers."""
+    from repro.bench.appbench import fft_gflops, hashtable_rate, milc_time_s
+    from repro.bench.figures import FFT_SPEC, MILC_SPEC
+
+    assert hashtable_rate("upc", 8, 64, ranks_per_node=4) \
+        == 1894345.8217094992
+    assert fft_gflops("upc_overlap", 8, FFT_SPEC, ranks_per_node=2) \
+        == 65.10701709845131
+    assert milc_time_s("upc", 8, MILC_SPEC, ranks_per_node=4) == 0.001823648
+
+
+def _upc_write(ctx, offset):
+    arr = yield from ctx.upc.all_alloc(64)
+    yield from ctx.upc.barrier()
+    if ctx.rank in (1, 2):
+        yield from ctx.upc.memput_nb(arr, 0, offset, np.ones(8, np.uint8))
+        yield from ctx.upc.fence()
+    yield from ctx.upc.barrier()
+
+
+def _caf_write(ctx, offset):
+    co = yield from ctx.caf.coarray_alloc(64)
+    yield from ctx.caf.sync_all()
+    if ctx.rank in (1, 2):
+        yield from ctx.caf.assign(co, 0, offset, np.ones(8, np.uint8))
+        yield from ctx.caf.sync_memory()
+    yield from ctx.caf.sync_all()
+
+
+@pytest.mark.parametrize("rpn", [1, 4])
+@pytest.mark.parametrize("racy", [True, False])
+@pytest.mark.parametrize("write", [_upc_write, _caf_write],
+                         ids=["upc_memput_nb", "caf_assign"])
+def test_checker_sees_pgas_writes(write, racy, rpn):
+    """Ranks 1 and 2 write 8 bytes of rank 0 with no ordering between
+    them: the same bytes are a put-put race, disjoint ones are clean,
+    and checking moves no clock."""
+    from repro.config import CheckConfig
+
+    def program(ctx):
+        yield from write(ctx, 0 if racy else 8 * ctx.rank)
+
+    machine = MachineConfig(ranks_per_node=rpn)
+    checked = run_spmd(program, 3, machine=machine,
+                       check=CheckConfig(enabled=True))
+    kinds = {v.kind for v in checked.check.violations}
+    assert kinds == ({"put-put"} if racy else set())
+    assert checked.sim_time_ns == run_spmd(program, 3,
+                                           machine=machine).sim_time_ns
+
+
+def test_checker_orders_a_fence():
+    """upc_fence completes a rank's puts, so rewriting the same bytes
+    after it is no same-origin race."""
+    from repro.config import CheckConfig
+
+    def program(ctx):
+        arr = yield from ctx.upc.all_alloc(64)
+        yield from ctx.upc.barrier()
+        if ctx.rank == 1:
+            for v in (1, 2):
+                yield from ctx.upc.memput(arr, 0, 0, np.full(8, v, np.uint8))
+                yield from ctx.upc.fence()
+        yield from ctx.upc.barrier()
+
+    res = run_spmd(program, 2, machine=INTER, check=CheckConfig(enabled=True))
+    assert res.check.clean, [v.describe() for v in res.check.violations]
+
+
+@pytest.mark.parametrize("rpn", [1, 4])
+def test_checker_sees_aadd_nb(rpn):
+    """The MILC port's notification add is an atomic to the checker:
+    two ranks' adds to one word compose, a put over it does not."""
+    from repro.config import CheckConfig
+
+    def program(ctx, put):
+        arr = yield from ctx.upc.all_alloc(64)
+        yield from ctx.upc.barrier()
+        if ctx.rank == 1:
+            yield from ctx.upc.aadd_nb(arr, 0, 0, 1)
+        elif ctx.rank == 2:
+            if put:
+                yield from ctx.upc.memput_nb(arr, 0, 0, np.ones(8, np.uint8))
+            else:
+                yield from ctx.upc.aadd_nb(arr, 0, 0, 1)
+        yield from ctx.upc.fence()
+        yield from ctx.upc.barrier()
+
+    machine = MachineConfig(ranks_per_node=rpn)
+    kinds = [{v.kind for v in run_spmd(program, 3, put, machine=machine,
+                                       check=CheckConfig(enabled=True))
+              .check.violations} for put in (False, True)]
+    assert kinds == [set(), {"atomic-nonatomic"}]

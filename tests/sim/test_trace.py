@@ -37,14 +37,12 @@ def test_op_counters():
     c.count_issue(0, "put", 64)
     c.count_issue(0, "put", 64)
     c.count_issue(1, "get", 8)
-    c.count_service(2)
     c.add_control_memory(0, 70)
     c.add_control_memory(1, 5)
     assert c.messages == 3
     assert c.bytes_moved == 136
     assert c.max_remote_ops() == 2
     assert c.max_control_memory() == 70
-    assert c.nic_ops[2] == 1
     snap = c.snapshot()
     assert snap["by_kind"] == {"put": 2, "get": 1}
 
