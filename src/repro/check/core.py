@@ -189,10 +189,6 @@ class RaceChecker:
         self.pruned = 0
         self.truncated = False
         self.accesses_seen = 0
-        # Target-side attribution context (set by Window.local_load/store
-        # around the Segment access so the watch hook can attribute it).
-        self._local: tuple | None = None
-        self.transport_counts: dict[str, int] = {}
         # Two-sided happens-before edges observed (msg_send match points).
         self.msg_edges = 0
 
@@ -419,7 +415,8 @@ class RaceChecker:
     # ------------------------------------------------------------------
     def note_op(self, win, kind: str, target: int,
                 ranges, *, op: str | None = None, path: str = "") -> None:
-        """Record one origin-side communication call (put/get/atomics)."""
+        """Record one access: an origin-side communication call
+        (put/get/atomics), or a target-side one from :meth:`note_local`."""
         from repro.check import epochs
 
         self.accesses_seen += 1
@@ -434,76 +431,17 @@ class RaceChecker:
             epoch=epochs.epoch_context(win), path=path)
         self._insert(rec)
 
-    def watch_segment(self, win, seg, base: int) -> None:
-        """Install the address-space watch funnel on a window segment.
-
-        The watch fires for *every* read/write of the segment, including
-        remote XPMEM copies and DMAPP delivery-time stores -- those run
-        with no attribution context and are ignored (they were already
-        recorded origin-side).  Only accesses bracketed by
-        :meth:`local_attribution` are recorded as target-local."""
-        if seg.watch is None:
-            seg.watch = self._seg_access
-
-    @contextmanager
-    def local_attribution(self, win, rank: int, base: int) -> Iterator[None]:
-        self._local = (win, rank, base)
-        try:
-            yield
-        finally:
-            self._local = None
-
-    def _seg_access(self, kind: str, offset: int, nbytes: int) -> None:
-        """Segment watch callback (see :class:`repro.mem.address_space.
-        Segment`)."""
-        loc = self._local
-        if loc is None:
-            return
-        win, rank, base = loc
-        from repro.check import epochs
-
-        self.accesses_seen += 1
-        if self.truncated:
-            return
-        lo = offset - base
-        rec = Access(
-            rank=rank, kind=f"local_{kind}", op=None, win_id=win.win_id,
-            target=rank, ranges=((lo, lo + nbytes),),
-            oseq=self._oseq.get((rank, win.win_id), 0),
-            clock=self.clocks[rank].copy(), t_ns=win.ctx.now,
-            epoch=epochs.epoch_context(win))
-        self._insert(rec)
-
     def note_local(self, win, kind: str, offset: int, nbytes: int) -> None:
-        """Explicit annotation for a target-side access made through the
-        zero-copy ``Window.local_view()`` numpy array.
-
-        ``local_view`` bypasses the segment watch funnel (the ROADMAP's
-        documented ``local_view`` tracking gap): numpy reads/writes on the
-        returned array are invisible to :meth:`_seg_access`.  Programs
-        that keep the zero-copy path call ``Window.note_local`` to tell
-        the checker what they touched; the record is classified exactly
-        like an attributed ``local_load``/``local_store``."""
+        """Record a target-side access to this rank's own window memory:
+        a ``Window.local_load`` / ``local_store``, or an access through
+        the zero-copy ``Window.local_view()`` array declared with
+        ``Window.note_local``.  ``kind`` is ``"load"`` or ``"store"``; the
+        range is ``[offset, offset + nbytes)`` from the window base."""
         if kind not in ("load", "store"):
             raise ValueError(f"note_local kind must be 'load' or 'store', "
                              f"not {kind!r}")
-        from repro.check import epochs
-
-        self.accesses_seen += 1
-        if self.truncated:
-            return
-        rank = win.rank
-        rec = Access(
-            rank=rank, kind=f"local_{kind}", op=None, win_id=win.win_id,
-            target=rank, ranges=((int(offset), int(offset) + int(nbytes)),),
-            oseq=self._oseq.get((rank, win.win_id), 0),
-            clock=self.clocks[rank].copy(), t_ns=win.ctx.now,
-            epoch=epochs.epoch_context(win))
-        self._insert(rec)
-
-    def note_transport(self, rank: int, kind: str, nbytes: int) -> None:
-        """Transport-level tally (XPMEM copies); report colour only."""
-        self.transport_counts[kind] = self.transport_counts.get(kind, 0) + 1
+        self.note_op(win, f"local_{kind}", win.rank,
+                     ((offset, offset + nbytes),))
 
     # ------------------------------------------------------------------
     # shadow store + classification

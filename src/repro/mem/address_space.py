@@ -24,7 +24,7 @@ class Segment:
     """A contiguous byte range of one rank's memory."""
 
     __slots__ = ("rank", "seg_id", "vaddr", "size", "buf", "alive", "label",
-                 "watch", "_mv", "_w64", "_cells")
+                 "_mv", "_w64", "_cells")
 
     def __init__(self, rank: int, seg_id: int, vaddr: int, size: int,
                  label: str = "") -> None:
@@ -42,10 +42,6 @@ class Segment:
         self._cells = None  # its AMO adapter, built by cells64()
         self.alive = True
         self.label = label
-        # Optional access funnel installed by the memory-model checker
-        # (repro.check): called as watch(kind, offset, nbytes) on every
-        # read()/write().  None in normal runs -- one branch of overhead.
-        self.watch = None
 
     def _check(self, offset: int, nbytes: int) -> None:
         if not self.alive:
@@ -58,8 +54,6 @@ class Segment:
     def read(self, offset: int, nbytes: int) -> np.ndarray:
         """A *copy* of ``nbytes`` bytes at ``offset``."""
         self._check(offset, nbytes)
-        if self.watch is not None:
-            self.watch("load", offset, nbytes)
         return self.buf[offset:offset + nbytes].copy()
 
     def read_into(self, offset: int, dst: memoryview) -> None:
@@ -69,15 +63,11 @@ class Segment:
         intermediate array.  ``dst`` must be a contiguous uint8 view."""
         n = len(dst)
         self._check(offset, n)
-        if self.watch is not None:
-            self.watch("load", offset, n)
         dst[:] = self._mv[offset:offset + n]
 
     def read_bytes(self, offset: int, nbytes: int) -> bytes:
         """An immutable copy of ``nbytes`` bytes at ``offset``."""
         self._check(offset, nbytes)
-        if self.watch is not None:
-            self.watch("load", offset, nbytes)
         return bytes(self._mv[offset:offset + nbytes])
 
     def view(self, offset: int, nbytes: int) -> np.ndarray:
@@ -95,29 +85,21 @@ class Segment:
                 data = memoryview(bytes(data))
             n = len(data)
             self._check(offset, n)
-            if self.watch is not None:
-                self.watch("store", offset, n)
             self._mv[offset:offset + n] = data
             return
         arr = np.asarray(data, dtype=np.uint8).ravel()
         self._check(offset, arr.size)
-        if self.watch is not None:
-            self.watch("store", offset, arr.size)
         self.buf[offset:offset + arr.size] = arr
 
     def snapshot_bytes(self) -> bytes:
-        """Checkpoint copy of the whole segment.
-
-        Bypasses the memory-model watch: a checkpoint is infrastructure,
-        not an application access, and must not fabricate happens-before
-        shadow records."""
+        """Checkpoint copy of the whole segment."""
         if not self.alive:
             raise MemoryError_(
                 f"snapshot of freed segment {self.label or self.seg_id}")
         return self.buf.tobytes()
 
     def restore_bytes(self, data, off: int = 0) -> None:
-        """Restore-time overwrite, also invisible to the watch."""
+        """Restore-time overwrite of ``data`` at ``off``."""
         if isinstance(data, (bytes, bytearray, memoryview)):
             arr = np.frombuffer(data, dtype=np.uint8)
         else:

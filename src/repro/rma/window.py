@@ -474,7 +474,8 @@ class Window:
         return self.seg, 0
 
     def local_store(self, data, offset: int = 0) -> None:
-        """Target-side CPU store into this rank's window memory.
+        """Target-side CPU store of the bytes of ``data`` into this rank's
+        window memory.
 
         Equivalent to writing through :meth:`local_view` (zero simulated
         cost; a plain method, not a generator) but visible to the
@@ -483,20 +484,17 @@ class Window:
         """
         self._check_alive()
         seg, base = self._local_seg()
+        raw = np.ascontiguousarray(np.asarray(data)).view(np.uint8).ravel()
+        seg.write(base + offset, raw)
         ck = self.ctx.checker
         if ck is not None:
-            ck.watch_segment(self, seg, base)
-            with ck.local_attribution(self, self.rank, base):
-                seg.write(base + offset, data)
-            return
-        seg.write(base + offset, data)
+            ck.note_local(self, "store", offset, raw.size)
 
     def note_local(self, kind: str, nbytes: int, offset: int = 0) -> None:
         """Annotate a target-side access made through :meth:`local_view`.
 
-        The zero-copy numpy array returned by :meth:`local_view` bypasses
-        the checker's segment watch funnel, so accesses through it are
-        invisible to race detection (the documented ``local_view`` gap).
+        The zero-copy numpy array returned by :meth:`local_view` is
+        invisible to the checker (the documented ``local_view`` gap).
         Programs that keep the zero-copy path declare those accesses
         explicitly: ``kind`` is ``"load"`` or ``"store"``, the range is
         ``[offset, offset + nbytes)`` in bytes from the window base.
@@ -512,12 +510,11 @@ class Window:
         checker-visible counterpart of reading :meth:`local_view`)."""
         self._check_alive()
         seg, base = self._local_seg()
+        out = seg.read(base + offset, nbytes)
         ck = self.ctx.checker
         if ck is not None:
-            ck.watch_segment(self, seg, base)
-            with ck.local_attribution(self, self.rank, base):
-                return seg.read(base + offset, nbytes)
-        return seg.read(base + offset, nbytes)
+            ck.note_local(self, "load", offset, nbytes)
+        return out
 
     def shared_query(self, rank: int):
         """MPI_Win_shared_query: (segment, byte offset) of a peer's part."""

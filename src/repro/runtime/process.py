@@ -48,7 +48,6 @@ class RankContext:
         self.dmapp.obs = world.obs
         self.xpmem = XpmemEndpoint(world.env, rank, world.rank_map,
                                    world.xpmem, world.counters)
-        self.xpmem.checker = world.checker
         self.mpi = Mpi1Endpoint(world.env, rank, world.network,
                                 world.rank_map, world.mpi1, world.xpmem,
                                 world.mpi_registry)

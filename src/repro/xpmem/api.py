@@ -43,8 +43,6 @@ class XpmemEndpoint:
         self.params = params or XpmemParams()
         self._amo_latency_int = int(round(self.params.amo_latency))
         self.counters = counters
-        # Memory-model checker (attached by the runtime; None when off).
-        self.checker = None
         self._attached: dict[tuple[int, int], XpmemSegment] = {}
 
     # -- expose / attach -------------------------------------------------
@@ -73,8 +71,6 @@ class XpmemEndpoint:
         cost = int(round(p.store_setup + src.size * p.copy_per_byte))
         if self.counters is not None:
             self.counters.count_issue(self.rank, "xpmem-store", src.size)
-        if self.checker is not None:
-            self.checker.note_transport(self.rank, "xpmem-store", src.size)
         yield cost
         token.seg.write(offset, src)
         self.env.note_progress()  # completed data movement
@@ -89,8 +85,6 @@ class XpmemEndpoint:
         cost = int(round(p.latency + nbytes * p.copy_per_byte))
         if self.counters is not None:
             self.counters.count_issue(self.rank, "xpmem-load", nbytes)
-        if self.checker is not None:
-            self.checker.note_transport(self.rank, "xpmem-load", nbytes)
         yield cost
         self.env.note_progress()  # completed data movement
         return token.seg.read(offset, nbytes)

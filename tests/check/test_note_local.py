@@ -50,8 +50,8 @@ def test_annotated_unordered_scan_is_flagged():
 def test_unannotated_twin_passes_the_documented_gap():
     """Bit-for-bit the same racy access pattern, minus the annotation:
     the checker cannot see through the zero-copy view.  This test IS
-    the documentation of the gap -- if segment watching ever learns to
-    catch it, this flips and the docs get updated."""
+    the documentation of the gap -- if the checker ever learns to see
+    through ``local_view``, this flips and the docs get updated."""
     _, ck = run_checked(_scan_program, 2, seed=11, annotate=False,
                         ordered=False)
     assert ck.clean
