@@ -535,6 +535,8 @@ def _ordered(old: Access, new: Access) -> bool:
     if old.rank == new.rank:
         if old.oseq != new.oseq:
             return True             # a flush/unlock/complete/fence between
+        if old.is_local and new.is_local:
+            return True             # two CPU accesses: program order
         # MPI's default accumulate ordering: same-origin accumulates to
         # the same location are ordered even without completion calls.
         return old.is_acc and new.is_acc

@@ -20,6 +20,7 @@ so reads at the target observe writes in true simulated-time order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -138,7 +139,6 @@ class DmappEndpoint:
         self.node = rank_map.node_of(rank)
         self.injector = network.injector
         self._horizon = 0      # latest remote-completion time of any op
-        self._issued = 0
         self._op_seq = 0       # AMO sequence numbers (faulty fabric only)
 
     # ------------------------------------------------------------------
@@ -147,7 +147,6 @@ class DmappEndpoint:
     def _track(self, handle: DmappHandle, target: int, nbytes: int) -> None:
         if handle.remote_complete > self._horizon:
             self._horizon = handle.remote_complete
-        self._issued += 1
         # Data movement is forward progress for the watchdog; AMOs are
         # deliberately NOT marks (a spinning lock issues AMOs forever).
         if handle.kind == "put" or handle.kind == "get":
@@ -332,7 +331,6 @@ class DmappEndpoint:
         chan = net.nic(tnode).amo_engine
         busy = int(round(p.amo_gap * n))
         chan.busy_until = max(int(round(head)), chan.busy_until) + busy
-        chan.total_busy += busy
         return chan.busy_until + net.amo_service_int
 
     # ------------------------------------------------------------------
@@ -414,10 +412,6 @@ class DmappEndpoint:
             yield wait
         return handle
 
-    def put_nb(self, desc: MemDescriptor, offset: int, data):
-        """Explicit-nonblocking put (same cost; waitable handle)."""
-        return (yield from self.put_nbi(desc, offset, data))
-
     # ------------------------------------------------------------------
     # get
     # ------------------------------------------------------------------
@@ -486,6 +480,72 @@ class DmappEndpoint:
     # ------------------------------------------------------------------
     # AMOs
     # ------------------------------------------------------------------
+    def _amo(self, target_rank: int, handle_kind: str, kind: str,
+             nbytes: int, apply, fetch: bool, on_applied, stream: int = 0):
+        """Issue one AMO request -- a single AMO, or a ``stream`` of that
+        many -- whose effect is ``old = apply()`` at the target NIC.
+
+        The one exactly-once body of all three entry points: the sequence
+        number is drawn once, before any attempt or restore-reissue, and a
+        replayed copy returns the cached result instead of re-applying.
+        ``nbytes`` is what the op counts; a single AMO injects
+        ``_AMO_BYTES`` for its 8, a stream its ``nbytes``.
+        """
+        net = self.network
+        node = self.node
+        inj = self.injector
+        seq = 0 if inj is None else self._next_seq()
+        handle = DmappHandle(handle_kind, 0, 0)
+        wire_bytes = nbytes if stream else _AMO_BYTES
+
+        def _execute():
+            if seq and inj.amo_executed(self.rank, seq):
+                handle.result = inj.replay_result(self.rank, seq)
+                return
+            old = apply()
+            if fetch:
+                handle.result = old
+            if seq:
+                inj.record_amo(self.rank, seq, handle.result)
+            if on_applied is not None:
+                on_applied(old)
+
+        while True:
+            try:
+                tnode = self.rank_map.node_of(target_rank)
+                if inj is not None:
+                    attempt, arg = ((self._attempt_stream, stream) if stream
+                                    else (self._attempt_packet, True))
+                    inj_end, complete = self._transmit(
+                        tnode, wire_bytes, kind, target_rank, attempt, arg,
+                        _execute)
+                    break
+                # Clean fabric: one transmission, inline (DESIGN.md
+                # section 7 has the host time a _transmit call costs).
+                window = net.occupy_injection(node, wire_bytes)
+                inj_end = window[1]
+                if stream:
+                    delivery = self._stream_delivery(tnode, stream, inj_end)
+                    self._at(delivery, _execute)
+                else:
+                    delivery = net.packet(
+                        node, tnode, wire_bytes, inject_window=window,
+                        is_amo=True, on_deliver=_execute)
+                complete = int(round(delivery + net.wire(tnode, node)))
+                break
+            except NodeCrashedError as exc:
+                yield from self._await_restore(target_rank, exc)
+        handle.local_complete = inj_end
+        handle.remote_complete = complete
+        net.counters.count_issue(self.rank, kind, nbytes)
+        self._track(handle, target_rank, nbytes)
+        wait = max(net.o_inject_int,
+                   net.injection_admit(node, inj_end, wire_bytes)
+                   - self.env.now)
+        if wait > 0:
+            yield wait
+        return handle
+
     def amo_nbi(self, target_rank: int, cells: AtomicArray, idx: int,
                 op: str, operand: int, operand2: int = 0, on_applied=None):
         """One 8-byte AMO at the target NIC.
@@ -493,53 +553,10 @@ class DmappEndpoint:
         ``op='cas'`` uses ``operand`` as compare and ``operand2`` as swap.
         The old value is in ``handle.result`` once the handle completes.
         """
-        net = self.network
-        node = self.node
-        inj = self.injector
-        seq = 0 if inj is None else self._next_seq()
-        handle = DmappHandle("amo", 0, 0)
-
-        def _execute():
-            if seq and inj.amo_executed(self.rank, seq):
-                handle.result = inj.replay_result(self.rank, seq)
-                return
-            if op == "cas":
-                old = cells.cas(idx, operand, operand2)
-            else:
-                old = cells.apply(idx, op, operand)
-            if seq:
-                inj.record_amo(self.rank, seq, old)
-            handle.result = old
-            if on_applied is not None:
-                on_applied(old)
-
-        while True:
-            try:
-                tnode = self.rank_map.node_of(target_rank)
-                if inj is None:
-                    window = net.occupy_injection(node, _AMO_BYTES)
-                    inj_end = window[1]
-                    delivery = net.packet(
-                        node, tnode, _AMO_BYTES, inject_window=window,
-                        is_amo=True, on_deliver=_execute)
-                    complete = int(round(delivery + net.wire(tnode, node)))
-                else:
-                    inj_end, complete = self._transmit(
-                        tnode, _AMO_BYTES, f"amo:{op}", target_rank,
-                        self._attempt_packet, True, _execute)
-                break
-            except NodeCrashedError as exc:
-                yield from self._await_restore(target_rank, exc)
-        handle.local_complete = inj_end
-        handle.remote_complete = complete
-        net.counters.count_issue(self.rank, f"amo:{op}", 8)
-        self._track(handle, target_rank, 8)
-        wait = max(net.o_inject_int,
-                   net.injection_admit(node, inj_end, _AMO_BYTES)
-                   - self.env.now)
-        if wait > 0:
-            yield wait
-        return handle
+        apply = (partial(cells.cas, idx, operand, operand2) if op == "cas"
+                 else partial(cells.apply, idx, op, operand))
+        return (yield from self._amo(target_rank, "amo", f"amo:{op}", 8,
+                                     apply, True, on_applied))
 
     def amo_custom_nbi(self, target_rank: int, mutate):
         """Protocol-level chained AMO: run ``mutate()`` atomically at the
@@ -550,47 +567,8 @@ class DmappEndpoint:
         slot, Figure 2c) uses this.  ``mutate`` returns a value exposed in
         ``handle.result``.
         """
-        net = self.network
-        node = self.node
-        inj = self.injector
-        seq = 0 if inj is None else self._next_seq()
-        handle = DmappHandle("amo-custom", 0, 0)
-
-        def _execute():
-            if seq and inj.amo_executed(self.rank, seq):
-                handle.result = inj.replay_result(self.rank, seq)
-                return
-            handle.result = mutate()
-            if seq:
-                inj.record_amo(self.rank, seq, handle.result)
-
-        while True:
-            try:
-                tnode = self.rank_map.node_of(target_rank)
-                if inj is None:
-                    window = net.occupy_injection(node, _AMO_BYTES)
-                    inj_end = window[1]
-                    delivery = net.packet(
-                        node, tnode, _AMO_BYTES, inject_window=window,
-                        is_amo=True, on_deliver=_execute)
-                    complete = int(round(delivery + net.wire(tnode, node)))
-                else:
-                    inj_end, complete = self._transmit(
-                        tnode, _AMO_BYTES, "amo:custom", target_rank,
-                        self._attempt_packet, True, _execute)
-                break
-            except NodeCrashedError as exc:
-                yield from self._await_restore(target_rank, exc)
-        handle.local_complete = inj_end
-        handle.remote_complete = complete
-        net.counters.count_issue(self.rank, "amo:custom", 8)
-        self._track(handle, target_rank, 8)
-        wait = max(net.o_inject_int,
-                   net.injection_admit(node, inj_end, _AMO_BYTES)
-                   - self.env.now)
-        if wait > 0:
-            yield wait
-        return handle
+        return (yield from self._amo(target_rank, "amo-custom", "amo:custom",
+                                     8, mutate, True, None))
 
     def amo_b(self, target_rank: int, cells: AtomicArray, idx: int,
               op: str, operand: int, operand2: int = 0, on_applied=None):
@@ -616,50 +594,9 @@ class DmappEndpoint:
         n, run = prepare_stream(cells, base_idx, op, operands)
         if n == 0:
             raise SimulationError("empty AMO stream")
-        net = self.network
-        node = self.node
-        inj = self.injector
-        nbytes = 8 * n
-        seq = 0 if inj is None else self._next_seq()
-        handle = DmappHandle("amo-stream", 0, 0)
-
-        def _execute():
-            if seq and inj.amo_executed(self.rank, seq):
-                handle.result = inj.replay_result(self.rank, seq)
-                return
-            old = run()
-            if fetch:
-                handle.result = old
-            if seq:
-                inj.record_amo(self.rank, seq, handle.result)
-            if on_applied is not None:
-                on_applied(old)
-
-        while True:
-            try:
-                tnode = self.rank_map.node_of(target_rank)
-                if inj is None:
-                    inj_end = net.occupy_injection(node, nbytes)[1]
-                    delivery = self._stream_delivery(tnode, n, inj_end)
-                    self._at(delivery, _execute)
-                    complete = int(round(delivery + net.wire(tnode, node)))
-                else:
-                    inj_end, complete = self._transmit(
-                        tnode, nbytes, f"amo-stream:{op}", target_rank,
-                        self._attempt_stream, n, _execute)
-                break
-            except NodeCrashedError as exc:
-                yield from self._await_restore(target_rank, exc)
-        handle.local_complete = inj_end
-        handle.remote_complete = complete
-        net.counters.count_issue(self.rank, f"amo-stream:{op}", nbytes)
-        self._track(handle, target_rank, nbytes)
-        wait = max(net.o_inject_int,
-                   net.injection_admit(node, inj_end, nbytes)
-                   - self.env.now)
-        if wait > 0:
-            yield wait
-        return handle
+        return (yield from self._amo(target_rank, "amo-stream",
+                                     f"amo-stream:{op}", 8 * n, run, fetch,
+                                     on_applied, stream=n))
 
     # ------------------------------------------------------------------
     # completion
@@ -696,7 +633,3 @@ class DmappEndpoint:
     @property
     def completion_horizon(self) -> int:
         return self._horizon
-
-    @property
-    def ops_issued(self) -> int:
-        return self._issued

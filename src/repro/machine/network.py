@@ -264,7 +264,6 @@ class Network:
                 if start + svc_int > deliver_time:
                     deliver_time = start + svc_int
                 chan.busy_until = deliver_time
-                chan.total_busy += svc_int
                 if is_amo:
                     deliver_time += self.amo_service_int
                 # Corrupted payloads fail the checksum and are discarded

@@ -104,5 +104,4 @@ class XpmemParams:
     store_setup: float = 12.0    # per-store overhead beyond the fast path
     latency: float = 270.0       # load latency (cache-miss chain)
     copy_per_byte: float = 0.154
-    cas_latency: float = 60.0
     amo_latency: float = 45.0

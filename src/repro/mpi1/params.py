@@ -24,5 +24,3 @@ class Mpi1Params:
     eager_copy_per_byte: float = 0.25   # receive-side bounce-buffer copy
     rndv_handshake: float = 300.0  # extra software latency for RTS/CTS each
     header_bytes: int = 32
-    intra_latency: float = 250.0   # one-way small-message latency on-node
-    intra_copy_per_byte: float = 0.154

@@ -59,7 +59,7 @@ class CafContext:
         ctx = self.ctx
         yield from ctx.compute(self.params.put_overhead
                                + self.params.per_block_overhead * (nblocks - 1))
-        if image in co.xtokens:
+        if image in co.xsegs:
             yield from ctx.compute(self.params.intra_overhead)
         yield from co.put(data, image, offset)
 
@@ -75,7 +75,7 @@ class CafContext:
         ctx = self.ctx
         yield from ctx.compute(self.params.get_overhead
                                + self.params.per_block_overhead * (nblocks - 1))
-        if image in co.xtokens:
+        if image in co.xsegs:
             yield from ctx.compute(self.params.intra_overhead)
         return (yield from co.get_blocking(image, offset, nbytes))
 

@@ -80,7 +80,7 @@ class UpcContext:
         """upc_memput + implicit completion on the next fence."""
         p = self.params
         yield from self.ctx.compute(
-            p.intra_overhead if rank in arr.xtokens else p.put_overhead)
+            p.intra_overhead if rank in arr.xsegs else p.put_overhead)
         yield from arr.put(data, rank, offset)
 
     def memput_nb(self, arr, rank: int, offset: int, data):
@@ -92,7 +92,7 @@ class UpcContext:
         """upc_memget (blocking)."""
         p = self.params
         yield from self.ctx.compute(
-            p.intra_overhead if rank in arr.xtokens else p.get_overhead)
+            p.intra_overhead if rank in arr.xsegs else p.get_overhead)
         return (yield from arr.get_blocking(rank, offset, nbytes))
 
     def memget_nb(self, arr, rank: int, offset: int, nbytes: int,
@@ -100,7 +100,7 @@ class UpcContext:
         """upc_memget_nb (Cray extension, used by the MILC UPC port) into
         the C-contiguous ``out``; complete after the next fence."""
         require_contiguous(out)
-        if rank not in arr.xtokens:
+        if rank not in arr.xsegs:
             yield from self.ctx.compute(self.params.nb_overhead)
         yield from arr.get(out.view(np.uint8).reshape(-1)[:nbytes], rank,
                            offset)

@@ -138,8 +138,7 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
     # Get current contents.
     if ctx.same_node(target) and win.flavor is not WinFlavor.DYNAMIC:
         seg, base = win._target_segment(target, toff, nbytes)
-        cur = yield from ctx.xpmem.load(win_mod._SegToken(seg), base + toff,
-                                        nbytes)
+        cur = yield from ctx.xpmem.load(seg, base + toff, nbytes)
     else:
         desc, off = yield from _data_desc(win, target, toff, nbytes)
         cur = yield from ctx.dmapp.get_b(desc, off, nbytes)
@@ -150,8 +149,7 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
     # Write back and make it visible before releasing the lock.
     if ctx.same_node(target) and win.flavor is not WinFlavor.DYNAMIC:
         seg, base = win._target_segment(target, toff, nbytes)
-        yield from ctx.xpmem.store(win_mod._SegToken(seg), base + toff,
-                                   new_vals.view(np.uint8))
+        yield from ctx.xpmem.store(seg, base + toff, new_vals.view(np.uint8))
     else:
         desc, off = yield from _data_desc(win, target, toff, nbytes)
         yield from ctx.dmapp.put_nbi(desc, off, new_vals.view(np.uint8))

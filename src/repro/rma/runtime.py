@@ -82,7 +82,7 @@ class RmaContext:
             for r, token in bb.get(xkey, {}).items():
                 if (token.node == node and r != self.ctx.rank
                         and self.ctx.same_node(r)):
-                    win.xtokens[r] = self.ctx.xpmem.attach(token)
+                    win.xsegs[r] = self.ctx.xpmem.attach(token)
 
     # ------------------------------------------------------------------
     def win_allocate(self, size: int, disp_unit: int = 1) -> "Generator":
@@ -202,12 +202,7 @@ class RmaContext:
         win.shared_segment = bb[segkey]
         win.shared_offsets = offsets
         win.ctrl = self._make_ctrl(win)
-        bbc = bb.setdefault(("winctrl", win.win_id), {})
-        bbc[ctx.rank] = win.ctrl
-        if ctx.notifier is not None:
-            bb.setdefault(("winobjs", win.win_id), {})[ctx.rank] = win
-        yield from ctx.coll.barrier()
-        win.ctrl_refs = bbc
+        yield from self._exchange_ctrl(win)  # win.seg is None: no XPMEM maps
         self.windows.append(win)
         return win
 

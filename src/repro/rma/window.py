@@ -97,7 +97,7 @@ class Window:
         # Remote-addressing state (filled by the creation protocols):
         self.base_vaddr: int | None = None            # ALLOCATE: O(1)
         self.descs: dict[int, Any] | None = None      # CREATE: Omega(p)
-        self.xtokens: dict[int, Any] = {}             # same-node direct maps
+        self.xsegs: dict[int, Any] = {}               # same-node mapped segments
         self.ctrl: AtomicArray | None = None
         self.ctrl_refs: dict[int, AtomicArray] = {}
         self.shared_segment = None                    # SHARED flavor
@@ -152,12 +152,12 @@ class Window:
         raise WindowError(f"DMAPP addressing unsupported for {self.flavor}")
 
     def _xpmem_target(self, target: int):
-        """(token, base) when ``target``'s memory is directly mapped on
+        """(segment, base) when ``target``'s memory is directly mapped on
         this node, else ``None`` (the DMAPP path)."""
         if self.flavor is WinFlavor.SHARED:
-            return _SegToken(self.shared_segment), self.shared_offsets[target]
-        token = self.xtokens.get(target)
-        return None if token is None else (token, 0)
+            return self.shared_segment, self.shared_offsets[target]
+        seg = self.xsegs.get(target)
+        return None if seg is None else (seg, 0)
 
     # ------------------------------------------------------------------
     # communication: put / get
@@ -190,9 +190,9 @@ class Window:
             return handles
         mapped = self._xpmem_target(target)
         if mapped is not None:
-            token, base = mapped
+            seg, base = mapped
             for piece, t_off, _n in pieces:
-                yield from ctx.xpmem.store(token, base + toff + t_off, piece)
+                yield from ctx.xpmem.store(seg, base + toff + t_off, piece)
             return handles
         logger = (ctx.ft.put_logger(self, target)
                   if ctx.ft is not None else None)
@@ -238,10 +238,10 @@ class Window:
             return handles
         mapped = self._xpmem_target(target)
         if mapped is not None:
-            token, base = mapped
+            seg, base = mapped
             for piece, t_off, n in pieces:
                 piece[:] = yield from ctx.xpmem.load(
-                    token, base + toff + t_off, n)
+                    seg, base + toff + t_off, n)
             return handles
         for piece, t_off, n in pieces:
             desc, off = self._target_desc(target, toff + t_off, n)
@@ -537,13 +537,3 @@ class Window:
         if self.descs is not None:
             n += len(self.descs)  # Omega(p) descriptor table (CREATE)
         return n
-
-
-class _SegToken:
-    """Adapter making a raw segment look like an XPMEM token (shared
-    windows address one common segment by offset)."""
-
-    __slots__ = ("seg",)
-
-    def __init__(self, seg) -> None:
-        self.seg = seg

@@ -21,12 +21,11 @@ class BusyChannel:
     and NIC serialization (see DESIGN.md section 3).
     """
 
-    __slots__ = ("env", "busy_until", "total_busy")
+    __slots__ = ("env", "busy_until")
 
     def __init__(self, env: Environment) -> None:
         self.env = env
         self.busy_until = 0
-        self.total_busy = 0
 
     def occupy(self, duration: int, earliest: int | None = None) -> tuple[int, int]:
         """Reserve ``duration``; service can't start before ``earliest``
@@ -35,13 +34,5 @@ class BusyChannel:
         start = self.env.now if earliest is None else int(earliest)
         if self.busy_until > start:
             start = self.busy_until
-        duration = int(duration)
-        self.busy_until = end = start + duration
-        self.total_busy += duration
+        self.busy_until = end = start + int(duration)
         return start, end
-
-    def utilization(self) -> float:
-        """Fraction of elapsed simulated time this channel was busy."""
-        if self.env.now == 0:
-            return 0.0
-        return min(1.0, self.total_busy / self.env.now)

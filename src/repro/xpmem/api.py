@@ -43,24 +43,23 @@ class XpmemEndpoint:
         self.params = params or XpmemParams()
         self._amo_latency_int = int(round(self.params.amo_latency))
         self.counters = counters
-        self._attached: dict[tuple[int, int], XpmemSegment] = {}
 
     # -- expose / attach -------------------------------------------------
     def expose(self, seg: Segment) -> XpmemSegment:
         return XpmemSegment(self.rank, self.node, seg)
 
-    def attach(self, token: XpmemSegment) -> XpmemSegment:
-        """Map a same-node peer's exposed segment; raises off-node."""
+    def attach(self, token: XpmemSegment) -> Segment:
+        """Map a same-node peer's exposed segment and return it, the
+        target of :meth:`store` / :meth:`load`; raises off-node."""
         if token.node != self.node:
             raise RegistrationError(
                 f"rank {self.rank} (node {self.node}) cannot XPMEM-attach "
                 f"memory on node {token.node}")
-        self._attached[(token.owner_rank, token.seg.seg_id)] = token
-        return token
+        return token.seg
 
     # -- data movement (CPU copies; synchronous) ---------------------------
-    def store(self, token: XpmemSegment, offset: int, data):
-        """CPU copy into an attached segment ('put' direction).
+    def store(self, seg: Segment, offset: int, data):
+        """CPU copy into a mapped segment ('put' direction).
 
         Stores are write-behind: the copy loop runs at SSE bandwidth with
         only a small setup cost, which is what makes the intra-node
@@ -72,11 +71,11 @@ class XpmemEndpoint:
         if self.counters is not None:
             self.counters.count_issue(self.rank, "xpmem-store", src.size)
         yield cost
-        token.seg.write(offset, src)
+        seg.write(offset, src)
         self.env.note_progress()  # completed data movement
 
-    def load(self, token: XpmemSegment, offset: int, nbytes: int):
-        """CPU copy out of an attached segment ('get' direction).
+    def load(self, seg: Segment, offset: int, nbytes: int):
+        """CPU copy out of a mapped segment ('get' direction).
 
         Loads pay the cache-miss chain to the owner's memory (the ~0.35 us
         floor of Figure 4c) plus copy bandwidth.
@@ -87,7 +86,7 @@ class XpmemEndpoint:
             self.counters.count_issue(self.rank, "xpmem-load", nbytes)
         yield cost
         self.env.note_progress()  # completed data movement
-        return token.seg.read(offset, nbytes)
+        return seg.read(offset, nbytes)
 
     # -- CPU atomics -------------------------------------------------------
     def amo(self, cells: AtomicArray, idx: int, op: str, operand: int,

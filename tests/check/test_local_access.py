@@ -116,3 +116,32 @@ def test_local_store_writes_the_bytes_of_its_data():
     expect[20 - 8] = 9
     assert res.returns[1] == bytes(expect)
     assert _summary(ck)[1] == [("local-remote", 20, 21, "local_store", "put")]
+
+
+def _own_store_then_load(ctx, via_put: bool):
+    """Rank 0 writes bytes [8, 12) of its own window -- a local store, or
+    a put to itself -- then loads [10, 14) with no flush between."""
+    win = yield from ctx.rma.win_allocate(32)
+    yield from ctx.coll.barrier()
+    if ctx.rank == 0:
+        yield from win.lock_all()
+        if via_put:
+            yield from win.put(np.full(4, 9, np.uint8), 0, 8)
+        else:
+            win.local_store(np.full(4, 9, np.uint8), 8)
+        win.local_load(4, 10)
+        yield from win.unlock_all()
+    yield from ctx.coll.barrier()
+    yield from win.free()
+
+
+@pytest.mark.parametrize("rpn", [1, 2])
+def test_own_local_accesses_follow_program_order(rpn):
+    """Program order orders a rank's two local CPU accesses; a put to
+    itself is a NIC access and still races the load that follows it."""
+    _, ck = run_checked(_own_store_then_load, 2, seed=11,
+                        ranks_per_node=rpn, via_put=False)
+    assert ck.stats_snapshot()["by_kind"] == {}
+    _, ck = run_checked(_own_store_then_load, 2, seed=11,
+                        ranks_per_node=rpn, via_put=True)
+    assert ck.stats_snapshot()["by_kind"] == {"local-remote": 1}

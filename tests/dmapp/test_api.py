@@ -160,7 +160,7 @@ def test_put_not_visible_before_delivery(faults):
 def test_explicit_handle_wait(faults):
     def body(ctx, seg, descs):
         if ctx.rank == 0:
-            h = yield from ctx.dmapp.put_nb(descs[1], 4, np.full(4, 3, np.uint8))
+            h = yield from ctx.dmapp.put_nbi(descs[1], 4, np.full(4, 3, np.uint8))
             assert h.remote_complete > ctx.now  # still in flight
             yield from ctx.dmapp.wait(h)
             assert ctx.now >= h.remote_complete
@@ -301,21 +301,6 @@ def test_amo_stream_empty_rejected(faults):
         yield from ctx.coll.barrier()
 
     run_on_world(world, program)
-
-
-def test_ops_issued_counter(faults):
-    def body(ctx, seg, descs):
-        if ctx.rank == 0:
-            for _ in range(3):
-                yield from ctx.dmapp.put_nbi(descs[1], 0,
-                                             np.zeros(8, np.uint8))
-            yield from ctx.dmapp.gsync()
-            return ctx.dmapp.ops_issued
-        yield from ctx.compute(1)
-        return None
-
-    res = run_spmd(_with_window(body), 2, machine=INTER, faults=faults)
-    assert res.returns[0] == 3
 
 
 def test_completion_horizon_monotone(faults):

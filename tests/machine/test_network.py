@@ -157,8 +157,8 @@ def test_placement_validation():
 def test_nic_utilization_tracking():
     env, net = _net()
     net.packet(0, 1, 1 << 16)
-    assert net.nic(0).bte.total_busy > 0
-    assert net.nic(1).eject_bte.total_busy > 0
+    assert net.nic(0).bte.busy_until > 0
+    assert net.nic(1).eject_bte.busy_until > 0
 
 
 # ---------------------------------------------------------------------------

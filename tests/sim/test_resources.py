@@ -1,7 +1,5 @@
 """BusyChannel."""
 
-import pytest
-
 from repro.sim.resources import BusyChannel
 
 
@@ -11,7 +9,6 @@ def test_busy_channel_serializes(env):
     s2, e2 = ch.occupy(50)
     assert (s1, e1) == (0, 100)
     assert (s2, e2) == (100, 150)
-    assert ch.total_busy == 150
 
 
 def test_busy_channel_earliest(env):
@@ -21,15 +18,3 @@ def test_busy_channel_earliest(env):
     # a later request with a lower earliest still queues after
     s2, e2 = ch.occupy(10, earliest=100)
     assert s2 == 510
-
-
-def test_busy_channel_utilization(env):
-    ch = BusyChannel(env)
-    ch.occupy(30)
-
-    def prog():
-        yield env.timeout(60)
-
-    env.process(prog())
-    env.run()
-    assert ch.utilization() == pytest.approx(0.5)

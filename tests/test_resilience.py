@@ -22,7 +22,7 @@ from repro.config import (
     SimConfig,
 )
 from repro.errors import DeadlineError, NodeCrashedError
-from repro.rma.enums import LockType
+from repro.rma.enums import LockType, Op
 
 INTER = MachineConfig(ranks_per_node=1)
 
@@ -391,20 +391,28 @@ def test_trace_surfaces_injected_faults():
     assert res.returns[0] == [7] * 64
 
 
-def test_amo_replays_are_deduplicated():
-    """A lost ack must not re-apply the atomic: heavy loss on an AMO
-    workload still yields the exact fault-free counter value."""
-    faults = FaultPlan(drop_prob=0.25)
-    adds_per_rank = 16
+def _add_by_stream(win, ctx):
+    yield from win.accumulate(np.array([1], np.uint64), 0, 0, Op.SUM)
 
+
+def _add_by_single_amo(win, ctx):
+    yield from win.fetch_and_op(np.int64(1), 0, 0, Op.SUM)
+
+
+def _add_by_chained_amo(win, ctx):
+    cells = win._target_segment(0, 0, 8)[0].cells64()
+    yield from ctx.dmapp.amo_custom_nbi(0, lambda: cells.fadd(0, 1))
+
+
+def _counter_total(add, faults):
+    """Two ranks each add 1 to rank 0's word 16 times through ``add``;
+    rank 0 reads the total back."""
     def program(ctx):
         win = yield from ctx.rma.win_allocate(8)
         yield from win.lock_all()
         yield from ctx.coll.barrier()
-        from repro.rma.enums import Op
-
-        for _ in range(adds_per_rank):
-            yield from win.accumulate(np.array([1], np.uint64), 0, 0, Op.SUM)
+        for _ in range(16):
+            yield from add(win, ctx)
             yield from win.flush(0)
         yield from ctx.coll.barrier()
         if ctx.rank == 0:
@@ -418,11 +426,21 @@ def test_amo_replays_are_deduplicated():
         yield from win.unlock_all()
         return total
 
-    clean = run_spmd(program, 2, machine=INTER)
-    faulty = run_spmd(program, 2, machine=INTER, faults=faults)
-    assert clean.returns[0] == 2 * adds_per_rank
-    assert faulty.returns[0] == 2 * adds_per_rank
-    assert faulty.stats["retransmits"] > 0
+    return run_spmd(program, 2, machine=INTER, faults=faults)
+
+
+def test_amo_replays_are_deduplicated():
+    """A lost ack must not re-apply the atomic: heavy loss on an AMO
+    workload still yields the exact fault-free counter value, through
+    each of DMAPP's three AMO entry points."""
+    for add in (_add_by_stream, _add_by_single_amo, _add_by_chained_amo):
+        clean = _counter_total(add, None)
+        faulty = _counter_total(add, FaultPlan(drop_prob=0.25))
+        assert clean.returns[0] == 32, add.__name__
+        assert faulty.returns[0] == 32, add.__name__
+        assert faulty.stats["retransmits"] > 0, add.__name__
+        assert faulty.stats["faults"]["amo_replays_suppressed"] > 0, \
+            add.__name__
 
 
 def test_atomic_reads_survive_packet_loss():
