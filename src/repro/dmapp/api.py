@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import DeadlineError, NodeCrashedError, SimulationError
 from repro.faults import MAX_RETRIES, OP_DEADLINE_NS
-from repro.mem.atomic import AtomicArray, prepare_stream
+from repro.mem.atomic import SegmentCells, prepare_stream
 from repro.mem.registration import MemDescriptor, RegistrationTable
 from repro.machine.network import Network
 
@@ -546,7 +546,7 @@ class DmappEndpoint:
             yield wait
         return handle
 
-    def amo_nbi(self, target_rank: int, cells: AtomicArray, idx: int,
+    def amo_nbi(self, target_rank: int, cells: SegmentCells, idx: int,
                 op: str, operand: int, operand2: int = 0, on_applied=None):
         """One 8-byte AMO at the target NIC.
 
@@ -570,7 +570,7 @@ class DmappEndpoint:
         return (yield from self._amo(target_rank, "amo-custom", "amo:custom",
                                      8, mutate, True, None))
 
-    def amo_b(self, target_rank: int, cells: AtomicArray, idx: int,
+    def amo_b(self, target_rank: int, cells: SegmentCells, idx: int,
               op: str, operand: int, operand2: int = 0, on_applied=None):
         """Blocking fetching AMO; returns the OLD value."""
         handle = yield from self.amo_nbi(target_rank, cells, idx, op, operand,
@@ -578,7 +578,7 @@ class DmappEndpoint:
         yield from self.wait(handle)
         return handle.result
 
-    def amo_stream_nbi(self, target_rank: int, cells: AtomicArray,
+    def amo_stream_nbi(self, target_rank: int, cells: SegmentCells,
                        base_idx: int, op: str, operands, fetch: bool = False,
                        on_applied=None):
         """Streamed AMOs over consecutive cells (foMPI accelerated

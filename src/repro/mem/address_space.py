@@ -13,7 +13,7 @@ import numpy as np
 from repro.errors import MemoryError_
 from repro.mem.atomic import SegmentCells
 
-__all__ = ["Segment", "AddressSpace"]
+__all__ = ["Segment", "AddressSpace", "control_words"]
 
 #: Default base of the anonymous-mapping area (mirrors a 47-bit VA layout).
 MMAP_REGION_LO = 0x2000_0000_0000
@@ -24,7 +24,7 @@ class Segment:
     """A contiguous byte range of one rank's memory."""
 
     __slots__ = ("rank", "seg_id", "vaddr", "size", "buf", "alive", "label",
-                 "_mv", "_w64", "_cells")
+                 "_mv", "_cells")
 
     def __init__(self, rank: int, seg_id: int, vaddr: int, size: int,
                  label: str = "") -> None:
@@ -38,8 +38,7 @@ class Segment:
         # Cached flat byte view: the zero-copy read/write fast paths are
         # plain memoryview slice copies, no numpy dispatch per access.
         self._mv = memoryview(self.buf.data)
-        self._w64 = None   # whole-segment word view, built by words64()
-        self._cells = None  # its AMO adapter, built by cells64()
+        self._cells = None  # the AMO adapter, built by cells64()
         self.alive = True
         self.label = label
 
@@ -115,25 +114,15 @@ class Segment:
         self._check(offset, n * dt.itemsize)
         return self.buf[offset:offset + n * dt.itemsize].view(dt)
 
-    def words64(self, offset: int = 0) -> memoryview:
-        """The segment's 8-byte words from ``offset`` on, as a flat
-        unsigned view (zero-copy; indexing yields Python ints).
-
-        This is what the AMO engine operates on.  The whole-segment view
-        is built once and shared, so an atomic costs one index operation,
-        not a fresh numpy view per load and store."""
-        if offset == 0:
-            words = self._w64
-            if words is None:
-                words = self._w64 = self._mv[:self.size // 8 * 8].cast("Q")
-            return words
-        self._check(offset, 0)
-        nbytes = (self.size - offset) // 8 * 8
-        return self._mv[offset:offset + nbytes].cast("Q")
+    def words64(self) -> memoryview:
+        """The segment's 8-byte words as a flat unsigned view (zero-copy;
+        indexing yields Python ints): what the AMO engine operates on."""
+        return self._mv[:self.size // 8 * 8].cast("Q")
 
     def cells64(self) -> SegmentCells:
-        """The AMO adapter over :meth:`words64`, built once and shared
-        like the view under it (it holds no state of its own)."""
+        """The AMO adapter over :meth:`words64`, built once and shared, so
+        an atomic costs one index operation, not a fresh view per load
+        and store."""
         cells = self._cells
         if cells is None:
             cells = self._cells = SegmentCells(self)
@@ -142,6 +131,15 @@ class Segment:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Segment rank={self.rank} id={self.seg_id} "
                 f"va={self.vaddr:#x} size={self.size} {self.label!r}>")
+
+
+def control_words(env, ncells: int, name: str = "") -> SegmentCells:
+    """``ncells`` zeroed control words whose watchers wake on ``env``.
+
+    Their segment lies outside every address space (the protocols reach
+    control words through exchanged references, never by address), so
+    making them moves no window heap or symmetric-heap address."""
+    return SegmentCells(Segment(-1, -1, 0, 8 * ncells, label=name), env)
 
 
 class AddressSpace:

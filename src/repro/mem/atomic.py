@@ -1,9 +1,12 @@
-"""64-bit atomic cell arrays with watchers.
+"""64-bit atomic words with watchers.
 
 All of the paper's synchronization state -- the two-level lock words
 (Figure 3), PSCW matching lists, free-storage ring counters and completion
 counters (Figure 2) -- are 64-bit words updated by remote AMOs or local CPU
-atomics.  :class:`AtomicArray` models such words.
+atomics, the same AMOs that apply accumulates to window data.  One type,
+:class:`SegmentCells`, models both: the words of a segment, which for
+control words is a segment of its own
+(:func:`~repro.mem.address_space.control_words`).
 
 *Watchers* are the simulation's stand-in for CPU polling: a process can
 wait until ``predicate(value)`` holds for a cell.  In hardware this is a
@@ -24,7 +27,7 @@ import numpy as np
 from repro.errors import MemoryError_
 from repro.sim.kernel import Environment, Event, URGENT
 
-__all__ = ["AtomicArray", "SegmentCells", "MASK64", "amo_result",
+__all__ = ["SegmentCells", "MASK64", "amo_result",
            "prepare_stream"]
 
 MASK64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -32,10 +35,6 @@ MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 # Read-modify-write stream ops; uint64 arithmetic wraps like amo_result.
 _STREAM_UFUNCS = {"add": np.add, "and": np.bitwise_and,
                   "or": np.bitwise_or, "xor": np.bitwise_xor}
-
-
-def _wrap(v: int) -> int:
-    return v & MASK64
 
 
 def _signed(v: int) -> int:
@@ -89,130 +88,30 @@ def prepare_stream(cells, base_idx: int, op: str, operands):
     return len(block), lambda: cells.apply_block(base_idx, op, block)
 
 
-class AtomicArray:
-    """An array of 64-bit atomic words with per-cell watchers."""
+class SegmentCells:
+    """64-bit atomic view over a segment's words, with per-word watchers.
 
-    def __init__(self, env: Environment, ncells: int, name: str = "") -> None:
-        if ncells < 0:
-            raise MemoryError_(f"negative cell count {ncells}")
+    The NIC AMO engine operates on any 8-byte-aligned registered memory:
+    window *data* (accumulates, fetch-and-op, CAS on user buffers) and the
+    protocols' control words alike.  Cell index i is the segment's i-th
+    8-byte word; values are unsigned.  A watched cell wakes its watchers
+    on every change; data words are never watched, so they pay one empty
+    dict test per op, and an AMO stream is one ``uint64`` array update on
+    a numpy view of the same words (:meth:`apply_block`).
+    """
+
+    __slots__ = ("seg", "_words", "_array", "env", "_watchers")
+
+    def __init__(self, seg, env: Environment | None = None) -> None:
+        self.seg = seg
+        self._words = seg.words64()
+        self._array = np.frombuffer(self._words, np.uint64)
         self.env = env
-        self.name = name
-        self._cells = [0] * ncells
         # idx -> list of (predicate, event)
         self._watchers: dict[int, list[tuple[Callable[[int], bool], Event]]] = {}
 
     def __len__(self) -> int:
-        return len(self._cells)
-
-    def _check(self, idx: int) -> None:
-        if not 0 <= idx < len(self._cells):
-            raise MemoryError_(
-                f"atomic index {idx} out of range [0, {len(self._cells)}) "
-                f"in {self.name!r}")
-
-    # -- plain access ----------------------------------------------------
-    def load(self, idx: int) -> int:
-        self._check(idx)
-        return self._cells[idx]
-
-    def load_signed(self, idx: int) -> int:
-        return _signed(self.load(idx))
-
-    def store(self, idx: int, value: int) -> None:
-        self._check(idx)
-        self._cells[idx] = _wrap(int(value))
-        self._notify(idx)
-
-    # -- read-modify-write ops (all return the OLD value) ----------------
-    def fadd(self, idx: int, delta: int) -> int:
-        self._check(idx)
-        old = self._cells[idx]
-        self._cells[idx] = _wrap(old + int(delta))
-        self._notify(idx)
-        return old
-
-    def cas(self, idx: int, compare: int, swap: int) -> int:
-        self._check(idx)
-        old = self._cells[idx]
-        if old == _wrap(int(compare)):
-            self._cells[idx] = _wrap(int(swap))
-            self._notify(idx)
-        return old
-
-    def swap(self, idx: int, value: int) -> int:
-        self._check(idx)
-        old = self._cells[idx]
-        self._cells[idx] = _wrap(int(value))
-        self._notify(idx)
-        return old
-
-    def apply(self, idx: int, op: str, operand: int) -> int:
-        """Apply a named AMO (see :func:`amo_result`); returns the old
-        value."""
-        self._check(idx)
-        old = self._cells[idx]
-        self._cells[idx] = amo_result(old, op, operand)
-        self._notify(idx)
-        return old
-
-    def apply_block(self, idx: int, op: str, operands) -> np.ndarray:
-        """A stream (see :func:`prepare_stream`) cell by cell: each cell's
-        watchers must fire as that cell changes.  Returns the old words."""
-        return np.array([self.apply(idx + i, op, v)
-                         for i, v in enumerate(operands)], dtype=np.uint64)
-
-    # -- watchers ----------------------------------------------------------
-    def wait_until(self, idx: int, predicate: Callable[[int], bool]) -> Event:
-        """Event that fires (with the value) when ``predicate(value)`` holds.
-
-        Fires immediately if it already holds.
-        """
-        self._check(idx)
-        ev = self.env.event(name=f"watch:{self.name}[{idx}]")
-        val = self._cells[idx]
-        if predicate(val):
-            ev.succeed(val, priority=URGENT)
-            return ev
-        self._watchers.setdefault(idx, []).append((predicate, ev))
-        return ev
-
-    def _notify(self, idx: int) -> None:
-        lst = self._watchers.get(idx)
-        if not lst:
-            return
-        val = self._cells[idx]
-        fired = [w for w in lst if w[0](val)]
-        if not fired:
-            return
-        self._watchers[idx] = [w for w in lst if w not in fired]
-        for _pred, ev in fired:
-            if not ev.triggered:
-                ev.succeed(val, priority=URGENT)
-
-    def snapshot(self) -> list[int]:
-        return list(self._cells)
-
-
-class SegmentCells:
-    """64-bit atomic view over a data segment's words.
-
-    The NIC AMO engine operates on any 8-byte-aligned registered memory,
-    not just dedicated control words; this adapter lets the DMAPP AMO calls
-    target window *data* (accumulates, fetch-and-op, CAS on user buffers).
-    Cell index i is the i-th 8-byte word after ``base_offset``; values are
-    unsigned, exactly like :class:`AtomicArray` cells.  No watchers (user
-    data is polled, never watched), so an AMO stream is one ``uint64``
-    array update on a numpy view of the same words (:meth:`apply_block`).
-    """
-
-    __slots__ = ("seg", "_words", "_array")
-
-    def __init__(self, seg, base_offset: int = 0) -> None:
-        if base_offset % 8:
-            raise MemoryError_(f"AMO base offset {base_offset} not 8-aligned")
-        self.seg = seg
-        self._words = seg.words64(base_offset)
-        self._array = np.frombuffer(self._words, np.uint64)
+        return len(self._words)
 
     def _live_words(self):
         if not self.seg.alive:
@@ -225,12 +124,17 @@ class SegmentCells:
 
     def store(self, idx: int, value: int) -> None:
         self._live_words()[idx] = int(value) & MASK64
+        if self._watchers:
+            self._notify(idx)
 
+    # -- read-modify-write ops (all return the OLD value) ----------------
     def cas(self, idx: int, compare: int, swap: int) -> int:
         words = self._live_words()
         old = words[idx]
         if old == int(compare) & MASK64:
             words[idx] = int(swap) & MASK64
+            if self._watchers:
+                self._notify(idx)
         return old
 
     def swap(self, idx: int, value: int) -> int:
@@ -240,16 +144,21 @@ class SegmentCells:
         return self.apply(idx, "add", delta)
 
     def apply(self, idx: int, op: str, operand: int) -> int:
+        """Apply a named AMO (see :func:`amo_result`); returns the old
+        value."""
         words = self._live_words()
         old = words[idx]
         words[idx] = amo_result(old, op, operand)
+        if self._watchers:
+            self._notify(idx)
         return old
 
     def apply_block(self, idx: int, op: str, operands) -> np.ndarray:
         """A stream over words ``idx, idx+1, ...`` in one array update (see
         :func:`prepare_stream`); returns a copy of the old words.  Numpy
         slices clamp and wrap silently, so the range is checked first and a
-        bad block writes nothing."""
+        bad block writes nothing.  Watchers then wake cell by cell, in cell
+        order, each on its own cell's new value."""
         n = len(operands)
         if idx < 0 or idx + n > len(self._live_words()):
             raise MemoryError_(
@@ -266,4 +175,37 @@ class SegmentCells:
             # From the copy, not out=block: an in-place ufunc pays numpy's
             # overlap analysis, which costs more than the one-stream copy.
             block[:] = ufunc(old, operands)
+        if self._watchers:
+            for i in range(idx, idx + n):
+                self._notify(i)
         return old
+
+    # -- watchers (see the module docstring) -----------------------------
+    def wait_until(self, idx: int, predicate: Callable[[int], bool]) -> Event:
+        """Event that fires (with the value) when ``predicate(value)`` holds.
+
+        Fires immediately if it already holds.
+        """
+        ev = self.env.event(name=f"watch:{self.seg.label}[{idx}]")
+        val = self._words[idx]
+        if predicate(val):
+            ev.succeed(val, priority=URGENT)
+            return ev
+        self._watchers.setdefault(idx, []).append((predicate, ev))
+        return ev
+
+    def _notify(self, idx: int) -> None:
+        lst = self._watchers.get(idx)
+        if not lst:
+            return
+        val = self._words[idx]
+        fired = [w for w in lst if w[0](val)]
+        if not fired:
+            return
+        self._watchers[idx] = [w for w in lst if w not in fired]
+        for _pred, ev in fired:
+            if not ev.triggered:
+                ev.succeed(val, priority=URGENT)
+
+    def snapshot(self) -> list[int]:
+        return self._words.tolist()

@@ -8,8 +8,6 @@ Waters.  This package encodes both:
 * :mod:`repro.models.perfmodel` -- model classes with declared input
   domains and evaluation,
 * :mod:`repro.models.params_fompi` -- the paper's measured constants,
-* :mod:`repro.models.loggp` -- a LogGP-style network model for algorithm
-  design,
 * :mod:`repro.models.fitting` -- least-squares fitting of (simulated or
   measured) series back onto the model forms, used by the test suite to
   verify the simulator is calibrated and by EXPERIMENTS.md to report
@@ -17,7 +15,6 @@ Waters.  This package encodes both:
 """
 
 from repro.models.fitting import fit_affine, fit_log_linear, relative_error
-from repro.models.loggp import LogGPModel
 from repro.models.params_fompi import PAPER_MODELS, paper_model
 from repro.models.perfmodel import (
     AffineBytesModel,
@@ -35,7 +32,6 @@ __all__ = [
     "LinearNeighborsModel",
     "PAPER_MODELS",
     "paper_model",
-    "LogGPModel",
     "fit_affine",
     "fit_log_linear",
     "relative_error",

@@ -26,7 +26,7 @@ import numpy as np
 from repro.errors import RmaError
 from repro.rma import window as win_mod
 from repro.rma.enums import HW_OPS, Op, WinFlavor
-from repro.rma.locks import _amo
+from repro.rma.locks import _amo, _backoff
 
 __all__ = ["accumulate", "fetch_and_op", "compare_and_swap", "apply_op",
            "acc_path"]
@@ -129,10 +129,8 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
                                    "cas", 0, 1)
         if old_lock == 0:
             break
-        delay = min(win.params.backoff_base_ns * (1 << min(attempt, 16)),
-                    win.params.backoff_max_ns)
+        yield from _backoff(win, attempt)
         attempt += 1
-        yield int(delay)
 
     nbytes = arr.nbytes
     # Get current contents.

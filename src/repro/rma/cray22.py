@@ -56,7 +56,6 @@ class Cray22Window:
         self.descs = descs
         self.params = params or Cray22Params()
         self.epoch_open = False
-        self._deferred = []   # software-queued small ops, sent at sync
 
     # -- communication -----------------------------------------------------
     def put(self, data, target: int, offset: int = 0):
@@ -116,7 +115,6 @@ class Cray22Window:
     def _drain(self):
         """Complete all outstanding operations (agent time is already part
         of each handle's extended completion horizon)."""
-        self._deferred.clear()
         yield from self.ctx.dmapp.gsync()
 
     def flush(self, target: int | None = None):

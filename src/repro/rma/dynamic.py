@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import RmaError, WindowError
-from repro.mem.atomic import AtomicArray
+from repro.mem.atomic import SegmentCells
 from repro.rma import window as win_mod
 
 __all__ = ["DynamicState", "OptimizedDynamicState", "attach", "detach"]
@@ -99,12 +99,12 @@ class OptimizedDynamicState(DynamicState):
       drained locally before each communication attempt.
     """
 
-    cachers: AtomicArray = None
-    inval: AtomicArray = None
+    cachers: SegmentCells = None
+    inval: SegmentCells = None
     notifications_sent: int = 0
     invalidations_seen: int = 0
 
-    def _ring_append(self, ring: AtomicArray, value: int):
+    def _ring_append(self, ring: SegmentCells, value: int):
         def mutate():
             for s in range(len(ring)):
                 if ring.load(s) == 0:

@@ -51,13 +51,12 @@ class LockState:
     held: dict = field(default_factory=dict)   # target -> LockType
     lock_all_held: bool = False
     exclusive_count: int = 0                   # locks this origin holds
-    retries: int = 0                           # back-off statistics
     acquired_at: dict = field(default_factory=dict)  # obs: target -> ns
 
     def snapshot(self) -> dict:
         """Checkpointable protocol state (repro.ft): what the restored
-        incarnation must believe it holds.  Timings/statistics stay out --
-        they belong to the incarnation, not the protocol."""
+        incarnation must believe it holds.  Timings stay out -- they
+        belong to the incarnation, not the protocol."""
         return {
             "held": dict(self.held),
             "lock_all_held": self.lock_all_held,
@@ -73,7 +72,6 @@ class LockState:
 def _backoff(win, attempt: int):
     """Deterministic exponential back-off (the paper: 'All waits/retries
     can be performed with exponential back off to avoid congestion')."""
-    win.lock_state.retries += 1
     delay = min(win.params.backoff_base_ns * (1 << min(attempt, 16)),
                 win.params.backoff_max_ns)
     yield int(delay)

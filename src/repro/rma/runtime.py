@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 from repro.errors import WindowError
-from repro.mem.atomic import AtomicArray
+from repro.mem import SegmentCells, control_words
 from repro.mem.symheap import propose_address, try_symmetric_alloc
 from repro.rma import dynamic as dyn_mod
 from repro.rma.enums import WinFlavor
@@ -45,13 +45,13 @@ class RmaContext:
         return wid
 
     # ------------------------------------------------------------------
-    def _make_ctrl(self, win: Window) -> AtomicArray:
+    def _make_ctrl(self, win: Window) -> SegmentCells:
         # Base words + PSCW matching ring + the user-extension words
         # (e.g. for MCS queue locks, repro.rma.mcs).
         ncells = (CTRL_WORDS_BASE + self.params.pscw_ring_capacity
                   + self.params.user_ctrl_words)
-        ctrl = AtomicArray(self.ctx.env, ncells,
-                           name=f"win{win.win_id}@{self.ctx.rank}")
+        ctrl = control_words(self.ctx.env, ncells,
+                             name=f"win{win.win_id}@{self.ctx.rank}")
         self.ctx.world.counters.add_control_memory(self.ctx.rank, ncells)
         return ctrl
 
@@ -153,13 +153,11 @@ class RmaContext:
                      params=self.params)
         win.ctrl = self._make_ctrl(win)
         if optimized:
-            from repro.mem.atomic import AtomicArray
-
             st = dyn_mod.OptimizedDynamicState(
-                cachers=AtomicArray(ctx.env, dyn_mod._RING_CAPACITY,
-                                    name=f"dyncachers@{ctx.rank}"),
-                inval=AtomicArray(ctx.env, dyn_mod._RING_CAPACITY,
-                                  name=f"dyninval@{ctx.rank}"))
+                cachers=control_words(ctx.env, dyn_mod._RING_CAPACITY,
+                                      name=f"dyncachers@{ctx.rank}"),
+                inval=control_words(ctx.env, dyn_mod._RING_CAPACITY,
+                                    name=f"dyninval@{ctx.rank}"))
             ctx.world.counters.add_control_memory(
                 ctx.rank, 2 * dyn_mod._RING_CAPACITY)
         else:

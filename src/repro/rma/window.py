@@ -1,6 +1,6 @@
 """The MPI window object: communication calls + epoch bookkeeping.
 
-Control-structure layout (one :class:`~repro.mem.atomic.AtomicArray` per
+Control-structure layout (one :class:`~repro.mem.atomic.SegmentCells` per
 rank per window; indices below) -- these are the O(1)+O(k) words per
 process the paper's protocols need:
 
@@ -33,7 +33,7 @@ import numpy as np
 from repro.check import epochs as epoch_rules
 from repro.dmapp.api import require_contiguous
 from repro.errors import RmaError, WindowError
-from repro.mem.atomic import AtomicArray
+from repro.mem.atomic import SegmentCells
 from repro.rma import accumulate as acc_mod
 from repro.rma import fence as fence_mod
 from repro.rma import locks as locks_mod
@@ -98,8 +98,8 @@ class Window:
         self.base_vaddr: int | None = None            # ALLOCATE: O(1)
         self.descs: dict[int, Any] | None = None      # CREATE: Omega(p)
         self.xsegs: dict[int, Any] = {}               # same-node mapped segments
-        self.ctrl: AtomicArray | None = None
-        self.ctrl_refs: dict[int, AtomicArray] = {}
+        self.ctrl: SegmentCells | None = None
+        self.ctrl_refs: dict[int, SegmentCells] = {}
         self.shared_segment = None                    # SHARED flavor
         self.shared_offsets: dict[int, int] | None = None
 

@@ -20,6 +20,7 @@ Each call draws a fresh tag from a per-rank counter; MPI's ordering rules
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable
 
 import numpy as np
@@ -188,14 +189,14 @@ class Collectives:
                   nbytes: int | None = None):
         """Recursive-doubling allreduce.
 
-        ``op`` must be associative and commutative; defaults to elementwise
-        sum for numpy arrays and ``+`` otherwise.
+        ``op`` must be associative and commutative; defaults to ``+``
+        (elementwise for numpy arrays).
         """
         ctx = self.ctx
         with _Call(ctx, "allreduce"):
             p, r = ctx.nranks, ctx.rank
             if op is None:
-                op = _default_sum
+                op = operator.add
             tag = self._next_tag()
             acc = value
 
@@ -349,9 +350,3 @@ class Collectives:
                     recv_from, tag=tag + step, channel="coll")
                 yield from sreq.wait()
             return out
-
-
-def _default_sum(a: Any, b: Any) -> Any:
-    if isinstance(a, np.ndarray):
-        return a + b
-    return a + b

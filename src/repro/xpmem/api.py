@@ -3,7 +3,7 @@
 All operations execute synchronously on the calling CPU (charged as
 simulated time), with effects visible immediately -- the unified memory
 model of same-node shared memory.  Atomics map to CPU ``lock``-prefix
-instructions on the same :class:`~repro.mem.atomic.AtomicArray` cells the
+instructions on the same :class:`~repro.mem.atomic.SegmentCells` words the
 NIC AMO engine uses, so intra- and inter-node atomics compose correctly on
 a single memory image (required by MPI-3's unified model).
 """
@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import RegistrationError
 from repro.machine.params import XpmemParams
 from repro.mem.address_space import Segment
-from repro.mem.atomic import AtomicArray, prepare_stream
+from repro.mem.atomic import SegmentCells, prepare_stream
 
 __all__ = ["XpmemSegment", "XpmemEndpoint"]
 
@@ -89,7 +89,7 @@ class XpmemEndpoint:
         return seg.read(offset, nbytes)
 
     # -- CPU atomics -------------------------------------------------------
-    def amo(self, cells: AtomicArray, idx: int, op: str, operand: int,
+    def amo(self, cells: SegmentCells, idx: int, op: str, operand: int,
             operand2: int = 0, on_applied=None):
         """lock-prefixed CPU atomic on (possibly remote-on-node) cells.
         ``on_applied(old)`` runs with the effect, like ``dmapp.amo_nbi``'s."""
@@ -116,7 +116,7 @@ class XpmemEndpoint:
             self.counters.count_issue(self.rank, "cpu-amo:custom", 8)
         return mutate()
 
-    def amo_stream(self, cells: AtomicArray, base_idx: int, op: str,
+    def amo_stream(self, cells: SegmentCells, base_idx: int, op: str,
                    operands, fetch: bool = False):
         """Element-wise CPU atomics over consecutive cells (``op='fetch'``
         reads them atomically and modifies nothing), captured at the call

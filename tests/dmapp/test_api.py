@@ -287,12 +287,12 @@ def test_large_put_chunked(faults):
 
 
 def test_amo_stream_empty_rejected(faults):
-    from repro.mem.atomic import AtomicArray
+    from repro.mem import control_words
     from repro.runtime.job import Job, run_on_world
 
     job = Job(nranks=2, machine=INTER, faults=faults)
     world = job.build_world()
-    cells = AtomicArray(world.env, 4)
+    cells = control_words(world.env, 4)
 
     def program(ctx):
         if ctx.rank == 0:

@@ -1,4 +1,4 @@
-"""Atomic cell arrays: ops, wrap-around, watchers, SegmentCells parity."""
+"""64-bit atomic words: ops, wrap-around, watchers, AMO streams."""
 
 import numpy as np
 import pytest
@@ -6,20 +6,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import MemoryError_
-from repro.mem.address_space import AddressSpace
+from repro.mem.address_space import AddressSpace, control_words
 from repro.mem.atomic import (
     MASK64,
-    AtomicArray,
     SegmentCells,
     amo_result,
     prepare_stream,
 )
-from repro.sim.kernel import Environment
 
 
 @pytest.fixture
 def cells(env):
-    return AtomicArray(env, 8, name="t")
+    return control_words(env, 8, name="t")
 
 
 def test_load_store(cells):
@@ -38,7 +36,6 @@ def test_fadd_negative_wraps(cells):
     cells.store(0, 1)
     cells.fadd(0, -2)
     assert cells.load(0) == MASK64  # two's complement wrap
-    assert cells.load_signed(0) == -1
 
 
 def test_cas(cells):
@@ -73,7 +70,7 @@ def test_apply_ops(cells, op, a, b, expect):
 def test_signed_min_max(cells):
     cells.store(0, MASK64)  # -1 signed
     cells.apply(0, "min", 5)
-    assert cells.load_signed(0) == -1
+    assert cells.load(0) == MASK64
     cells.apply(0, "max", 5)
     assert cells.load(0) == 5
 
@@ -84,10 +81,12 @@ def test_unknown_op_rejected(cells):
 
 
 def test_index_bounds(cells):
-    with pytest.raises(MemoryError_):
+    # Past the end raises from the word view.  No caller forms a negative
+    # index: each is an IDX_* constant, a ring slot or an MCS base + idx.
+    with pytest.raises(IndexError):
         cells.load(8)
-    with pytest.raises(MemoryError_):
-        cells.fadd(-1, 1)
+    with pytest.raises(IndexError):
+        cells.fadd(8, 1)
 
 
 def test_watcher_immediate(env, cells):
@@ -138,7 +137,7 @@ def test_watcher_multiple_waiters(env, cells):
 
 
 # ---------------------------------------------------------------------------
-# SegmentCells must behave identically to AtomicArray for every op
+# SegmentCells stores and wraps like amo_result folded over Python ints
 # ---------------------------------------------------------------------------
 OPS = ["add", "and", "or", "xor", "min", "max", "replace"]
 
@@ -147,35 +146,24 @@ OPS = ["add", "and", "or", "xor", "min", "max", "replace"]
                           st.integers(-(2**63), 2**63 - 1)),
                 max_size=30))
 def test_segment_cells_match_atomic_array(ops):
-    env = Environment()
-    arr = AtomicArray(env, 1)
-    sp = AddressSpace(0)
-    seg = sp.alloc(8)
-    sc = SegmentCells(seg, 0)
+    sc = SegmentCells(AddressSpace(0).alloc(8))
+    ref = 0
     for op, operand in ops:
-        a_old = arr.apply(0, op, operand)
-        s_old = sc.apply(0, op, operand)
-        assert a_old == s_old
-        assert arr.load(0) == sc.load(0)
+        assert sc.apply(0, op, operand) == ref
+        ref = amo_result(ref, op, operand)
+        assert sc.load(0) == ref
 
 
 def test_segment_cells_cas_fadd():
     sp = AddressSpace(0)
     seg = sp.alloc(32)
-    sc = SegmentCells(seg, 8)
-    assert sc.fadd(0, 4) == 0
-    assert sc.cas(0, 4, 9) == 4
-    assert sc.load(0) == 9
-    assert sc.swap(1, 3) == 0
-    # base_offset=8: the first 8 bytes of the segment are untouched
+    sc = SegmentCells(seg)
+    assert sc.fadd(1, 4) == 0
+    assert sc.cas(1, 4, 9) == 4
+    assert sc.load(1) == 9
+    assert sc.swap(2, 3) == 0
+    # word 1 is bytes 8-15: the first 8 bytes of the segment are untouched
     assert seg.read(0, 8).tolist() == [0] * 8
-
-
-def test_segment_cells_alignment_check():
-    sp = AddressSpace(0)
-    seg = sp.alloc(32)
-    with pytest.raises(MemoryError_):
-        SegmentCells(seg, 3)
 
 
 def test_segment_cells_unknown_op():
@@ -244,9 +232,10 @@ def test_stream_on_freed_segment_or_unknown_op_raises():
 
 
 def test_atomic_array_stream_fires_watchers_per_cell(env):
-    """``AtomicArray.apply_block`` keeps the per-cell loop: a watcher on
-    any cell of the stream sees its own cell's new value."""
-    cells = AtomicArray(env, 4)
+    """A stream over watched control words lands in one array update,
+    then wakes the watchers cell by cell: a watcher on any cell of the
+    stream sees its own cell's new value."""
+    cells = control_words(env, 4)
     seen = []
 
     def waiter(i):

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.models.fitting import fit_affine, fit_log_linear, relative_error
-from repro.models.loggp import LogGPModel
 from repro.models.params_fompi import PAPER_MODELS, paper_model
 from repro.models.perfmodel import (
     AffineBytesModel,
@@ -93,19 +92,3 @@ def test_relative_error():
     assert relative_error(110, 100) == pytest.approx(0.1)
     assert relative_error(0, 0) == 0.0
     assert relative_error(1, 0) == math.inf
-
-
-def test_loggp_basics():
-    m = LogGPModel(L=500, o=400, g=400, G=0.16, P=8)
-    assert m.point_to_point(0) == 1300
-    assert m.message_rate(8) == pytest.approx(1e9 / 400)
-    assert m.dissemination_barrier() == 3 * 1300
-
-
-def test_loggp_from_gemini():
-    from repro.machine.params import GeminiParams
-
-    g = GeminiParams()
-    m = LogGPModel.from_gemini(g, P=16, hops=2)
-    assert m.o == g.o_inject
-    assert m.L == g.wire_latency(2)

@@ -157,7 +157,7 @@ def test_dmapp_put_get_roundtrip():
 
 
 def test_dmapp_amo_fadd_and_cas():
-    from repro.mem.atomic import AtomicArray
+    from repro.mem import control_words
 
     cfg = MachineConfig(ranks_per_node=1)
 
@@ -175,7 +175,7 @@ def test_dmapp_amo_fadd_and_cas():
 
     job = Job(nranks=2, machine=cfg)
     world = job.build_world()
-    cells = AtomicArray(world.env, 4, name="test")
+    cells = control_words(world.env, 4, name="test")
     res = run_on_world(world, program, cells)
     assert res.returns[0] == 99
 

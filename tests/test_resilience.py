@@ -343,7 +343,7 @@ def test_op_in_flight_at_crash_fails_fast(op):
     """An op issued 300 ns before its target fail-stops: the first
     transmission is lost with the node, the retransmit finds the target
     dead and raises NodeCrashedError -- the retry budget is not burnt."""
-    from repro.mem.atomic import AtomicArray
+    from repro.mem import control_words
 
     crash_ns = 200_000
     faults = FaultPlan(crashes=(NodeCrash(node=1, time_ns=crash_ns),))
@@ -354,7 +354,7 @@ def test_op_in_flight_at_crash_fails_fast(op):
         descs = yield from ctx.coll.allgather(desc)
         yield from ctx.coll.barrier()
         if ctx.rank == 0:
-            cells = AtomicArray(ctx.env, 4)
+            cells = control_words(ctx.env, 4)
             issue = {
                 "put_nbi": lambda: ctx.dmapp.put_nbi(
                     descs[1], 0, np.ones(8, np.uint8)),

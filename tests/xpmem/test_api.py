@@ -79,12 +79,12 @@ def test_copy_bandwidth():
 
 
 def test_cpu_amo_on_shared_cells():
-    from repro.mem.atomic import AtomicArray
+    from repro.mem import control_words
     from repro.runtime.job import Job, run_on_world
 
     job = Job(nranks=4, machine=INTRA)
     world = job.build_world()
-    cells = AtomicArray(world.env, 2, name="shared")
+    cells = control_words(world.env, 2, name="shared")
     applied = []    # on_applied: the old value, with each effect
 
     def program(ctx):
@@ -99,12 +99,12 @@ def test_cpu_amo_on_shared_cells():
 
 
 def test_amo_stream_fetch():
-    from repro.mem.atomic import AtomicArray
+    from repro.mem import control_words
     from repro.runtime.job import Job, run_on_world
 
     job = Job(nranks=1, machine=INTRA)
     world = job.build_world()
-    cells = AtomicArray(world.env, 4)
+    cells = control_words(world.env, 4)
 
     def program(ctx):
         old = yield from ctx.xpmem.amo_stream(cells, 0, "add",
