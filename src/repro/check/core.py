@@ -60,7 +60,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.check.vclock import VectorClock
 
@@ -77,6 +77,8 @@ _READ_KINDS = frozenset({"get", "local_load"})
 _ACC_KINDS = frozenset({"acc", "get_acc", "fao", "cas"})
 #: Access kinds executed by the target itself (local CPU accesses).
 _LOCAL_KINDS = frozenset({"local_load", "local_store"})
+#: PSCW edges: ``(win_id, receiver, sender)`` -> sender clocks, oldest first.
+_Edges = dict[tuple, deque]
 
 
 @dataclass
@@ -179,8 +181,8 @@ class RaceChecker:
         self._coll_seq = [0] * nranks
         self._coll: dict[int, _CollSlot] = {}
         self._locks: dict[tuple[int, int], _LockSync] = {}
-        self._pscw_post: dict[tuple, deque] = {}
-        self._pscw_done: dict[tuple, deque] = {}
+        self._pscw_post: _Edges = {}
+        self._pscw_done: _Edges = {}
         self._mcs: dict[tuple, VectorClock] = {}
         self._oseq: dict[tuple[int, int], int] = {}
         # Shadow store:
@@ -312,19 +314,17 @@ class RaceChecker:
             sync.read_release.merge(vc)
         self._bump_oseq(win.rank, win.win_id)
 
-    def pscw_post(self, win, group) -> None:
-        """Deposited at post() entry -- before the matching-list appends
-        the peers' start() will observe."""
+    def _send_to(self, edges: _Edges, win: Any, group: Iterable[int]) -> None:
+        """Deposit ``win.rank``'s clock on its PSCW edge to each of ``group``."""
         vc = self._deposit(win.rank)
         for j in group:
-            self._pscw_post.setdefault(
-                (win.win_id, j, win.rank), deque()).append(vc)
+            edges.setdefault((win.win_id, j, win.rank), deque()).append(vc)
 
-    def pscw_start(self, win, group) -> None:
-        """Merged at start() exit, one deposit per matched poster."""
+    def _take_from(self, edges: _Edges, win: Any, peers: Iterable[int]) -> None:
+        """Merge the oldest deposit on each of ``peers``' PSCW edge to us."""
         merged: VectorClock | None = None
-        for r in group:
-            dq = self._pscw_post.get((win.win_id, win.rank, r))
+        for r in peers:
+            dq = edges.get((win.win_id, win.rank, r))
             if dq:
                 vc = dq.popleft()
                 if merged is None:
@@ -333,13 +333,19 @@ class RaceChecker:
                     merged.merge(vc)
         self._acquire(win.rank, merged)
 
-    def pscw_complete(self, win, group) -> None:
+    def pscw_post(self, win: Any, group: Iterable[int]) -> None:
+        """Deposited at post() entry -- before the matching-list appends
+        the peers' start() will observe."""
+        self._send_to(self._pscw_post, win, group)
+
+    def pscw_start(self, win: Any, group: Iterable[int]) -> None:
+        """Merged at start() exit, one deposit per matched poster."""
+        self._take_from(self._pscw_post, win, group)
+
+    def pscw_complete(self, win: Any, group: Iterable[int]) -> None:
         """Deposited at complete() entry -- before the completion-counter
         AMOs the peers' wait() will observe."""
-        vc = self._deposit(win.rank)
-        for j in group:
-            self._pscw_done.setdefault(
-                (win.win_id, j, win.rank), deque()).append(vc)
+        self._send_to(self._pscw_done, win, group)
         self._bump_oseq(win.rank, win.win_id)
 
     def mcs_acquired(self, rank: int, key: tuple) -> None:
@@ -364,18 +370,9 @@ class RaceChecker:
         else:
             cur.merge(vc)
 
-    def pscw_wait(self, win, origins) -> None:
+    def pscw_wait(self, win: Any, origins: Iterable[int]) -> None:
         """Merged at wait() exit, one deposit per access-epoch origin."""
-        merged: VectorClock | None = None
-        for r in origins:
-            dq = self._pscw_done.get((win.win_id, win.rank, r))
-            if dq:
-                vc = dq.popleft()
-                if merged is None:
-                    merged = vc.copy()
-                else:
-                    merged.merge(vc)
-        self._acquire(win.rank, merged)
+        self._take_from(self._pscw_done, win, origins)
 
     # ------------------------------------------------------------------
     # rollback recovery (repro.ft)

@@ -570,14 +570,6 @@ class DmappEndpoint:
         return (yield from self._amo(target_rank, "amo-custom", "amo:custom",
                                      8, mutate, True, None))
 
-    def amo_b(self, target_rank: int, cells: SegmentCells, idx: int,
-              op: str, operand: int, operand2: int = 0, on_applied=None):
-        """Blocking fetching AMO; returns the OLD value."""
-        handle = yield from self.amo_nbi(target_rank, cells, idx, op, operand,
-                                         operand2, on_applied=on_applied)
-        yield from self.wait(handle)
-        return handle.result
-
     def amo_stream_nbi(self, target_rank: int, cells: SegmentCells,
                        base_idx: int, op: str, operands, fetch: bool = False,
                        on_applied=None):

@@ -273,8 +273,12 @@ class FTRuntime:
     def amo_logger(self, win, target: int, cells, base_idx: int):
         """Delivery callback for a single-cell atomic: receives the old
         value, reads the post value back from the cell (still inside the
-        atomic closure) and logs it only when the op took effect."""
-        if win.win_id not in self.windows:
+        atomic closure) and logs it only when the op took effect.
+
+        Only a NIC-applied atomic is logged (``None`` for a same-node
+        target): a CPU atomic has no sequence number, so a restarted
+        origin re-executes it, and a logged copy would apply it twice."""
+        if win.win_id not in self.windows or win.ctx.same_node(target):
             return None
         win_id = win.win_id
 

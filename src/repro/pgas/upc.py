@@ -137,12 +137,10 @@ class UpcContext:
             arr._note_atomic("acc", rank, 8 * word_index, Op.SUM,
                              np.int64(value))
         cells = arr._target_segment(rank, 8 * word_index, 8)[0].cells64()
-        if ctx.same_node(rank):
-            yield from ctx.xpmem.amo(cells, word_index, "add", int(value))
-            return
-        yield from ctx.compute(self.params.nb_overhead)
-        yield from ctx.dmapp.amo_nbi(rank, cells, word_index, "add",
-                                     int(value))
+        if not ctx.same_node(rank):
+            yield from ctx.compute(self.params.nb_overhead)  # UPC's NIC cost
+        yield from ctx.amo(rank, cells, word_index, "add", int(value),
+                           blocking=False)
 
     def cas(self, arr, rank: int, word_index: int, compare: int, swap: int):
         """Cray atomic compare-and-swap; returns old value."""

@@ -91,6 +91,8 @@ def accumulate(win, data, target: int, target_disp: int, op: Op, *,
         cells = seg.cells64()
         base_idx = (base + toff) // 8
         hw = op.hw_name
+        # Not ctx.amo: a stream has this one caller, and the CPU stream
+        # (xpmem.amo_stream) has no delivery callback for the FT logger.
         if ctx.same_node(target):
             old = yield from ctx.xpmem.amo_stream(cells, base_idx, hw, arr,
                                                   fetch=fetch)
@@ -133,7 +135,9 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
         attempt += 1
 
     nbytes = arr.nbytes
-    # Get current contents.
+    # Get current contents.  The data moves by copies, not atomics, so it
+    # picks its own path: a dynamic window's data is always reached by
+    # descriptor through the NIC, even on this node.
     if ctx.same_node(target) and win.flavor is not WinFlavor.DYNAMIC:
         seg, base = win._target_segment(target, toff, nbytes)
         cur = yield from ctx.xpmem.load(seg, base + toff, nbytes)
@@ -185,18 +189,15 @@ def _old_as(old: int, dtype: np.dtype):
 
 
 def _scalar_amo(win, target: int, toff: int, op: str, a: int, b: int = 0):
-    """One blocking fetching AMO on the window word at byte ``toff``."""
+    """One blocking fetching AMO on the window word at byte ``toff``: the
+    ``ctx.amo`` generator itself (no frame of its own on the hot path)."""
     ctx = win.ctx
     seg, base = win._target_segment(target, toff, 8)
     cells = seg.cells64()
     idx = (base + toff) // 8
-    if ctx.same_node(target):
-        return (yield from ctx.xpmem.amo(cells, idx, op, a, b))
     logger = (ctx.ft.amo_logger(win, target, cells, idx)
               if ctx.ft is not None else None)
-    handle = yield from ctx.dmapp.amo_nbi(target, cells, idx, op, a, b,
-                                          on_applied=logger)
-    return (yield from ctx.dmapp.wait(handle))
+    return ctx.amo(target, cells, idx, op, a, b, on_applied=logger)
 
 
 def fetch_and_op(win, value, target: int, target_disp: int, op: Op):

@@ -55,23 +55,21 @@ class DynamicState:
 
     def resolve(self, win, target: int, vaddr: int, nbytes: int):
         """Origin-side lookup with the id-validation protocol (generator)."""
-        ctx = win.ctx
-        ctrl = win.ctrl_refs[target]
         cached = self.cache.get(target)
         # Validate the cache: one 8-byte remote read of the id counter.
-        if ctx.same_node(target):
-            yield from ctx.xpmem.amo(ctrl, win_mod.IDX_DYN_ID, "add", 0)
-            current_id = ctrl.load(win_mod.IDX_DYN_ID)
-        else:
-            current_id = yield from ctx.dmapp.amo_b(
-                target, ctrl, win_mod.IDX_DYN_ID, "add", 0)
+        current_id = yield from win.ctx.amo(
+            target, win.ctrl_refs[target], win_mod.IDX_DYN_ID, "add", 0)
         if cached is None or cached[0] != current_id:
             self.cache_misses += 1
             yield from self._refetch(win, target, current_id)
-            cached = self.cache[target]
         else:
             self.cache_hits += 1
-        for desc in cached[1]:
+        return self._find(win, target, vaddr, nbytes)
+
+    def _find(self, win, target: int, vaddr: int, nbytes: int):
+        """The cached descriptor of ``target``'s region holding the range;
+        raises :class:`WindowError` when no attached region does."""
+        for desc in self.cache[target][1]:
             if desc.contains(vaddr, nbytes):
                 return desc
         raise WindowError(
@@ -82,7 +80,7 @@ class DynamicState:
         """Discard and reload the remote region list (a real get whose size
         scales with the region count)."""
         ctx = win.ctx
-        remote = win.ctx.world.blackboard[("dyn", win.win_id, target)]
+        remote = ctx.world.blackboard[("dyn", win.win_id, target)]
         n = max(1, len(remote.regions))
         yield from ctx.dmapp.get_b(remote.directory_desc, 0,
                                    n * win.params.dyn_descriptor_bytes)
@@ -126,30 +124,17 @@ class OptimizedDynamicState(DynamicState):
         remote id read -- cache hits cost no remote operations at all."""
         ctx = win.ctx
         self._drain_invalidations()
-        cached = self.cache.get(target)
-        if cached is None:
+        if target not in self.cache:
             self.cache_misses += 1
-            remote = ctx.world.blackboard[("dyn", win.win_id, target)]
-            n = max(1, len(remote.regions))
-            yield from ctx.dmapp.get_b(remote.directory_desc, 0,
-                                       n * win.params.dyn_descriptor_bytes)
-            self.cache[target] = (0, list(remote.regions))
+            yield from self._refetch(win, target, 0)
             # register for detach notifications at the target
-            append = remote._ring_append(remote.cachers, ctx.rank)
-            if ctx.same_node(target):
-                yield from ctx.instr(win.params.instr_lock)
-                append()
-            else:
-                yield from ctx.dmapp.amo_custom_nbi(target, append)
-            cached = self.cache[target]
+            remote = ctx.world.blackboard[("dyn", win.win_id, target)]
+            yield from ctx.amo_custom(
+                target, remote._ring_append(remote.cachers, ctx.rank),
+                win.params.instr_lock)
         else:
             self.cache_hits += 1
-        for desc in cached[1]:
-            if desc.contains(vaddr, nbytes):
-                return desc
-        raise WindowError(
-            f"rank {win.rank}: dynamic-window access to unattached memory "
-            f"{vaddr:#x}+{nbytes} at target {target}")
+        return self._find(win, target, vaddr, nbytes)
 
     def notify_detach(self, win):
         """Before detach returns: invalidate every registered cacher and
@@ -163,12 +148,9 @@ class OptimizedDynamicState(DynamicState):
             self.cachers.store(s, 0)
             self.notifications_sent += 1
             other = ctx.world.blackboard[("dyn", win.win_id, peer)]
-            append = other._ring_append(other.inval, ctx.rank)
-            if ctx.same_node(peer):
-                yield from ctx.instr(win.params.instr_lock)
-                append()
-            else:
-                yield from ctx.dmapp.amo_custom_nbi(peer, append)
+            yield from ctx.amo_custom(
+                peer, other._ring_append(other.inval, ctx.rank),
+                win.params.instr_lock)
 
 
 def attach(win, seg):

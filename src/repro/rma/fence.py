@@ -31,7 +31,6 @@ def fence(win, no_succeed: bool = False):
     t0 = ctx.now
     # Local memory barrier makes XPMEM stores visible ...
     yield from ctx.compute(win.params.mfence_ns)
-    yield from ctx.xpmem.mfence()
     # ... gsync commits all outstanding DMAPP operations ...
     yield from ctx.dmapp.gsync()
     # ... and a barrier orders all ranks.  The calibrated per-round

@@ -79,7 +79,8 @@ def _backoff(win, attempt: int):
 
 def _amo(win, target: int, idx: int, op: str, operand: int,
          operand2: int = 0, blocking: bool = True):
-    """One AMO on ``target``'s control words, CPU or NIC path."""
+    """One AMO on ``target``'s control words, recorded in the lock ledger
+    when a crash plan is active."""
     ctx = win.ctx
     ledger = ctx.lock_ledger
     record = None
@@ -98,16 +99,9 @@ def _amo(win, target: int, idx: int, op: str, operand: int,
                 ledger.record(win.win_id, target, idx, ctx.rank,
                               operand - old)
 
-    cells = win.ctrl_refs[target]
-    if ctx.same_node(target):
-        return (yield from ctx.xpmem.amo(cells, idx, op, operand, operand2,
-                                         record))
-    if blocking:
-        return (yield from ctx.dmapp.amo_b(target, cells, idx, op,
-                                           operand, operand2, record))
-    yield from ctx.dmapp.amo_nbi(target, cells, idx, op, operand, operand2,
-                                 on_applied=record)
-    return None
+    return (yield from ctx.amo(target, win.ctrl_refs[target], idx, op,
+                               operand, operand2, blocking=blocking,
+                               on_applied=record))
 
 
 def lock(win, target: int, lock_type: LockType = LockType.SHARED):
@@ -234,7 +228,6 @@ def unlock(win, target: int):
         raise LockError(f"unlock() of unlocked target {target}")
     ctx = win.ctx
     ctx.note_api(f"win.unlock(target={target})")
-    yield from ctx.xpmem.mfence()
     yield from ctx.dmapp.gsync()
     if lt is LockType.SHARED:
         yield from _forgiving_add(win, target, win_mod.IDX_LOCAL_LOCK, -1)
@@ -314,7 +307,6 @@ def unlock_all(win):
     if not st.lock_all_held:
         raise LockError("unlock_all() without lock_all()")
     ctx = win.ctx
-    yield from ctx.xpmem.mfence()
     yield from ctx.dmapp.gsync()
     yield from _forgiving_add(win, win.master, win_mod.IDX_GLOBAL_LOCK,
                               -GLOBAL_SHARED_UNIT)

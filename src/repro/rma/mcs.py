@@ -78,18 +78,10 @@ class McsLock:
 
     def _amo(self, target: int, idx: int, op: str, a: int, b: int = 0,
              blocking: bool = True, on_applied=None):
-        ctx = self.win.ctx
         self.remote_ops += 1
-        cells = self._cells(target)
-        if ctx.same_node(target):
-            return (yield from ctx.xpmem.amo(cells, self.base + idx, op, a, b,
-                                             on_applied))
-        if blocking:
-            return (yield from ctx.dmapp.amo_b(target, cells, self.base + idx,
-                                               op, a, b, on_applied))
-        yield from ctx.dmapp.amo_nbi(target, cells, self.base + idx, op, a, b,
-                                     on_applied=on_applied)
-        return None
+        return (yield from self.win.ctx.amo(
+            target, self._cells(target), self.base + idx, op, a, b,
+            blocking=blocking, on_applied=on_applied))
 
     def _set_peer_word(self, target: int, idx: int, value: int, on_applied):
         """Non-blocking ``replace`` on a queue neighbour's word.  The link

@@ -13,8 +13,8 @@ The scalable matching protocol:
   Entries posted for future epochs simply stay -- matching is by process
   id, exactly the paper's matching rule.
 * ``complete()``: guarantees remote visibility of the epoch's RMA ops
-  (mfence + gsync), then atomically increments the completion counter at
-  every exposure target.  O(k) messages.
+  (gsync; CPU stores are visible at once), then atomically increments
+  the completion counter at every exposure target.  O(k) messages.
 * ``wait()``: blocks until the completion counter reaches the exposure
   group size, then resets it.
 
@@ -82,26 +82,20 @@ def post(win, group):
     dead: set = set()
     if notifier is not None:
         dead = set(group) & notifier.known(win.rank)
-    # Prior local stores must be visible before peers may access.
-    yield from ctx.xpmem.mfence()
+    # This rank's prior stores are already visible to its peers (unified
+    # memory model), so no fence precedes the appends.
     cap = win.params.pscw_ring_capacity
     for j in group:
         if j in dead:
             continue
-        ctrl_j = win.ctrl_refs[j]
-        mutate = _append_entry(ctrl_j, cap, win.rank)
-        if ctx.same_node(j):
-            yield from ctx.instr(
-                win.params.instr_lock)  # CPU atomic append
-            mutate()
-        else:
-            try:
-                yield from ctx.dmapp.amo_custom_nbi(j, mutate)
-            except NodeCrashedError as exc:
-                if notifier is None:
-                    raise
-                dead.update(r for r in group
-                            if ctx.node_of(r) == exc.node)
+        try:
+            yield from ctx.amo_custom(
+                j, _append_entry(win.ctrl_refs[j], cap, win.rank),
+                win.params.instr_lock)
+        except NodeCrashedError as exc:
+            if notifier is None:
+                raise
+            dead.update(r for r in group if ctx.node_of(r) == exc.node)
     # Fault containment: the epoch opens for the surviving peers, and the
     # dead ones are reported in a structured error.
     st.exposure_group = set(group) - dead
@@ -190,9 +184,10 @@ def complete(win):
         # observes; also orders this origin's ops (complete = flush).
         ck.pscw_complete(win, st.access_group)
     # Remote visibility of all epoch operations first ...
-    yield from ctx.xpmem.mfence()
     yield from ctx.dmapp.gsync()
-    # ... then notify each exposure peer's completion counter.
+    # ... then notify each exposure peer's completion counter.  Not
+    # ctx.amo: on this node the add is an uncounted in-place increment
+    # charged at instr_lock, not a counted CPU atomic.
     notifier = ctx.notifier
     dead: set = set()
     for j in sorted(st.access_group):

@@ -14,8 +14,8 @@ keep their state for the restore instead:
 
 **Revocation ledger** (:class:`RevocationLedger`).  Every lock-word AMO an
 origin issues through ``locks._amo`` -- the two-level lock words and the
-software accumulate's ``IDX_ACC_LOCK`` -- is the ordinary ``xpmem.amo`` /
-``dmapp.amo_b`` / ``amo_nbi`` call with the ledger record as its
+software accumulate's ``IDX_ACC_LOCK`` -- is the ordinary ``ctx.amo``
+call (CPU on the node, NIC off it) with the ledger record as its
 ``on_applied`` delivery callback -- the same interposition the FT layer
 uses for its put/AMO log.  An ``add`` records its operand, a successful
 ``cas`` ``swap - compare`` and a ``replace`` ``new - old``.  Recording

@@ -77,7 +77,8 @@ class RmaContext:
         win.ctrl_refs = bb[key]
         if win.seg is not None:
             # token.node first (attach() takes this node's tokens only):
-            # the compare spares p placement queries per rank.
+            # the compare spares p placement queries per rank.  A mapping
+            # for the data path, not an atomic: ctx.amo has no part in it.
             node = self.ctx.node
             for r, token in bb.get(xkey, {}).items():
                 if (token.node == node and r != self.ctx.rank

@@ -430,7 +430,6 @@ class Window:
     def sync(self):
         """MPI_Win_sync: memory barrier (P_sync = 17 ns)."""
         yield from self.ctx.instr(self.params.instr_sync)
-        yield from self.ctx.xpmem.mfence()
 
     # ------------------------------------------------------------------
     def free(self):

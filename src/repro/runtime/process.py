@@ -132,6 +132,29 @@ class RankContext:
         if ns is not None:
             yield ns
 
+    # -- atomics on a peer's word ------------------------------------------
+    def amo(self, target: int, cells, idx: int, op: str, a: int, b: int = 0,
+            *, blocking: bool = True, on_applied=None):
+        """8-byte atomic on ``target``'s ``cells[idx]``: a CPU atomic on
+        this node, a NIC AMO off it; ``on_applied(old)`` runs with the
+        effect.  Returns the old value (``None`` off-node when not
+        ``blocking``: that AMO completes with the next gsync)."""
+        if self.world.rank_map.same_node(self.rank, target):
+            return (yield from self.xpmem.amo(cells, idx, op, a, b,
+                                              on_applied))
+        handle = yield from self.dmapp.amo_nbi(target, cells, idx, op, a, b,
+                                               on_applied=on_applied)
+        return (yield from self.dmapp.wait(handle)) if blocking else None
+
+    def amo_custom(self, target: int, mutate, instr: float):
+        """Chained atomic ``mutate()`` on ``target``'s words: a CPU
+        sequence of ``instr`` instructions on this node, one non-blocking
+        NIC operation off it."""
+        if self.world.rank_map.same_node(self.rank, target):
+            yield from self.xpmem.amo_custom(mutate, self.instr_ns(instr))
+        else:
+            yield from self.dmapp.amo_custom_nbi(target, mutate)
+
     # -- topology helpers -------------------------------------------------
     def same_node(self, other_rank: int) -> bool:
         return self.world.rank_map.same_node(self.rank, other_rank)

@@ -59,6 +59,26 @@ def _preload(store: KvStore, spec: ServeSpec) -> None:
                                 initial_value(spec.seed, key))
 
 
+def _serve(store: KvStore, row, t_arr: int):
+    """One scheduled request: wait for its arrival ``t_arr``, dispatch
+    ``row`` (a :func:`client_schedule` row) and return its
+    ``(t_arr, completed, op)`` latency row."""
+    ctx = store.ctx
+    if ctx.now < t_arr:
+        yield t_arr - ctx.now
+    op, key, value = int(row[1]), int(row[2]), int(row[3])
+    if op == OP_GET:
+        yield from store.get(key + 1)
+    elif op == OP_PUT:
+        yield from store.put(key + 1, value)
+    else:
+        yield from store.update(key + 1, value)
+    done = ctx.now
+    if ctx.obs is not None:
+        ctx.obs.metrics.observe("kv.latency_ns", ctx.rank, done - t_arr)
+    return t_arr, done, op
+
+
 def kv_serve_program(ctx, spec: ServeSpec, n_stripes: int = 8):
     """One rank of the RMA serving phase.
 
@@ -76,22 +96,8 @@ def kv_serve_program(ctx, spec: ServeSpec, n_stripes: int = 8):
     sched = client_schedule(spec, ctx.rank, ctx.nranks)
     lat = np.zeros((len(sched), 3), dtype=np.int64)
     t0 = ctx.now
-    obs = ctx.obs
-    for i in range(len(sched)):
-        t_arr = t0 + int(sched[i, 0])
-        if ctx.now < t_arr:
-            yield t_arr - ctx.now
-        op, key, value = int(sched[i, 1]), int(sched[i, 2]), int(sched[i, 3])
-        if op == OP_GET:
-            yield from store.get(key + 1)
-        elif op == OP_PUT:
-            yield from store.put(key + 1, value)
-        else:
-            yield from store.update(key + 1, value)
-        done = ctx.now
-        lat[i] = (t_arr, done, op)
-        if obs is not None:
-            obs.metrics.observe("kv.latency_ns", ctx.rank, done - t_arr)
+    for i, row in enumerate(sched):
+        lat[i] = yield from _serve(store, row, t0 + int(row[0]))
 
     yield from store.win.flush_all()
     # Orders every rank's remote operations before the local scans.
@@ -129,8 +135,7 @@ def ft_kvstore(ctx, spec: ServeSpec | None = None, n_stripes: int = 8):
                          "schedule (ServeSpec.ft_mode)")
     store = _new_store(ctx, spec, n_stripes)
     sched = client_schedule(spec, ctx.rank, ctx.nranks)
-    lat = []
-    obs = ctx.obs
+    lat: list = []
     t_base = None
 
     def create():
@@ -150,20 +155,8 @@ def ft_kvstore(ctx, spec: ServeSpec | None = None, n_stripes: int = 8):
             if store.win is None:
                 store.bind(windows[0])
             t_base = ctx.now - int(sched[i, 0])
-        t_arr = t_base + int(sched[i, 0])
-        if ctx.now < t_arr:
-            yield t_arr - ctx.now
-        op, key, value = int(sched[i, 1]), int(sched[i, 2]), int(sched[i, 3])
-        if op == OP_GET:
-            yield from store.get(key + 1)
-        elif op == OP_PUT:
-            yield from store.put(key + 1, value)
-        else:
-            yield from store.update(key + 1, value)
-        done = ctx.now
-        lat.append((t_arr, done, op))
-        if obs is not None:
-            obs.metrics.observe("kv.latency_ns", ctx.rank, done - t_arr)
+        lat.append((yield from _serve(store, sched[i],
+                                      t_base + int(sched[i, 0]))))
 
     win, _done = yield from run_steps(ctx, create, len(sched), serve)
     return (np.array(lat, dtype=np.int64).reshape(-1, 3),

@@ -104,16 +104,13 @@ class XpmemEndpoint:
             on_applied(old)
         return old
 
-    def amo_custom(self, mutate):
-        """CPU atomic with a caller-supplied read-modify-write.  Like the
-        NIC-side ``amo_custom_nbi``, the closure runs atomically at its
-        effect time, so bookkeeping chained into ``mutate`` can never
-        observe a half-applied op.  No caller in ``src/`` since the lock
-        ledger became an ``on_applied`` record; ``perfbench/layers.py``
-        binds the name."""
-        yield self._amo_latency_int
-        if self.counters is not None:
-            self.counters.count_issue(self.rank, "cpu-amo:custom", 8)
+    def amo_custom(self, mutate, cost_ns: int | None):
+        """Chained CPU atomic: ``mutate()`` (a read-modify-write over
+        several words) runs in one step after ``cost_ns`` (``None``: no
+        charge).  It issues nothing, so unlike the NIC's
+        ``amo_custom_nbi`` nothing is counted."""
+        if cost_ns is not None:
+            yield cost_ns
         return mutate()
 
     def amo_stream(self, cells: SegmentCells, base_idx: int, op: str,
@@ -131,10 +128,3 @@ class XpmemEndpoint:
             self.counters.count_issue(self.rank, f"cpu-amo-stream:{op}",
                                       8 * n)
         return old if fetch else None
-
-    def mfence(self):
-        """x86 mfence: all prior stores globally visible (instant in the
-        unified model; charged at the call sites per the paper's
-        instruction counts)."""
-        return
-        yield  # pragma: no cover - makes this a generator function

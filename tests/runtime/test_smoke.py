@@ -163,9 +163,9 @@ def test_dmapp_amo_fadd_and_cas():
 
     def program(ctx, cells):
         if ctx.rank == 0:
-            old = yield from ctx.dmapp.amo_b(1, cells, 0, "add", 5)
+            old = yield from ctx.amo(1, cells, 0, "add", 5)
             assert old == 0
-            old = yield from ctx.dmapp.amo_b(1, cells, 0, "cas", 5, 99)
+            old = yield from ctx.amo(1, cells, 0, "cas", 5, 99)
             assert old == 5
             return cells.load(0)
         yield from ctx.compute(1)

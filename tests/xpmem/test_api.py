@@ -114,12 +114,3 @@ def test_amo_stream_fetch():
     res = run_on_world(world, program)
     assert res.returns[0] == [0, 0, 0, 0]
     assert cells.snapshot() == [1, 2, 3, 4]
-
-
-def test_mfence_is_instant_generator():
-    def program(ctx):
-        t0 = ctx.now
-        yield from ctx.xpmem.mfence()
-        return ctx.now - t0
-
-    assert run_spmd(program, 1, machine=INTRA).returns[0] == 0
