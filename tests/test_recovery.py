@@ -411,6 +411,49 @@ def test_dynamic_regions_of_dead_rank_reclaimed():
     assert res.stats["recovery"]["regions_reclaimed"] >= 1
 
 
+def _multi_window_victim_program(ctx):
+    # Window 0 dynamic, window 1 allocated, window 2 carries an MCS lock.
+    # Rank 1 holds a shared lock on window 1, attaches two regions to
+    # window 0 and dies queued behind rank 0 on the MCS lock.
+    dyn = yield from ctx.rma.win_create_dynamic()
+    win = yield from ctx.rma.win_allocate(256)
+    qwin = yield from ctx.rma.win_allocate(64)
+    lock = McsLock(qwin)
+    if ctx.rank == 1:
+        yield from win.lock(0, LockType.SHARED)
+        for _ in range(2):
+            yield from dyn.attach(ctx.space.alloc(512, label="dyn"))
+    yield ctx.env.timeout(1_000 * ctx.rank)
+    if ctx.rank == 0:
+        yield from lock.acquire()
+        yield ctx.env.timeout(120_000)  # rank 1 dies waiting behind us
+        yield from lock.release()
+        yield from win.lock(0, LockType.EXCLUSIVE)
+        yield from win.unlock(0)
+        return ("ok", ctx.now)
+    yield from lock.acquire()
+    if ctx.rank == 1:
+        yield ctx.env.timeout(10_000_000)
+    yield from lock.release()
+    return ("ok", ctx.now)
+
+
+def test_multi_window_reclaim_order_pinned():
+    """A dead rank with a dynamic window (two regions), an allocated
+    window and a queued MCS lock on a third window: revocation walks
+    every window of the world, so its counts and the end of the run are
+    pinned (recorded before the window table replaced the per-kind
+    registries)."""
+    res = run_spmd(_multi_window_victim_program, 3, machine=INTER,
+                   faults=crash_plan((1, 50_000)))
+    assert isinstance(res.returns[1], NodeCrashedError)
+    rec = res.stats["recovery"]
+    assert (rec["regions_reclaimed"], rec["queue_splices"],
+            rec["locks_revoked"], res.sim_time_ns) == (4, 1, 1, 145_059)
+    assert (res.returns[0], res.returns[2]) == (("ok", 144_527),
+                                                ("ok", 144_159))
+
+
 # ---------------------------------------------------------------------------
 # application-level containment: hashtable owner crash
 # ---------------------------------------------------------------------------
