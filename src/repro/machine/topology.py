@@ -123,12 +123,9 @@ class RankMap:
             raise ValueError(f"cannot rehome rank {rank} to node {node}")
         self._overrides[rank] = (node, int(generation))
 
-    def ranks_on(self, node: int) -> range:
-        lo = node * self.ranks_per_node
-        hi = min(self.nranks, lo + self.ranks_per_node)
-        if lo >= self.nranks:
-            raise ValueError(f"node {node} hosts no ranks")
-        return range(lo, hi)
+    def ranks_on(self, node: int) -> tuple[int, ...]:
+        """The ranks ``node`` hosts now, re-homed ones included."""
+        return tuple(r for r in range(self.nranks) if self.node_of(r) == node)
 
     def same_node(self, a: int, b: int) -> bool:
         if self._overrides:

@@ -64,11 +64,6 @@ class Segment:
         self._check(offset, n)
         dst[:] = self._mv[offset:offset + n]
 
-    def read_bytes(self, offset: int, nbytes: int) -> bytes:
-        """An immutable copy of ``nbytes`` bytes at ``offset``."""
-        self._check(offset, nbytes)
-        return bytes(self._mv[offset:offset + nbytes])
-
     def view(self, offset: int, nbytes: int) -> np.ndarray:
         """A writable view (used by the XPMEM direct-mapping path)."""
         self._check(offset, nbytes)
@@ -161,9 +156,6 @@ class AddressSpace:
         self._reserved.append((lo, hi))
         self._reserved.sort()
 
-    def reserved_bytes(self) -> int:
-        return sum(hi - lo for lo, hi in self._reserved)
-
     # -- allocation ------------------------------------------------------
     def alloc(self, size: int, label: str = "") -> Segment:
         """Allocate anywhere (like plain mmap(NULL, ...))."""
@@ -199,10 +191,3 @@ class AddressSpace:
         seg.alive = False
         del self.segments[seg.seg_id]
         self._reserved.remove((seg.vaddr, seg.vaddr + seg.size))
-
-    def segment_at(self, vaddr: int) -> tuple[Segment, int]:
-        """Resolve a virtual address to (segment, offset)."""
-        for seg in self.segments.values():
-            if seg.vaddr <= vaddr < seg.vaddr + seg.size:
-                return seg, vaddr - seg.vaddr
-        raise MemoryError_(f"rank {self.rank}: unmapped address {vaddr:#x}")

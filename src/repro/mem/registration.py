@@ -105,13 +105,3 @@ class RegistrationTable:
         raise RegistrationError(
             f"rank {self.rank}: no registered memory at {vaddr:#x} "
             f"(+{nbytes} bytes)")
-
-    def resolve_va(self, vaddr: int, nbytes: int = 1) -> Segment:
-        """Resolve a registered range by virtual address."""
-        return self.lookup_va(vaddr, nbytes)[0]
-
-    def descriptor_for_va(self, vaddr: int, nbytes: int = 1) -> MemDescriptor:
-        return self.lookup_va(vaddr, nbytes)[1]
-
-    def registered_count(self) -> int:
-        return len(self._regs)

@@ -58,7 +58,7 @@ class DynamicState:
         cached = self.cache.get(target)
         # Validate the cache: one 8-byte remote read of the id counter.
         current_id = yield from win.ctx.amo(
-            target, win.ctrl_refs[target], win_mod.IDX_DYN_ID, "add", 0)
+            target, win.peers[target].ctrl, win_mod.IDX_DYN_ID, "add", 0)
         if cached is None or cached[0] != current_id:
             self.cache_misses += 1
             yield from self._refetch(win, target, current_id)
@@ -80,7 +80,7 @@ class DynamicState:
         """Discard and reload the remote region list (a real get whose size
         scales with the region count)."""
         ctx = win.ctx
-        remote = ctx.world.blackboard[("dyn", win.win_id, target)]
+        remote = win.peers[target].dyn
         n = max(1, len(remote.regions))
         yield from ctx.dmapp.get_b(remote.directory_desc, 0,
                                    n * win.params.dyn_descriptor_bytes)
@@ -128,7 +128,7 @@ class OptimizedDynamicState(DynamicState):
             self.cache_misses += 1
             yield from self._refetch(win, target, 0)
             # register for detach notifications at the target
-            remote = ctx.world.blackboard[("dyn", win.win_id, target)]
+            remote = win.peers[target].dyn
             yield from ctx.amo_custom(
                 target, remote._ring_append(remote.cachers, ctx.rank),
                 win.params.instr_lock)
@@ -147,7 +147,7 @@ class OptimizedDynamicState(DynamicState):
             peer = v - 1
             self.cachers.store(s, 0)
             self.notifications_sent += 1
-            other = ctx.world.blackboard[("dyn", win.win_id, peer)]
+            other = win.peers[peer].dyn
             yield from ctx.amo_custom(
                 peer, other._ring_append(other.inval, ctx.rank),
                 win.params.instr_lock)

@@ -99,7 +99,7 @@ def _amo(win, target: int, idx: int, op: str, operand: int,
                 ledger.record(win.win_id, target, idx, ctx.rank,
                               operand - old)
 
-    return (yield from ctx.amo(target, win.ctrl_refs[target], idx, op,
+    return (yield from ctx.amo(target, win.peers[target].ctrl, idx, op,
                                operand, operand2, blocking=blocking,
                                on_applied=record))
 

@@ -68,13 +68,10 @@ class McsLock:
         self._token = False       # token held (acquired, or handed to us)
         self._handed = False      # hand-off to the successor delivered
         self._turn = 0            # acquires begun; dates the hand-off note
-        ctx = win.ctx
-        if ctx.notifier is not None:
-            ctx.world.blackboard.setdefault(
-                ("mcs", win.win_id, self.base), {})[ctx.rank] = self
+        win.mcs_locks[self.base] = self
 
     def _cells(self, rank: int):
-        return self.win.ctrl_refs[rank]
+        return self.win.peers[rank].ctrl
 
     def _amo(self, target: int, idx: int, op: str, a: int, b: int = 0,
              blocking: bool = True, on_applied=None):

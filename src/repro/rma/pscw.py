@@ -90,7 +90,7 @@ def post(win, group):
             continue
         try:
             yield from ctx.amo_custom(
-                j, _append_entry(win.ctrl_refs[j], cap, win.rank),
+                j, _append_entry(win.peers[j].ctrl, cap, win.rank),
                 win.params.instr_lock)
         except NodeCrashedError as exc:
             if notifier is None:
@@ -196,10 +196,10 @@ def complete(win):
             continue
         if ctx.same_node(j):
             yield from ctx.instr(win.params.instr_lock)
-            win.ctrl_refs[j].fadd(win_mod.IDX_PSCW_DONE, 1)
+            win.peers[j].ctrl.fadd(win_mod.IDX_PSCW_DONE, 1)
         else:
             try:
-                yield from ctx.dmapp.amo_nbi(j, win.ctrl_refs[j],
+                yield from ctx.dmapp.amo_nbi(j, win.peers[j].ctrl,
                                              win_mod.IDX_PSCW_DONE,
                                              "add", 1)
             except NodeCrashedError as exc:

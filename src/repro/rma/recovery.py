@@ -48,6 +48,11 @@ survivor instead of a hang or a watchdog livelock.  ``win_free`` degrades
 to a local free so a dead rank cannot deadlock collective teardown, and
 the dead ranks' dynamic attach lists and heap segments are reclaimed.
 
+All three read the world's window table (``World.windows``, win_id ->
+rank -> Window): a compensation lands on the target Window's control
+words, and zombies and reclaim visit the dead ranks' Windows by win_id,
+then MCS cell base, then rank -- attach lists before heap segments.
+
 Timing assumption (documented, also in DESIGN.md section 9): revocation
 runs at least ``DETECT_NS + REVOKE_NS`` (:mod:`repro.runtime.notify`)
 after the crash, which must exceed the maximum in-flight packet latency
@@ -65,7 +70,6 @@ from repro.sim.kernel import AnyOf
 __all__ = [
     "RevocationLedger",
     "install",
-    "ranks_on_node",
     "fail_acquire",
     "check_peer_alive",
     "guarded_barrier",
@@ -120,18 +124,13 @@ class RevocationLedger:
 # ----------------------------------------------------------------------
 # structured-failure helpers for the lock layer
 # ----------------------------------------------------------------------
-def ranks_on_node(world, node: int) -> tuple:
-    node_of = world.rank_map.node_of
-    return tuple(r for r in range(world.nranks) if node_of(r) == node)
-
-
 def fail_acquire(ctx, exc: NodeCrashedError, op: str):
     """Convert a transport-level quarantine error hit inside a lock
     acquisition into the user-level structured error."""
     if ctx.notifier is None:
         raise exc
     ctx.world.injector.stats.acquisitions_failed += 1
-    raise RankFailedError(ranks_on_node(ctx.world, exc.node), op=op,
+    raise RankFailedError(ctx.world.rank_map.ranks_on(exc.node), op=op,
                           detail=str(exc)) from exc
 
 
@@ -175,7 +174,7 @@ def guarded_barrier(ctx, op: str):
             stats.epochs_failed += 1
             failed = set(notifier.known(ctx.rank))
             if isinstance(exc, NodeCrashedError):
-                failed.update(ranks_on_node(ctx.world, exc.node))
+                failed.update(ctx.world.rank_map.ranks_on(exc.node))
             raise EpochError(f"{op} aborted", failed_ranks=failed) from exc
         raise
     if proc.is_alive:
@@ -239,26 +238,28 @@ def _revoke_lock_words(world, failed):
         win_id, target, idx = key
         if inj.node_crashed(node_of(target), env.now):
             continue  # the word died with its home rank
-        ctrl = world.blackboard.get(("winctrl", win_id), {}).get(target)
-        if ctrl is None:
-            continue
         yield REVOKE_NS
-        ctrl.apply(idx, "add", -delta)  # wakes any watchers of the word
+        # wakes any watchers of the word
+        world.windows[win_id][target].ctrl.apply(idx, "add", -delta)
         inj.stats.locks_revoked += 1
         env.note_progress()
 
 
+def _dead_windows(world, failed) -> list:
+    """``(rank, Window)`` of every dead rank in the window table, by
+    win_id, then rank."""
+    return [(r, row[r]) for _, row in sorted(world.windows.items())
+            for r in sorted(failed) if r in row]
+
+
 def _spawn_mcs_zombies(world, failed) -> None:
-    bb = world.blackboard
-    keys = sorted((k for k in bb
-                   if isinstance(k, tuple) and k and k[0] == "mcs"),
-                  key=lambda k: (k[1], k[2]))
-    for key in keys:
-        instances = bb[key]
-        for r in sorted(instances):
-            if r in failed and instances[r]._queued:
-                world.env.process(_mcs_zombie(world, instances[r], r),
-                                  name=f"mcs-zombie:rank{r}")
+    locks = [(r, lock) for r, win in _dead_windows(world, failed)
+             for lock in win.mcs_locks.values()]
+    # By win_id, then cell base, then rank (the sort is stable).
+    for r, lock in sorted(locks, key=lambda e: (e[1].win.win_id, e[1].base)):
+        if lock._queued:
+            world.env.process(_mcs_zombie(world, lock, r),
+                              name=f"mcs-zombie:rank{r}")
 
 
 def _mcs_zombie(world, lock, rank: int):
@@ -316,18 +317,12 @@ def _reclaim(world, failed):
     leak registrations."""
     env = world.env
     inj = world.injector
-    bb = world.blackboard
-    dyn_keys = sorted((k for k in bb
-                       if isinstance(k, tuple) and k and k[0] == "dyn"),
-                      key=lambda k: (k[1], k[2]))
-    for key in dyn_keys:
-        _, win_id, r = key
-        if r not in failed:
+    dead = _dead_windows(world, failed)
+    for r, win in dead:  # dynamic attach lists first, then heap segments
+        st = win.dyn
+        if st is None or not st.regions:
             continue
-        st = bb[key]
         n = len(st.regions)
-        if not n:
-            continue
         yield REVOKE_NS
         for desc in list(st.regions):
             try:
@@ -338,22 +333,14 @@ def _reclaim(world, failed):
         st.cache.clear()
         inj.stats.regions_reclaimed += n
         env.note_progress()
-    win_keys = sorted((k for k in bb
-                       if isinstance(k, tuple) and k and k[0] == "winobjs"),
-                      key=lambda k: k[1])
-    for key in win_keys:
-        wins = bb[key]
-        for r in sorted(wins):
-            if r not in failed:
-                continue
-            win = wins[r]
-            if win.freed or win.seg is None:
-                continue
-            yield REVOKE_NS
-            try:
-                world.spaces[r].free(win.seg)
-            except Exception:
-                pass
-            win.freed = True
-            inj.stats.regions_reclaimed += 1
-            env.note_progress()
+    for r, win in dead:
+        if win.freed or win.seg is None:
+            continue
+        yield REVOKE_NS
+        try:
+            world.spaces[r].free(win.seg)
+        except Exception:
+            pass
+        win.freed = True
+        inj.stats.regions_reclaimed += 1
+        env.note_progress()

@@ -13,6 +13,12 @@
   segment for the descriptor-cache protocol.
 * ``win_allocate_shared`` -- one contiguous per-node segment, every rank
   maps it directly (XPMEM/POSIX-shm style), constant memory per core.
+
+A :class:`Window` enters its world's window table (``World.windows``,
+win_id -> rank -> Window) when it is constructed.  A protocol publishes
+by setting fields of its own Window (control words, XPMEM exposure,
+dynamic directory, shared size and segment); after the protocol's
+barrier a rank reads them from the peer's Window in ``win.peers``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ class RmaContext:
         self.ctx = ctx
         self.params = params or FompiParams()
         self._next_win = 0
-        self.windows: list[Window] = []
 
     def _new_win_id(self) -> int:
         # All ranks create windows in the same (collective) order, so a
@@ -56,31 +61,23 @@ class RmaContext:
         return ctrl
 
     def _exchange_ctrl(self, win: Window):
-        """Publish our control block and collect everyone's.
+        """Expose our segment, then map the same-node peers' ones.
 
-        For allocated windows the control words live at symmetric offsets,
-        so no descriptor exchange is needed -- a barrier orders
-        publication (O(log p)).
+        Peers read our control words and exposure from our Window
+        (``win.peers``).  For allocated windows the control words live at
+        symmetric offsets, so no descriptor exchange is needed -- a
+        barrier orders publication (O(log p)).
         """
-        bb = self.ctx.world.blackboard
-        key = ("winctrl", win.win_id)
-        bb.setdefault(key, {})[self.ctx.rank] = win.ctrl
-        if self.ctx.notifier is not None:
-            # Recovery needs the window objects themselves (heap segment,
-            # freed flag) to tear down dead ranks' windows.
-            bb.setdefault(("winobjs", win.win_id), {})[self.ctx.rank] = win
-        xkey = ("winxpmem", win.win_id)
         if win.seg is not None:
-            bb.setdefault(xkey, {})[self.ctx.rank] = \
-                self.ctx.xpmem.expose(win.seg)
+            win.xtoken = self.ctx.xpmem.expose(win.seg)
         yield from self.ctx.coll.barrier()
-        win.ctrl_refs = bb[key]
         if win.seg is not None:
             # token.node first (attach() takes this node's tokens only):
             # the compare spares p placement queries per rank.  A mapping
             # for the data path, not an atomic: ctx.amo has no part in it.
             node = self.ctx.node
-            for r, token in bb.get(xkey, {}).items():
+            for r, peer in win.peers.items():
+                token = peer.xtoken
                 if (token.node == node and r != self.ctx.rank
                         and self.ctx.same_node(r)):
                     win.xsegs[r] = self.ctx.xpmem.attach(token)
@@ -92,15 +89,11 @@ class RmaContext:
         win = Window(ctx, self._new_win_id(), WinFlavor.ALLOCATE,
                      disp_unit=disp_unit, size=size, params=self.params)
         leader_rng = ctx.world.rng("symheap", 0)
-        interposer = ctx.world.blackboard.get("symheap_interposer")
-        attempt = 0
         seg = None
         while True:
             addr = None
             if ctx.rank == 0:
                 addr = propose_address(leader_rng, max(1, size))
-                if interposer is not None:
-                    addr = interposer(attempt, addr)
             addr = yield from ctx.coll.bcast(addr, root=0, nbytes=8)
             seg = try_symmetric_alloc(ctx.space, addr, max(1, size),
                                       label=f"win{win.win_id}")
@@ -111,13 +104,11 @@ class RmaContext:
             if seg is not None:
                 ctx.space.free(seg)
                 seg = None
-            attempt += 1
         win.seg = seg
         win.base_vaddr = seg.vaddr
         ctx.reg.register(seg)
         win.ctrl = self._make_ctrl(win)
         yield from self._exchange_ctrl(win)
-        self.windows.append(win)
         return win
 
     # ------------------------------------------------------------------
@@ -138,7 +129,6 @@ class RmaContext:
         # Second allgather: XPMEM tokens among intra-node peers (modeled
         # inside _exchange_ctrl's publication + barrier).
         yield from self._exchange_ctrl(win)
-        self.windows.append(win)
         return win
 
     # ------------------------------------------------------------------
@@ -167,9 +157,7 @@ class RmaContext:
                                            label=f"dyndir{win.win_id}")
         st.directory_desc = ctx.reg.register(st.directory_seg)
         win.dyn = st
-        ctx.world.blackboard[("dyn", win.win_id, ctx.rank)] = st
         yield from self._exchange_ctrl(win)
-        self.windows.append(win)
         return win
 
     # ------------------------------------------------------------------
@@ -183,26 +171,20 @@ class RmaContext:
                 f"(nodes: {sorted(nodes)})")
         win = Window(ctx, self._new_win_id(), WinFlavor.SHARED,
                      disp_unit=disp_unit, size=size, params=self.params)
-        bb = ctx.world.blackboard
-        key = ("winshared", win.win_id)
-        bb.setdefault(key, {})[ctx.rank] = size
-        yield from ctx.coll.barrier()
-        sizes = bb[key]
+        yield from ctx.coll.barrier()  # every peer's size is set
         offsets, acc = {}, 0
         for r in range(ctx.nranks):
             offsets[r] = acc
-            acc += sizes[r]
-        segkey = ("winsharedseg", win.win_id)
+            acc += win.peers[r].size
         if ctx.rank == 0:
             seg = ctx.space.alloc(max(1, acc), label=f"shwin{win.win_id}")
             ctx.reg.register(seg)
-            bb[segkey] = seg
+            win.shared_segment = seg
         yield from ctx.coll.barrier()
-        win.shared_segment = bb[segkey]
+        win.shared_segment = win.peers[0].shared_segment
         win.shared_offsets = offsets
         win.ctrl = self._make_ctrl(win)
         yield from self._exchange_ctrl(win)  # win.seg is None: no XPMEM maps
-        self.windows.append(win)
         return win
 
     # ------------------------------------------------------------------

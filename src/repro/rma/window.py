@@ -98,10 +98,17 @@ class Window:
         self.base_vaddr: int | None = None            # ALLOCATE: O(1)
         self.descs: dict[int, Any] | None = None      # CREATE: Omega(p)
         self.xsegs: dict[int, Any] = {}               # same-node mapped segments
+        self.xtoken = None                            # our XPMEM exposure
         self.ctrl: SegmentCells | None = None
-        self.ctrl_refs: dict[int, SegmentCells] = {}
         self.shared_segment = None                    # SHARED flavor
         self.shared_offsets: dict[int, int] | None = None
+        # This window's row of the world's table (rank -> Window), one
+        # dict shared by every rank: a peer's control words, exposure,
+        # directory and size are read from its Window.
+        self.peers: dict[int, Window] = ctx.world.windows.setdefault(
+            win_id, {})
+        self.peers[self.rank] = self
+        self.mcs_locks: dict[int, Any] = {}    # cell base -> McsLock
 
         # Synchronization state:
         self.epoch_access: str | None = None    # 'fence'|'pscw'|'lock'|'lock_all'

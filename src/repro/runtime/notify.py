@@ -74,11 +74,9 @@ class FailureNotifier:
         crashes = sorted({(inj.crash_time(cr.node), cr.node)
                           for cr in world.faults.crashes})
         self._crash_events: list[tuple[int, int, tuple[int, ...]]] = []
-        node_of = world.rank_map.node_of
         for when, node in crashes:
-            ranks = tuple(r for r in range(world.nranks)
-                          if node_of(r) == node)
-            self._crash_events.append((when, node, ranks))
+            self._crash_events.append(
+                (when, node, world.rank_map.ranks_on(node)))
 
     # ------------------------------------------------------------------
     # queries (used by the protocol layers)

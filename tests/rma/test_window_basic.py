@@ -6,6 +6,7 @@ import pytest
 from repro import run_spmd
 from repro.config import MachineConfig
 from repro.errors import EpochError, WindowError
+from repro.mem.symheap import propose_address
 from repro.rma.enums import WinFlavor
 
 INTER = MachineConfig(ranks_per_node=1)   # all ranks on distinct nodes
@@ -101,20 +102,19 @@ def test_allocate_is_symmetric():
     assert len(set(res.returns)) == 1  # same base address everywhere
 
 
-def test_symheap_retry_on_collision():
+def test_symheap_retry_on_collision(monkeypatch):
     """Force the first two proposals to collide with existing mappings."""
-    from repro.runtime.job import Job, run_on_world
+    from repro.rma import runtime as rma_runtime
 
-    job = Job(nranks=4, machine=INTER)
-    world = job.build_world()
     taken = []
+    proposed = []
 
-    def interposer(attempt, addr):
-        if attempt < 2:
-            return taken[attempt]
-        return addr
+    def propose(rng, size):
+        proposed.append(propose_address(rng, size))
+        attempt = len(proposed) - 1
+        return taken[attempt] if attempt < 2 else proposed[-1]
 
-    world.blackboard["symheap_interposer"] = interposer
+    monkeypatch.setattr(rma_runtime, "propose_address", propose)
 
     def program(ctx):
         # Pre-occupy two ranges on rank 2 so MAP_FIXED fails there.
@@ -126,9 +126,10 @@ def test_symheap_retry_on_collision():
         win = yield from ctx.rma.win_allocate(4096)
         return win.base_vaddr
 
-    res = run_on_world(world, program)
+    res = run_spmd(program, 4, machine=INTER)
     assert len(set(res.returns)) == 1
     assert res.returns[0] not in taken
+    assert len(proposed) == 3  # two collisions, then success
 
 
 def test_allocate_control_memory_constant_create_linear():

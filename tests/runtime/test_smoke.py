@@ -17,6 +17,20 @@ def test_hello_world_returns():
     assert res.sim_time_ns >= 10
 
 
+def test_context_docstring_example_runs():
+    """The rank program in repro.runtime.process's docstring runs."""
+    import textwrap
+
+    from repro.rma.enums import LockType
+    from repro.runtime import process
+
+    example = process.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+    scope = {"LockType": LockType, "data": np.arange(64, dtype=np.uint8)}
+    exec(textwrap.dedent(example), scope)
+    res = run_spmd(scope["program"], 2)
+    assert all(isinstance(t, int) and t > 0 for t in res.returns)
+
+
 def test_pingpong_inter_node():
     cfg = MachineConfig(ranks_per_node=1)
 

@@ -251,7 +251,7 @@ def test_mcs_hand_off_in_flight_spares_next_turn_notes():
         elif ctx.rank == 1:
             yield ctx.env.timeout(1_000)
             yield from lock.acquire()      # resumes at hand-off delivery
-            peer = ctx.world.blackboard[("mcs", win.win_id, lock.base)][0]
+            peer = win.peers[0].mcs_locks[lock.base]
             notes = (peer._queued, peer._pred, peer._handed)
             yield from lock.release()
             return notes

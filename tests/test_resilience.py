@@ -275,16 +275,15 @@ def test_total_packet_loss_exhausts_retry_budget():
     """drop_prob=1.0: every (re)transmission is lost; the hardened
     transport gives up with DeadlineError instead of hanging."""
     faults = FaultPlan(drop_prob=1.0)
+    descs = {}
 
     def program(ctx):
         seg = ctx.space.alloc(64)
-        desc = ctx.reg.register(seg)
-        bb = ctx.world.blackboard.setdefault("descs", {})
-        bb[ctx.rank] = desc
+        descs[ctx.rank] = ctx.reg.register(seg)
         yield from ctx.compute(10)
         if ctx.rank == 0:
             with pytest.raises(DeadlineError) as exc:
-                yield from ctx.dmapp.put_nbi(bb[1], 0, np.ones(8, np.uint8))
+                yield from ctx.dmapp.put_nbi(descs[1], 0, np.ones(8, np.uint8))
             assert exc.value.attempts == 65  # 1 try + MAX_RETRIES (64)
             assert exc.value.target == 1
         return "done"
