@@ -238,9 +238,9 @@ def _revoke_lock_words(world, failed):
         win_id, target, idx = key
         if inj.node_crashed(node_of(target), env.now):
             continue  # the word died with its home rank
+        ctrl = world.windows[win_id][target].ctrl
         yield REVOKE_NS
-        # wakes any watchers of the word
-        world.windows[win_id][target].ctrl.apply(idx, "add", -delta)
+        ctrl.apply(idx, "add", -delta)  # wakes any watchers of the word
         inj.stats.locks_revoked += 1
         env.note_progress()
 

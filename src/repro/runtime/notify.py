@@ -73,10 +73,9 @@ class FailureNotifier:
         inj = world.injector
         crashes = sorted({(inj.crash_time(cr.node), cr.node)
                           for cr in world.faults.crashes})
-        self._crash_events: list[tuple[int, int, tuple[int, ...]]] = []
-        for when, node in crashes:
-            self._crash_events.append(
-                (when, node, world.rank_map.ranks_on(node)))
+        self._crash_events: list[tuple[int, int, tuple[int, ...]]] = [
+            (when, node, world.rank_map.ranks_on(node))
+            for when, node in crashes]
 
     # ------------------------------------------------------------------
     # queries (used by the protocol layers)
