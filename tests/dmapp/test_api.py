@@ -60,15 +60,23 @@ def test_layer_boundaries_are_generator_functions():
 def test_layer_boundaries_are_called_once_per_op():
     """perfbench patches the boundaries on the *class*, after the world is
     built: an op must reach each of them through the class, exactly once
-    -- no bound method cached at construction, no inlined ``gsync``."""
+    -- no bound method cached at construction, no inlined ``gsync`` or
+    ``wait``, no boundary skipped by a flattened path."""
     from repro.machine.network import Network
+    from repro.rma.enums import Op
     from repro.rma.window import Window
     from repro.runtime.job import Job, run_on_world
 
-    names = ((Window, "put"), (Window, "flush"), (Window, "compare_and_swap"),
-             (DmappEndpoint, "put_nbi"), (DmappEndpoint, "gsync"),
-             (DmappEndpoint, "amo_nbi"), (Network, "packet"))
-    calls = dict.fromkeys(names, 0)
+    # 8 each of put + flush, CAS, fetch-and-op, and get + flush.
+    expected = {(Window, "put"): 8, (Window, "flush"): 16,
+                (Window, "compare_and_swap"): 8, (Window, "fetch_and_op"): 8,
+                (Window, "get"): 8,
+                (DmappEndpoint, "put_nbi"): 8, (DmappEndpoint, "gsync"): 16,
+                (DmappEndpoint, "amo_nbi"): 16,
+                (DmappEndpoint, "get_nbi"): 8,
+                (DmappEndpoint, "wait"): 16,
+                (Network, "packet"): 32}
+    calls = dict.fromkeys(expected, 0)
 
     def program(ctx):
         win = yield from ctx.rma.win_allocate(64, disp_unit=8)
@@ -83,6 +91,12 @@ def test_layer_boundaries_are_called_once_per_op():
             for i in range(8):
                 yield from win.compare_and_swap(np.int64(i), np.int64(i + 1),
                                                 1, 1)
+            for _ in range(8):
+                yield from win.fetch_and_op(np.int64(1), 1, 2, Op.SUM)
+            out = np.empty(1, np.int64)
+            for _ in range(8):
+                yield from win.get(out, 1, 0)
+                yield from win.flush(1)
             counted = dict(calls)
         else:
             # Idle through it, so every packet counted is rank 0's.
@@ -99,7 +113,7 @@ def test_layer_boundaries_are_called_once_per_op():
 
     world = Job(nranks=2, machine=INTER).build_world()
     originals = [(owner, attr, inspect.getattr_static(owner, attr))
-                 for owner, attr in names]
+                 for owner, attr in expected]
     try:
         for owner, attr, orig in originals:
             setattr(owner, attr, counting((owner, attr), orig))
@@ -107,7 +121,7 @@ def test_layer_boundaries_are_called_once_per_op():
     finally:
         for owner, attr, orig in originals:
             setattr(owner, attr, orig)
-    assert counted == {key: 16 if key[1] == "packet" else 8 for key in names}
+    assert counted == expected
 
 
 def test_put_data_captured_at_issue(faults):
