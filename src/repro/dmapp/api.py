@@ -142,29 +142,6 @@ class DmappEndpoint:
         self._op_seq = 0       # AMO sequence numbers (faulty fabric only)
 
     # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _track(self, handle: DmappHandle, target: int, nbytes: int) -> None:
-        if handle.remote_complete > self._horizon:
-            self._horizon = handle.remote_complete
-        # Data movement is forward progress for the watchdog; AMOs are
-        # deliberately NOT marks (a spinning lock issues AMOs forever).
-        if handle.kind == "put" or handle.kind == "get":
-            self.env.note_progress()
-        # env.now has not advanced since issue (every op body computes its
-        # times eagerly and only yields after _track), so now == t0.
-        if self.obs is not None:
-            self.obs.on_op(self.rank, handle.kind, target, self.env.now,
-                           handle.remote_complete, nbytes)
-
-    def _next_seq(self) -> int:
-        """Sequence number of one AMO.  Drawn once per operation, before
-        any attempt or restore-reissue, so the injector's replay cache
-        deduplicates a copy whose first transmission already took effect."""
-        self._op_seq += 1
-        return self._op_seq
-
-    # ------------------------------------------------------------------
     # faulty fabric: the retransmit loop and its per-op attempts
     # ------------------------------------------------------------------
     def _transmit(self, tnode: int, nbytes: int, kind: str,
@@ -279,7 +256,7 @@ class DmappEndpoint:
                                          fate.extra_delay_ns)
         if fate.corrupt or self.injector.node_crashed(tnode, delivery):
             return None
-        self._at(delivery, effect)
+        self.env.call_at(max(0, delivery - self.env.now), effect)
         return self._acked(tnode, delivery)
 
     def _await_restore(self, target_rank: int, exc: NodeCrashedError):
@@ -295,10 +272,6 @@ class DmappEndpoint:
     # ------------------------------------------------------------------
     # target-side legs shared by both fabrics
     # ------------------------------------------------------------------
-    def _at(self, when: int, callback) -> None:
-        """Run ``callback()`` at simulated time ``when``."""
-        self.env.call_at(max(0, when - self.env.now), callback)
-
     def _response_leg(self, tnode: int, nbytes: int, req_delivery) -> int:
         """The target NIC reads memory and streams a get response back,
         sharing the target's bulk-injection bandwidth with its own
@@ -350,6 +323,7 @@ class DmappEndpoint:
         env = self.env
         total = payload.nbytes
         chunk = net.params.max_chunk
+        fma = net.params.fma_threshold
         while True:
             try:
                 seg = self.reg_tables[desc.rank].resolve(desc)
@@ -386,9 +360,9 @@ class DmappEndpoint:
                     # the injection FIFO is full -- until an older
                     # descriptor drained.
                     cpu_free = env.now + net.o_inject_int
-                    admit = net.injection_admit(node, inj_end, size)
-                    if admit > cpu_free:
-                        cpu_free = admit
+                    if size > fma:    # FMA-path ops never queue
+                        cpu_free = max(cpu_free, net.injection_admit(
+                            node, inj_end, size))
                     net.counters.count_issue(self.rank, "put", n)
                     # Chunks can finish out of order (a small tail chunk
                     # takes the FMA path while bulk chunks drain on the
@@ -403,14 +377,19 @@ class DmappEndpoint:
                 break
             except NodeCrashedError as exc:
                 yield from self._await_restore(desc.rank, exc)
-        handle = DmappHandle("put", drained, int(round(complete)))
-        self._track(handle, desc.rank, total)
+        complete = int(round(complete))
+        if complete > self._horizon:
+            self._horizon = complete
+        env.progress_marks += 1    # data movement is watchdog progress
+        if self.obs is not None:
+            self.obs.on_op(self.rank, "put", desc.rank, env.now, complete,
+                           total)
         # The CPU is blocked only until the NIC accepted the descriptor
         # (o_inject); the DMA drain itself overlaps with computation.
         wait = cpu_free - env.now
         if wait > 0:
             yield wait
-        return handle
+        return DmappHandle("put", drained, complete)
 
     # ------------------------------------------------------------------
     # get
@@ -461,9 +440,15 @@ class DmappEndpoint:
             seg.read_into(offset, memoryview(flat.data))
             handle.result = flat
 
-        self._at(data_arrival, _read_at_target)
+        self.env.call_at(max(0, data_arrival - self.env.now),
+                         _read_at_target)
         net.counters.count_issue(self.rank, "get", nbytes)
-        self._track(handle, desc.rank, nbytes)
+        if data_arrival > self._horizon:
+            self._horizon = data_arrival
+        self.env.progress_marks += 1    # data movement is watchdog progress
+        if self.obs is not None:
+            self.obs.on_op(self.rank, "get", desc.rank, self.env.now,
+                           data_arrival, nbytes)
         wait = max(net.o_inject_int,
                    net.injection_admit(node, inj_end, _HEADER_BYTES)
                    - self.env.now)
@@ -484,17 +469,22 @@ class DmappEndpoint:
              nbytes: int, apply, fetch: bool, on_applied, stream: int = 0):
         """Issue one AMO request -- a single AMO, or a ``stream`` of that
         many -- whose effect is ``old = apply()`` at the target NIC.
+        Returns ``(handle, wait)``; the caller sleeps the ``wait`` ns.
 
         The one exactly-once body of all three entry points: the sequence
         number is drawn once, before any attempt or restore-reissue, and a
         replayed copy returns the cached result instead of re-applying.
+        It suspends only to await a crashed target's restore: otherwise
+        it runs to its return like a plain call, off the caller's stack.
         ``nbytes`` is what the op counts; a single AMO injects
         ``_AMO_BYTES`` for its 8, a stream its ``nbytes``.
         """
         net = self.network
         node = self.node
         inj = self.injector
-        seq = 0 if inj is None else self._next_seq()
+        seq = 0
+        if inj is not None:    # the AMO's sequence number, drawn once
+            self._op_seq = seq = self._op_seq + 1
         handle = DmappHandle(handle_kind, 0, 0)
         wire_bytes = nbytes if stream else _AMO_BYTES
 
@@ -526,7 +516,8 @@ class DmappEndpoint:
                 inj_end = window[1]
                 if stream:
                     delivery = self._stream_delivery(tnode, stream, inj_end)
-                    self._at(delivery, _execute)
+                    self.env.call_at(max(0, delivery - self.env.now),
+                                     _execute)
                 else:
                     delivery = net.packet(
                         node, tnode, wire_bytes, inject_window=window,
@@ -538,13 +529,17 @@ class DmappEndpoint:
         handle.local_complete = inj_end
         handle.remote_complete = complete
         net.counters.count_issue(self.rank, kind, nbytes)
-        self._track(handle, target_rank, nbytes)
-        wait = max(net.o_inject_int,
-                   net.injection_admit(node, inj_end, wire_bytes)
-                   - self.env.now)
-        if wait > 0:
-            yield wait
-        return handle
+        if complete > self._horizon:
+            self._horizon = complete
+        # No watchdog progress: a spinning lock issues AMOs forever.
+        if self.obs is not None:
+            self.obs.on_op(self.rank, handle_kind, target_rank,
+                           self.env.now, complete, nbytes)
+        wait = net.o_inject_int
+        if wire_bytes > net.params.fma_threshold:   # FMA ops never queue
+            wait = max(wait, net.injection_admit(node, inj_end, wire_bytes)
+                       - self.env.now)
+        return handle, wait
 
     def amo_nbi(self, target_rank: int, cells: SegmentCells, idx: int,
                 op: str, operand: int, operand2: int = 0, on_applied=None):
@@ -555,8 +550,11 @@ class DmappEndpoint:
         """
         apply = (partial(cells.cas, idx, operand, operand2) if op == "cas"
                  else partial(cells.apply, idx, op, operand))
-        return (yield from self._amo(target_rank, "amo", f"amo:{op}", 8,
-                                     apply, True, on_applied))
+        handle, wait = yield from self._amo(
+            target_rank, "amo", f"amo:{op}", 8, apply, True, on_applied)
+        if wait > 0:
+            yield wait
+        return handle
 
     def amo_custom_nbi(self, target_rank: int, mutate):
         """Protocol-level chained AMO: run ``mutate()`` atomically at the
@@ -567,8 +565,11 @@ class DmappEndpoint:
         slot, Figure 2c) uses this.  ``mutate`` returns a value exposed in
         ``handle.result``.
         """
-        return (yield from self._amo(target_rank, "amo-custom", "amo:custom",
-                                     8, mutate, True, None))
+        handle, wait = yield from self._amo(
+            target_rank, "amo-custom", "amo:custom", 8, mutate, True, None)
+        if wait > 0:
+            yield wait
+        return handle
 
     def amo_stream_nbi(self, target_rank: int, cells: SegmentCells,
                        base_idx: int, op: str, operands, fetch: bool = False,
@@ -586,9 +587,12 @@ class DmappEndpoint:
         n, run = prepare_stream(cells, base_idx, op, operands)
         if n == 0:
             raise SimulationError("empty AMO stream")
-        return (yield from self._amo(target_rank, "amo-stream",
-                                     f"amo-stream:{op}", 8 * n, run, fetch,
-                                     on_applied, stream=n))
+        handle, wait = yield from self._amo(
+            target_rank, "amo-stream", f"amo-stream:{op}", 8 * n, run, fetch,
+            on_applied, stream=n)
+        if wait > 0:
+            yield wait
+        return handle
 
     # ------------------------------------------------------------------
     # completion

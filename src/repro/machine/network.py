@@ -125,14 +125,15 @@ class Network:
         self.obs = None
         self._nics: dict[int, Nic] = {}
         self._noise_state = 0x243F6A8885A308D3  # pi digits; deterministic
-        # (src, dst) -> wire_base + per_hop * hops: pure in torus + params,
-        # cached off the per-packet path.
+        # (src, dst) and (dst, src) -> wire_base + per_hop * hops: pure in
+        # torus + params, cached off the per-packet path.
         self._wire: dict[tuple[int, int], float] = {}
         # Constant parameters in whole ns, rounded once, not per packet.
         self._o_eject_int = int(round(self.params.o_eject))
         self._amo_gap_int = int(round(self.params.amo_gap))
         self.amo_service_int = int(round(self.params.amo_service))
         self.o_inject_int = int(round(self.params.o_inject))
+        self._packet_gap_int = int(round(self.params.nic_packet_gap))
         self._has_noise = self.params.noise_ns > 0
 
     def nic(self, node: int) -> Nic:
@@ -144,12 +145,10 @@ class Network:
     # -- latency helpers -------------------------------------------------
     def wire(self, src_node: int, dst_node: int) -> float:
         """Distance-dependent one-way wire latency (memoized)."""
-        key = (src_node, dst_node) if src_node < dst_node \
-            else (dst_node, src_node)
-        w = self._wire.get(key)
+        w = self._wire.get((src_node, dst_node))
         if w is None:
-            w = self._wire[key] = self.params.wire_latency(
-                self.torus.hops(src_node, dst_node))
+            w = self.params.wire_latency(self.torus.hops(src_node, dst_node))
+            self._wire[src_node, dst_node] = self._wire[dst_node, src_node] = w
         return w
 
     def _noise(self) -> float:
@@ -223,7 +222,8 @@ class Network:
             else:
                 inject_start, inject_end = self.occupy_injection(
                     src_node, nbytes, earliest=resend_floor)
-            wire = self.wire(src_node, dst_node) + p.nic_latency
+            wire = (self._wire.get((src_node, dst_node))    # memo hit
+                    or self.wire(src_node, dst_node)) + p.nic_latency
             if self._has_noise:
                 wire += self._noise()
             src_dead = False
@@ -240,9 +240,7 @@ class Network:
                     release = inj.stall_release(dst_node, int(head_arrival))
                     if release > head_arrival:
                         head_arrival = release
-                nic = self._nics.get(dst_node)
-                if nic is None:
-                    nic = self._nics[dst_node] = Nic(env, dst_node)
+                nic = self._nics.get(dst_node) or self.nic(dst_node)
                 if is_amo:
                     chan = nic.amo_engine
                     svc_int = self._amo_gap_int
@@ -324,13 +322,19 @@ class Network:
         injected NIC stall windows also push the start past their end.
         """
         p = self.params
-        duration = max(p.nic_packet_gap, nbytes * p.gap_per_byte)
-        chan = (self.nic(src_node).fma if nbytes <= p.fma_threshold
-                else self.nic(src_node).bte)
+        nic = self._nics.get(src_node) or self.nic(src_node)
+        chan = nic.fma if nbytes <= p.fma_threshold else nic.bte
         if self.injector is not None:
             earliest = self.injector.stall_release(
                 src_node, self.env.now if earliest is None else int(earliest))
-        return chan.occupy(int(round(duration)), earliest=earliest)
+        start = self.env.now if earliest is None else int(earliest)
+        if chan.busy_until > start:
+            start = chan.busy_until
+        gap = nbytes * p.gap_per_byte     # the packet gap bounds it below
+        chan.busy_until = end = start + (
+            self._packet_gap_int if gap <= p.nic_packet_gap
+            else int(round(gap)))
+        return start, end
 
     def injection_admit(self, src_node: int, inj_end: int,
                         nbytes: int = 1 << 30) -> int:

@@ -128,10 +128,11 @@ class RankMap:
         return tuple(r for r in range(self.nranks) if self.node_of(r) == node)
 
     def same_node(self, a: int, b: int) -> bool:
-        if self._overrides:
-            return (self.node_of(a) == self.node_of(b)
-                    and self.home_generation(a) == self.home_generation(b))
-        return self.node_of(a) == self.node_of(b)
+        n = self.nranks
+        if not self._overrides and 0 <= a < n and 0 <= b < n:
+            return a // self.ranks_per_node == b // self.ranks_per_node
+        return (self.node_of(a) == self.node_of(b)
+                and self.home_generation(a) == self.home_generation(b))
 
     @classmethod
     def for_config(cls, nranks: int, config: MachineConfig) -> "RankMap":

@@ -114,6 +114,7 @@ class SegmentCells:
         return len(self._words)
 
     def _live_words(self):
+        """The words; raises once the segment is freed."""
         if not self.seg.alive:
             raise MemoryError_(
                 f"AMO on freed segment {self.seg.label or self.seg.seg_id}")
@@ -129,7 +130,7 @@ class SegmentCells:
 
     # -- read-modify-write ops (all return the OLD value) ----------------
     def cas(self, idx: int, compare: int, swap: int) -> int:
-        words = self._live_words()
+        words = self._words if self.seg.alive else self._live_words()
         old = words[idx]
         if old == int(compare) & MASK64:
             words[idx] = int(swap) & MASK64
@@ -146,7 +147,7 @@ class SegmentCells:
     def apply(self, idx: int, op: str, operand: int) -> int:
         """Apply a named AMO (see :func:`amo_result`); returns the old
         value."""
-        words = self._live_words()
+        words = self._words if self.seg.alive else self._live_words()
         old = words[idx]
         words[idx] = amo_result(old, op, operand)
         if self._watchers:

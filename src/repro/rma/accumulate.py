@@ -25,11 +25,10 @@ import numpy as np
 
 from repro.errors import RmaError
 from repro.rma import window as win_mod
-from repro.rma.enums import HW_OPS, Op, WinFlavor
+from repro.rma.enums import Op, WinFlavor
 from repro.rma.locks import _amo, _backoff
 
-__all__ = ["accumulate", "fetch_and_op", "compare_and_swap", "apply_op",
-           "acc_path"]
+__all__ = ["accumulate", "apply_op", "acc_path"]
 
 
 def apply_op(op: Op, old: np.ndarray, operand: np.ndarray) -> np.ndarray:
@@ -55,11 +54,8 @@ def apply_op(op: Op, old: np.ndarray, operand: np.ndarray) -> np.ndarray:
     raise RmaError(f"unsupported accumulate op {op}")
 
 
-_I64 = np.dtype(np.int64)
-
-
 def _hw_eligible(win, op: Op, dtype: np.dtype, toff: int) -> bool:
-    if op not in HW_OPS:
+    if op.hw_name is None:
         return False
     if dtype.kind not in "iu" or dtype.itemsize != 8:
         return False
@@ -169,59 +165,3 @@ def _data_desc(win, target: int, toff: int, nbytes: int):
         desc = yield from win.dyn.resolve(win, target, toff, nbytes)
         return desc, toff - desc.vaddr
     return win._target_desc(target, toff, nbytes)
-
-
-def _word(value) -> tuple[int, np.dtype]:
-    """One 8-byte origin element as ``(operand, dtype)``.  The operand
-    only has to be right modulo 2**64 (the cells wrap), so the usual
-    ``np.int64`` spelling needs no array round trip."""
-    if type(value) is np.int64:
-        return int(value), _I64
-    arr = np.asarray(value).reshape(1)
-    return int(arr.astype(np.int64)[0]), arr.dtype
-
-
-def _old_as(old: int, dtype: np.dtype):
-    """The unsigned old cell value as a scalar of the origin's dtype."""
-    if dtype is _I64:
-        return np.int64(old - (1 << 64) if old >> 63 else old)
-    return np.uint64(old).view(dtype)
-
-
-def _scalar_amo(win, target: int, toff: int, op: str, a: int, b: int = 0):
-    """One blocking fetching AMO on the window word at byte ``toff``: the
-    ``ctx.amo`` generator itself (no frame of its own on the hot path)."""
-    ctx = win.ctx
-    seg, base = win._target_segment(target, toff, 8)
-    cells = seg.cells64()
-    idx = (base + toff) // 8
-    logger = (ctx.ft.amo_logger(win, target, cells, idx)
-              if ctx.ft is not None else None)
-    return ctx.amo(target, cells, idx, op, a, b, on_applied=logger)
-
-
-def fetch_and_op(win, value, target: int, target_disp: int, op: Op):
-    """Single 8-byte element fetch-and-op (fine-grained completion)."""
-    operand, dtype = _word(value)
-    toff = target_disp * win.disp_unit
-    if win._acc_ns is not None:
-        yield win._acc_ns
-    if _hw_eligible(win, op, dtype, toff):
-        old = yield from _scalar_amo(win, target, toff, op.hw_name, operand)
-        return _old_as(old, dtype)
-    arr = np.asarray(value).reshape(1)
-    old = yield from _locked_fallback(win, arr, target, toff, op)
-    return old[0]
-
-
-def compare_and_swap(win, compare, swap, target: int, target_disp: int):
-    """8-byte CAS; always on the AMO engine (P_CAS = 2.4 us)."""
-    toff = target_disp * win.disp_unit
-    if toff % 8:
-        raise RmaError("CAS target must be 8-byte aligned")
-    if win._acc_ns is not None:
-        yield win._acc_ns
-    c, dtype = _word(compare)
-    s, _ = _word(swap)
-    old = yield from _scalar_amo(win, target, toff, "cas", c, s)
-    return _old_as(old, dtype)

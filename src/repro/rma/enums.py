@@ -34,10 +34,6 @@ class Op(enum.Enum):
     REPLACE = "replace"
     NO_OP = "no_op"
 
-    @property
-    def hw_name(self) -> str | None:
-        return _HW_MAP.get(self)
-
 
 #: Ops with a NIC AMO fast path for 8-byte integer data.  Gemini's AMO set
 #: has add/and/or/xor but no min/max/prod -- exactly why the paper's MIN
@@ -52,6 +48,10 @@ _HW_MAP = {
 }
 
 HW_OPS = frozenset(_HW_MAP)
+
+for _op in Op:   # a plain attribute: reading it hashes no member
+    _op.hw_name = _HW_MAP.get(_op)
+del _op
 
 
 class WinFlavor(enum.Enum):

@@ -38,7 +38,7 @@ from repro.rma import accumulate as acc_mod
 from repro.rma import fence as fence_mod
 from repro.rma import locks as locks_mod
 from repro.rma import pscw as pscw_mod
-from repro.rma.datatypes import BYTE, Datatype, Predefined, zip_blocks
+from repro.rma.datatypes import BYTE, Datatype, zip_blocks
 from repro.rma.enums import LockType, Op, WinFlavor
 from repro.rma.params import FompiParams
 
@@ -54,6 +54,15 @@ IDX_DYN_ID = 4
 IDX_ACC_LOCK = 5
 IDX_PSCW_SLOTS = 6
 CTRL_WORDS_BASE = 6
+
+_FREED = "operation on a freed window"
+_I64 = np.dtype(np.int64)
+
+
+def _word(value) -> tuple[int, np.dtype]:
+    """One 8-byte origin element as ``(operand mod 2**64, dtype)``."""
+    arr = np.asarray(value).reshape(1)
+    return int(arr.astype(np.int64)[0]), arr.dtype
 
 
 class RmaRequest:
@@ -128,7 +137,7 @@ class Window:
 
     def _check_alive(self) -> None:
         if self.freed:
-            raise WindowError("operation on a freed window")
+            raise WindowError(_FREED)
 
     def _target_segment(self, target: int, toff: int, nbytes: int):
         """Resolve (segment, base) for a target byte range (static flavors),
@@ -146,6 +155,19 @@ class Window:
             raise WindowError(f"direct addressing unsupported for {flavor}")
         seg._check(base + toff, nbytes)
         return seg, base
+
+    def _word_amo(self, target: int, toff: int, op: str, a: int,
+                  b: int = 0):
+        """The ``ctx.amo`` generator (no frame of its own) of one fetching
+        AMO on the word at byte ``toff`` of ``target``'s window memory,
+        range-checked at issue, with the FT delivery logger."""
+        ctx = self.ctx
+        seg, base = self._target_segment(target, toff, 8)
+        cells = seg.cells64()
+        idx = (base + toff) // 8
+        logger = (ctx.ft.amo_logger(self, target, cells, idx)
+                  if ctx.ft is not None else None)
+        return ctx.amo(target, cells, idx, op, a, b, on_applied=logger)
 
     def _target_desc(self, target: int, toff: int, nbytes: int):
         """(descriptor, offset of ``toff`` in its segment) for the DMAPP
@@ -175,7 +197,8 @@ class Window:
             count: int | None = None):
         """MPI_Put.  ``data`` is the origin buffer (any numpy array); the
         target displacement is in units of the window's ``disp_unit``."""
-        self._check_alive()
+        if self.freed:
+            raise WindowError(_FREED)
         epoch_rules.require_access(self, target)
         ctx = self.ctx
         if self._put_ns is not None:
@@ -320,29 +343,52 @@ class Window:
     def fetch_and_op(self, value, target: int, target_disp: int = 0,
                      op: Op = Op.SUM):
         """Single-element fetching atomic (fine-grained completion)."""
-        self._check_alive()
+        if self.freed:
+            raise WindowError(_FREED)
         epoch_rules.require_access(self, target)
-        if self.ctx.checker is not None:
+        ctx = self.ctx
+        if ctx.checker is not None:
             self._note_atomic("fao", target, target_disp, op, value)
-        old = yield from acc_mod.fetch_and_op(self, value, target,
-                                              target_disp, op)
-        self.ctx.env.note_progress()
-        return old
+        operand, dtype = ((int(value), _I64) if type(value) is np.int64
+                          else _word(value))
+        toff = target_disp * self.disp_unit
+        if self._acc_ns is not None:
+            yield self._acc_ns
+        if not acc_mod._hw_eligible(self, op, dtype, toff):
+            old = yield from acc_mod._locked_fallback(
+                self, np.asarray(value).reshape(1), target, toff, op)
+            ctx.env.progress_marks += 1     # env.note_progress(), inline
+            return old[0]
+        old = yield from self._word_amo(target, toff, op.hw_name, operand)
+        ctx.env.progress_marks += 1
+        if dtype is _I64:      # the unsigned old value as the origin's type
+            return np.int64(old - (old >> 63 << 64))
+        return np.uint64(old).view(dtype)
 
     def compare_and_swap(self, compare, swap, target: int,
                          target_disp: int = 0):
         """8-byte CAS; returns the old value."""
-        self._check_alive()
+        if self.freed:
+            raise WindowError(_FREED)
         epoch_rules.require_access(self, target)
-        ck = self.ctx.checker
-        if ck is not None:
-            toff = target_disp * self.disp_unit
-            ck.note_op(self, "cas", target, [(toff, toff + 8)], op="cas",
-                       path="hw")
-        old = yield from acc_mod.compare_and_swap(self, compare, swap,
-                                                  target, target_disp)
-        self.ctx.env.note_progress()
-        return old
+        ctx = self.ctx
+        toff = target_disp * self.disp_unit
+        if ctx.checker is not None:
+            ctx.checker.note_op(self, "cas", target, [(toff, toff + 8)],
+                                op="cas", path="hw")
+        if toff % 8:
+            raise RmaError("CAS target must be 8-byte aligned")
+        if self._acc_ns is not None:
+            yield self._acc_ns
+        if type(compare) is np.int64 and type(swap) is np.int64:
+            c, s, dtype = int(compare), int(swap), _I64
+        else:
+            (c, dtype), (s, _) = _word(compare), _word(swap)
+        old = yield from self._word_amo(target, toff, "cas", c, s)
+        ctx.env.progress_marks += 1
+        if dtype is _I64:      # the unsigned old value as the origin's type
+            return np.int64(old - (old >> 63 << 64))
+        return np.uint64(old).view(dtype)
 
     def _note_atomic(self, kind: str, target: int, target_disp: int,
                      op: Op, data) -> None:
@@ -420,7 +466,7 @@ class Window:
         ck = ctx.checker
         if ck is not None:
             ck.on_flush(self)
-        env.note_progress()
+        env.progress_marks += 1     # env.note_progress(), inline
 
     def flush_all(self):
         yield from self.flush(None)

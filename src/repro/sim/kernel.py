@@ -445,7 +445,12 @@ class Environment:
         """Run ``fn()`` ``delay`` ns from now (see "Callbacks")."""
         token = _CALL_NEW(_Call)
         token.fn = fn
-        self.schedule(token, delay)
+        if delay.__class__ is not int:
+            delay = int(delay)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, (self.now + delay, NORMAL, seq, token))
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name=name)
@@ -461,8 +466,7 @@ class Environment:
             delay = int(delay)
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        seq = self._seq + 1
-        self._seq = seq
+        self._seq = seq = self._seq + 1
         heappush(self._queue, (self.now + delay, priority, seq, event))
 
     def run(self) -> None:

@@ -1,0 +1,81 @@
+"""Python calls per RMA operation: the simulator's instruction count.
+
+The paper's software claim is a count -- foMPI adds 173 CPU instructions
+to the critical path of a put and 78 to a flush (Section 3).  Here the
+matching count is Python calls per operation: every function call and
+every generator resume of the ``repro`` package, the kernel's included,
+counted with ``sys.setprofile`` while rank 0 runs a loop of one operation
+against an inter-node peer.  The ceilings are the counts of the flattened
+issue path (DESIGN.md section 8, "Issue path"); a forwarding frame or a
+helper call put back on the path fails here, not only in perfbench.
+"""
+
+import os
+import sys
+
+import numpy as np
+import pytest
+
+import repro
+from repro.config import MachineConfig
+from repro.rma.enums import Op
+from repro.runtime.job import Job, run_on_world
+
+_REPRO = os.path.dirname(repro.__file__)
+_OPS = 64
+
+
+def _put_flush(win):
+    yield from win.put(np.full(1, 7, np.int64), 1, 0)
+    yield from win.flush(1)
+
+
+def _cas(win):
+    yield from win.compare_and_swap(np.int64(0), np.int64(1), 1, 1)
+
+
+def _fao(win):
+    yield from win.fetch_and_op(np.int64(1), 1, 2, Op.SUM)
+
+
+def _calls_per_op(op) -> float:
+    counted = []
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64, disp_unit=8)
+        yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        if ctx.rank == 0:
+            yield from op(win)          # first use fills the memos
+            calls = [0]
+
+            def profile(frame, event, _arg):
+                if event == "call" and \
+                        frame.f_code.co_filename.startswith(_REPRO):
+                    calls[0] += 1
+
+            sys.setprofile(profile)
+            try:
+                for _ in range(_OPS):
+                    yield from op(win)
+            finally:
+                sys.setprofile(None)
+            counted.append(calls[0] / _OPS)
+        else:
+            yield from ctx.compute(1_000_000)   # idle through the loop
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+
+    world = Job(nranks=2,
+                machine=MachineConfig(ranks_per_node=1)).build_world()
+    run_on_world(world, program)
+    return counted[0]
+
+
+@pytest.mark.parametrize("op, ceiling", [
+    (_put_flush, 31.0),     # 40 before the issue path was flattened
+    (_cas, 26.0),           # 45
+    (_fao, 28.0),           # 47
+], ids=["put+flush", "cas", "fetch_and_op"])
+def test_calls_per_op_stay_under_the_flattened_count(op, ceiling):
+    assert _calls_per_op(op) <= ceiling
