@@ -33,10 +33,8 @@ from repro.apps.hashtable.common import (
 
 __all__ = ["KvLayout"]
 
-# A served keyspace is small and hot (every rank walks all of it to find
-# its partition, then Zipf traffic revisits the same keys), so the pure
-# placement hash is memoized; the fig7a hashtable places each key once
-# and keeps calling place_key directly.
+# Zipf traffic revisits a small hot keyspace, so the pure placement hash
+# is memoized; preloads and the fig7a hashtable call place_key directly.
 _place = lru_cache(maxsize=4096)(place_key)
 
 

@@ -377,7 +377,7 @@ class DmappEndpoint:
                 break
             except NodeCrashedError as exc:
                 yield from self._await_restore(desc.rank, exc)
-        complete = int(round(complete))
+        complete = round(complete)
         if complete > self._horizon:
             self._horizon = complete
         env.progress_marks += 1    # data movement is watchdog progress
@@ -417,9 +417,9 @@ class DmappEndpoint:
                     inj_end = window[1]
                     req_delivery = net.packet(
                         node, tnode, _HEADER_BYTES, inject_window=window)
-                    data_arrival = int(round(
+                    data_arrival = round(
                         self._response_leg(tnode, nbytes, req_delivery)
-                        + net.wire(tnode, node)))
+                        + net.wire(tnode, node))
                 else:
                     inj_end, data_arrival = self._transmit(
                         tnode, _HEADER_BYTES, "get", desc.rank,
@@ -449,9 +449,10 @@ class DmappEndpoint:
         if self.obs is not None:
             self.obs.on_op(self.rank, "get", desc.rank, self.env.now,
                            data_arrival, nbytes)
-        wait = max(net.o_inject_int,
-                   net.injection_admit(node, inj_end, _HEADER_BYTES)
-                   - self.env.now)
+        wait = net.o_inject_int
+        if _HEADER_BYTES > net.params.fma_threshold:   # FMA ops never queue
+            wait = max(wait, net.injection_admit(node, inj_end, _HEADER_BYTES)
+                       - self.env.now)
         if wait > 0:
             yield wait
         return handle
@@ -522,7 +523,7 @@ class DmappEndpoint:
                     delivery = net.packet(
                         node, tnode, wire_bytes, inject_window=window,
                         is_amo=True, on_deliver=_execute)
-                complete = int(round(delivery + net.wire(tnode, node)))
+                complete = round(delivery + net.wire(tnode, node))
                 break
             except NodeCrashedError as exc:
                 yield from self._await_restore(target_rank, exc)

@@ -231,7 +231,7 @@ class Network:
                 wire += fate.extra_delay_ns
                 src_dead = inj.node_crashed(src_node, int(inject_start))
             head_arrival = inject_start + wire
-            deliver_time = int(round(inject_end + wire))  # last byte lands
+            deliver_time = round(inject_end + wire)  # last byte lands
 
             if inj is None or not (fate.drop or src_dead):
                 # The packet reaches the destination NIC.
@@ -256,7 +256,7 @@ class Network:
                                             nbytes * p.gap_per_byte)))
                 # Service cannot begin before the head arrives nor finish
                 # before the tail does; it queues behind earlier packets.
-                start = int(round(head_arrival))
+                start = round(head_arrival)
                 if chan.busy_until > start:
                     start = chan.busy_until
                 if start + svc_int > deliver_time:

@@ -201,8 +201,8 @@ class Mpi1Endpoint:
         now = env.now
         dnode = self.rank_map.node_of(dest)
         if dnode == self.node:
-            copy = int(round(self.xpmem.store_setup
-                             + nbytes * self.xpmem.copy_per_byte))
+            copy = round(self.xpmem.store_setup
+                         + nbytes * self.xpmem.copy_per_byte)
             env.call_at(copy + self._xpmem_latency, deliver_cb)
             self.network.counters.count_issue(self.rank, "mpi1-intra", nbytes)
             return now + copy + self._o_issue
@@ -215,8 +215,9 @@ class Mpi1Endpoint:
         net.packet(self.node, dnode, total, inject_window=window,
                    on_deliver=deliver_cb, reliable=True)
         net.counters.count_issue(self.rank, "mpi1-inter", nbytes)
-        admit = net.injection_admit(self.node, window[1], total)
-        return (admit if admit > now else now) + self._o_inject_issue
+        if total > net.params.fma_threshold:    # FMA ops never queue
+            now = max(now, net.injection_admit(self.node, window[1], total))
+        return now + self._o_inject_issue
 
     # ------------------------------------------------------------------
     # sends
@@ -384,8 +385,8 @@ class Mpi1Endpoint:
         req._payload = msg.payload
         if msg.kind == "eager":
             p = self.params
-            req._recv_cost = int(round(
-                p.o_recv_match + msg.nbytes * p.eager_copy_per_byte))
+            req._recv_cost = round(
+                p.o_recv_match + msg.nbytes * p.eager_copy_per_byte)
         else:
             req._recv_cost = self._o_recv_match
         req.message = msg

@@ -88,7 +88,7 @@ class RmaContext:
         ctx = self.ctx
         win = Window(ctx, self._new_win_id(), WinFlavor.ALLOCATE,
                      disp_unit=disp_unit, size=size, params=self.params)
-        leader_rng = ctx.world.rng("symheap", 0)
+        leader_rng = ctx.world.rng("symheap", 0) if ctx.rank == 0 else None
         seg = None
         while True:
             addr = None

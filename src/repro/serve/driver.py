@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.apps.hashtable.common import place_key
 from repro.apps.kvstore.layout import KvLayout
 from repro.apps.kvstore.rma_kv import KvStore
 from repro.config import CheckConfig, MachineConfig, ObsConfig, SimConfig
@@ -52,8 +53,9 @@ def _preload(store: KvStore, spec: ServeSpec) -> None:
     layout, nranks, rank = store.layout, store.ctx.nranks, store.ctx.rank
     store.win.note_local("store", layout.nbytes)
     volume = store.win.local_view(np.int64)
-    for key in range(spec.nkeys):
-        owner, slot = layout.place(key + 1, nranks)
+    owners, slots = place_key(np.arange(1, spec.nkeys + 1, dtype=np.uint64),
+                              nranks, layout.table_slots)
+    for key, (owner, slot) in enumerate(zip(owners.tolist(), slots.tolist())):
         if owner == rank:
             layout.insert_local(volume, slot, key + 1,
                                 initial_value(spec.seed, key))

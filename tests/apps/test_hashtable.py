@@ -1,5 +1,7 @@
 """Distributed hashtable: correctness of all three transports."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.apps.hashtable import (
     upc_insert_program,
     verify_contents,
 )
+from repro.apps.hashtable.common import place_key
 from repro.config import MachineConfig
 
 INTER = MachineConfig(ranks_per_node=1)
@@ -65,6 +68,20 @@ def test_hash_is_deterministic_and_spread():
     owners = [hash_key(k) % 8 for k in range(1, 2000)]
     for o in range(8):
         assert owners.count(o) > 150  # roughly uniform
+
+
+@pytest.mark.parametrize("nranks, slots", [(1, 64), (7, 64), (64, 16)])
+def test_place_key_on_uint64_array_matches_scalar(nranks, slots):
+    """The stores place a whole keyspace in one array pass: on uint64 it
+    must wrap exactly as the scalar mod-2^64 arithmetic does, with no
+    overflow warning, up to the top bit and the largest key."""
+    keys = list(range(4096)) + [1 << 63, (1 << 63) + 1, (1 << 64) - 1]
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        owners, sl = place_key(np.array(keys, dtype=np.uint64), nranks, slots)
+    assert owners.dtype == sl.dtype == np.uint64
+    assert list(zip(owners.tolist(), sl.tolist())) == \
+        [place_key(k, nranks, slots) for k in keys]
 
 
 def test_insert_local_overflow_raises():

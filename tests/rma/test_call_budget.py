@@ -8,6 +8,10 @@ counted with ``sys.setprofile`` while rank 0 runs a loop of one operation
 against an inter-node peer.  The ceilings are the counts of the flattened
 issue path (DESIGN.md section 8, "Issue path"); a forwarding frame or a
 helper call put back on the path fails here, not only in perfbench.
+
+The same count bounds the MPI-1 serving store's idle tick: a client
+pacing toward its next arrival with nothing queued costs one call per
+400 ns tick, the kernel's resume of the program itself.
 """
 
 import os
@@ -17,9 +21,11 @@ import numpy as np
 import pytest
 
 import repro
+from repro.apps.kvstore.mpi1_kv import mpi1_kv_program
 from repro.config import MachineConfig
 from repro.rma.enums import Op
 from repro.runtime.job import Job, run_on_world
+from repro.serve.zipf import ServeSpec
 
 _REPRO = os.path.dirname(repro.__file__)
 _OPS = 64
@@ -79,3 +85,35 @@ def _calls_per_op(op) -> float:
 ], ids=["put+flush", "cas", "fetch_and_op"])
 def test_calls_per_op_stay_under_the_flattened_count(op, ceiling):
     assert _calls_per_op(op) <= ceiling
+
+
+def _calls_and_events(rate_hz: float) -> tuple[int, int]:
+    """Python calls and events of a one-rank MPI-1 serving run: every
+    request is local, so the unexpected queue stays empty throughout."""
+    spec = ServeSpec(nkeys=8, total_requests=4, rate_hz=rate_hz, seed=3)
+    world = Job(nranks=1).build_world()
+    calls = [0]
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(_REPRO):
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        run_on_world(world, mpi1_kv_program, spec)
+    finally:
+        sys.setprofile(None)
+    return calls[0], world.env.events_processed
+
+
+def test_idle_tick_is_one_call():
+    """Stretching the same schedule 4x adds only idle ticks (one event
+    each); each added tick may add one call, its resume -- no probe."""
+    _calls_and_events(4000.0)           # first use fills the memos
+    calls, events = _calls_and_events(4000.0)
+    calls_slow, events_slow = _calls_and_events(1000.0)
+    ticks = events_slow - events
+    assert ticks > 5000
+    # 1.001 with the probe skipped (the watchdog checks every 800
+    # events); 2.001 when every tick also called improbe.
+    assert (calls_slow - calls) / ticks < 1.01
