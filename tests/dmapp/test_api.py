@@ -57,25 +57,12 @@ def test_layer_boundaries_are_generator_functions():
             inspect.getattr_static(DmappEndpoint, name)), name
 
 
-def test_layer_boundaries_are_called_once_per_op():
-    """perfbench patches the boundaries on the *class*, after the world is
-    built: an op must reach each of them through the class, exactly once
-    -- no bound method cached at construction, no inlined ``gsync`` or
-    ``wait``, no boundary skipped by a flattened path."""
-    from repro.machine.network import Network
-    from repro.rma.enums import Op
-    from repro.rma.window import Window
+def _boundary_calls(machine, expected, measured):
+    """Run ``measured(win)`` on rank 0 against rank 1 with every boundary
+    in ``expected`` wrapped on its class by a call counter; returns the
+    counts of the measured phase."""
     from repro.runtime.job import Job, run_on_world
 
-    # 8 each of put + flush, CAS, fetch-and-op, and get + flush.
-    expected = {(Window, "put"): 8, (Window, "flush"): 16,
-                (Window, "compare_and_swap"): 8, (Window, "fetch_and_op"): 8,
-                (Window, "get"): 8,
-                (DmappEndpoint, "put_nbi"): 8, (DmappEndpoint, "gsync"): 16,
-                (DmappEndpoint, "amo_nbi"): 16,
-                (DmappEndpoint, "get_nbi"): 8,
-                (DmappEndpoint, "wait"): 16,
-                (Network, "packet"): 32}
     calls = dict.fromkeys(expected, 0)
 
     def program(ctx):
@@ -85,18 +72,7 @@ def test_layer_boundaries_are_called_once_per_op():
         if ctx.rank == 0:
             for key in calls:       # count the measured phase only
                 calls[key] = 0
-            for i in range(8):
-                yield from win.put(np.full(1, i, np.int64), 1, 0)
-                yield from win.flush(1)
-            for i in range(8):
-                yield from win.compare_and_swap(np.int64(i), np.int64(i + 1),
-                                                1, 1)
-            for _ in range(8):
-                yield from win.fetch_and_op(np.int64(1), 1, 2, Op.SUM)
-            out = np.empty(1, np.int64)
-            for _ in range(8):
-                yield from win.get(out, 1, 0)
-                yield from win.flush(1)
+            yield from measured(win)
             counted = dict(calls)
         else:
             # Idle through it, so every packet counted is rank 0's.
@@ -111,17 +87,81 @@ def test_layer_boundaries_are_called_once_per_op():
             return orig(*args, **kwargs)
         return wrapper
 
-    world = Job(nranks=2, machine=INTER).build_world()
+    world = Job(nranks=2, machine=machine).build_world()
     originals = [(owner, attr, inspect.getattr_static(owner, attr))
                  for owner, attr in expected]
     try:
         for owner, attr, orig in originals:
             setattr(owner, attr, counting((owner, attr), orig))
-        counted = run_on_world(world, program).returns[0]
+        return run_on_world(world, program).returns[0]
     finally:
         for owner, attr, orig in originals:
             setattr(owner, attr, orig)
-    assert counted == expected
+
+
+def _accumulates(win):
+    """8 three-word atomic reads and 8 one-word accumulates."""
+    from repro.rma.enums import Op
+
+    for _ in range(8):
+        yield from win.get_accumulate(np.zeros(3, np.int64), 1, 0, Op.NO_OP)
+    for _ in range(8):
+        yield from win.accumulate(np.ones(1, np.int64), 1, 3, Op.SUM)
+
+
+def test_layer_boundaries_are_called_once_per_op():
+    """perfbench patches the boundaries on the *class*, after the world is
+    built: an op must reach each of them through the class, exactly once
+    -- no bound method cached at construction, no inlined ``gsync`` or
+    ``wait``, no boundary skipped by a flattened path."""
+    from repro.machine.network import Network
+    from repro.rma.enums import Op
+    from repro.rma.window import Window
+
+    # 8 each of put + flush, CAS, fetch-and-op, get + flush, atomic read
+    # and accumulate (one AMO stream each; only the read waits on it).
+    expected = {(Window, "put"): 8, (Window, "flush"): 16,
+                (Window, "compare_and_swap"): 8, (Window, "fetch_and_op"): 8,
+                (Window, "get"): 8,
+                (Window, "get_accumulate"): 8, (Window, "accumulate"): 8,
+                (DmappEndpoint, "put_nbi"): 8, (DmappEndpoint, "gsync"): 16,
+                (DmappEndpoint, "amo_nbi"): 16,
+                (DmappEndpoint, "amo_stream_nbi"): 16,
+                (DmappEndpoint, "get_nbi"): 8,
+                (DmappEndpoint, "wait"): 24,
+                (Network, "packet"): 32}
+
+    def measured(win):
+        for i in range(8):
+            yield from win.put(np.full(1, i, np.int64), 1, 0)
+            yield from win.flush(1)
+        for i in range(8):
+            yield from win.compare_and_swap(np.int64(i), np.int64(i + 1),
+                                            1, 1)
+        for _ in range(8):
+            yield from win.fetch_and_op(np.int64(1), 1, 2, Op.SUM)
+        out = np.empty(1, np.int64)
+        for _ in range(8):
+            yield from win.get(out, 1, 0)
+            yield from win.flush(1)
+        yield from _accumulates(win)
+
+    assert _boundary_calls(INTER, expected, measured) == expected
+
+
+def test_accumulate_boundaries_are_called_once_per_op_intra_node():
+    """The same rule on the CPU path: a same-node accumulate reaches
+    ``XpmemEndpoint.amo_stream`` once and no DMAPP boundary."""
+    from repro.rma.window import Window
+    from repro.xpmem.api import XpmemEndpoint
+
+    expected = {(Window, "get_accumulate"): 8, (Window, "accumulate"): 8,
+                (XpmemEndpoint, "amo_stream"): 16,
+                (DmappEndpoint, "amo_stream_nbi"): 0,
+                (DmappEndpoint, "wait"): 0}
+    got = _boundary_calls(MachineConfig(ranks_per_node=2), expected,
+                          _accumulates)
+    assert got == expected
 
 
 def test_put_data_captured_at_issue(faults):
