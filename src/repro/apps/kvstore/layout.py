@@ -20,7 +20,6 @@ hashtable geometry it extends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,11 +31,6 @@ from repro.apps.hashtable.common import (
 )
 
 __all__ = ["KvLayout"]
-
-# Zipf traffic revisits a small hot keyspace, so the pure placement hash
-# is memoized; preloads and the fig7a hashtable call place_key directly.
-_place = lru_cache(maxsize=4096)(place_key)
-
 
 @dataclass(frozen=True)
 class KvLayout:
@@ -84,7 +78,7 @@ class KvLayout:
     # -- placement / claiming -------------------------------------------
     def place(self, key: int, nranks: int) -> tuple[int, int]:
         """(owner rank, table slot) for a key."""
-        return _place(key, nranks, self.table_slots)
+        return place_key(key, nranks, self.table_slots)
 
     def claim_cell(self, counter: int) -> int:
         return claim_overflow_cell(counter, self.heap_cells)

@@ -42,6 +42,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.apps.hashtable.common import place_key
 from repro.apps.kvstore.layout import KvLayout
 from repro.rma.enums import Op
 from repro.rma.mcs import McsLock
@@ -75,6 +76,7 @@ class KvStore:
         self.n_stripes = n_stripes
         self.win = None
         self.locks: list[McsLock] = []
+        self.owners = self.slots = ()   # keys 1.. as the preload placed them
 
     # ------------------------------------------------------------------
     def setup(self):
@@ -102,6 +104,14 @@ class KvStore:
                       for s in range(self.n_stripes)]
         self.win = win
 
+    def _place(self, key: int) -> tuple[int, int]:
+        """(owner, slot) of ``key``; refuses a key outside (0, 2^63]."""
+        if not 0 < key <= _MASK63:
+            raise ValueError(f"kvstore key {key} outside (0, 2^63]")
+        if key <= len(self.owners):
+            return self.owners[key - 1], self.slots[key - 1]
+        return place_key(key, self.ctx.nranks, self.layout.table_slots)
+
     def close(self):
         """End the passive-target epoch (collective free is the caller's
         job if it wants one; the epoch must end before it)."""
@@ -111,30 +121,20 @@ class KvStore:
     def _lock_for(self, slot: int) -> McsLock:
         return self.locks[slot % self.n_stripes]
 
-    def _read3(self, owner: int, word: int):
-        """Three consecutive words from ``owner``'s volume, read
-        atomically."""
-        got = yield from self.win.get_accumulate(_THREE_WORDS, owner, word,
-                                                 Op.NO_OP)
-        return got.tolist()
-
-    def _cas(self, owner: int, word: int, compare: int, swap: int):
-        old = yield from self.win.compare_and_swap(
-            np.int64(compare), np.int64(swap), owner, word)
-        return int(old)
-
     def _locate(self, owner: int, slot: int, key: int):
-        """Lock-free chain walk: (slot key word, slot head, chain hops,
-        value-word index or None, value read)."""
+        """Lock-free chain walk of three-word atomic reads: (slot key word,
+        slot head, chain hops, value-word index or None, value read)."""
         lay = self.layout
-        kw, val, head = yield from self._read3(owner, lay.slot_key(slot))
+        kw, val, head = (yield from self.win.get_accumulate(
+            _THREE_WORDS, owner, lay.slot_key(slot), Op.NO_OP)).tolist()
         if kw == key:
             return kw, head, 0, lay.slot_value(slot), val
         hops = 0
         cell = head
         while cell != 0:
             hops += 1
-            ck, cv, nxt = yield from self._read3(owner, lay.heap_key(cell))
+            ck, cv, nxt = (yield from self.win.get_accumulate(
+                _THREE_WORDS, owner, lay.heap_key(cell), Op.NO_OP)).tolist()
             if ck == key:
                 return kw, head, hops, lay.heap_value(cell), cv
             cell = nxt
@@ -144,7 +144,8 @@ class KvStore:
         """Write never-used (zero) words in order, each as a blocking
         ``CAS(0 -> value)``: every word is in place before the next."""
         for word, value in writes:
-            if (yield from self._cas(owner, word, 0, value)) != 0:
+            if (yield from self.win.compare_and_swap(
+                    np.int64(0), np.int64(value), owner, word)) != 0:
                 raise RuntimeError("kvstore: insert raced under the lock")
 
     def _insert_new(self, owner: int, slot: int, slot_key_word: int,
@@ -174,8 +175,7 @@ class KvStore:
     def _upsert(self, key: int, opname: str, new_of):
         """Set ``key``'s value to ``new_of(current)`` (``current`` is None
         for an absent key); returns (path, new value)."""
-        self._check_key(key)
-        owner, slot = self.layout.place(key, self.ctx.nranks)
+        owner, slot = self._place(key)
         kw, head, hops, loc, cur = yield from self._locate(owner, slot, key)
         path = "update"
         if loc is None:
@@ -192,38 +192,33 @@ class KvStore:
         if path == "update":
             while True:
                 new = new_of(cur)
-                old = yield from self._cas(owner, loc, cur, new)
+                old = int((yield from self.win.compare_and_swap(
+                    np.int64(cur), np.int64(new), owner, loc)))
                 if old == cur:
                     break
                 cur = old
-        self._note(opname, owner, hops)
+        if self.ctx.obs is not None:
+            self._note(opname, owner, hops)
         return path, new
 
     def _note(self, opname: str, owner: int, hops: int) -> None:
-        obs = self.ctx.obs
-        if obs is not None:
-            # Hotspot accounting: who served the request (key-skew
-            # heatmap) and how long its chain walk was.
-            obs.metrics.count(f"kv.{opname}", self.ctx.rank)
-            obs.metrics.count("kv.owner_requests", owner)
-            if hops:
-                obs.metrics.observe("kv.chain_hops", self.ctx.rank, hops)
-
-    @staticmethod
-    def _check_key(key: int) -> None:
-        if not 0 < key <= _MASK63:
-            raise ValueError(f"kvstore key {key} outside (0, 2^63]")
+        """Hotspot accounting: the request's owner and chain length."""
+        metrics = self.ctx.obs.metrics
+        metrics.count(f"kv.{opname}", self.ctx.rank)
+        metrics.count("kv.owner_requests", owner)
+        if hops:
+            metrics.observe("kv.chain_hops", self.ctx.rank, hops)
 
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
     def get(self, key: int):
         """Value stored under ``key``, or None."""
-        self._check_key(key)
-        owner, slot = self.layout.place(key, self.ctx.nranks)
+        owner, slot = self._place(key)
         _kw, _head, hops, loc, val = yield from self._locate(owner, slot,
                                                              key)
-        self._note("get", owner, hops)
+        if self.ctx.obs is not None:
+            self._note("get", owner, hops)
         return val if loc is not None else None
 
     def put(self, key: int, value: int):

@@ -295,13 +295,16 @@ class DmappEndpoint:
         last element has executed."""
         net = self.network
         p = net.params
-        # Tail arrival; bandwidth was paid at injection.
-        head = inj_end + (net.wire(self.node, tnode) + p.nic_latency
-                          + net._noise() + extra_delay_ns)
+        # Tail arrival; bandwidth was paid at injection.  Memos inline.
+        wire = (net._wire.get((self.node, tnode))
+                or net.wire(self.node, tnode)) + p.nic_latency
+        if net._has_noise:
+            wire += net._noise()
+        head = inj_end + (wire + extra_delay_ns)
         if self.injector is not None:
             head = max(head, self.injector.stall_release(
                 tnode, int(round(head))))
-        chan = net.nic(tnode).amo_engine
+        chan = (net._nics.get(tnode) or net.nic(tnode)).amo_engine
         busy = int(round(p.amo_gap * n))
         chan.busy_until = max(int(round(head)), chan.busy_until) + busy
         return chan.busy_until + net.amo_service_int
@@ -523,7 +526,8 @@ class DmappEndpoint:
                     delivery = net.packet(
                         node, tnode, wire_bytes, inject_window=window,
                         is_amo=True, on_deliver=_execute)
-                complete = round(delivery + net.wire(tnode, node))
+                complete = round(delivery + (net._wire.get((tnode, node))
+                                             or net.wire(tnode, node)))
                 break
             except NodeCrashedError as exc:
                 yield from self._await_restore(target_rank, exc)

@@ -20,6 +20,7 @@ relies on.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -74,18 +75,18 @@ def amo_result(old: int, op: str, operand: int) -> int:
 def prepare_stream(cells, base_idx: int, op: str, operands):
     """Issue-time half of an AMO stream over consecutive cells.
 
-    Returns ``(n, run)``: the element count, and the closure that applies
-    the whole stream with ``cells.apply_block`` at its effect instant and
-    returns the old words as a fresh ``uint64`` array.  The operands are
-    copied here, when the DMA reads the origin buffer, into a ``uint64``
-    array (mod 2**64, as the cells wrap); a ``fetch`` stream takes only
-    its count from them (MPI ignores the origin buffer of a ``NO_OP``).
+    Returns ``(n, run)``: the element count, and the ``partial`` of
+    ``cells.apply_block`` that applies the whole stream at its effect
+    instant, returning the old words as a fresh ``uint64`` array.  The
+    operands are copied here, as the DMA reads the origin buffer, into a
+    ``uint64`` array (mod 2**64, as the cells wrap); a ``fetch`` stream
+    takes only its count (MPI ignores the origin buffer of a ``NO_OP``).
     """
     if op == "fetch":
         block = range(np.size(operands))
     else:
         block = np.asarray(operands).astype(np.uint64).ravel()
-    return len(block), lambda: cells.apply_block(base_idx, op, block)
+    return len(block), partial(cells.apply_block, base_idx, op, block)
 
 
 class SegmentCells:
@@ -161,7 +162,8 @@ class SegmentCells:
         bad block writes nothing.  Watchers then wake cell by cell, in cell
         order, each on its own cell's new value."""
         n = len(operands)
-        if idx < 0 or idx + n > len(self._live_words()):
+        words = self._words if self.seg.alive else self._live_words()
+        if idx < 0 or idx + n > len(words):
             raise MemoryError_(
                 f"AMO block [{idx}, {idx + n}) outside the segment's "
                 f"{len(self._words)} words")

@@ -133,10 +133,11 @@ class UpcContext:
         One AMO, not the window's ``accumulate``: that issues an AMO
         stream, a different cost on the Figure 8 UPC curve."""
         ctx = self.ctx
+        toff = 8 * word_index
         if ctx.checker is not None:
-            arr._note_atomic("acc", rank, 8 * word_index, Op.SUM,
-                             np.int64(value))
-        cells = arr._target_segment(rank, 8 * word_index, 8)[0].cells64()
+            ctx.checker.note_op(arr, "acc", rank, [(toff, toff + 8)],
+                                op="sum", path="hw")
+        cells = arr._target_segment(rank, toff, 8)[0].cells64()
         if not ctx.same_node(rank):
             yield from ctx.compute(self.params.nb_overhead)  # UPC's NIC cost
         yield from ctx.amo(rank, cells, word_index, "add", int(value),

@@ -1,6 +1,6 @@
-"""Accumulate operations (paper Section 2.4).
-
-Two paths, exactly as in foMPI:
+"""What the accumulate family shares (paper Section 2.4): the path
+choice, the software fallback and its op table; ``Window`` issues the
+calls itself.  Two paths, exactly as in foMPI (:func:`acc_path`):
 
 * **NIC fast path** for 8-byte integer elements with a DMAPP-supported
   operation (SUM/BAND/BOR/BXOR/REPLACE): streamed AMOs, giving
@@ -28,7 +28,7 @@ from repro.rma import window as win_mod
 from repro.rma.enums import Op, WinFlavor
 from repro.rma.locks import _amo, _backoff
 
-__all__ = ["accumulate", "apply_op", "acc_path"]
+__all__ = ["apply_op", "acc_path"]
 
 
 def apply_op(op: Op, old: np.ndarray, operand: np.ndarray) -> np.ndarray:
@@ -71,42 +71,6 @@ def acc_path(win, op: Op, dtype: np.dtype, toff: int) -> str:
     memory-model checker -- both paths are atomic with respect to each
     other, so the tag never affects race classification."""
     return "hw" if _hw_eligible(win, op, dtype, toff) else "sw"
-
-
-def accumulate(win, data, target: int, target_disp: int, op: Op, *,
-               fetch: bool):
-    """MPI_Accumulate / MPI_Get_accumulate."""
-    ctx = win.ctx
-    arr = np.asarray(data)
-    toff = target_disp * win.disp_unit
-    if win._acc_ns is not None:
-        yield win._acc_ns
-
-    if _hw_eligible(win, op, arr.dtype, toff):
-        seg, base = win._target_segment(target, toff, arr.nbytes)
-        cells = seg.cells64()
-        base_idx = (base + toff) // 8
-        hw = op.hw_name
-        # Not ctx.amo: a stream has this one caller, and the CPU stream
-        # (xpmem.amo_stream) has no delivery callback for the FT logger.
-        if ctx.same_node(target):
-            old = yield from ctx.xpmem.amo_stream(cells, base_idx, hw, arr,
-                                                  fetch=fetch)
-        else:
-            logger = (ctx.ft.amo_stream_logger(win, target, cells, base_idx)
-                      if ctx.ft is not None else None)
-            h = yield from ctx.dmapp.amo_stream_nbi(target, cells, base_idx,
-                                                    hw, arr, fetch=fetch,
-                                                    on_applied=logger)
-            if fetch:
-                yield from ctx.dmapp.wait(h)
-            old = h.result
-        # The engine's old words are a fresh uint64 array: view, no copy.
-        return old.view(arr.dtype).reshape(arr.shape) if fetch else None
-
-    # ---------------- software fallback ---------------------------------
-    old = yield from _locked_fallback(win, arr, target, toff, op)
-    return old.reshape(arr.shape) if fetch else None
 
 
 def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):

@@ -79,6 +79,65 @@ class RmaRequest:
         return self.result
 
 
+def _accumulate_call(fetch: bool):
+    """``Window.get_accumulate`` (``fetch``) or ``Window.accumulate``: one
+    body that runs the hardware stream itself (DESIGN.md section 8)."""
+    kind = "get_acc" if fetch else "acc"
+
+    def call(self, data, target: int, target_disp: int = 0,
+             op: Op = Op.SUM):
+        if self.freed:
+            raise WindowError(_FREED)
+        epoch_rules.require_access(self, target)
+        ctx = self.ctx
+        arr = np.asarray(data)
+        toff = target_disp * self.disp_unit
+        if ctx.checker is not None:
+            ctx.checker.note_op(
+                self, kind, target, [(toff, toff + arr.nbytes)],
+                op=op.name.lower(),
+                path=acc_mod.acc_path(self, op, arr.dtype, toff))
+        if self._acc_ns is not None:
+            yield self._acc_ns
+        if not acc_mod._hw_eligible(self, op, arr.dtype, toff):
+            old = yield from acc_mod._locked_fallback(self, arr, target,
+                                                      toff, op)
+        else:
+            seg, base = self._target_segment(target, toff, arr.nbytes)
+            cells = seg.cells64()
+            base_idx = (base + toff) // 8
+            # Not ctx.amo: a stream has this one caller, and the CPU stream
+            # (xpmem.amo_stream) has no delivery callback for the FT logger.
+            if ctx.world.rank_map.same_node(self.rank, target):
+                old = yield from ctx.xpmem.amo_stream(
+                    cells, base_idx, op.hw_name, arr, fetch=fetch)
+            else:
+                logger = (ctx.ft.amo_stream_logger(self, target, cells,
+                                                   base_idx)
+                          if ctx.ft is not None else None)
+                h = yield from ctx.dmapp.amo_stream_nbi(
+                    target, cells, base_idx, op.hw_name, arr, fetch=fetch,
+                    on_applied=logger)
+                old = (yield from ctx.dmapp.wait(h)) if fetch else None
+        if not fetch:
+            return None
+        # A completed fetching atomic is forward progress for the watchdog:
+        # the caller can act on the old value, so a lock-free program is
+        # not a livelock.  The lock protocols' own AMOs (locks.py, mcs.py,
+        # the accumulate fallback lock) stay unmarked: a spinning lock()
+        # issues AMOs forever.
+        ctx.env.progress_marks += 1     # env.note_progress(), inline
+        # Fresh old words (the engine's uint64 array): view, no copy.
+        return old.view(arr.dtype).reshape(arr.shape)
+
+    call.__name__ = "get_accumulate" if fetch else "accumulate"
+    call.__qualname__ = "Window." + call.__name__
+    call.__doc__ = ("MPI_Get_accumulate: the previous target contents, "
+                    "shaped as data (MPI-3's atomic read with Op.NO_OP)."
+                    if fetch else "MPI_Accumulate.")
+    return call
+
+
 class Window:
     """One rank's handle on an MPI-3 window."""
 
@@ -310,35 +369,10 @@ class Window:
                 zip_blocks(odt.blocks(ocount), tdt.blocks(tcount))]
 
     # ------------------------------------------------------------------
-    # communication: atomics (delegated to the accumulate module)
+    # communication: atomics
     # ------------------------------------------------------------------
-    def accumulate(self, data, target: int, target_disp: int = 0,
-                   op: Op = Op.SUM):
-        self._check_alive()
-        epoch_rules.require_access(self, target)
-        if self.ctx.checker is not None:
-            self._note_atomic("acc", target, target_disp, op, data)
-        return (yield from acc_mod.accumulate(self, data, target,
-                                              target_disp, op, fetch=False))
-
-    # A completed *fetching* atomic below is forward progress for the
-    # watchdog: the caller holds the old value and can act on it, so a
-    # lock-free program built from these calls alone is not a livelock.
-    # The lock protocols' own AMOs (locks.py, mcs.py, the accumulate
-    # fallback lock) go straight to the transport and stay unmarked -- a
-    # spinning lock() issues AMOs forever.
-    def get_accumulate(self, data, target: int, target_disp: int = 0,
-                       op: Op = Op.SUM):
-        """Returns the previous target contents (same shape as data);
-        with ``Op.NO_OP`` this is MPI-3's atomic read."""
-        self._check_alive()
-        epoch_rules.require_access(self, target)
-        if self.ctx.checker is not None:
-            self._note_atomic("get_acc", target, target_disp, op, data)
-        old = yield from acc_mod.accumulate(self, data, target, target_disp,
-                                            op, fetch=True)
-        self.ctx.env.note_progress()
-        return old
+    accumulate = _accumulate_call(fetch=False)
+    get_accumulate = _accumulate_call(fetch=True)
 
     def fetch_and_op(self, value, target: int, target_disp: int = 0,
                      op: Op = Op.SUM):
@@ -347,11 +381,14 @@ class Window:
             raise WindowError(_FREED)
         epoch_rules.require_access(self, target)
         ctx = self.ctx
-        if ctx.checker is not None:
-            self._note_atomic("fao", target, target_disp, op, value)
         operand, dtype = ((int(value), _I64) if type(value) is np.int64
                           else _word(value))
         toff = target_disp * self.disp_unit
+        if ctx.checker is not None:
+            ctx.checker.note_op(
+                self, "fao", target, [(toff, toff + dtype.itemsize)],
+                op=op.name.lower(),
+                path=acc_mod.acc_path(self, op, dtype, toff))
         if self._acc_ns is not None:
             yield self._acc_ns
         if not acc_mod._hw_eligible(self, op, dtype, toff):
@@ -389,16 +426,6 @@ class Window:
         if dtype is _I64:      # the unsigned old value as the origin's type
             return np.int64(old - (old >> 63 << 64))
         return np.uint64(old).view(dtype)
-
-    def _note_atomic(self, kind: str, target: int, target_disp: int,
-                     op: Op, data) -> None:
-        """Shadow-record one accumulate-family call (checker attached)."""
-        arr = np.asarray(data)
-        toff = target_disp * self.disp_unit
-        self.ctx.checker.note_op(
-            self, kind, target, [(toff, toff + arr.nbytes)],
-            op=op.name.lower(),
-            path=acc_mod.acc_path(self, op, arr.dtype, toff))
 
     # ------------------------------------------------------------------
     # synchronization -- thin wrappers over the protocol modules

@@ -55,27 +55,29 @@ def _preload(store: KvStore, spec: ServeSpec) -> None:
     volume = store.win.local_view(np.int64)
     owners, slots = place_key(np.arange(1, spec.nkeys + 1, dtype=np.uint64),
                               nranks, layout.table_slots)
-    for key, (owner, slot) in enumerate(zip(owners.tolist(), slots.tolist())):
+    # The store keeps the placement for its requests, in the narrowest
+    # unsigned type (as lists, 64 ranks' placements held ~0.5 MB).
+    store.owners = memoryview(owners.astype(np.min_scalar_type(nranks - 1)))
+    store.slots = memoryview(
+        slots.astype(np.min_scalar_type(layout.table_slots - 1)))
+    for key, (owner, slot) in enumerate(zip(store.owners, store.slots)):
         if owner == rank:
             layout.insert_local(volume, slot, key + 1,
                                 initial_value(spec.seed, key))
 
 
-def _serve(store: KvStore, row, t_arr: int):
-    """One scheduled request: wait for its arrival ``t_arr``, dispatch
-    ``row`` (a :func:`client_schedule` row) and return its
-    ``(t_arr, completed, op)`` latency row."""
-    ctx = store.ctx
-    if ctx.now < t_arr:
-        yield t_arr - ctx.now
-    op, key, value = int(row[1]), int(row[2]), int(row[3])
+def _request(store: KvStore, op: int, key: int, value: int):
+    """The store generator of one schedule request (0-based ``key``)."""
     if op == OP_GET:
-        yield from store.get(key + 1)
-    elif op == OP_PUT:
-        yield from store.put(key + 1, value)
-    else:
-        yield from store.update(key + 1, value)
-    done = ctx.now
+        return store.get(key + 1)
+    if op == OP_PUT:
+        return store.put(key + 1, value)
+    return store.update(key + 1, value)
+
+
+def _lat_row(ctx, t_arr: int, op: int) -> tuple[int, int, int]:
+    """The ``(scheduled, completed, op)`` row of a request done now."""
+    done = ctx.env.now
     if ctx.obs is not None:
         ctx.obs.metrics.observe("kv.latency_ns", ctx.rank, done - t_arr)
     return t_arr, done, op
@@ -97,9 +99,16 @@ def kv_serve_program(ctx, spec: ServeSpec, n_stripes: int = 8):
 
     sched = client_schedule(spec, ctx.rank, ctx.nranks)
     lat = np.zeros((len(sched), 3), dtype=np.int64)
-    t0 = ctx.now
+    env = ctx.env
+    t0 = env.now
     for i, row in enumerate(sched):
-        lat[i] = yield from _serve(store, row, t0 + int(row[0]))
+        # Row by row: a whole-schedule list would hold ~1 MB.
+        t_rel, op, key, value = row.tolist()
+        t_arr = t0 + t_rel
+        if env.now < t_arr:
+            yield t_arr - env.now
+        yield from _request(store, op, key, value)
+        lat[i] = _lat_row(ctx, t_arr, op)
 
     yield from store.win.flush_all()
     # Orders every rank's remote operations before the local scans.
@@ -149,6 +158,7 @@ def ft_kvstore(ctx, spec: ServeSpec | None = None, n_stripes: int = 8):
 
     def serve(windows, i):
         nonlocal t_base
+        t_rel, op, key, value = sched[i].tolist()
         if t_base is None:
             # First request of this incarnation.  Arrivals stay
             # schedule-relative from here: a restarted rank re-bases at
@@ -156,9 +166,12 @@ def ft_kvstore(ctx, spec: ServeSpec | None = None, n_stripes: int = 8):
             # immediately (that catch-up IS the recovery cost measured).
             if store.win is None:
                 store.bind(windows[0])
-            t_base = ctx.now - int(sched[i, 0])
-        lat.append((yield from _serve(store, sched[i],
-                                      t_base + int(sched[i, 0]))))
+            t_base = ctx.now - t_rel
+        t_arr = t_base + t_rel
+        if ctx.now < t_arr:
+            yield t_arr - ctx.now
+        yield from _request(store, op, key, value)
+        lat.append(_lat_row(ctx, t_arr, op))
 
     win, _done = yield from run_steps(ctx, create, len(sched), serve)
     return (np.array(lat, dtype=np.int64).reshape(-1, 3),

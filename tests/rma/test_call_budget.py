@@ -44,6 +44,14 @@ def _fao(win):
     yield from win.fetch_and_op(np.int64(1), 1, 2, Op.SUM)
 
 
+def _atomic_read(win):
+    yield from win.get_accumulate(np.zeros(3, np.int64), 1, 0, Op.NO_OP)
+
+
+def _acc(win):
+    yield from win.accumulate(np.ones(1, np.int64), 1, 3, Op.SUM)
+
+
 def _calls_per_op(op) -> float:
     counted = []
 
@@ -80,9 +88,12 @@ def _calls_per_op(op) -> float:
 
 @pytest.mark.parametrize("op, ceiling", [
     (_put_flush, 31.0),     # 40 before the issue path was flattened
-    (_cas, 26.0),           # 45
-    (_fao, 28.0),           # 47
-], ids=["put+flush", "cas", "fetch_and_op"])
+    (_cas, 25.0),           # 45
+    (_fao, 27.0),           # 47
+    (_atomic_read, 23.0),         # 36: a three-word atomic read (NO_OP)
+    (_acc, 20.0),           # 30.8: a one-word SUM; not every stream
+                            # lands inside the measured loop
+], ids=["put+flush", "cas", "fetch_and_op", "get_accumulate", "accumulate"])
 def test_calls_per_op_stay_under_the_flattened_count(op, ceiling):
     assert _calls_per_op(op) <= ceiling
 
