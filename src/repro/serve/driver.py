@@ -60,10 +60,10 @@ def _preload(store: KvStore, spec: ServeSpec) -> None:
     store.owners = memoryview(owners.astype(np.min_scalar_type(nranks - 1)))
     store.slots = memoryview(
         slots.astype(np.min_scalar_type(layout.table_slots - 1)))
-    for key, (owner, slot) in enumerate(zip(store.owners, store.slots)):
-        if owner == rank:
-            layout.insert_local(volume, slot, key + 1,
-                                initial_value(spec.seed, key))
+    mine = np.flatnonzero(owners == rank)     # ascending, as placed
+    for key, slot in zip(mine.tolist(), slots[mine].tolist()):
+        layout.insert_local(volume, slot, key + 1,
+                            initial_value(spec.seed, key))
 
 
 def _request(store: KvStore, op: int, key: int, value: int):
