@@ -118,9 +118,6 @@ class KvStore:
         yield from self.win.unlock_all()
 
     # ------------------------------------------------------------------
-    def _lock_for(self, slot: int) -> McsLock:
-        return self.locks[slot % self.n_stripes]
-
     def _locate(self, owner: int, slot: int, key: int):
         """Lock-free chain walk of three-word atomic reads: (slot key word,
         slot head, chain hops, value-word index or None, value read)."""
@@ -179,7 +176,7 @@ class KvStore:
         kw, head, hops, loc, cur = yield from self._locate(owner, slot, key)
         path = "update"
         if loc is None:
-            lock = self._lock_for(slot)
+            lock = self.locks[slot % self.n_stripes]
             yield from lock.acquire()
             # Another rank may have inserted the key since the walk above.
             kw, head, hops, loc, cur = yield from self._locate(owner, slot,
