@@ -55,8 +55,9 @@ def _preload(store: KvStore, spec: ServeSpec) -> None:
     volume = store.win.local_view(np.int64)
     owners, slots = place_key(np.arange(1, spec.nkeys + 1, dtype=np.uint64),
                               nranks, layout.table_slots)
-    # The store keeps the placement for its requests, in the narrowest
-    # unsigned type (as lists, 64 ranks' placements held ~0.5 MB).
+    # The store keeps the placement for its requests: memoryviews of the
+    # narrowest unsigned type, which index to int (as lists, 64 ranks'
+    # placements held ~0.5 MB).
     store.owners = memoryview(owners.astype(np.min_scalar_type(nranks - 1)))
     store.slots = memoryview(
         slots.astype(np.min_scalar_type(layout.table_slots - 1)))
