@@ -90,9 +90,9 @@ def _calls_per_op(op) -> float:
     (_put_flush, 31.0),     # 40 before the issue path was flattened
     (_cas, 25.0),           # 45
     (_fao, 27.0),           # 47
-    (_atomic_read, 23.0),         # 36: a three-word atomic read (NO_OP)
-    (_acc, 20.0),           # 30.8: a one-word SUM; not every stream
-                            # lands inside the measured loop
+    (_atomic_read, 23.0),   # 36: three words, NO_OP
+    (_acc, 20.0),           # 30.8: one word, SUM (not every stream lands
+                            # inside the measured loop)
 ], ids=["put+flush", "cas", "fetch_and_op", "get_accumulate", "accumulate"])
 def test_calls_per_op_stay_under_the_flattened_count(op, ceiling):
     assert _calls_per_op(op) <= ceiling
