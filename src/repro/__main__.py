@@ -16,10 +16,8 @@ Commands
                     report (span aggregates, counters, histograms, links)
 ``check <wl>``      run a registry workload (or a ``.py`` example script)
                     under the memory-model checker and report every RMA
-                    semantics violation; ``--perturb N`` sweeps N seeded
-                    schedule perturbations to manifest latent races
-                    (exit code 1 when violations are found or the
-                    record cap cut the check short)
+                    semantics violation (exit code 1 when violations are
+                    found or the record cap cut the check short)
 ``scale <action>``  hybrid million-rank scale mode: ``parity`` diffs
                     hybrid vs full-fidelity message counts exactly at
                     overlapping sizes (exit 1 on any mismatch),
@@ -138,12 +136,6 @@ def main(argv=None) -> int:
     c.add_argument("--seed", type=int, default=SimConfig.seed)
     c.add_argument("--rpn", type=int, default=1,
                    help="ranks per node (default 1)")
-    c.add_argument("--perturb", type=int, metavar="N", default=0,
-                   help="additionally rerun under N seeded schedule "
-                        "perturbations (latency jitter)")
-    c.add_argument("--jitter", action="store_true",
-                   help="perturb this single run (used by the printed "
-                        "reproducer commands)")
     sc = sub.add_parser("scale")
     sc.add_argument("action", choices=("parity", "smoke", "run"),
                     help="parity: hybrid vs full-fidelity exact message "
@@ -542,15 +534,11 @@ def _ft_cmd(args) -> int:
 
 
 def _check_cmd(args) -> int:
-    """``repro check``: named workload or example script, optional
-    perturbation sweep.  Exit code 1 iff any violation was found or a
-    run hit the record cap (:func:`~repro.check.report.check_failed`)."""
+    """``repro check``: named workload or example script.  Exit code 1
+    iff any violation was found or a run hit the record cap
+    (:func:`~repro.check.report.check_failed`)."""
     from repro.check.report import check_failed, render_check_report
 
-    if args.perturb < 0:
-        raise SystemExit(f"--perturb {args.perturb}: the number of "
-                         "perturbed reruns cannot be negative")
-    dirty = False
     if args.workload.endswith(".py"):
         # Run an arbitrary script (e.g. examples/*.py); every world it
         # builds gets a checker via the capture block.
@@ -563,6 +551,7 @@ def _check_cmd(args) -> int:
         if not checkers:
             print(f"{args.workload}: no simulated runs captured")
             return 0
+        dirty = False
         for i, ck in enumerate(checkers):
             title = f"{args.workload} run {i}" if len(checkers) > 1 \
                 else args.workload
@@ -570,22 +559,11 @@ def _check_cmd(args) -> int:
             dirty |= check_failed(ck)
         return 1 if dirty else 0
 
-    res = _run(args, ranks_per_node=args.rpn, check=True, jitter=args.jitter)
+    res = _run(args, ranks_per_node=args.rpn, check=True)
     print(render_check_report(
         res.check, f"{args.workload} ({args.ranks} ranks, "
                    f"{res.sim_time_ns / 1e3:.1f} us simulated)"))
-    dirty |= check_failed(res.check)
-    if args.perturb > 0:
-        from repro.check.perturb import perturb_sweep
-        from repro.check.report import render_perturb_report
-
-        sweep = perturb_sweep(args.workload, args.perturb,
-                              nranks=args.ranks, base_seed=args.seed,
-                              ranks_per_node=args.rpn)
-        print()
-        print(render_perturb_report(sweep))
-        dirty |= not sweep.clean
-    return 1 if dirty else 0
+    return 1 if check_failed(res.check) else 0
 
 
 if __name__ == "__main__":

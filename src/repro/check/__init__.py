@@ -7,15 +7,19 @@ The subsystem has three layers:
 * :mod:`repro.check.vclock` / :mod:`repro.check.core` -- the vector-clock
   engine and shadow access store (attached per run via
   ``CheckConfig(enabled=True)`` or :func:`~repro.check.core.check_capture`);
-* :mod:`repro.check.runner` / :mod:`repro.check.perturb` -- the driver
-  for a user's own program and the seeded schedule-perturbation sweep
-  behind ``repro check <workload> [--perturb N]`` (the named demo
-  programs and their expected verdicts live in :mod:`repro.workloads`).
+* :mod:`repro.check.runner` -- the driver for a user's own program
+  (the named demo programs behind ``repro check <workload>`` and their
+  expected verdicts live in :mod:`repro.workloads`).
+
+A latent race -- one the default schedule happens to order -- is hunted
+by exhaustive exploration on the test side: ``tests/check/explore.py``
+reruns a registry entry under every set of at most k delayed packets
+(docs/CORRECTNESS.md, "Delay-bounded exploration").
 
 This ``__init__`` stays import-light because ``rma/window.py`` imports
-``repro.check.epochs`` on the hot path: the heavy modules (runner,
-perturbation -- which pull in the whole runtime) are loaded
-lazily on attribute access.
+``repro.check.epochs`` on the hot path: the heavy modules (the runner,
+which pulls in the whole runtime) are loaded lazily on attribute
+access.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Any
 
 __all__ = ["RaceChecker", "Violation", "Access", "VectorClock",
            "check_capture", "active_check_capture", "run_checked",
-           "perturb_sweep", "render_check_report"]
+           "render_check_report"]
 
 _LAZY = {
     "RaceChecker": ("repro.check.core", "RaceChecker"),
@@ -34,7 +38,6 @@ _LAZY = {
     "check_capture": ("repro.check.core", "check_capture"),
     "active_check_capture": ("repro.check.core", "active_check_capture"),
     "run_checked": ("repro.check.runner", "run_checked"),
-    "perturb_sweep": ("repro.check.perturb", "perturb_sweep"),
     "render_check_report": ("repro.check.report", "render_check_report"),
 }
 

@@ -132,16 +132,13 @@ class Violation:
     first: Access
     second: Access
     count: int = 1
-    seed: int | None = None        # reproducer seed (perturbation sweeps)
 
     def describe(self) -> str:
-        rep = f"  [reproduce with --seed {self.seed}]" if (
-            self.seed is not None) else ""
         times = f" (x{self.count})" if self.count > 1 else ""
         return (f"race[{self.kind}] win {self.win_id} @ rank {self.target}"
                 f" bytes [{self.lo},{self.hi}){times}:\n"
                 f"    {self.first.describe()}\n"
-                f"    {self.second.describe()}{rep}")
+                f"    {self.second.describe()}")
 
 
 @dataclass

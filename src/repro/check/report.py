@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.check.core import RaceChecker
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.check.perturb import PerturbResult
-
-__all__ = ["check_failed", "render_check_report",
-           "render_perturb_report"]
+__all__ = ["check_failed", "render_check_report"]
 
 
 def check_failed(ck: RaceChecker) -> bool:
@@ -51,29 +45,3 @@ def render_check_report(ck: RaceChecker, title: str = "") -> str:
         lines.append(f"#{i} {v.describe()}")
     return "\n".join(lines)
 
-
-def render_perturb_report(result: PerturbResult) -> str:
-    """Summary of a perturbation sweep (one line per iteration plus the
-    reproducer command for every finding)."""
-    from repro.check.perturb import reproducer_command
-
-    lines = [f"perturbation sweep: {result.workload} "
-             f"({result.iterations} iterations, {result.nranks} ranks)"]
-    hits = 0
-    for i, (seed, ck) in enumerate(zip(result.seeds, result.checkers)):
-        n = sum(v.count for v in ck.violations)
-        tag = "clean" if not ck.violations else f"{n} violation(s)"
-        lines.append(f"  iter {i:<3} seed {seed:<22} {tag}")
-        hits += bool(ck.violations)
-    lines.append(f"{hits}/{result.iterations} schedules manifested races")
-    for i, (seed, ck) in enumerate(zip(result.seeds, result.checkers)):
-        if not ck.violations:
-            continue
-        lines.append("")
-        lines.append(f"-- iteration {i} (seed {seed}) --")
-        for v in ck.violations:
-            lines.append(v.describe())
-        lines.append("reproduce: "
-                     + reproducer_command(result.workload, result.nranks,
-                                          seed))
-    return "\n".join(lines)

@@ -130,8 +130,15 @@ def _accumulate_call(fetch: bool):
         # Fresh old words (the engine's uint64 array): view, no copy.
         return old.view(arr.dtype).reshape(arr.shape)
 
-    call.__name__ = "get_accumulate" if fetch else "accumulate"
-    call.__qualname__ = "Window." + call.__name__
+    # Each method its own code object name, so profiles and tracebacks
+    # tell the two apart (co_qualname exists from Python 3.11).
+    name = "get_accumulate" if fetch else "accumulate"
+    code = call.__code__.replace(co_name=name)
+    if hasattr(code, "co_qualname"):
+        code = code.replace(co_qualname="Window." + name)
+    call.__code__ = code
+    call.__name__ = name
+    call.__qualname__ = "Window." + name
     call.__doc__ = ("MPI_Get_accumulate: the previous target contents, "
                     "shaped as data (MPI-3's atomic read with Op.NO_OP)."
                     if fetch else "MPI_Accumulate.")

@@ -3,8 +3,8 @@
 :data:`WORKLOADS` maps a name to a :class:`Workload` -- a small SPMD
 program plus what each consumer must know about it -- and
 :func:`run_workload` is the one named runner.  ``repro trace`` /
-``report`` / ``check`` / ``scale`` on the CLI, the perturbation sweep,
-the parity gate, the FT drivers and the CI ``check`` job all resolve
+``report`` / ``check`` / ``scale`` on the CLI, the delay-bounded
+explorer, the parity gate, the FT drivers and the CI ``check`` job all resolve
 names here, and ``tests/test_workloads.py`` runs every oracle over every
 entry.  Every program runs with no argument beyond ``ctx``.
 
@@ -19,10 +19,11 @@ Four groups, one per tool that introduced them:
   checker must report; the ``clean_*`` programs are near-identical twins
   with the bug fixed (disjoint ranges, same-op atomics, proper
   synchronization).  ``racy_latent`` is the schedule-sensitive one: on
-  the unperturbed schedule every rank's measured flush latency stays
-  under the threshold and all writes land in private slots; under
-  ``--perturb`` the seeded latency spikes push some rank over it, its
-  put aliases the shared slot everyone reads, and the race manifests.
+  the default schedule every rank's measured flush latency stays under
+  the threshold and all writes land in private slots; one late packet
+  on a rank's get or flush pushes it over, its put aliases the shared
+  slot everyone reads, and the race manifests
+  (``tests/check/test_explore.py`` finds it).
 * ``fence_ring`` / ``pscw_ring`` / ``lock_ring`` / ``flush_ring`` -- the
   full-fidelity side of the hybrid parity gate, one per synchronization
   substrate the paper benchmarks (Figure 6).  Contention-free ring
@@ -46,7 +47,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.check.runner import JITTER_FAULTS
 from repro.config import (
     CheckConfig,
     FaultPlan,
@@ -74,7 +74,8 @@ class Workload:
     ``program`` is a module-level generator (picklable for pools).
     ``expect`` is the violation class ``repro check`` must report on the
     default schedule, ``None`` meaning "must be clean"; ``latent`` is
-    the class that manifests only under ``--perturb``.  ``scale`` is the
+    the class that manifests only when some packets arrive late (the
+    delay-bounded explorer, ``tests/check/explore.py``).  ``scale`` is the
     spec of the hybrid twin (the program's defaults equal its
     ``epochs`` / ``nbytes``), ``ft`` marks a program that runs to
     completion through a node crash under :mod:`repro.ft`.
@@ -153,7 +154,7 @@ def pscw(ctx, iters: int = 3, nbytes: int = 64):
 
 
 # --- memory-model demos (repro check): seeded races + clean controls ---
-#: ``racy_latent``'s slow-path threshold: safely above the unperturbed
+#: ``racy_latent``'s slow-path threshold: safely above the default
 #: get+flush latency at small rank counts (~1.9 us measured), safely
 #: below it plus one injected delay spike (+5 us per delayed packet).
 LATENT_THRESHOLD_NS = 3_500
@@ -352,7 +353,7 @@ def racy_latent(ctx, threshold_ns: int = LATENT_THRESHOLD_NS):
     """Latency-dependent aliasing: a rank whose measured get+flush time
     exceeds ``threshold_ns`` reports into the shared slot 0 that every
     rank reads -- racy only when the schedule actually produces a slow
-    flush (i.e. under ``--perturb``)."""
+    flush (one delayed packet on its get or flush is enough)."""
     win = yield from ctx.rma.win_allocate(8 * (ctx.nranks + 1))
     yield from win.lock_all()
     out = np.empty(8, np.uint8)
@@ -549,25 +550,18 @@ def lookup(name: str, *, scale: bool = False) -> Workload:
 
 def run_workload(name: str, nranks: int = 4, *, seed: int = SimConfig.seed,
                  ranks_per_node: int = 1, obs: bool = False,
-                 check: bool = False, jitter: bool = False,
+                 check: bool = False,
                  faults: FaultPlan | None = None, ft: FTConfig | None = None,
                  **kwargs: Any) -> RunResult:
     """Run one registry entry; the instruments land on the result.
 
     ``obs`` / ``check`` attach observability (``res.obs``) and the
-    memory-model checker (``res.check``); ``jitter`` perturbs the
-    schedule with the checker's seeded latency spikes, a fault plan of
-    its own, so it refuses ``faults``.  ``faults`` / ``ft`` are the run's
-    fault plan and rollback-recovery policy.  Remaining keyword arguments
-    go to :func:`~repro.runtime.job.run_spmd` (``gemini=``, program
-    arguments).
+    memory-model checker (``res.check``).  ``faults`` / ``ft`` are the
+    run's fault plan and rollback-recovery policy.  Remaining keyword
+    arguments go to :func:`~repro.runtime.job.run_spmd` (``gemini=``,
+    program arguments).
     """
     program = lookup(name).program
-    if jitter:
-        if faults is not None:
-            raise ValueError("jitter=True injects its own fault plan; "
-                             "pass faults= or jitter=, not both")
-        faults = JITTER_FAULTS
     return run_spmd(program, nranks,
                     machine=MachineConfig(ranks_per_node=ranks_per_node),
                     sim=SimConfig(seed=seed),

@@ -43,15 +43,6 @@ def test_truncated_run_is_not_a_clean_run(monkeypatch):
     assert "no races detected" in render_check_report(complete)
 
 
-def test_check_perturb_sweep_reports_reproducers(capsys):
-    assert main(["check", "racy_latent", "--seed", "11",
-                 "--perturb", "3"]) == 1
-    out = capsys.readouterr().out
-    assert "perturbation sweep" in out
-    assert "schedules manifested races" in out
-    assert "reproduce: repro check racy_latent" in out
-
-
 def test_check_script_mode(tmp_path, capsys):
     """A .py script that runs its own simulations is captured and
     checked; a racy script makes the command exit 1."""

@@ -361,3 +361,14 @@ def test_accumulate_captures_the_origin_buffer_at_issue(rpn):
     # Two 2**62 addends wrap the signed word: the cells are mod 2**64.
     assert res.returns[1] == [(100 + a + b + (1 << 63)) % (1 << 64)
                               - (1 << 63) for a, b in zip(first, second)]
+
+
+@pytest.mark.parametrize("name", ["accumulate", "get_accumulate"])
+def test_accumulate_methods_have_their_own_code_names(name):
+    """One body builds both methods; a profile row or a traceback still
+    names the method that ran."""
+    from repro.rma.window import Window
+
+    code = getattr(Window, name).__code__
+    assert code.co_name == name
+    assert getattr(code, "co_qualname", "Window." + name) == "Window." + name

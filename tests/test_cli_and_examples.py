@@ -134,7 +134,6 @@ def test_cli_trace_unknown_workload():
     (("ft", "soak", "--runs", "0"), "--runs 0:"),
     (("serve", "kvstore", "--requests", "0", "--slo-p99-us", "1"),
      "--requests 0:"),
-    (("check", "racy_latent", "--perturb", "-1"), "--perturb -1:"),
 ])
 def test_cli_unknown_workload_is_one_line(args, listed):
     """In process: ``SystemExit(<str>)`` is what the subprocess above

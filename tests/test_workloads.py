@@ -14,10 +14,10 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.check.perturb import perturb_sweep
 from repro.config import FaultPlan
 from repro.ft.workloads import run_crash_to_completion
 from repro.workloads import WORKLOADS, lookup, names, run_workload
+from tests.check.explore import delay_sets
 from tests.conftest import idle_tracers
 from tests.sim.test_kernel_gen2 import GOLDEN, GOLDEN_RETURNS, current
 
@@ -79,18 +79,15 @@ def test_names_programs_and_goldens_line_up():
 
 
 def test_latent_entry_is_clean_until_perturbed():
+    """Clean on the default schedule (swept above); one delayed packet
+    somewhere shows the latent class (tests/check/test_explore.py runs
+    every delay set)."""
     latent = {n: wl.latent for n, wl in WORKLOADS.items() if wl.latent}
     assert latent == {"racy_latent": "put-get"}
-    assert WORKLOADS["racy_latent"].expect is None   # swept clean above
-    sweep = perturb_sweep("racy_latent", 6, nranks=NRANKS, base_seed=SEED)
-    assert "put-get" in {v.kind for v in sweep.findings}
-
-
-def test_jitter_refuses_a_fault_plan_of_its_own():
-    """``jitter=True`` is a fault plan; it may not silently replace the
-    caller's."""
-    with pytest.raises(ValueError, match="jitter"):
-        run_workload("putget", faults=FaultPlan(drop_prob=0.1), jitter=True)
+    assert WORKLOADS["racy_latent"].expect is None
+    found = {v.kind for _, res in delay_sets("racy_latent", NRANKS, 1)
+             for v in res.check.violations}
+    assert "put-get" in found
 
 
 @pytest.mark.parametrize("name", names(scale=True))
