@@ -17,7 +17,7 @@ Commands
 ``check <wl>``      run a registry workload (or a ``.py`` example script)
                     under the memory-model checker and report every RMA
                     semantics violation (exit code 1 when violations are
-                    found or the record cap cut the check short)
+                    found)
 ``scale <action>``  hybrid million-rank scale mode: ``parity`` diffs
                     hybrid vs full-fidelity message counts exactly at
                     overlapping sizes (exit 1 on any mismatch),
@@ -453,14 +453,13 @@ def _serve_cmd(args) -> int:
                        check=args.check)
         report = build_report(res, spec, nranks, variant=args.variant)
         if args.check:
-            from repro.check.report import check_failed, render_check_report
+            from repro.check.report import render_check_report
 
             print(render_check_report(res.check,
                                       f"serve kvstore ({nranks} ranks)"))
             print()
-            if check_failed(res.check):
-                failures.append("memory-model checker found violations "
-                                "or hit its record cap")
+            if not res.check.clean:
+                failures.append("memory-model checker found violations")
 
     print(render_report(report))
     p99_us = report["latency_ns"]["p99"] / 1e3
@@ -535,9 +534,8 @@ def _ft_cmd(args) -> int:
 
 def _check_cmd(args) -> int:
     """``repro check``: named workload or example script.  Exit code 1
-    iff any violation was found or a run hit the record cap
-    (:func:`~repro.check.report.check_failed`)."""
-    from repro.check.report import check_failed, render_check_report
+    iff any violation was found."""
+    from repro.check.report import render_check_report
 
     if args.workload.endswith(".py"):
         # Run an arbitrary script (e.g. examples/*.py); every world it
@@ -556,14 +554,14 @@ def _check_cmd(args) -> int:
             title = f"{args.workload} run {i}" if len(checkers) > 1 \
                 else args.workload
             print(render_check_report(ck, title))
-            dirty |= check_failed(ck)
+            dirty |= not ck.clean
         return 1 if dirty else 0
 
     res = _run(args, ranks_per_node=args.rpn, check=True)
     print(render_check_report(
         res.check, f"{args.workload} ({args.ranks} ranks, "
                    f"{res.sim_time_ns / 1e3:.1f} us simulated)"))
-    return 1 if check_failed(res.check) else 0
+    return 0 if res.check.clean else 1
 
 
 if __name__ == "__main__":

@@ -33,8 +33,16 @@ ranges (one range per contiguous datatype block, so interleaving-but-
 disjoint strided types never alias).  On insertion each record is
 compared against the live records for the same location; pairs that are
 neither happens-before-ordered nor permitted-concurrent become
-:class:`Violation` findings.  Full barriers prune records that can no
-longer race with anything in the future, bounding memory.
+:class:`Violation` findings.  The new record then takes over the bytes it
+shares with each live record of the same ``(rank, kind, op)``, which keeps
+only its uncovered ranges (FastTrack's observation, Flanagan & Freund,
+PLDI 2009): the later record's ``oseq`` and own-clock tick are at least as
+large, so any future access unordered with the earlier one is unordered
+with it too and classifies the same.  The store thus holds one record per
+origin, kind and op on each byte, and ``Violation.count`` counts racing
+pairs against those records.  Full barriers prune records that can no
+longer race -- but not a remote access its origin has not completed since
+(a barrier completes no RMA operation).
 
 **Classification** follows the paper's Section 4 / MPI-3 Section 11.7:
 
@@ -59,17 +67,13 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator
 
 from repro.check.vclock import VectorClock
 
 __all__ = ["Access", "Violation", "RaceChecker", "check_capture",
            "active_check_capture"]
-
-#: Cap on live shadow access records; past it recording stops and the run
-#: is flagged ``truncated`` (full barriers prune records that cannot race).
-RECORD_LIMIT = 200_000
 
 #: Access kinds that only read target memory.
 _READ_KINDS = frozenset({"get", "local_load"})
@@ -92,7 +96,7 @@ class Access:
     target: int                    # rank whose window memory is touched
     ranges: tuple[tuple[int, int], ...]   # [lo, hi) byte ranges
     oseq: int                      # same-origin operation-sequence number
-    clock: VectorClock             # issuing rank's clock at issue time
+    tick: int                      # issuing rank's own clock component
     t_ns: int                      # simulated issue time
     epoch: str                     # epoch context label
     path: str = ""                 # accumulate path tag ("hw"/"sw")
@@ -158,13 +162,6 @@ class _LockSync:
     read_release: VectorClock
 
 
-@dataclass
-class _Shadow:
-    """Live access records for one (window, target) location."""
-
-    records: list = field(default_factory=list)
-
-
 class RaceChecker:
     """Vector-clock race detection for one simulated run."""
 
@@ -182,11 +179,10 @@ class RaceChecker:
         self._pscw_done: _Edges = {}
         self._mcs: dict[tuple, VectorClock] = {}
         self._oseq: dict[tuple[int, int], int] = {}
-        # Shadow store:
-        self._shadow: dict[tuple[int, int], _Shadow] = {}
+        # Shadow store: live records per (window, target).
+        self._shadow: dict[tuple[int, int], list[Access]] = {}
         self.nrecords = 0
         self.pruned = 0
-        self.truncated = False
         self.accesses_seen = 0
         # Two-sided happens-before edges observed (msg_send match points).
         self.msg_edges = 0
@@ -389,9 +385,9 @@ class RaceChecker:
         for key in [k for k in self._oseq if k[0] == rank]:
             del self._oseq[key]
         self._oseq.update(oseqs)
-        for shadow in self._shadow.values():
-            shadow.records = [r for r in shadow.records if r.rank != rank]
-        self.nrecords = sum(len(s.records) for s in self._shadow.values())
+        for key, records in self._shadow.items():
+            self._shadow[key] = [r for r in records if r.rank != rank]
+        self.nrecords = sum(map(len, self._shadow.values()))
         # Withdraw the dead incarnation's entries from still-open
         # collective slots it had entered past the checkpoint: the
         # restarted incarnation re-enters them.
@@ -414,14 +410,12 @@ class RaceChecker:
         from repro.check import epochs
 
         self.accesses_seen += 1
-        if self.truncated:
-            return
         rank = win.rank
         rec = Access(
             rank=rank, kind=kind, op=op, win_id=win.win_id, target=target,
             ranges=tuple((int(lo), int(hi)) for lo, hi in ranges),
             oseq=self._oseq.get((rank, win.win_id), 0),
-            clock=self.clocks[rank].copy(), t_ns=win.ctx.now,
+            tick=self.clocks[rank][rank], t_ns=win.ctx.now,
             epoch=epochs.epoch_context(win), path=path)
         self._insert(rec)
 
@@ -441,21 +435,29 @@ class RaceChecker:
     # shadow store + classification
     # ------------------------------------------------------------------
     def _insert(self, rec: Access) -> None:
-        shadow = self._shadow.get((rec.win_id, rec.target))
-        if shadow is None:
-            shadow = self._shadow[(rec.win_id, rec.target)] = _Shadow()
-        for old in shadow.records:
+        shadow = self._shadow.setdefault((rec.win_id, rec.target), [])
+        seen = self.clocks[rec.rank]
+        cls = (rec.rank, rec.kind, rec.op)
+        trimmed = False
+        for i, old in enumerate(shadow):
             if not _overlaps(old.ranges, rec.ranges):
                 continue
-            if _ordered(old, rec):
-                continue
-            kind = _classify(old, rec)
-            if kind is not None:
-                self._report(kind, old, rec)
-        if self.nrecords >= RECORD_LIMIT:
-            self.truncated = True
-            return
-        shadow.records.append(rec)
+            if not _ordered(old, rec, seen):
+                kind = _classify(old, rec)
+                if kind is not None:
+                    self._report(kind, old, rec)
+            if (old.rank, old.kind, old.op) == cls:
+                # ``rec`` takes over the shared bytes (module docstring).
+                shadow[i] = replace(old,
+                                    ranges=_subtract(old.ranges, rec.ranges))
+                trimmed = True
+        if trimmed:
+            live = [r for r in shadow if r.ranges]
+            dropped = len(shadow) - len(live)
+            self.pruned += dropped
+            self.nrecords -= dropped
+            shadow[:] = live
+        shadow.append(rec)
         self.nrecords += 1
 
     def _report(self, kind: str, old: Access, new: Access) -> None:
@@ -481,12 +483,16 @@ class RaceChecker:
             obs.metrics.count("check.violations", new.rank)
 
     def _prune(self, acc: VectorClock) -> None:
-        """Drop records ordered before a completed full collective."""
-        for shadow in self._shadow.values():
-            keep = [r for r in shadow.records if not r.clock.leq(acc)]
-            self.pruned += len(shadow.records) - len(keep)
-            shadow.records = keep
-        self.nrecords = sum(len(s.records) for s in self._shadow.values())
+        """Drop records ordered before a completed full collective, but
+        keep a remote access its origin has not completed since."""
+        oseq = self._oseq
+        for key, records in self._shadow.items():
+            keep = [r for r in records if r.tick > acc[r.rank] or (
+                not r.is_local
+                and r.oseq == oseq.get((r.rank, r.win_id), 0))]
+            self.pruned += len(records) - len(keep)
+            self._shadow[key] = keep
+        self.nrecords = sum(map(len, self._shadow.values()))
 
     # ------------------------------------------------------------------
     # results
@@ -506,7 +512,6 @@ class RaceChecker:
             "accesses": self.accesses_seen,
             "live_records": self.nrecords,
             "pruned_records": self.pruned,
-            "truncated": self.truncated,
         }
 
 
@@ -514,6 +519,14 @@ class RaceChecker:
 def _overlaps(a: tuple, b: tuple) -> bool:
     return any(lo1 < hi2 and lo2 < hi1
                for lo1, hi1 in a for lo2, hi2 in b)
+
+
+def _subtract(a: tuple, b: tuple) -> tuple[tuple[int, int], ...]:
+    """The parts of ranges ``a`` that no range of ``b`` covers."""
+    for cut_lo, cut_hi in b:  # keep what lies left and right of each cut
+        a = tuple((lo, hi) for lo1, hi1 in a for lo, hi in (
+            (lo1, min(hi1, cut_lo)), (max(lo1, cut_hi), hi1)) if lo < hi)
+    return a
 
 
 def _first_overlap(a: tuple, b: tuple) -> tuple[int, int]:
@@ -524,8 +537,9 @@ def _first_overlap(a: tuple, b: tuple) -> tuple[int, int]:
     return 0, 0  # pragma: no cover - caller guarantees an overlap
 
 
-def _ordered(old: Access, new: Access) -> bool:
-    """Is ``old`` ordered before ``new`` (recorded later in event order)?"""
+def _ordered(old: Access, new: Access, seen: VectorClock) -> bool:
+    """Is ``old`` ordered before ``new`` (recorded later in event order)?
+    ``seen`` is ``new``'s issuing rank's clock at issue time."""
     if old.rank == new.rank:
         if old.oseq != new.oseq:
             return True             # a flush/unlock/complete/fence between
@@ -534,7 +548,7 @@ def _ordered(old: Access, new: Access) -> bool:
         # MPI's default accumulate ordering: same-origin accumulates to
         # the same location are ordered even without completion calls.
         return old.is_acc and new.is_acc
-    return old.clock[old.rank] <= new.clock[old.rank]
+    return old.tick <= seen[old.rank]
 
 
 def _classify(old: Access, new: Access) -> str | None:

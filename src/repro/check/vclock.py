@@ -12,9 +12,10 @@ release/acquire discipline:
 
 An access ``a`` happens-before an access ``b`` recorded later (the DES
 kernel delivers hook calls in deterministic event order, so "later"
-is well defined) iff ``a.clock[a.rank] <= b.clock[a.rank]`` -- rank
-``b`` has acquired a release that followed ``a``.  Own components start
-at 1 so an access always carries a nonzero epoch label.
+is well defined) iff ``a.tick <= clock_b[a.rank]``, ``a.tick`` being
+``a.rank``'s own component at ``a`` and ``clock_b`` ``b.rank``'s clock at
+``b`` -- rank ``b`` has acquired a release that followed ``a``.  Own
+components start at 1 so an access always carries a nonzero epoch label.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class VectorClock:
             if v > mine[i]:
                 mine[i] = v
 
-    def leq(self, other: "VectorClock") -> bool:
-        """Pointwise ``<=`` -- every event known here is known there."""
-        return all(a <= b for a, b in zip(self.c, other.c))
-
     def __getitem__(self, rank: int) -> int:
         return self.c[rank]
 
@@ -61,9 +58,6 @@ class VectorClock:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VectorClock) and self.c == other.c
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash(tuple(self.c))
 
     def __repr__(self) -> str:
         return f"VC{self.c!r}"

@@ -101,8 +101,8 @@ class CheckConfig:
     ----------
     enabled:
         Attach a :class:`~repro.check.core.RaceChecker` to the run
-        (exposed as ``RunResult.check``).  Its live shadow records are
-        capped at :data:`repro.check.core.RECORD_LIMIT`.
+        (exposed as ``RunResult.check``).  It keeps one shadow record per
+        origin, access kind and op on each window byte.
     """
 
     enabled: bool = False

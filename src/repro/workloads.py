@@ -74,7 +74,7 @@ class Workload:
     ``program`` is a module-level generator (picklable for pools).
     ``expect`` is the violation class ``repro check`` must report on the
     default schedule, ``None`` meaning "must be clean"; ``latent`` is
-    the class that manifests only when some packets arrive late (the
+    the classes that manifest only when some packets arrive late (the
     delay-bounded explorer, ``tests/check/explore.py``).  ``scale`` is the
     spec of the hybrid twin (the program's defaults equal its
     ``epochs`` / ``nbytes``), ``ft`` marks a program that runs to
@@ -83,7 +83,7 @@ class Workload:
 
     program: Callable[..., Any]
     expect: str | None = None
-    latent: str | None = None
+    latent: frozenset[str] = frozenset()
     scale: WorkloadSpec | None = None
     ft: bool = False
 
@@ -506,7 +506,8 @@ WORKLOADS: dict[str, Workload] = {
     "racy_local": Workload(racy_local, expect="local-remote"),
     "racy_same_origin": Workload(racy_same_origin, expect="same-origin"),
     "racy_msg_nosync": Workload(racy_msg_nosync, expect="local-remote"),
-    "racy_latent": Workload(racy_latent, latent="put-get"),
+    "racy_latent": Workload(racy_latent,
+                            latent=frozenset({"put-get", "put-put"})),
     "clean_put_put": Workload(clean_put_put),
     "clean_msg_sync": Workload(clean_msg_sync),
     "clean_acc_sum": Workload(clean_acc_sum),

@@ -185,27 +185,77 @@ def test_full_barrier_prunes_shadow_records():
     assert ck.pruned > 0
 
 
-def test_record_cap_truncates_gracefully(monkeypatch):
-    from repro.check import core as check_core
-    from repro.config import CheckConfig
-    from repro.runtime.job import run_spmd
+def test_barrier_does_not_complete_an_origins_puts():
+    """A barrier orders ranks but completes no RMA operation: rank 0's
+    second put to the same bytes still races its first one."""
 
-    def program(ctx):
-        win = yield from ctx.rma.win_allocate(8 * ctx.nranks)
+    def program(ctx, barrier: bool):
+        win = yield from ctx.rma.win_allocate(8)
         yield from win.lock_all()
-        for _ in range(4):
-            yield from win.put(np.full(8, 1, np.uint8), 0, 8 * ctx.rank)
-            yield from win.flush(0)
+        if ctx.rank == 0:
+            yield from win.put(np.full(8, 1, np.uint8), 1, 0)
+        if barrier:
+            yield from ctx.coll.barrier()
+        if ctx.rank == 0:
+            yield from win.put(np.full(8, 2, np.uint8), 1, 0)
+            yield from win.flush_all()
         yield from win.unlock_all()
         yield from ctx.coll.barrier()
         yield from win.free()
 
-    monkeypatch.setattr(check_core, "RECORD_LIMIT", 2)
-    res = run_spmd(program, 4, check=CheckConfig(enabled=True))
-    ck = res.check
-    assert ck.truncated
-    assert ck.stats_snapshot()["truncated"]
-    assert ck.nrecords <= 2
+    for barrier in (False, True):
+        _, ck = run_checked(program, nranks=2, seed=11, barrier=barrier)
+        assert {v.kind for v in ck.violations} == {"same-origin"}, barrier
+
+
+@pytest.mark.parametrize("nputs,offsets", [(64, 4), (256, 8)])
+def test_barrier_free_stream_keeps_one_record_per_offset(nputs, offsets):
+    """A put takes over the bytes of its origin's earlier puts, so a
+    barrier-free stream cycling over M offsets holds at most M records."""
+    live = []
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(8 * offsets)
+        yield from win.lock_all()
+        if ctx.rank == 0:
+            for i in range(nputs):
+                yield from win.put(np.full(8, i % 251, np.uint8), 1,
+                                   8 * (i % offsets))
+                yield from win.flush(1)
+            live.append(ctx.world.checker.nrecords)
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        yield from win.free()
+
+    _, ck = run_checked(program, nranks=2, seed=11)
+    assert ck.clean and ck.accesses_seen == nputs
+    assert live and live[0] <= offsets
+
+
+def test_partly_covered_record_keeps_its_other_bytes():
+    """A put over half of its origin's earlier put takes only that half:
+    a later unordered put to the other half still races the earlier one."""
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(16)
+        yield from win.lock_all()
+        if ctx.rank == 0:
+            yield from win.put(np.full(16, 1, np.uint8), 2, 0)
+            yield from win.flush(2)
+            yield from win.put(np.full(8, 2, np.uint8), 2, 0)
+            yield from win.flush(2)
+        elif ctx.rank == 1:
+            yield from ctx.compute(100_000)     # after both of rank 0's
+            yield from win.put(np.full(8, 3, np.uint8), 2, 8)
+            yield from win.flush(2)
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+        yield from win.free()
+
+    _, ck = run_checked(program, nranks=3, seed=11)
+    (v,) = ck.violations
+    assert (v.kind, v.lo, v.hi, v.count) == ("put-put", 8, 16, 1)
+    assert (v.first.rank, v.first.ranges) == (0, ((8, 16),))
 
 
 def test_stats_snapshot_shape():
@@ -213,7 +263,7 @@ def test_stats_snapshot_shape():
     s = ck.stats_snapshot()
     assert s["violations"] >= s["unique"] >= 1
     assert s["by_kind"] == {"put-put": s["violations"]}
-    assert s["accesses"] > 0 and not s["truncated"]
+    assert s["accesses"] == s["live_records"] + s["pruned_records"] > 0
 
 
 def test_run_result_carries_check_stats():

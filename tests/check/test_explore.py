@@ -7,7 +7,8 @@ entry runs under every set of one delayed transmission attempt at 2, 3 and
 and PSCW under every set of two at 2 ranks (``tests/check/explore.py``).
 Each run must end without an exception and report exactly its entry's
 verdict -- except ``racy_latent``, which is clean on the default schedule
-and must show its latent race under some single delay at every size.
+and must show both of its latent classes under single delays at every
+size.
 
 A failure message is the run's reproducer, one line.
 """
@@ -20,9 +21,6 @@ from tests.check.explore import delay_sets, reproducer, run_delayed
 from tests.test_workloads import _fingerprint
 
 SIZES = (2, 3, 4)
-#: What ``racy_latent`` may report: a slow rank's put into the shared slot
-#: races the others' reads of it, and two slow ranks' puts race each other.
-LATENT_KINDS = {"put-get", "put-put"}
 
 
 def _bound(name: str, nranks: int) -> int:
@@ -36,7 +34,6 @@ def _bound(name: str, nranks: int) -> int:
 def explore(name: str, nranks: int):
     """``(delays, violation kinds)`` of every run within the bound."""
     for delays, res in delay_sets(name, nranks, _bound(name, nranks)):
-        assert not res.check.truncated, reproducer(name, nranks, delays)
         yield delays, {v.kind for v in res.check.violations}
 
 
@@ -55,18 +52,18 @@ def test_every_delayed_run_keeps_the_stated_verdict(name, nranks):
 
 @pytest.mark.parametrize("nranks", SIZES)
 def test_latent_race_shows_under_one_delay(nranks):
+    # A slow rank's put into the shared slot races the others' reads of
+    # it, and two slow ranks' puts race each other.
     latent = WORKLOADS["racy_latent"].latent
     found = set()
     for delays, kinds in explore("racy_latent", nranks):
-        assert kinds <= LATENT_KINDS, \
+        assert kinds <= latent, \
             f"{reproducer('racy_latent', nranks, delays)} reports {kinds}"
         if not delays:
             assert not kinds, reproducer("racy_latent", nranks, delays)
         if len(delays) == 1:
             found |= kinds
-    assert latent in found
-    if nranks == 2:
-        assert found == LATENT_KINDS
+    assert found == latent
 
 
 @pytest.mark.parametrize("name", [n for n, wl in WORKLOADS.items()

@@ -33,15 +33,17 @@ def test_merge_is_componentwise_max():
     assert a.c == [1, 0, 2]
 
 
-def test_leq_defines_happens_before():
+def test_own_component_defines_happens_before():
+    """An access at ``a``'s tick is ordered before ``b`` once ``b``'s
+    clock has caught up with that tick (``check.core._ordered``)."""
     a = VectorClock(2, 0)
     b = VectorClock(2, 1)
-    # Concurrent: neither dominates.
-    assert not a.leq(b) and not b.leq(a)
-    # After b acquires a's clock, a <= b.
+    # Concurrent: neither has seen the other's tick.
+    assert a[0] > b[0] and b[1] > a[1]
+    # After b acquires a's clock, a's tick is known to b, not vice versa.
     b.merge(a)
     b.tick(1)
-    assert a.leq(b) and not b.leq(a)
+    assert a[0] <= b[0] and b[1] > a[1]
 
 
 def test_equality():

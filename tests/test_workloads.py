@@ -61,7 +61,6 @@ def test_instruments_do_not_perturb_and_verdict_is_as_stated(name, rpn):
     kinds = {v.kind for v in checked.check.violations}
     assert kinds == ({expect} if expect else set()), \
         [v.describe() for v in checked.check.violations]
-    assert not checked.check.truncated
 
     if name in GOLDEN and rpn == 4:
         # The pre-checker, pre-obs schedules (tests/sim/test_kernel_gen2.py
@@ -80,14 +79,14 @@ def test_names_programs_and_goldens_line_up():
 
 def test_latent_entry_is_clean_until_perturbed():
     """Clean on the default schedule (swept above); one delayed packet
-    somewhere shows the latent class (tests/check/test_explore.py runs
+    somewhere shows each latent class (tests/check/test_explore.py runs
     every delay set)."""
     latent = {n: wl.latent for n, wl in WORKLOADS.items() if wl.latent}
-    assert latent == {"racy_latent": "put-get"}
+    assert latent == {"racy_latent": {"put-get", "put-put"}}
     assert WORKLOADS["racy_latent"].expect is None
     found = {v.kind for _, res in delay_sets("racy_latent", NRANKS, 1)
              for v in res.check.violations}
-    assert "put-get" in found
+    assert found == latent["racy_latent"]
 
 
 @pytest.mark.parametrize("name", names(scale=True))
