@@ -137,6 +137,8 @@ def start(win, group):
             if v != 0 and (v - 1) in needed:
                 needed.discard(v - 1)
                 ctrl.store(idx, 0)  # free the slot
+                if not needed:
+                    break
         if needed:
             if notifier is not None:
                 dead = needed & notifier.known(win.rank)

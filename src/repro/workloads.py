@@ -34,8 +34,9 @@ Four groups, one per tool that introduced them:
   different oracles, hence two names.
 * ``ft_hashtable`` / ``ft_kvstore`` -- the programs that run to
   completion through a node crash, both on :func:`repro.ft.run_steps`:
-  the paper's distributed hashtable (Section 4.1) with collision-free
-  keys, and the served :class:`~repro.apps.kvstore.KvStore`
+  the paper's distributed hashtable insert (Section 4.1,
+  :func:`~repro.apps.hashtable.rma_ht.rma_insert`), and the served
+  :class:`~repro.apps.kvstore.KvStore`
   (:func:`repro.serve.driver.ft_kvstore`); the crash-to-completion
   driver lives in :mod:`repro.ft.workloads`.
 """
@@ -47,6 +48,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.apps.hashtable.common import HashTableLayout
+from repro.apps.hashtable.rma_ht import rma_insert
 from repro.config import (
     CheckConfig,
     FaultPlan,
@@ -432,65 +435,56 @@ def flush_ring(ctx, epochs: int = 2, nbytes: int = 8):
 
 
 # --- crash-recoverable programs (repro.ft) ---
-_MASK63 = (1 << 63) - 1
-_SLOT = 16          # 8B key word + 8B value word
+def _ft_keys(seed: int, rank: int, nranks: int, layout: HashTableLayout,
+             inserts: int) -> list[int]:
+    """``rank``'s ``ft_hashtable`` keys: all owned by the next rank, keys
+    ``2k`` and ``2k + 1`` on table slot ``k``.  Key ``i`` is the first of
+    its seeded draws that :meth:`HashTableLayout.place` puts there."""
+    keys: list[int] = []
+    for i in range(inserts):
+        where = ((rank + 1) % nranks, i // 2)
+        j = 0
+        while True:
+            draw = derive_seed(seed, f"ftkey-{rank}-{i}-{j}")
+            key = draw % ((1 << 62) - 1) + 1
+            if layout.place(key, nranks) == where:
+                break
+            j += 1
+        keys.append(key)
+    return keys
 
 
-def ft_hashtable(ctx, nslots: int | None = None, inserts: int = 4):
-    """One rank of the crash-recoverable hashtable insert phase, one
-    insert per :func:`~repro.ft.run_steps` step.
+def ft_hashtable(ctx, inserts: int = 4):
+    """One rank of the crash-recoverable hashtable insert phase: the
+    paper's :func:`~repro.apps.hashtable.rma_ht.rma_insert` (Section 4.1),
+    one insert per :func:`~repro.ft.run_steps` step.
 
-    The harness keeps the steady state collective-free; what the program
-    adds is a **timing-independent final state**.  Keys are constructed
-    so that insert ``i`` of rank ``r`` hashes to the globally unique slot
-    ``r*inserts + i`` (``key % nslots == slot``); no two ranks ever race
-    for a slot, so the final table bytes are a pure function of the seed
-    -- the same whether a crash happened or not, and under both ``spare``
-    and ``shrink`` recovery.  The CAS probe loop is still the paper's
-    linear probing; collisions just never occur by construction
-    (``old == key`` re-claims are exactly the restored rank replaying
-    its own inserts).
+    The harness keeps the steady state collective-free; what the keys add
+    is a **timing-independent final state**.  Every key of rank ``r`` is
+    owned by rank ``(r + 1) % nranks``, so each owner's volume has one
+    writer, and keys ``2k`` and ``2k + 1`` share table slot ``k``, so
+    every second insert takes the overflow path (fetch-and-add, put,
+    fetch-and-replace, put, flush).  The final table bytes are a pure
+    function of the seed -- the same whether a crash happened or not, and
+    under both ``spare`` and ``shrink`` recovery.
 
-    Layout: every rank's window holds ``nslots`` (default
-    ``nranks * inserts``) 16-byte slots plus the 8-byte completion
-    word.  Global slot ``s`` lives on rank ``s % nranks`` at byte offset
-    ``s*16``.  Returns the rank's final slot region as ``bytes``.
+    Each rank's window is one :class:`HashTableLayout` volume plus the
+    8-byte completion word after it.  Returns the volume as ``bytes``.
     """
-    rank, nranks = ctx.rank, ctx.nranks
-    if nslots is None:
-        nslots = nranks * inserts
-    if nslots < nranks * inserts:
-        raise ValueError(f"nslots={nslots} < nranks*inserts="
-                         f"{nranks * inserts}: slots must be collision-free")
-    seed = ctx.world.sim.seed
+    layout = HashTableLayout(table_slots=(inserts + 1) // 2,
+                             heap_cells=max(1, inserts // 2))
+    keys = _ft_keys(ctx.world.sim.seed, ctx.rank, ctx.nranks, layout, inserts)
 
     def create():
-        win = yield from ctx.rma.win_allocate(nslots * _SLOT + 8,
-                                              disp_unit=1)
-        return (win,), win, nslots * _SLOT
+        win = yield from ctx.rma.win_allocate(layout.nbytes + 8, disp_unit=8)
+        return (win,), win, layout.words
 
     def insert(windows, i):
         (win,) = windows
-        s = rank * inserts + i
-        # key % nslots == s and key < 2**63 (signed-safe for the CAS),
-        # key != 0 (zero marks an empty slot).
-        m = derive_seed(seed, f"ftkey-{rank}-{i}") % ((1 << 40) - 1) + 1
-        key = m * nslots + s
-        value = derive_seed(seed, f"ftval-{rank}-{i}") & _MASK63
-        j = key % nslots
-        for _probe in range(nslots):
-            owner, off = j % nranks, j * _SLOT
-            old = yield from win.compare_and_swap(0, key, owner, off)
-            if old == 0 or old == key:
-                vbuf = np.frombuffer(int(value).to_bytes(8, "little"),
-                                     dtype=np.uint8)
-                yield from win.put(vbuf, owner, off + 8)
-                return
-            j = (j + 1) % nslots
-        raise RuntimeError(f"rank {rank}: hashtable full")
+        yield from rma_insert(win, layout, keys[i])
 
     (win,) = yield from run_steps(ctx, create, inserts, insert)
-    return win.seg.snapshot_bytes()[:nslots * _SLOT]
+    return win.seg.snapshot_bytes()[:layout.nbytes]
 
 
 # --- the table and its runner ---
