@@ -102,15 +102,26 @@ class KvLayout:
         volume[self.slot_head(slot)] = cell
 
     def scan(self, volume: np.ndarray) -> dict[int, int]:
-        """All (key, value) pairs stored in one rank's int64 volume."""
+        """All (key, value) pairs stored in one rank's int64 volume.
+
+        Reads the table and the heap cells the counter has handed out
+        with one ``tolist`` each and walks the chains on Python ints; a
+        cell past the counter (a volume built by hand) is read on its
+        own."""
+        base = self.slot_key(self.table_slots)
+        table = volume[1:base].tolist()
+        claimed = min(int(volume[0]), self.heap_cells)
+        heap = volume[base:base + 3 * claimed].tolist()
         out: dict[int, int] = {}
-        for slot in range(self.table_slots):
-            k = int(volume[self.slot_key(slot)])
+        for i in range(0, len(table), 3):
+            k, v, cell = table[i:i + 3]
             if k != 0:
-                out[k] = int(volume[self.slot_value(slot)])
-            cell = int(volume[self.slot_head(slot)])
+                out[k] = v
             while cell != 0:
-                out[int(volume[self.heap_key(cell)])] = \
-                    int(volume[self.heap_value(cell)])
-                cell = int(volume[self.heap_next(cell)])
+                j = 3 * (cell - 1)
+                if cell <= claimed:
+                    k, v, cell = heap[j:j + 3]
+                else:
+                    k, v, cell = volume[base + j:base + j + 3].tolist()
+                out[k] = v
         return out

@@ -19,7 +19,7 @@ def cg_solve(ctx, op: StencilOperator, halo, b: np.ndarray, *,
              tol: float, maxiter: int, flop_rate: float):
     """Solve A x = b; returns (x, iterations, final_residual_norm).
 
-    ``halo.exchange(op, padded)`` refreshes the halos of the direction
+    ``halo.exchange(padded)`` refreshes the halos of the direction
     vector before each operator application; two allreduces per iteration
     reproduce su3_rmd's reduction cadence.
     """
@@ -34,7 +34,7 @@ def cg_solve(ctx, op: StencilOperator, halo, b: np.ndarray, *,
     bb = rr
     iters = 0
     while iters < maxiter and rr.real > (tol * tol) * bb.real:
-        yield from halo.exchange(op, p_pad)
+        yield from halo.exchange(p_pad)
         ap = op.apply(p_pad)
         yield from ctx.compute(apply_ns)
         p_int = StencilOperator.interior(p_pad)

@@ -14,8 +14,12 @@ avoids any reset race without extra synchronization.
 
 Nothing about a rank's halo changes between exchanges, so its geometry
 (per decomposed direction: neighbour rank, face size, send slot, the
-neighbour's opposite slot) is a plan made at construction; an exchange
-loops over the plan and computes no coordinates.
+neighbour's opposite slot, and the flat face and halo indices of the
+lattice shape's :class:`~repro.apps.milc.su3.ShapePlan`) is a plan made
+at construction; an exchange loops over the plan and computes no
+coordinates.  A face is packed with one ``np.take`` straight into its
+send slot and installed with one indexed store, and the periodic
+wraparound of every undecomposed dimension is one gather and one store.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.apps.milc.lattice import LatticeDecomp
+from repro.apps.milc.su3 import shape_plan
 from repro.rma.enums import Op
 
 __all__ = ["Mpi1Halo", "RmaHalo", "UpcHalo", "DIRECTIONS"]
@@ -49,19 +54,22 @@ class _Face(NamedTuple):
     nbytes: int     # packed face size
     slot: int       # byte offset of my send slot for this face
     theirs: int     # byte offset of the peer's opposite slot: what I fetch
+    face: np.ndarray  # flat indices of the face I send
+    halo: np.ndarray  # flat indices of the halo layer it fills
 
 
 class _HaloBase:
     """Geometry shared by the three engines, computed once per rank:
-    ``plan`` (a :class:`_Face` per decomposed direction), the dimensions
-    that wrap locally, the window size and the pack charge.  The slots
-    are the window layout above -- all eight, decomposed or not -- which
-    the message-passing engine ignores."""
+    ``plan`` (a :class:`_Face` per decomposed direction), the flat
+    indices of the local wraparound, the window size and the pack charge.
+    The slots are the window layout above -- all eight, decomposed or
+    not -- which the message-passing engine ignores."""
 
     def __init__(self, ctx, decomp: LatticeDecomp) -> None:
         self.ctx = ctx
         self.decomp = decomp
         self.rounds = 0
+        shape = shape_plan(tuple(decomp.local))
         offsets = {}
         self.win_bytes = 64
         for dim, side in DIRECTIONS:
@@ -70,28 +78,37 @@ class _HaloBase:
         self.plan = [
             _Face(dim, side, decomp.neighbor(ctx.rank, dim, side),
                   decomp.face_bytes(dim), offsets[dim, side],
-                  offsets[dim, -side])
+                  offsets[dim, -side], shape.face[dim, side],
+                  shape.halo[dim, side])
             for dim, side in DIRECTIONS if decomp.pgrid[dim] > 1]
-        self.wrap_dims = [dim for dim in range(4) if decomp.pgrid[dim] == 1]
+        # An undecomposed dimension is its own neighbour: each halo layer
+        # takes the opposite face of the same field.
+        wrap = [(dim, side) for dim, side in DIRECTIONS
+                if decomp.pgrid[dim] == 1]
+        self.wrap_from = np.concatenate([np.empty(0, np.intp)] + [
+            shape.face[dim, -side] for dim, side in wrap])
+        self.wrap_to = np.concatenate([np.empty(0, np.intp)] + [
+            shape.halo[dim, side] for dim, side in wrap])
         self.pack_ns = sum(f.nbytes for f in self.plan) * _PACK_NS_PER_BYTE
 
-    def _local_wrap(self, op, padded) -> None:
+    def _local_wrap(self, padded) -> None:
         """Periodic wraparound for undecomposed dimensions."""
-        for dim in self.wrap_dims:
-            op.set_halo(padded, dim, +1, op.face(padded, dim, -1))
-            op.set_halo(padded, dim, -1, op.face(padded, dim, +1))
+        flat = padded.reshape(-1)
+        flat[self.wrap_to] = flat.take(self.wrap_from)
 
-    def _pack(self, op, padded, view) -> None:
+    def _pack(self, padded, view) -> None:
         """Copy every outgoing face into its send slot of ``view`` (this
         rank's window bytes; local stores)."""
+        flat = padded.reshape(-1)
         for f in self.plan:
-            view[f.slot:f.slot + f.nbytes] = op.face(
-                padded, f.dim, f.side).view(np.uint8).ravel()
+            np.take(flat, f.face, mode="clip",
+                    out=view[f.slot:f.slot + f.nbytes].view(np.complex128))
 
-    def _install(self, op, padded, faces) -> None:
+    def _install(self, padded, faces) -> None:
         """Install the fetched faces (raw bytes, in plan order)."""
+        flat = padded.reshape(-1)
         for f, raw in zip(self.plan, faces):
-            op.set_halo(padded, f.dim, f.side, raw.view(np.complex128))
+            flat[f.halo] = raw.view(np.complex128)
 
 
 class Mpi1Halo(_HaloBase):
@@ -101,9 +118,9 @@ class Mpi1Halo(_HaloBase):
         return
         yield  # pragma: no cover
 
-    def exchange(self, op, padded):
+    def exchange(self, padded):
         mpi = self.ctx.mpi
-        self._local_wrap(op, padded)
+        self._local_wrap(padded)
         self.rounds += 1
         tagbase = self.rounds * 16
         yield from self.ctx.compute(self.pack_ns)
@@ -111,15 +128,16 @@ class Mpi1Halo(_HaloBase):
         recvs = [mpi.irecv(f.peer, tag=tagbase + f.dim * 2 + (f.side > 0),
                            channel="milc")
                  for f in self.plan]
+        flat = padded.reshape(-1)
         sends = []
         for f in self.plan:
             # the tag encodes the direction *at the receiver*: my low face
             # fills their high halo
             sends.append((yield from mpi.isend(
-                f.peer, op.face(padded, f.dim, f.side),
+                f.peer, flat.take(f.face),
                 tag=tagbase + f.dim * 2 + (f.side < 0), channel="milc")))
         for f, req in zip(self.plan, recvs):
-            op.set_halo(padded, f.dim, f.side, (yield from req.wait()))
+            flat[f.halo] = yield from req.wait()
         for req in sends:
             yield from req.wait()
 
@@ -136,14 +154,14 @@ class RmaHalo(_HaloBase):
     def teardown(self):
         yield from self.win.unlock_all()
 
-    def exchange(self, op, padded):
+    def exchange(self, padded):
         ctx = self.ctx
         win = self.win
         plan = self.plan
-        self._local_wrap(op, padded)
+        self._local_wrap(padded)
         self.rounds += 1
         # 1. pack all faces into my window's send slots (local stores)
-        self._pack(op, padded, win.local_view(np.uint8))
+        self._pack(padded, win.local_view(np.uint8))
         yield from ctx.compute(self.pack_ns)
         yield from win.sync()
         # 2. notify every neighbor with a separate atomic add
@@ -161,7 +179,7 @@ class RmaHalo(_HaloBase):
             yield from win.get(raw, f.peer, f.theirs)
             faces.append(raw)
         yield from win.flush_all()
-        self._install(op, padded, faces)
+        self._install(padded, faces)
 
 
 class UpcHalo(_HaloBase):
@@ -172,14 +190,14 @@ class UpcHalo(_HaloBase):
     def setup(self):
         self.arr = yield from self.ctx.upc.all_alloc(self.win_bytes)
 
-    def exchange(self, op, padded):
+    def exchange(self, padded):
         ctx = self.ctx
         upc = ctx.upc
         arr = self.arr
         plan = self.plan
-        self._local_wrap(op, padded)
+        self._local_wrap(padded)
         self.rounds += 1
-        self._pack(op, padded, arr.local_view(np.uint8))
+        self._pack(padded, arr.local_view(np.uint8))
         yield from ctx.compute(self.pack_ns)
         for f in plan:
             yield from upc.aadd_nb(arr, f.peer, 0, 1)
@@ -193,4 +211,4 @@ class UpcHalo(_HaloBase):
             yield from upc.memget_nb(arr, f.peer, f.theirs, f.nbytes, raw)
             faces.append(raw)
         yield from upc.fence()
-        self._install(op, padded, faces)
+        self._install(padded, faces)

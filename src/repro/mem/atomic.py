@@ -124,6 +124,10 @@ class SegmentCells:
     def load(self, idx: int) -> int:
         return self._live_words()[idx]
 
+    def load_block(self, idx: int, n: int) -> list[int]:
+        """Words ``idx .. idx + n - 1`` in one read."""
+        return self._live_words()[idx:idx + n].tolist()
+
     def store(self, idx: int, value: int) -> None:
         self._live_words()[idx] = int(value) & MASK64
         if self._watchers:

@@ -130,13 +130,13 @@ def start(win, group):
     needed = set(group)
     notifier = ctx.notifier
     while needed:
-        # Scan the matching list, consume entries for ranks we wait on.
-        for s in range(cap):
-            idx = win_mod.IDX_PSCW_SLOTS + s
-            v = ctrl.load(idx)
+        # Scan the matching list, consume entries for ranks we wait on:
+        # one read of the list, then the live slots in ascending order.
+        slots = ctrl.load_block(win_mod.IDX_PSCW_SLOTS, cap)
+        for s, v in enumerate(slots):
             if v != 0 and (v - 1) in needed:
                 needed.discard(v - 1)
-                ctrl.store(idx, 0)  # free the slot
+                ctrl.store(win_mod.IDX_PSCW_SLOTS + s, 0)  # free the slot
                 if not needed:
                     break
         if needed:

@@ -12,6 +12,7 @@ zero marks an empty slot word).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +82,22 @@ def requests_for(spec: ServeSpec, client: int, nclients: int) -> int:
     return base + (1 if client < rem else 0)
 
 
+@functools.lru_cache(maxsize=16)
 def zipf_cdf(nkeys: int, theta: float) -> np.ndarray:
-    """Cumulative Zipf(theta) distribution over ``nkeys`` ranks."""
+    """Cumulative Zipf(theta) distribution over ``nkeys`` ranks; cached
+    and read-only, since every client of a run draws from the same one."""
     weights = 1.0 / np.power(np.arange(1, nkeys + 1, dtype=np.float64),
                              theta)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     cdf[-1] = 1.0
+    cdf.flags.writeable = False
     return cdf
+
+
+#: Op of a draw by its interval among the spec's cumulative op fractions:
+#: ``[0, get)`` gets, ``[get, get + update)`` updates, the rest puts.
+_OP_BY_INTERVAL = np.array([OP_GET, OP_UPDATE, OP_PUT], dtype=np.int64)
 
 
 def mutator_of(key: int, nranks: int) -> int:
@@ -129,11 +138,9 @@ def client_schedule(spec: ServeSpec, client: int,
     cdf = zipf_cdf(spec.nkeys, spec.theta)
     out[:, 2] = np.searchsorted(cdf, keys.random(n), side="right")
 
-    draw = ops.random(n)
-    out[:, 1] = np.where(
-        draw < spec.get_frac, OP_GET,
-        np.where(draw < spec.get_frac + spec.update_frac, OP_UPDATE,
-                 OP_PUT))
+    bounds = [spec.get_frac, spec.get_frac + spec.update_frac]
+    out[:, 1] = _OP_BY_INTERVAL[
+        np.searchsorted(bounds, ops.random(n), side="right")]
     out[:, 3] = vals.integers(1, 1 << 40, size=n)
 
     if spec.ft_mode:

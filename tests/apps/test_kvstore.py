@@ -44,6 +44,40 @@ def test_layout_scan_reads_slots_and_chains():
     assert lay.scan(vol) == {10: 100, 11: 110, 12: 120}
 
 
+def _walk_scan(lay, volume):
+    """The chain walk ``KvLayout.scan`` replaced: one numpy read per word."""
+    out = {}
+    for slot in range(lay.table_slots):
+        k = int(volume[lay.slot_key(slot)])
+        if k != 0:
+            out[k] = int(volume[lay.slot_value(slot)])
+        cell = int(volume[lay.slot_head(slot)])
+        while cell != 0:
+            out[int(volume[lay.heap_key(cell)])] = \
+                int(volume[lay.heap_value(cell)])
+            cell = int(volume[lay.heap_next(cell)])
+    return out
+
+
+@pytest.mark.parametrize("slots,cells,keys", [
+    (1, 16, 12), (4, 8, 11), (8, 32, 40), (2, 4, 12), (16, 4, 3), (4, 4, 0)])
+def test_layout_scan_matches_the_word_walk(slots, cells, keys):
+    """Same pairs in the same order as the word-by-word walk, on volumes
+    whose chains interleave in the heap (a full heap among them)."""
+    lay = KvLayout(table_slots=slots, heap_cells=cells)
+    vol = np.zeros(lay.words, dtype=np.int64)
+    rng = np.random.default_rng(slots * 100 + keys)
+    for key in rng.integers(1, 1 << 40, size=keys):
+        slot = int(rng.integers(slots))
+        if vol[lay.slot_key(slot)] != 0 and vol[0] == cells:
+            continue
+        lay.insert_local(vol, slot, int(key), int(rng.integers(1, 1 << 40)))
+    got = lay.scan(vol)
+    want = _walk_scan(lay, vol)
+    assert got == want and list(got) == list(want)
+    assert all(type(k) is int and type(v) is int for k, v in got.items())
+
+
 def test_claim_overflow_cell_exhaustion():
     assert claim_overflow_cell(0, 2) == 1
     assert claim_overflow_cell(1, 2) == 2

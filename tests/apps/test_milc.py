@@ -1,10 +1,14 @@
 """MILC proxy: operator properties, CG convergence, transport agreement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import run_spmd
 from repro.apps.milc import LatticeDecomp, MilcSpec, milc_program
+from repro.apps.milc.comm import DIRECTIONS
+from repro.apps.milc.driver import ENGINES
 from repro.apps.milc.lattice import factorize4, link_phases
 from repro.apps.milc.su3 import (
     StencilOperator,
@@ -154,6 +158,102 @@ def test_apply_alternating_shapes_share_no_state():
             assert np.array_equal(op.apply(v), ref)
 
 
+def test_operators_of_one_shape_share_plan_and_matrices():
+    """The shape plan, the seed's matrices and its matrix stack are built
+    once and shared (read-only) by every operator and halo engine."""
+    d = LatticeDecomp.weak((4, 4, 4, 8), 16)
+    a, b = StencilOperator(d, 0, 0.5, 7), StencilOperator(d, 5, 0.5, 7)
+    assert a.plan is b.plan
+    assert a.mats is b.mats
+    assert direction_matrices(7) is direction_matrices(7)
+    assert not direction_matrices(7).flags.writeable
+    assert not a.mats.flags.writeable
+    other = StencilOperator(LatticeDecomp.weak((2, 4, 2, 6), 16), 0, 0.5, 7)
+    assert other.plan is not a.plan and other.mats is a.mats
+    engine = ENGINES["rma"](_RankOnly(3), d)
+    for f in engine.plan:
+        assert f.face is a.plan.face[f.dim, f.side]
+        assert f.halo is a.plan.halo[f.dim, f.side]
+
+
+# ---------------------------------------------------------------------------
+# halo exchange
+# ---------------------------------------------------------------------------
+class _RankOnly:
+    """The part of a rank context a halo engine's geometry reads."""
+
+    def __init__(self, rank):
+        self.rank = rank
+
+
+HALO_LOCAL = (2, 4, 2, 6)
+
+
+@pytest.mark.parametrize("p", [1, 4, 16])
+def test_pack_and_install_match_face_and_set_halo(p):
+    """The engines' batched pack / install / local wrap against the
+    per-face ``face`` / ``set_halo``, bit for bit, for every direction."""
+    d = LatticeDecomp.weak(HALO_LOCAL, p)
+    for rank in range(p):
+        op = StencilOperator(d, rank, 0.5, 7)
+        engine = ENGINES["upc"](_RankOnly(rank), d)
+        v = _random_padded(HALO_LOCAL, rank)
+        view = np.zeros(engine.win_bytes, np.uint8)
+        engine._pack(v, view)
+        rng = np.random.default_rng(100 + rank)
+        faces = []
+        for f in engine.plan:
+            sent = view[f.slot:f.slot + f.nbytes]
+            assert np.array_equal(
+                sent, op.face(v, f.dim, f.side).view(np.uint8).ravel())
+            n = f.nbytes // 16
+            faces.append((rng.normal(size=n)
+                          + 1j * rng.normal(size=n)).view(np.uint8))
+        got, want = v.copy(), v.copy()
+        engine._install(got, faces)
+        engine._local_wrap(got)
+        for f, raw in zip(engine.plan, faces):
+            op.set_halo(want, f.dim, f.side, raw.view(np.complex128))
+        for dim, side in DIRECTIONS:
+            if d.pgrid[dim] == 1:
+                op.set_halo(want, dim, side, op.face(want, dim, -side))
+        assert np.array_equal(got, want)
+        assert {(f.dim, f.side) for f in engine.plan} | {
+            (dim, side) for dim, side in DIRECTIONS
+            if d.pgrid[dim] == 1} == set(DIRECTIONS)
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+@pytest.mark.parametrize("p", [1, 4, 16])
+def test_exchange_fills_every_halo_from_its_neighbour(variant, p):
+    """One exchange of each engine leaves every halo layer equal to the
+    neighbour's opposite face (``set_halo(face)``), bit for bit."""
+    d = LatticeDecomp.weak(HALO_LOCAL, p)
+    fields = [_random_padded(HALO_LOCAL, r) for r in range(p)]
+
+    def program(ctx):
+        op = StencilOperator(d, ctx.rank, 0.5, 7)
+        engine = ENGINES[variant](ctx, d)
+        if hasattr(engine, "setup"):
+            yield from engine.setup()
+        yield from ctx.coll.barrier()
+        v = fields[ctx.rank].copy()
+        yield from engine.exchange(v)
+        yield from ctx.coll.barrier()
+        if hasattr(engine, "teardown"):
+            yield from engine.teardown()
+        return v
+
+    res = run_spmd(program, p, machine=INTER)
+    op = StencilOperator(d, 0, 0.5, 7)
+    for rank, got in enumerate(res.returns):
+        want = fields[rank].copy()
+        for dim, side in DIRECTIONS:
+            peer = fields[d.neighbor(rank, dim, side)]
+            op.set_halo(want, dim, side, op.face(peer, dim, -side))
+        assert np.array_equal(got, want), rank
+
+
 # ---------------------------------------------------------------------------
 # distributed CG
 # ---------------------------------------------------------------------------
@@ -213,3 +313,26 @@ def test_rma_and_upc_close():
     t_rma = max(e for e, *_ in
                 run_spmd(milc_program, p, spec, "rma", machine=INTER).returns)
     assert abs(t_rma - t_upc) < 0.15 * t_upc
+
+
+#: ``milc_program`` at 8 fixed iterations on a 4^4 local lattice: the
+#: final clock, rank 0's residual and a hash of every rank's return tuple
+#: ``(elapsed, iters, residual, checksum)``.  A host-side rewrite of the
+#: stencil or the halo engines must leave all three where they are.
+PROGRAM_PINS = {
+    ("mpi1", 4): (314936, 0.000254066343678391, "ae1136a5a07423cd"),
+    ("rma", 4): (327010, 0.000254066343678391, "a10a2f77d1c526e8"),
+    ("upc", 4): (318768, 0.000254066343678391, "cf7566e2691825ac"),
+    ("mpi1", 16): (437176, 0.00024302921555656673, "effcb4356d771a84"),
+    ("rma", 16): (427682, 0.00024302921555656673, "d2d94a6adc07907c"),
+    ("upc", 16): (417152, 0.00024302921555656673, "26595992765a2ba2"),
+}
+
+
+@pytest.mark.parametrize("variant,p", sorted(PROGRAM_PINS))
+def test_milc_program_pinned(variant, p):
+    spec = MilcSpec(local=(4, 4, 4, 4), maxiter=8, tol=0.0)
+    res = run_spmd(milc_program, p, spec, variant, machine=INTER)
+    digest = hashlib.sha256(repr(res.returns).encode()).hexdigest()[:16]
+    assert (res.sim_time_ns, res.returns[0][2], digest) == \
+        PROGRAM_PINS[variant, p]

@@ -349,3 +349,39 @@ def test_unlock_without_outstanding_is_cheap():
 
     res = run_spmd(program, 2, machine=INTER)
     assert res.returns[0] < 1000  # well under one AMO round trip
+
+
+def test_pscw_start_reads_the_matching_list_once_per_wake(monkeypatch):
+    """start() reads the 64-slot matching list with one block read per
+    wake-up, not one ``load`` per slot: two ranks, two epochs, the second
+    rank posting late so that the first one's start() blocks.  The
+    ``load`` calls left are the post-side appends (one per post: slot 0
+    is free) and one version read per blocking wait; scanning slot by
+    slot made 138."""
+    from repro.mem.atomic import SegmentCells
+
+    calls = []
+    orig = SegmentCells.load
+
+    def load(self, idx):
+        calls.append(idx)
+        return orig(self, idx)
+
+    monkeypatch.setattr(SegmentCells, "load", load)
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64)
+        peer = 1 - ctx.rank
+        for epoch in range(2):
+            if ctx.rank == 1:
+                yield from ctx.compute(5_000)
+            yield from win.post([peer])
+            yield from win.start([peer])
+            yield from win.put(np.full(8, epoch + 1, np.uint8), peer, 0)
+            yield from win.complete()
+            yield from win.wait()
+        return int(win.local_view()[0])
+
+    res = run_spmd(program, 2, machine=INTER)
+    assert res.returns == [2, 2]
+    assert len(calls) <= 6, calls

@@ -7,6 +7,8 @@ and the benchmark pool -- and its statistics must actually be Zipfian
 with the requested op mix.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,3 +142,32 @@ def test_schedules_bit_identical_under_pool_fanout():
     pooled = run_points(points, workers=2)
     for s, p in zip(serial, pooled):
         assert np.array_equal(s, p)
+
+
+#: sha256 (first 16 hex digits) of the schedule bytes of clients 0, 17 and
+#: 63 of 64: the kv_zipf benchmark's spec, and a uniform-ish ft_mode spec
+#: with no updates (an empty middle interval of the op draw).
+SCHEDULE_PINS = {
+    "zipf": (ServeSpec(total_requests=6400, rate_hz=50_000.0, seed=1),
+             {0: "2db21518de985a82", 17: "9dc03350497003e6",
+              63: "fa7f7c839def0c7a"}),
+    "ft": (ServeSpec(nkeys=64, theta=0.5, get_frac=0.5, update_frac=0.0,
+                     total_requests=640, seed=5, ft_mode=True),
+           {0: "fc6e9a5ae505b81d", 17: "e958e547490b2273",
+            63: "e1bbbc1112adb75a"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_PINS))
+def test_schedules_pinned(name):
+    spec, pins = SCHEDULE_PINS[name]
+    for client, want in pins.items():
+        got = hashlib.sha256(
+            client_schedule(spec, client, 64).tobytes()).hexdigest()[:16]
+        assert got == want, (name, client)
+
+
+def test_zipf_cdf_shared_and_read_only():
+    cdf = zipf_cdf(512, 0.99)
+    assert cdf is zipf_cdf(512, 0.99)
+    assert not cdf.flags.writeable
