@@ -26,7 +26,9 @@ How it works
 * PSCW post/complete deposit per exposure/access peer, start/wait merge
   (matching the matching-list protocol's message flow);
 * flush / unlock / complete / fence advance the per-``(rank, window)``
-  *operation sequence* that orders same-origin nonblocking operations.
+  *operation sequence* that orders same-origin nonblocking operations;
+  another rank is ordered after a remote access only by acquiring a
+  release made after that completion (a barrier completes no RMA op).
 
 **Accesses** are shadow-recorded per ``(window, target rank)`` as byte
 ranges (one range per contiguous datatype block, so interleaving-but-
@@ -40,9 +42,8 @@ PLDI 2009): the later record's ``oseq`` and own-clock tick are at least as
 large, so any future access unordered with the earlier one is unordered
 with it too and classifies the same.  The store thus holds one record per
 origin, kind and op on each byte, and ``Violation.count`` counts racing
-pairs against those records.  Full barriers prune records that can no
-longer race -- but not a remote access its origin has not completed since
-(a barrier completes no RMA operation).
+pairs against those records.  Full barriers prune the records they made
+visible to every rank.
 
 **Classification** follows the paper's Section 4 / MPI-3 Section 11.7:
 
@@ -178,7 +179,9 @@ class RaceChecker:
         self._pscw_post: _Edges = {}
         self._pscw_done: _Edges = {}
         self._mcs: dict[tuple, VectorClock] = {}
-        self._oseq: dict[tuple[int, int], int] = {}
+        # (rank, window) -> per operation sequence number, the own-clock
+        # value of the first release after its completion call.
+        self._done: dict[tuple[int, int], list[int]] = {}
         # Shadow store: live records per (window, target).
         self._shadow: dict[tuple[int, int], list[Access]] = {}
         self.nrecords = 0
@@ -204,8 +207,31 @@ class RaceChecker:
         clock.tick(rank)
 
     def _bump_oseq(self, rank: int, win_id: int) -> None:
-        key = (rank, win_id)
-        self._oseq[key] = self._oseq.get(key, 0) + 1
+        """``rank`` completed its operations on the window (call it
+        before the release that publishes the completion)."""
+        self._done.setdefault((rank, win_id), []).append(
+            self.clocks[rank][rank] + 1)
+
+    def _visible(self, rec: Access, clock: VectorClock) -> bool:
+        """Has ``clock`` acquired ``rec``: a local access from its tick
+        on, a remote one only once its origin's completion?"""
+        if rec.is_local:
+            return rec.tick <= clock[rec.rank]
+        done = self._done.get((rec.rank, rec.win_id), [])
+        return len(done) > rec.oseq and done[rec.oseq] <= clock[rec.rank]
+
+    def _ordered(self, old: Access, new: Access, seen: VectorClock) -> bool:
+        """Is ``old`` ordered before ``new`` (recorded later in event
+        order)?  ``seen`` is ``new``'s issuing rank's clock at issue."""
+        if old.rank != new.rank:
+            return self._visible(old, seen)
+        if old.oseq != new.oseq:
+            return True             # a flush/unlock/complete/fence between
+        if old.is_local and new.is_local:
+            return True             # two CPU accesses: program order
+        # MPI's default accumulate ordering: same-origin accumulates to
+        # the same location are ordered even without completion calls.
+        return old.is_acc and new.is_acc
 
     # ------------------------------------------------------------------
     # synchronization hooks (called by the protocol layers)
@@ -278,13 +304,13 @@ class RaceChecker:
         self._acquire(win.rank, vc)
 
     def lock_released(self, win, target: int, exclusive: bool) -> None:
+        self._bump_oseq(win.rank, win.win_id)  # unlock completes ops
         vc = self._deposit(win.rank)
         sync = self._locks.get((win.win_id, target))
         if sync is None:
             sync = self._locks[(win.win_id, target)] = _LockSync(
                 VectorClock(self.nranks), VectorClock(self.nranks))
         (sync.write_release if exclusive else sync.read_release).merge(vc)
-        self._bump_oseq(win.rank, win.win_id)  # unlock completes ops
 
     def lock_all_acquired(self, win) -> None:
         merged: VectorClock | None = None
@@ -298,6 +324,7 @@ class RaceChecker:
         self._acquire(win.rank, merged)
 
     def lock_all_released(self, win) -> None:
+        self._bump_oseq(win.rank, win.win_id)
         vc = self._deposit(win.rank)
         for t in range(self.nranks):
             sync = self._locks.get((win.win_id, t))
@@ -305,7 +332,6 @@ class RaceChecker:
                 sync = self._locks[(win.win_id, t)] = _LockSync(
                     VectorClock(self.nranks), VectorClock(self.nranks))
             sync.read_release.merge(vc)
-        self._bump_oseq(win.rank, win.win_id)
 
     def _send_to(self, edges: _Edges, win: Any, group: Iterable[int]) -> None:
         """Deposit ``win.rank``'s clock on its PSCW edge to each of ``group``."""
@@ -338,8 +364,8 @@ class RaceChecker:
     def pscw_complete(self, win: Any, group: Iterable[int]) -> None:
         """Deposited at complete() entry -- before the completion-counter
         AMOs the peers' wait() will observe."""
-        self._send_to(self._pscw_done, win, group)
         self._bump_oseq(win.rank, win.win_id)
+        self._send_to(self._pscw_done, win, group)
 
     def mcs_acquired(self, rank: int, key: tuple) -> None:
         """An MCS queue lock (:class:`repro.rma.mcs.McsLock`) was acquired
@@ -370,7 +396,7 @@ class RaceChecker:
     # ------------------------------------------------------------------
     # rollback recovery (repro.ft)
     # ------------------------------------------------------------------
-    def on_restore(self, rank: int, coll_seq: int, oseqs: dict) -> None:
+    def on_restore(self, rank: int, coll_seq: int, done: dict) -> None:
         """A crashed rank was rolled back to a checkpoint and restarted.
 
         The dead incarnation's post-checkpoint history is void: its
@@ -379,12 +405,13 @@ class RaceChecker:
         the restored program state corresponds to.  The restore itself
         is a global ordering point for the rank (the checkpointed bytes
         plus replayed log entries are what everyone observes), so the
-        rank's clock ticks once here."""
+        rank's clock ticks once here.  ``done`` holds the rank's
+        ``_done`` rows at the checkpoint."""
         old_seq = self._coll_seq[rank]
         self._coll_seq[rank] = coll_seq
-        for key in [k for k in self._oseq if k[0] == rank]:
-            del self._oseq[key]
-        self._oseq.update(oseqs)
+        for key in [k for k in self._done if k[0] == rank]:
+            del self._done[key]
+        self._done.update((k, list(v)) for k, v in done.items())
         for key, records in self._shadow.items():
             self._shadow[key] = [r for r in records if r.rank != rank]
         self.nrecords = sum(map(len, self._shadow.values()))
@@ -414,7 +441,7 @@ class RaceChecker:
         rec = Access(
             rank=rank, kind=kind, op=op, win_id=win.win_id, target=target,
             ranges=tuple((int(lo), int(hi)) for lo, hi in ranges),
-            oseq=self._oseq.get((rank, win.win_id), 0),
+            oseq=len(self._done.get((rank, win.win_id), ())),
             tick=self.clocks[rank][rank], t_ns=win.ctx.now,
             epoch=epochs.epoch_context(win), path=path)
         self._insert(rec)
@@ -442,7 +469,7 @@ class RaceChecker:
         for i, old in enumerate(shadow):
             if not _overlaps(old.ranges, rec.ranges):
                 continue
-            if not _ordered(old, rec, seen):
+            if not self._ordered(old, rec, seen):
                 kind = _classify(old, rec)
                 if kind is not None:
                     self._report(kind, old, rec)
@@ -483,13 +510,10 @@ class RaceChecker:
             obs.metrics.count("check.violations", new.rank)
 
     def _prune(self, acc: VectorClock) -> None:
-        """Drop records ordered before a completed full collective, but
-        keep a remote access its origin has not completed since."""
-        oseq = self._oseq
+        """Drop the records a completed full collective made visible to
+        every rank."""
         for key, records in self._shadow.items():
-            keep = [r for r in records if r.tick > acc[r.rank] or (
-                not r.is_local
-                and r.oseq == oseq.get((r.rank, r.win_id), 0))]
+            keep = [r for r in records if not self._visible(r, acc)]
             self.pruned += len(records) - len(keep)
             self._shadow[key] = keep
         self.nrecords = sum(map(len, self._shadow.values()))
@@ -535,20 +559,6 @@ def _first_overlap(a: tuple, b: tuple) -> tuple[int, int]:
             if lo1 < hi2 and lo2 < hi1:
                 return max(lo1, lo2), min(hi1, hi2)
     return 0, 0  # pragma: no cover - caller guarantees an overlap
-
-
-def _ordered(old: Access, new: Access, seen: VectorClock) -> bool:
-    """Is ``old`` ordered before ``new`` (recorded later in event order)?
-    ``seen`` is ``new``'s issuing rank's clock at issue time."""
-    if old.rank == new.rank:
-        if old.oseq != new.oseq:
-            return True             # a flush/unlock/complete/fence between
-        if old.is_local and new.is_local:
-            return True             # two CPU accesses: program order
-        # MPI's default accumulate ordering: same-origin accumulates to
-        # the same location are ordered even without completion calls.
-        return old.is_acc and new.is_acc
-    return old.tick <= seen[old.rank]
 
 
 def _classify(old: Access, new: Access) -> str | None:

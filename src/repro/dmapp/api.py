@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import DeadlineError, NodeCrashedError, SimulationError
 from repro.faults import MAX_RETRIES, OP_DEADLINE_NS
+from repro.mem.address_space import capture
 from repro.mem.atomic import SegmentCells, prepare_stream
 from repro.mem.registration import MemDescriptor, RegistrationTable
 from repro.machine.network import Network
@@ -45,27 +46,6 @@ def require_contiguous(out: np.ndarray, error=SimulationError) -> None:
             f"get out-buffer (shape {out.shape}, strides {out.strides}) is "
             "not C-contiguous; get into a contiguous buffer and describe a "
             "strided layout with origin_datatype")
-
-
-def _as_payload(data) -> memoryview:
-    """Issue-time capture of a put payload as a flat byte view.
-
-    ``bytes`` input is immutable, so the view aliases it with *no* copy;
-    mutable buffers are snapshotted once (the DMA capture the docstrings
-    promise); numpy arrays flatten through ``tobytes`` -- the same C-order
-    byte reinterpretation the old ``ascontiguousarray(...).view(uint8)``
-    produced, but as a single copy with no per-chunk numpy machinery.
-    Chunk pieces are then zero-copy ``memoryview`` slices of this capture,
-    and land at the target through :meth:`Segment.write`'s slice-copy fast
-    path.
-    """
-    if type(data) is np.ndarray:       # what Window.put hands over
-        return memoryview(data.tobytes())
-    if type(data) is bytes:
-        return memoryview(data)
-    if isinstance(data, (bytearray, memoryview)):
-        return memoryview(bytes(data))
-    return memoryview(np.asarray(data).tobytes())
 
 
 @dataclass(slots=True)
@@ -316,23 +296,34 @@ class DmappEndpoint:
                 on_applied=None):
         """Implicit-nonblocking put; completed by :meth:`gsync`.
 
-        Charges the origin process for injection backpressure (this is what
-        bounds the message rate at 1/o_inject) and captures ``data`` at
-        issue time, as the hardware DMA would.
+        Captures ``data`` at issue, as the hardware DMA would (a
+        :func:`~repro.mem.address_space.capture`, what ``Window.put`` hands
+        over, is taken as it is), resolves the descriptor and checks the
+        range once, like a bad rkey; each chunk lands as one slice store.
+        Charges the origin for injection backpressure (this is what bounds
+        the message rate at 1/o_inject).
         """
-        payload = _as_payload(data)
+        if type(data) is not memoryview or type(data.obj) is not bytes:
+            data = capture(data)
+        total = len(data)
+        seg = self.reg_tables[desc.rank].resolve(desc)
+        if offset < 0 or offset + total > seg.size or not seg.alive:
+            seg._check(offset, total)   # raises
+        mem = seg.mv
         net = self.network
         node = self.node
         env = self.env
-        total = payload.nbytes
+        rank_map = self.rank_map
         chunk = net.params.max_chunk
         fma = net.params.fma_threshold
         while True:
             try:
-                seg = self.reg_tables[desc.rank].resolve(desc)
-                seg._check(offset, total)  # fail at issue, like a bad rkey
-                tnode = self.rank_map.node_of(desc.rank)
-                wire_back = net.wire(tnode, node)
+                # node_of and the wire memo, inline, and read again after a
+                # restore, which may rehome the target.
+                tnode = (rank_map.node_of(desc.rank) if rank_map._overrides
+                         else desc.rank // rank_map.ranks_per_node)
+                wire_back = (net._wire.get((tnode, node))
+                             or net.wire(tnode, node))
                 pos = 0
                 complete = drained = cpu_free = env.now
                 while True:
@@ -340,25 +331,27 @@ class DmappEndpoint:
                     if n > chunk:
                         n = chunk
                     size = n or 1
-                    piece = payload if n == total else payload[pos:pos + n]
-                    off = offset + pos
+                    piece = data if n == total else data[pos:pos + n]
+                    lo = offset + pos
 
-                    def _write(seg=seg, off=off, piece=piece):
-                        seg.write(off, piece)  # idempotent under retransmit
+                    def _land(lo=lo, hi=lo + n, piece=piece):
+                        if not seg.alive:
+                            seg._check(lo, hi - lo)   # raises: freed
+                        mem[lo:hi] = piece  # idempotent under retransmit
                         if on_applied is not None:
-                            on_applied(off, piece)
+                            on_applied(lo, piece)
 
                     if self.injector is None:
                         window = net.occupy_injection(node, size)
                         inj_end = window[1]
                         delivery = net.packet(
                             node, tnode, size, inject_window=window,
-                            on_deliver=_write)
+                            on_deliver=_land)
                         done = delivery + wire_back
                     else:
                         inj_end, done = self._transmit(
                             tnode, size, "put", desc.rank,
-                            self._attempt_packet, False, _write)
+                            self._attempt_packet, False, _land)
                     # The CPU blocks for the descriptor write, or -- when
                     # the injection FIFO is full -- until an older
                     # descriptor drained.
@@ -437,10 +430,11 @@ class DmappEndpoint:
             if out is None:
                 handle.result = seg.read(offset, nbytes)
                 return
-            # Zero-copy landing: one slice copy from target memory straight
-            # into the caller's buffer (watch hook included).
+            if not seg.alive:
+                seg._check(offset, nbytes)  # raises: freed in flight
+            # One slice copy from target memory into the caller's buffer.
             flat = out.view(np.uint8).ravel()
-            seg.read_into(offset, memoryview(flat.data))
+            flat.data[:] = seg.mv[offset:offset + nbytes]
             handle.result = flat
 
         self.env.call_at(max(0, data_arrival - self.env.now),

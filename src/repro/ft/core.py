@@ -108,7 +108,7 @@ class _Checkpoint:
     coll_tag: int = 0
     nbx_tag: int = 0
     coll_seq: int = 0
-    oseqs: dict = field(default_factory=dict)  # (rank, win_id) -> int
+    check_done: dict = field(default_factory=dict)  # RaceChecker._done rows
     nbytes: int = 0
     arrived: bool = False
     cancelled: bool = False
@@ -323,8 +323,8 @@ class FTRuntime:
         checker = self.world.checker
         if checker is not None:
             rec.coll_seq = checker._coll_seq[rank]
-            rec.oseqs = {k: v for k, v in checker._oseq.items()
-                         if k[0] == rank}
+            rec.check_done = {k: list(v) for k, v in checker._done.items()
+                              if k[0] == rank}
         ledger = self.world.lock_ledger
         if not isinstance(windows, (list, tuple)):
             windows = [windows]
@@ -479,8 +479,8 @@ class FTRuntime:
         # memory rewrite below executes.  Rehoming before the cost timeout
         # would resolve the dead rank to a live (never-crashed) node while
         # the restore is still in flight: survivor ops would pass the
-        # quarantine check, land in the window, and then be wiped by
-        # restore_bytes.  Until this point they keep hitting the original
+        # quarantine check, land in the window, and then be wiped by the
+        # restore writes.  Until this point they keep hitting the original
         # crashed node and park in pause_for_restore.
         orig_node = cohort[0] // self.world.rank_map.ranks_per_node
         if self.stats.spares_used < self.cfg.spares:
@@ -497,7 +497,7 @@ class FTRuntime:
             rec = recs[r]
             for win_id, snap in rec.windows.items():
                 win = self.windows[win_id][r]
-                win.seg.restore_bytes(snap.data)
+                win.seg.write(0, snap.data)
                 # Control words: checkpoint value plus the revocation
                 # ledger's *post-checkpoint* delta, so survivor lock
                 # traffic that landed after the snapshot is kept and
@@ -510,7 +510,7 @@ class FTRuntime:
                         win.ctrl.store(idx, val)  # wakes word watchers
                 win.lock_state.restore(snap.lock_snap)
                 for stamp, off, data in replays[(win_id, r)]:
-                    win.seg.restore_bytes(data, off)
+                    win.seg.write(off, data)
                     self.stats.entries_replayed += 1
             self._respawn(r, rec)
         self._fire_restore_events(cohort)
@@ -560,7 +560,7 @@ class FTRuntime:
             ctx.coll._nbx_tag = rec.nbx_tag
         checker = world.checker
         if checker is not None:
-            checker.on_restore(rank, rec.coll_seq, rec.oseqs)
+            checker.on_restore(rank, rec.coll_seq, rec.check_done)
         self._restored[rank] = dict(rec.app)
         # The restarted incarnation's outcome is the rank's outcome.
         world.rank_procs[rank] = self.env.process(

@@ -13,7 +13,7 @@ import numpy as np
 from repro.errors import MemoryError_
 from repro.mem.atomic import SegmentCells
 
-__all__ = ["Segment", "AddressSpace", "control_words"]
+__all__ = ["Segment", "AddressSpace", "capture", "control_words"]
 
 #: Default base of the anonymous-mapping area (mirrors a 47-bit VA layout).
 MMAP_REGION_LO = 0x2000_0000_0000
@@ -24,7 +24,7 @@ class Segment:
     """A contiguous byte range of one rank's memory."""
 
     __slots__ = ("rank", "seg_id", "vaddr", "size", "buf", "alive", "label",
-                 "_mv", "_cells")
+                 "mv", "_cells")
 
     def __init__(self, rank: int, seg_id: int, vaddr: int, size: int,
                  label: str = "") -> None:
@@ -35,9 +35,9 @@ class Segment:
         self.vaddr = vaddr
         self.size = size   # fixed for life: buf is never reallocated
         self.buf = np.zeros(size, dtype=np.uint8)
-        # Cached flat byte view: the zero-copy read/write fast paths are
-        # plain memoryview slice copies, no numpy dispatch per access.
-        self._mv = memoryview(self.buf.data)
+        # Cached flat byte view: a put's delivery and a get's landing are
+        # plain memoryview slice copies through it, no numpy dispatch.
+        self.mv = memoryview(self.buf.data)
         self._cells = None  # the AMO adapter, built by cells64()
         self.alive = True
         self.label = label
@@ -55,33 +55,19 @@ class Segment:
         self._check(offset, nbytes)
         return self.buf[offset:offset + nbytes].copy()
 
-    def read_into(self, offset: int, dst: memoryview) -> None:
-        """Copy ``len(dst)`` bytes at ``offset`` straight into ``dst``.
-
-        The zero-copy twin of :meth:`read`: one C-level slice copy, no
-        intermediate array.  ``dst`` must be a contiguous uint8 view."""
-        n = len(dst)
-        self._check(offset, n)
-        dst[:] = self._mv[offset:offset + n]
-
     def view(self, offset: int, nbytes: int) -> np.ndarray:
         """A writable view (used by the XPMEM direct-mapping path)."""
         self._check(offset, nbytes)
         return self.buf[offset:offset + nbytes]
 
     def write(self, offset: int, data) -> None:
+        """Store ``data`` at ``offset``: the bytes of a bytes-like object,
+        or anything else's values as uint8 (checkpoint restore, target-side
+        CPU stores)."""
         if isinstance(data, (bytes, bytearray, memoryview)):
-            # Zero-copy fast path: byte payloads (put pieces arrive as
-            # memoryview slices of the captured payload) land with one
-            # C-level slice copy.
-            if type(data) is memoryview and (data.format != "B"
-                                             or not data.contiguous):
-                data = memoryview(bytes(data))
-            n = len(data)
-            self._check(offset, n)
-            self._mv[offset:offset + n] = data
-            return
-        arr = np.asarray(data, dtype=np.uint8).ravel()
+            arr = np.frombuffer(data, dtype=np.uint8)
+        else:
+            arr = np.asarray(data, dtype=np.uint8).ravel()
         self._check(offset, arr.size)
         self.buf[offset:offset + arr.size] = arr
 
@@ -91,15 +77,6 @@ class Segment:
             raise MemoryError_(
                 f"snapshot of freed segment {self.label or self.seg_id}")
         return self.buf.tobytes()
-
-    def restore_bytes(self, data, off: int = 0) -> None:
-        """Restore-time overwrite of ``data`` at ``off``."""
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            arr = np.frombuffer(data, dtype=np.uint8)
-        else:
-            arr = np.asarray(data, dtype=np.uint8).ravel()
-        self._check(off, arr.size)
-        self.buf[off:off + arr.size] = arr
 
     def typed(self, dtype, offset: int = 0, count: int | None = None) -> np.ndarray:
         """A typed view over the segment (zero-copy)."""
@@ -112,7 +89,7 @@ class Segment:
     def words64(self) -> memoryview:
         """The segment's 8-byte words as a flat unsigned view (zero-copy;
         indexing yields Python ints): what the AMO engine operates on."""
-        return self._mv[:self.size // 8 * 8].cast("Q")
+        return self.mv[:self.size // 8 * 8].cast("Q")
 
     def cells64(self) -> SegmentCells:
         """The AMO adapter over :meth:`words64`, built once and shared, so
@@ -126,6 +103,19 @@ class Segment:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Segment rank={self.rank} id={self.seg_id} "
                 f"va={self.vaddr:#x} size={self.size} {self.label!r}>")
+
+
+def capture(data) -> memoryview:
+    """Issue-time capture of a put's origin buffer: its C-order bytes, the
+    ones ``np.ascontiguousarray(np.asarray(data)).view(np.uint8)`` reads,
+    as a flat byte view of an immutable ``bytes`` -- one copy, none for
+    ``bytes`` input.  The transports take zero-copy slices of it and store
+    them at delivery (DESIGN.md section 8, "Issue path")."""
+    if type(data) is bytes:
+        return memoryview(data)
+    if type(data) is not np.ndarray:
+        data = np.asarray(data)
+    return memoryview(data.tobytes())
 
 
 def control_words(env, ncells: int, name: str = "") -> SegmentCells:

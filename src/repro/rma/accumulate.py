@@ -128,4 +128,4 @@ def _data_desc(win, target: int, toff: int, nbytes: int):
     if win.flavor is WinFlavor.DYNAMIC:
         desc = yield from win.dyn.resolve(win, target, toff, nbytes)
         return desc, toff - desc.vaddr
-    return win._target_desc(target, toff, nbytes)
+    return win._target_desc(target), toff

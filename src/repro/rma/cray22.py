@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.dmapp.api import require_contiguous
 from repro.errors import EpochError, WindowError
+from repro.mem.address_space import capture
 
 __all__ = ["Cray22Params", "Cray22Window", "win_allocate_cray22"]
 
@@ -61,8 +62,8 @@ class Cray22Window:
     def put(self, data, target: int, offset: int = 0):
         ctx = self.ctx
         p = self.params
-        raw = np.ascontiguousarray(np.asarray(data)).view(np.uint8).ravel()
-        if raw.size < p.protocol_change_bytes:
+        raw = capture(data)         # put_nbi lands it without a copy
+        if len(raw) < p.protocol_change_bytes:
             yield from ctx.compute(p.sw_put_origin + p.msg_rate_overhead)
             h = yield from ctx.dmapp.put_nbi(self.descs[target], offset, raw)
             # Software path: the transfer is processed by the *target*
@@ -70,7 +71,7 @@ class Cray22Window:
             # so it delays completion rather than charging compute here.
             ctx.dmapp.extend_completion(
                 h, p.sw_put_remote
-                + raw.size * (p.sw_byte_gap - ctx.world.gemini.gap_per_byte))
+                + len(raw) * (p.sw_byte_gap - ctx.world.gemini.gap_per_byte))
         else:
             yield from ctx.compute(p.sw_large_origin)
             yield from ctx.dmapp.put_nbi(self.descs[target], offset, raw)

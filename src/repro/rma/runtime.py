@@ -80,7 +80,7 @@ class RmaContext:
                 token = peer.xtoken
                 if (token.node == node and r != self.ctx.rank
                         and self.ctx.same_node(r)):
-                    win.xsegs[r] = self.ctx.xpmem.attach(token)
+                    win.xsegs[r] = (self.ctx.xpmem.attach(token), 0)
 
     # ------------------------------------------------------------------
     def win_allocate(self, size: int, disp_unit: int = 1) -> "Generator":
@@ -106,7 +106,7 @@ class RmaContext:
                 seg = None
         win.seg = seg
         win.base_vaddr = seg.vaddr
-        ctx.reg.register(seg)
+        win.desc = ctx.reg.register(seg)
         win.ctrl = self._make_ctrl(win)
         yield from self._exchange_ctrl(win)
         return win
@@ -183,6 +183,8 @@ class RmaContext:
         yield from ctx.coll.barrier()
         win.shared_segment = win.peers[0].shared_segment
         win.shared_offsets = offsets
+        win.xsegs = {r: (win.shared_segment, off)
+                     for r, off in offsets.items()}
         win.ctrl = self._make_ctrl(win)
         yield from self._exchange_ctrl(win)  # win.seg is None: no XPMEM maps
         return win

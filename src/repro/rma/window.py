@@ -33,6 +33,7 @@ import numpy as np
 from repro.check import epochs as epoch_rules
 from repro.dmapp.api import require_contiguous
 from repro.errors import RmaError, WindowError
+from repro.mem.address_space import capture
 from repro.mem.atomic import SegmentCells
 from repro.rma import accumulate as acc_mod
 from repro.rma import fence as fence_mod
@@ -171,15 +172,18 @@ class Window:
 
         # Remote-addressing state (filled by the creation protocols):
         self.base_vaddr: int | None = None            # ALLOCATE: O(1)
+        self.desc = None                              # ALLOCATE: our rkey
         self.descs: dict[int, Any] | None = None      # CREATE: Omega(p)
-        self.xsegs: dict[int, Any] = {}               # same-node mapped segments
+        # target -> (segment, base) of the memory mapped on this node:
+        # same-node peers' segments, or every rank's part of a SHARED one.
+        self.xsegs: dict[int, tuple[Any, int]] = {}
         self.xtoken = None                            # our XPMEM exposure
         self.ctrl: SegmentCells | None = None
         self.shared_segment = None                    # SHARED flavor
         self.shared_offsets: dict[int, int] | None = None
         # This window's row of the world's table (rank -> Window), one
         # dict shared by every rank: a peer's control words, exposure,
-        # directory and size are read from its Window.
+        # registration, directory and size are read from its Window.
         self.peers: dict[int, Window] = ctx.world.windows.setdefault(
             win_id, {})
         self.peers[self.rank] = self
@@ -235,24 +239,13 @@ class Window:
                   if ctx.ft is not None else None)
         return ctx.amo(target, cells, idx, op, a, b, on_applied=logger)
 
-    def _target_desc(self, target: int, toff: int, nbytes: int):
-        """(descriptor, offset of ``toff`` in its segment) for the DMAPP
-        path (static flavors)."""
+    def _target_desc(self, target: int):
+        """The DMAPP descriptor of ``target``'s memory in an ALLOCATE or
+        CREATE window: the target's own registration (the origin holds no
+        per-peer state), or CREATE's exchanged table."""
         if self.flavor is WinFlavor.ALLOCATE:
-            desc = self.ctx.world.reg_tables[target].lookup_va(
-                self.base_vaddr + toff, nbytes or 1)[1]
-            return desc, self.base_vaddr - desc.vaddr + toff
-        if self.flavor is WinFlavor.CREATE:
-            return self.descs[target], toff
-        raise WindowError(f"DMAPP addressing unsupported for {self.flavor}")
-
-    def _xpmem_target(self, target: int):
-        """(segment, base) when ``target``'s memory is directly mapped on
-        this node, else ``None`` (the DMAPP path)."""
-        if self.flavor is WinFlavor.SHARED:
-            return self.shared_segment, self.shared_offsets[target]
-        seg = self.xsegs.get(target)
-        return None if seg is None else (seg, 0)
+            return self.peers[target].desc
+        return self.descs[target]
 
     # ------------------------------------------------------------------
     # communication: put / get
@@ -261,39 +254,44 @@ class Window:
             origin_datatype: Datatype | None = None,
             target_datatype: Datatype | None = None,
             count: int | None = None):
-        """MPI_Put.  ``data`` is the origin buffer (any numpy array); the
-        target displacement is in units of the window's ``disp_unit``."""
+        """MPI_Put of ``data`` (a numpy array, anything ``np.asarray``
+        takes, or ``bytes``) at ``target_disp`` units of ``disp_unit``.
+        Its C-order bytes are captured once, when the call has charged
+        its instructions, so a later write to ``data`` never lands; the
+        datatype blocks and DMAPP chunks are slices of that capture."""
         if self.freed:
             raise WindowError(_FREED)
         epoch_rules.require_access(self, target)
         ctx = self.ctx
         if self._put_ns is not None:
             yield self._put_ns
-        raw = np.ascontiguousarray(np.asarray(data)).view(np.uint8).ravel()
+        raw = capture(data)
         toff = target_disp * self.disp_unit
-        pieces = self._pieces(raw, origin_datatype, target_datatype, count)
+        pieces = (((raw, 0, len(raw)),) if origin_datatype is None
+                  and target_datatype is None else
+                  self._pieces(raw, origin_datatype, target_datatype, count))
         ck = ctx.checker
         if ck is not None:
             ck.note_op(self, "put", target,
                        [(toff + t, toff + t + n) for _o, t, n in pieces])
-        handles = []
-        if self.flavor is WinFlavor.DYNAMIC:
-            for piece, t_off, n in pieces:
-                desc = yield from self.dyn.resolve(self, target, toff + t_off, n)
-                h = yield from ctx.dmapp.put_nbi(
-                    desc, toff + t_off - desc.vaddr, piece)
-                handles.append(h)
-            return handles
-        mapped = self._xpmem_target(target)
-        if mapped is not None:
+        mapped = self.xsegs.get(target)
+        if mapped is not None:          # on this node: CPU stores
             seg, base = mapped
             for piece, t_off, _n in pieces:
                 yield from ctx.xpmem.store(seg, base + toff + t_off, piece)
-            return handles
+            return []
+        dyn = self.dyn                  # DYNAMIC: a descriptor per block
+        desc = None if dyn is not None else (
+            self.peers[target].desc if self.flavor is WinFlavor.ALLOCATE
+            else self.descs[target])        # _target_desc, inline
         logger = (ctx.ft.put_logger(self, target)
                   if ctx.ft is not None else None)
+        handles = []
         for piece, t_off, n in pieces:
-            desc, off = self._target_desc(target, toff + t_off, n)
+            off = toff + t_off
+            if dyn is not None:
+                desc = yield from dyn.resolve(self, target, off, n)
+                off -= desc.vaddr
             h = yield from ctx.dmapp.put_nbi(desc, off, piece,
                                              on_applied=logger)
             handles.append(h)
@@ -324,23 +322,21 @@ class Window:
         if ck is not None:
             ck.note_op(self, "get", target,
                        [(toff + t, toff + t + n) for _o, t, n in pieces])
-        handles = []
-        if self.flavor is WinFlavor.DYNAMIC:
-            for piece, t_off, n in pieces:
-                desc = yield from self.dyn.resolve(self, target, toff + t_off, n)
-                h = yield from ctx.dmapp.get_nbi(
-                    desc, toff + t_off - desc.vaddr, n, out=piece)
-                handles.append(h)
-            return handles
-        mapped = self._xpmem_target(target)
+        mapped = self.xsegs.get(target)
         if mapped is not None:
             seg, base = mapped
             for piece, t_off, n in pieces:
                 piece[:] = yield from ctx.xpmem.load(
                     seg, base + toff + t_off, n)
-            return handles
+            return []
+        dyn = self.dyn                  # DYNAMIC: a descriptor per block
+        desc = None if dyn is not None else self._target_desc(target)
+        handles = []
         for piece, t_off, n in pieces:
-            desc, off = self._target_desc(target, toff + t_off, n)
+            off = toff + t_off
+            if dyn is not None:
+                desc = yield from dyn.resolve(self, target, off, n)
+                off -= desc.vaddr
             h = yield from ctx.dmapp.get_nbi(desc, off, n, out=piece)
             handles.append(h)
         return handles
@@ -361,9 +357,9 @@ class Window:
     def _pieces(self, raw: np.ndarray, origin_dt, target_dt, count):
         """(origin bytes, target_off, nbytes) per block of the
         minimal-contiguous-block decomposition of Section 2.4.  The origin
-        bytes are views of ``raw``; an undivided transfer is ``raw``
-        itself, not a slice of it."""
-        total_bytes = raw.size
+        bytes are views of ``raw`` (a flat byte array or memoryview); an
+        undivided transfer is ``raw`` itself, not a slice of it."""
+        total_bytes = len(raw)
         n = count if count is not None else 1
         if origin_dt is None and target_dt is None:
             return [(raw, 0, total_bytes)]

@@ -97,6 +97,36 @@ def test_same_origin_pair_shares_oseq():
     assert ck.clean
 
 
+@pytest.mark.parametrize("flushed", [False, True],
+                         ids=["unflushed", "flushed"])
+def test_barrier_orders_another_origins_put_only_once_completed(flushed):
+    """A barrier completes no RMA operation: rank 0's put still in flight
+    across it may land before or after rank 2's put to the same bytes
+    (``put-put``).  Flushed before the barrier, it is ordered."""
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64)
+        yield from win.lock_all()
+        if ctx.rank == 0:
+            yield from win.put(np.ones(8, np.uint8), 1, 0)
+            if flushed:
+                yield from win.flush_all()
+        yield from ctx.coll.barrier()
+        if ctx.rank == 2:
+            yield from win.put(np.full(8, 2, np.uint8), 1, 0)
+        yield from win.flush_all()
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+
+    _res, ck = run_checked(program, 3)
+    if flushed:
+        assert ck.clean, [v.describe() for v in ck.violations]
+        return
+    assert [v.kind for v in ck.violations] == ["put-put"]
+    v = ck.violations[0]
+    assert (v.first.rank, v.second.rank, v.lo, v.hi) == (0, 2, 0, 8)
+
+
 def test_strided_interleaved_disjoint_is_not_a_race():
     """Satellite: interleaving-but-non-overlapping vector datatypes from
     two origins never alias byte-wise -> zero violations."""

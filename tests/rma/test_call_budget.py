@@ -5,9 +5,10 @@ to the critical path of a put and 78 to a flush (Section 3).  Here the
 matching count is Python calls per operation: every function call and
 every generator resume of the ``repro`` package, the kernel's included,
 counted with ``sys.setprofile`` while rank 0 runs a loop of one operation
-against an inter-node peer.  The ceilings are the counts of the flattened
-issue path (DESIGN.md section 8, "Issue path"); a forwarding frame or a
-helper call put back on the path fails here, not only in perfbench.
+against an inter-node peer (or, for one put row, a same-node one).  The
+ceilings are the counts of the flattened issue path (DESIGN.md section 8,
+"Issue path"); a forwarding frame or a helper call put back on the path
+fails here, not only in perfbench.
 
 The same count bounds the MPI-1 serving store's idle tick: a client
 pacing toward its next arrival with nothing queued costs one call per
@@ -52,7 +53,7 @@ def _acc(win):
     yield from win.accumulate(np.ones(1, np.int64), 1, 3, Op.SUM)
 
 
-def _calls_per_op(op) -> float:
+def _calls_per_op(op, ranks_per_node: int = 1) -> float:
     counted = []
 
     def program(ctx):
@@ -80,22 +81,26 @@ def _calls_per_op(op) -> float:
         yield from win.unlock_all()
         yield from ctx.coll.barrier()
 
-    world = Job(nranks=2,
-                machine=MachineConfig(ranks_per_node=1)).build_world()
+    world = Job(nranks=2, machine=MachineConfig(
+        ranks_per_node=ranks_per_node)).build_world()
     run_on_world(world, program)
     return counted[0]
 
 
-@pytest.mark.parametrize("op, ceiling", [
-    (_put_flush, 31.0),     # 40 before the issue path was flattened
-    (_cas, 25.0),           # 45
-    (_fao, 27.0),           # 47
-    (_atomic_read, 23.0),   # 36: three words, NO_OP
-    (_acc, 20.0),           # 30.8: one word, SUM (not every stream lands
+@pytest.mark.parametrize("op, ranks_per_node, ceiling", [
+    (_put_flush, 1, 22.0),  # 40 before the issue path was flattened, 31
+                            # before the put data path captured once
+    (_put_flush, 2, 15.0),  # XPMEM: 19 before the capture-once data path
+    (_cas, 1, 25.0),        # 45
+    (_fao, 1, 27.0),        # 47
+    (_atomic_read, 1, 23.0),  # 36: three words, NO_OP
+    (_acc, 1, 20.0),        # 30.8: one word, SUM (not every stream lands
                             # inside the measured loop)
-], ids=["put+flush", "cas", "fetch_and_op", "get_accumulate", "accumulate"])
-def test_calls_per_op_stay_under_the_flattened_count(op, ceiling):
-    assert _calls_per_op(op) <= ceiling
+], ids=["put+flush", "put+flush-same-node", "cas", "fetch_and_op",
+        "get_accumulate", "accumulate"])
+def test_calls_per_op_stay_under_the_flattened_count(op, ranks_per_node,
+                                                     ceiling):
+    assert _calls_per_op(op, ranks_per_node) <= ceiling
 
 
 def _calls_and_events(rate_hz: float) -> tuple[int, int]:
