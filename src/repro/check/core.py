@@ -194,10 +194,11 @@ class RaceChecker:
     # vector-clock primitives
     # ------------------------------------------------------------------
     def _deposit(self, rank: int) -> VectorClock:
-        """Release: tick own component, publish a copy."""
+        """Release: publish a copy, then tick own component."""
         clock = self.clocks[rank]
+        vc = clock.copy()
         clock.tick(rank)
-        return clock.copy()
+        return vc
 
     def _acquire(self, rank: int, vc: VectorClock | None) -> None:
         """Acquire: merge a published clock, tick own component."""
@@ -210,7 +211,7 @@ class RaceChecker:
         """``rank`` completed its operations on the window (call it
         before the release that publishes the completion)."""
         self._done.setdefault((rank, win_id), []).append(
-            self.clocks[rank][rank] + 1)
+            self.clocks[rank][rank])
 
     def _visible(self, rec: Access, clock: VectorClock) -> bool:
         """Has ``clock`` acquired ``rec``: a local access from its tick

@@ -4,9 +4,10 @@ One :class:`VectorClock` per rank tracks that rank's knowledge of every
 rank's synchronization history.  The protocol follows the classic
 release/acquire discipline:
 
-* **deposit** (release): the releasing rank ticks its own component,
-  then publishes a copy of its clock at the synchronization object
-  (lock word, PSCW matching slot, collective instance).
+* **deposit** (release): the releasing rank publishes a copy of its
+  clock at the synchronization object (lock word, PSCW matching slot,
+  collective instance), then ticks its own component, so its accesses
+  after the release are not in the copy (FastTrack's release).
 * **merge** (acquire): the acquiring rank takes the pointwise maximum
   with the published clock, then ticks its own component.
 

@@ -46,9 +46,6 @@ class RegistrationTable:
         self._generation = 0
         # seg_id -> (segment, descriptor)
         self._regs: dict[int, tuple[Segment, MemDescriptor]] = {}
-        # Last entry lookup_va() found; register/deregister drop it, so it
-        # never names a detached, re-registered or re-allocated range.
-        self._hit: tuple[Segment, MemDescriptor] | None = None
 
     def register(self, seg: Segment) -> MemDescriptor:
         if seg.rank != self.rank:
@@ -58,7 +55,6 @@ class RegistrationTable:
         desc = MemDescriptor(self.rank, seg.seg_id, self._generation,
                              seg.vaddr, seg.size)
         self._regs[seg.seg_id] = (seg, desc)
-        self._hit = None
         return desc
 
     def deregister(self, desc: MemDescriptor) -> None:
@@ -66,7 +62,6 @@ class RegistrationTable:
         if entry is None or entry[1].generation != desc.generation:
             raise RegistrationError("deregistering unknown or stale descriptor")
         del self._regs[desc.seg_id]
-        self._hit = None
 
     def resolve(self, desc: MemDescriptor) -> Segment:
         """Validate a descriptor presented by a remote peer."""
@@ -81,27 +76,3 @@ class RegistrationTable:
                 f"rank {self.rank}: stale descriptor for seg={desc.seg_id} "
                 f"(gen {desc.generation} != {current.generation})")
         return seg
-
-    def lookup_va(self, vaddr: int, nbytes: int = 1):
-        """(segment, descriptor) of the registration holding a range.
-
-        This is how symmetric (allocated) windows address remote memory
-        with O(1) stored state: the base address is the same everywhere,
-        so the origin presents (rank, vaddr) and the target NIC finds the
-        registration -- no per-peer descriptor table needed.  The table
-        remembers its last answer (one entry, however many origins), so
-        a stream of accesses to one window costs one range compare each.
-        """
-        hit = self._hit
-        if hit is not None:
-            desc = hit[1]
-            if desc.vaddr <= vaddr and vaddr + nbytes <= desc.vaddr + desc.size:
-                return hit
-        for entry in self._regs.values():
-            desc = entry[1]
-            if desc.vaddr <= vaddr and vaddr + nbytes <= desc.vaddr + desc.size:
-                self._hit = entry
-                return entry
-        raise RegistrationError(
-            f"rank {self.rank}: no registered memory at {vaddr:#x} "
-            f"(+{nbytes} bytes)")

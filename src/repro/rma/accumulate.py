@@ -97,7 +97,9 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
     nbytes = arr.nbytes
     # Get current contents.  The data moves by copies, not atomics, so it
     # picks its own path: a dynamic window's data is always reached by
-    # descriptor through the NIC, even on this node.
+    # descriptor through the NIC, even on this node.  The target found
+    # here is the write-back's too.
+    seg = None
     if ctx.same_node(target) and win.flavor is not WinFlavor.DYNAMIC:
         seg, base = win._target_segment(target, toff, nbytes)
         cur = yield from ctx.xpmem.load(seg, base + toff, nbytes)
@@ -109,11 +111,11 @@ def _locked_fallback(win, arr: np.ndarray, target: int, toff: int, op: Op):
     # Local reduction cost.
     yield from ctx.compute(win.params.fallback_reduce_per_byte * nbytes)
     # Write back and make it visible before releasing the lock.
-    if ctx.same_node(target) and win.flavor is not WinFlavor.DYNAMIC:
-        seg, base = win._target_segment(target, toff, nbytes)
+    if seg is not None:
         yield from ctx.xpmem.store(seg, base + toff, new_vals.view(np.uint8))
     else:
-        desc, off = yield from _data_desc(win, target, toff, nbytes)
+        if win.flavor is WinFlavor.DYNAMIC:   # its cache check, again
+            desc, off = yield from _data_desc(win, target, toff, nbytes)
         yield from ctx.dmapp.put_nbi(desc, off, new_vals.view(np.uint8))
         yield from ctx.dmapp.gsync()
     # Release (fire-and-forget).

@@ -73,8 +73,8 @@ class RmaContext:
         yield from self.ctx.coll.barrier()
         if win.seg is not None:
             # token.node first (attach() takes this node's tokens only):
-            # the compare spares p placement queries per rank.  A mapping
-            # for the data path, not an atomic: ctx.amo has no part in it.
+            # the compare spares p placement queries per rank.  Atomics
+            # address it too; ctx.amo still picks the CPU or NIC by node.
             node = self.ctx.node
             for r, peer in win.peers.items():
                 token = peer.xtoken
@@ -105,7 +105,6 @@ class RmaContext:
                 ctx.space.free(seg)
                 seg = None
         win.seg = seg
-        win.base_vaddr = seg.vaddr
         win.desc = ctx.reg.register(seg)
         win.ctrl = self._make_ctrl(win)
         yield from self._exchange_ctrl(win)
@@ -172,19 +171,17 @@ class RmaContext:
         win = Window(ctx, self._new_win_id(), WinFlavor.SHARED,
                      disp_unit=disp_unit, size=size, params=self.params)
         yield from ctx.coll.barrier()  # every peer's size is set
-        offsets, acc = {}, 0
-        for r in range(ctx.nranks):
-            offsets[r] = acc
-            acc += win.peers[r].size
         if ctx.rank == 0:
-            seg = ctx.space.alloc(max(1, acc), label=f"shwin{win.win_id}")
+            sizes = [win.peers[r].size for r in range(ctx.nranks)]
+            seg = ctx.space.alloc(max(1, sum(sizes)),
+                                  label=f"shwin{win.win_id}")
             ctx.reg.register(seg)
-            win.shared_segment = seg
+            off = 0
+            for r, size in enumerate(sizes):    # every rank's part
+                win.xsegs[r] = (seg, off)
+                off += size
         yield from ctx.coll.barrier()
-        win.shared_segment = win.peers[0].shared_segment
-        win.shared_offsets = offsets
-        win.xsegs = {r: (win.shared_segment, off)
-                     for r, off in offsets.items()}
+        win.xsegs = dict(win.peers[0].xsegs)
         win.ctrl = self._make_ctrl(win)
         yield from self._exchange_ctrl(win)  # win.seg is None: no XPMEM maps
         return win

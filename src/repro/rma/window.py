@@ -171,7 +171,6 @@ class Window:
         self._mfence_ns = int(round(p.mfence_ns)) if p.mfence_ns > 0 else None
 
         # Remote-addressing state (filled by the creation protocols):
-        self.base_vaddr: int | None = None            # ALLOCATE: O(1)
         self.desc = None                              # ALLOCATE: our rkey
         self.descs: dict[int, Any] | None = None      # CREATE: Omega(p)
         # target -> (segment, base) of the memory mapped on this node:
@@ -179,8 +178,6 @@ class Window:
         self.xsegs: dict[int, tuple[Any, int]] = {}
         self.xtoken = None                            # our XPMEM exposure
         self.ctrl: SegmentCells | None = None
-        self.shared_segment = None                    # SHARED flavor
-        self.shared_offsets: dict[int, int] | None = None
         # This window's row of the world's table (rank -> Window), one
         # dict shared by every rank: a peer's control words, exposure,
         # registration, directory and size are read from its Window.
@@ -210,27 +207,28 @@ class Window:
             raise WindowError(_FREED)
 
     def _target_segment(self, target: int, toff: int, nbytes: int):
-        """Resolve (segment, base) for a target byte range (static flavors),
-        refusing a range outside the segment at issue, as put and get do."""
-        flavor = self.flavor
-        if flavor is WinFlavor.ALLOCATE:
-            return self.ctx.world.reg_tables[target].lookup_va(
-                self.base_vaddr + toff, nbytes or 1)[0], 0
-        if flavor is WinFlavor.CREATE:
-            seg, base = self.ctx.world.reg_tables[target].resolve(
-                self.descs[target]), 0
-        elif flavor is WinFlavor.SHARED:
-            seg, base = self.shared_segment, self.shared_offsets[target]
-        else:
-            raise WindowError(f"direct addressing unsupported for {flavor}")
-        seg._check(base + toff, nbytes)
-        return seg, base
+        """(segment, base) of ``target``'s window memory for the word
+        atomics, by the rule put and get follow: the memory mapped on this
+        node (a same-node peer, or any rank of a SHARED window), else the
+        target's own registration (:meth:`_target_desc`).  A range
+        outside that segment, or a freed one, is refused at issue."""
+        mapped = self.xsegs.get(target)
+        if mapped is None:              # _target_desc, inline for ALLOCATE
+            mapped = self.ctx.world.reg_tables[target].resolve(
+                self.peers[target].desc if self.flavor is WinFlavor.ALLOCATE
+                else self._target_desc(target)), 0
+        seg, base = mapped
+        off = base + toff
+        if off < 0 or off + nbytes > seg.size or not seg.alive:
+            seg._check(off, nbytes)     # raises
+        return mapped
 
     def _word_amo(self, target: int, toff: int, op: str, a: int,
                   b: int = 0):
         """The ``ctx.amo`` generator (no frame of its own) of one fetching
         AMO on the word at byte ``toff`` of ``target``'s window memory,
-        range-checked at issue, with the FT delivery logger."""
+        found and range-checked at issue by :meth:`_target_segment`, with
+        the FT delivery logger."""
         ctx = self.ctx
         seg, base = self._target_segment(target, toff, 8)
         cells = seg.cells64()
@@ -245,6 +243,9 @@ class Window:
         per-peer state), or CREATE's exchanged table."""
         if self.flavor is WinFlavor.ALLOCATE:
             return self.peers[target].desc
+        if self.descs is None:          # DYNAMIC: one per region
+            raise WindowError(
+                f"direct addressing unsupported for {self.flavor}")
         return self.descs[target]
 
     # ------------------------------------------------------------------
@@ -541,8 +542,8 @@ class Window:
     def local_view(self, dtype=np.uint8) -> np.ndarray:
         """Typed view of this rank's window memory."""
         if self.flavor is WinFlavor.SHARED:
-            off = self.shared_offsets[self.rank]
-            return self.shared_segment.view(off, self.size).view(np.dtype(dtype))
+            seg, off = self.xsegs[self.rank]
+            return seg.view(off, self.size).view(np.dtype(dtype))
         if self.seg is None:
             raise WindowError(f"{self.flavor} window has no local segment")
         return self.seg.typed(dtype)
@@ -550,7 +551,7 @@ class Window:
     def _local_seg(self):
         """(segment, base offset) of this rank's own window memory."""
         if self.flavor is WinFlavor.SHARED:
-            return self.shared_segment, self.shared_offsets[self.rank]
+            return self.xsegs[self.rank]
         if self.seg is None:
             raise WindowError(f"{self.flavor} window has no local segment")
         return self.seg, 0
@@ -602,7 +603,7 @@ class Window:
         """MPI_Win_shared_query: (segment, byte offset) of a peer's part."""
         if self.flavor is not WinFlavor.SHARED:
             raise WindowError("shared_query on a non-shared window")
-        return self.shared_segment, self.shared_offsets[rank]
+        return self.xsegs[rank]
 
     def attach(self, seg):
         """MPI_Win_attach (dynamic windows only)."""

@@ -147,3 +147,36 @@ def test_own_local_accesses_follow_program_order(rpn):
     _, ck = run_checked(_own_store_then_load, 2, seed=11,
                         ranks_per_node=rpn, via_put=True)
     assert ck.stats_snapshot()["by_kind"] == {"local-remote": 1}
+
+
+def _send_and_store(ctx, store_first: bool):
+    """Rank 0 sends rank 1 a message and stores 8 bytes of its own window,
+    in either order; rank 1 receives, then puts to the same bytes."""
+    win = yield from ctx.rma.win_allocate(32)
+    yield from win.lock_all()
+    yield from ctx.coll.barrier()
+    if ctx.rank == 0:
+        if store_first:
+            win.local_store(np.full(8, 1, np.uint8))
+        yield from ctx.mpi.send(1, b"x")
+        if not store_first:
+            win.local_store(np.full(8, 1, np.uint8))
+    else:
+        yield from ctx.mpi.recv(0)
+        yield from win.put(np.full(8, 2, np.uint8), 0, 0)
+        yield from win.flush(0)
+    yield from win.unlock_all()
+    yield from ctx.coll.barrier()
+
+
+@pytest.mark.parametrize("store_first", [True, False],
+                         ids=["store-send", "send-store"])
+def test_a_send_orders_only_the_accesses_before_it(store_first):
+    """The receive orders the put after a store made before the send; a
+    store made after the send is another epoch, unordered with the put."""
+    _, ck = run_checked(_send_and_store, 2, seed=11, store_first=store_first)
+    if store_first:
+        assert ck.clean, [v.describe() for v in ck.violations]
+    else:
+        assert _summary(ck)[1] == [("local-remote", 0, 8, "local_store",
+                                    "put")]

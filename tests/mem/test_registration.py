@@ -54,71 +54,20 @@ def test_reregistration_bumps_generation():
     assert rt.resolve(d2) is seg
 
 
-def test_resolve_va():
-    sp, rt = _setup()
-    seg = sp.alloc(256)
-    rt.register(seg)
-    with pytest.raises(RegistrationError):
-        rt.lookup_va(seg.vaddr + 250, 8)  # overruns (nothing remembered)
-    assert rt.lookup_va(seg.vaddr + 10, 8)[0] is seg
-    # The table now remembers ``seg``: a range straddling either end of
-    # the remembered segment is still a miss.
-    assert rt._hit[0] is seg
-    assert rt.lookup_va(seg.vaddr + 248, 8)[0] is seg
-    with pytest.raises(RegistrationError):
-        rt.lookup_va(seg.vaddr + 250, 8)
-    with pytest.raises(RegistrationError):
-        rt.lookup_va(seg.vaddr - 1, 2)
-    with pytest.raises(RegistrationError):
-        rt.lookup_va(0x1234, 1)
-
-
-def test_resolve_va_alternating_segments():
-    """One remembered entry, two segments in turn: each lookup answers
-    for the range asked, whichever segment the last one hit."""
-    sp, rt = _setup()
-    a, b = sp.alloc(64), sp.alloc(64)
-    da, db = rt.register(a), rt.register(b)
-    for _ in range(2):
-        assert rt.lookup_va(a.vaddr + 8, 8) == (a, da)
-        assert rt.lookup_va(b.vaddr + 8, 8) == (b, db)
-        assert rt.lookup_va(a.vaddr)[0] is a
-        assert rt.lookup_va(b.vaddr, 64)[1] == db
-
-
-def test_descriptor_for_va():
-    sp, rt = _setup()
-    seg = sp.alloc(64)
-    desc = rt.register(seg)
-    assert rt.lookup_va(seg.vaddr, 8)[1] == desc
-
-
-def test_va_hit_dropped_by_register_and_deregister():
-    sp, rt = _setup()
-    seg = sp.alloc(64)
-    desc = rt.register(seg)
-    assert rt.lookup_va(seg.vaddr)[1] == desc and rt._hit is not None
-    fresh = rt.register(seg)            # same range, new generation
-    assert rt._hit is None
-    assert rt.lookup_va(seg.vaddr)[1] == fresh != desc
-    rt.deregister(fresh)
-    assert rt._hit is None
-    with pytest.raises(RegistrationError):
-        rt.lookup_va(seg.vaddr)
-
-
-def test_va_resolves_to_the_segment_reallocated_at_the_same_address():
+def test_descriptor_of_a_segment_reallocated_at_the_same_address():
+    """Memory freed and allocated again at the same address is a new
+    registration: the old descriptor is stale, the new one resolves to
+    the new segment."""
     sp, rt = _setup()
     old = sp.alloc(64)
     vaddr = old.vaddr
     old_desc = rt.register(old)
-    assert rt.lookup_va(vaddr, 8)[0] is old
     rt.deregister(old_desc)
     sp.free(old)
     new = sp.alloc_at(vaddr, 64)
     assert new is not None and new is not old
     new_desc = rt.register(new)
-    assert rt.lookup_va(vaddr, 8) == (new, new_desc)
+    assert rt.resolve(new_desc) is new
     assert new_desc.generation > old_desc.generation
     with pytest.raises(RegistrationError):
         rt.resolve(old_desc)
@@ -132,8 +81,8 @@ def test_registered_count():
     db = rt.register(b)
     rt.deregister(da)
     with pytest.raises(RegistrationError):
-        rt.lookup_va(a.vaddr)
-    assert rt.lookup_va(b.vaddr) == (b, db)
+        rt.resolve(da)
+    assert rt.resolve(db) is b
 
 
 # ---------------------------------------------------------------------------

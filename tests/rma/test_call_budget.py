@@ -5,7 +5,7 @@ to the critical path of a put and 78 to a flush (Section 3).  Here the
 matching count is Python calls per operation: every function call and
 every generator resume of the ``repro`` package, the kernel's included,
 counted with ``sys.setprofile`` while rank 0 runs a loop of one operation
-against an inter-node peer (or, for one put row, a same-node one).  The
+against an inter-node peer (or, for the -same-node rows, a node-mate).  The
 ceilings are the counts of the flattened issue path (DESIGN.md section 8,
 "Issue path"); a forwarding frame or a helper call put back on the path
 fails here, not only in perfbench.
@@ -92,12 +92,16 @@ def _calls_per_op(op, ranks_per_node: int = 1) -> float:
                             # before the put data path captured once
     (_put_flush, 2, 15.0),  # XPMEM: 19 before the capture-once data path
     (_cas, 1, 25.0),        # 45
+    (_cas, 2, 14.0),        # CPU atomic: 15 while ALLOCATE found the
+                            # segment by address, not by the mapping
     (_fao, 1, 27.0),        # 47
+    (_fao, 2, 16.0),        # CPU atomic: 17, likewise
     (_atomic_read, 1, 23.0),  # 36: three words, NO_OP
     (_acc, 1, 20.0),        # 30.8: one word, SUM (not every stream lands
                             # inside the measured loop)
-], ids=["put+flush", "put+flush-same-node", "cas", "fetch_and_op",
-        "get_accumulate", "accumulate"])
+], ids=["put+flush", "put+flush-same-node", "cas", "cas-same-node",
+        "fetch_and_op", "fetch_and_op-same-node", "get_accumulate",
+        "accumulate"])
 def test_calls_per_op_stay_under_the_flattened_count(op, ranks_per_node,
                                                      ceiling):
     assert _calls_per_op(op, ranks_per_node) <= ceiling

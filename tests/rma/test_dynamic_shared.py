@@ -118,6 +118,25 @@ def test_dynamic_access_unattached_raises():
     run_spmd(program, 2, machine=INTER)
 
 
+@pytest.mark.parametrize("machine", [INTER, INTRA], ids=["dmapp", "xpmem"])
+def test_dynamic_cas_raises_at_issue(machine):
+    """A dynamic window has a descriptor per attached region, not one word
+    address per target: its CAS is refused at issue, on or off the node."""
+    def program(ctx):
+        win = yield from ctx.rma.win_create_dynamic()
+        seg = ctx.space.alloc(64)
+        yield from win.attach(seg)
+        yield from win.lock_all()
+        if ctx.rank == 0:
+            with pytest.raises(WindowError, match="direct addressing"):
+                yield from win.compare_and_swap(np.int64(0), np.int64(1), 1,
+                                                seg.vaddr)
+        yield from win.unlock_all()
+        yield from ctx.coll.barrier()
+
+    run_spmd(program, 2, machine=machine)
+
+
 def test_shared_window_direct_access():
     def program(ctx):
         win = yield from ctx.rma.win_allocate_shared(64)

@@ -16,6 +16,7 @@ from repro import run_spmd
 from repro.config import MachineConfig
 from repro.errors import MemoryError_
 from repro.rma.datatypes import BYTE, Vector
+from repro.rma.enums import Op
 
 #: Origin buffers of every kind ``Window.put`` takes.
 ORIGINS = {
@@ -132,12 +133,28 @@ def test_put_captures_the_origin_buffer_at_issue(rpn):
     assert split == first.tobytes()
 
 
-@pytest.mark.parametrize("op", ["put", "get"])
+#: One access of each kind past window ``a`` at ``disp``: every one that
+#: writes would leave a 9 in the first word there.
+PAST_END = {
+    "put": lambda a, disp: a.put(np.full(8, 9, np.uint8), 1, disp),
+    "get": lambda a, disp: a.get(np.empty(8, np.uint8), 1, disp),
+    "cas": lambda a, disp: a.compare_and_swap(np.int64(0), np.int64(9), 1,
+                                              disp),
+    "fetch_and_op": lambda a, disp: a.fetch_and_op(np.int64(9), 1, disp,
+                                                   Op.SUM),
+    "accumulate": lambda a, disp: a.accumulate(np.full(1, 9, np.int64), 1,
+                                               disp, Op.SUM),
+    "get_accumulate": lambda a, disp: a.get_accumulate(
+        np.full(1, 9, np.int64), 1, disp, Op.SUM),
+}
+
+
+@pytest.mark.parametrize("op", list(PAST_END))
 def test_access_past_the_window_never_reaches_another_window(op):
-    """A put or get past the end of one allocated window, at the
+    """A put, get or atomic past the end of one allocated window, at the
     displacement where the target's next window lies, is refused at issue
-    by the bounds of the window's own segment; the put does not land in
-    the other window."""
+    by the bounds of the window's own segment; nothing lands in the other
+    window."""
 
     def program(ctx):
         a = yield from ctx.rma.win_allocate(64)
@@ -145,12 +162,9 @@ def test_access_past_the_window_never_reaches_another_window(op):
         yield from a.lock_all()
         yield from ctx.coll.barrier()
         if ctx.rank == 0:
-            disp = b.base_vaddr - a.base_vaddr
+            disp = b.seg.vaddr - a.seg.vaddr
             with pytest.raises(MemoryError_):
-                if op == "put":
-                    yield from a.put(np.full(8, 9, np.uint8), 1, disp)
-                else:
-                    yield from a.get(np.empty(8, np.uint8), 1, disp)
+                yield from PAST_END[op](a, disp)
             yield from a.flush(1)
         yield from ctx.coll.barrier()
         yield from a.unlock_all()

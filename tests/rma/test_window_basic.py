@@ -96,7 +96,7 @@ def test_alternating_windows_on_one_target():
 def test_allocate_is_symmetric():
     def program(ctx):
         win = yield from ctx.rma.win_allocate(1024)
-        return win.base_vaddr
+        return win.seg.vaddr
 
     res = run_spmd(program, 8)
     assert len(set(res.returns)) == 1  # same base address everywhere
@@ -124,7 +124,7 @@ def test_symheap_retry_on_collision(monkeypatch):
                 taken.append(seg.vaddr)
         yield from ctx.coll.barrier()
         win = yield from ctx.rma.win_allocate(4096)
-        return win.base_vaddr
+        return win.seg.vaddr
 
     res = run_spmd(program, 4, machine=INTER)
     assert len(set(res.returns)) == 1
