@@ -9,13 +9,17 @@ event made for a waiter that never came), and the checker's verdict must
 be the entry's ``expect``.
 """
 
+import hashlib
 import inspect
+import json
 
 import numpy as np
 import pytest
 
+from repro.check import render_check_report
 from repro.config import FaultPlan
 from repro.ft.workloads import run_crash_to_completion
+from repro.obs import chrome_trace_json
 from repro.workloads import WORKLOADS, lookup, names, run_workload
 from tests.check.explore import delay_sets
 from tests.conftest import idle_tracers
@@ -34,6 +38,75 @@ def _comparable(value):
 def _fingerprint(res):
     return (res.sim_time_ns, res.events_processed,
             [_comparable(v) for v in res.returns])
+
+
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("".join(parts).encode()).hexdigest()[:16]
+
+
+def _obs_digest(obs) -> str:
+    """What observability recorded: the trace and every metric."""
+    return _digest(chrome_trace_json(obs),
+                   json.dumps(obs.metrics.snapshot(), sort_keys=True))
+
+
+def _check_digest(ck, name: str) -> str:
+    """What the checker recorded: its report and its counters."""
+    return _digest(render_check_report(ck, name),
+                   json.dumps(ck.stats_snapshot(), sort_keys=True))
+
+
+#: (entry, ranks per node) -> (obs digest, checker digest) of the
+#: instrumented runs below: a change that moves what an instrument
+#: records, not only when the schedule runs, shows here.
+INSTRUMENT_DIGESTS = {
+    ("putget", 1): ("b2c1a6ec7fc446d0", "37dfb2e6e4466482"),
+    ("putget", 4): ("1c1d97f6641337a3", "37dfb2e6e4466482"),
+    ("locks", 1): ("106f071ba3a2e40c", "c7518cfbf2161d13"),
+    ("locks", 4): ("0acbc709862c31c4", "c7518cfbf2161d13"),
+    ("fence", 1): ("d1ff0c9a776f6316", "ab47402a00a1c2d3"),
+    ("fence", 4): ("e096a1d454d82731", "ab47402a00a1c2d3"),
+    ("pscw", 1): ("8673c60e4702e6e3", "f9f75eb2e824ab51"),
+    ("pscw", 4): ("801026128d4691af", "f9f75eb2e824ab51"),
+    ("racy_put_put", 1): ("27887dfb6f2130ac", "2e97bfdc0a6281b1"),
+    ("racy_put_put", 4): ("41276e430e2ac069", "b7d031bd62e3bfeb"),
+    ("racy_acc_mix", 1): ("456a718279427e9f", "d031f71bb79d0411"),
+    ("racy_acc_mix", 4): ("72c1a8f9c8bf6a79", "5ae7c4deeda6dda0"),
+    ("racy_atomic_nonatomic", 1): ("c9a1c34f7a25e37e", "8ae11fea82c1ed6b"),
+    ("racy_atomic_nonatomic", 4): ("dc9bf2e4327e5f56", "8a7b0093757c2137"),
+    ("racy_local", 1): ("89d349831265d2d5", "a940a549ecc87729"),
+    ("racy_local", 4): ("2a2d35fde9e70bdb", "1620cc6d6206fb53"),
+    ("racy_same_origin", 1): ("2cdf30453fbbc1b2", "ce1afee6ad071fd2"),
+    ("racy_same_origin", 4): ("14826f7851cc493d", "7bb31553e5f30542"),
+    ("racy_msg_nosync", 1): ("90a28ed1492f7194", "d37a46f220fc7f25"),
+    ("racy_msg_nosync", 4): ("d8c574a37cafde17", "daf8abb30e513894"),
+    ("racy_latent", 1): ("c0c5430fa8ead071", "1c45f8709d3e94ba"),
+    ("racy_latent", 4): ("648b66055f70d8ab", "1c45f8709d3e94ba"),
+    ("clean_put_put", 1): ("27887dfb6f2130ac", "5960033604e57dc1"),
+    ("clean_put_put", 4): ("41276e430e2ac069", "5960033604e57dc1"),
+    ("clean_msg_sync", 1): ("82e155f2da39fca8", "b7dfecff56ffa80f"),
+    ("clean_msg_sync", 4): ("f21bb14442d191cf", "b7dfecff56ffa80f"),
+    ("clean_acc_sum", 1): ("456a718279427e9f", "c57ddcef01703a7b"),
+    ("clean_acc_sum", 4): ("72c1a8f9c8bf6a79", "c57ddcef01703a7b"),
+    ("clean_local", 1): ("35053db093722af5", "93832e9d4a5ee705"),
+    ("clean_local", 4): ("92d42906e06982d4", "93832e9d4a5ee705"),
+    ("clean_same_origin", 1): ("9a884dd291a413f6", "a0d5c805289f2f95"),
+    ("clean_same_origin", 4): ("1f22c6283cb4da4a", "a0d5c805289f2f95"),
+    ("clean_strided", 1): ("55da11fd646d5ddb", "5e2e9e6db15f92a7"),
+    ("clean_strided", 4): ("680d5ff04a72fbd5", "5e2e9e6db15f92a7"),
+    ("fence_ring", 1): ("d2388fb7679490c3", "cccdbfabcf95fadd"),
+    ("fence_ring", 4): ("87a28c6030154076", "cccdbfabcf95fadd"),
+    ("pscw_ring", 1): ("a0a9c74ef90a9c47", "747355eff6832770"),
+    ("pscw_ring", 4): ("ff4ed9325781e8b0", "747355eff6832770"),
+    ("lock_ring", 1): ("f141495b40414c19", "ba6b3ed222e62f50"),
+    ("lock_ring", 4): ("8286a2bd6bdb5976", "ba6b3ed222e62f50"),
+    ("flush_ring", 1): ("6a21f60c966ac37d", "28ba5bd8f45d1d8c"),
+    ("flush_ring", 4): ("9ef4614bc274b957", "28ba5bd8f45d1d8c"),
+    ("ft_hashtable", 1): ("9922193e0eba4328", "58e0f511eef2fe4e"),
+    ("ft_hashtable", 4): ("d517fb9e12cb3c29", "3838c66e0ebab0be"),
+    ("ft_kvstore", 1): ("20f9914b5e1414b2", "4c91a350c9ca943f"),
+    ("ft_kvstore", 4): ("dcc11e93a0746214", "2ff1fdda3893a174"),
+}
 
 
 @pytest.mark.parametrize("rpn", [1, 4])
@@ -62,11 +135,33 @@ def test_instruments_do_not_perturb_and_verdict_is_as_stated(name, rpn):
     assert kinds == ({expect} if expect else set()), \
         [v.describe() for v in checked.check.violations]
 
+    assert (_obs_digest(observed.obs), _check_digest(checked.check, name)) \
+        == INSTRUMENT_DIGESTS[name, rpn]
+
     if name in GOLDEN and rpn == 4:
         # The pre-checker, pre-obs schedules (tests/sim/test_kernel_gen2.py
         # pins the plain run; here every instrumented run lands on it too).
         assert _fingerprint(observed)[:2] == current(GOLDEN[name]), \
             f"{name}: schedule drifted from pre-checker golden trace"
+
+
+def test_obs_and_checker_together_record_as_pinned():
+    """Both instruments on one racy run: the checker's race instants land
+    in the obs trace beside the sync spans."""
+    res = run_workload("racy_put_put", nranks=NRANKS, seed=SEED, obs=True,
+                       check=True)
+    assert sum(s.cat == "check" for s in res.obs.spans.spans) == 6
+    assert (_obs_digest(res.obs), _check_digest(res.check, "racy_put_put")) \
+        == ("e1c05638a8105079", "2e97bfdc0a6281b1")
+
+
+def test_obs_across_a_restore_records_as_pinned():
+    """The restarted rank adopts its windows, so a lock epoch it reopens
+    from the checkpoint closes with the dead incarnation's hold span."""
+    out = run_crash_to_completion("ft_hashtable", NRANKS, crash_rank=1,
+                                  crash_frac=0.5, obs=True)
+    assert out.match
+    assert _obs_digest(out.recovered.obs) == "1723ca38af2a2656"
 
 
 def test_names_programs_and_goldens_line_up():
