@@ -3,7 +3,8 @@
 One :class:`RaceChecker` is attached to a
 :class:`~repro.runtime.world.World` when checking is enabled
 (``CheckConfig(enabled=True)`` or a live :func:`check_capture` block).
-Every protocol-layer hook is behind a single ``checker is None`` test,
+Sync sites reach it as ``RankContext.sync_hook`` (:meth:`RaceChecker.
+on_sync`, which forwards to obs), access hooks test ``checker is None``,
 so disabled runs execute the exact pre-checker code path; recording
 itself is pure host-side bookkeeping (list appends, dict updates,
 vector-clock arithmetic) that never schedules events or draws random
@@ -69,7 +70,7 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.check.vclock import VectorClock
 
@@ -235,13 +236,24 @@ class RaceChecker:
         return old.is_acc and new.is_acc
 
     # ------------------------------------------------------------------
-    # synchronization hooks (called by the protocol layers)
+    # synchronization edges (the sync sites call on_sync)
     # ------------------------------------------------------------------
-    def coll_enter(self, rank: int) -> int:
-        """A collective call starts on ``rank``; returns its instance id.
+    def on_sync(self, kind: str, win: Any, peers: Any,
+                t0: int | None) -> Any:
+        """A sync site reports: apply ``kind``'s edge (:data:`_EDGES`),
+        then forward to obs, as :meth:`_report` does for races."""
+        edge = _EDGES.get(kind)
+        out = None if edge is None else edge(self, win, peers)
+        if self.obs is not None:
+            self.obs.on_sync(kind, win, peers, t0)
+        return out
+
+    def coll_enter(self, call: Any, _peers: Any = None) -> int:
+        """A collective call starts; returns its instance id.
 
         MPI requires every rank to issue collectives in the same order,
         so per-rank sequence counters identify the instance."""
+        rank = call.ctx.rank
         seq = self._coll_seq[rank]
         self._coll_seq[rank] = seq + 1
         slot = self._coll.get(seq)
@@ -251,14 +263,14 @@ class RaceChecker:
         slot.entered += 1
         return seq
 
-    def coll_exit(self, rank: int, seq: int) -> None:
-        """The collective returns on ``rank``: merge deposits present.
+    def coll_exit(self, call: Any, seq: int) -> None:
+        """The collective returns: merge deposits present.
 
         Every true message edge inside the collective implies its sender
         deposited before this hook runs (event order), so merging the
         accumulated clock never invents a happens-before edge."""
         slot = self._coll[seq]
-        self._acquire(rank, slot.acc)
+        self._acquire(call.ctx.rank, slot.acc)
         slot.exited += 1
         if slot.exited == self.nranks:
             # A completed full collective is a global ordering point:
@@ -284,15 +296,11 @@ class RaceChecker:
         attached -- merge-nothing, tick-only, never a false edge)."""
         self._acquire(rank, vc)
 
-    def on_fence(self, win) -> None:
-        """Fence completes all of this origin's operations (the ordering
-        itself comes from the barrier inside the fence)."""
-        self._bump_oseq(win.rank, win.win_id)
-
-    def on_flush(self, win) -> None:
-        """Remote completion: later same-origin ops are ordered after
-        earlier ones.  (``flush_local`` completes only locally and does
-        NOT order target-side effects, so it has no hook.)"""
+    def on_flush(self, win, _peers: Any = None) -> None:
+        """Remote completion (flush, and fence before its barrier, which
+        itself does the ordering): later same-origin ops are ordered
+        after earlier ones.  (``flush_local`` completes only locally and
+        does NOT order target-side effects, so it has no edge.)"""
         self._bump_oseq(win.rank, win.win_id)
 
     def lock_acquired(self, win, target: int, exclusive: bool) -> None:
@@ -313,18 +321,15 @@ class RaceChecker:
                 VectorClock(self.nranks), VectorClock(self.nranks))
         (sync.write_release if exclusive else sync.read_release).merge(vc)
 
-    def lock_all_acquired(self, win) -> None:
-        merged: VectorClock | None = None
+    def lock_all_acquired(self, win, _peers: Any = None) -> None:
+        merged = VectorClock(self.nranks)
         for t in range(self.nranks):
             sync = self._locks.get((win.win_id, t))
             if sync is not None:
-                if merged is None:
-                    merged = sync.write_release.copy()
-                else:
-                    merged.merge(sync.write_release)
+                merged.merge(sync.write_release)
         self._acquire(win.rank, merged)
 
-    def lock_all_released(self, win) -> None:
+    def lock_all_released(self, win, _peers: Any = None) -> None:
         self._bump_oseq(win.rank, win.win_id)
         vc = self._deposit(win.rank)
         for t in range(self.nranks):
@@ -342,25 +347,12 @@ class RaceChecker:
 
     def _take_from(self, edges: _Edges, win: Any, peers: Iterable[int]) -> None:
         """Merge the oldest deposit on each of ``peers``' PSCW edge to us."""
-        merged: VectorClock | None = None
+        merged = VectorClock(self.nranks)
         for r in peers:
             dq = edges.get((win.win_id, win.rank, r))
             if dq:
-                vc = dq.popleft()
-                if merged is None:
-                    merged = vc.copy()
-                else:
-                    merged.merge(vc)
+                merged.merge(dq.popleft())
         self._acquire(win.rank, merged)
-
-    def pscw_post(self, win: Any, group: Iterable[int]) -> None:
-        """Deposited at post() entry -- before the matching-list appends
-        the peers' start() will observe."""
-        self._send_to(self._pscw_post, win, group)
-
-    def pscw_start(self, win: Any, group: Iterable[int]) -> None:
-        """Merged at start() exit, one deposit per matched poster."""
-        self._take_from(self._pscw_post, win, group)
 
     def pscw_complete(self, win: Any, group: Iterable[int]) -> None:
         """Deposited at complete() entry -- before the completion-counter
@@ -368,35 +360,31 @@ class RaceChecker:
         self._bump_oseq(win.rank, win.win_id)
         self._send_to(self._pscw_done, win, group)
 
-    def mcs_acquired(self, rank: int, key: tuple) -> None:
-        """An MCS queue lock (:class:`repro.rma.mcs.McsLock`) was acquired
-        by ``rank``.  ``key`` identifies the lock instance
-        (``(win_id, cell_base)``).  MCS locks are exclusive, so the
+    def mcs_acquired(self, win: Any, base: int) -> None:
+        """``win.rank`` acquired the MCS queue lock (:class:`repro.rma.
+        mcs.McsLock`) at cell ``base``.  MCS locks are exclusive, so the
         acquire is ordered after *every* prior release: merge the
         accumulated release clock.  Without this edge, lock-ordered
         read-modify-write sequences (the kvstore's CAS-update path) would
         be reported as races."""
-        self._acquire(rank, self._mcs.get(key))
+        self._acquire(win.rank, self._mcs.get((win.win_id, base)))
 
-    def mcs_released(self, rank: int, key: tuple) -> None:
-        """``rank`` releases an MCS lock: deposit its clock.  Called at
-        release *entry* -- before the hand-off AMO fires -- so the deposit
-        is in place by the time any successor's acquire completes (event
-        order guarantees the hook runs first)."""
-        vc = self._deposit(rank)
-        cur = self._mcs.get(key)
-        if cur is None:
-            self._mcs[key] = vc
-        else:
-            cur.merge(vc)
-
-    def pscw_wait(self, win: Any, origins: Iterable[int]) -> None:
-        """Merged at wait() exit, one deposit per access-epoch origin."""
-        self._take_from(self._pscw_done, win, origins)
+    def mcs_released(self, win: Any, base: int) -> None:
+        """``win.rank`` releases the MCS lock: deposit its clock.  Called
+        at release *entry* -- before the hand-off AMO fires -- so the
+        deposit is in place by the time any successor's acquire completes
+        (event order guarantees the hook runs first)."""
+        self._mcs.setdefault((win.win_id, base), VectorClock(
+            self.nranks)).merge(self._deposit(win.rank))
 
     # ------------------------------------------------------------------
     # rollback recovery (repro.ft)
     # ------------------------------------------------------------------
+    def checkpoint_state(self, rank: int) -> tuple[int, dict]:
+        """``rank``'s sequence counters, as :meth:`on_restore` takes them."""
+        done = {k: list(v) for k, v in self._done.items() if k[0] == rank}
+        return self._coll_seq[rank], done
+
     def on_restore(self, rank: int, coll_seq: int, done: dict) -> None:
         """A crashed rank was rolled back to a checkpoint and restarted.
 
@@ -538,6 +526,32 @@ class RaceChecker:
             "live_records": self.nrecords,
             "pruned_records": self.pruned,
         }
+
+
+#: Sync kind -> its happens-before edge; kinds without one only reach obs.
+#: PSCW: post deposits at entry, before the matching-list appends its
+#: peers' start() observes, and start merges one deposit per matched
+#: poster; complete deposits at entry, wait merges per access origin.
+_EDGES: dict[str, Callable[..., Any]] = {
+    "lock_shared": lambda ck, win, t: ck.lock_acquired(win, t, False),
+    "lock_exclusive": lambda ck, win, t: ck.lock_acquired(win, t, True),
+    "unlock_shared": lambda ck, win, t: ck.lock_released(win, t, False),
+    "unlock_exclusive": lambda ck, win, t: ck.lock_released(win, t, True),
+    "lock_all": RaceChecker.lock_all_acquired,
+    "unlock_all": RaceChecker.lock_all_released,
+    "post_enter": lambda ck, win, g: ck._send_to(ck._pscw_post, win, g),
+    "start": lambda ck, win, g: ck._take_from(ck._pscw_post, win, g),
+    "complete_enter": RaceChecker.pscw_complete,
+    "wait": lambda ck, win, g: ck._take_from(ck._pscw_done, win, g),
+    "fence_gsync": RaceChecker.on_flush,
+    "flush": RaceChecker.on_flush,
+    "pgas_fence": lambda ck, _, wins: [ck.on_flush(w) for w in wins],
+    "mcs_acquire": RaceChecker.mcs_acquired,
+    "mcs_release_enter": RaceChecker.mcs_released,
+    "coll_enter": RaceChecker.coll_enter,
+    "coll": RaceChecker.coll_exit,
+    "ibarrier": RaceChecker.coll_exit,
+}
 
 
 # -- pair predicates -----------------------------------------------------

@@ -70,8 +70,8 @@ class ObsConfig:
     """Observability (spans + per-rank metrics) switches.
 
     When ``enabled`` is False -- the default -- no instrumentation object
-    is constructed and every protocol-layer hook reduces to one ``is
-    None`` test: schedules are bit-identical to pre-observability code.
+    is constructed; each sync site's one ``ctx.sync_hook`` test and each
+    data-path ``obs is None`` test skip: schedules are bit-identical.
     Recording itself is pure observation (list appends and dict updates
     on the simulated clock; nothing is ever scheduled), so enabling it
     does not perturb schedules either -- it only costs host time.
@@ -90,9 +90,9 @@ class ObsConfig:
 class CheckConfig:
     """Memory-model checker (vector-clock race detection) switches.
 
-    When ``enabled`` is False -- the default -- no checker is constructed
-    and every protocol-layer hook reduces to one ``is None`` test:
-    schedules are bit-identical to pre-checker code.  Recording itself is
+    When ``enabled`` is False -- the default -- no checker is constructed;
+    sync sites hear obs (or nothing) through ``ctx.sync_hook`` and access
+    hooks skip: schedules are bit-identical.  Recording itself is
     pure observation (list appends, dict updates and vector-clock
     arithmetic on the simulated clock; nothing is ever scheduled), so
     enabling it does not perturb schedules either.

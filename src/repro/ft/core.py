@@ -92,7 +92,7 @@ class _WinSnap:
     crc: int
     ctrl: list
     ledger_sums: dict
-    lock_snap: dict
+    lock_snap: object              # a LockState.snapshot() copy
     watermark: int
 
 
@@ -107,8 +107,7 @@ class _Checkpoint:
     op_seq: int = 0
     coll_tag: int = 0
     nbx_tag: int = 0
-    coll_seq: int = 0
-    check_done: dict = field(default_factory=dict)  # RaceChecker._done rows
+    check: tuple = (0, {})         # RaceChecker.checkpoint_state
     nbytes: int = 0
     arrived: bool = False
     cancelled: bool = False
@@ -322,9 +321,7 @@ class FTRuntime:
             rec.nbx_tag = ctx.coll._nbx_tag
         checker = self.world.checker
         if checker is not None:
-            rec.coll_seq = checker._coll_seq[rank]
-            rec.check_done = {k: list(v) for k, v in checker._done.items()
-                              if k[0] == rank}
+            rec.check = checker.checkpoint_state(rank)
         ledger = self.world.lock_ledger
         if not isinstance(windows, (list, tuple)):
             windows = [windows]
@@ -549,7 +546,7 @@ class FTRuntime:
                 win.ctx = ctx
                 max_win = max(max_win, win_id)
                 snap = rec.windows.get(win_id)
-                if snap is not None and snap.lock_snap.get("lock_all_held"):
+                if snap is not None and snap.lock_snap.lock_all_held:
                     self._restored_lock_all.add((rank, win_id))
         ctx.rma._next_win = max_win + 1
         # Restored origin sequence numbers make re-executed atomics hit
@@ -560,7 +557,7 @@ class FTRuntime:
             ctx.coll._nbx_tag = rec.nbx_tag
         checker = world.checker
         if checker is not None:
-            checker.on_restore(rank, rec.coll_seq, rec.check_done)
+            checker.on_restore(rank, *rec.check)
         self._restored[rank] = dict(rec.app)
         # The restarted incarnation's outcome is the rank's outcome.
         world.rank_procs[rank] = self.env.process(

@@ -3,9 +3,9 @@
 :class:`Instrumentation` bundles a :class:`SpanLog` (span timeline) with
 a :class:`~repro.obs.metrics.MetricsRegistry` (per-rank
 counters/gauges/histograms).  One instance is attached to a
-:class:`~repro.runtime.world.World` when observability is enabled; every
-protocol-layer hook is behind a single ``obs is None`` test, so disabled
-runs execute the exact pre-observability code path.
+:class:`~repro.runtime.world.World` when observability is enabled; sync
+sites reach it through one ``ctx.sync_hook is None`` test, data-path hooks
+through ``obs is None``, so disabled runs run the uninstrumented path.
 
 Recording NEVER schedules events or advances the clock: spans are list
 appends, metrics are dict updates.  Enabling observability therefore
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
-__all__ = ["Instrumentation", "SpanLog", "SpanRecord", "capture", "active_capture"]
+__all__ = ["Instrumentation", "SpanLog", "SpanRecord", "SYNC_TABLE",
+           "capture", "active_capture"]
 
 #: Span-log truncation limit; appends past it only count ``spans.dropped``.
 SPAN_LIMIT = 500_000
@@ -91,6 +92,55 @@ class SpanLog:
         self.spans.append(span)
 
 
+class SyncRow(NamedTuple):
+    """How a sync kind is recorded (:meth:`Instrumentation.on_sync`)."""
+
+    span: str
+    cat: str
+    counter: str | None = None
+    hist: str | None = None
+    args: str | None = None        # a key of _ARGS
+    epoch: str | None = None       # "open" | "close"
+    side: str | None = None        # None: the call's peers (lock target)
+
+
+#: Span args from a call's window and peers.
+_ARGS = {"target": lambda win, target: {"target": target},
+         "peers": lambda win, group: {"peers": len(group)},
+         "word": lambda win, base: {"win": win.win_id, "base": base}}
+_HOLD = SyncRow("lock.hold", "lock", None, "lock_hold_ns", "target", "close")
+
+#: Sync kind -> its record.  Kinds without a row (the race checker's
+#: entry edges) record nothing; a "coll" row takes the collective's name.
+SYNC_TABLE = {
+    "lock_shared": SyncRow("lock.shared", "lock", "rma.lock",
+                           "lock_acquire_ns", "target", "open"),
+    "lock_exclusive": SyncRow("lock.exclusive", "lock", "rma.lock",
+                              "lock_acquire_ns", "target", "open"),
+    "lock_all": SyncRow("lock.lock_all", "lock", "rma.lock_all",
+                        "lock_acquire_ns", None, "open"),
+    "unlock_shared": _HOLD,
+    "unlock_exclusive": _HOLD,
+    "unlock_all": SyncRow("lock.hold_all", "lock", None, "lock_hold_ns",
+                          None, "close"),
+    "post": SyncRow("pscw.post", "epoch", "rma.post", None, "peers", "open",
+                    "exposure"),
+    "start": SyncRow("pscw.start", "epoch", "rma.start", None, "peers",
+                     "open", "access"),
+    "complete": SyncRow("pscw.complete", "epoch", None, "epoch_access_ns",
+                        None, "close", "access"),
+    "wait": SyncRow("pscw.wait", "epoch", None, "epoch_exposure_ns", None,
+                    "close", "exposure"),
+    "fence": SyncRow("epoch.fence", "epoch", "rma.fence", "fence_ns"),
+    "flush": SyncRow("flush", "rma", "rma.flush", "flush_ns"),
+    "mcs_acquire": SyncRow("mcs.acquire", "lock", "mcs.acquires",
+                           "mcs.acquire_wait_ns", "word"),
+    "mcs_release": SyncRow("mcs.release", "lock", "mcs.releases", None,
+                           "word"),
+    "coll": SyncRow("coll", "coll", "coll"),
+}
+
+
 class Instrumentation:
     """Span timeline + metrics registry for one simulated run."""
 
@@ -102,6 +152,8 @@ class Instrumentation:
         self.spans = SpanLog()
         self.metrics = MetricsRegistry()
         self.meta: dict[str, Any] = {}
+        # Open epochs: (rank, win_id, side) -> the time they opened.
+        self._opened: dict[tuple, int] = {}
 
     # -- span helpers ----------------------------------------------------
     def rank_span(self, rank: int, name: str, start_ns: int, end_ns: int,
@@ -123,6 +175,31 @@ class Instrumentation:
         self.spans.add("nic", node, name, cat, ts_ns, ts_ns, args)
 
     # -- layer-specific hooks -------------------------------------------
+    def on_sync(self, kind: str, win: Any, peers: Any,
+                t0: int | None) -> None:
+        """A sync call on ``win.ctx.rank`` (``win``: a window or a
+        collective call) returns: a span from ``t0``, a counter, a
+        histogram of the span.  "open" stores now as the epoch's start,
+        "close" pops it and measures from it (the span too if no t0)."""
+        row = SYNC_TABLE.get(kind)
+        if row is None:
+            return
+        rank, now = win.ctx.rank, win.ctx.now
+        start = now if t0 is None else t0
+        if row.epoch is not None:
+            key = (rank, win.win_id, row.side or peers)
+            if row.epoch == "open":
+                self._opened[key] = now
+            else:
+                start = self._opened.pop(key, now)
+        name = f"coll.{win.name}" if kind == "coll" else row.span
+        self.rank_span(rank, name, start if t0 is None else t0, now, row.cat,
+                       _ARGS[row.args](win, peers) if row.args else None)
+        if row.counter is not None:
+            self.metrics.count(name if kind == "coll" else row.counter, rank)
+        if row.hist is not None:
+            self.metrics.observe(row.hist, rank, now - start)
+
     def on_op(self, rank: int, kind: str, target: int, t0: int,
               remote_complete: int, nbytes: int) -> None:
         """One DMAPP data operation: issue at ``t0`` on ``rank``,

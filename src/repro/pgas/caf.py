@@ -83,9 +83,9 @@ class CafContext:
         """sync memory: local completion of outstanding accesses."""
         yield from self.ctx.compute(self.params.sync_memory_overhead)
         yield from self.ctx.dmapp.gsync()
-        if self.ctx.checker is not None:
-            for co in self.coarrays:
-                self.ctx.checker.on_flush(co)
+        hook = self.ctx.sync_hook
+        if hook is not None:
+            hook.on_sync("pgas_fence", self, self.coarrays, None)
 
     def sync_all(self):
         """sync all: global barrier + memory synchronization."""

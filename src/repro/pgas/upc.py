@@ -108,9 +108,9 @@ class UpcContext:
     def fence(self):
         """upc_fence: complete all outstanding accesses."""
         yield from self.ctx.dmapp.gsync()
-        if self.ctx.checker is not None:
-            for arr in self.arrays:
-                self.ctx.checker.on_flush(arr)
+        hook = self.ctx.sync_hook
+        if hook is not None:
+            hook.on_sync("pgas_fence", self, self.arrays, None)
 
     def barrier(self):
         """upc_barrier (Cray's is the fastest barrier in Figure 6b)."""

@@ -33,11 +33,11 @@ def fence(win, no_succeed: bool = False):
     yield from ctx.compute(win.params.mfence_ns)
     # ... gsync commits all outstanding DMAPP operations ...
     yield from ctx.dmapp.gsync()
-    ck = ctx.checker
-    if ck is not None:
+    hook = ctx.sync_hook
+    if hook is not None:
         # This origin's operations are complete before the barrier, so
-        # the barrier's collective hooks can drop their records.
-        ck.on_fence(win)
+        # the barrier's collective edges can drop their records.
+        hook.on_sync("fence_gsync", win, None, t0)
     # ... and a barrier orders all ranks.  The calibrated per-round
     # software cost covers completion bookkeeping and progress.
     rounds = max(1, (p - 1).bit_length()) if p > 1 else 0
@@ -55,10 +55,7 @@ def fence(win, no_succeed: bool = False):
             win.epoch_access = None
             win.epoch_exposure = None
             raise
-    obs = ctx.obs
-    if obs is not None:
-        obs.rank_span(ctx.rank, "epoch.fence", t0, ctx.now, cat="epoch")
-        obs.metrics.count("rma.fence", ctx.rank)
-        obs.metrics.observe("fence_ns", ctx.rank, ctx.now - t0)
+    if hook is not None:
+        hook.on_sync("fence", win, None, t0)
     win.epoch_access = None if no_succeed else "fence"
     win.epoch_exposure = None if no_succeed else "fence"

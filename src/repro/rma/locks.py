@@ -29,7 +29,7 @@ forget AMO (~0.4 us).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import LockError, NodeCrashedError
 from repro.rma import recovery
@@ -42,31 +42,24 @@ __all__ = ["LockState", "lock", "unlock", "lock_all", "unlock_all",
 WRITER_BIT = 1 << 63
 GLOBAL_SHARED_UNIT = 1 << 32
 _EXCL_MASK = (1 << 32) - 1
+_SHARED_MASK = _EXCL_MASK << 32
 
 
 @dataclass
 class LockState:
-    """Per-window, per-origin lock bookkeeping."""
+    """Per-window, per-origin lock bookkeeping, all of it checkpointable
+    protocol state (repro.ft): what a restored incarnation holds."""
 
     held: dict = field(default_factory=dict)   # target -> LockType
     lock_all_held: bool = False
     exclusive_count: int = 0                   # locks this origin holds
-    acquired_at: dict = field(default_factory=dict)  # obs: target -> ns
 
-    def snapshot(self) -> dict:
-        """Checkpointable protocol state (repro.ft): what the restored
-        incarnation must believe it holds.  Timings stay out -- they
-        belong to the incarnation, not the protocol."""
-        return {
-            "held": dict(self.held),
-            "lock_all_held": self.lock_all_held,
-            "exclusive_count": self.exclusive_count,
-        }
+    def snapshot(self) -> "LockState":
+        return replace(self, held=dict(self.held))
 
-    def restore(self, snap: dict) -> None:
-        self.held = dict(snap["held"])
-        self.lock_all_held = snap["lock_all_held"]
-        self.exclusive_count = snap["exclusive_count"]
+    def restore(self, snap: "LockState") -> None:
+        self.held, self.lock_all_held, self.exclusive_count = (
+            dict(snap.held), snap.lock_all_held, snap.exclusive_count)
 
 
 def _backoff(win, attempt: int):
@@ -126,17 +119,9 @@ def lock(win, target: int, lock_type: LockType = LockType.SHARED):
             yield from _lock_exclusive(win, target)
     except NodeCrashedError as exc:
         recovery.fail_acquire(win.ctx, exc, f"lock(target={target})")
-    obs = win.ctx.obs
-    if obs is not None:
-        now = win.ctx.now
-        obs.rank_span(win.ctx.rank, f"lock.{lock_type.name.lower()}",
-                      t0, now, cat="lock", args={"target": target})
-        obs.metrics.count("rma.lock", win.ctx.rank)
-        obs.metrics.observe("lock_acquire_ns", win.ctx.rank, now - t0)
-        st.acquired_at[target] = now
-    ck = win.ctx.checker
-    if ck is not None:
-        ck.lock_acquired(win, target, lock_type is LockType.EXCLUSIVE)
+    hook = win.ctx.sync_hook
+    if hook is not None:
+        hook.on_sync("lock_" + lock_type.value, win, target, t0)
     st.held[target] = lock_type
     win.epoch_access = "lock"
     # Acquisition is forward progress; the retry loops above are not --
@@ -171,7 +156,7 @@ def _lock_exclusive(win, target: int):
     while True:
         if st.exclusive_count == 0:
             # Invariant (1): register at the master; back off on lock_all.
-            yield from _acquire_global_writer(win)
+            yield from _register_global(win, 1, _SHARED_MASK)
         # Invariant (2): CAS the target's local word 0 -> WRITER.
         try:
             old = yield from _amo(win, target, win_mod.IDX_LOCAL_LOCK,
@@ -196,15 +181,18 @@ def _lock_exclusive(win, target: int):
         attempt += 1
 
 
-def _acquire_global_writer(win):
+def _register_global(win, unit: int, blockers: int):
+    """Add ``unit`` to the master's global word; while any ``blockers``
+    bit was set (an exclusive origin waits out lock_all holders, lock_all
+    waits out exclusive origins), undo, back off and retry."""
     attempt = 0
     while True:
         old = yield from _amo(win, win.master, win_mod.IDX_GLOBAL_LOCK,
-                              "add", 1)
-        if (old >> 32) == 0:  # no lock_all (global shared) holders
+                              "add", unit)
+        if not old & blockers:
             return
-        yield from _amo(win, win.master, win_mod.IDX_GLOBAL_LOCK, "add", -1,
-                        blocking=False)
+        yield from _amo(win, win.master, win_mod.IDX_GLOBAL_LOCK, "add",
+                        -unit, blocking=False)
         yield from _backoff(win, attempt)
         attempt += 1
 
@@ -238,15 +226,9 @@ def unlock(win, target: int):
         if st.exclusive_count == 0:
             yield from _forgiving_add(win, win.master,
                                       win_mod.IDX_GLOBAL_LOCK, -1)
-    obs = ctx.obs
-    if obs is not None:
-        t_acq = st.acquired_at.pop(target, ctx.now)
-        obs.rank_span(ctx.rank, "lock.hold", t_acq, ctx.now, cat="lock",
-                      args={"target": target})
-        obs.metrics.observe("lock_hold_ns", ctx.rank, ctx.now - t_acq)
-    ck = ctx.checker
-    if ck is not None:
-        ck.lock_released(win, target, lt is LockType.EXCLUSIVE)
+    hook = ctx.sync_hook
+    if hook is not None:
+        hook.on_sync("unlock_" + lt.value, win, target, None)
     del st.held[target]
     if not st.held:
         win.epoch_access = None
@@ -274,29 +256,13 @@ def lock_all(win):
     win.ctx.note_api("win.lock_all()")
     t0 = win.ctx.now
     yield from win.ctx.instr(win.params.instr_lock)
-    attempt = 0
     try:
-        while True:
-            old = yield from _amo(win, win.master, win_mod.IDX_GLOBAL_LOCK,
-                                  "add", GLOBAL_SHARED_UNIT)
-            if (old & _EXCL_MASK) == 0:  # no exclusive holders
-                break
-            yield from _amo(win, win.master, win_mod.IDX_GLOBAL_LOCK, "add",
-                            -GLOBAL_SHARED_UNIT, blocking=False)
-            yield from _backoff(win, attempt)
-            attempt += 1
+        yield from _register_global(win, GLOBAL_SHARED_UNIT, _EXCL_MASK)
     except NodeCrashedError as exc:
         recovery.fail_acquire(win.ctx, exc, "lock_all")
-    obs = win.ctx.obs
-    if obs is not None:
-        now = win.ctx.now
-        obs.rank_span(win.ctx.rank, "lock.lock_all", t0, now, cat="lock")
-        obs.metrics.count("rma.lock_all", win.ctx.rank)
-        obs.metrics.observe("lock_acquire_ns", win.ctx.rank, now - t0)
-        st.acquired_at["all"] = now
-    ck = win.ctx.checker
-    if ck is not None:
-        ck.lock_all_acquired(win)
+    hook = win.ctx.sync_hook
+    if hook is not None:
+        hook.on_sync("lock_all", win, None, t0)
     st.lock_all_held = True
     win.epoch_access = "lock_all"
     win.ctx.env.note_progress()
@@ -310,14 +276,9 @@ def unlock_all(win):
     yield from ctx.dmapp.gsync()
     yield from _forgiving_add(win, win.master, win_mod.IDX_GLOBAL_LOCK,
                               -GLOBAL_SHARED_UNIT)
-    obs = ctx.obs
-    if obs is not None:
-        t_acq = st.acquired_at.pop("all", ctx.now)
-        obs.rank_span(ctx.rank, "lock.hold_all", t_acq, ctx.now, cat="lock")
-        obs.metrics.observe("lock_hold_ns", ctx.rank, ctx.now - t_acq)
-    ck = ctx.checker
-    if ck is not None:
-        ck.lock_all_released(win)
+    hook = ctx.sync_hook
+    if hook is not None:
+        hook.on_sync("unlock_all", win, None, None)
     st.lock_all_held = False
     win.epoch_access = None
     win.ctx.env.note_progress()

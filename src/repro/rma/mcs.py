@@ -135,21 +135,9 @@ class McsLock:
             my.store(self.base + IDX_FLAG, 0)
         self._token = True
         self.holding = True
-        obs = ctx.obs
-        if obs is not None:
-            # Lock-contention span: wait time is the whole enqueue-to-
-            # hand-off interval (uncontended acquires show the bare AMO
-            # round trip).  Pure recording -- never perturbs schedules.
-            obs.rank_span(ctx.rank, "mcs.acquire", t0, ctx.now, cat="lock",
-                          args={"win": win.win_id, "base": self.base})
-            obs.metrics.count("mcs.acquires", ctx.rank)
-            obs.metrics.observe("mcs.acquire_wait_ns", ctx.rank,
-                                ctx.now - t0)
-        ck = ctx.checker
-        if ck is not None:
-            # Happens-before: an exclusive MCS acquire is ordered after
-            # every prior release of this lock instance.
-            ck.mcs_acquired(ctx.rank, (win.win_id, self.base))
+        hook = ctx.sync_hook
+        if hook is not None:
+            hook.on_sync("mcs_acquire", win, self.base, t0)
 
     def release(self):
         """Hand off to the successor (or clear the tail).
@@ -164,10 +152,10 @@ class McsLock:
             raise LockError("releasing an MCS lock not held")
         win = self.win
         ctx = win.ctx
-        ck = ctx.checker
-        if ck is not None:
-            ck.mcs_released(ctx.rank, (win.win_id, self.base))
         t0 = ctx.now
+        hook = ctx.sync_hook
+        if hook is not None:
+            hook.on_sync("mcs_release_enter", win, self.base, t0)
         me = ctx.rank + 1
         my = self._cells(ctx.rank)
         turn = self._turn
@@ -205,8 +193,5 @@ class McsLock:
             # dies before that, its zombie forwarder still needs the link.
             my.store(self.base + IDX_NEXT, 0)
         self.holding = False
-        obs = ctx.obs
-        if obs is not None:
-            obs.rank_span(ctx.rank, "mcs.release", t0, ctx.now, cat="lock",
-                          args={"win": win.win_id, "base": self.base})
-            obs.metrics.count("mcs.releases", ctx.rank)
+        if hook is not None:
+            hook.on_sync("mcs_release", win, self.base, t0)

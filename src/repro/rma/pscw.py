@@ -40,10 +40,6 @@ class PscwState:
 
     access_group: set = field(default_factory=set)
     exposure_group: set = field(default_factory=set)
-    epochs_posted: int = 0
-    epochs_started: int = 0
-    access_opened_at: int = 0     # obs: start() time of the open epoch
-    exposure_opened_at: int = 0   # obs: post() time of the open epoch
 
 
 def _append_entry(ctrl, capacity: int, poster_rank: int):
@@ -73,11 +69,11 @@ def post(win, group):
     ctx = win.ctx
     ctx.note_api(f"win.post(group={sorted(group)})")
     t0 = ctx.now
-    ck = ctx.checker
-    if ck is not None:
+    hook = ctx.sync_hook
+    if hook is not None:
         # Deposit before the matching-list appends a peer's start() can
         # observe: any start() that matches this post happens-after it.
-        ck.pscw_post(win, group)
+        hook.on_sync("post_enter", win, group, t0)
     notifier = ctx.notifier
     dead: set = set()
     if notifier is not None:
@@ -99,14 +95,9 @@ def post(win, group):
     # Fault containment: the epoch opens for the surviving peers, and the
     # dead ones are reported in a structured error.
     st.exposure_group = set(group) - dead
-    st.epochs_posted += 1
     win.epoch_exposure = "pscw"
-    obs = ctx.obs
-    if obs is not None:
-        obs.rank_span(ctx.rank, "pscw.post", t0, ctx.now, cat="epoch",
-                      args={"peers": len(group)})
-        obs.metrics.count("rma.post", ctx.rank)
-        st.exposure_opened_at = ctx.now
+    if hook is not None:
+        hook.on_sync("post", win, group, t0)
     ctx.env.note_progress()
     if dead:
         ctx.world.injector.stats.epochs_failed += 1
@@ -157,18 +148,11 @@ def start(win, group):
             else:
                 yield AnyOf(ctx.env, [wait_ev,
                                       notifier.failure_event(win.rank)])
-    ck = ctx.checker
-    if ck is not None:
-        ck.pscw_start(win, group)
+    hook = ctx.sync_hook
+    if hook is not None:
+        hook.on_sync("start", win, group, t0)
     st.access_group = set(group)
-    st.epochs_started += 1
     win.epoch_access = "pscw"
-    obs = ctx.obs
-    if obs is not None:
-        obs.rank_span(ctx.rank, "pscw.start", t0, ctx.now, cat="epoch",
-                      args={"peers": len(group)})
-        obs.metrics.count("rma.start", ctx.rank)
-        st.access_opened_at = ctx.now
     ctx.env.note_progress()
 
 
@@ -180,11 +164,11 @@ def complete(win):
     ctx = win.ctx
     ctx.note_api("win.complete()")
     t0 = ctx.now
-    ck = ctx.checker
-    if ck is not None:
+    hook = ctx.sync_hook
+    if hook is not None:
         # Deposit before the completion-counter AMOs a peer's wait()
         # observes; also orders this origin's ops (complete = flush).
-        ck.pscw_complete(win, st.access_group)
+        hook.on_sync("complete_enter", win, st.access_group, t0)
     # Remote visibility of all epoch operations first ...
     yield from ctx.dmapp.gsync()
     # ... then notify each exposure peer's completion counter.  Not
@@ -211,11 +195,8 @@ def complete(win):
                             if ctx.node_of(r) == exc.node)
     st.access_group = set()
     win.epoch_access = None
-    obs = ctx.obs
-    if obs is not None:
-        obs.rank_span(ctx.rank, "pscw.complete", t0, ctx.now, cat="epoch")
-        obs.metrics.observe("epoch_access_ns", ctx.rank,
-                            max(0, ctx.now - st.access_opened_at))
+    if hook is not None:
+        hook.on_sync("complete", win, None, t0)
     ctx.env.note_progress()
     if dead:
         # The epoch is closed on this survivor; the dead exposure peers
@@ -260,14 +241,9 @@ def wait(win):
                 win.ctrl.wait_until(win_mod.IDX_PSCW_DONE,
                                     lambda v: v >= expected),
                 notifier.failure_event(win.rank)])
-    ck = ctx.checker
-    if ck is not None:
-        ck.pscw_wait(win, st.exposure_group)
+    hook = ctx.sync_hook
+    if hook is not None:
+        hook.on_sync("wait", win, st.exposure_group, t0)
     st.exposure_group = set()
     win.epoch_exposure = None
-    obs = ctx.obs
-    if obs is not None:
-        obs.rank_span(ctx.rank, "pscw.wait", t0, ctx.now, cat="epoch")
-        obs.metrics.observe("epoch_exposure_ns", ctx.rank,
-                            max(0, ctx.now - st.exposure_opened_at))
     ctx.env.note_progress()

@@ -489,14 +489,9 @@ class Window:
         if self._mfence_ns is not None:
             yield self._mfence_ns
         yield from ctx.dmapp.gsync()
-        obs = ctx.obs
-        if obs is not None:
-            obs.rank_span(ctx.rank, "flush", t0, env.now, cat="rma")
-            obs.metrics.count("rma.flush", ctx.rank)
-            obs.metrics.observe("flush_ns", ctx.rank, env.now - t0)
-        ck = ctx.checker
-        if ck is not None:
-            ck.on_flush(self)
+        hook = ctx.sync_hook
+        if hook is not None:
+            hook.on_sync("flush", self, None, t0)
         env.progress_marks += 1     # env.note_progress(), inline
 
     def flush_all(self):

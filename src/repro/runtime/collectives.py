@@ -43,12 +43,11 @@ class _Call:
     participant set, so diagnostics name the operation rather than just
     the underlying point-to-point send.
 
-    Doubling as the observability hook: every call that returns opens one
-    ``coll.<name>`` span on the calling rank's track (entry to return on
-    the simulated clock; recording only, nothing scheduled), and as the
-    race checker's collective enter / exit."""
+    It is also the call's sync site: ``ctx.sync_hook`` hears "coll_enter"
+    at entry (the race checker's deposit; returns the instance id) and
+    "coll" at return (the checker's merge, obs's ``coll.<name>`` span)."""
 
-    __slots__ = ("ctx", "name", "t0", "seq")
+    __slots__ = ("ctx", "name", "hook", "t0", "seq")
 
     def __init__(self, ctx, name: str) -> None:
         self.ctx = ctx
@@ -56,24 +55,19 @@ class _Call:
 
     def __enter__(self) -> None:
         ctx = self.ctx
-        self.t0 = ctx.now if ctx.obs is not None else 0
-        ck = ctx.checker
-        self.seq = ck.coll_enter(ctx.rank) if ck is not None else 0
+        hook = self.hook = ctx.sync_hook
+        if hook is not None:
+            self.t0 = ctx.now
+            self.seq = hook.on_sync("coll_enter", self, None, self.t0)
 
     def __exit__(self, _etype, exc, _tb) -> None:
-        ctx = self.ctx
         if exc is not None:
             if isinstance(exc, FaultError):
-                exc.annotate_collective(self.name, tuple(range(ctx.nranks)))
+                nranks = self.ctx.nranks
+                exc.annotate_collective(self.name, tuple(range(nranks)))
             return
-        obs = ctx.obs
-        if obs is not None:
-            obs.rank_span(ctx.rank, f"coll.{self.name}", self.t0, ctx.now,
-                          cat="coll")
-            obs.metrics.count(f"coll.{self.name}", ctx.rank)
-        ck = ctx.checker
-        if ck is not None:
-            ck.coll_exit(ctx.rank, self.seq)
+        if self.hook is not None:
+            self.hook.on_sync("coll", self, self.seq, self.t0)
 
 
 class IBarrier:
@@ -85,8 +79,9 @@ class IBarrier:
         # issue, acquire once at the first completion *observation*
         # (test() or wait()); before that, no happens-before edge exists
         # for this rank even if the child process finished already.
-        ck = ctx.checker
-        self._cseq = ck.coll_enter(ctx.rank) if ck is not None else None
+        hook = self._hook = ctx.sync_hook
+        if hook is not None:
+            self._seq = hook.on_sync("coll_enter", self, None, ctx.now)
         self._acquired = False
         self._proc = ctx.env.process(self._run(tag), name=f"ibarrier@{ctx.rank}")
 
@@ -94,8 +89,8 @@ class IBarrier:
         if self._acquired:
             return
         self._acquired = True
-        if self._cseq is not None:
-            self.ctx.checker.coll_exit(self.ctx.rank, self._cseq)
+        if self._hook is not None:
+            self._hook.on_sync("ibarrier", self, self._seq, None)
 
     def _run(self, tag: int):
         ctx = self.ctx

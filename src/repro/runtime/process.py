@@ -36,11 +36,11 @@ class RankContext:
         self.node = world.rank_map.node_of(rank)
         self.space = world.spaces[rank]
         self.reg = world.reg_tables[rank]
-        # Observability sink (None when disabled -- every hook below the
-        # runtime tests exactly that before recording anything).
+        # Observability and the race checker (None when off); sync sites
+        # report to ``sync_hook``, the checker (forwarding to obs) or obs.
         self.obs = world.obs
-        # Memory-model checker (same None-when-disabled contract).
         self.checker = world.checker
+        self.sync_hook = world.checker or world.obs
         # One endpoint for both fabrics: it retransmits (deadlines, seeded
         # backoff, AMO replay dedup) iff the network carries an injector.
         self.dmapp = DmappEndpoint(world.env, rank, world.network,

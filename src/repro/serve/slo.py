@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from repro.obs.core import SYNC_TABLE
 from repro.serve.driver import all_latencies
 from repro.serve.zipf import OP_GET, OP_PUT, OP_UPDATE, ServeSpec
 
@@ -52,12 +53,13 @@ def _hotspots(obs, top: int = 8) -> dict:
     snap = obs.metrics.snapshot()
     owners = snap["counters"].get("kv.owner_requests", {})
     ranked = sorted(owners.items(), key=lambda kv: (-kv[1], int(kv[0])))
-    wait = obs.metrics.merged_histogram("mcs.acquire_wait_ns")
+    mcs = SYNC_TABLE["mcs_acquire"]
+    wait = obs.metrics.merged_histogram(mcs.hist)
     return {
         "owner_requests": {r: n for r, n in ranked},
         "hottest_owners": [{"rank": int(r), "requests": n}
                            for r, n in ranked[:top]],
-        "mcs_acquires": obs.metrics.counter_total("mcs.acquires"),
+        "mcs_acquires": obs.metrics.counter_total(mcs.counter),
         "mcs_wait_ns_mean": round(wait.mean, 1),
         "mcs_wait_ns_max": int(wait.max or 0),
     }
