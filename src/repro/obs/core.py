@@ -235,16 +235,6 @@ class Instrumentation:
         self.nic_instant(dst_node, "amo" if is_amo else "pkt", deliver_ns,
                          args={"src": src_node, "bytes": nbytes})
 
-    def snapshot(self) -> dict[str, Any]:
-        """Metrics + span statistics as one JSON-ready dict."""
-        return {
-            "nranks": self.nranks,
-            "spans": len(self.spans),
-            "spans_dropped": self.spans.dropped,
-            "metrics": self.metrics.snapshot(),
-            **({"meta": dict(sorted(self.meta.items()))} if self.meta else {}),
-        }
-
 
 # -- capture override ----------------------------------------------------
 _CAPTURE: list[Instrumentation] | None = None

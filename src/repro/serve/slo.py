@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from repro.obs.core import SYNC_TABLE
 from repro.serve.driver import all_latencies
 from repro.serve.zipf import OP_GET, OP_PUT, OP_UPDATE, ServeSpec
 
@@ -47,21 +46,22 @@ def exact_percentiles(samples, quantiles=_QUANTILES) -> dict[str, int]:
 
 def _hotspots(obs, top: int = 8) -> dict:
     """Per-rank hotspot section from the obs metrics: key-skew heatmap
-    (requests served per owner) and lock contention."""
+    (requests served per owner) and the data plane's chain walks (the
+    ``kv.chain_hops`` of requests that followed a slot's overflow chain:
+    how many, mean and max hops)."""
     if obs is None:
         return {}
     snap = obs.metrics.snapshot()
     owners = snap["counters"].get("kv.owner_requests", {})
     ranked = sorted(owners.items(), key=lambda kv: (-kv[1], int(kv[0])))
-    mcs = SYNC_TABLE["mcs_acquire"]
-    wait = obs.metrics.merged_histogram(mcs.hist)
+    hops = obs.metrics.merged_histogram("kv.chain_hops")
     return {
         "owner_requests": {r: n for r, n in ranked},
         "hottest_owners": [{"rank": int(r), "requests": n}
                            for r, n in ranked[:top]],
-        "mcs_acquires": obs.metrics.counter_total(mcs.counter),
-        "mcs_wait_ns_mean": round(wait.mean, 1),
-        "mcs_wait_ns_max": int(wait.max or 0),
+        "chain_walks": hops.count,
+        "chain_hops_mean": round(hops.mean, 2),
+        "chain_hops_max": int(hops.max or 0),
     }
 
 
@@ -166,8 +166,9 @@ def render_report(report: dict) -> str:
         tops = ", ".join(f"r{h['rank']}={h['requests']}"
                          for h in hot["hottest_owners"][:4])
         lines.append(f"  hotspots: {tops} "
-                     f"(mcs acquires {hot['mcs_acquires']}, "
-                     f"mean wait {hot['mcs_wait_ns_mean']:.0f} ns)")
+                     f"(chain walks {hot['chain_walks']}, "
+                     f"mean {hot['chain_hops_mean']:.2f} hops, "
+                     f"max {hot['chain_hops_max']})")
     ft = report.get("ft")
     if ft:
         lines.append(

@@ -1,14 +1,16 @@
-"""The workload registry: every named demo program, once.
+"""The workload registry: every named program, once.
 
 :data:`WORKLOADS` maps a name to a :class:`Workload` -- a small SPMD
 program plus what each consumer must know about it -- and
 :func:`run_workload` is the one named runner.  ``repro trace`` /
 ``report`` / ``check`` / ``scale`` on the CLI, the delay-bounded
-explorer, the parity gate, the FT drivers and the CI ``check`` job all resolve
-names here, and ``tests/test_workloads.py`` runs every oracle over every
-entry.  Every program runs with no argument beyond ``ctx``.
+explorer, the parity gate, the FT drivers, the fault sweeps and the CI
+``check`` job all resolve names here, no test keeps a program table of
+its own, and ``tests/test_workloads.py`` runs every oracle over every
+entry.  Every program runs with no argument beyond ``ctx``; each entry's
+``verify`` counts a run's wrong outputs.
 
-Four groups, one per tool that introduced them:
+The groups:
 
 * ``putget`` / ``locks`` / ``fence`` / ``pscw`` -- one protocol family
   each, so a trace shows a characteristic timeline.  Pinned by the
@@ -39,17 +41,39 @@ Four groups, one per tool that introduced them:
   :class:`~repro.apps.kvstore.KvStore`
   (:func:`repro.serve.driver.ft_kvstore`); the crash-to-completion
   driver lives in :mod:`repro.ft.workloads`.
+* ``get_flush`` / ``rendezvous`` / ``accumulate`` -- the transport paths
+  the fault sweeps cover beyond ``putget`` and ``locks``: a get completed
+  by a flush, MPI-1's rendezvous protocol, and the accumulate that the
+  NIC cannot apply.
+* ``hashtable_*`` / ``kv_serve`` / ``milc_*`` / ``dsde_nbx`` / ``fft`` /
+  ``caf_coarray`` -- the paper's application studies (Section 4,
+  Figures 7 and 8) with the UPC, CAF and MPI-1 comparators: each wraps
+  an app's own program at a small size, so every sweep above covers it.
+* ``mcs_lock`` / ``dynamic_window`` -- the extensions: the MCS queue
+  lock (Section 2.3) and a dynamic window's attach / detach (2.2).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.apps.dsde.common import expected_incoming
+from repro.apps.dsde.protocols import dsde_program
+from repro.apps.fft.parallel import (
+    FftSpec,
+    _initial_block,
+    fft_program,
+    gather_result,
+)
 from repro.apps.hashtable.common import HashTableLayout
-from repro.apps.hashtable.rma_ht import rma_insert
+from repro.apps.hashtable.mpi1_ht import mpi1_insert_program
+from repro.apps.hashtable.rma_ht import rma_insert, rma_insert_program
+from repro.apps.hashtable.upc_ht import upc_insert_program
+from repro.apps.milc.driver import MilcSpec, milc_program
 from repro.config import (
     CheckConfig,
     FaultPlan,
@@ -62,12 +86,24 @@ from repro.config import (
 from repro.ft.steps import run_steps
 from repro.rma.datatypes import BYTE, Vector
 from repro.rma.enums import LockType, Op
+from repro.rma.mcs import McsLock
 from repro.runtime.job import run_spmd
 from repro.scale.protocols import WorkloadSpec
-from repro.serve.driver import ft_kvstore
+from repro.serve.driver import (
+    expected_contents,
+    ft_kvstore,
+    kv_serve_program,
+    merged_contents,
+)
+from repro.serve.zipf import ServeSpec
 from repro.sim.random import derive_seed
 
 __all__ = ["Workload", "WORKLOADS", "names", "lookup", "run_workload"]
+
+
+def _failed(res: RunResult) -> int:
+    """Ranks that ended in an exception (every entry's floor)."""
+    return sum(isinstance(v, BaseException) for v in res.returns)
 
 
 @dataclass(frozen=True)
@@ -81,7 +117,9 @@ class Workload:
     delay-bounded explorer, ``tests/check/explore.py``).  ``scale`` is the
     spec of the hybrid twin (the program's defaults equal its
     ``epochs`` / ``nbytes``), ``ft`` marks a program that runs to
-    completion through a node crash under :mod:`repro.ft`.
+    completion through a node crash under :mod:`repro.ft`.  ``verify``
+    takes a run's :class:`~repro.config.RunResult` and returns its number
+    of wrong outputs, 0 when correct; by default the ranks that raised.
     """
 
     program: Callable[..., Any]
@@ -89,6 +127,7 @@ class Workload:
     latent: frozenset[str] = frozenset()
     scale: WorkloadSpec | None = None
     ft: bool = False
+    verify: Callable[[RunResult], int] = _failed
 
 
 # --- protocol-family demos (repro trace / repro report) ---
@@ -110,7 +149,11 @@ def putget(ctx, iters: int = 16, nbytes: int = 64):
     return int(out[0])
 
 
-def locks(ctx, iters: int = 6):
+#: ``locks``' acquisitions per rank.
+LOCKS_ITERS = 6
+
+
+def locks(ctx, iters: int = LOCKS_ITERS):
     """Every rank contends for an exclusive lock on rank 0, then holds a
     shared lock on its neighbor -- shows acquire/hold/release spans."""
     win = yield from ctx.rma.win_allocate(64, disp_unit=8)
@@ -377,15 +420,16 @@ def racy_latent(ctx, threshold_ns: int = LATENT_THRESHOLD_NS):
 WIN_BYTES = 4096
 
 
-def _payload(ctx, nbytes: int) -> np.ndarray:
-    return np.full(nbytes, ctx.rank % 127 + 1, dtype=np.uint8)
+def _payload(rank: int, nbytes: int) -> np.ndarray:
+    """The bytes ``rank``'s puts carry."""
+    return np.full(nbytes, rank % 127 + 1, dtype=np.uint8)
 
 
 def fence_ring(ctx, epochs: int = 2, nbytes: int = 8):
     """allocate; fence; epochs x (put 8 B right; fence)"""
     win = yield from ctx.rma.win_allocate(WIN_BYTES)
     right = (ctx.rank + 1) % ctx.nranks
-    data = _payload(ctx, nbytes)
+    data = _payload(ctx.rank, nbytes)
     yield from win.fence()
     for e in range(epochs):
         yield from win.put(data, right, 0)
@@ -399,7 +443,7 @@ def pscw_ring(ctx, epochs: int = 2, nbytes: int = 8):
     win = yield from ctx.rma.win_allocate(WIN_BYTES)
     left = (ctx.rank - 1) % ctx.nranks
     right = (ctx.rank + 1) % ctx.nranks
-    data = _payload(ctx, nbytes)
+    data = _payload(ctx.rank, nbytes)
     for _ in range(epochs):
         yield from win.post([left])
         yield from win.start([right])
@@ -413,7 +457,7 @@ def lock_ring(ctx, epochs: int = 2, nbytes: int = 8):
     """allocate; epochs x (lock SHARED right; put; unlock)"""
     win = yield from ctx.rma.win_allocate(WIN_BYTES)
     right = (ctx.rank + 1) % ctx.nranks
-    data = _payload(ctx, nbytes)
+    data = _payload(ctx.rank, nbytes)
     for _ in range(epochs):
         yield from win.lock(right, LockType.SHARED)
         yield from win.put(data, right, 0)
@@ -425,7 +469,7 @@ def flush_ring(ctx, epochs: int = 2, nbytes: int = 8):
     """allocate; lock_all; epochs x (put right; flush); unlock_all"""
     win = yield from ctx.rma.win_allocate(WIN_BYTES)
     right = (ctx.rank + 1) % ctx.nranks
-    data = _payload(ctx, nbytes)
+    data = _payload(ctx.rank, nbytes)
     yield from win.lock_all()
     for _ in range(epochs):
         yield from win.put(data, right, 0)
@@ -487,10 +531,313 @@ def ft_hashtable(ctx, inserts: int = 4):
     return win.seg.snapshot_bytes()[:layout.nbytes]
 
 
+# --- transport programs the fault sweeps share ---
+def get_flush(ctx, iters: int = 2, nbytes: int = 64):
+    """Figure 4a's get loop: every rank seeds its own window, then gets
+    its right neighbor's bytes ``iters`` times, each get completed by a
+    flush.  Returns the bytes the last get read."""
+    win = yield from ctx.rma.win_allocate(max(nbytes, 8))
+    yield from win.lock_all()
+    yield from win.put(_payload(ctx.rank, nbytes), ctx.rank, 0)
+    yield from win.flush(ctx.rank)
+    yield from ctx.coll.barrier()
+    right = (ctx.rank + 1) % ctx.nranks
+    got = np.zeros(nbytes, np.uint8)
+    for _ in range(iters):
+        yield from win.get(got, right, 0)
+        yield from win.flush(right)
+    yield from win.unlock_all()
+    return got
+
+
+#: Twice MPI-1's eager threshold (``Mpi1Params.eager_threshold``, 8 KiB):
+#: every message takes the RTS / CTS / data rendezvous.
+RENDEZVOUS_BYTES = 16_384
+
+
+def rendezvous(ctx, nbytes: int = RENDEZVOUS_BYTES, reps: int = 6):
+    """MPI-1 rendezvous in pairs: each even rank sends ``reps`` patterned
+    messages to the next odd rank, which compares every byte; then a
+    barrier.  Returns whether every message arrived intact (a rank
+    without a partner returns True)."""
+    pattern = (np.arange(nbytes, dtype=np.int64) % 251).astype(np.uint8)
+    peer = ctx.rank ^ 1
+    ok = True
+    for i in range(reps if peer < ctx.nranks else 0):
+        if ctx.rank % 2 == 0:
+            yield from ctx.mpi.send(peer, pattern + i, tag=5)
+        else:
+            got = yield from ctx.mpi.recv(peer, tag=5)
+            ok = ok and bool((got == pattern + i).all())
+    yield from ctx.coll.barrier()
+    return ok
+
+
+def accumulate(ctx, n: int = 64, reps: int = 2):
+    """MIN accumulates on ``float64`` into rank 0 under ``lock_all``: the
+    NIC has no MIN on a double, so each takes the software fallback under
+    the accumulate lock.  Rank ``r`` folds ``-(r + 1) - i`` into element
+    ``i``, the last time with ``get_accumulate``, and returns what that
+    fetched.  MIN bounds it with no collective after the start: at most
+    ``r``'s own values (its earlier accumulates are ordered before it)
+    and at least the smallest value any rank folds in."""
+    win = yield from ctx.rma.win_allocate(8 * n)
+    vals = -(ctx.rank + 1.0) - np.arange(n, dtype=np.float64)
+    yield from win.lock_all()
+    for _ in range(reps - 1):
+        yield from win.accumulate(vals, 0, 0, Op.MIN)
+        yield from win.flush(0)
+    old = yield from win.get_accumulate(vals, 0, 0, Op.MIN)
+    yield from win.flush(0)
+    yield from win.unlock_all()
+    return old
+
+
+# --- the paper's application studies (Section 4) and their comparators ---
+#: The hashtable entries' volume, the transport tests' geometry: 16
+#: table slots, heap room for tens of inserts per rank.
+HT_LAYOUT = HashTableLayout(table_slots=16, heap_cells=256)
+
+
+def _hashtable(ctx, program, inserts: int):
+    """``program``'s timed insert phase on :data:`HT_LAYOUT`; returns
+    ``(elapsed_ns, keys, volume)`` of this rank."""
+    box: dict = {}
+    elapsed = yield from program(ctx, HT_LAYOUT, inserts, box)
+    return elapsed, box["keys"][ctx.rank], box["volumes"][ctx.rank]
+
+
+def hashtable_rma(ctx, inserts: int = 2):
+    """Figure 7a's foMPI curve: :mod:`~repro.apps.hashtable.rma_ht`'s
+    lock-free inserts."""
+    return (yield from _hashtable(ctx, rma_insert_program, inserts))
+
+
+def hashtable_upc(ctx, inserts: int = 2):
+    """Figure 7a's UPC curve: the same inserts through the UPC layer."""
+    return (yield from _hashtable(ctx, upc_insert_program, inserts))
+
+
+def hashtable_mpi1(ctx, inserts: int = 2):
+    """Figure 7a's MPI-1 curve: active-message inserts with all-to-all
+    termination."""
+    return (yield from _hashtable(ctx, mpi1_insert_program, inserts))
+
+
+#: ``kv_serve``'s schedule: 16 requests over 16 keys.
+KV_SPEC = ServeSpec(nkeys=16, total_requests=16)
+
+
+def kv_serve(ctx):
+    """The RMA key-value store serving :data:`KV_SPEC` open-loop
+    (:func:`repro.serve.driver.kv_serve_program`)."""
+    return (yield from kv_serve_program(ctx, KV_SPEC))
+
+
+#: One fixed CG iteration on a 2^4 local lattice.
+MILC_SPEC = MilcSpec(local=(2, 2, 2, 2), maxiter=1, tol=0.0)
+
+
+def milc_rma(ctx):
+    """Figure 8's foMPI curve: the MILC CG proxy, RMA halo gets."""
+    return (yield from milc_program(ctx, MILC_SPEC, "rma"))
+
+
+def milc_mpi1(ctx):
+    """Figure 8's MPI-1 curve: send / recv halos."""
+    return (yield from milc_program(ctx, MILC_SPEC, "mpi1"))
+
+
+def milc_upc(ctx):
+    """Figure 8's UPC curve: UPC halo transfers."""
+    return (yield from milc_program(ctx, MILC_SPEC, "upc"))
+
+
+#: DSDE's target draw, fixed so :func:`_dsde_wrong` can recompute it.
+DSDE_SEED, DSDE_K = 5, 2
+
+
+def dsde_nbx(ctx):
+    """Figure 7b's NBX protocol: ``DSDE_K`` targets per rank, nonblocking
+    sends plus a nonblocking barrier."""
+    return (yield from dsde_program(ctx, "nbx", DSDE_K, seed=DSDE_SEED))
+
+
+#: A 12 x 12 x 4 transform: the process grid divides it at 1 to 4 ranks.
+FFT_SPEC = FftSpec(nx=12, ny=12, nz=4, chunks=1)
+
+
+def fft(ctx):
+    """Figure 7c's foMPI curve: the 3-D FFT with slab-overlapped puts.
+    Returns this rank's block of the transform."""
+    box: dict = {}
+    yield from fft_program(ctx, FFT_SPEC, "rma_overlap", box)
+    return box[ctx.rank]
+
+
+def caf_coarray(ctx, nbytes: int = 64):
+    """The CAF comparator: ``buf(:)[right] = mine``, ``sync all``, then a
+    read of this image's own ``buf``, which its left neighbor wrote."""
+    caf = ctx.caf
+    co = yield from caf.coarray_alloc(nbytes)
+    yield from caf.assign(co, (ctx.rank + 1) % ctx.nranks, 0,
+                          _payload(ctx.rank, nbytes))
+    yield from caf.sync_all()
+    got = yield from caf.read(co, ctx.rank, 0, nbytes)
+    yield from caf.sync_all()
+    return got
+
+
+def mcs_lock(ctx):
+    """The MCS queue lock (Section 2.3) guarding a read-modify-write of
+    a counter on rank 0: get, flush, put the count plus one, flush.
+    Returns the count this rank read inside its critical section."""
+    win = yield from ctx.rma.win_allocate(8, disp_unit=8)
+    lock = McsLock(win)
+    yield from win.lock_all()
+    yield from ctx.coll.barrier()
+    yield from lock.acquire()
+    cur = np.zeros(1, np.int64)
+    yield from win.get(cur, 0, 0)
+    yield from win.flush(0)
+    yield from win.put(cur + 1, 0, 0)
+    yield from win.flush(0)
+    yield from lock.release()
+    yield from win.unlock_all()
+    return int(cur[0])
+
+
+def dynamic_window(ctx, nbytes: int = 64):
+    """A dynamic window (Section 2.2): attach a region, exchange its
+    address, put into the right neighbor's region, detach.  Returns the
+    bytes the left neighbor put here."""
+    win = yield from ctx.rma.win_create_dynamic()
+    seg = ctx.space.alloc(nbytes)
+    desc = yield from win.attach(seg)
+    vaddrs = yield from ctx.coll.allgather(seg.vaddr)
+    right = (ctx.rank + 1) % ctx.nranks
+    yield from win.lock_all()
+    yield from win.put(_payload(ctx.rank, nbytes), right, vaddrs[right])
+    yield from win.flush(right)
+    yield from win.unlock_all()
+    yield from ctx.coll.barrier()
+    yield from win.detach(desc)
+    return seg.read(0, nbytes)
+
+
+# --- verify: the number of wrong outputs of a run ---
+def _wrong(res: RunResult, ok: Callable[[int, int, Any], bool]) -> int:
+    """Ranks that raised or whose return ``v`` fails
+    ``ok(rank, nranks, v)``."""
+    p = len(res.returns)
+    return sum(isinstance(v, BaseException) or not ok(r, p, v)
+               for r, v in enumerate(res.returns))
+
+
+def _from_left(res: RunResult) -> int:
+    # Each rank holds the bytes its left neighbor put there.
+    return _wrong(res, lambda r, p, v: np.array_equal(
+        v, _payload((r - 1) % p, len(v))))
+
+
+def _from_right(res: RunResult) -> int:
+    # Each rank read the bytes its right neighbor seeded.
+    return _wrong(res, lambda r, p, v: np.array_equal(
+        v, _payload((r + 1) % p, len(v))))
+
+
+def _all_true(res: RunResult) -> int:
+    return _wrong(res, lambda r, p, v: v is True)
+
+
+def _putget_wrong(res: RunResult) -> int:
+    # Each rank reads back, from its right neighbor, the byte it put there.
+    return _wrong(res, lambda r, p, v: v == r % 256)
+
+
+def _locks_wrong(res: RunResult) -> int:
+    # Every fetch-and-add returns a distinct old count below the total.
+    if _failed(res):
+        return _failed(res)
+    olds = res.returns
+    total = LOCKS_ITERS * len(olds)
+    return (len(olds) - len(set(olds))
+            + sum(not 0 <= v < total for v in olds))
+
+
+def _accumulate_wrong(res: RunResult) -> int:
+    # At least the smallest value any rank folds in, at most rank r's own.
+    return _wrong(res, lambda r, p, v: bool(
+        (-float(p) - np.arange(len(v)) <= v).all()
+        and (v <= -(r + 1.0) - np.arange(len(v))).all()))
+
+
+def _hashtable_wrong(res: RunResult) -> int:
+    """Keys missing or extra at their owners, and failed ranks."""
+    if _failed(res):
+        return _failed(res)
+    p = len(res.returns)
+    want: list[Counter] = [Counter() for _ in range(p)]
+    for _, keys, _ in res.returns:
+        for k in keys.tolist():
+            want[HT_LAYOUT.place(k, p)[0]][k] += 1
+    wrong = 0
+    for w, (_, _, volume) in zip(want, res.returns):
+        got = Counter(HT_LAYOUT.all_contents(volume))
+        wrong += sum(((got - w) + (w - got)).values())
+    return wrong
+
+
+def _kv_wrong(res: RunResult) -> int:
+    """Keys missing or extra, and keys never put whose final value is
+    not the preload plus every update."""
+    if _failed(res):
+        return _failed(res)
+    got = merged_contents(res)
+    keys, determined = expected_contents(KV_SPEC, len(res.returns))
+    return (len(keys ^ set(got))
+            + sum(got.get(k) != v for k, v in determined.items()))
+
+
+def _milc_wrong(res: RunResult) -> int:
+    """Ranks that ran other than ``maxiter`` iterations, or whose
+    residual is not rank 0's (an allreduce result, so equal everywhere)
+    in (0, 1)."""
+    first = res.returns[0]
+    ref = None if isinstance(first, BaseException) else first[2]
+    return _wrong(res, lambda r, p, v: (
+        v[1] == MILC_SPEC.maxiter and v[2] == ref and 0.0 < ref < 1.0))
+
+
+def _dsde_wrong(res: RunResult) -> int:
+    # Each rank receives exactly the payloads its senders drew it for.
+    want = expected_incoming(DSDE_SEED, len(res.returns), DSDE_K)
+    return _wrong(res, lambda r, p, v: v[1] == want[r])
+
+
+def _fft_wrong(res: RunResult) -> int:
+    """Points of the transform that differ from ``numpy.fft.fftn``."""
+    if _failed(res):
+        return _failed(res)
+    p = len(res.returns)
+    got = gather_result(FFT_SPEC, p, dict(enumerate(res.returns)))
+    ref = np.fft.fftn(_initial_block(FFT_SPEC, 0, 0, FFT_SPEC.ny,
+                                     FFT_SPEC.nz))
+    return int((~np.isclose(got, ref, rtol=1e-9, atol=1e-9)).sum())
+
+
+def _mcs_wrong(res: RunResult) -> int:
+    """Counts read more than once or never: with mutual exclusion and no
+    lost update the ranks read 0 .. p - 1, one each."""
+    if _failed(res):
+        return _failed(res)
+    return len(set(range(len(res.returns))) ^ set(res.returns))
+
+
 # --- the table and its runner ---
 WORKLOADS: dict[str, Workload] = {
-    "putget": Workload(putget),
-    "locks": Workload(locks),
+    "putget": Workload(putget, verify=_putget_wrong),
+    "locks": Workload(locks, verify=_locks_wrong),
     "fence": Workload(fence),
     "pscw": Workload(pscw),
     "racy_put_put": Workload(racy_put_put, expect="put-put"),
@@ -518,6 +865,22 @@ WORKLOADS: dict[str, Workload] = {
         flush_ring, scale=WorkloadSpec("flush", epochs=2, nbytes=8)),
     "ft_hashtable": Workload(ft_hashtable, ft=True),
     "ft_kvstore": Workload(ft_kvstore, ft=True),
+    "get_flush": Workload(get_flush, verify=_from_right),
+    "rendezvous": Workload(rendezvous, verify=_all_true),
+    "accumulate": Workload(accumulate, verify=_accumulate_wrong),
+    "hashtable_rma": Workload(hashtable_rma, verify=_hashtable_wrong),
+    "hashtable_upc": Workload(hashtable_upc, verify=_hashtable_wrong),
+    "hashtable_mpi1": Workload(hashtable_mpi1, verify=_hashtable_wrong),
+    "kv_serve": Workload(kv_serve, latent=frozenset({"local-remote"}),
+                         verify=_kv_wrong),
+    "milc_rma": Workload(milc_rma, verify=_milc_wrong),
+    "milc_mpi1": Workload(milc_mpi1, verify=_milc_wrong),
+    "milc_upc": Workload(milc_upc, verify=_milc_wrong),
+    "dsde_nbx": Workload(dsde_nbx, verify=_dsde_wrong),
+    "fft": Workload(fft, verify=_fft_wrong),
+    "caf_coarray": Workload(caf_coarray, verify=_from_left),
+    "mcs_lock": Workload(mcs_lock, verify=_mcs_wrong),
+    "dynamic_window": Workload(dynamic_window, verify=_from_left),
 }
 
 

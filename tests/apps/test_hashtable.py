@@ -1,4 +1,5 @@
-"""Distributed hashtable: correctness of all three transports."""
+"""Distributed hashtable: correctness of all three transports (the
+``hashtable_*`` registry entries) and the layout they share."""
 
 import warnings
 
@@ -11,43 +12,40 @@ from repro import run_spmd
 from repro.apps.hashtable import (
     HashTableLayout,
     hash_key,
-    mpi1_insert_program,
     rma_insert_program,
-    upc_insert_program,
     verify_contents,
 )
 from repro.apps.hashtable.common import place_key
 from repro.config import MachineConfig
+from repro.workloads import WORKLOADS, run_workload
 
 INTER = MachineConfig(ranks_per_node=1)
-INTRA = MachineConfig(ranks_per_node=64)
-
-LAYOUT = HashTableLayout(table_slots=16, heap_cells=256)
-PROGRAMS = {
-    "rma": rma_insert_program,
-    "upc": upc_insert_program,
-    "mpi1": mpi1_insert_program,
-}
+INTER_RPN, INTRA_RPN = 1, 64
 
 
-def _run(variant, p, inserts, cfg):
-    box = {}
-    res = run_spmd(PROGRAMS[variant], p, LAYOUT, inserts, box, machine=cfg)
-    volumes = [box["volumes"][r] for r in range(p)]
-    all_keys = [box["keys"][r] for r in range(p)]
-    verify_contents(LAYOUT, volumes, all_keys)
+def _run(variant, p, inserts, rpn):
+    """Registry entry ``hashtable_<variant>``: every key stored once at
+    its owner."""
+    name = f"hashtable_{variant}"
+    res = run_workload(name, p, ranks_per_node=rpn, inserts=inserts)
+    assert WORKLOADS[name].verify(res) == 0
     return res
 
 
+def _elapsed(res):
+    """The slowest rank's timed insert phase."""
+    return max(elapsed for elapsed, _keys, _volume in res.returns)
+
+
 @pytest.mark.parametrize("variant", ["rma", "upc", "mpi1"])
-@pytest.mark.parametrize("cfg", [INTER, INTRA], ids=["inter", "intra"])
-def test_inserts_all_stored(variant, cfg):
-    _run(variant, 4, 24, cfg)
+@pytest.mark.parametrize("rpn", [INTER_RPN, INTRA_RPN], ids=["inter", "intra"])
+def test_inserts_all_stored(variant, rpn):
+    _run(variant, 4, 24, rpn)
 
 
 @pytest.mark.parametrize("variant", ["rma", "upc", "mpi1"])
 def test_single_rank(variant):
-    _run(variant, 1, 16, INTRA)
+    _run(variant, 1, 16, INTRA_RPN)
 
 
 def test_collisions_chain_correctly():
@@ -122,7 +120,7 @@ def test_mpi1_rate_plateaus_rma_scales():
     inserts = 12
 
     def rate(variant, p):
-        t = max(_run(variant, p, inserts, INTER).returns)
+        t = _elapsed(_run(variant, p, inserts, INTER_RPN))
         return p * inserts / (t / 1e9)
 
     mpi_growth = rate("mpi1", 16) / rate("mpi1", 4)
@@ -134,6 +132,6 @@ def test_mpi1_rate_plateaus_rma_scales():
 
 def test_rma_and_upc_comparable():
     p, inserts = 4, 12
-    t_rma = max(_run("rma", p, inserts, INTER).returns)
-    t_upc = max(_run("upc", p, inserts, INTER).returns)
+    t_rma = _elapsed(_run("rma", p, inserts, INTER_RPN))
+    t_upc = _elapsed(_run("upc", p, inserts, INTER_RPN))
     assert 0.5 < t_rma / t_upc < 1.1  # foMPI slightly faster

@@ -1,14 +1,14 @@
 """Every schedule of at most k late packets, for every registry entry.
 
 A registry entry states the checker's verdict (``expect``); a verdict that
-holds on the default schedule only is a latent race.  Here every non-FT
-entry runs under every set of one delayed transmission attempt at 2, 3 and
-4 ranks, and the race demos, their clean twins, the ring programs, fence
-and PSCW under every set of two at 2 ranks (``tests/check/explore.py``).
-Each run must end without an exception and report exactly its entry's
-verdict -- except ``racy_latent``, which is clean on the default schedule
-and must show both of its latent classes under single delays at every
-size.
+holds on the default schedule only is a latent race.  Here every entry
+that is neither FT nor latent runs under every set of one delayed
+transmission attempt at 2, 3 and 4 ranks, and the race demos, their clean
+twins, the ring programs, fence and PSCW under every set of two at 2 ranks
+(``tests/check/explore.py``).  Each run must end without an exception and
+report exactly its entry's verdict; ``racy_latent``, clean on the default
+schedule, must show both of its latent classes under single delays at
+every size (``tests/test_workloads.py`` checks every latent entry at 4).
 
 A failure message is the run's reproducer, one line.
 """

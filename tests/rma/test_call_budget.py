@@ -37,6 +37,10 @@ def _put_flush(win):
     yield from win.flush(1)
 
 
+def _get_blocking(win):
+    yield from win.get_blocking(1, 0, 8)
+
+
 def _cas(win):
     yield from win.compare_and_swap(np.int64(0), np.int64(1), 1, 1)
 
@@ -91,6 +95,8 @@ def _calls_per_op(op, ranks_per_node: int = 1) -> float:
     (_put_flush, 1, 22.0),  # 40 before the issue path was flattened, 31
                             # before the put data path captured once
     (_put_flush, 2, 15.0),  # XPMEM: 19 before the capture-once data path
+    (_get_blocking, 1, 29.0),  # get + wait on its handle
+    (_get_blocking, 2, 16.0),  # XPMEM load
     (_cas, 1, 25.0),        # 45
     (_cas, 2, 14.0),        # CPU atomic: 15 while ALLOCATE found the
                             # segment by address, not by the mapping
@@ -99,7 +105,8 @@ def _calls_per_op(op, ranks_per_node: int = 1) -> float:
     (_atomic_read, 1, 23.0),  # 36: three words, NO_OP
     (_acc, 1, 20.0),        # 30.8: one word, SUM (not every stream lands
                             # inside the measured loop)
-], ids=["put+flush", "put+flush-same-node", "cas", "cas-same-node",
+], ids=["put+flush", "put+flush-same-node", "get_blocking",
+        "get_blocking-same-node", "cas", "cas-same-node",
         "fetch_and_op", "fetch_and_op-same-node", "get_accumulate",
         "accumulate"])
 def test_calls_per_op_stay_under_the_flattened_count(op, ranks_per_node,

@@ -35,6 +35,7 @@ from repro.errors import (
 )
 from repro.rma.enums import LockType, Op
 from repro.rma.mcs import McsLock
+from repro.workloads import WORKLOADS, run_workload
 from tests.sim.test_kernel_gen2 import current
 
 INTER = MachineConfig(ranks_per_node=1)
@@ -609,45 +610,13 @@ def test_fault_plan_validation():
 # ---------------------------------------------------------------------------
 # CI fault matrix: {drop, stall, crash} x {locks, fence, pscw, accumulate}
 # ---------------------------------------------------------------------------
-def _locks_workload(ctx):
-    win = yield from ctx.rma.win_allocate(256)
-    for _ in range(3):
-        yield from win.lock(0, LockType.SHARED)
-        yield from win.unlock(0)
-    return "ok"
-
-
-def _fence_workload(ctx):
-    win = yield from ctx.rma.win_allocate(256)
-    for _ in range(3):
-        yield from win.fence()
-    return "ok"
-
-
-def _pscw_workload(ctx):
-    win = yield from ctx.rma.win_allocate(256)
-    peer = 1 - (ctx.rank % 2) + 2 * (ctx.rank // 2)
-    for _ in range(2):
-        yield from win.post([peer])
-        yield from win.start([peer])
-        yield from win.complete()
-        yield from win.wait()
-    return "ok"
-
-
-def _accumulate_workload(ctx):
-    win = yield from ctx.rma.win_allocate(8192 * 8)
-    yield from win.lock_all()
-    for _ in range(3):   # MIN on float64: the software-fallback lock
-        yield from win.accumulate(np.ones(8192), 0, 0, Op.MIN)
-        yield from win.flush(0)
-    yield from win.unlock_all()
-    return "ok"
-
-
-_WORKLOADS = {"locks": (_locks_workload, 4), "fence": (_fence_workload, 4),
-              "pscw": (_pscw_workload, 4),
-              "accumulate": (_accumulate_workload, 4)}
+#: The protocol axis: one registry entry per family, the cell named by
+#: the family.  ``locks`` runs ``lock_ring``: the ``locks`` entry ends in
+#: a barrier, and a crash during it leaves the survivors blocked
+#: (DeadlockError at ``crash``, CHANGES.md).
+MATRIX = [pytest.param(entry, id=family) for family, entry in (
+    ("accumulate", "accumulate"), ("fence", "fence"),
+    ("locks", "lock_ring"), ("pscw", "pscw"))]
 
 _FAULTS = {
     "drop": FaultPlan(drop_prob=0.05),
@@ -670,57 +639,55 @@ _FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(_FAULTS))
-@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-def test_fault_matrix_smoke(workload, fault):
-    """Every {fault} x {protocol} combination terminates: clean returns
-    under recoverable faults, structured errors under crashes.  When
-    REPRO_FAULT_STATS is set, appends one JSON line per cell (the CI
-    fault-matrix artifact)."""
-    program, nranks = _WORKLOADS[workload]
-    res = run_spmd(program, nranks, machine=INTER, faults=_FAULTS[fault])
+def _matrix_cell(workload, fault, **kw):
+    """One cell at 4 ranks, one per node: every rank returns its output
+    or a structured error (a fault, or the epoch a failed rank aborted),
+    and a crash is detected once."""
+    res = run_workload(workload, 4, faults=_FAULTS[fault], **kw)
     for r, ret in enumerate(res.returns):
-        assert ret == "ok" or isinstance(ret, FaultError), \
+        assert not isinstance(ret, BaseException) \
+            or isinstance(ret, (FaultError, EpochError)), \
             f"{workload}/{fault}: rank {r} returned {ret!r}"
     if fault.startswith("crash"):
         assert res.stats["recovery"]["failures_detected"] == 1
+    else:
+        assert WORKLOADS[workload].verify(res) == 0, f"{workload}/{fault}"
+    return res
 
+
+def _record(row: dict) -> None:
+    """Append one JSON line to the REPRO_FAULT_STATS artifact, if set."""
     out = os.environ.get("REPRO_FAULT_STATS")
     if out:
         with open(out, "a") as fh:
-            fh.write(json.dumps({
-                "workload": workload, "fault": fault,
-                "sim_time_ns": res.sim_time_ns,
-                "retransmits": res.stats.get("retransmits", 0),
-                "faults": res.stats.get("faults", {}),
-                "recovery": res.stats.get("recovery", {}),
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
-@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+@pytest.mark.parametrize("workload", MATRIX)
+def test_fault_matrix_smoke(workload, fault):
+    """Every {fault} x {protocol} combination terminates: correct output
+    under recoverable faults, structured errors under crashes.  When
+    REPRO_FAULT_STATS is set, appends one JSON line per cell (the CI
+    fault-matrix artifact)."""
+    res = _matrix_cell(workload, fault)
+    _record({"workload": workload, "fault": fault,
+             "sim_time_ns": res.sim_time_ns,
+             "retransmits": res.stats.get("retransmits", 0),
+             "faults": res.stats.get("faults", {}),
+             "recovery": res.stats.get("recovery", {})})
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("workload", MATRIX)
 def test_fault_matrix_checker_cell(workload, fault):
     """The checker-enabled cell of the fault matrix: every combination
-    still terminates with the memory-model checker attached, the demo
+    still terminates with the memory-model checker attached, the
     protocols stay race-free under faults, and the cell lands in the
     REPRO_FAULT_STATS artifact like the others."""
-    from repro.config import CheckConfig
-
-    program, nranks = _WORKLOADS[workload]
-    res = run_spmd(program, nranks, machine=INTER, faults=_FAULTS[fault],
-                   check=CheckConfig(enabled=True))
-    for r, ret in enumerate(res.returns):
-        assert ret == "ok" or isinstance(ret, FaultError), \
-            f"{workload}/{fault}+check: rank {r} returned {ret!r}"
-    ck = res.check
-    assert ck is not None and ck.clean, \
-        f"{workload}/{fault}+check: {[v.describe() for v in ck.violations]}"
-
-    out = os.environ.get("REPRO_FAULT_STATS")
-    if out:
-        with open(out, "a") as fh:
-            fh.write(json.dumps({
-                "workload": workload, "fault": fault, "checker": True,
-                "sim_time_ns": res.sim_time_ns,
-                "check": res.stats.get("check", {}),
-            }, sort_keys=True) + "\n")
+    res = _matrix_cell(workload, fault, check=True)
+    assert res.check.clean, f"{workload}/{fault}+check: " \
+        f"{[v.describe() for v in res.check.violations]}"
+    _record({"workload": workload, "fault": fault, "checker": True,
+             "sim_time_ns": res.sim_time_ns,
+             "check": res.stats.get("check", {})})

@@ -19,10 +19,11 @@ from repro.config import (
     MachineConfig,
     NicStall,
     NodeCrash,
-    SimConfig,
 )
 from repro.errors import DeadlineError, NodeCrashedError
 from repro.rma.enums import LockType, Op
+from repro.workloads import WORKLOADS, run_workload
+from tests.test_workloads import _fingerprint
 
 INTER = MachineConfig(ranks_per_node=1)
 
@@ -38,60 +39,6 @@ ALL = {"drop": DROP, "corrupt": CORRUPT, "stall": STALL, "delay": DELAY}
 # ---------------------------------------------------------------------------
 # workloads (each returns per-rank data that must match the fault-free run)
 # ---------------------------------------------------------------------------
-def _fig4_put_program(ctx, nbytes=64, reps=4):
-    """Figure 4a inner loop: put + flush under lock_all, then verify."""
-    win = yield from ctx.rma.win_allocate(max(nbytes, 8))
-    yield from win.lock_all()
-    yield from ctx.coll.barrier()
-    if ctx.rank == 0:
-        data = np.full(nbytes, 7, np.uint8)
-        for _ in range(reps):
-            yield from win.put(data, 1, 0)
-            yield from win.flush(1)
-        got = np.zeros(nbytes, np.uint8)
-        yield from win.get(got, 1, 0)
-        yield from win.flush(1)
-        payload = got.tolist()
-    else:
-        payload = None
-    yield from ctx.coll.barrier()
-    yield from win.unlock_all()
-    return payload
-
-
-def _fig4_get_program(ctx, nbytes=64, reps=4):
-    win = yield from ctx.rma.win_allocate(max(nbytes, 8))
-    yield from win.lock_all()
-    if ctx.rank == 1:  # seed the target window
-        yield from win.put(np.full(nbytes, 3, np.uint8), 1, 0)
-        yield from win.flush(1)
-    yield from ctx.coll.barrier()
-    if ctx.rank == 0:
-        got = np.zeros(nbytes, np.uint8)
-        for _ in range(reps):
-            yield from win.get(got, 1, 0)
-            yield from win.flush(1)
-        payload = got.tolist()
-    else:
-        payload = None
-    yield from ctx.coll.barrier()
-    yield from win.unlock_all()
-    return payload
-
-
-def _rendezvous_program(ctx, nbytes=16_384, reps=6):
-    """MPI-1 rendezvous (> eager threshold): RTS/CTS/data all recoverable."""
-    pattern = (np.arange(nbytes, dtype=np.int64) % 251).astype(np.uint8)
-    ok = True
-    for i in range(reps):
-        if ctx.rank == 0:
-            yield from ctx.mpi.send(1, pattern + i, tag=5)
-        else:
-            got = yield from ctx.mpi.recv(0, tag=5)
-            ok = ok and bool((got == pattern + i).all())
-    return ok if ctx.rank == 1 else "sent"
-
-
 def _lock_contention_program(ctx):
     """All ranks take the same exclusive lock and write their slice."""
     win = yield from ctx.rma.win_allocate(8 * ctx.nranks)
@@ -132,28 +79,26 @@ def _hashtable_contents(faults, p=3, inserts=12):
     return contents, res
 
 
-WORKLOADS = {
-    "fig4-put": _fig4_put_program,
-    "fig4-get": _fig4_get_program,
-    "rendezvous": _rendezvous_program,
-    "locks": _lock_contention_program,
-}
+#: The registry entries every fault class is swept over, at 2 ranks one
+#: per node.  The two Figure 4a loops keep their cell names.
+SWEPT = [pytest.param("putget", id="fig4-put"),
+         pytest.param("get_flush", id="fig4-get"),
+         "rendezvous", "locks"]
 
 
-def _fingerprint(res):
-    return (res.sim_time_ns, res.events_processed, res.returns)
+def _run(workload, faults=None):
+    return run_workload(workload, 2, faults=faults)
 
 
 # ---------------------------------------------------------------------------
 # zero cost when off
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("workload", SWEPT)
 def test_inactive_fault_config_is_bit_identical(workload):
     """``faults=None`` constructs no machinery: identical
     (sim_time, events, returns) to a run with no faults argument at all."""
-    program = WORKLOADS[workload]
-    base = run_spmd(program, 2, machine=INTER)
-    off = run_spmd(program, 2, machine=INTER, faults=None)
+    base = run_workload(workload, 2)
+    off = _run(workload)
     assert _fingerprint(base) == _fingerprint(off)
     assert "retransmits" not in off.stats
 
@@ -202,14 +147,14 @@ def test_empty_plan_is_bit_identical_to_no_plan():
 # recovery: same data as the fault-free run
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("fault", sorted(ALL))
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("workload", SWEPT)
 def test_workloads_recover_under_faults(workload, fault):
-    program = WORKLOADS[workload]
     faults = ALL[fault]
-    clean = run_spmd(program, 2, machine=INTER)
-    faulty = run_spmd(program, 2, machine=INTER, faults=faults)
-    # Same answers, fully recovered ...
-    assert faulty.returns == clean.returns
+    clean = _run(workload)
+    faulty = _run(workload, faults)
+    # Correct answers, fully recovered ...
+    assert WORKLOADS[workload].verify(clean) == 0
+    assert WORKLOADS[workload].verify(faulty) == 0
     # ... and the fault machinery really engaged.
     assert "retransmits" in faulty.stats
     if fault in LOSSY:
@@ -245,14 +190,12 @@ def test_hashtable_recovers_under_faults(fault):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("workload", SWEPT)
 def test_faulty_runs_replay_bit_identically(workload):
     """Same seed + same plan => same drops, same retransmit counts, same
     simulated times -- the whole point of seeded fault injection."""
-    program = WORKLOADS[workload]
-
     def once():
-        res = run_spmd(program, 2, machine=INTER, faults=DROP)
+        res = _run(workload, DROP)
         return (_fingerprint(res), res.stats["retransmits"],
                 res.stats["faults"])
 
@@ -260,10 +203,8 @@ def test_faulty_runs_replay_bit_identically(workload):
 
 
 def test_seed_changes_fault_pattern():
-    a = run_spmd(_fig4_put_program, 2, machine=INTER, faults=DROP,
-                 sim=SimConfig(seed=1))
-    b = run_spmd(_fig4_put_program, 2, machine=INTER, faults=DROP,
-                 sim=SimConfig(seed=2))
+    a = run_workload("putget", 2, seed=1, faults=DROP)
+    b = run_workload("putget", 2, seed=2, faults=DROP)
     assert ((a.stats["faults"] != b.stats["faults"])
             or (a.sim_time_ns != b.sim_time_ns))
 
@@ -302,7 +243,7 @@ def test_fault_on_a_node_outside_the_run_is_refused(fault):
     nothing and report the clean run; it is refused before anything is
     simulated."""
     with pytest.raises(ValueError, match="not a node of this run"):
-        run_spmd(_fig4_put_program, 4, machine=INTER, faults=fault)
+        run_workload("putget", 4, faults=fault)
 
 
 def test_node_crash_quarantines_and_fails_fast():
@@ -383,11 +324,11 @@ def test_trace_surfaces_injected_faults():
     """The run's stats count every injected drop and the retransmit that
     recovered it: with no crash and no exhausted budget, each lost
     attempt is resent exactly once."""
-    res = run_spmd(_fig4_put_program, 2, machine=INTER, faults=DROP)
+    res = _run("putget", DROP)
     faults = res.stats["faults"]
     assert faults["drops"] == res.stats["retransmits"] > 0
     assert faults["deadline_failures"] == 0
-    assert res.returns[0] == [7] * 64
+    assert WORKLOADS["putget"].verify(res) == 0
 
 
 def _add_by_stream(win, ctx):

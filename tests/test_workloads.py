@@ -5,8 +5,9 @@ One name -> one program -> one stated expectation: each entry of
 the memory-model checker on and under an installed-but-empty fault plan,
 at one and at four ranks per node.  The four schedules must be the same
 schedule, no entry the plain or the empty-plan run pops may be idle (an
-event made for a waiter that never came), and the checker's verdict must
-be the entry's ``expect``.
+event made for a waiter that never came), every run's ``verify`` must
+count no wrong output, and the checker's verdict must be the entry's
+``expect``.
 """
 
 import hashlib
@@ -106,6 +107,36 @@ INSTRUMENT_DIGESTS = {
     ("ft_hashtable", 4): ("d517fb9e12cb3c29", "3838c66e0ebab0be"),
     ("ft_kvstore", 1): ("20f9914b5e1414b2", "4c91a350c9ca943f"),
     ("ft_kvstore", 4): ("dcc11e93a0746214", "2ff1fdda3893a174"),
+    ("get_flush", 1): ("2d4a5d72cd44e73c", "ae4a9e827c1803c0"),
+    ("get_flush", 4): ("4a90779bc07481b1", "ae4a9e827c1803c0"),
+    ("rendezvous", 1): ("f47b92e230442019", "09a9edcf506acce4"),
+    ("rendezvous", 4): ("c6098a908187289f", "09a9edcf506acce4"),
+    ("accumulate", 1): ("1ea9ed61df0dee5f", "f3d1d4e30c5b3405"),
+    ("accumulate", 4): ("51dca8fd53c3fcd6", "f3d1d4e30c5b3405"),
+    ("hashtable_rma", 1): ("b434a55d7cfcc515", "8518075c70126e0b"),
+    ("hashtable_rma", 4): ("47c81f3e83c04f75", "8518075c70126e0b"),
+    ("hashtable_upc", 1): ("b43dfe666cacb6ef", "cfd689c3e7cb0c28"),
+    ("hashtable_upc", 4): ("7fe1c84af168fa3c", "cfd689c3e7cb0c28"),
+    ("hashtable_mpi1", 1): ("37eba17146c10699", "504f8d1150874730"),
+    ("hashtable_mpi1", 4): ("a0dcdc7fc14b8697", "504f8d1150874730"),
+    ("kv_serve", 1): ("0b76ec4565bc0509", "ded7f0db063f8409"),
+    ("kv_serve", 4): ("d4b3037218fb346e", "ded7f0db063f8409"),
+    ("milc_rma", 1): ("ded8febef569e147", "24211a0923b7acd1"),
+    ("milc_rma", 4): ("f42f485d418297c4", "24211a0923b7acd1"),
+    ("milc_mpi1", 1): ("7173e505eb00736f", "f1e21ddfb6527c05"),
+    ("milc_mpi1", 4): ("68b5444b03507de5", "f1e21ddfb6527c05"),
+    ("milc_upc", 1): ("9180b1b3ae7be147", "66fed695a089cb8d"),
+    ("milc_upc", 4): ("0a9fa96b8717c9da", "66fed695a089cb8d"),
+    ("dsde_nbx", 1): ("0b9040547487abd3", "27540963dd00db23"),
+    ("dsde_nbx", 4): ("11d072e7774e9e5d", "27540963dd00db23"),
+    ("fft", 1): ("bd4aa13221312e14", "597cbb58210d046c"),
+    ("fft", 4): ("a76b4d301423567c", "597cbb58210d046c"),
+    ("caf_coarray", 1): ("5ae407d39aa5abbb", "46047dcbf1050ab0"),
+    ("caf_coarray", 4): ("ee970b7015022f79", "46047dcbf1050ab0"),
+    ("mcs_lock", 1): ("8cb45e57b2e0f673", "af1e2e66a1fb874a"),
+    ("mcs_lock", 4): ("8e39ebbdec720705", "af1e2e66a1fb874a"),
+    ("dynamic_window", 1): ("3778ae49c275a3e6", "fe9b6aa2a4d91a2d"),
+    ("dynamic_window", 4): ("59c4da8b3628b83e", "fe9b6aa2a4d91a2d"),
 }
 
 
@@ -113,9 +144,10 @@ INSTRUMENT_DIGESTS = {
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_instruments_do_not_perturb_and_verdict_is_as_stated(name, rpn):
     """Zero perturbation (obs, checker), empty plan == clean fabric, no
-    idle entry on either fabric, and the checker reports exactly the
-    entry's ``expect``.  The plain and empty-plan runs take the step loop
-    under the idle tracer; the instrumented ones take the fast loop."""
+    idle entry on either fabric, every run's output correct (``verify``),
+    and the checker reports exactly the entry's ``expect``.  The plain
+    and empty-plan runs take the step loop under the idle tracer; the
+    instrumented ones take the fast loop."""
     kw = dict(nranks=NRANKS, seed=SEED, ranks_per_node=rpn)
     with idle_tracers() as tracers:
         plain = run_workload(name, **kw)
@@ -129,6 +161,9 @@ def test_instruments_do_not_perturb_and_verdict_is_as_stated(name, rpn):
     assert hardened.stats["retransmits"] == 0
     for other in (observed, checked, hardened):
         assert _fingerprint(other) == _fingerprint(plain)
+    verify = WORKLOADS[name].verify
+    assert [verify(r) for r in (plain, observed, checked, hardened)] == \
+        [0, 0, 0, 0]
 
     expect = WORKLOADS[name].expect
     kinds = {v.kind for v in checked.check.violations}
@@ -175,13 +210,19 @@ def test_names_programs_and_goldens_line_up():
 def test_latent_entry_is_clean_until_perturbed():
     """Clean on the default schedule (swept above); one delayed packet
     somewhere shows each latent class (tests/check/test_explore.py runs
-    every delay set)."""
+    every delay set of ``racy_latent``).  ``kv_serve``'s owner preloads
+    its volume with CPU stores and later reaches its own keys with RMA
+    atomics, with no synchronization between the two on that rank; one
+    late packet can move such an atomic before that rank's first
+    flush."""
     latent = {n: wl.latent for n, wl in WORKLOADS.items() if wl.latent}
-    assert latent == {"racy_latent": {"put-get", "put-put"}}
-    assert WORKLOADS["racy_latent"].expect is None
-    found = {v.kind for _, res in delay_sets("racy_latent", NRANKS, 1)
-             for v in res.check.violations}
-    assert found == latent["racy_latent"]
+    assert latent == {"racy_latent": {"put-get", "put-put"},
+                      "kv_serve": {"local-remote"}}
+    for name, kinds in latent.items():
+        assert WORKLOADS[name].expect is None
+        found = {v.kind for _, res in delay_sets(name, NRANKS, 1)
+                 for v in res.check.violations}
+        assert found == kinds, name
 
 
 @pytest.mark.parametrize("name", names(scale=True))
