@@ -41,10 +41,11 @@ The groups:
   :class:`~repro.apps.kvstore.KvStore`
   (:func:`repro.serve.driver.ft_kvstore`); the crash-to-completion
   driver lives in :mod:`repro.ft.workloads`.
-* ``get_flush`` / ``rendezvous`` / ``accumulate`` -- the transport paths
-  the fault sweeps cover beyond ``putget`` and ``locks``: a get completed
-  by a flush, MPI-1's rendezvous protocol, and the accumulate that the
-  NIC cannot apply.
+* ``put_flush`` / ``get_flush`` / ``rendezvous`` / ``lock_contention``
+  / ``accumulate`` -- the transport paths the fault sweeps cover, each
+  returning data that pins every byte it moved: a put and a get
+  completed by a flush, MPI-1's rendezvous protocol, writes serialized
+  by one exclusive lock, and the accumulate that the NIC cannot apply.
 * ``hashtable_*`` / ``kv_serve`` / ``milc_*`` / ``dsde_nbx`` / ``fft`` /
   ``caf_coarray`` -- the paper's application studies (Section 4,
   Figures 7 and 8) with the UPC, CAF and MPI-1 comparators: each wraps
@@ -55,7 +56,6 @@ The groups:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -69,7 +69,7 @@ from repro.apps.fft.parallel import (
     fft_program,
     gather_result,
 )
-from repro.apps.hashtable.common import HashTableLayout
+from repro.apps.hashtable.common import HashTableLayout, verify_contents
 from repro.apps.hashtable.mpi1_ht import mpi1_insert_program
 from repro.apps.hashtable.rma_ht import rma_insert, rma_insert_program
 from repro.apps.hashtable.upc_ht import upc_insert_program
@@ -532,6 +532,23 @@ def ft_hashtable(ctx, inserts: int = 4):
 
 
 # --- transport programs the fault sweeps share ---
+def put_flush(ctx, iters: int = 4, nbytes: int = 64):
+    """Figure 4a's put loop: every rank puts its bytes into its right
+    neighbor's window ``iters`` times, each put completed by a flush,
+    then gets them back.  Returns the bytes the get read."""
+    win = yield from ctx.rma.win_allocate(max(nbytes, 8))
+    right = (ctx.rank + 1) % ctx.nranks
+    yield from win.lock_all()
+    for _ in range(iters):
+        yield from win.put(_payload(ctx.rank, nbytes), right, 0)
+        yield from win.flush(right)
+    got = np.zeros(nbytes, np.uint8)
+    yield from win.get(got, right, 0)
+    yield from win.flush(right)
+    yield from win.unlock_all()
+    return got
+
+
 def get_flush(ctx, iters: int = 2, nbytes: int = 64):
     """Figure 4a's get loop: every rank seeds its own window, then gets
     its right neighbor's bytes ``iters`` times, each get completed by a
@@ -571,6 +588,26 @@ def rendezvous(ctx, nbytes: int = RENDEZVOUS_BYTES, reps: int = 6):
             ok = ok and bool((got == pattern + i).all())
     yield from ctx.coll.barrier()
     return ok
+
+
+def lock_contention(ctx, nbytes: int = 8):
+    """Every rank takes the same exclusive lock on rank 0 and writes its
+    own slice of rank 0's window; after a barrier each reads the whole
+    window back under a shared lock.  Returns the bytes read."""
+    win = yield from ctx.rma.win_allocate(nbytes * ctx.nranks)
+    yield from ctx.coll.barrier()
+    yield from win.lock(0, LockType.EXCLUSIVE)
+    yield from win.put(_payload(ctx.rank, nbytes), 0, nbytes * ctx.rank)
+    yield from win.flush(0)
+    yield from win.unlock(0)
+    yield from ctx.coll.barrier()
+    got = np.zeros(nbytes * ctx.nranks, np.uint8)
+    yield from win.lock(0, LockType.SHARED)
+    yield from win.get(got, 0, 0)
+    yield from win.flush(0)
+    yield from win.unlock(0)
+    yield from ctx.coll.barrier()
+    return got
 
 
 def accumulate(ctx, n: int = 64, reps: int = 2):
@@ -740,6 +777,18 @@ def _from_left(res: RunResult) -> int:
         v, _payload((r - 1) % p, len(v))))
 
 
+def _own(res: RunResult) -> int:
+    # Each rank read back the bytes it put.
+    return _wrong(res, lambda r, p, v: np.array_equal(
+        v, _payload(r, len(v))))
+
+
+def _slices(res: RunResult) -> int:
+    # Every rank read every rank's slice, in rank order.
+    return _wrong(res, lambda r, p, v: np.array_equal(
+        v, np.concatenate([_payload(q, len(v) // p) for q in range(p)])))
+
+
 def _from_right(res: RunResult) -> int:
     # Each rank read the bytes its right neighbor seeded.
     return _wrong(res, lambda r, p, v: np.array_equal(
@@ -773,19 +822,16 @@ def _accumulate_wrong(res: RunResult) -> int:
 
 
 def _hashtable_wrong(res: RunResult) -> int:
-    """Keys missing or extra at their owners, and failed ranks."""
+    """Failed ranks, else 1 if a key is not stored exactly once at its
+    owner (:func:`~repro.apps.hashtable.common.verify_contents`)."""
     if _failed(res):
         return _failed(res)
-    p = len(res.returns)
-    want: list[Counter] = [Counter() for _ in range(p)]
-    for _, keys, _ in res.returns:
-        for k in keys.tolist():
-            want[HT_LAYOUT.place(k, p)[0]][k] += 1
-    wrong = 0
-    for w, (_, _, volume) in zip(want, res.returns):
-        got = Counter(HT_LAYOUT.all_contents(volume))
-        wrong += sum(((got - w) + (w - got)).values())
-    return wrong
+    _, keys, volumes = zip(*res.returns)
+    try:
+        verify_contents(HT_LAYOUT, list(volumes), list(keys))
+    except AssertionError:
+        return 1
+    return 0
 
 
 def _kv_wrong(res: RunResult) -> int:
@@ -865,8 +911,10 @@ WORKLOADS: dict[str, Workload] = {
         flush_ring, scale=WorkloadSpec("flush", epochs=2, nbytes=8)),
     "ft_hashtable": Workload(ft_hashtable, ft=True),
     "ft_kvstore": Workload(ft_kvstore, ft=True),
+    "put_flush": Workload(put_flush, verify=_own),
     "get_flush": Workload(get_flush, verify=_from_right),
     "rendezvous": Workload(rendezvous, verify=_all_true),
+    "lock_contention": Workload(lock_contention, verify=_slices),
     "accumulate": Workload(accumulate, verify=_accumulate_wrong),
     "hashtable_rma": Workload(hashtable_rma, verify=_hashtable_wrong),
     "hashtable_upc": Workload(hashtable_upc, verify=_hashtable_wrong),

@@ -3,12 +3,13 @@
 A registry entry states the checker's verdict (``expect``); a verdict that
 holds on the default schedule only is a latent race.  Here every entry
 that is neither FT nor latent runs under every set of one delayed
-transmission attempt at 2, 3 and 4 ranks, and the race demos, their clean
-twins, the ring programs, fence and PSCW under every set of two at 2 ranks
-(``tests/check/explore.py``).  Each run must end without an exception and
-report exactly its entry's verdict; ``racy_latent``, clean on the default
-schedule, must show both of its latent classes under single delays at
-every size (``tests/test_workloads.py`` checks every latent entry at 4).
+transmission attempt at 2, 3 and 4 ranks (the transport programs,
+application studies and extensions at 2 and 3), and the race demos,
+their clean twins, the ring programs, fence and PSCW under every set of
+two at 2 ranks (``tests/check/explore.py``).  Each run must end without
+an exception and report exactly its entry's verdict.  A latent entry is
+clean on the default schedule, reports nothing but its latent classes
+under single delays, and shows every one of them, at every size.
 
 A failure message is the run's reproducer, one line.
 """
@@ -21,6 +22,15 @@ from tests.check.explore import delay_sets, reproducer, run_delayed
 from tests.test_workloads import _fingerprint
 
 SIZES = (2, 3, 4)
+
+#: Explored at 2 and 3 ranks: the transport programs, application
+#: studies and extensions of ``repro.workloads``, so they add under a
+#: quarter to this file's wall time (``tests/test_workloads.py`` runs
+#: each at 4 under the checker).  3 ranks leaves a rank unpaired or a
+#: process grid uneven.
+SMALL = ("put_flush", "get_flush", "rendezvous", "lock_contention",
+         "accumulate", "hashtable_", "milc_", "dsde_", "fft", "caf_",
+         "mcs_", "dynamic_")
 
 
 def _bound(name: str, nranks: int) -> int:
@@ -38,7 +48,8 @@ def explore(name: str, nranks: int):
 
 
 EXPLORED = [(name, n) for n in SIZES for name, wl in WORKLOADS.items()
-            if not wl.ft and not wl.latent]
+            if not wl.ft and not wl.latent
+            and not (name.startswith(SMALL) and n == 4)]
 
 
 @pytest.mark.parametrize("name,nranks", EXPLORED)
@@ -52,18 +63,23 @@ def test_every_delayed_run_keeps_the_stated_verdict(name, nranks):
 
 @pytest.mark.parametrize("nranks", SIZES)
 def test_latent_race_shows_under_one_delay(nranks):
-    # A slow rank's put into the shared slot races the others' reads of
-    # it, and two slow ranks' puts race each other.
-    latent = WORKLOADS["racy_latent"].latent
-    found = set()
-    for delays, kinds in explore("racy_latent", nranks):
-        assert kinds <= latent, \
-            f"{reproducer('racy_latent', nranks, delays)} reports {kinds}"
-        if not delays:
-            assert not kinds, reproducer("racy_latent", nranks, delays)
-        if len(delays) == 1:
-            found |= kinds
-    assert found == latent
+    # racy_latent: a slow rank's put into the shared slot races the
+    # others' reads of it, and two slow ranks' puts race each other.
+    # kv_serve: an owner's CPU preload stores and its own later atomics
+    # on those keys; one late packet orders such an atomic before the
+    # rank's first flush.
+    for name, wl in WORKLOADS.items():
+        if not wl.latent:
+            continue
+        found = set()
+        for delays, kinds in explore(name, nranks):
+            assert kinds <= wl.latent, \
+                f"{reproducer(name, nranks, delays)} reports {kinds}"
+            if not delays:
+                assert not kinds, reproducer(name, nranks, delays)
+            if len(delays) == 1:
+                found |= kinds
+        assert found == wl.latent, name
 
 
 @pytest.mark.parametrize("name", [n for n, wl in WORKLOADS.items()

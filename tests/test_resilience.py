@@ -21,7 +21,7 @@ from repro.config import (
     NodeCrash,
 )
 from repro.errors import DeadlineError, NodeCrashedError
-from repro.rma.enums import LockType, Op
+from repro.rma.enums import Op
 from repro.workloads import WORKLOADS, run_workload
 from tests.test_workloads import _fingerprint
 
@@ -39,28 +39,6 @@ ALL = {"drop": DROP, "corrupt": CORRUPT, "stall": STALL, "delay": DELAY}
 # ---------------------------------------------------------------------------
 # workloads (each returns per-rank data that must match the fault-free run)
 # ---------------------------------------------------------------------------
-def _lock_contention_program(ctx):
-    """All ranks take the same exclusive lock and write their slice."""
-    win = yield from ctx.rma.win_allocate(8 * ctx.nranks)
-    yield from ctx.coll.barrier()
-    yield from win.lock(0, LockType.EXCLUSIVE)
-    yield from win.put(np.full(8, ctx.rank + 1, np.uint8), 0, 8 * ctx.rank)
-    yield from win.flush(0)
-    yield from win.unlock(0)
-    yield from ctx.coll.barrier()
-    if ctx.rank == 0:
-        yield from win.lock(0, LockType.SHARED)
-        got = np.zeros(8 * ctx.nranks, np.uint8)
-        yield from win.get(got, 0, 0)
-        yield from win.flush(0)
-        yield from win.unlock(0)
-        payload = got.tolist()
-    else:
-        payload = None
-    yield from ctx.coll.barrier()
-    return payload
-
-
 def _hashtable_contents(faults, p=3, inserts=12):
     from repro.apps.hashtable import (
         HashTableLayout,
@@ -80,10 +58,11 @@ def _hashtable_contents(faults, p=3, inserts=12):
 
 
 #: The registry entries every fault class is swept over, at 2 ranks one
-#: per node.  The two Figure 4a loops keep their cell names.
-SWEPT = [pytest.param("putget", id="fig4-put"),
+#: per node, under their old cell names.  Each returns data that pins
+#: every byte it moved, the same on every schedule.
+SWEPT = [pytest.param("put_flush", id="fig4-put"),
          pytest.param("get_flush", id="fig4-get"),
-         "rendezvous", "locks"]
+         "rendezvous", pytest.param("lock_contention", id="locks")]
 
 
 def _run(workload, faults=None):
@@ -152,8 +131,8 @@ def test_workloads_recover_under_faults(workload, fault):
     faults = ALL[fault]
     clean = _run(workload)
     faulty = _run(workload, faults)
-    # Correct answers, fully recovered ...
-    assert WORKLOADS[workload].verify(clean) == 0
+    # The fault-free run's answers, and correct ones, fully recovered ...
+    assert _fingerprint(faulty)[2] == _fingerprint(clean)[2]
     assert WORKLOADS[workload].verify(faulty) == 0
     # ... and the fault machinery really engaged.
     assert "retransmits" in faulty.stats
@@ -171,12 +150,11 @@ def test_workloads_recover_under_faults(workload, fault):
 
 @pytest.mark.parametrize("fault", sorted(LOSSY))
 def test_lock_contention_recovers_with_more_ranks(fault):
-    clean = run_spmd(_lock_contention_program, 4, machine=INTER)
-    faulty = run_spmd(_lock_contention_program, 4, machine=INTER,
-                      faults=LOSSY[fault])
-    assert faulty.returns == clean.returns
+    clean = run_workload("lock_contention", 4)
+    faulty = run_workload("lock_contention", 4, faults=LOSSY[fault])
+    assert _fingerprint(faulty)[2] == _fingerprint(clean)[2]
     expected = [b for r in range(4) for b in [r + 1] * 8]
-    assert faulty.returns[0] == expected
+    assert _fingerprint(faulty)[2] == [expected] * 4
 
 
 @pytest.mark.parametrize("fault", sorted(LOSSY))
@@ -203,8 +181,8 @@ def test_faulty_runs_replay_bit_identically(workload):
 
 
 def test_seed_changes_fault_pattern():
-    a = run_workload("putget", 2, seed=1, faults=DROP)
-    b = run_workload("putget", 2, seed=2, faults=DROP)
+    a = run_workload("put_flush", 2, seed=1, faults=DROP)
+    b = run_workload("put_flush", 2, seed=2, faults=DROP)
     assert ((a.stats["faults"] != b.stats["faults"])
             or (a.sim_time_ns != b.sim_time_ns))
 
@@ -243,7 +221,7 @@ def test_fault_on_a_node_outside_the_run_is_refused(fault):
     nothing and report the clean run; it is refused before anything is
     simulated."""
     with pytest.raises(ValueError, match="not a node of this run"):
-        run_workload("putget", 4, faults=fault)
+        run_workload("put_flush", 4, faults=fault)
 
 
 def test_node_crash_quarantines_and_fails_fast():
@@ -324,11 +302,11 @@ def test_trace_surfaces_injected_faults():
     """The run's stats count every injected drop and the retransmit that
     recovered it: with no crash and no exhausted budget, each lost
     attempt is resent exactly once."""
-    res = _run("putget", DROP)
+    res = _run("put_flush", DROP)
     faults = res.stats["faults"]
     assert faults["drops"] == res.stats["retransmits"] > 0
     assert faults["deadline_failures"] == 0
-    assert WORKLOADS["putget"].verify(res) == 0
+    assert _fingerprint(res)[2] == [[1] * 64, [2] * 64]
 
 
 def _add_by_stream(win, ctx):

@@ -22,7 +22,6 @@ from repro.config import FaultPlan
 from repro.ft.workloads import run_crash_to_completion
 from repro.obs import chrome_trace_json
 from repro.workloads import WORKLOADS, lookup, names, run_workload
-from tests.check.explore import delay_sets
 from tests.conftest import idle_tracers
 from tests.sim.test_kernel_gen2 import GOLDEN, GOLDEN_RETURNS, current
 
@@ -107,10 +106,14 @@ INSTRUMENT_DIGESTS = {
     ("ft_hashtable", 4): ("d517fb9e12cb3c29", "3838c66e0ebab0be"),
     ("ft_kvstore", 1): ("20f9914b5e1414b2", "4c91a350c9ca943f"),
     ("ft_kvstore", 4): ("dcc11e93a0746214", "2ff1fdda3893a174"),
+    ("put_flush", 1): ("3d264967a1b7af46", "ca17473090d3c3bd"),
+    ("put_flush", 4): ("42fa64d9e261085b", "ca17473090d3c3bd"),
     ("get_flush", 1): ("2d4a5d72cd44e73c", "ae4a9e827c1803c0"),
     ("get_flush", 4): ("4a90779bc07481b1", "ae4a9e827c1803c0"),
     ("rendezvous", 1): ("f47b92e230442019", "09a9edcf506acce4"),
     ("rendezvous", 4): ("c6098a908187289f", "09a9edcf506acce4"),
+    ("lock_contention", 1): ("db8ebd4fdea6f618", "4677090f2571fa48"),
+    ("lock_contention", 4): ("89a3c59a692e3727", "4677090f2571fa48"),
     ("accumulate", 1): ("1ea9ed61df0dee5f", "f3d1d4e30c5b3405"),
     ("accumulate", 4): ("51dca8fd53c3fcd6", "f3d1d4e30c5b3405"),
     ("hashtable_rma", 1): ("b434a55d7cfcc515", "8518075c70126e0b"),
@@ -208,21 +211,17 @@ def test_names_programs_and_goldens_line_up():
 
 
 def test_latent_entry_is_clean_until_perturbed():
-    """Clean on the default schedule (swept above); one delayed packet
-    somewhere shows each latent class (tests/check/test_explore.py runs
-    every delay set of ``racy_latent``).  ``kv_serve``'s owner preloads
-    its volume with CPU stores and later reaches its own keys with RMA
-    atomics, with no synchronization between the two on that rank; one
-    late packet can move such an atomic before that rank's first
-    flush."""
+    """Clean on the default schedule (swept above, no verdict stated);
+    tests/check/test_explore.py runs every single-delay schedule of each
+    at 2, 3 and 4 ranks and finds every latent class.  ``kv_serve``'s
+    owner preloads its volume with CPU stores and later reaches its own
+    keys with RMA atomics, with no synchronization between the two on
+    that rank; one late packet can move such an atomic before that
+    rank's first flush."""
     latent = {n: wl.latent for n, wl in WORKLOADS.items() if wl.latent}
     assert latent == {"racy_latent": {"put-get", "put-put"},
                       "kv_serve": {"local-remote"}}
-    for name, kinds in latent.items():
-        assert WORKLOADS[name].expect is None
-        found = {v.kind for _, res in delay_sets(name, NRANKS, 1)
-                 for v in res.check.violations}
-        assert found == kinds, name
+    assert all(WORKLOADS[n].expect is None for n in latent)
 
 
 @pytest.mark.parametrize("name", names(scale=True))
